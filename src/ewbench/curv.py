@@ -107,33 +107,36 @@ def _riemann_from_gamma(gamma, dgamma):
     )
 
 
-def christoffel(g, pt, method="jet"):
+def _curvature(g, pt, method, scalar=False):
+    """(Gamma, R^a_bcd, R_bd, Kretschmann) from one pass over the metric
+    arrays; the costly Kretschmann contraction runs only if ``scalar``."""
     g0, dg, ddg, ginv = _metric_arrays(g, pt, method)
-    t = np.einsum("bdc->dbc", dg) + np.einsum("cdb->dbc", dg) - dg
-    return 0.5 * np.einsum("ad,dbc->abc", ginv, t)
+    gamma, dgamma = _gamma_and_partial(g0, dg, ddg, ginv)
+    r_up = _riemann_from_gamma(gamma, dgamma)
+    k = None
+    if scalar:
+        r_low = np.einsum("ae,ebcd->abcd", g0, r_up)
+        k = float(
+            np.einsum("abcd,ae,bf,cg,dh,efgh->", r_low, ginv, ginv, ginv, ginv, r_low)
+        )
+    return gamma, r_up, np.einsum("abad->bd", r_up), k
+
+
+def christoffel(g, pt, method="jet"):
+    return _curvature(g, pt, method)[0]
 
 
 def riemann(g, pt, method="jet"):
     """R^a_bcd from the metric at a point."""
-    g0, dg, ddg, ginv = _metric_arrays(g, pt, method)
-    gamma, dgamma = _gamma_and_partial(g0, dg, ddg, ginv)
-    return _riemann_from_gamma(gamma, dgamma)
+    return _curvature(g, pt, method)[1]
 
 
 def ricci(g, pt, method="jet"):
-    return np.einsum("abad->bd", riemann(g, pt, method))
+    return _curvature(g, pt, method)[2]
 
 
 def kretschmann(g, pt, method="jet"):
-    g0, dg, ddg, ginv = _metric_arrays(g, pt, method)
-    gamma, dgamma = _gamma_and_partial(g0, dg, ddg, ginv)
-    r_up = _riemann_from_gamma(gamma, dgamma)
-    r_low = np.einsum("ae,ebcd->abcd", g0, r_up)
-    return float(
-        np.einsum(
-            "abcd,ae,bf,cg,dh,efgh->", r_low, ginv, ginv, ginv, ginv, r_low
-        )
-    )
+    return _curvature(g, pt, method, scalar=True)[3]
 
 
 @dataclass(frozen=True)
@@ -144,14 +147,8 @@ class CurvatureReport:
 
 
 def curvature_report(g, pt, method="jet"):
-    g0, dg, ddg, ginv = _metric_arrays(g, pt, method)
-    gamma, dgamma = _gamma_and_partial(g0, dg, ddg, ginv)
-    r_up = _riemann_from_gamma(gamma, dgamma)
-    r_low = np.einsum("ae,ebcd->abcd", g0, r_up)
-    k = float(
-        np.einsum("abcd,ae,bf,cg,dh,efgh->", r_low, ginv, ginv, ginv, ginv, r_low)
-    )
-    return CurvatureReport(gamma, np.einsum("abad->bd", r_up), k)
+    gamma, _, ric, k = _curvature(g, pt, method, scalar=True)
+    return CurvatureReport(gamma, ric, k)
 
 
 # ---------------------------------------------------------------------------
@@ -186,43 +183,39 @@ def _volume_jet(det):
 def hodge4(F, g):
     """(star F)_ab = (1/2) sqrt|det g| eps_abcd F^cd with field components.
 
-    eps has eps_0123 = +1 in the chart's coordinate order.  All six output
-    components share one cached computation per evaluation point and order.
+    eps has eps_0123 = +1 in the chart's coordinate order.
     """
     if F.degree != 2 or len(F.chart) != 4:
         raise ValueError("hodge4 expects a 2-form on a 4D chart")
     if F.chart != g.chart:
         raise ValueError("chart mismatch in hodge4")
-    cache = {}
 
-    def comps_at(pt, order):
-        key = (pt, order)
-        if key not in cache:
-            rows = g.jet_matrix_at(pt, order)
-            det = jet_det(rows)
-            if abs(det.value) < DET_TOL:
-                raise SingularMetricError(f"|det g| = {abs(det.value):.3e}")
-            inv = jet_inv(rows, det)
-            vol = _volume_jet(det)
-            f_low = {pair: F.comp(pair)(pt, order) for pair in _PAIRS4}
-            out = {}
-            for a, b in _PAIRS4:
-                c, d = (i for i in range(4) if i not in (a, b))
-                sign = _EPS4[a, b, c, d]
-                # F^cd = sum_{e<f} (g^ce g^df - g^cf g^de) F_ef
-                total = None
-                for (e, f), jet in f_low.items():
-                    coeff = inv[c][e] * inv[d][f] - inv[c][f] * inv[d][e]
-                    term = coeff * jet
-                    total = term if total is None else total + term
-                star = vol * total
-                out[(a, b)] = star if sign > 0 else -star
-            cache.clear()
-            cache[key] = out
-        return cache[key]
+    # one evaluation per scope serves all six components
+    @Field
+    def block(pt, order=0):
+        rows = g.jet_matrix_at(pt, order)
+        det = jet_det(rows)
+        if abs(det.value) < DET_TOL:
+            raise SingularMetricError(f"|det g| = {abs(det.value):.3e}")
+        inv = jet_inv(rows, det)
+        vol = _volume_jet(det)
+        f_low = {pair: F.comp(pair)(pt, order) for pair in _PAIRS4}
+        out = {}
+        for a, b in _PAIRS4:
+            c, d = (i for i in range(4) if i not in (a, b))
+            sign = _EPS4[a, b, c, d]
+            # F^cd = sum_{e<f} (g^ce g^df - g^cf g^de) F_ef
+            total = None
+            for (e, f), jet in f_low.items():
+                coeff = inv[c][e] * inv[d][f] - inv[c][f] * inv[d][e]
+                term = coeff * jet
+                total = term if total is None else total + term
+            star = vol * total
+            out[(a, b)] = star if sign > 0 else -star
+        return out
 
     def comp_field(idx):
-        return Field(lambda pt, order=0: comps_at(pt, order)[idx])
+        return Field(lambda pt, order=0: block(pt, order)[idx])
 
     return PForm(F.chart, 2, {idx: comp_field(idx) for idx in _PAIRS4})
 

@@ -18,7 +18,7 @@ thing across families and charts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,9 +79,6 @@ class EWStructure:
     @property
     def chart(self):
         return self.frame.chart
-
-    def with_family(self, tag):
-        return replace(self, family=tag)
 
 
 @dataclass(frozen=True)

@@ -298,31 +298,28 @@ def hodge3(a, frame):
         raise ValueError("hodge3 is defined for 1-forms only")
     if a.chart != frame.chart:
         raise ValueError("chart mismatch in hodge3")
-    cache = {}
 
-    def comps_at(pt, order):
-        key = (pt, order)
-        if key not in cache:
-            rows = frame.rows_at(pt, order)
-            target = [a.comp((j,))(pt, order) for j in range(3)]
-            coeffs = _expand_rows(rows, target)
-            out = {(0, 1): None, (0, 2): None, (1, 2): None}
-            for (basis_idx, factor), c in zip(_STAR_RULES, coeffs):
-                i, j = basis_idx
-                # (e^{i+1} ^ e^{j+1})_{kl} = E_ik E_jl - E_il E_jk
-                for k in range(3):
-                    for l in range(k + 1, 3):
-                        term = (rows[i][k] * rows[j][l] - rows[i][l] * rows[j][k]) * c
-                        if factor != 1.0:
-                            term = term * factor
-                        cur = out[(k, l)]
-                        out[(k, l)] = term if cur is None else cur + term
-            cache.clear()
-            cache[key] = out
-        return cache[key]
+    # one evaluation per scope serves all three components
+    @Field
+    def block(pt, order=0):
+        rows = frame.rows_at(pt, order)
+        target = [a.comp((j,))(pt, order) for j in range(3)]
+        coeffs = _expand_rows(rows, target)
+        out = {(0, 1): None, (0, 2): None, (1, 2): None}
+        for (basis_idx, factor), c in zip(_STAR_RULES, coeffs):
+            i, j = basis_idx
+            # (e^{i+1} ^ e^{j+1})_{kl} = E_ik E_jl - E_il E_jk
+            for k in range(3):
+                for l in range(k + 1, 3):
+                    term = (rows[i][k] * rows[j][l] - rows[i][l] * rows[j][k]) * c
+                    if factor != 1.0:
+                        term = term * factor
+                    cur = out[(k, l)]
+                    out[(k, l)] = term if cur is None else cur + term
+        return out
 
     def comp_field(idx):
-        return Field(lambda pt, order=0: comps_at(pt, order)[idx])
+        return Field(lambda pt, order=0: block(pt, order)[idx])
 
     return PForm(a.chart, 2, {idx: comp_field(idx) for idx in ((0, 1), (0, 2), (1, 2))})
 

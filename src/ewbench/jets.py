@@ -7,6 +7,12 @@ only rounding.  A :class:`Field` is a lazily evaluated scalar function of a
 :class:`ChartPoint`; requesting a derivative field lowers the maximum order
 that can be evaluated by one, which is how the order cap stays honest.
 
+Field evaluations are memoized on the exact ``(field, point, order)`` in the
+open :func:`evaluation_scope` (``report.run_check`` opens one per sample point;
+a call made with no scope open gets one for its own duration), so shared
+subexpressions are evaluated once.  The memo is a context variable, never
+shared between threads.
+
 The module also provides the independent finite-difference oracle used to
 cross-check jet output, and deterministic rejection sampling of guarded
 coordinate boxes.
@@ -14,6 +20,8 @@ coordinate boxes.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +40,7 @@ __all__ = [
     "Jet",
     "ChartPoint",
     "Field",
+    "evaluation_scope",
     "Guard",
     "SampleDomain",
     "sample",
@@ -89,16 +98,10 @@ class ChartPoint:
                 return val
         raise KeyError(name)
 
-    def has_name(self, name):
-        return name in self.chart or any(k == name for k, _ in self.params)
-
     def with_coord(self, index, value):
         coords = list(self.coords)
         coords[index] = value
         return ChartPoint(self.chart, tuple(coords), self.params)
-
-    def param_dict(self):
-        return dict(self.params)
 
 
 def point(chart, *coords, **params):
@@ -421,12 +424,28 @@ tanh = _unary(_tanh_rule, math.tanh)
 # ---------------------------------------------------------------------------
 
 
+# memo of the open evaluation scope: (field, point, order) -> jet
+_SCOPE = ContextVar("ewbench_evaluation_scope", default=None)
+
+
+@contextmanager
+def evaluation_scope():
+    """Share field evaluations made inside the block; forget them after it."""
+    token = _SCOPE.set({})
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
 class Field:
     """A scalar function of a chart point, evaluated on demand as a jet.
 
-    ``field(pt, order)`` must return a jet valid through ``order``.  Algebra
-    on fields is pointwise; ``d(name)`` is the partial-derivative field along
-    the named coordinate and needs the base to support one order more.
+    ``field(pt, order)`` returns the jet of ``fn(pt, order)``, valid through
+    ``order``, computed at most once per evaluation scope; callers share the
+    jet, so they must not mutate it.  Algebra on fields is pointwise;
+    ``d(name)`` is the partial-derivative field along the named coordinate
+    and needs the base to support one order more.
     """
 
     __slots__ = ("fn",)
@@ -435,7 +454,15 @@ class Field:
         self.fn = fn
 
     def __call__(self, pt, order=0):
-        return self.fn(pt, order)
+        memo = _SCOPE.get()
+        if memo is None:
+            with evaluation_scope():
+                return self(pt, order)
+        key = (self, pt, order)
+        jet = memo.get(key)
+        if jet is None:
+            jet = memo[key] = self.fn(pt, order)
+        return jet
 
     @staticmethod
     def const(value):
@@ -458,12 +485,12 @@ class Field:
                     f"of the base field (cap is {MAX_ORDER})"
                 )
             idx = pt.chart.index(name)
-            return self.fn(pt, order + 1).partial(idx)
+            return self(pt, order + 1).partial(idx)
 
         return Field(fn)
 
     def value(self, pt):
-        return self.fn(pt, 0).value
+        return self(pt, 0).value
 
     # -- pointwise algebra ---------------------------------------------------
 
@@ -479,7 +506,7 @@ class Field:
         o = Field._lift(other)
         if o is None:
             return NotImplemented
-        return Field(lambda pt, order=0: op(self.fn(pt, order), o.fn(pt, order)))
+        return Field(lambda pt, order=0: op(self(pt, order), o(pt, order)))
 
     def __add__(self, other):
         return self._binary(other, lambda a, b: a + b)
@@ -504,11 +531,11 @@ class Field:
         return self._binary(other, lambda a, b: b / a)
 
     def __neg__(self):
-        return Field(lambda pt, order=0: -self.fn(pt, order))
+        return Field(lambda pt, order=0: -self(pt, order))
 
     def __pow__(self, exponent):
         if isinstance(exponent, (int, float)):
-            return Field(lambda pt, order=0: self.fn(pt, order) ** exponent)
+            return Field(lambda pt, order=0: self(pt, order) ** exponent)
         return NotImplemented
 
 

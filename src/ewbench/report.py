@@ -9,13 +9,11 @@ byte-identical apart from the wall-time field.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
-
-THREADS_VAR = "EWBENCH_THREADS"
+from .errors import ConfigError, DomainError
+from .jets import evaluation_scope
 
 SCHEMA = 1
 
@@ -25,30 +23,6 @@ CONVENTIONS = {
     "field_equations": "R_ab + 3 ell^-2 g_ab + 2 F_ac F_b^c - (1/2) F^2 g_ab",
     "orientation": "volume form positive in chart coordinate order",
 }
-
-
-def thread_count():
-    """Worker cap from the environment; 1 when unset or malformed."""
-    raw = os.environ.get(THREADS_VAR, "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return n if n >= 1 else 1
-
-
-def point_map(fn, points):
-    """Apply ``fn`` to each point, in order, optionally on worker threads.
-
-    Aggregation order never depends on the worker count, so reports stay
-    byte-stable whatever EWBENCH_THREADS says.
-    """
-    points = list(points)
-    n = thread_count()
-    if n <= 1 or len(points) < 2:
-        return [fn(q) for q in points]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, points))
 
 
 @dataclass(frozen=True)
@@ -70,11 +44,21 @@ class CheckResult:
 
 
 def run_check(name, fn, points, tol):
-    """Evaluate a residual-magnitude function over points and aggregate."""
+    """Evaluate a residual-magnitude function over points and aggregate.
+
+    Each point is evaluated in its own field evaluation scope.  A non-finite
+    value raises DomainError at the first such point in sample order.
+    """
     points = list(points)
     if not points:
         raise ConfigError(f"check {name!r} received no sample points")
-    vals = [float(v) for v in point_map(fn, points)]
+    vals = []
+    for q in points:
+        with evaluation_scope():
+            v = float(fn(q))
+        if not math.isfinite(v):
+            raise DomainError(f"check {name!r} is {v} at {q.coords}")
+        vals.append(v)
     worst = max(range(len(vals)), key=vals.__getitem__)
     return CheckResult(
         name=name,
@@ -117,4 +101,4 @@ def build_report(config, chart, n_points, results, detail=None):
 
 
 def report_json(report):
-    return json.dumps(report, indent=2, sort_keys=False) + "\n"
+    return json.dumps(report, indent=2, sort_keys=False, allow_nan=False) + "\n"

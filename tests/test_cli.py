@@ -1,11 +1,27 @@
 import hashlib
 import json
+import math
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from ewbench import (
+    ChartPoint,
+    LiftConfig,
+    ext_d,
+    heisenberg,
+    hodge3,
+    hodge4,
+    psi_const,
+)
+from ewbench.errors import DomainError
+from ewbench.families import default_domain
+from ewbench.jets import evaluation_scope, sample
+from ewbench.lift import build, fix_ell_sign
+from ewbench.report import report_json, run_check
 from ewbench.cli import (
     DEFAULTS,
     EXIT_CONFIG,
@@ -301,11 +317,35 @@ class TestDeterminism:
         b = hashlib.sha256(normalize(second).encode()).hexdigest()
         assert a == b
 
-    def test_thread_count_does_not_change_report(self, capsys, monkeypatch):
-        _, serial = run_cli(capsys, *self.ARGS)
-        monkeypatch.setenv("EWBENCH_THREADS", "4")
-        _, threaded = run_cli(capsys, *self.ARGS)
-        assert normalize(serial) == normalize(threaded)
+    def test_shared_hodge_forms_agree_across_threads(self):
+        base = heisenberg(1.0)
+        ell, _ = fix_ell_sign(base, 1.0)
+        data = build(LiftConfig(base, psi_const(base, 0.5), ell, c=0.5))
+        pts3 = sample(default_domain("heisenberg", seed=3, count=20))
+        pts4 = [ChartPoint.make(data.chart, (0.3,) + q.coords) for q in pts3]
+        cases = (
+            (hodge3(base.omega, base.frame), pts3),
+            (hodge4(ext_d(data.potential), data.g), pts4),
+        )
+
+        def evaluate():
+            out = []
+            for star, pts in cases:
+                for q in pts:
+                    with evaluation_scope():
+                        out.append([f(q, 1).grad.tolist() for f in star.comps.values()])
+            return out
+
+        serial = evaluate()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                runs = [pool.submit(evaluate) for _ in range(4)]
+                threaded = [r.result(timeout=120) for r in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(run == serial for run in threaded)
 
     def test_seed_changes_worst_point(self, capsys):
         _, a = run_json(capsys, *self.ARGS)
@@ -315,6 +355,23 @@ class TestDeterminism:
             "--points", "50", "--seed", "12",
         )
         assert a["checks"]["gt"]["worst_point"] != b["checks"]["gt"]["worst_point"]
+
+
+class TestNonFinite:
+    POINTS = [ChartPoint.make(("x",), (float(i),)) for i in range(3)]
+
+    @pytest.mark.parametrize(
+        "values,shown",
+        [([1e-9, math.nan, 1e-9], "nan"), ([1e-9, math.inf, math.nan], "inf")],
+    )
+    def test_first_non_finite_point_is_a_domain_error(self, values, shown):
+        vals = iter(values)
+        with pytest.raises(DomainError, match=rf"'gt' is {shown} at \(1\.0,\)"):
+            run_check("gt", lambda q: next(vals), self.POINTS, 1e-7)
+
+    def test_report_json_rejects_nan(self):
+        with pytest.raises(ValueError):
+            report_json({"max": math.nan})
 
 
 def test_module_entry_point(tmp_path):

@@ -16,11 +16,12 @@ from ewbench import (
 )
 from ewbench import jets
 from ewbench.errors import (
+    DomainError,
     GuardViolationError,
     JetOrderError,
     SamplingExhaustedError,
 )
-from ewbench.jets import require_guards
+from ewbench.jets import evaluation_scope, require_guards
 
 from conftest import XYT, PYT, box_points, pt
 
@@ -79,6 +80,52 @@ class TestOrderCap:
         f = parse_field("exp(t)*sin(y)", XYT)
         q = pt(XYT, 0.0, 0.3, 0.1)
         assert f.d("y")(q, 0).value == pytest.approx(f(q, 1).grad[1])
+
+
+class TestEvaluationScope:
+    @staticmethod
+    def counted_coordinate(calls):
+        def fn(q, order=0):
+            calls.append((q.coords, order))
+            return Jet.variable(q.coords[0], 0, q.dim, order)
+
+        return Field(fn)
+
+    def test_fn_runs_once_per_point_and_order_in_a_scope(self):
+        calls = []
+        x = self.counted_coordinate(calls)
+        g = x * x + x.d("x") * x - x
+        a, b = pt(("x",), 1.0), pt(("x",), 2.0)
+        with evaluation_scope():
+            for q in (a, b, pt(("x",), 1.0)):
+                assert g(q, 0).value == q.coords[0] ** 2
+                g(q, 1)
+        # x at orders 0 and 1 for g, order 2 for x.d("x") at order 1
+        assert sorted(calls) == [
+            ((1.0,), 0), ((1.0,), 1), ((1.0,), 2),
+            ((2.0,), 0), ((2.0,), 1), ((2.0,), 2),
+        ]
+
+    def test_top_level_calls_do_not_share(self):
+        calls = []
+        x = self.counted_coordinate(calls)
+        q = pt(("x",), 1.0)
+        x(q, 0)
+        x(q, 0)
+        assert calls == [((1.0,), 0), ((1.0,), 0)]
+
+    def test_no_memo_left_open_after_top_level_calls(self):
+        assert jets._SCOPE.get() is None
+        Field.coordinate("x")(pt(("x",), 1.0), 3)
+        assert jets._SCOPE.get() is None
+        bad = parse_field("ln(x)", ("x",)) * 2.0
+        with pytest.raises(DomainError):
+            bad(pt(("x",), -1.0), 0)
+        assert jets._SCOPE.get() is None
+        with pytest.raises(DomainError):
+            with evaluation_scope():
+                bad(pt(("x",), -1.0), 0)
+        assert jets._SCOPE.get() is None
 
 
 class TestFdOracle:
