@@ -11,12 +11,14 @@ Configuration comes from flags or a JSON file (flags override).  Reports
 are JSON with a fixed key order and a ``schema`` version; for a fixed
 configuration and seed they are byte-identical apart from wall time.
 Exit codes: 0 all checks pass, 1 a check fails, 2 configuration problem,
-3 sampling or guard problem.
+3 sampling, guard or domain problem (a non-finite value or an overflow
+included, in every subcommand).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -225,23 +227,21 @@ def _verify_fns(s, cfg, names):
     fns = {}
     for name in names:
         if name == "gt":
-            fns[name] = lambda q: float(np.abs(gt_residual(s, q)).max())
+            fns[name] = lambda q: gt_residual(s, q)
         elif name == "monopole":
-            fns[name] = lambda q: float(np.abs(monopole_residual(s, q)).max())
+            fns[name] = lambda q: monopole_residual(s, q)
         elif name == "hypercr":
             if s.u is None or s.w is None:
                 raise ConfigError(
                     "hypercr check needs the hydrodynamic pair (u, w), "
                     "which this structure does not carry"
                 )
-            fns[name] = lambda q: max(abs(v) for v in hypercr_residual(s.u, s.w, q))
+            fns[name] = lambda q: hypercr_residual(s.u, s.w, q)
         elif name == "psi":
             psi = fam.psi_const(s, cfg["c"])
-            fns[name] = lambda q, _p=psi: float(
-                np.abs(psi_residual(_p, s, q)).max()
-            )
+            fns[name] = lambda q: psi_residual(psi, s, q)
         elif name == "weyl":
-            fns[name] = lambda q: float(np.abs(weyl_ricci_residual(s, q)).max())
+            fns[name] = lambda q: weyl_ricci_residual(s, q)
         else:
             raise ConfigError(f"check {name!r} is not available under verify")
     return fns
@@ -260,12 +260,18 @@ def cmd_verify(cfg):
     return report
 
 
-def _fibre_values(chart, seed, count):
+def _lift_points(chart4, seed, base_pts):
+    """Base points extended by seeded fibre values for the fibre chart."""
     rng = np.random.default_rng(seed + 101)
-    if chart == "alpha":
+    if chart4[0] == "alpha":
         lo, hi = lift_mod.ALPHA_WINDOW
-        return rng.uniform(lo, hi, size=count)
-    return rng.uniform(-1.2, 1.2, size=count)
+    else:
+        lo, hi = -1.2, 1.2
+    fibres = rng.uniform(lo, hi, size=len(base_pts))
+    return tuple(
+        ChartPoint.make(chart4, (fv,) + q.coords)
+        for fv, q in zip(fibres, base_pts)
+    )
 
 
 def _lift_data(cfg):
@@ -301,27 +307,19 @@ def cmd_lift(cfg):
     cfg["points"] = cfg["points"] or 100
     base, base_pts, lcfg = _lift_data(cfg)
     data = lift_mod.build(lcfg)
-    fibres = _fibre_values(cfg["chart"], cfg["seed"], len(base_pts))
-    pts4 = tuple(
-        ChartPoint.make(data.chart, (fv,) + q.coords)
-        for fv, q in zip(fibres, base_pts)
-    )
+    pts4 = _lift_points(data.chart, cfg["seed"], base_pts)
     results = []
     for name in names:
         if name == "em":
-            fn = lambda q: float(
-                np.abs(em_residual(data.g, data.potential, data.ell, q)).max()
-            )
+            fn = lambda q: em_residual(data.g, data.potential, data.ell, q)
             results.append(run_check(name, fn, pts4, tol))
         elif name == "maxwell":
-            fn = lambda q: float(
-                np.abs(maxwell_residual(data.potential, data.g, q)).max()
-            )
+            fn = lambda q: maxwell_residual(data.potential, data.g, q)
             results.append(run_check(name, fn, pts4, tol))
         elif name == "invariants":
-            results.append(
-                run_check(name, _invariant_fn(lcfg), _p_chart_points(cfg, base_pts), tol)
-            )
+            data_p, fn = _invariant_fn(lcfg, data)
+            pts_p = _lift_points(data_p.chart, cfg["seed"], base_pts)
+            results.append(run_check(name, fn, pts_p, tol))
         elif name in ("gt", "monopole", "psi", "weyl", "hypercr"):
             fn = _verify_fns(base, cfg, (name,))[name]
             results.append(run_check(name, fn, base_pts, tol))
@@ -331,36 +329,29 @@ def cmd_lift(cfg):
     return report
 
 
-def _p_chart_points(cfg, base_pts):
-    fibres = _fibre_values("p", cfg["seed"], len(base_pts))
-    name = "p" if "p" not in base_pts[0].chart else "q"
-    chart = (name,) + base_pts[0].chart
-    return tuple(
-        ChartPoint.make(chart, (fv,) + q.coords)
-        for fv, q in zip(fibres, base_pts)
-    )
+def _invariant_fn(lcfg, data):
+    """Chart covariance of the scalar invariants, plus signature.
 
-
-def _invariant_fn(lcfg):
-    """Chart covariance of the scalar invariants, plus signature."""
-    data_p = lift_mod.build_p(lcfg)
-    data_a = lift_mod.build_alpha(lcfg)
+    ``data`` is the lift already built on the configured chart; the other
+    chart is built from the same config without validating it again.
+    Returns the p-chart lift, whose points the check runs on, and the check.
+    """
+    other = dataclasses.replace(lcfg, validate=False)
+    if lcfg.chart == "alpha":
+        data_p, data_a = lift_mod.build_p(other), data
+    else:
+        data_p, data_a = data, lift_mod.build_alpha(other)
 
     def fn(q):
         qa = lift_mod.matched_alpha_point(q, data_p.ell)
-        dev = abs(kretschmann(data_p.g, q) - kretschmann(data_a.g, qa))
-        dev = max(
-            dev,
-            abs(
-                f_squared(data_p.potential, data_p.g, q)
-                - f_squared(data_a.potential, data_a.g, qa)
-            ),
+        return (
+            kretschmann(data_p.g, q) - kretschmann(data_a.g, qa),
+            f_squared(data_p.potential, data_p.g, q)
+            - f_squared(data_a.potential, data_a.g, qa),
+            0.0 if data_p.g.signature_at(q) == (3, 1) else 1.0,
         )
-        if data_p.g.signature_at(q) != (3, 1):
-            dev = max(dev, 1.0)
-        return dev
 
-    return fn
+    return data_p, fn
 
 
 def cmd_limit(cfg):
@@ -426,6 +417,9 @@ def cmd_eval(args):
     ast = ex.parse(args.expr, chart)
     pt = ChartPoint.make(chart, coords)
     jet = ex.eval_jet(ast, pt, order)
+    entries = (jet.value, jet.grad, jet.hess, jet.third)[: order + 1]
+    if not all(np.isfinite(a).all() for a in entries):
+        raise DomainError(f"'{args.expr}' is not finite through order {order}")
     out = {
         "schema": 1,
         "expr": args.expr,
@@ -461,7 +455,7 @@ def main(argv=None):
     try:
         if args.command == "eval":
             payload = cmd_eval(args)
-            _emit(json.dumps(payload, indent=2, sort_keys=False) + "\n", args.out)
+            _emit(report_json(payload), args.out)
             return EXIT_PASS
         cfg = merge_config(args)
         if args.command == "verify":

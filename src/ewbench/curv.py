@@ -31,7 +31,14 @@ from itertools import permutations
 import numpy as np
 
 from .errors import SingularMetricError
-from .forms import PForm, ext_d, jet_det, jet_inv, metric_from_coframe
+from .forms import (
+    METRIC_DET_TOL,
+    PForm,
+    ext_d,
+    jet_det,
+    jet_inv,
+    metric_from_coframe,
+)
 from .jets import Field, fd_oracle, sqrt as jet_sqrt
 
 __all__ = [
@@ -48,9 +55,6 @@ __all__ = [
     "weyl_ricci_residual",
     "weyl_ricci_residual_metric",
 ]
-
-DET_TOL = 1e-12
-
 
 # ---------------------------------------------------------------------------
 # packed metric derivatives
@@ -77,7 +81,7 @@ def _metric_arrays(g, pt, method="jet"):
     else:
         raise ValueError(f"unknown derivative method {method!r}")
     det = np.linalg.det(g0)
-    if abs(det) < DET_TOL:
+    if abs(det) < METRIC_DET_TOL:
         raise SingularMetricError(f"|det g| = {abs(det):.3e} at {pt.coords}")
     return g0, dg, ddg, np.linalg.inv(g0)
 
@@ -108,8 +112,8 @@ def _riemann_from_gamma(gamma, dgamma):
 
 
 def _curvature(g, pt, method, scalar=False):
-    """(Gamma, R^a_bcd, R_bd, Kretschmann) from one pass over the metric
-    arrays; the costly Kretschmann contraction runs only if ``scalar``."""
+    """(Gamma, R^a_bcd, R_bd, Kretschmann, g, g^-1) from one pass over the
+    metric arrays; the costly Kretschmann contraction runs only if ``scalar``."""
     g0, dg, ddg, ginv = _metric_arrays(g, pt, method)
     gamma, dgamma = _gamma_and_partial(g0, dg, ddg, ginv)
     r_up = _riemann_from_gamma(gamma, dgamma)
@@ -119,7 +123,7 @@ def _curvature(g, pt, method, scalar=False):
         k = float(
             np.einsum("abcd,ae,bf,cg,dh,efgh->", r_low, ginv, ginv, ginv, ginv, r_low)
         )
-    return gamma, r_up, np.einsum("abad->bd", r_up), k
+    return gamma, r_up, np.einsum("abad->bd", r_up), k, g0, ginv
 
 
 def christoffel(g, pt, method="jet"):
@@ -147,7 +151,7 @@ class CurvatureReport:
 
 
 def curvature_report(g, pt, method="jet"):
-    gamma, _, ric, k = _curvature(g, pt, method, scalar=True)
+    gamma, _, ric, k, _, _ = _curvature(g, pt, method, scalar=True)
     return CurvatureReport(gamma, ric, k)
 
 
@@ -195,7 +199,7 @@ def hodge4(F, g):
     def block(pt, order=0):
         rows = g.jet_matrix_at(pt, order)
         det = jet_det(rows)
-        if abs(det.value) < DET_TOL:
+        if abs(det.value) < METRIC_DET_TOL:
             raise SingularMetricError(f"|det g| = {abs(det.value):.3e}")
         inv = jet_inv(rows, det)
         vol = _volume_jet(det)
@@ -250,9 +254,7 @@ def em_residual(g, A, ell, pt, fsq_scale=1.0):
     ``fsq_scale`` rescales |F|^2 so the rejected normalization can be
     exercised; 1.0 is the pinned convention.
     """
-    ric = ricci(g, pt)
-    g0 = g.matrix_at(pt)
-    ginv = np.linalg.inv(g0)
+    _, _, ric, _, g0, ginv = _curvature(g, pt, "jet")
     fm = _f_matrix(ext_d(A), pt)
     stress = np.einsum("ac,bd,dc->ab", fm, fm, ginv)
     fsq = float(np.einsum("ab,ac,bd,cd->", fm, ginv, ginv, fm))

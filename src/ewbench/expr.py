@@ -6,9 +6,10 @@ coordinate or a declared parameter; anything else is rejected at parse time
 with its byte offset.  The function set is closed: ln, exp, sin, cos, sqrt,
 tanh, cosh, sinh.
 
-Powers with a constant integer exponent are evaluated by repeated
-multiplication (so negative bases are fine); any other exponent requires a
-positive base.
+An exponent that names no chart coordinate is evaluated once, as a number:
+an integer one by repeated multiplication (so negative bases are fine), any
+other needs a positive base.  An exponent that depends on the coordinates is
+evaluated as exp(y ln x) at every order and needs a positive base too.
 """
 from __future__ import annotations
 
@@ -320,7 +321,10 @@ def eval_jet(e, pt, order=0):
         return -eval_jet(e.arg, pt, order)
     if isinstance(e, Bin):
         left = eval_jet(e.left, pt, order)
-        right = eval_jet(e.right, pt, order)
+        if e.op == "^" and free_names(e.right).isdisjoint(pt.chart):
+            right = eval_jet(e.right, pt, 0).value
+        else:
+            right = eval_jet(e.right, pt, order)
         try:
             if e.op == "+":
                 return left + right
@@ -330,7 +334,11 @@ def eval_jet(e, pt, order=0):
                 return left * right
             if e.op == "/":
                 return left / right
-            return left**right
+            if isinstance(right, float):
+                return left**right
+            if left.value <= 0.0:
+                raise DomainError("general power needs a positive base")
+            return jets.exp(right * jets.log(left))
         except DomainError as err:
             if err.subexpr is None:
                 raise DomainError(str(err), to_source(e)) from None

@@ -31,6 +31,7 @@ from .forms import (
     symmetric_product,
 )
 from .jets import ChartPoint, Field, Guard, SampleDomain
+from .report import run_check
 
 __all__ = [
     "PYT",
@@ -151,16 +152,17 @@ def class_a(beta):
 
 def _heat_probe(beta_ast, n=25):
     rng = np.random.default_rng(1234)
-    pts = rng.uniform((2.0, 0.2), (3.0, 0.9), size=(n, 2))
-    worst = 0.0
-    for y, t in pts:
-        pt = ChartPoint(("y", "t"), (float(y), float(t)))
+    rows = rng.uniform((2.0, 0.2), (3.0, 0.9), size=(n, 2))
+    pts = [ChartPoint(("y", "t"), (float(y), float(t))) for y, t in rows]
+
+    def heat(pt):
         j = ex.eval_jet(beta_ast, pt, 2)
-        r = abs(j.grad[1] + j.hess[0, 0])
-        worst = max(worst, r)
-    if worst > HEAT_TOL:
+        return j.grad[1] + j.hess[0, 0]
+
+    r = run_check("families.heat", heat, pts, HEAT_TOL)
+    if r.verdict == "fail":
         raise HeatResidualError(
-            f"beta_t + beta_yy reaches {worst:.3e} on the probe set "
+            f"beta_t + beta_yy reaches {r.max:.3e} on the probe set "
             f"(tolerance {HEAT_TOL:g})"
         )
 

@@ -25,7 +25,6 @@ __all__ = [
     "PForm",
     "Coframe3",
     "MetricField",
-    "form",
     "coordinate_form",
     "zero_form",
     "wedge",
@@ -40,6 +39,8 @@ __all__ = [
 ]
 
 FRAME_DET_TOL = 1e-12
+# |det g| below this is singular for every metric inversion
+METRIC_DET_TOL = 1e-12
 
 
 def _as_field(x):
@@ -72,9 +73,6 @@ class PForm:
 
     def comp(self, idx):
         return self.comps.get(tuple(idx), ZERO_FIELD)
-
-    def comps_at(self, pt, order=0):
-        return {idx: f(pt, order) for idx, f in self.comps.items()}
 
     def values_at(self, pt):
         return {idx: f(pt, 0).value for idx, f in self.comps.items()}
@@ -115,19 +113,8 @@ class PForm:
             self.chart, self.degree, {i: factor * f for i, f in self.comps.items()}
         )
 
-    def __mul__(self, other):
-        if isinstance(other, (int, float, Field)):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         return f"PForm(degree={self.degree}, comps={sorted(self.comps)})"
-
-
-def form(chart, degree, comps):
-    return PForm(chart, degree, comps)
 
 
 def zero_form(chart, degree):
@@ -351,14 +338,9 @@ def jet_inv(m, det=None):
     n = len(m)
     if det is None:
         det = jet_det(m)
-    if isinstance(det, Jet):
-        if det.value == 0.0:
-            raise SingularMetricError("singular matrix in jet inversion")
-        det_inv = det.reciprocal()
-    else:
-        if det == 0.0:
-            raise SingularMetricError("singular matrix in jet inversion")
-        det_inv = 1.0 / det
+    if det.value == 0.0:
+        raise SingularMetricError("singular matrix in jet inversion")
+    det_inv = det.reciprocal()
     inv = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -439,11 +421,6 @@ class MetricField:
             comps[k] = comps[k] + f if k in comps else f
         return MetricField(self.chart, comps)
 
-    def __sub__(self, other):
-        if not isinstance(other, MetricField):
-            return NotImplemented
-        return self + other.scale(-1.0)
-
     def matrix_at(self, pt):
         n = self.dim
         g = np.zeros((n, n))
@@ -470,7 +447,7 @@ class MetricField:
 
     def inverse_at(self, pt):
         g = self.matrix_at(pt)
-        if abs(np.linalg.det(g)) < 1e-14:
+        if abs(np.linalg.det(g)) < METRIC_DET_TOL:
             raise SingularMetricError("metric not invertible at point")
         return np.linalg.inv(g)
 

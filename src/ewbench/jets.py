@@ -8,10 +8,10 @@ only rounding.  A :class:`Field` is a lazily evaluated scalar function of a
 that can be evaluated by one, which is how the order cap stays honest.
 
 Field evaluations are memoized on the exact ``(field, point, order)`` in the
-open :func:`evaluation_scope` (``report.run_check`` opens one per sample point;
-a call made with no scope open gets one for its own duration), so shared
-subexpressions are evaluated once.  The memo is a context variable, never
-shared between threads.
+open :func:`evaluation_scope`, so shared subexpressions are evaluated once.
+``report.run_check`` is the one loop over sample or probe points and opens
+the scope for each point; a call made with no scope open gets one for its
+own duration.  The memo is a context variable, never shared between threads.
 
 The module also provides the independent finite-difference oracle used to
 cross-check jet output, and deterministic rejection sampling of guarded
@@ -256,7 +256,10 @@ class Jet:
         v = self.value
         if v == 0.0:
             raise DomainError("division by zero")
-        return self.compose(1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4)
+        try:
+            return self.compose(1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4)
+        except (OverflowError, ZeroDivisionError):
+            raise DomainError(f"reciprocal of {v!r} leaves the float range") from None
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -271,26 +274,11 @@ class Jet:
         return o * self.reciprocal()
 
     def __pow__(self, exponent):
-        if isinstance(exponent, (int, float)) and float(exponent) == round(exponent):
-            return self._int_pow(int(round(exponent)))
-        if isinstance(exponent, float):
-            return self._float_pow(exponent)
-        if isinstance(exponent, Jet):
-            # Constant exponents keep the repeated-multiplication route so
-            # negative bases stay legal; anything else needs a positive base.
-            if (
-                exponent.order == 0
-                or (
-                    not exponent.grad.any()
-                    and not exponent.hess.any()
-                    and not exponent.third.any()
-                )
-            ):
-                return self.__pow__(exponent.value)
-            if self.value <= 0.0:
-                raise DomainError("general power needs a positive base")
-            return exp(exponent * log(self))
-        return NotImplemented
+        if not isinstance(exponent, (int, float)):
+            return NotImplemented
+        if float(exponent).is_integer():
+            return self._int_pow(int(exponent))
+        return self._float_pow(float(exponent))
 
     def _int_pow(self, k):
         if k < 0:
@@ -308,12 +296,15 @@ class Jet:
         if self.value <= 0.0:
             raise DomainError("non-integer power needs a positive base")
         v = self.value
-        return self.compose(
-            v**c,
-            c * v ** (c - 1),
-            c * (c - 1) * v ** (c - 2),
-            c * (c - 1) * (c - 2) * v ** (c - 3),
-        )
+        try:
+            return self.compose(
+                v**c,
+                c * v ** (c - 1),
+                c * (c - 1) * v ** (c - 2),
+                c * (c - 1) * (c - 2) * v ** (c - 3),
+            )
+        except (OverflowError, ZeroDivisionError):
+            raise DomainError(f"power {c!r} of {v!r} leaves the float range") from None
 
     # -- composition with a smooth unary function ---------------------------
 
@@ -348,17 +339,18 @@ def _sym_hg(hess, grad):
 
 
 # ---------------------------------------------------------------------------
-# smooth functions, polymorphic over Jet / Field / float
+# smooth functions, polymorphic over Jet / Field
 # ---------------------------------------------------------------------------
 
 
-def _unary(jet_rule, float_fn):
+def _unary(jet_rule):
     def apply(x):
         if isinstance(x, Field):
             return Field(lambda pt, order=0: apply(x(pt, order)))
-        if isinstance(x, Jet):
+        try:
             return jet_rule(x)
-        return float_fn(x)
+        except (OverflowError, ZeroDivisionError):
+            raise DomainError(f"value {x.value!r} leaves the float range") from None
 
     return apply
 
@@ -409,14 +401,14 @@ def _tanh_rule(j):
     return j.compose(t, d1, -2.0 * t * d1, d1 * (6.0 * t * t - 2.0))
 
 
-exp = _unary(_exp_rule, math.exp)
-log = _unary(_log_rule, math.log)
-sqrt = _unary(_sqrt_rule, math.sqrt)
-sin = _unary(_sin_rule, math.sin)
-cos = _unary(_cos_rule, math.cos)
-sinh = _unary(_sinh_rule, math.sinh)
-cosh = _unary(_cosh_rule, math.cosh)
-tanh = _unary(_tanh_rule, math.tanh)
+exp = _unary(_exp_rule)
+log = _unary(_log_rule)
+sqrt = _unary(_sqrt_rule)
+sin = _unary(_sin_rule)
+cos = _unary(_cos_rule)
+sinh = _unary(_sinh_rule)
+cosh = _unary(_cosh_rule)
+tanh = _unary(_tanh_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -533,14 +525,8 @@ class Field:
     def __neg__(self):
         return Field(lambda pt, order=0: -self(pt, order))
 
-    def __pow__(self, exponent):
-        if isinstance(exponent, (int, float)):
-            return Field(lambda pt, order=0: self(pt, order) ** exponent)
-        return NotImplemented
-
 
 ZERO_FIELD = Field.const(0.0)
-ONE_FIELD = Field.const(1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,8 @@ from .forms import (
     symmetric_product,
     zero_form,
 )
-from .jets import ChartPoint, Field, point
+from .jets import ChartPoint, Field
+from .report import run_check
 
 GAUGE_TOL = 1e-9
 GT_TOL = 1e-7
@@ -117,25 +118,33 @@ def fix_ell_sign(base, ell, probe=None):
 
 
 def validate_config(cfg):
-    """Check the gauge, the base structure equations, and psi on probes."""
+    """Check the gauge, the base structure equations, and psi on probes.
+
+    Each condition is one ``run_check`` over the probes, named
+    ``lift.gauge``, ``lift.gt`` and ``lift.psi``; a failing verdict raises
+    GaugeViolationError (gauge, structure equations) or PsiResidualError,
+    and a non-finite residual raises DomainError.
+    """
     probes = cfg.probes or default_probes(cfg.base.chart)
-    worst = max(abs(cfg.base.V(q, 0).value * cfg.ell + 2.0) for q in probes)
-    if worst > GAUGE_TOL:
+    base = cfg.base
+    r = run_check(
+        "lift.gauge", lambda q: base.V(q, 0).value * cfg.ell + 2.0, probes, GAUGE_TOL
+    )
+    if r.verdict == "fail":
         raise GaugeViolationError(
-            f"V*ell + 2 reaches {worst:.3e}; the gauge V = -2/ell fails"
+            f"V*ell + 2 reaches {r.max:.3e}; the gauge V = -2/ell fails"
         )
-    worst = max(float(np.abs(gt_residual(cfg.base, q)).max()) for q in probes)
-    if worst > GT_TOL:
+    r = run_check("lift.gt", lambda q: gt_residual(base, q), probes, GT_TOL)
+    if r.verdict == "fail":
         raise GaugeViolationError(
-            f"base structure equations fail: residual {worst:.3e}"
+            f"base structure equations fail: residual {r.max:.3e}"
         )
     if cfg.psi is not None:
-        worst = max(
-            float(np.abs(psi_residual(cfg.psi, cfg.base, q)).max())
-            for q in probes
+        r = run_check(
+            "lift.psi", lambda q: psi_residual(cfg.psi, base, q), probes, PSI_TOL
         )
-        if worst > PSI_TOL:
-            raise PsiResidualError(f"psi residual reaches {worst:.3e}")
+        if r.verdict == "fail":
+            raise PsiResidualError(f"psi residual reaches {r.max:.3e}")
     return probes
 
 
@@ -271,6 +280,10 @@ def flat_limit(factory, ells, *, points=None, seed=2026, count=6):
     curvature of the limit form is recorded.  ``diverges`` is set when the
     form gap or the limit term grows along the sequence, which happens
     precisely when omega fails to scale with ell.
+
+    Each per-ell maximum is one ``run_check`` over the points, named
+    ``lift.<key>`` after its report key, so a non-finite value raises
+    DomainError.
     """
     ells = [float(e) for e in ells]
     if len(ells) < 2:
@@ -298,24 +311,22 @@ def flat_limit(factory, ells, *, points=None, seed=2026, count=6):
         om4 = embed_form(cfg.base.omega, chart4)
         f_target = ext_d(om4).scale(data.ell / 4.0)
         f_full = ext_d(data.potential)
-        form_gap = f_gap = f_term = f_norm = rie = 0.0
-        for q in pts:
-            gm = data.g.matrix_at(q)
-            gl = g_lim.matrix_at(q)
-            form_gap = max(form_gap, float(np.abs(gm - gl).max()))
-            for key in set(f_full.comps) | set(f_target.comps):
-                a = f_full.comps[key](q, 0).value if key in f_full.comps else 0.0
-                b = f_target.comps[key](q, 0).value if key in f_target.comps else 0.0
-                f_gap = max(f_gap, abs(a - b))
-                f_term = max(f_term, abs(b))
-                f_norm = max(f_norm, abs(a))
-            rie = max(rie, float(np.abs(riemann(g_lim, q)).max()))
+        keys = sorted(set(f_full.comps) | set(f_target.comps))
+
+        def values(f):
+            return lambda q: np.array([f.comp(k)(q, 0).value for k in keys])
+
+        full, target = values(f_full), values(f_target)
+        residuals = {
+            "form_gap": lambda q: data.g.matrix_at(q) - g_lim.matrix_at(q),
+            "f_gap": lambda q: full(q) - target(q),
+            "f_term": target,
+            "f_norm": full,
+            "riemann_limit": lambda q: riemann(g_lim, q),
+        }
+        for key, fn in residuals.items():
+            report[key].append(run_check(f"lift.{key}", fn, pts, math.inf).max)
         report["ell_used"].append(data.ell)
-        report["form_gap"].append(form_gap)
-        report["f_gap"].append(f_gap)
-        report["f_term"].append(f_term)
-        report["f_norm"].append(f_norm)
-        report["riemann_limit"].append(rie)
     gaps = report["form_gap"]
     report["ratios"] = [
         gaps[i] / gaps[i + 1] if gaps[i + 1] else float("inf")

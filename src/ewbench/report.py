@@ -1,9 +1,10 @@
 """Check aggregation and machine-readable verification reports.
 
-A check maps sample points to residual magnitudes; the aggregate keeps the
-maximum, the mean, and the worst point.  Reports serialize to JSON with a
-fixed key order so that two runs with the same configuration and seed are
-byte-identical apart from the wall-time field.
+A check maps sample points to residuals; ``run_check`` reduces each point to
+its largest absolute component and keeps the maximum, the mean, and the worst
+point.  Reports serialize to JSON with a fixed key order so that two runs
+with the same configuration and seed are byte-identical apart from the
+wall-time field.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigError, DomainError
 from .jets import evaluation_scope
@@ -44,10 +47,14 @@ class CheckResult:
 
 
 def run_check(name, fn, points, tol):
-    """Evaluate a residual-magnitude function over points and aggregate.
+    """Evaluate a residual function over points and aggregate.
 
-    Each point is evaluated in its own field evaluation scope.  A non-finite
-    value raises DomainError at the first such point in sample order.
+    ``fn(q)`` returns the raw residual at a point: a number or an array of
+    components.  Each point is evaluated in its own field evaluation scope
+    and reduced to its largest absolute component there.  A non-finite
+    component raises DomainError at the first such point in sample order.
+    This is the one loop that evaluates residuals over sample or probe
+    points.
     """
     points = list(points)
     if not points:
@@ -55,7 +62,7 @@ def run_check(name, fn, points, tol):
     vals = []
     for q in points:
         with evaluation_scope():
-            v = float(fn(q))
+            v = float(np.max(np.abs(fn(q)), initial=0.0))
         if not math.isfinite(v):
             raise DomainError(f"check {name!r} is {v} at {q.coords}")
         vals.append(v)

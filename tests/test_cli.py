@@ -17,6 +17,7 @@ from ewbench import (
     hodge4,
     psi_const,
 )
+from ewbench import lift as lift_mod
 from ewbench.errors import DomainError
 from ewbench.families import default_domain
 from ewbench.jets import evaluation_scope, sample
@@ -161,6 +162,25 @@ class TestLift:
         assert code == EXIT_PASS
         assert rep["chart"][0] == "alpha"
 
+    @pytest.mark.parametrize("chart", ["p", "alpha"])
+    def test_job_validates_its_config_once(self, capsys, monkeypatch, chart):
+        calls = []
+        validate = lift_mod.validate_config
+
+        def counted(cfg):
+            calls.append(cfg)
+            return validate(cfg)
+
+        monkeypatch.setattr(lift_mod, "validate_config", counted)
+        code, _ = run_cli(
+            capsys,
+            "lift", "--case", "heisenberg", "--ell", "-1", "--c", "0.5",
+            "--chart", chart, "--checks", "em,maxwell,invariants",
+            "--points", "2",
+        )
+        assert code == EXIT_PASS
+        assert len(calls) == 1
+
 
 class TestLimit:
     def test_heisenberg_flow(self, capsys):
@@ -182,6 +202,13 @@ class TestLimit:
     def test_unknown_family(self, capsys):
         code, _ = run_cli(capsys, "limit", "--case", "class-a")
         assert code == EXIT_CONFIG
+
+    def test_underflowing_scales_are_sampling_exit(self, capsys):
+        code, out = run_cli(
+            capsys, "limit", "--case", "heisenberg", "--ells", "1e-300,1e-301",
+        )
+        assert code == EXIT_SAMPLING
+        assert out == ""
 
 
 # --- eval ------------------------------------------------------------------------
@@ -208,6 +235,22 @@ class TestEval:
     def test_domain_error_is_sampling_exit(self, capsys):
         code, _ = run_cli(capsys, "eval", "--expr", "ln(x)", "--at", "x=-1")
         assert code == EXIT_SAMPLING
+
+    @pytest.mark.parametrize(
+        "expr,at,order",
+        [
+            ("exp(x)", "x=1000", "1"),
+            ("sqrt(x)", "x=1e-320", "1"),
+            ("ln(x)", "x=1e-320", "3"),
+            ("x^2", "x=1e200", "1"),
+        ],
+    )
+    def test_overflow_is_sampling_exit(self, capsys, expr, at, order):
+        code, out = run_cli(
+            capsys, "eval", "--expr", expr, "--at", at, "--order", order,
+        )
+        assert code == EXIT_SAMPLING
+        assert out == ""
 
     def test_bad_point_syntax(self, capsys):
         code, _ = run_cli(capsys, "eval", "--expr", "x", "--at", "x:1")
@@ -368,6 +411,10 @@ class TestNonFinite:
         vals = iter(values)
         with pytest.raises(DomainError, match=rf"'gt' is {shown} at \(1\.0,\)"):
             run_check("gt", lambda q: next(vals), self.POINTS, 1e-7)
+
+    def test_nan_in_a_later_component_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"'hypercr' is nan at \(0\.0,\)"):
+            run_check("hypercr", lambda q: (1e-9, math.nan), self.POINTS, 1e-7)
 
     def test_report_json_rejects_nan(self):
         with pytest.raises(ValueError):

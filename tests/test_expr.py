@@ -121,6 +121,15 @@ class TestEvalJet:
         with pytest.raises(DomainError):
             val("x^(1/3)", ("x",), -2.0)
 
+    def test_coordinate_exponent_value_is_order_independent(self):
+        values = {val("x^y", ("x", "y"), 3.0, 2.0, order=k).value for k in range(4)}
+        assert len(values) == 1
+
+    @pytest.mark.parametrize("order", range(4))
+    def test_coordinate_exponent_needs_positive_base(self, order):
+        with pytest.raises(DomainError, match="general power needs a positive base"):
+            val("x^y", ("x", "y"), -2.0, 2.0, order=order)
+
     def test_substitute(self):
         k = parse("s^2", ("s",))
         replaced = substitute(k, "s", parse("t*p^2", ("p", "t")))

@@ -23,7 +23,12 @@ from ewbench import (
     psi_const,
     riemann,
 )
-from ewbench.errors import ConfigError, GaugeViolationError, PsiResidualError
+from ewbench.errors import (
+    ConfigError,
+    DomainError,
+    GaugeViolationError,
+    PsiResidualError,
+)
 from ewbench.families import class_b, default_domain, heisenberg_psi
 from ewbench.forms import coordinate_form, embed_form, embed_metric, symmetric_product
 from ewbench.jets import ChartPoint, sample
@@ -120,6 +125,15 @@ class TestLiftConfig:
         bad = WeightedForm(s.omega.scale(parse_field("sin(x)", XYT)), -1.0)
         with pytest.raises(PsiResidualError):
             build_p(LiftConfig(s, bad, -1.0))
+
+    @pytest.mark.parametrize("bad_first", [True, False])
+    def test_non_finite_probe_is_a_domain_error(self, bad_first):
+        # at x = 1e308 the Heisenberg frame residual overflows to NaN
+        s = heisenberg(1.0)
+        bad, good = pt(XYT, 1e308, 0.5, 0.5), pt(XYT, 0.5, 0.5, 0.5)
+        probes = (bad, good) if bad_first else (good, bad)
+        with pytest.raises(DomainError, match=r"'lift\.gt' is nan"):
+            validate_config(LiftConfig(s, None, -1.0, probes=probes))
 
     def test_alpha_name_collision_rejected(self):
         base = from_uw(
