@@ -417,8 +417,7 @@ def cmd_eval(args):
     ast = ex.parse(args.expr, chart)
     pt = ChartPoint.make(chart, coords)
     jet = ex.eval_jet(ast, pt, order)
-    entries = (jet.value, jet.grad, jet.hess, jet.third)[: order + 1]
-    if not all(np.isfinite(a).all() for a in entries):
+    if not all(np.isfinite(part).all() for part in jet.parts):
         raise DomainError(f"'{args.expr}' is not finite through order {order}")
     out = {
         "schema": 1,
@@ -428,12 +427,9 @@ def cmd_eval(args):
         "value": jet.value,
     }
     if order >= 1:
-        out["gradient"] = {n: jet.grad[i] for i, n in enumerate(chart)}
+        out["gradient"] = dict(zip(chart, jet.parts[1]))
     if order >= 2:
-        out["hessian"] = {
-            n: {m: jet.hess[i, j] for j, m in enumerate(chart)}
-            for i, n in enumerate(chart)
-        }
+        out["hessian"] = {n: dict(zip(chart, row)) for n, row in zip(chart, jet.parts[2])}
     return out
 
 
@@ -449,6 +445,9 @@ def _emit(text, out_path):
             fh.write(text)
 
 
+# run_check and cmd_eval turn a non-finite value into exit 3; numpy's
+# floating-point warnings would only repeat that on stderr
+@np.errstate(all="ignore")
 def main(argv=None):
     args = make_parser().parse_args(argv)
     started = time.monotonic()

@@ -310,13 +310,10 @@ def eval_jet(e, pt, order=0):
     if isinstance(e, Const):
         return jets.Jet.constant(e.value, pt.dim, order)
     if isinstance(e, Var):
-        if e.name in pt.chart:
-            idx = pt.chart.index(e.name)
-            return jets.Jet.variable(pt.coords[idx], idx, pt.dim, order)
-        try:
-            return jets.Jet.constant(pt.value_of(e.name), pt.dim, order)
-        except KeyError:
-            raise DomainError(f"no value for '{e.name}' at this point") from None
+        if e.name not in pt.chart:
+            raise DomainError(f"no value for '{e.name}' at this point")
+        idx = pt.chart.index(e.name)
+        return jets.Jet.variable(pt.coords[idx], idx, pt.dim, order)
     if isinstance(e, Neg):
         return -eval_jet(e.arg, pt, order)
     if isinstance(e, Bin):

@@ -74,12 +74,10 @@ class PForm:
     def comp(self, idx):
         return self.comps.get(tuple(idx), ZERO_FIELD)
 
-    def values_at(self, pt):
-        return {idx: f(pt, 0).value for idx, f in self.comps.items()}
-
     def max_abs_at(self, pt):
-        vals = self.values_at(pt)
-        return max((abs(v) for v in vals.values()), default=0.0)
+        """Largest absolute component value at ``pt``; NaN if any is NaN."""
+        vals = [f(pt, 0).value for f in self.comps.values()]
+        return float(np.max(np.abs(vals), initial=0.0))
 
     # -- algebra ---------------------------------------------------------------
 
@@ -511,16 +509,13 @@ def embed_field(f, small, big):
     n = len(big)
 
     def fn(pt, order=0):
-        coords = tuple(pt.coords[i] for i in pos)
-        j = f(ChartPoint(small, coords, pt.params), order)
-        out = Jet.constant(j.value, n, order)
-        if order >= 1:
-            out.grad[pos] = j.grad
-        if order >= 2:
-            out.hess[np.ix_(pos, pos)] = j.hess
-        if order >= 3:
-            out.third[np.ix_(pos, pos, pos)] = j.third
-        return out
+        j = f(ChartPoint(small, tuple(pt.coords[i] for i in pos)), order)
+        parts = [j.value]
+        for k, part in enumerate(j.parts[1:], 1):
+            out = np.zeros((n,) * k)
+            out[np.ix_(*(pos,) * k)] = part
+            parts.append(out)
+        return Jet(parts)
 
     return Field(fn)
 

@@ -1,9 +1,14 @@
 """Order-3 multivariate jets and scalar fields over chart points.
 
 A :class:`Jet` holds a value together with its partial derivatives through a
-requested order (at most 3) at a single point.  Arithmetic propagates
-derivatives exactly (Leibniz and chain rules); there is no truncation error,
-only rounding.  A :class:`Field` is a lazily evaluated scalar function of a
+requested order (at most 3) at a single point: exactly ``order + 1`` parts,
+and nothing above the order.  Arithmetic propagates derivatives exactly
+(Leibniz and chain rules); there is no truncation error, only rounding.  Each
+part depends only on the parts of its operands up to its own order, and a
+smooth-function rule computes its scalar derivatives only that far, so the
+parts a jet shares with a higher-order jet of the same field are identical.
+
+A :class:`Field` is a lazily evaluated scalar function of a
 :class:`ChartPoint`; requesting a derivative field lowers the maximum order
 that can be evaluated by one, which is how the order cap stays honest.
 
@@ -63,25 +68,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChartPoint:
-    """A point of a coordinate chart, plus named constant parameters.
-
-    ``chart`` is the ordered tuple of coordinate names; ``params`` holds
-    constants (such as ell) that expressions may reference but that carry no
-    derivatives.
-    """
+    """A point of a coordinate chart: ``coords`` along the names in ``chart``."""
 
     chart: tuple[str, ...]
     coords: tuple[float, ...]
-    params: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
         if len(self.chart) != len(self.coords):
             raise ValueError("coordinate count does not match chart")
 
     @classmethod
-    def make(cls, chart, coords, params=None):
-        items = tuple(sorted((params or {}).items()))
-        return cls(tuple(chart), tuple(float(c) for c in coords), items)
+    def make(cls, chart, coords):
+        return cls(tuple(chart), tuple(float(c) for c in coords))
 
     @property
     def dim(self):
@@ -90,23 +88,15 @@ class ChartPoint:
     def coord(self, name):
         return self.coords[self.chart.index(name)]
 
-    def value_of(self, name):
-        if name in self.chart:
-            return self.coords[self.chart.index(name)]
-        for key, val in self.params:
-            if key == name:
-                return val
-        raise KeyError(name)
-
     def with_coord(self, index, value):
         coords = list(self.coords)
         coords[index] = value
-        return ChartPoint(self.chart, tuple(coords), self.params)
+        return ChartPoint(self.chart, tuple(coords))
 
 
-def point(chart, *coords, **params):
-    """Convenience constructor: ``point(("x","y","t"), 1, 2, 3, ell=1.0)``."""
-    return ChartPoint.make(chart, coords, params)
+def point(chart, *coords):
+    """Convenience constructor: ``point(("x","y","t"), 1, 2, 3)``."""
+    return ChartPoint.make(chart, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -114,42 +104,45 @@ def point(chart, *coords, **params):
 # ---------------------------------------------------------------------------
 
 
-class Jet:
-    """Value and symmetric derivative arrays through ``order`` (0..3).
+def _derivative_part(k, name):
+    """Read-only access to ``Jet.parts[k]``, refused above the jet's order."""
 
-    Arrays above ``order`` are kept zeroed and must not be read; the
-    ``partial`` extractor enforces this by refusing to drop below order 0.
+    def read(jet):
+        if k < len(jet.parts):
+            return jet.parts[k]
+        raise JetOrderError(f"{name} is part {k} of a jet; this one has order {jet.order}")
+
+    return property(read)
+
+
+class Jet:
+    """A value and its symmetric derivative arrays through ``order`` (0..3).
+
+    ``parts`` holds exactly ``order + 1`` derivative parts: ``parts[0]`` is
+    the value, a Python float, and ``parts[k]`` is the array of k-th partial
+    derivatives, of shape ``(n,) * k`` for a chart of dimension n.  Nothing
+    above the order is stored; reading ``grad``, ``hess`` or ``third`` above
+    it raises :class:`JetOrderError`.  Jets are shared by the field memo, so
+    they are never mutated after construction.
     """
 
-    __slots__ = ("value", "grad", "hess", "third", "order")
+    __slots__ = ("parts",)
 
-    def __init__(self, value, grad, hess, third, order):
-        self.value = float(value)
-        self.grad = grad
-        self.hess = hess
-        self.third = third
-        self.order = order
+    def __init__(self, parts):
+        self.parts = (float(parts[0]), *parts[1:])
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, value, dim, order=MAX_ORDER):
         cls._check_order(order)
-        n = dim
-        return cls(
-            value,
-            np.zeros(n),
-            np.zeros((n, n)),
-            np.zeros((n, n, n)),
-            order,
-        )
+        return cls([value] + [np.zeros((dim,) * k) for k in range(1, order + 1)])
 
     @classmethod
     def variable(cls, value, index, dim, order=MAX_ORDER):
-        cls._check_order(order)
         j = cls.constant(value, dim, order)
         if order >= 1:
-            j.grad[index] = 1.0
+            j.parts[1][index] = 1.0
         return j
 
     @staticmethod
@@ -157,12 +150,25 @@ class Jet:
         if not 0 <= order <= MAX_ORDER:
             raise JetOrderError(f"jet order {order} outside 0..{MAX_ORDER}")
 
+    def _constant_like(self, value):
+        return Jet([value] + [np.zeros_like(p) for p in self.parts[1:]])
+
+    # -- parts ---------------------------------------------------------------
+
     @property
-    def dim(self):
-        return self.grad.shape[0]
+    def order(self):
+        return len(self.parts) - 1
+
+    @property
+    def value(self):
+        return self.parts[0]
+
+    grad = _derivative_part(1, "grad")
+    hess = _derivative_part(2, "hess")
+    third = _derivative_part(3, "third")
 
     def __repr__(self):
-        return f"Jet(value={self.value!r}, order={self.order}, dim={self.dim})"
+        return f"Jet(value={self.value!r}, order={self.order})"
 
     # -- derivative extraction ---------------------------------------------
 
@@ -171,19 +177,12 @@ class Jet:
 
         Costs one order: the result is valid through ``order - 1``.
         """
-        if self.order < 1:
+        if len(self.parts) < 2:
             raise JetOrderError(
                 "cannot extract a derivative from an order-0 jet; "
                 "evaluate the base field at a higher order"
             )
-        n = self.dim
-        return Jet(
-            self.grad[index],
-            self.hess[index].copy(),
-            self.third[index].copy(),
-            np.zeros((n, n, n)),
-            self.order - 1,
-        )
+        return Jet([p[index] for p in self.parts[1:]])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -191,32 +190,25 @@ class Jet:
         if isinstance(other, Jet):
             return other
         if isinstance(other, (int, float)):
-            return Jet.constant(float(other), self.dim, self.order)
+            return self._constant_like(other)
         return None
 
     def __add__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        order = min(self.order, o.order)
-        return Jet(
-            self.value + o.value,
-            self.grad + o.grad,
-            self.hess + o.hess,
-            self.third + o.third,
-            order,
-        )
+        return Jet([a + b for a, b in zip(self.parts, o.parts)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.value, -self.grad, -self.hess, -self.third, self.order)
+        return Jet([-p for p in self.parts])
 
     def __sub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return Jet([a - b for a, b in zip(self.parts, o.parts)])
 
     def __rsub__(self, other):
         return (-self) + other
@@ -225,30 +217,27 @@ class Jet:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        order = min(self.order, o.order)
-        n = self.dim
-        a0, b0 = self.value, o.value
-        val = a0 * b0
-        grad = np.zeros(n)
-        hess = np.zeros((n, n))
-        third = np.zeros((n, n, n))
+        a, b = self.parts, o.parts
+        order = min(len(a), len(b)) - 1
+        a0, b0 = a[0], b[0]
+        parts = [a0 * b0]
         if order >= 1:
-            grad = self.grad * b0 + a0 * o.grad
+            parts.append(a[1] * b0 + a0 * b[1])
         if order >= 2:
-            hess = (
-                self.hess * b0
-                + np.outer(self.grad, o.grad)
-                + np.outer(o.grad, self.grad)
-                + a0 * o.hess
+            parts.append(
+                a[2] * b0
+                + np.outer(a[1], b[1])
+                + np.outer(b[1], a[1])
+                + a0 * b[2]
             )
         if order >= 3:
-            third = (
-                self.third * b0
-                + _sym_hg(self.hess, o.grad)
-                + _sym_hg(o.hess, self.grad)
-                + a0 * o.third
+            parts.append(
+                a[3] * b0
+                + _sym_hg(a[2], b[1])
+                + _sym_hg(b[2], a[1])
+                + a0 * b[3]
             )
-        return Jet(val, grad, hess, third, order)
+        return Jet(parts)
 
     __rmul__ = __mul__
 
@@ -257,7 +246,7 @@ class Jet:
         if v == 0.0:
             raise DomainError("division by zero")
         try:
-            return self.compose(1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4)
+            return self.compose(*_reciprocal_series(v, self.order + 1))
         except (OverflowError, ZeroDivisionError):
             raise DomainError(f"reciprocal of {v!r} leaves the float range") from None
 
@@ -283,7 +272,7 @@ class Jet:
     def _int_pow(self, k):
         if k < 0:
             return self.reciprocal()._int_pow(-k)
-        result = Jet.constant(1.0, self.dim, self.order)
+        result = self._constant_like(1.0)
         base = self
         while k:
             if k & 1:
@@ -296,37 +285,36 @@ class Jet:
         if self.value <= 0.0:
             raise DomainError("non-integer power needs a positive base")
         v = self.value
+        f, factor = [], 1.0
         try:
-            return self.compose(
-                v**c,
-                c * v ** (c - 1),
-                c * (c - 1) * v ** (c - 2),
-                c * (c - 1) * (c - 2) * v ** (c - 3),
-            )
+            # d^k/dv^k v^c = c (c-1) ... (c-k+1) v^(c-k)
+            for k in range(self.order + 1):
+                f.append(factor * v ** (c - k))
+                factor *= c - k
         except (OverflowError, ZeroDivisionError):
             raise DomainError(f"power {c!r} of {v!r} leaves the float range") from None
+        return self.compose(*f)
 
     # -- composition with a smooth unary function ---------------------------
 
-    def compose(self, f0, f1, f2, f3):
-        """Chain rule: the jet of f(self) given scalar derivatives of f."""
-        order = self.order
-        n = self.dim
-        grad = np.zeros(n)
-        hess = np.zeros((n, n))
-        third = np.zeros((n, n, n))
+    def compose(self, *f):
+        """Chain rule: the jet of g(self) given ``f[k]``, the k-th derivative
+        of g at the value; only ``f[0]`` through ``f[order]`` are read."""
+        a = self.parts
+        order = len(a) - 1
+        parts = [f[0]]
         if order >= 1:
-            grad = f1 * self.grad
+            g = a[1]
+            parts.append(f[1] * g)
         if order >= 2:
-            hess = f2 * np.outer(self.grad, self.grad) + f1 * self.hess
+            parts.append(f[2] * np.outer(g, g) + f[1] * a[2])
         if order >= 3:
-            g = self.grad
-            third = (
-                f3 * np.einsum("i,j,k->ijk", g, g, g)
-                + f2 * _sym_hg(self.hess, g)
-                + f1 * self.third
+            parts.append(
+                f[3] * np.einsum("i,j,k->ijk", g, g, g)
+                + f[2] * _sym_hg(a[2], g)
+                + f[1] * a[3]
             )
-        return Jet(f0, grad, hess, third, order)
+        return Jet(parts)
 
 
 def _sym_hg(hess, grad):
@@ -336,6 +324,12 @@ def _sym_hg(hess, grad):
         + np.einsum("ik,j->ijk", hess, grad)
         + np.einsum("jk,i->ijk", hess, grad)
     )
+
+
+def _reciprocal_series(v, count):
+    """The first ``count`` of 1/v, -1/v^2, 2/v^3, -6/v^4: the derivatives of
+    1/x at v, computed only as far as they are read."""
+    return [c / v ** (k + 1) for k, c in enumerate((1.0, -1.0, 2.0, -6.0)[:count])]
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +343,8 @@ def _unary(jet_rule):
             return Field(lambda pt, order=0: apply(x(pt, order)))
         try:
             return jet_rule(x)
-        except (OverflowError, ZeroDivisionError):
+        except (OverflowError, ZeroDivisionError, ValueError):
+            # ValueError: math.sin and math.cos of an infinite value
             raise DomainError(f"value {x.value!r} leaves the float range") from None
 
     return apply
@@ -364,7 +359,7 @@ def _log_rule(j):
     v = j.value
     if v <= 0.0:
         raise DomainError("log of a non-positive value")
-    return j.compose(math.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3)
+    return j.compose(math.log(v), *_reciprocal_series(v, j.order))
 
 
 def _sqrt_rule(j):
@@ -372,7 +367,9 @@ def _sqrt_rule(j):
     if v <= 0.0:
         raise DomainError("sqrt of a non-positive value")
     s = math.sqrt(v)
-    return j.compose(s, 0.5 / s, -0.25 / (v * s), 0.375 / (v * v * s))
+    # the derivatives 0.5/s, -0.25/(v s), 0.375/(v^2 s), only as far as read
+    pairs = zip((0.5, -0.25, 0.375)[: j.order], (s, v * s, v * v * s))
+    return j.compose(s, *(c / d for c, d in pairs))
 
 
 def _sin_rule(j):
@@ -614,7 +611,7 @@ _MAX_DRAWS = 1_000_000
 _BATCH = 512
 
 
-def sample(domain, params=None):
+def sample(domain):
     """Uniform points in the box, rejection-filtered by the guards.
 
     Deterministic for a fixed seed.  Raises SamplingExhaustedError when the
@@ -623,14 +620,13 @@ def sample(domain, params=None):
     rng = np.random.default_rng(domain.seed)
     lows = np.array([b[0] for b in domain.box])
     highs = np.array([b[1] for b in domain.box])
-    param_items = tuple(sorted((params or {}).items()))
     accepted = []
     drawn = 0
     while len(accepted) < domain.count:
         batch = rng.uniform(lows, highs, size=(_BATCH, len(domain.chart)))
         drawn += _BATCH
         for row in batch:
-            pt = ChartPoint(domain.chart, tuple(float(v) for v in row), param_items)
+            pt = ChartPoint(domain.chart, tuple(float(v) for v in row))
             if all(g.accepts(pt) for g in domain.guards):
                 accepted.append(pt)
                 if len(accepted) == domain.count:

@@ -247,7 +247,7 @@ def dalpha_dp(p, ell):
 def matched_alpha_point(pt, ell):
     """Angle-chart point matching a p-chart point (base coordinates kept)."""
     coords = (alpha_of_p(pt.coords[0], ell),) + pt.coords[1:]
-    return ChartPoint(("alpha",) + pt.chart[1:], coords, pt.params)
+    return ChartPoint(("alpha",) + pt.chart[1:], coords)
 
 
 # ---------------------------------------------------------------------------

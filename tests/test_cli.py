@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import re
@@ -7,6 +9,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ewbench import (
     ChartPoint,
@@ -19,6 +23,7 @@ from ewbench import (
 )
 from ewbench import lift as lift_mod
 from ewbench.errors import DomainError
+from ewbench.expr import FUNCTIONS, Bin, Call, Const, Neg, Var, to_source
 from ewbench.families import default_domain
 from ewbench.jets import evaluation_scope, sample
 from ewbench.lift import build, fix_ell_sign
@@ -240,7 +245,7 @@ class TestEval:
         "expr,at,order",
         [
             ("exp(x)", "x=1000", "1"),
-            ("sqrt(x)", "x=1e-320", "1"),
+            ("sqrt(x)", "x=1e-320", "2"),
             ("ln(x)", "x=1e-320", "3"),
             ("x^2", "x=1e200", "1"),
         ],
@@ -252,6 +257,43 @@ class TestEval:
         assert code == EXIT_SAMPLING
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "expr,at,first_failing_order",
+        [
+            ("1/x", "x=1e-100", 3),
+            ("ln(x)", "x=1e-200", 2),
+            ("sqrt(x)", "x=1e-200", 3),
+            ("x^0.5", "x=1e-200", 3),
+        ],
+    )
+    def test_only_parts_through_the_order_can_overflow(
+        self, capsys, expr, at, first_failing_order
+    ):
+        codes = [
+            run_cli(capsys, "eval", "--expr", expr, "--at", at, "--order", str(k))[0]
+            for k in range(4)
+        ]
+        assert codes == [
+            EXIT_PASS if k < first_failing_order else EXIT_SAMPLING for k in range(4)
+        ]
+
+    def test_trig_of_an_overflowed_value_is_sampling_exit(self, capsys):
+        code, out = run_cli(
+            capsys, "eval", "--expr", "sin(x*x)", "--at", "x=1e200", "--order", "0",
+        )
+        assert code == EXIT_SAMPLING
+        assert out == ""
+
+    def test_overflow_writes_only_the_error_line(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ewbench", "eval", "--expr", "x^2",
+             "--at", "x=1e200", "--order", "1"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_SAMPLING
+        assert proc.stdout == ""
+        assert proc.stderr == "error: 'x^2' is not finite through order 1\n"
+
     def test_bad_point_syntax(self, capsys):
         code, _ = run_cli(capsys, "eval", "--expr", "x", "--at", "x:1")
         assert code == EXIT_CONFIG
@@ -260,6 +302,67 @@ class TestEval:
         code, _ = run_cli(capsys, "eval", "--expr", "x", "--at", "x=1",
                           "--order", "5")
         assert code == EXIT_CONFIG
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+LEAVES = st.one_of(
+    st.sampled_from([Var("x"), Var("y")]),
+    st.builds(Const, st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 1e-3, 1e3])),
+)
+EXPRS = st.recursive(
+    LEAVES,
+    lambda sub: st.one_of(
+        st.builds(Neg, sub),
+        st.builds(Bin, st.sampled_from("+-*/^"), sub, sub),
+        st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), sub),
+    ),
+    max_leaves=8,
+)
+COORDS = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from([1e-200, -1e-200, 1e200, -1e200]),
+)
+
+
+def eval_cli(expr, x, y, order):
+    """Exit code and stdout of ``eval`` on a rendered expression at (x, y)."""
+    out = io.StringIO()
+    # the = form, so that an expression starting with "-" is not an option
+    argv = ["eval", f"--expr={to_source(expr)}", f"--at=x={x!r},y={y!r}",
+            f"--order={order}"]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+class TestEvalProperties:
+    @settings(derandomize=True, deadline=None)
+    @given(expr=EXPRS, x=COORDS, y=COORDS, order=st.integers(0, 3))
+    def test_exit_code_and_strict_json(self, expr, x, y, order):
+        code, out = eval_cli(expr, x, y, order)
+        assert code in (EXIT_PASS, EXIT_CONFIG, EXIT_SAMPLING)
+        if code == EXIT_PASS:
+            json.loads(out, parse_constant=_reject_constant)
+        else:
+            assert out == ""
+
+    @settings(derandomize=True, deadline=None)
+    @given(expr=EXPRS, x=COORDS, y=COORDS)
+    def test_lower_orders_repeat_the_order_three_parts(self, expr, x, y):
+        code, out = eval_cli(expr, x, y, 3)
+        if code != EXIT_PASS:
+            return
+        top = json.loads(out)
+        for order in range(3):
+            code, out = eval_cli(expr, x, y, order)
+            assert code == EXIT_PASS
+            low = json.loads(out)
+            # repr tells -0.0 from 0.0
+            for key in ("value", "gradient", "hessian")[: order + 1]:
+                assert repr(low[key]) == repr(top[key])
 
 
 # --- error paths ---------------------------------------------------------------------

@@ -50,6 +50,11 @@ class TestWedge:
         q = pt(XYT, 0.3, 0.7, -0.2)
         assert w.max_abs_at(q) == 0.0
 
+    @pytest.mark.parametrize("values", [(0.0, np.nan), (np.nan, 0.0)])
+    def test_max_abs_at_keeps_nan_in_any_component(self, values):
+        w = PForm(XYT, 1, {(0,): values[0], (1,): values[1]})
+        assert np.isnan(w.max_abs_at(pt(XYT, 0.3, 0.7, -0.2)))
+
     def test_heisenberg_frame_wedge_components(self):
         s = heisenberg(1.0)
         w = wedge(s.frame.e1, s.frame.e2)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ewbench import (
-    ChartPoint,
     Field,
     Guard,
     Jet,
@@ -218,7 +217,3 @@ class TestSampling:
         q = point(XYT, 1.0, 2.0, 3.0)
         assert q.coord("y") == 2.0
         assert q.chart == XYT
-
-    def test_params_carried(self):
-        q = ChartPoint.make(XYT, (1.0, 2.0, 3.0), {"ell": 2.0})
-        assert q.value_of("ell") == 2.0
