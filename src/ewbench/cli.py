@@ -98,10 +98,30 @@ DEFAULTS = {
 }
 
 _EXPR_FLAGS = ("beta", "F", "K", "H", "A", "B", "f")
+# options whose value is an expression, which may start with "-"
+_EXPR_OPTIONS = frozenset(("--expr",) + tuple(f"--{name}" for name in _EXPR_FLAGS))
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads the word after an expression option as its value even when it
+    starts with "-": argparse alone takes ``--expr -x`` for two options."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = list(sys.argv[1:] if args is None else args)
+        joined = []
+        i = 0
+        while i < len(args):
+            if args[i] in _EXPR_OPTIONS and i + 1 < len(args) and args[i + 1].startswith("-"):
+                joined.append(f"{args[i]}={args[i + 1]}")
+                i += 2
+            else:
+                joined.append(args[i])
+                i += 1
+        return super().parse_known_args(joined, namespace)
 
 
 def make_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="ewbench",
         description="numerical workbench for dispersionless integrable "
         "geometries and their cosmological lifts",
@@ -344,11 +364,12 @@ def _invariant_fn(lcfg, data):
 
     def fn(q):
         qa = lift_mod.matched_alpha_point(q, data_p.ell)
+        plus, minus = data_p.g.signature_at(q)
         return (
             kretschmann(data_p.g, q) - kretschmann(data_a.g, qa),
             f_squared(data_p.potential, data_p.g, q)
             - f_squared(data_a.potential, data_a.g, qa),
-            0.0 if data_p.g.signature_at(q) == (3, 1) else 1.0,
+            np.where((plus == 3) & (minus == 1), 0.0, 1.0),
         )
 
     return data_p, fn

@@ -39,7 +39,7 @@ from .forms import (
     jet_inv,
     metric_from_coframe,
 )
-from .jets import Field, fd_oracle, sqrt as jet_sqrt
+from .jets import Field, fd_oracle, first_where, pack, sqrt as jet_sqrt
 
 __all__ = [
     "christoffel",
@@ -62,52 +62,58 @@ __all__ = [
 
 
 def _metric_arrays(g, pt, method="jet"):
-    """(g0, dg, ddg, ginv) with dg[c,a,b] = d_c g_ab, ddg[c,d,a,b]."""
+    """(g0, dg, ddg, ginv) with dg[c,a,b] = d_c g_ab, ddg[c,d,a,b]; over a
+    batch each array has the batch axis first, and every contraction below
+    runs on the trailing axes."""
     if method == "jet":
         g0, dg, ddg = g.jets_at(pt, 2)
     elif method == "fd":
         n = g.dim
         g0 = g.matrix_at(pt)
-        dg = np.zeros((n, n, n))
-        ddg = np.zeros((n, n, n, n))
+        dg = np.zeros(pt.shape + (n, n, n))
+        ddg = np.zeros(pt.shape + (n, n, n, n))
         for (a, b), f in g.comps.items():
             for c in range(n):
                 v = fd_oracle(f, pt, (c,))
-                dg[c, a, b] = dg[c, b, a] = v
+                dg[..., c, a, b] = dg[..., c, b, a] = v
                 for d in range(c, n):
                     vv = fd_oracle(f, pt, (c, d))
                     for cc, dd in ((c, d), (d, c)):
-                        ddg[cc, dd, a, b] = ddg[cc, dd, b, a] = vv
+                        ddg[..., cc, dd, a, b] = ddg[..., cc, dd, b, a] = vv
     else:
         raise ValueError(f"unknown derivative method {method!r}")
     det = np.linalg.det(g0)
-    if abs(det) < METRIC_DET_TOL:
-        raise SingularMetricError(f"|det g| = {abs(det):.3e} at {pt.coords}")
+    small = np.abs(det) < METRIC_DET_TOL
+    if np.any(small):
+        raise SingularMetricError(
+            f"|det g| = {abs(first_where(det, small)):.3e} at {pt.coords}"
+        )
     return g0, dg, ddg, np.linalg.inv(g0)
 
 
 def _gamma_and_partial(g0, dg, ddg, ginv):
     """Christoffel symbols Gamma[a,b,c] and dGamma[e,a,b,c] = d_e Gamma."""
-    t = np.einsum("bdc->dbc", dg) + np.einsum("cdb->dbc", dg) - dg
-    gamma = 0.5 * np.einsum("ad,dbc->abc", ginv, t)
-    dginv = -np.einsum("af,efh,hb->eab", ginv, dg, ginv)
+    t = np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg
+    gamma = 0.5 * np.einsum("...ad,...dbc->...abc", ginv, t)
+    dginv = -np.einsum("...af,...efh,...hb->...eab", ginv, dg, ginv)
     dt = (
-        np.einsum("ebdc->edbc", ddg)
-        + np.einsum("ecdb->edbc", ddg)
-        - np.einsum("edbc->edbc", ddg)
+        np.einsum("...ebdc->...edbc", ddg)
+        + np.einsum("...ecdb->...edbc", ddg)
+        - np.einsum("...edbc->...edbc", ddg)
     )
     dgamma = 0.5 * (
-        np.einsum("ead,dbc->eabc", dginv, t) + np.einsum("ad,edbc->eabc", ginv, dt)
+        np.einsum("...ead,...dbc->...eabc", dginv, t)
+        + np.einsum("...ad,...edbc->...eabc", ginv, dt)
     )
     return gamma, dgamma
 
 
 def _riemann_from_gamma(gamma, dgamma):
     return (
-        np.einsum("cadb->abcd", dgamma)
-        - np.einsum("dacb->abcd", dgamma)
-        + np.einsum("ace,edb->abcd", gamma, gamma)
-        - np.einsum("ade,ecb->abcd", gamma, gamma)
+        np.einsum("...cadb->...abcd", dgamma)
+        - np.einsum("...dacb->...abcd", dgamma)
+        + np.einsum("...ace,...edb->...abcd", gamma, gamma)
+        - np.einsum("...ade,...ecb->...abcd", gamma, gamma)
     )
 
 
@@ -119,11 +125,12 @@ def _curvature(g, pt, method, scalar=False):
     r_up = _riemann_from_gamma(gamma, dgamma)
     k = None
     if scalar:
-        r_low = np.einsum("ae,ebcd->abcd", g0, r_up)
-        k = float(
-            np.einsum("abcd,ae,bf,cg,dh,efgh->", r_low, ginv, ginv, ginv, ginv, r_low)
+        r_low = np.einsum("...ae,...ebcd->...abcd", g0, r_up)
+        k = np.einsum(
+            "...abcd,...ae,...bf,...cg,...dh,...efgh->...",
+            r_low, ginv, ginv, ginv, ginv, r_low,
         )
-    return gamma, r_up, np.einsum("abad->bd", r_up), k, g0, ginv
+    return gamma, r_up, np.einsum("...abad->...bd", r_up), k, g0, ginv
 
 
 def christoffel(g, pt, method="jet"):
@@ -179,9 +186,7 @@ _PAIRS4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 def _volume_jet(det):
     """sqrt(|det|) as a jet, sign-aware for Lorentzian metrics."""
-    if det.value < 0.0:
-        return jet_sqrt(-det)
-    return jet_sqrt(det)
+    return jet_sqrt(abs(det))
 
 
 def hodge4(F, g):
@@ -199,8 +204,9 @@ def hodge4(F, g):
     def block(pt, order=0):
         rows = g.jet_matrix_at(pt, order)
         det = jet_det(rows)
-        if abs(det.value) < METRIC_DET_TOL:
-            raise SingularMetricError(f"|det g| = {abs(det.value):.3e}")
+        small = np.abs(det.value) < METRIC_DET_TOL
+        if np.any(small):
+            raise SingularMetricError(f"|det g| = {abs(first_where(det.value, small)):.3e}")
         inv = jet_inv(rows, det)
         vol = _volume_jet(det)
         f_low = {pair: F.comp(pair)(pt, order) for pair in _PAIRS4}
@@ -226,26 +232,28 @@ def hodge4(F, g):
 
 def _f_matrix(F, pt):
     n = len(F.chart)
-    m = np.zeros((n, n))
+    m = np.zeros(pt.shape + (n, n))
     for (a, b), f in F.comps.items():
         v = f(pt, 0).value
-        m[a, b] = v
-        m[b, a] = -v
+        m[..., a, b] = v
+        m[..., b, a] = -v
     return m
+
+
+def _f_contract(fm, ginv):
+    return np.einsum("...ab,...ac,...bd,...cd->...", fm, ginv, ginv, fm)
 
 
 def f_squared(A, g, pt):
     """|F|^2 = F_ab F^ab for F = dA."""
-    fm = _f_matrix(ext_d(A), pt)
-    ginv = g.inverse_at(pt)
-    return float(np.einsum("ab,ac,bd,cd->", fm, ginv, ginv, fm))
+    return _f_contract(_f_matrix(ext_d(A), pt), g.inverse_at(pt))
 
 
 def maxwell_residual(A, g, pt):
     """Components of d(star dA), ordered by sorted 3-index tuples."""
     r = ext_d(hodge4(ext_d(A), g))
     triples = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
-    return np.array([r.comp(idx)(pt, 0).value for idx in triples])
+    return pack(pt, [r.comp(idx)(pt, 0).value for idx in triples])
 
 
 def em_residual(g, A, ell, pt, fsq_scale=1.0):
@@ -256,13 +264,13 @@ def em_residual(g, A, ell, pt, fsq_scale=1.0):
     """
     _, _, ric, _, g0, ginv = _curvature(g, pt, "jet")
     fm = _f_matrix(ext_d(A), pt)
-    stress = np.einsum("ac,bd,dc->ab", fm, fm, ginv)
-    fsq = float(np.einsum("ab,ac,bd,cd->", fm, ginv, ginv, fm))
+    stress = np.einsum("...ac,...bd,...dc->...ab", fm, fm, ginv)
+    fsq = _f_contract(fm, ginv)
     return (
         ric
         + (3.0 / ell**2) * g0
         + 2.0 * stress
-        - 0.5 * fsq_scale * fsq * g0
+        - 0.5 * fsq_scale * fsq[..., None, None] * g0
     )
 
 
@@ -283,42 +291,44 @@ def weyl_ricci_residual_metric(h, omega, pt, method="jet"):
     g0, dg, ddg, ginv = _metric_arrays(h, pt, method)
     gamma, dgamma = _gamma_and_partial(g0, dg, ddg, ginv)
 
-    w = np.zeros(n)
-    dw = np.zeros((n, n))
+    w = np.zeros(pt.shape + (n,))
+    dw = np.zeros(pt.shape + (n, n))
     for a in range(n):
         j = omega.comp((a,))(pt, 1)
-        w[a] = j.value
-        dw[:, a] = j.grad
-    w_up = ginv @ w
-    dginv = -np.einsum("af,efh,hb->eab", ginv, dg, ginv)
-    dw_up = np.einsum("eab,b->ea", dginv, w) + np.einsum("ab,eb->ea", ginv, dw)
+        w[..., a] = j.value
+        dw[..., :, a] = j.grad
+    w_up = (ginv @ w[..., None])[..., 0]
+    dginv = -np.einsum("...af,...efh,...hb->...eab", ginv, dg, ginv)
+    dw_up = np.einsum("...eab,...b->...ea", dginv, w) + np.einsum(
+        "...ab,...eb->...ea", ginv, dw
+    )
 
     eye = np.eye(n)
     corr = 0.5 * (
-        np.einsum("ab,c->abc", eye, w)
-        + np.einsum("ac,b->abc", eye, w)
-        - np.einsum("bc,a->abc", g0, w_up)
+        np.einsum("ab,...c->...abc", eye, w)
+        + np.einsum("ac,...b->...abc", eye, w)
+        - np.einsum("...bc,...a->...abc", g0, w_up)
     )
     dcorr = 0.5 * (
-        np.einsum("ab,ec->eabc", eye, dw)
-        + np.einsum("ac,eb->eabc", eye, dw)
-        - np.einsum("ebc,a->eabc", dg, w_up)
-        - np.einsum("bc,ea->eabc", g0, dw_up)
+        np.einsum("ab,...ec->...eabc", eye, dw)
+        + np.einsum("ac,...eb->...eabc", eye, dw)
+        - np.einsum("...ebc,...a->...eabc", dg, w_up)
+        - np.einsum("...bc,...ea->...eabc", g0, dw_up)
     )
     gamma_w = gamma - corr
     dgamma_w = dgamma - dcorr
 
     cov_h = (
         dg
-        - np.einsum("eca,eb->cab", gamma_w, g0)
-        - np.einsum("ecb,ae->cab", gamma_w, g0)
+        - np.einsum("...eca,...eb->...cab", gamma_w, g0)
+        - np.einsum("...ecb,...ae->...cab", gamma_w, g0)
     )
-    compat = float(np.abs(cov_h - np.einsum("c,ab->cab", w, g0)).max())
+    compat = np.abs(cov_h - np.einsum("...c,...ab->...cab", w, g0)).max(axis=(-3, -2, -1))
 
-    ric_w = np.einsum("abad->bd", _riemann_from_gamma(gamma_w, dgamma_w))
-    sym = 0.5 * (ric_w + ric_w.T)
-    trace = float(np.einsum("ab,ab->", ginv, sym))
-    ew = float(np.abs(sym - (trace / n) * g0).max())
+    ric_w = np.einsum("...abad->...bd", _riemann_from_gamma(gamma_w, dgamma_w))
+    sym = 0.5 * (ric_w + np.swapaxes(ric_w, -1, -2))
+    trace = np.einsum("...ab,...ab->...", ginv, sym)
+    ew = np.abs(sym - (trace / n)[..., None, None] * g0).max(axis=(-2, -1))
     return (compat, ew)
 
 

@@ -34,7 +34,7 @@ from .forms import (
     star_frame,
     wedge,
 )
-from .jets import Field
+from .jets import Field, pack
 
 __all__ = [
     "EWStructure",
@@ -90,7 +90,7 @@ class WeightedForm:
 
 
 def _eval2(a, pt):
-    return np.array([a.comp(idx)(pt, 0).value for idx in PAIRS])
+    return pack(pt, [a.comp(idx)(pt, 0).value for idx in PAIRS])
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +114,9 @@ def hypercr_residual(u, w, pt):
     it = chart.index("t")
     ju = u(pt, 1)
     jw = w(pt, 1)
-    r1 = ju.grad[it] + jw.grad[iy] + ju.value * jw.grad[ix] - jw.value * ju.grad[ix]
-    r2 = ju.grad[iy] + jw.grad[ix]
+    du, dw = ju.grad, jw.grad
+    r1 = du[..., it] + dw[..., iy] + ju.value * dw[..., ix] - jw.value * du[..., ix]
+    r2 = du[..., iy] + dw[..., ix]
     return (r1, r2)
 
 
@@ -138,9 +139,9 @@ def gt_residual(s, pt):
     """Frame-system residual components at a point, shape (3, 3).
 
     Row i holds the (dx^0^dx^1, dx^0^dx^2, dx^1^dx^2) components of the
-    residual of the i-th frame equation.
+    residual of the i-th frame equation; over a batch the shape is (N, 3, 3).
     """
-    return np.array([_eval2(r, pt) for r in gt_residual_forms(s)])
+    return np.stack([_eval2(r, pt) for r in gt_residual_forms(s)], axis=-2)
 
 
 def monopole_residual_form(s):
@@ -205,11 +206,12 @@ def _hxyt(H, pt, order=2):
 def hcr_residual(H, pt):
     """H_xt - H_yy + H_y H_xx - H_x H_xy at a point."""
     j, ix, iy, it = _hxyt(H, pt)
+    g, h = j.grad, j.hess
     return (
-        j.hess[ix, it]
-        - j.hess[iy, iy]
-        + j.grad[iy] * j.hess[ix, ix]
-        - j.grad[ix] * j.hess[ix, iy]
+        h[..., ix, it]
+        - h[..., iy, iy]
+        + g[..., iy] * h[..., ix, ix]
+        - g[..., ix] * h[..., ix, iy]
     )
 
 
@@ -220,8 +222,9 @@ def constraints_residual(H, pt):
     the fundamental solution satisfies.
     """
     j, ix, iy, it = _hxyt(H, pt)
-    nonlinear = j.hess[ix, ix] * j.grad[iy] - j.hess[ix, iy] * j.grad[ix]
-    linear = j.hess[ix, it] - j.hess[iy, iy]
+    g, h = j.grad, j.hess
+    nonlinear = h[..., ix, ix] * g[..., iy] - h[..., ix, iy] * g[..., ix]
+    linear = h[..., ix, it] - h[..., iy, iy]
     return (nonlinear, linear)
 
 

@@ -30,7 +30,7 @@ from .forms import (
     scalar_form,
     symmetric_product,
 )
-from .jets import ChartPoint, Field, Guard, SampleDomain
+from .jets import ChartPoint, Field, Guard, SampleDomain, first_where
 from .report import run_check
 
 __all__ = [
@@ -157,7 +157,7 @@ def _heat_probe(beta_ast, n=25):
 
     def heat(pt):
         j = ex.eval_jet(beta_ast, pt, 2)
-        return j.grad[1] + j.hess[0, 0]
+        return j.grad[..., 1] + j.hess[..., 0, 0]
 
     r = run_check("families.heat", heat, pts, HEAT_TOL)
     if r.verdict == "fail":
@@ -305,9 +305,11 @@ def _legendre_inv(g_pp):
 
     def fn(pt, order=0):
         j = g_pp(pt, order)
-        if abs(j.value) < LEGENDRE_TOL:
+        small = np.abs(j.value) < LEGENDRE_TOL
+        if np.any(small):
             raise DegenerateLegendreError(
-                f"|G_pp| = {abs(j.value):.3e} below {LEGENDRE_TOL:g} at {pt.coords}"
+                f"|G_pp| = {abs(first_where(j.value, small)):.3e} "
+                f"below {LEGENDRE_TOL:g} at {pt.coords}"
             )
         return j.reciprocal()
 
@@ -350,10 +352,10 @@ def g_equation_residual(gen, pt):
     jb = ex.eval_jet(gen.B, pt, 2)
     ip, iy, it = (pt.chart.index(n) for n in PYT)
     p = pt.coord("p")
-    g_yp = jb.grad[iy]
-    g_yy = p * jb.hess[iy, iy]
-    g_pp = ja.hess[ip, ip]
-    g_pt = ja.hess[ip, it] + jb.grad[it]
+    g_yp = jb.grad[..., iy]
+    g_yy = p * jb.hess[..., iy, iy]
+    g_pp = ja.hess[..., ip, ip]
+    g_pt = ja.hess[..., ip, it] + jb.grad[..., it]
     return g_yp**2 - g_yy * g_pp - g_pt
 
 
@@ -364,9 +366,9 @@ def branch_residual(A, B, pt):
     ip, iy, it = (pt.chart.index(n) for n in PYT)
     p = pt.coord("p")
     return (
-        2.0 * jb.grad[iy] * jb.hess[iy, iy]
-        - p * jb.third[iy, iy, iy] * ja.hess[ip, ip]
-        - jb.hess[iy, it]
+        2.0 * jb.grad[..., iy] * jb.hess[..., iy, iy]
+        - p * jb.third[..., iy, iy, iy] * ja.hess[..., ip, ip]
+        - jb.hess[..., iy, it]
     )
 
 

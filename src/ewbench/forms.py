@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularFrameError, SingularMetricError
-from .jets import ChartPoint, Field, Jet, ZERO_FIELD
+from .jets import MAX_ORDER, Field, Jet, ZERO_FIELD, first_where, pack
 
 __all__ = [
     "PForm",
@@ -75,9 +75,10 @@ class PForm:
         return self.comps.get(tuple(idx), ZERO_FIELD)
 
     def max_abs_at(self, pt):
-        """Largest absolute component value at ``pt``; NaN if any is NaN."""
+        """Largest absolute component value at ``pt`` (per row of a batch);
+        NaN if any is NaN."""
         vals = [f(pt, 0).value for f in self.comps.values()]
-        return float(np.max(np.abs(vals), initial=0.0))
+        return np.max(np.abs(pack(pt, vals)), axis=-1, initial=0.0)
 
     # -- algebra ---------------------------------------------------------------
 
@@ -234,8 +235,11 @@ def star_frame(frame, i):
 def _expand_rows(rows, target):
     """Coefficients c with sum_i c_i rows[i] = target (all jets)."""
     det = jet_det(rows)
-    if abs(det.value) < FRAME_DET_TOL:
-        raise SingularFrameError(f"coframe determinant {det.value:.3e} below tolerance")
+    small = np.abs(det.value) < FRAME_DET_TOL
+    if np.any(small):
+        raise SingularFrameError(
+            f"coframe determinant {first_where(det.value, small):.3e} below tolerance"
+        )
     inv = jet_inv(rows, det)
     # target_j = sum_i c_i rows[i][j]  =>  c = (rows^T)^{-1} target
     coeffs = []
@@ -257,19 +261,21 @@ def frame_expand(a, frame, pt):
     if a.degree == 1:
         target = [a.comp((j,))(pt, 0) for j in range(3)]
         coeffs = _expand_rows(rows, target)
-        return np.array([c.value for c in coeffs])
+        return pack(pt, [c.value for c in coeffs])
     if a.degree == 2:
         pairs = ((0, 1), (0, 2), (1, 2))
-        basis = np.zeros((3, 3))
-        val = np.array([[rows[i][j].value for j in range(3)] for i in range(3)])
+        basis = np.zeros(pt.shape + (3, 3))
+        val = [pack(pt, [rows[i][j].value for j in range(3)]) for i in range(3)]
         for m, (i, j) in enumerate(pairs):
             for col, (k, l) in enumerate(pairs):
-                basis[m, col] = val[i][k] * val[j][l] - val[i][l] * val[j][k]
+                basis[..., m, col] = (
+                    val[i][..., k] * val[j][..., l] - val[i][..., l] * val[j][..., k]
+                )
         det = np.linalg.det(basis)
-        if abs(det) < FRAME_DET_TOL:
+        if np.any(np.abs(det) < FRAME_DET_TOL):
             raise SingularFrameError("degenerate coframe for 2-form expansion")
-        target = np.array([a.comp(pair)(pt, 0).value for pair in pairs])
-        return np.linalg.solve(basis.T, target)
+        target = pack(pt, [a.comp(pair)(pt, 0).value for pair in pairs])
+        return np.linalg.solve(np.swapaxes(basis, -1, -2), target[..., None])[..., 0]
     raise ValueError("frame expansion supports degree 1 and 2 only")
 
 
@@ -336,7 +342,7 @@ def jet_inv(m, det=None):
     n = len(m)
     if det is None:
         det = jet_det(m)
-    if det.value == 0.0:
+    if np.any(det.value == 0.0):
         raise SingularMetricError("singular matrix in jet inversion")
     det_inv = det.reciprocal()
     inv = [[None] * n for _ in range(n)]
@@ -420,40 +426,41 @@ class MetricField:
         return MetricField(self.chart, comps)
 
     def matrix_at(self, pt):
+        """The metric matrix at ``pt``, batch axis first over a batch."""
         n = self.dim
-        g = np.zeros((n, n))
+        g = np.zeros(pt.shape + (n, n))
         for (a, b), f in self.comps.items():
             v = f(pt, 0).value
-            g[a, b] = v
-            g[b, a] = v
+            g[..., a, b] = v
+            g[..., b, a] = v
         return g
 
     def jets_at(self, pt, order):
-        """Packed value/derivative arrays: g, dg[c,a,b], ddg[c,d,a,b]."""
+        """Packed value/derivative arrays: g, dg[c,a,b], ddg[c,d,a,b], each
+        with the batch axis first over a batch."""
         n = self.dim
-        g = np.zeros((n, n))
-        dg = np.zeros((n, n, n))
-        ddg = np.zeros((n, n, n, n))
+        g = np.zeros(pt.shape + (n, n))
+        dg = np.zeros(pt.shape + (n, n, n))
+        ddg = np.zeros(pt.shape + (n, n, n, n))
         for (a, b), f in self.comps.items():
             j = f(pt, order)
-            g[a, b] = g[b, a] = j.value
+            g[..., a, b] = g[..., b, a] = j.value
             if order >= 1:
-                dg[:, a, b] = dg[:, b, a] = j.grad
+                dg[..., :, a, b] = dg[..., :, b, a] = j.grad
             if order >= 2:
-                ddg[:, :, a, b] = ddg[:, :, b, a] = j.hess
+                ddg[..., :, :, a, b] = ddg[..., :, :, b, a] = j.hess
         return g, dg, ddg
 
     def inverse_at(self, pt):
         g = self.matrix_at(pt)
-        if abs(np.linalg.det(g)) < METRIC_DET_TOL:
+        if np.any(np.abs(np.linalg.det(g)) < METRIC_DET_TOL):
             raise SingularMetricError("metric not invertible at point")
         return np.linalg.inv(g)
 
     def signature_at(self, pt):
+        """(positive, negative) eigenvalue counts, per row of a batch."""
         eigs = np.linalg.eigvalsh(self.matrix_at(pt))
-        plus = int(np.sum(eigs > 0))
-        minus = int(np.sum(eigs < 0))
-        return (plus, minus)
+        return (np.sum(eigs > 0, axis=-1), np.sum(eigs < 0, axis=-1))
 
     def jet_matrix_at(self, pt, order):
         """Dense jet matrix, for algebra that must stay differentiable."""
@@ -505,15 +512,17 @@ def embed_field(f, small, big):
     """
     small = tuple(small)
     big = tuple(big)
-    pos = np.array(_embed_positions(small, big))
+    pos = _embed_positions(small, big)
     n = len(big)
+    # where a part of order k lands, after its batch axes
+    blocks = [(Ellipsis,) + np.ix_(*(pos,) * k) for k in range(MAX_ORDER + 1)]
 
     def fn(pt, order=0):
-        j = f(ChartPoint(small, tuple(pt.coords[i] for i in pos)), order)
+        j = f(pt.on_chart(small, [pt.coords[i] for i in pos]), order)
         parts = [j.value]
         for k, part in enumerate(j.parts[1:], 1):
-            out = np.zeros((n,) * k)
-            out[np.ix_(*(pos,) * k)] = part
+            out = np.zeros(part.shape[: part.ndim - k] + (n,) * k)
+            out[blocks[k]] = part
             parts.append(out)
         return Jet(parts)
 

@@ -1,22 +1,31 @@
 """Order-3 multivariate jets and scalar fields over chart points.
 
 A :class:`Jet` holds a value together with its partial derivatives through a
-requested order (at most 3) at a single point: exactly ``order + 1`` parts,
-and nothing above the order.  Arithmetic propagates derivatives exactly
-(Leibniz and chain rules); there is no truncation error, only rounding.  Each
-part depends only on the parts of its operands up to its own order, and a
-smooth-function rule computes its scalar derivatives only that far, so the
-parts a jet shares with a higher-order jet of the same field are identical.
+requested order (at most 3): exactly ``order + 1`` parts, and nothing above
+the order.  At a single :class:`ChartPoint` of an n-dimensional chart the
+value is a float and part k has shape ``(n,) * k``.  At a
+:class:`PointBatch` of N points every part has a leading batch axis: the
+value has shape ``(N,)`` and part k has shape ``(N,) + (n,) * k``.  The jet
+rules broadcast over trailing axes, so a part without the batch axis (a
+constant, or the unit gradient of a coordinate) serves every row without
+being copied, and row i of a batched jet comes from the same arithmetic as
+the jet at point i alone.  Arithmetic propagates derivatives exactly
+(Leibniz and chain rules); there is no truncation error, only rounding.
+Each part depends only on the parts of its operands up to its own order,
+and a smooth-function rule computes its scalar derivatives only that far,
+so the parts a jet shares with a higher-order jet of the same field are
+identical.
 
-A :class:`Field` is a lazily evaluated scalar function of a
-:class:`ChartPoint`; requesting a derivative field lowers the maximum order
+A :class:`Field` is a lazily evaluated scalar function of a point or a
+batch of points; requesting a derivative field lowers the maximum order
 that can be evaluated by one, which is how the order cap stays honest.
 
 Field evaluations are memoized on the exact ``(field, point, order)`` in the
 open :func:`evaluation_scope`, so shared subexpressions are evaluated once.
-``report.run_check`` is the one loop over sample or probe points and opens
-the scope for each point; a call made with no scope open gets one for its
-own duration.  The memo is a context variable, never shared between threads.
+``report.run_check`` is the one loop over sample or probe points: it
+evaluates each check once over the batch of all its points, in one scope.
+A call made with no scope open gets one for its own duration.  The memo is
+a context variable, never shared between threads.
 
 The module also provides the independent finite-difference oracle used to
 cross-check jet output, and deterministic rejection sampling of guarded
@@ -24,7 +33,6 @@ coordinate boxes.
 """
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -33,6 +41,7 @@ import numpy as np
 
 from .errors import (
     DomainError,
+    EwbenchError,
     GuardViolationError,
     JetOrderError,
     SamplingExhaustedError,
@@ -44,6 +53,9 @@ __all__ = [
     "MAX_ORDER",
     "Jet",
     "ChartPoint",
+    "PointBatch",
+    "pack",
+    "first_where",
     "Field",
     "evaluation_scope",
     "Guard",
@@ -62,24 +74,15 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# chart points
+# chart points and batches of them
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChartPoint:
-    """A point of a coordinate chart: ``coords`` along the names in ``chart``."""
+class _Coordinates:
+    """What field code reads from a point or a batch: ``chart``, ``coords``
+    (one entry per chart coordinate) and ``shape``, the batch shape."""
 
-    chart: tuple[str, ...]
-    coords: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.chart) != len(self.coords):
-            raise ValueError("coordinate count does not match chart")
-
-    @classmethod
-    def make(cls, chart, coords):
-        return cls(tuple(chart), tuple(float(c) for c in coords))
+    __slots__ = ()
 
     @property
     def dim(self):
@@ -91,12 +94,104 @@ class ChartPoint:
     def with_coord(self, index, value):
         coords = list(self.coords)
         coords[index] = value
-        return ChartPoint(self.chart, tuple(coords))
+        return self.on_chart(self.chart, coords)
+
+
+@dataclass(frozen=True)
+class ChartPoint(_Coordinates):
+    """A point of a coordinate chart: ``coords`` along the names in ``chart``."""
+
+    chart: tuple[str, ...]
+    coords: tuple[float, ...]
+
+    # everything evaluated at a single point has no batch axis
+    shape = ()
+
+    def __post_init__(self):
+        if len(self.chart) != len(self.coords):
+            raise ValueError("coordinate count does not match chart")
+
+    @classmethod
+    def make(cls, chart, coords):
+        return cls(tuple(chart), tuple(float(c) for c in coords))
+
+    @classmethod
+    def on_chart(cls, chart, coords):
+        """The point with ``coords`` along ``chart``."""
+        return cls.make(chart, coords)
+
+
+class PointBatch(_Coordinates):
+    """N points of one chart, evaluated together.
+
+    ``rows[i]`` holds the coordinates of point i and ``coords[k]`` is the
+    (N,) array of coordinate k, so field code that reads ``pt.coords[k]``
+    and ``pt.dim`` serves a point and a batch alike; ``shape`` is (N,).
+    Like a ChartPoint, a batch hashes and compares by value, so the field
+    memo shares evaluations between equal batches.  Its arrays are
+    read-only.
+    """
+
+    __slots__ = ("chart", "rows", "coords", "_key", "_hash")
+
+    def __init__(self, chart, rows):
+        rows = np.array(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != len(chart):
+            raise ValueError("coordinate count does not match chart")
+        rows.flags.writeable = False
+        cols = np.ascontiguousarray(rows.T)
+        cols.flags.writeable = False
+        self.chart = tuple(chart)
+        self.rows = rows
+        self.coords = tuple(cols)
+        self._key = (self.chart, rows.tobytes())
+        self._hash = hash(self._key)
+
+    @classmethod
+    def of(cls, points):
+        """The batch of the ChartPoints ``points`` (one chart), in order."""
+        return cls(points[0].chart, [q.coords for q in points])
+
+    @staticmethod
+    def on_chart(chart, coords):
+        """The batch with the (N,) arrays ``coords`` along ``chart``."""
+        return PointBatch(chart, np.stack(coords, axis=-1))
+
+    @property
+    def shape(self):
+        return (len(self.rows),)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, PointBatch) and self._key == other._key
+        )
+
+    def __repr__(self):
+        return f"PointBatch(chart={self.chart}, points={len(self.rows)})"
 
 
 def point(chart, *coords):
     """Convenience constructor: ``point(("x","y","t"), 1, 2, 3)``."""
     return ChartPoint.make(chart, coords)
+
+
+def pack(pt, values):
+    """``values`` at ``pt`` as one array with the batch axis first, of shape
+    ``pt.shape + (len(values),)``; a value without the batch axis (a
+    constant) is repeated over the batch."""
+    out = np.empty(pt.shape + (len(values),))
+    for i, v in enumerate(values):
+        out[..., i] = v
+    return out
+
+
+def first_where(value, mask):
+    """For an error message: ``value`` at a point, or its entry at the first
+    row of a batch where ``mask`` holds."""
+    return value[np.argmax(mask)] if np.ndim(value) else value
 
 
 # ---------------------------------------------------------------------------
@@ -115,21 +210,38 @@ def _derivative_part(k, name):
     return property(read)
 
 
+# index suffixes that give a batched value k trailing unit axes
+_UNIT_AXES = ((), (Ellipsis, None), (Ellipsis, None, None), (Ellipsis, None, None, None))
+# partial(i) takes index i on the first derivative axis of each part; these
+# are the full slices over the derivative axes after it
+_AFTER_FIRST = ((), (slice(None),), (slice(None), slice(None)))
+
+
+def _scaler(v, k):
+    """A value or a scalar derivative (a float at a point, an (N,) array over
+    a batch) shaped to scale a part of order k row by row."""
+    return v[_UNIT_AXES[k]] if type(v) is np.ndarray and v.ndim else v
+
+
 class Jet:
     """A value and its symmetric derivative arrays through ``order`` (0..3).
 
     ``parts`` holds exactly ``order + 1`` derivative parts: ``parts[0]`` is
-    the value, a Python float, and ``parts[k]`` is the array of k-th partial
-    derivatives, of shape ``(n,) * k`` for a chart of dimension n.  Nothing
-    above the order is stored; reading ``grad``, ``hess`` or ``third`` above
-    it raises :class:`JetOrderError`.  Jets are shared by the field memo, so
-    they are never mutated after construction.
+    the value and ``parts[k]`` the array of k-th partial derivatives.  At a
+    point of an n-dimensional chart the value is a float and part k has
+    shape ``(n,) * k``; over a batch of N points the value has shape (N,)
+    and part k has shape ``(N,) + (n,) * k``, or ``(n,) * k`` when it is the
+    same for every row.  Nothing above the order is stored; reading
+    ``grad``, ``hess`` or ``third`` above it raises :class:`JetOrderError`.
+    Jets are shared by the field memo, so they are never mutated after
+    construction.
     """
 
     __slots__ = ("parts",)
 
     def __init__(self, parts):
-        self.parts = (float(parts[0]), *parts[1:])
+        v = parts[0]
+        self.parts = (v if type(v) is np.ndarray and v.ndim else float(v), *parts[1:])
 
     # -- constructors ------------------------------------------------------
 
@@ -151,7 +263,7 @@ class Jet:
             raise JetOrderError(f"jet order {order} outside 0..{MAX_ORDER}")
 
     def _constant_like(self, value):
-        return Jet([value] + [np.zeros_like(p) for p in self.parts[1:]])
+        return Jet([value] + [np.zeros(p.shape[-k:]) for k, p in enumerate(self.parts[1:], 1)])
 
     # -- parts ---------------------------------------------------------------
 
@@ -182,7 +294,7 @@ class Jet:
                 "cannot extract a derivative from an order-0 jet; "
                 "evaluate the base field at a higher order"
             )
-        return Jet([p[index] for p in self.parts[1:]])
+        return Jet([p[(Ellipsis, index) + _AFTER_FIRST[k]] for k, p in enumerate(self.parts[1:])])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -204,6 +316,12 @@ class Jet:
     def __neg__(self):
         return Jet([-p for p in self.parts])
 
+    def __abs__(self):
+        """The jet of |f|: every part times the sign of the value, row by row
+        (a zero value counts as positive)."""
+        sign = np.where(self.value < 0.0, -1.0, 1.0)
+        return Jet([p * _scaler(sign, k) for k, p in enumerate(self.parts)])
+
     def __sub__(self, other):
         o = self._lift(other)
         if o is None:
@@ -222,20 +340,20 @@ class Jet:
         a0, b0 = a[0], b[0]
         parts = [a0 * b0]
         if order >= 1:
-            parts.append(a[1] * b0 + a0 * b[1])
+            parts.append(a[1] * _scaler(b0, 1) + _scaler(a0, 1) * b[1])
         if order >= 2:
             parts.append(
-                a[2] * b0
-                + np.outer(a[1], b[1])
-                + np.outer(b[1], a[1])
-                + a0 * b[2]
+                a[2] * _scaler(b0, 2)
+                + a[1][..., :, None] * b[1][..., None, :]
+                + b[1][..., :, None] * a[1][..., None, :]
+                + _scaler(a0, 2) * b[2]
             )
         if order >= 3:
             parts.append(
-                a[3] * b0
+                a[3] * _scaler(b0, 3)
                 + _sym_hg(a[2], b[1])
                 + _sym_hg(b[2], a[1])
-                + a0 * b[3]
+                + _scaler(a0, 3) * b[3]
             )
         return Jet(parts)
 
@@ -243,12 +361,12 @@ class Jet:
 
     def reciprocal(self):
         v = self.value
-        if v == 0.0:
+        if np.any(v == 0.0):
             raise DomainError("division by zero")
-        try:
-            return self.compose(*_reciprocal_series(v, self.order + 1))
-        except (OverflowError, ZeroDivisionError):
-            raise DomainError(f"reciprocal of {v!r} leaves the float range") from None
+        f = _derivatives(_reciprocal_series, v, self.order + 1)
+        if f is None:
+            raise DomainError(f"reciprocal of {v!r} leaves the float range")
+        return self.compose(*f)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -282,37 +400,34 @@ class Jet:
         return result
 
     def _float_pow(self, c):
-        if self.value <= 0.0:
-            raise DomainError("non-integer power needs a positive base")
         v = self.value
-        f, factor = [], 1.0
-        try:
-            # d^k/dv^k v^c = c (c-1) ... (c-k+1) v^(c-k)
-            for k in range(self.order + 1):
-                f.append(factor * v ** (c - k))
-                factor *= c - k
-        except (OverflowError, ZeroDivisionError):
-            raise DomainError(f"power {c!r} of {v!r} leaves the float range") from None
+        if np.any(v <= 0.0):
+            raise DomainError("non-integer power needs a positive base")
+        f = _derivatives(_power_series, v, c, self.order)
+        if f is None:
+            raise DomainError(f"power {c!r} of {v!r} leaves the float range")
         return self.compose(*f)
 
     # -- composition with a smooth unary function ---------------------------
 
     def compose(self, *f):
         """Chain rule: the jet of g(self) given ``f[k]``, the k-th derivative
-        of g at the value; only ``f[0]`` through ``f[order]`` are read."""
+        of g at the value (a float at a point, an (N,) array over a batch);
+        only ``f[0]`` through ``f[order]`` are read."""
         a = self.parts
         order = len(a) - 1
         parts = [f[0]]
         if order >= 1:
             g = a[1]
-            parts.append(f[1] * g)
+            parts.append(_scaler(f[1], 1) * g)
         if order >= 2:
-            parts.append(f[2] * np.outer(g, g) + f[1] * a[2])
+            gg = g[..., :, None] * g[..., None, :]
+            parts.append(_scaler(f[2], 2) * gg + _scaler(f[1], 2) * a[2])
         if order >= 3:
             parts.append(
-                f[3] * np.einsum("i,j,k->ijk", g, g, g)
-                + f[2] * _sym_hg(a[2], g)
-                + f[1] * a[3]
+                _scaler(f[3], 3) * (gg[..., None] * g[..., None, None, :])
+                + _scaler(f[2], 3) * _sym_hg(a[2], g)
+                + _scaler(f[1], 3) * a[3]
             )
         return Jet(parts)
 
@@ -320,16 +435,37 @@ class Jet:
 def _sym_hg(hess, grad):
     """Symmetrized hess (x) grad: H_ij g_k + H_ik g_j + H_jk g_i."""
     return (
-        np.einsum("ij,k->ijk", hess, grad)
-        + np.einsum("ik,j->ijk", hess, grad)
-        + np.einsum("jk,i->ijk", hess, grad)
+        hess[..., :, :, None] * grad[..., None, None, :]
+        + hess[..., :, None, :] * grad[..., None, :, None]
+        + hess[..., None, :, :] * grad[..., :, None, None]
     )
+
+
+def _derivatives(series, v, *args):
+    """``series(v, *args)``: the derivatives of a smooth function at the value
+    v, computed by numpy for a point and a batch alike.  None when one of
+    them leaves the float range (an overflow, a division by zero, or an
+    invalid value such as the sine of infinity)."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return series(np.asarray(v), *args)
+    except FloatingPointError:
+        return None
 
 
 def _reciprocal_series(v, count):
     """The first ``count`` of 1/v, -1/v^2, 2/v^3, -6/v^4: the derivatives of
     1/x at v, computed only as far as they are read."""
-    return [c / v ** (k + 1) for k, c in enumerate((1.0, -1.0, 2.0, -6.0)[:count])]
+    return [c / np.power(v, k + 1) for k, c in enumerate((1.0, -1.0, 2.0, -6.0)[:count])]
+
+
+def _power_series(v, c, order):
+    # d^k/dv^k v^c = c (c-1) ... (c-k+1) v^(c-k)
+    f, factor = [], 1.0
+    for k in range(order + 1):
+        f.append(factor * np.power(v, c - k))
+        factor *= c - k
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -337,75 +473,81 @@ def _reciprocal_series(v, count):
 # ---------------------------------------------------------------------------
 
 
-def _unary(jet_rule):
+def _unary(series):
+    """The smooth function whose derivatives at v, through ``order``, are
+    ``series(v, order)``, applied to a jet or a field."""
+
     def apply(x):
         if isinstance(x, Field):
             return Field(lambda pt, order=0: apply(x(pt, order)))
-        try:
-            return jet_rule(x)
-        except (OverflowError, ZeroDivisionError, ValueError):
-            # ValueError: math.sin and math.cos of an infinite value
-            raise DomainError(f"value {x.value!r} leaves the float range") from None
+        f = _derivatives(series, x.value, x.order)
+        if f is None:
+            raise DomainError(f"value {x.value!r} leaves the float range")
+        return x.compose(*f)
 
     return apply
 
 
-def _exp_rule(j):
-    v = math.exp(j.value)
-    return j.compose(v, v, v, v)
+def _exp_series(v, order):
+    return [np.exp(v)] * (order + 1)
 
 
-def _log_rule(j):
-    v = j.value
-    if v <= 0.0:
+def _log_series(v, order):
+    if np.any(v <= 0.0):
         raise DomainError("log of a non-positive value")
-    return j.compose(math.log(v), *_reciprocal_series(v, j.order))
+    return [np.log(v), *_reciprocal_series(v, order)]
 
 
-def _sqrt_rule(j):
-    v = j.value
-    if v <= 0.0:
+def _sqrt_series(v, order):
+    if np.any(v <= 0.0):
         raise DomainError("sqrt of a non-positive value")
-    s = math.sqrt(v)
-    # the derivatives 0.5/s, -0.25/(v s), 0.375/(v^2 s), only as far as read
-    pairs = zip((0.5, -0.25, 0.375)[: j.order], (s, v * s, v * v * s))
-    return j.compose(s, *(c / d for c, d in pairs))
+    s = np.sqrt(v)
+    # 0.5/s, -0.25/(v s), 0.375/(v^2 s), as quotients so that only a
+    # derivative that is itself out of range overflows
+    f = [s]
+    if order >= 1:
+        f.append(0.5 / s)
+    if order >= 2:
+        f.append(-0.25 / v / s)
+    if order >= 3:
+        f.append(0.375 / v / v / s)
+    return f
 
 
-def _sin_rule(j):
-    s, c = math.sin(j.value), math.cos(j.value)
-    return j.compose(s, c, -s, -c)
+def _sin_series(v, order):
+    s, c = np.sin(v), np.cos(v)
+    return [s, c, -s, -c]
 
 
-def _cos_rule(j):
-    s, c = math.sin(j.value), math.cos(j.value)
-    return j.compose(c, -s, -c, s)
+def _cos_series(v, order):
+    s, c = np.sin(v), np.cos(v)
+    return [c, -s, -c, s]
 
 
-def _sinh_rule(j):
-    s, c = math.sinh(j.value), math.cosh(j.value)
-    return j.compose(s, c, s, c)
+def _sinh_series(v, order):
+    s, c = np.sinh(v), np.cosh(v)
+    return [s, c, s, c]
 
 
-def _cosh_rule(j):
-    s, c = math.sinh(j.value), math.cosh(j.value)
-    return j.compose(c, s, c, s)
+def _cosh_series(v, order):
+    s, c = np.sinh(v), np.cosh(v)
+    return [c, s, c, s]
 
 
-def _tanh_rule(j):
-    t = math.tanh(j.value)
+def _tanh_series(v, order):
+    t = np.tanh(v)
     d1 = 1.0 - t * t
-    return j.compose(t, d1, -2.0 * t * d1, d1 * (6.0 * t * t - 2.0))
+    return [t, d1, -2.0 * t * d1, d1 * (6.0 * t * t - 2.0)]
 
 
-exp = _unary(_exp_rule)
-log = _unary(_log_rule)
-sqrt = _unary(_sqrt_rule)
-sin = _unary(_sin_rule)
-cos = _unary(_cos_rule)
-sinh = _unary(_sinh_rule)
-cosh = _unary(_cosh_rule)
-tanh = _unary(_tanh_rule)
+exp = _unary(_exp_series)
+log = _unary(_log_series)
+sqrt = _unary(_sqrt_series)
+sin = _unary(_sin_series)
+cos = _unary(_cos_series)
+sinh = _unary(_sinh_series)
+cosh = _unary(_cosh_series)
+tanh = _unary(_tanh_series)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +573,8 @@ class Field:
     """A scalar function of a chart point, evaluated on demand as a jet.
 
     ``field(pt, order)`` returns the jet of ``fn(pt, order)``, valid through
-    ``order``, computed at most once per evaluation scope; callers share the
+    ``order``, at a ChartPoint or, row by row, over a PointBatch.  It is
+    computed at most once per evaluation scope; callers share the
     jet, so they must not mutate it.  Algebra on fields is pointwise;
     ``d(name)`` is the partial-derivative field along the named coordinate
     and needs the base to support one order more.
@@ -534,7 +677,7 @@ FD_STEP_SCALE = 1e-4
 
 
 def _fd_step(x):
-    return FD_STEP_SCALE * max(1.0, abs(x))
+    return FD_STEP_SCALE * np.maximum(1.0, np.abs(x))
 
 
 def fd_oracle(field, pt, axes):
@@ -582,7 +725,8 @@ def fd_oracle(field, pt, axes):
 
 @dataclass(frozen=True)
 class Guard:
-    """Accept a point when ``predicate(point) > threshold``."""
+    """Accept a point when ``predicate(point) > threshold``; over a batch,
+    ``accepts`` gives the comparison row by row."""
 
     predicate: Field
     threshold: float
@@ -611,32 +755,79 @@ _MAX_DRAWS = 1_000_000
 _BATCH = 512
 
 
+@np.errstate(all="ignore")  # a guard value that is not finite is a rejection
 def sample(domain):
     """Uniform points in the box, rejection-filtered by the guards.
 
-    Deterministic for a fixed seed.  Raises SamplingExhaustedError when the
-    acceptance rate is below 1% after a million draws.
+    Draws come in batches of 512 rows and each guard is evaluated, value
+    only, once per batch: guard k sees only the rows that guards 0..k-1
+    accepted, and rows are accepted in draw order up to ``count``.  If a
+    guard raises on a batch, that batch is screened again row by row in
+    draw order, so a row past the last one accepted never raises.
+    Deterministic for a fixed seed.  Raises SamplingExhaustedError, with
+    the number of draws each guard rejected, when the acceptance rate is
+    below 1% after a million draws.
     """
     rng = np.random.default_rng(domain.seed)
     lows = np.array([b[0] for b in domain.box])
     highs = np.array([b[1] for b in domain.box])
     accepted = []
+    rejected = [0] * len(domain.guards)
     drawn = 0
     while len(accepted) < domain.count:
-        batch = rng.uniform(lows, highs, size=(_BATCH, len(domain.chart)))
+        rows = rng.uniform(lows, highs, size=(_BATCH, len(domain.chart)))
         drawn += _BATCH
-        for row in batch:
-            pt = ChartPoint(domain.chart, tuple(float(v) for v in row))
-            if all(g.accepts(pt) for g in domain.guards):
-                accepted.append(pt)
-                if len(accepted) == domain.count:
-                    break
+        need = domain.count - len(accepted)
+        try:
+            keep, counts = _screen(domain, rows)
+        except EwbenchError:
+            keep, counts = _screen_rows(domain, rows, need)
+        rejected = [a + b for a, b in zip(rejected, counts)]
+        accepted.extend(
+            ChartPoint(domain.chart, tuple(float(v) for v in rows[i])) for i in keep[:need]
+        )
         if drawn >= _MAX_DRAWS and len(accepted) < 0.01 * drawn:
+            by_guard = ", ".join(
+                f"{g.label or f'guard {k}'}: {n}"
+                for k, (g, n) in enumerate(zip(domain.guards, rejected))
+            )
             raise SamplingExhaustedError(
                 f"acceptance rate {len(accepted)}/{drawn} below 1% "
-                f"after {drawn} draws"
+                f"after {drawn} draws; rejected by {by_guard}"
             )
     return accepted
+
+
+def _screen(domain, rows):
+    """Indices of the rows that every guard accepts, and how many rows each
+    guard rejected; guard k sees only the rows guards 0..k-1 accepted."""
+    keep = np.arange(len(rows))
+    counts = [0] * len(domain.guards)
+    for k, g in enumerate(domain.guards):
+        if not len(keep):
+            break
+        ok = np.broadcast_to(g.accepts(PointBatch(domain.chart, rows[keep])), keep.shape)
+        counts[k] = len(keep) - int(np.count_nonzero(ok))
+        keep = keep[ok]
+    return keep, counts
+
+
+def _screen_rows(domain, rows, need):
+    """``_screen`` one row at a time in draw order, stopping at the
+    ``need``-th accepted row."""
+    keep = []
+    counts = [0] * len(domain.guards)
+    for i, row in enumerate(rows):
+        pt = ChartPoint(domain.chart, tuple(float(v) for v in row))
+        for k, g in enumerate(domain.guards):
+            if not g.accepts(pt):
+                counts[k] += 1
+                break
+        else:
+            keep.append(i)
+            if len(keep) == need:
+                break
+    return keep, counts
 
 
 def require_guards(domain, pt):

@@ -35,7 +35,7 @@ from .forms import (
     symmetric_product,
     zero_form,
 )
-from .jets import ChartPoint, Field
+from .jets import ChartPoint, Field, pack
 from .report import run_check
 
 GAUGE_TOL = 1e-9
@@ -231,7 +231,7 @@ def build(cfg):
 
 
 def alpha_of_p(p, ell):
-    return math.atan2(1.0 / math.cosh(p / ell), math.tanh(p / ell))
+    return np.arctan2(1.0 / np.cosh(p / ell), np.tanh(p / ell))
 
 
 def p_of_alpha(alpha, ell):
@@ -245,9 +245,10 @@ def dalpha_dp(p, ell):
 
 
 def matched_alpha_point(pt, ell):
-    """Angle-chart point matching a p-chart point (base coordinates kept)."""
-    coords = (alpha_of_p(pt.coords[0], ell),) + pt.coords[1:]
-    return ChartPoint(("alpha",) + pt.chart[1:], coords)
+    """Angle-chart point (or batch) matching a p-chart one (base coordinates
+    kept)."""
+    coords = (alpha_of_p(pt.coords[0], ell),) + tuple(pt.coords[1:])
+    return pt.on_chart(("alpha",) + pt.chart[1:], coords)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +315,7 @@ def flat_limit(factory, ells, *, points=None, seed=2026, count=6):
         keys = sorted(set(f_full.comps) | set(f_target.comps))
 
         def values(f):
-            return lambda q: np.array([f.comp(k)(q, 0).value for k in keys])
+            return lambda q: pack(q, [f.comp(k)(q, 0).value for k in keys])
 
         full, target = values(f_full), values(f_target)
         residuals = {

@@ -1,10 +1,11 @@
 """Check aggregation and machine-readable verification reports.
 
-A check maps sample points to residuals; ``run_check`` reduces each point to
-its largest absolute component and keeps the maximum, the mean, and the worst
-point.  Reports serialize to JSON with a fixed key order so that two runs
-with the same configuration and seed are byte-identical apart from the
-wall-time field.
+A check maps sample points to residuals; ``run_check`` evaluates it once
+over the batch of all its points, reduces each point to its largest
+absolute component and keeps the maximum, the mean, and the worst point.
+Reports serialize to JSON with a fixed key order so that two runs with the
+same configuration and seed are byte-identical apart from the wall-time
+field.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
-from .jets import evaluation_scope
+from .errors import ConfigError, DomainError, EwbenchError
+from .jets import PointBatch, evaluation_scope
 
 SCHEMA = 1
 
@@ -46,26 +47,41 @@ class CheckResult:
         return "pass" if self.max <= self.tol else "fail"
 
 
+@np.errstate(all="ignore")  # every value is checked for finiteness below
 def run_check(name, fn, points, tol):
     """Evaluate a residual function over points and aggregate.
 
-    ``fn(q)`` returns the raw residual at a point: a number or an array of
-    components.  Each point is evaluated in its own field evaluation scope
-    and reduced to its largest absolute component there.  A non-finite
-    component raises DomainError at the first such point in sample order.
-    This is the one loop that evaluates residuals over sample or probe
-    points.
+    ``fn(q)`` returns the raw residual at q: a number, an array of
+    components, or a tuple of components.  It is called once, in one field
+    evaluation scope, on the PointBatch of all the points, where each
+    component carries the batch axis first, and each row is reduced to its
+    largest absolute component.  If that call raises an EwbenchError or a
+    row is not finite, the points are evaluated again one at a time in
+    sample order, each in its own scope, so the first offending point
+    raises exactly the error it raises alone; a non-finite point raises
+    DomainError.  A residual without the batch axis (fn did not vectorize,
+    e.g. it returned a constant) is taken as the first point's, and the
+    other points are evaluated one at a time.  This is the one loop that
+    evaluates residuals over sample or probe points.
     """
     points = list(points)
     if not points:
         raise ConfigError(f"check {name!r} received no sample points")
     vals = []
-    for q in points:
+    try:
         with evaluation_scope():
-            v = float(np.max(np.abs(fn(q)), initial=0.0))
-        if not math.isfinite(v):
-            raise DomainError(f"check {name!r} is {v} at {q.coords}")
-        vals.append(v)
+            r = fn(PointBatch.of(points))
+    except EwbenchError:
+        pass  # the loop below finds the first point that raises
+    else:
+        rows = _row_maxima(r, len(points))
+        if rows is None:
+            vals.append(_point_max(name, points[0], r))
+        elif np.isfinite(rows).all():
+            vals = rows.tolist()
+    for q in points[len(vals):]:
+        with evaluation_scope():
+            vals.append(_point_max(name, q, fn(q)))
     worst = max(range(len(vals)), key=vals.__getitem__)
     return CheckResult(
         name=name,
@@ -74,6 +90,23 @@ def run_check(name, fn, points, tol):
         worst_point=tuple(points[worst].coords),
         tol=float(tol),
     )
+
+
+def _row_maxima(r, n):
+    """Largest absolute component of each of the n rows of a batch
+    residual, or None when the residual has no leading batch axis."""
+    comps = np.broadcast_arrays(*(r if isinstance(r, tuple) else (r,)))
+    if not comps or comps[0].shape[:1] != (n,):
+        return None
+    flat = np.concatenate([np.abs(c).reshape(n, -1) for c in comps], axis=1)
+    return np.max(flat, axis=1, initial=0.0)
+
+
+def _point_max(name, q, r):
+    v = float(np.max(np.abs(r), initial=0.0))
+    if not math.isfinite(v):
+        raise DomainError(f"check {name!r} is {v} at {q.coords}")
+    return v
 
 
 def build_report(config, chart, n_points, results, detail=None):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,17 +16,20 @@ from hypothesis import strategies as st
 from ewbench import (
     ChartPoint,
     LiftConfig,
+    MetricField,
     ext_d,
     heisenberg,
     hodge3,
     hodge4,
+    parse_field,
     psi_const,
+    ricci,
 )
 from ewbench import lift as lift_mod
-from ewbench.errors import DomainError
-from ewbench.expr import FUNCTIONS, Bin, Call, Const, Neg, Var, to_source
+from ewbench.errors import DomainError, EwbenchError, SingularMetricError
+from ewbench.expr import FUNCTIONS, Bin, Call, Const, Neg, Var, eval_jet, to_source
 from ewbench.families import default_domain
-from ewbench.jets import evaluation_scope, sample
+from ewbench.jets import PointBatch, evaluation_scope, sample
 from ewbench.lift import build, fix_ell_sign
 from ewbench.report import report_json, run_check
 from ewbench.cli import (
@@ -303,6 +307,21 @@ class TestEval:
                           "--order", "5")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("expr,value", [("-x", -1.0), ("-x^2", -1.0), ("--x", 1.0)])
+    def test_expression_may_start_with_a_minus(self, capsys, expr, value):
+        code, rep = run_json(capsys, "eval", "--expr", expr, "--at", "x=1")
+        assert code == EXIT_PASS
+        assert rep["expr"] == expr
+        assert rep["value"] == value
+
+    def test_expression_flag_value_may_start_with_a_minus(self, capsys):
+        code, rep = run_json(
+            capsys, "verify", "--case", "class-b", "--F", "-1/4",
+            "--checks", "gt", "--points", "3",
+        )
+        assert code == EXIT_PASS
+        assert rep["config"]["F"] == "-1/4"
+
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
@@ -363,6 +382,35 @@ class TestEvalProperties:
             # repr tells -0.0 from 0.0
             for key in ("value", "gradient", "hessian")[: order + 1]:
                 assert repr(low[key]) == repr(top[key])
+
+
+ROWS = st.lists(st.tuples(COORDS, COORDS), min_size=1, max_size=5)
+
+
+def jet_or_error(expr, q, order):
+    try:
+        return eval_jet(expr, q, order)
+    except EwbenchError as err:
+        return err
+
+
+class TestBatchedJets:
+    @settings(derandomize=True, deadline=None)
+    @given(expr=EXPRS, rows=ROWS, order=st.integers(0, 3))
+    def test_each_row_is_the_single_point_jet(self, expr, rows, order):
+        chart = ("x", "y")
+        with np.errstate(all="ignore"):
+            singles = [jet_or_error(expr, ChartPoint.make(chart, r), order) for r in rows]
+            batched = jet_or_error(expr, PointBatch(chart, rows), order)
+        raised = [isinstance(j, EwbenchError) for j in singles]
+        assert isinstance(batched, EwbenchError) == any(raised)
+        if any(raised):
+            return
+        assert batched.order == order
+        for i, single in enumerate(singles):
+            for k, (part, want) in enumerate(zip(batched.parts, single.parts)):
+                row = np.broadcast_to(part, (len(rows),) + (2,) * k)[i]
+                np.testing.assert_array_max_ulp(row, np.asarray(want), maxulp=4)
 
 
 # --- error paths ---------------------------------------------------------------------
@@ -522,6 +570,54 @@ class TestNonFinite:
     def test_report_json_rejects_nan(self):
         with pytest.raises(ValueError):
             report_json({"max": math.nan})
+
+
+class TestBatchedRunCheck:
+    X = ("x",)
+
+    def test_the_check_runs_once_over_all_points(self):
+        calls = []
+        f = parse_field("x^2", self.X)
+
+        def fn(q):
+            calls.append(q)
+            return f(q, 0).value
+
+        pts = [ChartPoint.make(self.X, (v,)) for v in (1.0, 3.0, 2.0)]
+        r = run_check("c", fn, pts, 10.0)
+        assert calls == [PointBatch(self.X, [[1.0], [3.0], [2.0]])]
+        assert (r.max, r.mean, r.worst_point) == (9.0, 14.0 / 3.0, (3.0,))
+
+    @staticmethod
+    def alone_and_batched(fn, pts, k):
+        """The error of ``fn`` at point k alone, and the error run_check raises."""
+        with np.errstate(all="ignore"), pytest.raises(EwbenchError) as alone:
+            fn(pts[k])
+        with pytest.raises(EwbenchError) as batched:
+            run_check("c", fn, pts, 1e-7)
+        return alone.value, batched.value
+
+    def test_a_later_point_raises_its_own_error(self):
+        f = parse_field("1/x", self.X)
+        pts = [ChartPoint.make(self.X, (v,)) for v in (1.0, 2.0, 1e-100, 1e-120)]
+        alone, batched = self.alone_and_batched(lambda q: f(q, 3).third, pts, 2)
+        assert type(batched) is DomainError
+        assert str(batched) == str(alone) == "reciprocal of 1e-100 leaves the float range in '1/x'"
+
+    def test_a_later_singular_metric_names_its_point(self):
+        g = MetricField(("x", "y"), {(0, 0): parse_field("x", ("x", "y")), (1, 1): 1.0})
+        pts = [ChartPoint.make(("x", "y"), v) for v in ((1.0, 0.5), (2.0, 0.1), (0.0, 0.2))]
+        alone, batched = self.alone_and_batched(lambda q: ricci(g, q), pts, 2)
+        assert type(batched) is SingularMetricError
+        assert str(batched) == str(alone) == "|det g| = 0.000e+00 at (0.0, 0.2)"
+
+    @pytest.mark.parametrize("src,shown", [("x*x*x", "inf"), ("x*x*x - x*x*x", "nan")])
+    def test_a_later_non_finite_point_is_named(self, src, shown):
+        f = parse_field(src, self.X)
+        pts = [ChartPoint.make(self.X, (v,)) for v in (1.0, 2.0, 1e200, 3.0)]
+        with pytest.raises(DomainError) as err:
+            run_check("c", lambda q: f(q, 0).value, pts, 1.0)
+        assert str(err.value) == f"check 'c' is {shown} at (1e+200,)"
 
 
 def test_module_entry_point(tmp_path):

@@ -20,7 +20,7 @@ from ewbench.errors import (
     JetOrderError,
     SamplingExhaustedError,
 )
-from ewbench.jets import evaluation_scope, require_guards
+from ewbench.jets import ChartPoint, evaluation_scope, require_guards
 
 from conftest import XYT, PYT, box_points, pt
 
@@ -217,3 +217,78 @@ class TestSampling:
         q = point(XYT, 1.0, 2.0, 3.0)
         assert q.coord("y") == 2.0
         assert q.chart == XYT
+
+
+def row_by_row_sample(domain):
+    """Reference sampler: the guards evaluated one draw at a time, in draw
+    order, short-circuiting on the first rejection."""
+    rng = np.random.default_rng(domain.seed)
+    lows = np.array([b[0] for b in domain.box])
+    highs = np.array([b[1] for b in domain.box])
+    accepted = []
+    while len(accepted) < domain.count:
+        for row in rng.uniform(lows, highs, size=(512, len(domain.chart))):
+            q = ChartPoint(domain.chart, tuple(float(v) for v in row))
+            if all(g.accepts(q) for g in domain.guards):
+                accepted.append(q)
+                if len(accepted) == domain.count:
+                    break
+    return accepted
+
+
+def raising_above(limit):
+    """The coordinate x as a field that raises DomainError where x > limit."""
+
+    def fn(q, order=0):
+        if np.any(q.coords[0] > limit):
+            raise DomainError(f"x above {limit}")
+        return Jet.variable(q.coords[0], 0, q.dim, order)
+
+    return Field(fn)
+
+
+class TestBatchedSampling:
+    CONE = Guard(parse_field("y^2-4*x*t", XYT), 0.25, "cone")
+    HALF = Guard(parse_field("x", XYT), -0.5, "x > -0.5")
+    BOX = ((-1.0, 1.0), (2.0, 3.0), (-1.0, 1.0))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("guards", ["none", "one", "two"])
+    def test_same_points_as_row_by_row(self, seed, guards):
+        chosen = {"none": (), "one": (self.CONE,), "two": (self.HALF, self.CONE)}[guards]
+        dom = SampleDomain(XYT, self.BOX, chosen, seed, 700)
+        got = sample(dom)
+        assert [q.coords for q in got] == [q.coords for q in row_by_row_sample(dom)]
+
+    def test_a_guard_sees_only_rows_the_earlier_guards_accepted(self):
+        # ln(x) raises for x <= 0, exactly the rows the first guard rejects
+        guards = (
+            Guard(parse_field("x", ("x",)), 0.0, "x > 0"),
+            Guard(parse_field("ln(x)", ("x",)), -5.0, "ln x > -5"),
+        )
+        dom = SampleDomain(("x",), ((-1.0, 1.0),), guards, 3, 600)
+        got = sample(dom)
+        assert [q.coords for q in got] == [q.coords for q in row_by_row_sample(dom)]
+
+    def test_a_row_past_the_last_accepted_never_raises(self):
+        seed, count = 2, 3
+        draws = np.random.default_rng(seed).uniform(0.0, 1.0, size=512)
+        assert draws[:count].max() < 0.9 < draws.max()
+        dom = SampleDomain(("x",), ((0.0, 1.0),), (Guard(raising_above(0.9), -1.0),), seed, count)
+        assert [q.coords[0] for q in sample(dom)] == draws[:count].tolist()
+
+    def test_a_row_before_the_last_accepted_raises(self):
+        dom = SampleDomain(("x",), ((0.0, 1.0),), (Guard(raising_above(0.9), -1.0),), 2, 512)
+        with pytest.raises(DomainError, match="x above 0.9"):
+            sample(dom)
+
+    def test_exhaustion_names_the_rejections_of_each_guard(self):
+        p = parse_field("p", ("p",))
+        guards = (Guard(p, -2.0, "p>-2"), Guard(p, 0.5, "p>0.5"), Guard(p, 0.9))
+        dom = SampleDomain(("p",), ((-1.0, 0.0),), guards, 1, 10)
+        with pytest.raises(SamplingExhaustedError) as err:
+            sample(dom)
+        assert str(err.value) == (
+            "acceptance rate 0/1000448 below 1% after 1000448 draws; "
+            "rejected by p>-2: 0, p>0.5: 1000448, guard 2: 0"
+        )
