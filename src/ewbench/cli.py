@@ -104,20 +104,33 @@ _EXPR_OPTIONS = frozenset(("--expr",) + tuple(f"--{name}" for name in _EXPR_FLAG
 
 class _Parser(argparse.ArgumentParser):
     """Reads the word after an expression option as its value even when it
-    starts with "-": argparse alone takes ``--expr -x`` for two options."""
+    starts with "-": argparse alone takes ``--expr -x`` for two options.  A
+    word that names an option of a subcommand (``option_words``), or
+    abbreviates one, is left to argparse, so ``--expr --at x=1`` still
+    lacks its argument."""
+
+    option_words = frozenset()
 
     def parse_known_args(self, args=None, namespace=None):
         args = list(sys.argv[1:] if args is None else args)
         joined = []
         i = 0
         while i < len(args):
-            if args[i] in _EXPR_OPTIONS and i + 1 < len(args) and args[i + 1].startswith("-"):
-                joined.append(f"{args[i]}={args[i + 1]}")
+            word = args[i]
+            nxt = args[i + 1] if i + 1 < len(args) else ""
+            if word in _EXPR_OPTIONS and nxt.startswith("-") and not self._names_option(nxt):
+                joined.append(f"{word}={nxt}")
                 i += 2
             else:
-                joined.append(args[i])
+                joined.append(word)
                 i += 1
         return super().parse_known_args(joined, namespace)
+
+    def _names_option(self, word):
+        name = word.split("=", 1)[0]
+        if name.startswith("--"):
+            return any(o.startswith(name) for o in self.option_words)
+        return name in self.option_words
 
 
 def make_parser():
@@ -126,7 +139,9 @@ def make_parser():
         description="numerical workbench for dispersionless integrable "
         "geometries and their cosmological lifts",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(
+        dest="command", required=True, parser_class=argparse.ArgumentParser
+    )
 
     def common(p):
         p.add_argument("--case", help="catalog case name")
@@ -155,6 +170,9 @@ def make_parser():
     pe.add_argument("--at", required=True, help="point, e.g. x=1,y=3,t=2")
     pe.add_argument("--order", type=int, default=1, help="jet order (0..3)")
     pe.add_argument("--out", help="also write the result to this path")
+    ap.option_words = frozenset(
+        word for p in sub.choices.values() for word in p._option_string_actions
+    )
     return ap
 
 

@@ -39,7 +39,7 @@ from .forms import (
     jet_inv,
     metric_from_coframe,
 )
-from .jets import Field, fd_oracle, first_where, pack, sqrt as jet_sqrt
+from .jets import Field, anywhere, fd_oracle, first_where, pack, sqrt as jet_sqrt
 
 __all__ = [
     "christoffel",
@@ -84,7 +84,7 @@ def _metric_arrays(g, pt, method="jet"):
         raise ValueError(f"unknown derivative method {method!r}")
     det = np.linalg.det(g0)
     small = np.abs(det) < METRIC_DET_TOL
-    if np.any(small):
+    if anywhere(small):
         raise SingularMetricError(
             f"|det g| = {abs(first_where(det, small)):.3e} at {pt.coords}"
         )
@@ -205,7 +205,7 @@ def hodge4(F, g):
         rows = g.jet_matrix_at(pt, order)
         det = jet_det(rows)
         small = np.abs(det.value) < METRIC_DET_TOL
-        if np.any(small):
+        if anywhere(small):
             raise SingularMetricError(f"|det g| = {abs(first_where(det.value, small)):.3e}")
         inv = jet_inv(rows, det)
         vol = _volume_jet(det)

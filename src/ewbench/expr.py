@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
 from . import jets
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifierError
 
@@ -335,7 +333,7 @@ def eval_jet(e, pt, order=0):
                 return left / right
             if isinstance(right, float):
                 return left**right
-            if np.any(left.value <= 0.0):
+            if jets.anywhere(left.value <= 0.0):
                 raise DomainError("general power needs a positive base")
             return jets.exp(right * jets.log(left))
         except DomainError as err:

@@ -30,7 +30,7 @@ from .forms import (
     scalar_form,
     symmetric_product,
 )
-from .jets import ChartPoint, Field, Guard, SampleDomain, first_where
+from .jets import ChartPoint, Field, Guard, SampleDomain, anywhere, first_where
 from .report import run_check
 
 __all__ = [
@@ -306,7 +306,7 @@ def _legendre_inv(g_pp):
     def fn(pt, order=0):
         j = g_pp(pt, order)
         small = np.abs(j.value) < LEGENDRE_TOL
-        if np.any(small):
+        if anywhere(small):
             raise DegenerateLegendreError(
                 f"|G_pp| = {abs(first_where(j.value, small)):.3e} "
                 f"below {LEGENDRE_TOL:g} at {pt.coords}"

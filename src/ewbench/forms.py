@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularFrameError, SingularMetricError
-from .jets import MAX_ORDER, Field, Jet, ZERO_FIELD, first_where, pack
+from .jets import MAX_ORDER, Field, Jet, ZERO_FIELD, anywhere, first_where, pack
 
 __all__ = [
     "PForm",
@@ -236,7 +236,7 @@ def _expand_rows(rows, target):
     """Coefficients c with sum_i c_i rows[i] = target (all jets)."""
     det = jet_det(rows)
     small = np.abs(det.value) < FRAME_DET_TOL
-    if np.any(small):
+    if anywhere(small):
         raise SingularFrameError(
             f"coframe determinant {first_where(det.value, small):.3e} below tolerance"
         )
@@ -272,7 +272,7 @@ def frame_expand(a, frame, pt):
                     val[i][..., k] * val[j][..., l] - val[i][..., l] * val[j][..., k]
                 )
         det = np.linalg.det(basis)
-        if np.any(np.abs(det) < FRAME_DET_TOL):
+        if anywhere(np.abs(det) < FRAME_DET_TOL):
             raise SingularFrameError("degenerate coframe for 2-form expansion")
         target = pack(pt, [a.comp(pair)(pt, 0).value for pair in pairs])
         return np.linalg.solve(np.swapaxes(basis, -1, -2), target[..., None])[..., 0]
@@ -342,7 +342,7 @@ def jet_inv(m, det=None):
     n = len(m)
     if det is None:
         det = jet_det(m)
-    if np.any(det.value == 0.0):
+    if anywhere(det.value == 0.0):
         raise SingularMetricError("singular matrix in jet inversion")
     det_inv = det.reciprocal()
     inv = [[None] * n for _ in range(n)]
@@ -453,7 +453,7 @@ class MetricField:
 
     def inverse_at(self, pt):
         g = self.matrix_at(pt)
-        if np.any(np.abs(np.linalg.det(g)) < METRIC_DET_TOL):
+        if anywhere(np.abs(np.linalg.det(g)) < METRIC_DET_TOL):
             raise SingularMetricError("metric not invertible at point")
         return np.linalg.inv(g)
 

@@ -14,7 +14,8 @@ the jet at point i alone.  Arithmetic propagates derivatives exactly
 Each part depends only on the parts of its operands up to its own order,
 and a smooth-function rule computes its scalar derivatives only that far,
 so the parts a jet shares with a higher-order jet of the same field are
-identical.
+identical.  Those scalar derivatives come from Python's ``math`` module,
+row by row over a batch, never from numpy's CPU-dispatched SIMD loops.
 
 A :class:`Field` is a lazily evaluated scalar function of a point or a
 batch of points; requesting a derivative field lowers the maximum order
@@ -33,6 +34,7 @@ coordinate boxes.
 """
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -55,6 +57,7 @@ __all__ = [
     "ChartPoint",
     "PointBatch",
     "pack",
+    "anywhere",
     "first_where",
     "Field",
     "evaluation_scope",
@@ -186,6 +189,12 @@ def pack(pt, values):
     for i, v in enumerate(values):
         out[..., i] = v
     return out
+
+
+def anywhere(mask):
+    """Whether a test of values holds at a point, or at some row of a batch
+    (cheaper than ``np.any`` on the bool of a single point)."""
+    return bool(mask.any()) if type(mask) is np.ndarray else bool(mask)
 
 
 def first_where(value, mask):
@@ -361,7 +370,7 @@ class Jet:
 
     def reciprocal(self):
         v = self.value
-        if np.any(v == 0.0):
+        if anywhere(v == 0.0):
             raise DomainError("division by zero")
         f = _derivatives(_reciprocal_series, v, self.order + 1)
         if f is None:
@@ -401,7 +410,7 @@ class Jet:
 
     def _float_pow(self, c):
         v = self.value
-        if np.any(v <= 0.0):
+        if anywhere(v <= 0.0):
             raise DomainError("non-integer power needs a positive base")
         f = _derivatives(_power_series, v, c, self.order)
         if f is None:
@@ -443,27 +452,31 @@ def _sym_hg(hess, grad):
 
 def _derivatives(series, v, *args):
     """``series(v, *args)``: the derivatives of a smooth function at the value
-    v, computed by numpy for a point and a batch alike.  None when one of
-    them leaves the float range (an overflow, a division by zero, or an
-    invalid value such as the sine of infinity)."""
+    v, computed with Python floats and the ``math`` module.  Over a batch, v
+    is an (N,) array: series runs on the float of each row and each
+    derivative is stacked into an (N,) array, so row i has the bits of point
+    i alone, and no value depends on the SIMD loops numpy picks for the CPU.
+    None when a derivative leaves the float range (an overflow, a division
+    by zero, or the sine of infinity)."""
     try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return series(np.asarray(v), *args)
-    except FloatingPointError:
+        if type(v) is float:
+            return series(v, *args)
+        return [np.array(f) for f in zip(*(series(x, *args) for x in v.tolist()))]
+    except (OverflowError, ZeroDivisionError, ValueError):
         return None
 
 
 def _reciprocal_series(v, count):
     """The first ``count`` of 1/v, -1/v^2, 2/v^3, -6/v^4: the derivatives of
     1/x at v, computed only as far as they are read."""
-    return [c / np.power(v, k + 1) for k, c in enumerate((1.0, -1.0, 2.0, -6.0)[:count])]
+    return [c / v ** (k + 1) for k, c in enumerate((1.0, -1.0, 2.0, -6.0)[:count])]
 
 
 def _power_series(v, c, order):
     # d^k/dv^k v^c = c (c-1) ... (c-k+1) v^(c-k)
     f, factor = [], 1.0
     for k in range(order + 1):
-        f.append(factor * np.power(v, c - k))
+        f.append(factor * v ** (c - k))
         factor *= c - k
     return f
 
@@ -489,53 +502,46 @@ def _unary(series):
 
 
 def _exp_series(v, order):
-    return [np.exp(v)] * (order + 1)
+    return [math.exp(v)] * (order + 1)
 
 
 def _log_series(v, order):
-    if np.any(v <= 0.0):
+    if v <= 0.0:
         raise DomainError("log of a non-positive value")
-    return [np.log(v), *_reciprocal_series(v, order)]
+    return [math.log(v), *_reciprocal_series(v, order)]
 
 
 def _sqrt_series(v, order):
-    if np.any(v <= 0.0):
+    if v <= 0.0:
         raise DomainError("sqrt of a non-positive value")
-    s = np.sqrt(v)
-    # 0.5/s, -0.25/(v s), 0.375/(v^2 s), as quotients so that only a
-    # derivative that is itself out of range overflows
-    f = [s]
-    if order >= 1:
-        f.append(0.5 / s)
-    if order >= 2:
-        f.append(-0.25 / v / s)
-    if order >= 3:
-        f.append(0.375 / v / v / s)
-    return f
+    s = math.sqrt(v)
+    # the derivatives 0.5/s, -0.25/(v s), 0.375/(v^2 s), only as far as read
+    pairs = zip((0.5, -0.25, 0.375)[:order], (s, v * s, v * v * s))
+    return [s, *(c / d for c, d in pairs)]
 
 
 def _sin_series(v, order):
-    s, c = np.sin(v), np.cos(v)
+    s, c = math.sin(v), math.cos(v)
     return [s, c, -s, -c]
 
 
 def _cos_series(v, order):
-    s, c = np.sin(v), np.cos(v)
+    s, c = math.sin(v), math.cos(v)
     return [c, -s, -c, s]
 
 
 def _sinh_series(v, order):
-    s, c = np.sinh(v), np.cosh(v)
+    s, c = math.sinh(v), math.cosh(v)
     return [s, c, s, c]
 
 
 def _cosh_series(v, order):
-    s, c = np.sinh(v), np.cosh(v)
+    s, c = math.sinh(v), math.cosh(v)
     return [c, s, c, s]
 
 
 def _tanh_series(v, order):
-    t = np.tanh(v)
+    t = math.tanh(v)
     d1 = 1.0 - t * t
     return [t, d1, -2.0 * t * d1, d1 * (6.0 * t * t - 2.0)]
 

@@ -231,7 +231,11 @@ def build(cfg):
 
 
 def alpha_of_p(p, ell):
-    return np.arctan2(1.0 / np.cosh(p / ell), np.tanh(p / ell))
+    """The angle of fibre coordinate p: a float, or the (N,) array of a
+    batch's p column mapped entry by entry with ``math``, as at one point."""
+    if np.ndim(p):
+        return np.array([alpha_of_p(x, ell) for x in p.tolist()])
+    return math.atan2(1.0 / math.cosh(p / ell), math.tanh(p / ell))
 
 
 def p_of_alpha(alpha, ell):

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -314,6 +315,17 @@ class TestEval:
         assert rep["expr"] == expr
         assert rep["value"] == value
 
+    @pytest.mark.parametrize("argv", [
+        ("--expr", "--at", "x=1"),
+        ("--at", "x=1", "--expr"),
+        ("--expr", "--ord", "1", "--at", "x=1"),
+    ])
+    def test_missing_expression_still_expects_one_argument(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", *argv])
+        assert exc.value.code == EXIT_CONFIG
+        assert "argument --expr: expected one argument" in capsys.readouterr().err
+
     def test_expression_flag_value_may_start_with_a_minus(self, capsys):
         code, rep = run_json(
             capsys, "verify", "--case", "class-b", "--F", "-1/4",
@@ -540,6 +552,29 @@ class TestDeterminism:
         finally:
             sys.setswitchinterval(interval)
         assert all(run == serial for run in threaded)
+
+    def test_reports_do_not_depend_on_numpy_cpu_dispatch(self, capsys):
+        # numpy picks its exp, tanh, arctan2, ... loops by CPU feature; with
+        # every dispatched feature this CPU has switched off, as on an older
+        # CPU, a lift report whose fields use cosh and tanh is unchanged
+        try:
+            from numpy._core import _multiarray_umath as umath
+        except ImportError:  # numpy 1.x
+            from numpy.core import _multiarray_umath as umath
+        features = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+        argv = (
+            "lift", "--case", "heisenberg", "--ell", "-1", "--c", "0.5",
+            "--checks", "em,maxwell,invariants", "--points", "5",
+            "--seed", "1847360141",
+        )
+        _, here = run_cli(capsys, *argv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ewbench", *argv],
+            capture_output=True, text=True,
+            env={**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(features)},
+        )
+        assert proc.returncode == EXIT_PASS, proc.stderr
+        assert normalize(proc.stdout) == normalize(here)
 
     def test_seed_changes_worst_point(self, capsys):
         _, a = run_json(capsys, *self.ARGS)
