@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 
@@ -61,17 +62,15 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_SAMPLING = 3
 
-CHECK_NAMES = (
-    "gt",
-    "monopole",
-    "hypercr",
-    "psi",
-    "weyl",
-    "em",
-    "maxwell",
-    "invariants",
-    "limit",
-)
+# the checks each subcommand offers
+_VERIFY_CHECKS = ("gt", "monopole", "hypercr", "psi", "weyl")
+OFFERED_CHECKS = {
+    "verify": _VERIFY_CHECKS,
+    "lift": ("em", "maxwell", "invariants") + _VERIFY_CHECKS,
+    "limit": ("limit",),
+}
+CHECK_NAMES = OFFERED_CHECKS["lift"] + OFFERED_CHECKS["limit"]
+CHARTS = ("alpha", "p")
 
 # merged configuration, in report echo order
 DEFAULTS = {
@@ -98,8 +97,37 @@ DEFAULTS = {
 }
 
 _EXPR_FLAGS = ("beta", "F", "K", "H", "A", "B", "f")
+
 # options whose value is an expression, which may start with "-"
 _EXPR_OPTIONS = frozenset(("--expr",) + tuple(f"--{name}" for name in _EXPR_FLAGS))
+
+
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _integer(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _text(v):
+    return isinstance(v, str)
+
+
+# what a config-file value must be: what its flag parses to (a bool is not
+# a number); a key not named here takes text
+_FILE_VALUES = {
+    "ell": (_number, "a number"),
+    "tol": (_number, "a number"),
+    "c": (_number, "a number"),
+    "points": (_integer, "an integer"),
+    "seed": (_integer, "an integer"),
+    "ells": (
+        lambda v: _text(v) or isinstance(v, list) and all(map(_number, v)),
+        "text or a list of numbers",
+    ),
+    "chart": (lambda v: v in CHARTS, " or ".join(map(repr, CHARTS))),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,7 +182,7 @@ def make_parser():
             p.add_argument(f"--{name}", help=f"expression for {name}")
         p.add_argument("--c", type=float, help="psi = c*omega coefficient")
         p.add_argument("--ells", help="comma-separated ell sequence (limit)")
-        p.add_argument("--chart", choices=("alpha", "p"), help="fibre chart")
+        p.add_argument("--chart", choices=CHARTS, help="fibre chart")
         p.add_argument("--out", help="also write the report to this path")
         p.add_argument("--config", help="JSON file with the same keys")
 
@@ -183,30 +211,44 @@ def merge_config(args):
     path = getattr(args, "config", None)
     if path:
         with open(path, encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError(f"config file is not JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         for key, val in loaded.items():
             if key not in DEFAULTS or key in ("command", "ell_used", "sign_fixed"):
                 raise ConfigError(f"unknown config key {key!r}")
+            valid, what = _FILE_VALUES.get(key, (_text, "text"))
+            if not valid(val):
+                raise ConfigError(
+                    f"config key {key!r} must be {what}, got {json.dumps(val)}"
+                )
             cfg[key] = val
     for key in DEFAULTS:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    if cfg["tol"] is not None and not cfg["tol"] > 0:
-        raise ConfigError("tol must be positive")
+    if cfg["tol"] is not None and not 0 < cfg["tol"] < math.inf:
+        raise ConfigError("tol must be positive and finite")
     if cfg["points"] is not None and cfg["points"] < 1:
         raise ConfigError("points must be at least 1")
+    if cfg["seed"] < 0:
+        raise ConfigError("seed must be non-negative")
     return cfg
 
 
 def parse_checks(cfg, default):
+    """The requested check names; each must be one the subcommand offers."""
     raw = cfg["checks"] or default
     names = tuple(s.strip() for s in raw.split(",") if s.strip())
+    command = cfg["command"]
     for n in names:
         if n not in CHECK_NAMES:
             raise ConfigError(f"unknown check {n!r}")
+        if n not in OFFERED_CHECKS[command]:
+            raise ConfigError(f"check {n!r} is not available under {command}")
     if not names:
         raise ConfigError("no checks requested")
     return names
@@ -280,8 +322,6 @@ def _verify_fns(s, cfg, names):
             fns[name] = lambda q: psi_residual(psi, s, q)
         elif name == "weyl":
             fns[name] = lambda q: weyl_ricci_residual(s, q)
-        else:
-            raise ConfigError(f"check {name!r} is not available under verify")
     return fns
 
 
@@ -291,8 +331,8 @@ def cmd_verify(cfg):
     s, dom = build_case(cfg)
     if cfg["f"]:
         s = gauge_transform(s, ex.parse_field(cfg["f"], s.chart))
-    pts = sample(dom)
     fns = _verify_fns(s, cfg, names)
+    pts = sample(dom)
     results = [run_check(n, fns[n], pts, tol) for n in names]
     report = build_report(_echo(cfg), s.chart, len(pts), results)
     return report
@@ -358,11 +398,9 @@ def cmd_lift(cfg):
             data_p, fn = _invariant_fn(lcfg, data)
             pts_p = _lift_points(data_p.chart, cfg["seed"], base_pts)
             results.append(run_check(name, fn, pts_p, tol))
-        elif name in ("gt", "monopole", "psi", "weyl", "hypercr"):
+        else:
             fn = _verify_fns(base, cfg, (name,))[name]
             results.append(run_check(name, fn, base_pts, tol))
-        else:
-            raise ConfigError(f"check {name!r} is not available under lift")
     report = build_report(_echo(cfg), data.chart, len(pts4), results)
     return report
 
@@ -400,7 +438,10 @@ def cmd_limit(cfg):
     c = cfg["c"]
     raw = cfg["ells"] or "100,200,1000,10000"
     if isinstance(raw, str):
-        ells = [float(s) for s in raw.split(",") if s.strip()]
+        try:
+            ells = [float(s) for s in raw.split(",") if s.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"ells must be comma-separated numbers, got {raw!r}") from exc
     else:
         ells = [float(v) for v in raw]
 

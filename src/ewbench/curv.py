@@ -39,7 +39,7 @@ from .forms import (
     jet_inv,
     metric_from_coframe,
 )
-from .jets import Field, anywhere, fd_oracle, first_where, pack, sqrt as jet_sqrt
+from .jets import Field, anywhere, fd_oracle, first_where, sqrt as jet_sqrt
 
 __all__ = [
     "christoffel",
@@ -92,7 +92,8 @@ def _metric_arrays(g, pt, method="jet"):
 
 
 def _gamma_and_partial(g0, dg, ddg, ginv):
-    """Christoffel symbols Gamma[a,b,c] and dGamma[e,a,b,c] = d_e Gamma."""
+    """Christoffel symbols Gamma[a,b,c], dGamma[e,a,b,c] = d_e Gamma, and
+    dginv[e,a,b] = d_e g^ab."""
     t = np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg
     gamma = 0.5 * np.einsum("...ad,...dbc->...abc", ginv, t)
     dginv = -np.einsum("...af,...efh,...hb->...eab", ginv, dg, ginv)
@@ -105,7 +106,7 @@ def _gamma_and_partial(g0, dg, ddg, ginv):
         np.einsum("...ead,...dbc->...eabc", dginv, t)
         + np.einsum("...ad,...edbc->...eabc", ginv, dt)
     )
-    return gamma, dgamma
+    return gamma, dgamma, dginv
 
 
 def _riemann_from_gamma(gamma, dgamma):
@@ -121,7 +122,7 @@ def _curvature(g, pt, method, scalar=False):
     """(Gamma, R^a_bcd, R_bd, Kretschmann, g, g^-1) from one pass over the
     metric arrays; the costly Kretschmann contraction runs only if ``scalar``."""
     g0, dg, ddg, ginv = _metric_arrays(g, pt, method)
-    gamma, dgamma = _gamma_and_partial(g0, dg, ddg, ginv)
+    gamma, dgamma, _ = _gamma_and_partial(g0, dg, ddg, ginv)
     r_up = _riemann_from_gamma(gamma, dgamma)
     k = None
     if scalar:
@@ -252,8 +253,7 @@ def f_squared(A, g, pt):
 def maxwell_residual(A, g, pt):
     """Components of d(star dA), ordered by sorted 3-index tuples."""
     r = ext_d(hodge4(ext_d(A), g))
-    triples = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
-    return pack(pt, [r.comp(idx)(pt, 0).value for idx in triples])
+    return r.values_at(pt, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
 
 
 def em_residual(g, A, ell, pt, fsq_scale=1.0):
@@ -289,7 +289,7 @@ def weyl_ricci_residual_metric(h, omega, pt, method="jet"):
     """
     n = h.dim
     g0, dg, ddg, ginv = _metric_arrays(h, pt, method)
-    gamma, dgamma = _gamma_and_partial(g0, dg, ddg, ginv)
+    gamma, dgamma, dginv = _gamma_and_partial(g0, dg, ddg, ginv)
 
     w = np.zeros(pt.shape + (n,))
     dw = np.zeros(pt.shape + (n, n))
@@ -298,7 +298,6 @@ def weyl_ricci_residual_metric(h, omega, pt, method="jet"):
         w[..., a] = j.value
         dw[..., :, a] = j.grad
     w_up = (ginv @ w[..., None])[..., 0]
-    dginv = -np.einsum("...af,...efh,...hb->...eab", ginv, dg, ginv)
     dw_up = np.einsum("...eab,...b->...ea", dginv, w) + np.einsum(
         "...ab,...eb->...ea", ginv, dw
     )

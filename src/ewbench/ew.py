@@ -34,7 +34,7 @@ from .forms import (
     star_frame,
     wedge,
 )
-from .jets import Field, pack
+from .jets import Field
 
 __all__ = [
     "EWStructure",
@@ -89,10 +89,6 @@ class WeightedForm:
     weight: float
 
 
-def _eval2(a, pt):
-    return pack(pt, [a.comp(idx)(pt, 0).value for idx in PAIRS])
-
-
 # ---------------------------------------------------------------------------
 # first-order system in (u, w)
 # ---------------------------------------------------------------------------
@@ -141,7 +137,7 @@ def gt_residual(s, pt):
     Row i holds the (dx^0^dx^1, dx^0^dx^2, dx^1^dx^2) components of the
     residual of the i-th frame equation; over a batch the shape is (N, 3, 3).
     """
-    return np.stack([_eval2(r, pt) for r in gt_residual_forms(s)], axis=-2)
+    return np.stack([r.values_at(pt, PAIRS) for r in gt_residual_forms(s)], axis=-2)
 
 
 def monopole_residual_form(s):
@@ -152,7 +148,7 @@ def monopole_residual_form(s):
 
 
 def monopole_residual(s, pt):
-    return _eval2(monopole_residual_form(s), pt)
+    return monopole_residual_form(s).values_at(pt, PAIRS)
 
 
 def weighted_d(psi, omega):
@@ -166,7 +162,7 @@ def psi_residual_form(psi, s):
 
 
 def psi_residual(psi, s, pt):
-    return _eval2(psi_residual_form(psi, s), pt)
+    return psi_residual_form(psi, s).values_at(pt, PAIRS)
 
 
 # ---------------------------------------------------------------------------

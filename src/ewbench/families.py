@@ -150,9 +150,9 @@ def class_a(beta):
     )
 
 
-def _heat_probe(beta_ast, n=25):
+def _heat_probe(beta_ast):
     rng = np.random.default_rng(1234)
-    rows = rng.uniform((2.0, 0.2), (3.0, 0.9), size=(n, 2))
+    rows = rng.uniform((2.0, 0.2), (3.0, 0.9), size=(25, 2))
     pts = [ChartPoint(("y", "t"), (float(y), float(t))) for y, t in rows]
 
     def heat(pt):
@@ -453,7 +453,7 @@ def default_domain(case, *, seed=7, count=200, beta=None, F=None, K=None, H=None
     beta > 0 under the logarithm, F and K away from zero where inverted,
     and the light cone for the fundamental solution.
     """
-    if case == "heisenberg" or case == "flat":
+    if case == "heisenberg":
         return SampleDomain(XYT, ((-1.0, 1.0),) * 3, (), seed, count)
     if case == "from_H":
         guards = (

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularFrameError, SingularMetricError
-from .jets import MAX_ORDER, Field, Jet, ZERO_FIELD, anywhere, first_where, pack
+from .jets import Field, ZERO_FIELD, anywhere, first_where, pack
 
 __all__ = [
     "PForm",
@@ -74,11 +74,15 @@ class PForm:
     def comp(self, idx):
         return self.comps.get(tuple(idx), ZERO_FIELD)
 
+    def values_at(self, pt, idxs):
+        """The values of the components ``idxs`` at ``pt``, in that order,
+        with the batch axis first over a batch."""
+        return pack(pt, [self.comp(idx)(pt, 0).value for idx in idxs])
+
     def max_abs_at(self, pt):
         """Largest absolute component value at ``pt`` (per row of a batch);
         NaN if any is NaN."""
-        vals = [f(pt, 0).value for f in self.comps.values()]
-        return np.max(np.abs(pack(pt, vals)), axis=-1, initial=0.0)
+        return np.max(np.abs(self.values_at(pt, self.comps)), axis=-1, initial=0.0)
 
     # -- algebra ---------------------------------------------------------------
 
@@ -216,10 +220,6 @@ class Coframe3:
         return rows
 
 
-# hodge3 frame rules: index pairs and coefficients per coframe leg
-_STAR_RULES = (((0, 1), 1.0), ((0, 2), 2.0), ((1, 2), 1.0))
-
-
 def star_frame(frame, i):
     """star of the i-th coframe leg (i in 1..3), straight from the rules."""
     e1, e2, e3 = frame.legs
@@ -257,62 +257,51 @@ def frame_expand(a, frame, pt):
     Degree 1 returns coefficients against (e1, e2, e3); degree 2 against
     (e1^e2, e1^e3, e2^e3).  Values only.
     """
-    rows = frame.rows_at(pt, 0)
     if a.degree == 1:
         target = [a.comp((j,))(pt, 0) for j in range(3)]
-        coeffs = _expand_rows(rows, target)
+        coeffs = _expand_rows(frame.rows_at(pt, 0), target)
         return pack(pt, [c.value for c in coeffs])
     if a.degree == 2:
         pairs = ((0, 1), (0, 2), (1, 2))
-        basis = np.zeros(pt.shape + (3, 3))
-        val = [pack(pt, [rows[i][j].value for j in range(3)]) for i in range(3)]
-        for m, (i, j) in enumerate(pairs):
-            for col, (k, l) in enumerate(pairs):
-                basis[..., m, col] = (
-                    val[i][..., k] * val[j][..., l] - val[i][..., l] * val[j][..., k]
-                )
+        legs = frame.legs
+        # basis[..., m, col]: component ``col`` of the m-th basis 2-form
+        basis = np.stack(
+            [wedge(legs[i], legs[j]).values_at(pt, pairs) for i, j in pairs], axis=-2
+        )
         det = np.linalg.det(basis)
         if anywhere(np.abs(det) < FRAME_DET_TOL):
             raise SingularFrameError("degenerate coframe for 2-form expansion")
-        target = pack(pt, [a.comp(pair)(pt, 0).value for pair in pairs])
+        target = a.values_at(pt, pairs)
         return np.linalg.solve(np.swapaxes(basis, -1, -2), target[..., None])[..., 0]
     raise ValueError("frame expansion supports degree 1 and 2 only")
 
 
 def hodge3(a, frame):
-    """Hodge star of a 1-form via the coframe rules; components stay fields.
+    """Hodge star of a 1-form a = sum_i c_i e^i: the sum of c_i star e^i
+    over the legs i = 1, 2, 3 in that order, with each star e^i from
+    :func:`star_frame`; components stay fields.
 
     Only degree 1 -> 2 is defined; that is the only case the residual
-    operators need, and the rules above pin it completely.
+    operators need, and the coframe rules pin it completely.
     """
     if a.degree != 1:
         raise ValueError("hodge3 is defined for 1-forms only")
     if a.chart != frame.chart:
         raise ValueError("chart mismatch in hodge3")
 
-    # one evaluation per scope serves all three components
+    # one expansion per scope serves all three coefficients
     @Field
-    def block(pt, order=0):
-        rows = frame.rows_at(pt, order)
+    def coeffs(pt, order=0):
         target = [a.comp((j,))(pt, order) for j in range(3)]
-        coeffs = _expand_rows(rows, target)
-        out = {(0, 1): None, (0, 2): None, (1, 2): None}
-        for (basis_idx, factor), c in zip(_STAR_RULES, coeffs):
-            i, j = basis_idx
-            # (e^{i+1} ^ e^{j+1})_{kl} = E_ik E_jl - E_il E_jk
-            for k in range(3):
-                for l in range(k + 1, 3):
-                    term = (rows[i][k] * rows[j][l] - rows[i][l] * rows[j][k]) * c
-                    if factor != 1.0:
-                        term = term * factor
-                    cur = out[(k, l)]
-                    out[(k, l)] = term if cur is None else cur + term
-        return out
+        return _expand_rows(frame.rows_at(pt, order), target)
 
-    def comp_field(idx):
-        return Field(lambda pt, order=0: block(pt, order)[idx])
+    def coeff(i):
+        return Field(lambda pt, order=0: coeffs(pt, order)[i - 1])
 
-    return PForm(a.chart, 2, {idx: comp_field(idx) for idx in ((0, 1), (0, 2), (1, 2))})
+    star = star_frame(frame, 1).scale(coeff(1))
+    for i in (2, 3):
+        star = star + star_frame(frame, i).scale(coeff(i))
+    return star
 
 
 # ---------------------------------------------------------------------------
@@ -427,29 +416,19 @@ class MetricField:
 
     def matrix_at(self, pt):
         """The metric matrix at ``pt``, batch axis first over a batch."""
-        n = self.dim
-        g = np.zeros(pt.shape + (n, n))
-        for (a, b), f in self.comps.items():
-            v = f(pt, 0).value
-            g[..., a, b] = v
-            g[..., b, a] = v
-        return g
+        return self.jets_at(pt, 0)[0]
 
     def jets_at(self, pt, order):
-        """Packed value/derivative arrays: g, dg[c,a,b], ddg[c,d,a,b], each
-        with the batch axis first over a batch."""
+        """Packed value and derivative arrays through ``order``: the
+        ``order + 1`` first of g, dg[c,a,b] = d_c g_ab, ddg[c,d,a,b], ...,
+        each with the batch axis first over a batch.  Nothing above the
+        order is allocated."""
         n = self.dim
-        g = np.zeros(pt.shape + (n, n))
-        dg = np.zeros(pt.shape + (n, n, n))
-        ddg = np.zeros(pt.shape + (n, n, n, n))
+        packed = tuple(np.zeros(pt.shape + (n,) * (k + 2)) for k in range(order + 1))
         for (a, b), f in self.comps.items():
-            j = f(pt, order)
-            g[..., a, b] = g[..., b, a] = j.value
-            if order >= 1:
-                dg[..., :, a, b] = dg[..., :, b, a] = j.grad
-            if order >= 2:
-                ddg[..., :, :, a, b] = ddg[..., :, :, b, a] = j.hess
-        return g, dg, ddg
+            for arr, part in zip(packed, f(pt, order).parts):
+                arr[..., a, b] = arr[..., b, a] = part
+        return packed
 
     def inverse_at(self, pt):
         g = self.matrix_at(pt)
@@ -504,47 +483,28 @@ def _embed_positions(small, big):
         raise ValueError(f"chart {small} is not contained in {big}") from exc
 
 
-def embed_field(f, small, big):
-    """View a field on chart ``small`` as a field on the extension ``big``.
-
-    Derivatives along the added coordinates are zero; the rest land at the
-    positions the names moved to.
-    """
-    small = tuple(small)
-    big = tuple(big)
-    pos = _embed_positions(small, big)
-    n = len(big)
-    # where a part of order k lands, after its batch axes
-    blocks = [(Ellipsis,) + np.ix_(*(pos,) * k) for k in range(MAX_ORDER + 1)]
-
-    def fn(pt, order=0):
-        j = f(pt.on_chart(small, [pt.coords[i] for i in pos]), order)
-        parts = [j.value]
-        for k, part in enumerate(j.parts[1:], 1):
-            out = np.zeros(part.shape[: part.ndim - k] + (n,) * k)
-            out[blocks[k]] = part
-            parts.append(out)
-        return Jet(parts)
-
-    return Field(fn)
-
-
 def embed_form(a, big):
-    """Push a form through a chart extension (pullback along the projection)."""
+    """Pull a form back along the projection from the chart extension
+    ``big`` to the form's chart.
+
+    The component fields are reused as they are, at the positions their
+    coordinates moved to (negated where ``big`` reorders them by an odd
+    permutation).  A field reads its coordinates by name, so at a point of
+    ``big`` it is already its own pullback: the same jet on the base
+    coordinates, and zero derivatives along the added ones.
+    """
     big = tuple(big)
     pos = _embed_positions(a.chart, big)
     comps = {}
     for idx, f in a.comps.items():
-        new_idx = tuple(sorted(pos[i] for i in idx))
-        comps[new_idx] = embed_field(f, a.chart, big)
+        new_idx, sign = _merge_sign(tuple(pos[i] for i in idx), ())
+        comps[new_idx] = f if sign > 0 else -f
     return PForm(big, a.degree, comps)
 
 
 def embed_metric(h, big):
+    """Pull a metric back like :func:`embed_form`."""
     big = tuple(big)
     pos = _embed_positions(h.chart, big)
-    comps = {}
-    for (a, b), f in h.comps.items():
-        i, j = sorted((pos[a], pos[b]))
-        comps[(i, j)] = embed_field(f, h.chart, big)
+    comps = {tuple(sorted((pos[a], pos[b]))): f for (a, b), f in h.comps.items()}
     return MetricField(big, comps)

@@ -455,6 +455,26 @@ class TestErrorExits:
         code, _ = run_cli(capsys, *argv)
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "argv, command",
+        (
+            # F = 0 starves the sampler: the check must be refused first
+            (("verify", "--case", "class-b", "--F", "0", "--checks", "em"), "verify"),
+            # beta = y^2 fails the heat probe when the case is built
+            (("verify", "--case", "class-a", "--beta", "y^2", "--checks", "gt,maxwell"), "verify"),
+            (("limit", "--case", "heisenberg", "--checks", "gt"), "limit"),
+            (("lift", "--case", "class-b", "--F", "0", "--checks", "em,limit"), "lift"),
+        ),
+        ids=("em-under-verify", "maxwell-before-build", "gt-under-limit", "limit-under-lift"),
+    )
+    def test_check_refused_before_sampling_or_build(self, capsys, argv, command):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        name = argv[-1].split(",")[-1]
+        assert captured.err == f"error: check {name!r} is not available under {command}\n"
+
     def test_guard_starved_domain_exhausts(self, capsys):
         code, _ = run_cli(
             capsys,
@@ -498,6 +518,50 @@ class TestConfigFile:
             capsys, "verify", "--config", str(tmp_path / "absent.json"),
         )
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "value",
+        (
+            {"points": "5"},
+            {"tol": "x"},
+            {"seed": 1.5},
+            {"c": "a"},
+            {"checks": 5},
+            {"beta": 3},
+            {"ell": "1"},
+            {"points": True},
+            {"chart": "beta"},
+            {"ells": [100, "200"]},
+        ),
+        ids=lambda v: json.dumps(v),
+    )
+    def test_value_must_have_its_flag_type(self, capsys, tmp_path, value):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(value))
+        for command in ("verify", "lift"):
+            code = main([command, "--case", "class-a", "--config", str(path)])
+            captured = capsys.readouterr()
+            assert code == EXIT_CONFIG
+            assert captured.out == ""
+            assert re.fullmatch(r"error: config key '\w+' must be [^\n]*\n", captured.err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("verify", "--case", "heisenberg", "--seed", "-1"),
+            ("lift", "--case", "heisenberg", "--seed", "-1"),
+            ("limit", "--case", "heisenberg", "--ells", "abc"),
+            ("limit", "--case", "heisenberg", "--ells", "100,x"),
+            ("verify", "--case", "heisenberg", "--tol", "inf"),
+        ),
+        ids=("verify-seed", "lift-seed", "ells-word", "ells-item", "tol-inf"),
+    )
+    def test_bad_flag_value_is_one_error_line(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert re.fullmatch(r"error: [^\n]*\n", captured.err)
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         path = tmp_path / "report.json"

@@ -15,7 +15,8 @@ from ewbench import (
     point,
     wedge,
 )
-from ewbench.errors import SingularFrameError, SingularMetricError
+from ewbench.errors import JetOrderError, SingularFrameError, SingularMetricError
+from ewbench.families import class_b
 from ewbench.forms import (
     coordinate_form,
     embed_form,
@@ -28,6 +29,7 @@ from ewbench.forms import (
     symmetric_product,
     zero_form,
 )
+from ewbench.jets import PointBatch
 
 from conftest import XYT, PYT, box_points, pt
 
@@ -325,3 +327,74 @@ class TestEmbedding:
         qb = pt(big, 3.0, 0.4, -0.2, 0.9)
         np.testing.assert_allclose(h4.matrix_at(qa), h4.matrix_at(qb))
         assert h4.matrix_at(qa)[0, 0] == 0.0
+
+
+def _pullback_cases():
+    """(3D field, base chart, 4D chart) for the pullback contract."""
+    s = heisenberg(1.0)
+    h = metric_from_coframe(s.frame)
+    heis = list(s.omega.comps.values()) + list(h.comps.values())
+    b = class_b("1+p^2")
+    expr = [parse_field("exp(p)*y - t^2/p", PYT)] + list(b.omega.comps.values())
+    return [(f, XYT, ("p",) + XYT) for f in heis] + [
+        (f, PYT, ("q", "p", "y", "t")) for f in expr
+    ]
+
+
+class TestPullback:
+    """A field evaluated at a point of an extended chart is its pullback:
+    the same jet on the base coordinates, zero along the fibre."""
+
+    BASE_ROWS = np.array([[0.6, -0.2, 0.9], [1.3, 0.4, -0.5], [0.8, 0.7, 0.3]])
+    FIBRE = np.array([0.7, -1.1, 0.2])
+
+    @pytest.mark.parametrize("order", (1, 2, 3))
+    @pytest.mark.parametrize("batched", (False, True), ids=("point", "batch"))
+    def test_base_block_and_zero_fibre(self, order, batched):
+        cases = _pullback_cases()
+        checked = 0
+        for f, small, big in cases:
+            pos = tuple(big.index(name) for name in small)
+            rows4 = np.column_stack([self.FIBRE, self.BASE_ROWS])
+            if batched:
+                q3, q4 = PointBatch(small, self.BASE_ROWS), PointBatch(big, rows4)
+            else:
+                q3, q4 = pt(small, *self.BASE_ROWS[0]), pt(big, *rows4[0])
+            try:
+                j3 = f(q3, order)
+            except JetOrderError:
+                # omega holds first derivatives, so it stops at order 2 on
+                # either chart
+                with pytest.raises(JetOrderError):
+                    f(q4, order)
+                continue
+            checked += 1
+            j4 = f(q4, order)
+            assert j4.order == order
+            np.testing.assert_array_equal(j4.value, j3.value)
+            for k in range(1, order + 1):
+                part = np.broadcast_to(j4.parts[k], q4.shape + (4,) * k)
+                block = (Ellipsis,) + np.ix_(*(pos,) * k)
+                np.testing.assert_array_equal(part[block], np.broadcast_to(
+                    j3.parts[k], q3.shape + (3,) * k))
+                fibre = part.copy()
+                fibre[block] = 0.0
+                assert not fibre.any()
+        # all but heisenberg omega's two components reach order 3
+        assert checked == len(cases) - (2 if order == 3 else 0)
+
+    def test_embedding_reuses_the_base_fields(self):
+        s = heisenberg(1.0)
+        big = ("p",) + XYT
+        om4 = embed_form(s.omega, big)
+        assert om4.comps == {(i + 1,): f for (i,), f in s.omega.comps.items()}
+        h = metric_from_coframe(s.frame)
+        h4 = embed_metric(h, big)
+        assert h4.comps == {(a + 1, b + 1): f for (a, b), f in h.comps.items()}
+
+    def test_reordering_extension_keeps_the_orientation(self):
+        big = ("y", "x", "t", "p")
+        a = wedge(d(XYT, "x"), d(XYT, "y")) + wedge(d(XYT, "y"), d(XYT, "t")).scale(3.0)
+        want = wedge(d(big, "x"), d(big, "y")) + wedge(d(big, "y"), d(big, "t")).scale(3.0)
+        q = pt(big, 0.3, -0.4, 0.8, 1.1)
+        assert (embed_form(a, big) - want).max_abs_at(q) == 0.0
