@@ -12,7 +12,7 @@ are JSON with a fixed key order and a ``schema`` version; for a fixed
 configuration and seed they are byte-identical apart from wall time.
 Exit codes: 0 all checks pass, 1 a check fails, 2 configuration problem,
 3 sampling, guard or domain problem (a non-finite value or an overflow
-included, in every subcommand).
+included, in every subcommand), 4 an unexpected internal error.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from . import jets
 from . import lift as lift_mod
 from .curv import (
     em_residual,
-    f_squared,
-    kretschmann,
     maxwell_residual,
+    scalar_invariants,
     weyl_ricci_residual,
 )
 from .errors import (
@@ -54,6 +53,7 @@ from .ew import (
     monopole_residual,
     psi_residual,
 )
+from .forms import signature
 from .jets import ChartPoint, Guard, SampleDomain, sample
 from .report import CheckResult, build_report, report_json, run_check
 
@@ -61,6 +61,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_SAMPLING = 3
+EXIT_INTERNAL = 4
 
 # the checks each subcommand offers
 _VERIFY_CHECKS = ("gt", "monopole", "hypercr", "psi", "weyl")
@@ -420,11 +421,12 @@ def _invariant_fn(lcfg, data):
 
     def fn(q):
         qa = lift_mod.matched_alpha_point(q, data_p.ell)
-        plus, minus = data_p.g.signature_at(q)
+        k_p, fsq_p, g_p = scalar_invariants(data_p.g, data_p.potential, q)
+        k_a, fsq_a, _ = scalar_invariants(data_a.g, data_a.potential, qa)
+        plus, minus = signature(g_p)
         return (
-            kretschmann(data_p.g, q) - kretschmann(data_a.g, qa),
-            f_squared(data_p.potential, data_p.g, q)
-            - f_squared(data_a.potential, data_a.g, qa),
+            k_p - k_a,
+            fsq_p - fsq_a,
             np.where((plus == 3) & (minus == 1), 0.0, 1.0),
         )
 
@@ -485,10 +487,16 @@ def cmd_eval(args):
         if "=" not in item:
             raise ConfigError(f"bad coordinate assignment {item!r}")
         name, _, val = item.partition("=")
+        name = name.strip()
         try:
-            pairs.append((name.strip(), float(val)))
+            value = float(val)
         except ValueError as exc:
             raise ConfigError(f"bad coordinate value {val!r}") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"coordinate {name!r} must be finite, got {val.strip()!r}")
+        if any(name == n for n, _ in pairs):
+            raise ConfigError(f"coordinate {name!r} is given more than once")
+        pairs.append((name, value))
     chart = tuple(n for n, _ in pairs)
     coords = tuple(v for _, v in pairs)
     order = args.order
@@ -525,24 +533,32 @@ def _emit(text, out_path):
             fh.write(text)
 
 
+def _run(args):
+    """Run the parsed command, print its report; return the exit code."""
+    started = time.monotonic()
+    if args.command == "eval":
+        payload = cmd_eval(args)
+        _emit(report_json(payload), args.out)
+        return EXIT_PASS
+    cfg = merge_config(args)
+    if args.command == "verify":
+        report = cmd_verify(cfg)
+    elif args.command == "lift":
+        report = cmd_lift(cfg)
+    else:
+        report = cmd_limit(cfg)
+    report["wall_time_s"] = round(time.monotonic() - started, 3)
+    _emit(report_json(report), cfg["out"])
+    return EXIT_PASS if report["verdict"] == "pass" else EXIT_FAIL
+
+
 # run_check and cmd_eval turn a non-finite value into exit 3; numpy's
 # floating-point warnings would only repeat that on stderr
 @np.errstate(all="ignore")
 def main(argv=None):
     args = make_parser().parse_args(argv)
-    started = time.monotonic()
     try:
-        if args.command == "eval":
-            payload = cmd_eval(args)
-            _emit(report_json(payload), args.out)
-            return EXIT_PASS
-        cfg = merge_config(args)
-        if args.command == "verify":
-            report = cmd_verify(cfg)
-        elif args.command == "lift":
-            report = cmd_lift(cfg)
-        else:
-            report = cmd_limit(cfg)
+        return _run(args)
     except (
         SamplingExhaustedError,
         GuardViolationError,
@@ -558,6 +574,6 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    report["wall_time_s"] = round(time.monotonic() - started, 3)
-    _emit(report_json(report), cfg["out"])
-    return EXIT_PASS if report["verdict"] == "pass" else EXIT_FAIL
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL

@@ -50,6 +50,7 @@ __all__ = [
     "curvature_report",
     "hodge4",
     "f_squared",
+    "scalar_invariants",
     "maxwell_residual",
     "em_residual",
     "weyl_ricci_residual",
@@ -118,19 +119,30 @@ def _riemann_from_gamma(gamma, dgamma):
     )
 
 
+def _kretschmann(r_up, g0, ginv):
+    """R_abcd R^abcd from R^a_bcd: lower the first index, raise the last
+    three one at a time, then one elementwise product and sum.  Each index
+    moves in a two-operand einsum, n^5 products a point instead of the n^8
+    of a single contraction.  The order is fixed here, not left to einsum's
+    contraction planner, which may hand a step to BLAS, whose kernels
+    depend on the CPU.  The sum runs over the flattened last axis, so a
+    batch row adds its terms in the order its point alone does (an einsum
+    over all four axes does not)."""
+    r_low = np.einsum("...ae,...ebcd->...abcd", g0, r_up)
+    r_all = np.einsum("...bf,...afcd->...abcd", ginv, r_up)
+    r_all = np.einsum("...cg,...abgd->...abcd", ginv, r_all)
+    r_all = np.einsum("...dh,...abch->...abcd", ginv, r_all)
+    terms = r_low * r_all
+    return np.sum(terms.reshape(terms.shape[:-4] + (-1,)), axis=-1)
+
+
 def _curvature(g, pt, method, scalar=False):
     """(Gamma, R^a_bcd, R_bd, Kretschmann, g, g^-1) from one pass over the
-    metric arrays; the costly Kretschmann contraction runs only if ``scalar``."""
+    metric arrays; the Kretschmann contraction runs only if ``scalar``."""
     g0, dg, ddg, ginv = _metric_arrays(g, pt, method)
     gamma, dgamma, _ = _gamma_and_partial(g0, dg, ddg, ginv)
     r_up = _riemann_from_gamma(gamma, dgamma)
-    k = None
-    if scalar:
-        r_low = np.einsum("...ae,...ebcd->...abcd", g0, r_up)
-        k = np.einsum(
-            "...abcd,...ae,...bf,...cg,...dh,...efgh->...",
-            r_low, ginv, ginv, ginv, ginv, r_low,
-        )
+    k = _kretschmann(r_up, g0, ginv) if scalar else None
     return gamma, r_up, np.einsum("...abad->...bd", r_up), k, g0, ginv
 
 
@@ -248,6 +260,15 @@ def _f_contract(fm, ginv):
 def f_squared(A, g, pt):
     """|F|^2 = F_ab F^ab for F = dA."""
     return _f_contract(_f_matrix(ext_d(A), pt), g.inverse_at(pt))
+
+
+def scalar_invariants(g, A, pt):
+    """(Kretschmann, |F|^2 for F = dA, g) from one curvature pass: |F|^2
+    contracts with that pass's g^-1, so the metric is evaluated and
+    inverted once.  The last two equal ``f_squared`` and ``g.matrix_at``
+    bit for bit, since a jet's value is the order-0 jet."""
+    _, _, _, k, g0, ginv = _curvature(g, pt, "jet", scalar=True)
+    return k, _f_contract(_f_matrix(ext_d(A), pt), ginv), g0
 
 
 def maxwell_residual(A, g, pt):

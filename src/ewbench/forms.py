@@ -33,6 +33,7 @@ __all__ = [
     "hodge3",
     "star_frame",
     "metric_from_coframe",
+    "signature",
     "symmetric_product",
     "jet_det",
     "jet_inv",
@@ -69,6 +70,18 @@ class PForm:
             clean[idx] = _as_field(f)
         self.comps = clean
 
+    @classmethod
+    def _built(cls, chart, degree, comps):
+        """A form from parts that are valid already: the tuple chart and int
+        degree of a form, and Field components at strictly increasing index
+        tuples.  The algebra below builds its results this way, skipping
+        the checks of ``__init__``, which stay for every other caller."""
+        form = object.__new__(cls)
+        form.chart = chart
+        form.degree = degree
+        form.comps = comps
+        return form
+
     # -- access --------------------------------------------------------------
 
     def comp(self, idx):
@@ -99,7 +112,7 @@ class PForm:
         comps = dict(self.comps)
         for idx, f in other.comps.items():
             comps[idx] = comps[idx] + f if idx in comps else f
-        return PForm(self.chart, self.degree, comps)
+        return PForm._built(self.chart, self.degree, comps)
 
     def __sub__(self, other):
         if not isinstance(other, PForm):
@@ -107,12 +120,12 @@ class PForm:
         return self + (-other)
 
     def __neg__(self):
-        return PForm(self.chart, self.degree, {i: -f for i, f in self.comps.items()})
+        return PForm._built(self.chart, self.degree, {i: -f for i, f in self.comps.items()})
 
     def scale(self, factor):
         """Multiply by a scalar field or number."""
         factor = _as_field(factor)
-        return PForm(
+        return PForm._built(
             self.chart, self.degree, {i: factor * f for i, f in self.comps.items()}
         )
 
@@ -164,7 +177,7 @@ def wedge(a, b):
                 continue
             term = fa * fb if sign > 0 else -(fa * fb)
             comps[idx] = comps[idx] + term if idx in comps else term
-    return PForm(a.chart, degree, comps)
+    return PForm._built(a.chart, degree, comps)
 
 
 def ext_d(a):
@@ -180,7 +193,7 @@ def ext_d(a):
             term = df if position % 2 == 0 else -df
             new_idx = tuple(sorted(idx + (k,)))
             comps[new_idx] = comps[new_idx] + term if new_idx in comps else term
-    return PForm(a.chart, a.degree + 1, comps)
+    return PForm._built(a.chart, a.degree + 1, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +451,7 @@ class MetricField:
 
     def signature_at(self, pt):
         """(positive, negative) eigenvalue counts, per row of a batch."""
-        eigs = np.linalg.eigvalsh(self.matrix_at(pt))
-        return (np.sum(eigs > 0, axis=-1), np.sum(eigs < 0, axis=-1))
+        return signature(self.matrix_at(pt))
 
     def jet_matrix_at(self, pt, order):
         """Dense jet matrix, for algebra that must stay differentiable."""
@@ -449,6 +461,13 @@ class MetricField:
             for b in range(n):
                 rows[a][b] = self.comp(a, b)(pt, order)
         return rows
+
+
+def signature(matrix):
+    """(positive, negative) eigenvalue counts of a symmetric matrix, per
+    row of a batch of them."""
+    eigs = np.linalg.eigvalsh(matrix)
+    return (np.sum(eigs > 0, axis=-1), np.sum(eigs < 0, axis=-1))
 
 
 def symmetric_product(a, b):

@@ -765,29 +765,42 @@ _BATCH = 512
 def sample(domain):
     """Uniform points in the box, rejection-filtered by the guards.
 
-    Draws come in batches of 512 rows and each guard is evaluated, value
-    only, once per batch: guard k sees only the rows that guards 0..k-1
-    accepted, and rows are accepted in draw order up to ``count``.  If a
-    guard raises on a batch, that batch is screened again row by row in
-    draw order, so a row past the last one accepted never raises.
-    Deterministic for a fixed seed.  Raises SamplingExhaustedError, with
-    the number of draws each guard rejected, when the acceptance rate is
-    below 1% after a million draws.
+    Draws come in batches of 512 rows, and rows are accepted in draw order
+    up to ``count``.  Each guard is evaluated, value only, on a prefix of
+    the batch sized to hold the rows still needed at the acceptance rate
+    seen so far, and once more on the rest of the batch only if that
+    prefix falls short; guard k sees only the rows that guards 0..k-1
+    accepted.  If a guard raises on a batch, that batch is screened again
+    row by row in draw order, so a row past the last one accepted never
+    raises.  Deterministic for a fixed seed.  Raises
+    SamplingExhaustedError, with the number of draws each guard rejected,
+    when the acceptance rate is below 1% after a million draws; a batch
+    that can trigger it is screened whole, so those numbers do not depend
+    on the prefix.
     """
     rng = np.random.default_rng(domain.seed)
     lows = np.array([b[0] for b in domain.box])
     highs = np.array([b[1] for b in domain.box])
     accepted = []
     rejected = [0] * len(domain.guards)
+    passed = 0  # rows every guard accepted, past ``count`` included
     drawn = 0
     while len(accepted) < domain.count:
         rows = rng.uniform(lows, highs, size=(_BATCH, len(domain.chart)))
         drawn += _BATCH
         need = domain.count - len(accepted)
+        prefix = (
+            _prefix_rows(need, passed, passed + sum(rejected)) if drawn < _MAX_DRAWS else _BATCH
+        )
         try:
-            keep, counts = _screen(domain, rows)
+            keep, counts = _screen(domain, rows[:prefix])
+            if len(keep) < need and prefix < _BATCH:
+                more, counts_more = _screen(domain, rows[prefix:])
+                keep = np.concatenate([keep, more + prefix])
+                counts = [a + b for a, b in zip(counts, counts_more)]
         except EwbenchError:
             keep, counts = _screen_rows(domain, rows, need)
+        passed += len(keep)
         rejected = [a + b for a, b in zip(rejected, counts)]
         accepted.extend(
             ChartPoint(domain.chart, tuple(float(v) for v in rows[i])) for i in keep[:need]
@@ -802,6 +815,17 @@ def sample(domain):
                 f"after {drawn} draws; rejected by {by_guard}"
             )
     return accepted
+
+
+def _prefix_rows(need, passed, screened):
+    """How many rows of a batch to screen first for ``need`` more points,
+    when ``passed`` of the ``screened`` rows so far were accepted: enough
+    rows for need plus a margin of 2 sqrt(need) + 4 at that rate (taken as
+    1 before any row is screened), or the whole batch while none passed."""
+    if screened and not passed:
+        return _BATCH
+    rate = passed / screened if screened else 1.0
+    return min(_BATCH, math.ceil((need + 2.0 * math.sqrt(need) + 4.0) / rate))
 
 
 def _screen(domain, rows):

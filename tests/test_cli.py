@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -27,16 +28,20 @@ from ewbench import (
     ricci,
 )
 from ewbench import lift as lift_mod
+from ewbench.curv import f_squared, kretschmann, scalar_invariants
 from ewbench.errors import DomainError, EwbenchError, SingularMetricError
+from ewbench.forms import signature
 from ewbench.expr import FUNCTIONS, Bin, Call, Const, Neg, Var, eval_jet, to_source
 from ewbench.families import default_domain
 from ewbench.jets import PointBatch, evaluation_scope, sample
 from ewbench.lift import build, fix_ell_sign
 from ewbench.report import report_json, run_check
+from ewbench import cli as cli_mod
 from ewbench.cli import (
     DEFAULTS,
     EXIT_CONFIG,
     EXIT_FAIL,
+    EXIT_INTERNAL,
     EXIT_PASS,
     EXIT_SAMPLING,
     main,
@@ -192,6 +197,58 @@ class TestLift:
         assert len(calls) == 1
 
 
+class TestInvariantsCheck:
+    """The invariants check takes K, |F|^2 and the metric of each chart
+    from one curvature pass."""
+
+    @staticmethod
+    def _check(chart):
+        base = heisenberg(1.0)
+        cfg = LiftConfig(base, psi_const(base, 0.5), -1.0, c=0.5, chart=chart)
+        data_p, fn = cli_mod._invariant_fn(cfg, build(cfg))
+        data_a = lift_mod.build_alpha(dataclasses.replace(cfg, validate=False))
+        rows = np.random.default_rng(4).uniform(-1.0, 1.0, size=(6, 4))
+        points = [ChartPoint(data_p.chart, tuple(r)) for r in rows.tolist()]
+        return data_p, data_a, fn, points
+
+    @pytest.mark.parametrize("chart", ["p", "alpha"])
+    def test_each_chart_metric_is_evaluated_once(self, monkeypatch, chart):
+        _, _, fn, points = self._check(chart)
+        charts = []
+        jets_at = MetricField.jets_at
+
+        def counted(g, pt, order):
+            charts.append(g.chart[0])
+            return jets_at(g, pt, order)
+
+        monkeypatch.setattr(MetricField, "jets_at", counted)
+        result = run_check("invariants", fn, points, 1e-6)
+        assert result.verdict == "pass"
+        assert sorted(charts) == ["alpha", "p"]
+
+    def test_field_and_signature_components_match_the_accessors(self):
+        data_p, data_a, fn, points = self._check("p")
+        q = PointBatch.of(points)
+        qa = lift_mod.matched_alpha_point(q, data_p.ell)
+        with evaluation_scope():
+            _, fsq, sig = fn(q)
+        want = f_squared(data_p.potential, data_p.g, q) - f_squared(
+            data_a.potential, data_a.g, qa
+        )
+        assert np.array_equal(fsq, want)
+        plus, minus = data_p.g.signature_at(q)
+        assert np.array_equal(sig, np.where((plus == 3) & (minus == 1), 0.0, 1.0))
+        for data, at in ((data_p, q), (data_a, qa)):
+            k, fsq_one, g0 = scalar_invariants(data.g, data.potential, at)
+            assert np.array_equal(k, kretschmann(data.g, at))
+            assert np.array_equal(fsq_one, f_squared(data.potential, data.g, at))
+            assert np.array_equal(g0, data.g.matrix_at(at))
+            assert all(
+                np.array_equal(a, b)
+                for a, b in zip(signature(g0), data.g.signature_at(at))
+            )
+
+
 class TestLimit:
     def test_heisenberg_flow(self, capsys):
         code, rep = run_json(
@@ -307,6 +364,24 @@ class TestEval:
         code, _ = run_cli(capsys, "eval", "--expr", "x", "--at", "x=1",
                           "--order", "5")
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "at, message",
+        [
+            ("x=1,y=2,x=3", "coordinate 'x' is given more than once"),
+            ("x=1, x =1,y=2", "coordinate 'x' is given more than once"),
+            ("x=nan,y=2", "coordinate 'x' must be finite, got 'nan'"),
+            ("x=1,y=-inf", "coordinate 'y' must be finite, got '-inf'"),
+            ("x=1,y=1e400", "coordinate 'y' must be finite, got '1e400'"),
+        ],
+        ids=["repeated", "repeated-spaced", "nan", "minus-inf", "overflowing"],
+    )
+    def test_bad_point_is_one_error_line(self, capsys, at, message):
+        code = main(["eval", "--expr", "x*y", "--at", at])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("expr,value", [("-x", -1.0), ("-x^2", -1.0), ("--x", 1.0)])
     def test_expression_may_start_with_a_minus(self, capsys, expr, value):
@@ -474,6 +549,17 @@ class TestErrorExits:
         assert captured.out == ""
         name = argv[-1].split(",")[-1]
         assert captured.err == f"error: check {name!r} is not available under {command}\n"
+
+    def test_unexpected_exception_is_internal_exit(self, capsys, monkeypatch):
+        def broken(cfg):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(cli_mod, "cmd_verify", broken)
+        code = main(["verify", "--case", "heisenberg", "--points", "3"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL == 4
+        assert captured.out == ""
+        assert captured.err == "error: internal error: TypeError: unsupported operand\n"
 
     def test_guard_starved_domain_exhausts(self, capsys):
         code, _ = run_cli(

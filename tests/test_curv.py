@@ -26,8 +26,8 @@ from ewbench import (
 from ewbench.errors import SingularMetricError
 from ewbench.families import class_b, default_domain
 from ewbench.forms import coordinate_form, zero_form
-from ewbench.jets import sample
-from ewbench.lift import build, fix_ell_sign
+from ewbench.jets import ChartPoint, PointBatch, sample
+from ewbench.lift import ALPHA_WINDOW, build, fix_ell_sign
 
 from conftest import XYT, box_points, pt
 
@@ -139,6 +139,39 @@ class TestKretschmann:
             assert np.abs(a.ricci - b.ricci).max() / scale <= 1e-4
             kscale = max(1.0, abs(a.kretschmann))
             assert abs(a.kretschmann - b.kretschmann) / kscale <= 1e-4
+
+
+def six_operand_kretschmann(g, q):
+    """R_abcd R^abcd as one einsum over six operands, the reference for the
+    pairwise contraction, and the same sum over the absolute values of its
+    terms, the scale of its rounding error."""
+    r_low = np.einsum("...ae,...ebcd->...abcd", g.matrix_at(q), riemann(g, q))
+    ginv = g.inverse_at(q)
+    spec = "...abcd,...ae,...bf,...cg,...dh,...efgh->..."
+    value = np.einsum(spec, r_low, ginv, ginv, ginv, ginv, r_low)
+    r_abs, ginv_abs = np.abs(r_low), np.abs(ginv)
+    size = np.einsum(spec, r_abs, ginv_abs, ginv_abs, ginv_abs, ginv_abs, r_abs)
+    return value, size
+
+
+class TestKretschmannContraction:
+    @pytest.mark.parametrize("chart", ["p", "alpha"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_pairwise_matches_the_six_operand_einsum(self, chart, seed):
+        base = heisenberg(1.0)
+        cfg = LiftConfig(base, psi_const(base, 0.5), -1.0, c=0.5, chart=chart)
+        data = build(cfg)
+        rng = np.random.default_rng(seed)
+        rows = rng.uniform(-1.0, 1.0, size=(40, 4))
+        if chart == "alpha":
+            rows[:, 0] = rng.uniform(*ALPHA_WINDOW, size=40)
+        q = PointBatch(data.chart, rows)
+        want, size = six_operand_kretschmann(data.g, q)
+        got = kretschmann(data.g, q)
+        assert got.shape == (40,)
+        assert np.all(np.abs(got - want) <= 1e-12 * size)
+        singles = [kretschmann(data.g, ChartPoint(data.chart, tuple(r))) for r in rows.tolist()]
+        assert got.tolist() == singles
 
 
 class TestRiemann:

@@ -235,6 +235,31 @@ class TestHodge3:
 # --- metrics -----------------------------------------------------------------
 
 
+class TestFormChecks:
+    @pytest.mark.parametrize(
+        "degree, comps",
+        [
+            (1, {(0, 1): 1.0}),
+            (1, {(3,): 1.0}),
+            (2, {(1, 0): 1.0}),
+            (2, {(1, 1): 1.0}),
+        ],
+        ids=["wrong-degree", "outside-chart", "decreasing", "repeated"],
+    )
+    def test_public_constructor_checks_every_index(self, degree, comps):
+        with pytest.raises(ValueError):
+            PForm(XYT, degree, comps)
+
+    def test_algebra_builds_forms_the_checks_accept(self):
+        a = d(XYT, "x").scale(parse_field("y*t", XYT)) + d(XYT, "t")
+        b = d(XYT, "y").scale(parse_field("x^2", XYT)) - d(XYT, "x")
+        for form in (a + b, -a, a.scale(2.0), wedge(a, b), ext_d(a), ext_d(b.scale(a.comp((0,))))):
+            again = PForm(form.chart, form.degree, form.comps)
+            assert again.comps == form.comps
+            assert (again.chart, again.degree) == (form.chart, form.degree)
+            assert type(form.degree) is int and type(form.chart) is tuple
+
+
 class TestMetricFromCoframe:
     def test_flat_case_matrix(self):
         h = metric_from_coframe(flat_frame())

@@ -282,6 +282,19 @@ class TestBatchedSampling:
         with pytest.raises(DomainError, match="x above 0.9"):
             sample(dom)
 
+    def test_a_guard_screens_only_the_rows_it_needs(self):
+        x = parse_field("x", XYT)
+        screened = []
+
+        def counted(q, order=0):
+            screened.append(q.shape[0] if q.shape else 1)
+            return x(q, order)
+
+        dom = SampleDomain(XYT, self.BOX, (Guard(Field(counted), -0.5, "x > -0.5"),), 1, 20)
+        got = [q.coords for q in sample(dom)]
+        assert sum(screened) < 64
+        assert got == [q.coords for q in row_by_row_sample(dom)]
+
     def test_exhaustion_names_the_rejections_of_each_guard(self):
         p = parse_field("p", ("p",))
         guards = (Guard(p, -2.0, "p>-2"), Guard(p, 0.5, "p>0.5"), Guard(p, 0.9))
