@@ -99,8 +99,11 @@ DEFAULTS = {
 
 _EXPR_FLAGS = ("beta", "F", "K", "H", "A", "B", "f")
 
-# options whose value is an expression, which may start with "-"
-_EXPR_OPTIONS = frozenset(("--expr",) + tuple(f"--{name}" for name in _EXPR_FLAGS))
+# options whose value may start with "-": the expressions, and the ells
+# sequence, whose first ell may be negative
+_DASH_VALUE_OPTIONS = frozenset(
+    ("--expr", "--ells") + tuple(f"--{name}" for name in _EXPR_FLAGS)
+)
 
 
 def _number(v):
@@ -111,32 +114,37 @@ def _integer(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _finite(v):
+    return _number(v) and math.isfinite(v)
+
+
 def _text(v):
     return isinstance(v, str)
 
 
 # what a config-file value must be: what its flag parses to (a bool is not
-# a number); a key not named here takes text
+# a number, and JSON's Infinity and NaN are no ell or c); a key not named
+# here takes text
 _FILE_VALUES = {
-    "ell": (_number, "a number"),
+    "ell": (_finite, "a finite number"),
     "tol": (_number, "a number"),
-    "c": (_number, "a number"),
+    "c": (_finite, "a finite number"),
     "points": (_integer, "an integer"),
     "seed": (_integer, "an integer"),
     "ells": (
-        lambda v: _text(v) or isinstance(v, list) and all(map(_number, v)),
-        "text or a list of numbers",
+        lambda v: _text(v) or isinstance(v, list) and all(map(_finite, v)),
+        "text or a list of finite numbers",
     ),
     "chart": (lambda v: v in CHARTS, " or ".join(map(repr, CHARTS))),
 }
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads the word after an expression option as its value even when it
-    starts with "-": argparse alone takes ``--expr -x`` for two options.  A
-    word that names an option of a subcommand (``option_words``), or
-    abbreviates one, is left to argparse, so ``--expr --at x=1`` still
-    lacks its argument."""
+    """Reads the word after an expression option or ``--ells`` as its value
+    even when it starts with "-": argparse alone takes ``--expr -x`` or
+    ``--ells -100,-200`` for two options.  A word that names an option of a
+    subcommand (``option_words``), or abbreviates one, is left to argparse,
+    so ``--expr --at x=1`` still lacks its argument."""
 
     option_words = frozenset()
 
@@ -147,7 +155,7 @@ class _Parser(argparse.ArgumentParser):
         while i < len(args):
             word = args[i]
             nxt = args[i + 1] if i + 1 < len(args) else ""
-            if word in _EXPR_OPTIONS and nxt.startswith("-") and not self._names_option(nxt):
+            if word in _DASH_VALUE_OPTIONS and nxt.startswith("-") and not self._names_option(nxt):
                 joined.append(f"{word}={nxt}")
                 i += 2
             else:
@@ -233,6 +241,9 @@ def merge_config(args):
             cfg[key] = val
     if cfg["tol"] is not None and not 0 < cfg["tol"] < math.inf:
         raise ConfigError("tol must be positive and finite")
+    for key in ("ell", "c"):
+        if cfg[key] is not None and not math.isfinite(cfg[key]):
+            raise ConfigError(f"{key} must be finite, got {cfg[key]!r}")
     if cfg["points"] is not None and cfg["points"] < 1:
         raise ConfigError("points must be at least 1")
     if cfg["seed"] < 0:
@@ -446,6 +457,8 @@ def cmd_limit(cfg):
             raise ConfigError(f"ells must be comma-separated numbers, got {raw!r}") from exc
     else:
         ells = [float(v) for v in raw]
+    if not all(map(math.isfinite, ells)):
+        raise ConfigError(f"ells must be finite, got {raw!r}")
 
     if case == "heisenberg":
 

@@ -386,6 +386,16 @@ class MetricField:
         self.comps = clean
 
     @classmethod
+    def _built(cls, chart, comps):
+        """A metric from parts that are valid already, like
+        :meth:`PForm._built`: the tuple chart of a metric and Field
+        components at index pairs (a, b) with a <= b."""
+        metric = object.__new__(cls)
+        metric.chart = chart
+        metric.comps = comps
+        return metric
+
+    @classmethod
     def from_value_matrix(cls, chart, matrix):
         matrix = np.asarray(matrix, dtype=float)
         n = len(chart)
@@ -413,9 +423,7 @@ class MetricField:
 
     def scale(self, factor):
         factor = _as_field(factor)
-        return MetricField(
-            self.chart, {k: factor * f for k, f in self.comps.items()}
-        )
+        return MetricField._built(self.chart, {k: factor * f for k, f in self.comps.items()})
 
     def __add__(self, other):
         if not isinstance(other, MetricField):
@@ -425,7 +433,7 @@ class MetricField:
         comps = dict(self.comps)
         for k, f in other.comps.items():
             comps[k] = comps[k] + f if k in comps else f
-        return MetricField(self.chart, comps)
+        return MetricField._built(self.chart, comps)
 
     def matrix_at(self, pt):
         """The metric matrix at ``pt``, batch axis first over a batch."""
@@ -471,17 +479,32 @@ def signature(matrix):
 
 
 def symmetric_product(a, b):
-    """The symmetric tensor a (.) b = (a (x) b + b (x) a) / 2 as a metric."""
+    """The symmetric tensor a (.) b = (a (x) b + b (x) a) / 2 as a metric.
+
+    Component (i, j), i <= j, is 0.5 * (a_i b_j + a_j b_i), built only from
+    the products whose two factors are present components: an absent one
+    is an exact zero and builds nothing, and a pair with no such product
+    is absent from the metric.  A present component is always evaluated,
+    even where its value is 0.
+    """
     if a.chart != b.chart or a.degree != 1 or b.degree != 1:
         raise ValueError("symmetric product needs two 1-forms on one chart")
+    ca, cb = a.comps, b.comps
+
+    def product(i, j):
+        return ca[(i,)] * cb[(j,)] if (i,) in ca and (j,) in cb else None
+
     n = len(a.chart)
     comps = {}
     for i in range(n):
         for j in range(i, n):
-            comps[(i, j)] = 0.5 * (
-                a.comp((i,)) * b.comp((j,)) + a.comp((j,)) * b.comp((i,))
-            )
-    return MetricField(a.chart, comps)
+            ij = product(i, j)
+            # a_i b_i twice is one product field, added to itself
+            ji = ij if i == j else product(j, i)
+            terms = [t for t in (ij, ji) if t is not None]
+            if terms:
+                comps[(i, j)] = 0.5 * sum(terms[1:], terms[0])
+    return MetricField._built(a.chart, comps)
 
 
 def metric_from_coframe(frame):

@@ -17,9 +17,21 @@ so the parts a jet shares with a higher-order jet of the same field are
 identical.  Those scalar derivatives come from Python's ``math`` module,
 row by row over a batch, never from numpy's CPU-dispatched SIMD loops.
 
+A Python number in jet arithmetic is not lifted to a constant jet for a
+full Leibniz product: it shifts the value (``+ -``) or scales every part
+(``* /``, dividing by c as scaling by 1/c).  The full product would add
+only exact zeros, so the parts are the same apart from the sign of a zero;
+a jet with a part below the top one that is not finite, where 0 * inf
+spreads NaN, is still multiplied in full.
+
 A :class:`Field` is a lazily evaluated scalar function of a point or a
 batch of points; requesting a derivative field lowers the maximum order
 that can be evaluated by one, which is how the order cap stays honest.
+Constant fields know their number, and field algebra folds them: a
+constant applied to a field acts on that field's jet as a number does,
+and two constants make a constant.  No operand that is present is
+skipped: a field times the constant 0 still evaluates the field, so
+inf * 0 stays NaN.
 
 Field evaluations are memoized on the exact ``(field, point, order)`` in the
 open :func:`evaluation_scope`, so shared subexpressions are evaluated once.
@@ -35,6 +47,7 @@ coordinate boxes.
 from __future__ import annotations
 
 import math
+import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -271,9 +284,6 @@ class Jet:
         if not 0 <= order <= MAX_ORDER:
             raise JetOrderError(f"jet order {order} outside 0..{MAX_ORDER}")
 
-    def _constant_like(self, value):
-        return Jet([value] + [np.zeros(p.shape[-k:]) for k, p in enumerate(self.parts[1:], 1)])
-
     # -- parts ---------------------------------------------------------------
 
     @property
@@ -305,20 +315,28 @@ class Jet:
             )
         return Jet([p[(Ellipsis, index) + _AFTER_FIRST[k]] for k, p in enumerate(self.parts[1:])])
 
-    # -- arithmetic ----------------------------------------------------------
+    # -- arithmetic (a Python number acts as its constant jet; see above) ----
 
-    def _lift(self, other):
-        if isinstance(other, Jet):
-            return other
-        if isinstance(other, (int, float)):
-            return self._constant_like(other)
-        return None
+    def _constant_like(self, value):
+        return Jet([value] + [np.zeros(p.shape[-k:]) for k, p in enumerate(self.parts[1:], 1)])
+
+    def _scaled(self, c, full):
+        """Every part times the number c, or ``full()`` (the product with the
+        constant jet of c) when a part below the top one is not finite.  A
+        sum that overflows counts as not finite; that only costs the full
+        product."""
+        parts = self.parts
+        for p in parts[:-1]:
+            if not math.isfinite(p if type(p) is float else p.sum()):
+                return full()
+        return self if c == 1.0 else Jet([p * c for p in parts])
 
     def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
+        if isinstance(other, (int, float)):
+            return Jet([self.parts[0] + float(other), *self.parts[1:]])
+        if not isinstance(other, Jet):
             return NotImplemented
-        return Jet([a + b for a, b in zip(self.parts, o.parts)])
+        return Jet([a + b for a, b in zip(self.parts, other.parts)])
 
     __radd__ = __add__
 
@@ -332,19 +350,22 @@ class Jet:
         return Jet([p * _scaler(sign, k) for k, p in enumerate(self.parts)])
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
+        if isinstance(other, (int, float)):
+            return Jet([self.parts[0] - float(other), *self.parts[1:]])
+        if not isinstance(other, Jet):
             return NotImplemented
-        return Jet([a - b for a, b in zip(self.parts, o.parts)])
+        return Jet([a - b for a, b in zip(self.parts, other.parts)])
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
+        if isinstance(other, (int, float)):
+            c = float(other)
+            return self._scaled(c, lambda: self * self._constant_like(c))
+        if not isinstance(other, Jet):
             return NotImplemented
-        a, b = self.parts, o.parts
+        a, b = self.parts, other.parts
         order = min(len(a), len(b)) - 1
         a0, b0 = a[0], b[0]
         parts = [a0 * b0]
@@ -366,7 +387,10 @@ class Jet:
             )
         return Jet(parts)
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        if not isinstance(other, (int, float)):
+            return NotImplemented
+        return _times(float(other), self)
 
     def reciprocal(self):
         v = self.value
@@ -378,16 +402,22 @@ class Jet:
         return self.compose(*f)
 
     def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
+        if isinstance(other, (int, float)):
+            c = float(other)
+
+            def full():
+                return self * self._constant_like(c).reciprocal()
+
+            r = _finite_reciprocal(c, self.order)
+            return full() if r is None else self._scaled(r, full)
+        if not isinstance(other, Jet):
             return NotImplemented
-        return self * o.reciprocal()
+        return self * other.reciprocal()
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
+        if not isinstance(other, (int, float)):
             return NotImplemented
-        return o * self.reciprocal()
+        return _times(float(other), self.reciprocal())
 
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
@@ -439,6 +469,25 @@ class Jet:
                 + _scaler(f[1], 3) * a[3]
             )
         return Jet(parts)
+
+
+def _times(c, jet):
+    """The number c times ``jet``: ``jet`` scaled by c, or the full product
+    with the constant jet of c as its left operand."""
+    return jet._scaled(c, lambda: jet._constant_like(c) * jet)
+
+
+def _finite_reciprocal(c, order):
+    """1/c when the derivatives of 1/x at c through ``order`` (those that
+    ``Jet.reciprocal`` computes) are finite: then the reciprocal of the
+    constant jet of c is 1/c with zero derivatives, and dividing by c is
+    scaling by 1/c.  None otherwise, c = 0 included."""
+    if c == 0.0:
+        return None
+    f = _derivatives(_reciprocal_series, c, order + 1)
+    if f is None or not all(map(math.isfinite, f)):
+        return None
+    return f[0]
 
 
 def _sym_hg(hess, grad):
@@ -584,12 +633,21 @@ class Field:
     jet, so they must not mutate it.  Algebra on fields is pointwise;
     ``d(name)`` is the partial-derivative field along the named coordinate
     and needs the base to support one order more.
+
+    A constant field knows its ``number`` (None for any other field), and
+    ``+ - * /`` fold it: two constants make a constant, and otherwise the
+    number c acts on the jet of the other operand f as Jet arithmetic with
+    a number does (c * f and f / c scale it, f + c shifts it, 1 * f is its
+    own jet), instead of building the jet of c.  f is still evaluated,
+    whatever c is, so inf * 0 stays NaN.  Every remaining product keeps its
+    operand order.
     """
 
-    __slots__ = ("fn",)
+    __slots__ = ("fn", "number")
 
     def __init__(self, fn):
         self.fn = fn
+        self.number = None
 
     def __call__(self, pt, order=0):
         memo = _SCOPE.get()
@@ -605,7 +663,9 @@ class Field:
     @staticmethod
     def const(value):
         v = float(value)
-        return Field(lambda pt, order=0: Jet.constant(v, pt.dim, order))
+        field = Field(lambda pt, order=0: Jet.constant(v, pt.dim, order))
+        field.number = v
+        return field
 
     @staticmethod
     def coordinate(name):
@@ -640,36 +700,67 @@ class Field:
             return Field.const(other)
         return None
 
-    def _binary(self, other, op):
+    def _fold(self, other, op, constant):
+        """``op`` pointwise on self and ``other``.  Two constants make the
+        constant ``constant(a, b)`` unless that is None; otherwise a number
+        among the operands acts on the other operand's jet directly."""
         o = Field._lift(other)
         if o is None:
             return NotImplemented
+        a, b = self.number, o.number
+        if a is not None and b is not None:
+            c = constant(a, b)
+            if c is not None:
+                return Field.const(c)
+        if b is not None:
+            return Field(lambda pt, order=0: op(self(pt, order), b))
+        if a is not None:
+            return Field(lambda pt, order=0: op(a, o(pt, order)))
         return Field(lambda pt, order=0: op(self(pt, order), o(pt, order)))
 
     def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
+        return self._fold(other, operator.add, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
+        return self._fold(other, operator.sub, operator.sub)
 
     def __rsub__(self, other):
-        return self._binary(other, lambda a, b: b - a)
+        o = Field._lift(other)
+        return NotImplemented if o is None else o - self
 
     def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
+        return self._fold(other, operator.mul, _constant_product)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._binary(other, lambda a, b: a / b)
+        return self._fold(other, operator.truediv, _constant_quotient)
 
     def __rtruediv__(self, other):
-        return self._binary(other, lambda a, b: b / a)
+        o = Field._lift(other)
+        return NotImplemented if o is None else o / self
 
     def __neg__(self):
+        if self.number is not None:
+            return Field.const(-self.number)
         return Field(lambda pt, order=0: -self(pt, order))
+
+
+# The product of constant jets has zero derivative parts only when both
+# values are finite (0 * inf is NaN), and the quotient only when the
+# divisor's reciprocal jet is 1/b with zero derivatives; otherwise the
+# constants are left to evaluation.
+
+
+def _constant_product(a, b):
+    return a * b if math.isfinite(a) and math.isfinite(b) else None
+
+
+def _constant_quotient(a, b):
+    r = _finite_reciprocal(b, MAX_ORDER)
+    return a * r if r is not None and math.isfinite(a) else None
 
 
 ZERO_FIELD = Field.const(0.0)

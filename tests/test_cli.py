@@ -31,7 +31,7 @@ from ewbench import lift as lift_mod
 from ewbench.curv import f_squared, kretschmann, scalar_invariants
 from ewbench.errors import DomainError, EwbenchError, SingularMetricError
 from ewbench.forms import signature
-from ewbench.expr import FUNCTIONS, Bin, Call, Const, Neg, Var, eval_jet, to_source
+from ewbench.expr import eval_jet, to_source
 from ewbench.families import default_domain
 from ewbench.jets import PointBatch, evaluation_scope, sample
 from ewbench.lift import build, fix_ell_sign
@@ -46,6 +46,8 @@ from ewbench.cli import (
     EXIT_SAMPLING,
     main,
 )
+
+from conftest import COORDS, EXPRS
 
 
 def run_cli(capsys, *argv):
@@ -401,6 +403,24 @@ class TestEval:
         assert exc.value.code == EXIT_CONFIG
         assert "argument --expr: expected one argument" in capsys.readouterr().err
 
+    def test_ells_may_start_with_a_minus(self, capsys):
+        code, out = run_cli(capsys, "limit", "--case", "heisenberg", "--ells", "-100,-200")
+        joined_code, joined = run_cli(capsys, "limit", "--case", "heisenberg", "--ells=-100,-200")
+        assert code == joined_code == EXIT_PASS
+        assert normalize(out) == normalize(joined)
+        assert json.loads(out)["config"]["ells"] == "-100,-200"
+
+    @pytest.mark.parametrize("argv", [
+        ("--ells", "--chart", "p"),
+        ("--ells", "--cha", "p"),
+        ("--chart", "p", "--ells"),
+    ])
+    def test_ells_before_an_option_still_expects_one_argument(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["limit", "--case", "heisenberg", *argv])
+        assert exc.value.code == EXIT_CONFIG
+        assert "argument --ells: expected one argument" in capsys.readouterr().err
+
     def test_expression_flag_value_may_start_with_a_minus(self, capsys):
         code, rep = run_json(
             capsys, "verify", "--case", "class-b", "--F", "-1/4",
@@ -412,25 +432,6 @@ class TestEval:
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
-
-
-LEAVES = st.one_of(
-    st.sampled_from([Var("x"), Var("y")]),
-    st.builds(Const, st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 1e-3, 1e3])),
-)
-EXPRS = st.recursive(
-    LEAVES,
-    lambda sub: st.one_of(
-        st.builds(Neg, sub),
-        st.builds(Bin, st.sampled_from("+-*/^"), sub, sub),
-        st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), sub),
-    ),
-    max_leaves=8,
-)
-COORDS = st.one_of(
-    st.floats(-4.0, 4.0),
-    st.sampled_from([1e-200, -1e-200, 1e200, -1e200]),
-)
 
 
 def eval_cli(expr, x, y, order):
@@ -519,11 +520,18 @@ class TestErrorExits:
             ("lift", "--case", "heisenberg", "--checks", "limit"),
             ("verify", "--case", "heisenberg", "--checks", "em",
              "--points", "5"),
+            # a non-finite ell or c is refused before the report echoes it
+            ("verify", "--case", "heisenberg", "--ell", "inf", "--points", "2"),
+            ("verify", "--case", "heisenberg", "--c", "inf", "--points", "2"),
+            ("verify", "--case", "heisenberg", "--ell", "nan"),
+            ("lift", "--case", "heisenberg", "--ell=-inf", "--points", "2"),
+            ("limit", "--case", "class-b", "--c", "inf"),
         ),
         ids=(
             "unknown-check", "unknown-case", "parse-error", "heat-violation",
             "bad-tol", "hypercr-after-gauge", "hypercr-off-chart",
-            "limit-under-lift", "em-under-verify",
+            "limit-under-lift", "em-under-verify", "ell-inf", "c-inf",
+            "ell-nan", "lift-ell-minus-inf", "limit-c-inf",
         ),
     )
     def test_config_errors(self, capsys, argv):
@@ -618,6 +626,10 @@ class TestConfigFile:
             {"points": True},
             {"chart": "beta"},
             {"ells": [100, "200"]},
+            {"ell": math.inf},
+            {"ell": -math.inf},
+            {"c": math.nan},
+            {"ells": [100, math.inf]},
         ),
         ids=lambda v: json.dumps(v),
     )
@@ -639,8 +651,12 @@ class TestConfigFile:
             ("limit", "--case", "heisenberg", "--ells", "abc"),
             ("limit", "--case", "heisenberg", "--ells", "100,x"),
             ("verify", "--case", "heisenberg", "--tol", "inf"),
+            ("verify", "--case", "heisenberg", "--ell", "inf", "--points", "2"),
+            ("limit", "--case", "heisenberg", "--ells", "100,inf"),
+            ("limit", "--case", "heisenberg", "--ells", "nan,200"),
         ),
-        ids=("verify-seed", "lift-seed", "ells-word", "ells-item", "tol-inf"),
+        ids=("verify-seed", "lift-seed", "ells-word", "ells-item", "tol-inf",
+             "ell-inf", "ells-inf", "ells-nan"),
     )
     def test_bad_flag_value_is_one_error_line(self, capsys, argv):
         code = main(list(argv))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ewbench import (
     Field,
@@ -16,13 +18,16 @@ from ewbench import (
 from ewbench import jets
 from ewbench.errors import (
     DomainError,
+    EwbenchError,
     GuardViolationError,
     JetOrderError,
     SamplingExhaustedError,
 )
-from ewbench.jets import ChartPoint, evaluation_scope, require_guards
+from ewbench.expr import to_field
+from ewbench.forms import PForm, symmetric_product
+from ewbench.jets import ChartPoint, PointBatch, evaluation_scope, require_guards
 
-from conftest import XYT, PYT, box_points, pt
+from conftest import COORDS, EXPRS, XYT, PYT, box_points, pt
 
 
 class TestJetArithmetic:
@@ -305,3 +310,158 @@ class TestBatchedSampling:
             "acceptance rate 0/1000448 below 1% after 1000448 draws; "
             "rejected by p>-2: 0, p>0.5: 1000448, guard 2: 0"
         )
+
+
+# --- constants fold ------------------------------------------------------------------
+
+# 0, 1, -1, a subnormal, a number whose reciprocal's derivatives overflow,
+# and the non-finite ones
+CONSTANTS = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 5e-324, 0.5, 3.0, 1e-160, 1e300, math.inf, math.nan]
+)
+# coordinates near the float range's ends come first, so that jets with a
+# part that is not finite below the top one are common
+EXTREME = st.one_of(st.sampled_from([1e200, -1e103, 1e-160, -1e-200]), COORDS)
+POINTS = st.one_of(
+    st.tuples(EXTREME, EXTREME).map(lambda xy: ChartPoint.make(("x", "y"), xy)),
+    st.lists(st.tuples(EXTREME, EXTREME), min_size=1, max_size=5).map(
+        lambda rows: PointBatch(("x", "y"), rows)
+    ),
+)
+# each folded operation, as fields with a number, and as the parent's full
+# operation on the jet of f and the constant jet C of the number
+FIELD_FOLDS = {
+    "c*f": (lambda f, c: Field.const(c) * f, lambda j, C: C * j),
+    "f*c": (lambda f, c: f * c, lambda j, C: j * C),
+    "f/c": (lambda f, c: f / c, lambda j, C: j / C),
+    "c/f": (lambda f, c: c / f, lambda j, C: C / j),
+    "f+c": (lambda f, c: f + c, lambda j, C: j + C),
+    "c-f": (lambda f, c: c - f, lambda j, C: C - j),
+    "f+0": (lambda f, c: f + 0.0, lambda j, C: j + Jet.constant(0.0, 2, j.order)),
+    "1*f": (lambda f, c: 1.0 * f, lambda j, C: Jet.constant(1.0, 2, j.order) * j),
+}
+# Jet arithmetic with a Python number, against the same full operations
+JET_FOLDS = {
+    "j*c": (lambda j, c: j * c, lambda j, C: j * C),
+    "c*j": (lambda j, c: c * j, lambda j, C: C * j),
+    "j/c": (lambda j, c: j / c, lambda j, C: j / C),
+    "c/j": (lambda j, c: c / j, lambda j, C: C / j),
+    "j+c": (lambda j, c: j + c, lambda j, C: j + C),
+    "j-c": (lambda j, c: j - c, lambda j, C: j - C),
+    "c-j": (lambda j, c: c - j, lambda j, C: C - j),
+}
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except EwbenchError as err:
+        return err
+
+
+def assert_same(got, want):
+    """The same jet part by part (NaN equal to NaN, a zero of either sign
+    equal to zero, an unbatched part equal to its rows), or the same error."""
+    if isinstance(want, EwbenchError):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert isinstance(got, Jet) and got.order == want.order
+    for a, b in zip(got.parts, want.parts):
+        a, b = np.broadcast_arrays(a, b)
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+class TestConstantFolds:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(expr=EXPRS, c=CONSTANTS, q=POINTS, order=st.integers(0, 3))
+    def test_a_number_acts_as_its_constant_jet(self, expr, c, q, order):
+        f = to_field(expr)
+        with np.errstate(all="ignore"):
+            jet = outcome(lambda: f(q, order))
+            if isinstance(jet, EwbenchError):
+                return
+            C = Jet.constant(c, 2, order)
+            for fold, full in FIELD_FOLDS.values():
+                assert_same(outcome(lambda: fold(f, c)(q, order)), outcome(lambda: full(jet, C)))
+            for fold, full in JET_FOLDS.values():
+                assert_same(outcome(lambda: fold(jet, c)), outcome(lambda: full(jet, C)))
+
+    @settings(derandomize=True, deadline=None)
+    @given(a=CONSTANTS, b=CONSTANTS, q=POINTS, order=st.integers(0, 3))
+    def test_two_constants_fold_as_their_jets_combine(self, a, b, q, order):
+        A, B = Jet.constant(a, 2, order), Jet.constant(b, 2, order)
+        fa, fb = Field.const(a), Field.const(b)
+        pairs = (
+            (fa + fb, lambda: A + B),
+            (fa - fb, lambda: A - B),
+            (fa * fb, lambda: A * B),
+            (fa / fb, lambda: A / B),
+            (-fa, lambda: -A),
+        )
+        with np.errstate(all="ignore"):
+            for field, full in pairs:
+                assert_same(outcome(lambda: field(q, order)), outcome(full))
+
+    def test_finite_constants_fold_to_a_constant(self):
+        two, three = Field.const(2.0), Field.const(3.0)
+        assert (two * three).number == 6.0
+        assert (two / 4.0).number == 0.5
+        assert (1.0 - two).number == -1.0
+        assert (-two).number == -2.0
+        # 1/0 and inf * 0 are left to evaluation
+        assert (two / 0.0).number is None
+        assert (Field.const(math.inf) * 0.0).number is None
+
+    def test_one_times_a_field_is_its_own_jet(self):
+        x = Field.coordinate("x")
+        with evaluation_scope():
+            q = point(("x",), 0.5)
+            assert (1.0 * x)(q, 3) is x(q, 3)
+
+
+class TestNothingPresentIsSkipped:
+    def test_times_zero_still_evaluates_an_infinite_partner(self):
+        q = point(("x",), math.inf)
+        with np.errstate(all="ignore"):
+            for field in (Field.coordinate("x") * 0.0, Field.const(0.0) * Field.coordinate("x")):
+                j = field(q, 1)
+                assert not np.isfinite(j.value)
+
+    def test_an_infinite_part_below_the_top_spreads_nan_as_the_full_product(self):
+        # a finite value and an infinite gradient: the full product with
+        # the constant jet of 2 makes the hessian NaN (inf * 0)
+        j = Jet([1.0, np.array([math.inf]), np.array([[3.0]])])
+        with np.errstate(all="ignore"):
+            full = j * Jet.constant(2.0, 1, 2)
+            assert np.isnan(full.hess).all()
+            assert_same(j * 2.0, full)
+
+    def test_division_by_a_zero_constant_raises_when_evaluated(self):
+        f = Field.coordinate("x") / Field.const(0.0)
+        with pytest.raises(DomainError, match="^division by zero$"):
+            f(point(("x",), 1.0), 0)
+        with pytest.raises(DomainError, match="^division by zero$"):
+            (Field.const(1.0) / Field.const(0.0))(point(("x",), 1.0), 0)
+
+    def test_symmetric_product_stores_only_present_pairs(self):
+        chart = ("a", "b", "c", "d")
+        x, y = Field.coordinate("a"), Field.coordinate("b")
+        u = PForm(chart, 1, {(0,): x * y, (2,): jets.sin(y)})
+        v = PForm(chart, 1, {(2,): x + 1.0, (3,): 0.0})
+        g = symmetric_product(u, v)
+        # (0,3) and (2,3) pair a present 0.0 component: still present
+        assert sorted(g.comps) == [(0, 2), (0, 3), (2, 2), (2, 3)]
+        q = PointBatch(chart, [[0.3, -1.2, 0.7, 2.0], [1.5, 0.2, -0.4, -3.0]])
+        half = Jet.constant(0.5, 4, 3)
+
+        def jet(form, k):  # an absent component is the zero constant jet
+            return form.comp((k,))(q, 3)
+
+        for (i, j), comp in g.comps.items():
+            # the dense construction: every product in full, zeros included;
+            # the same bits, apart from the sign of a zero (x + 0.0 is +0.0)
+            dense = (jet(u, i) * jet(v, j) + jet(u, j) * jet(v, i)) * half
+            got = comp(q, 3)
+            for a, b in zip(got.parts, dense.parts):
+                a, b = np.broadcast_arrays(np.add(a, 0.0), np.add(b, 0.0))
+                assert a.tobytes() == b.tobytes()

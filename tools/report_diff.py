@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Compare the reports of two ewbench checkouts, argv by argv.
+
+    python3 tools/report_diff.py OLD NEW ['lift --case heisenberg ...' ...]
+
+The argvs are every perfbench job of seeds 1-3, as
+``perfbench/run.py --seconds 30`` makes them, the ``ewbench ...`` command
+lines of README.md, and any extra command lines given after the two
+checkouts.  One subprocess per checkout runs them all through
+``ewbench.cli.main`` in process, with that checkout's ``src`` first on the
+path.  The tool prints each argv whose exit code, stdout (without its
+``wall_time_s`` line) or stderr differs, and exits 1 on any difference,
+0 when there is none.  It uses only the standard library; each checkout's
+perfbench reads its jobs.
+"""
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SEEDS = (1, 2, 3)
+SECONDS = 30
+
+# run inside a checkout: one JSON line [argv, exit code, stdout, stderr]
+# per distinct argv, in order
+RUNNER = r"""
+import contextlib, io, json, re, shlex, sys
+sys.path[:0] = ["src", "perfbench"]
+import run
+from ewbench import cli
+
+seeds, seconds, extra = json.loads(sys.argv[1])
+argvs = []
+for workload in run.bench_jobs.WORKLOADS:
+    cycles, _ = run.cycles_for(workload, seconds, min_jobs=run.MIN_JOBS)
+    for seed in seeds:
+        argvs += [list(job.argv) for job in run.bench_jobs.make_jobs(workload, seed, cycles)]
+with open("README.md", encoding="utf-8") as fh:
+    lines = re.findall(r"^ewbench +[a-z].*$", fh.read(), re.M)
+argvs += [shlex.split(line)[1:] for line in lines] + [shlex.split(e) for e in extra]
+seen = set()
+for argv in argvs:
+    if tuple(argv) in seen:
+        continue
+    seen.add(tuple(argv))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        except Exception as exc:
+            rc, err = "raised", io.StringIO(f"{type(exc).__name__}: {exc}")
+    text = re.sub(r'^ *"wall_time_s": .*\n', "", out.getvalue(), flags=re.M)
+    print(json.dumps([argv, rc, text, err.getvalue()]), flush=True)
+"""
+
+
+def reports(checkout, extra):
+    """{argv: (exit code, stdout, stderr)} of every argv in ``checkout``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", RUNNER, json.dumps([SEEDS, SECONDS, extra])],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    if proc.returncode:
+        sys.exit(f"error: the runner failed in {checkout}:\n{proc.stderr}")
+    rows = (json.loads(line) for line in proc.stdout.splitlines())
+    return {tuple(argv): tuple(rest) for argv, *rest in rows}
+
+
+def main(argv):
+    if len(argv) < 2:
+        sys.exit(__doc__)
+    old_dir, new_dir, extra = Path(argv[0]), Path(argv[1]), argv[2:]
+    old, new = reports(old_dir, extra), reports(new_dir, extra)
+    names = ("exit code", "stdout", "stderr")
+    differ = 0
+    for key in list(old) + [k for k in new if k not in old]:
+        if key not in old or key not in new:
+            differ += 1
+            print(f"only in {old_dir if key in old else new_dir}: {' '.join(key)}")
+            continue
+        what = [n for n, a, b in zip(names, old[key], new[key]) if a != b]
+        if what:
+            differ += 1
+            print(f"{', '.join(what)} differ: {' '.join(key)}")
+            for n, a, b in zip(names, old[key], new[key]):
+                if a != b:
+                    print(f"  {n} old: {str(a).strip()!r:.300}\n  {n} new: {str(b).strip()!r:.300}")
+    print(f"{len(set(old) | set(new))} argvs, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
