@@ -1,4 +1,4 @@
-"""Metric curvature, the metric Hodge star in 4D, and field-equation residuals.
+"""Metric curvature and field-equation residuals.
 
 Everything here is a pointwise computation from packed derivative arrays of
 the metric components.  The curvature convention is pinned by an oracle, not
@@ -15,9 +15,19 @@ R_ab = -3 l^-2 g_ab, which is the sign the cosmological field equation
 
 needs to cancel at F = 0.  |F|^2 means F_ab F^ab with no extra factor; the
 halved alternative is exposed through ``fsq_scale`` purely so the tests can
-demonstrate it fails.  The 4D star uses the chart's coordinate order for the
-orientation; the Maxwell residual d(star dA) is insensitive to that global
-sign.
+demonstrate it fails.
+
+Maxwell's equation d star F = 0 is evaluated in divergence form.  With
+(star F)_ab = (1/2) sqrt|g| eps_abcd F^cd and eps_0123 = +1 in the chart's
+coordinate order, the coordinate identity
+
+    (d star F)_abc = eps_abcd J^d,    J^d = d_e (sqrt|g| F^ed),
+
+holds, so the residual needs g and F = dA through order 1 only: the
+derivatives d_e g^ab = -g^ac (d_e g_cd) g^db and
+d_e sqrt|g| = (1/2) sqrt|g| g^ab d_e g_ab come from the same packed metric
+arrays as the curvature.  The orientation flips every component at once,
+so a zero residual does not depend on it.
 
 Derivatives of the metric come from jets by default; ``method="fd"``
 switches every partial to the finite-difference oracle for an independent
@@ -26,20 +36,11 @@ cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
-from .errors import SingularMetricError
-from .forms import (
-    METRIC_DET_TOL,
-    PForm,
-    ext_d,
-    jet_det,
-    jet_inv,
-    metric_from_coframe,
-)
-from .jets import Field, anywhere, fd_oracle, first_where, sqrt as jet_sqrt
+from .forms import ext_d, metric_det, metric_from_coframe
+from .jets import fd_oracle
 
 __all__ = [
     "christoffel",
@@ -48,7 +49,6 @@ __all__ = [
     "kretschmann",
     "CurvatureReport",
     "curvature_report",
-    "hodge4",
     "f_squared",
     "scalar_invariants",
     "maxwell_residual",
@@ -83,13 +83,13 @@ def _metric_arrays(g, pt, method="jet"):
                         ddg[..., cc, dd, a, b] = ddg[..., cc, dd, b, a] = vv
     else:
         raise ValueError(f"unknown derivative method {method!r}")
-    det = np.linalg.det(g0)
-    small = np.abs(det) < METRIC_DET_TOL
-    if anywhere(small):
-        raise SingularMetricError(
-            f"|det g| = {abs(first_where(det, small)):.3e} at {pt.coords}"
-        )
+    metric_det(g0, pt)
     return g0, dg, ddg, np.linalg.inv(g0)
+
+
+def _inverse_partial(ginv, dg):
+    """dginv[e,a,b] = d_e g^ab = -g^af (d_e g_fh) g^hb."""
+    return -np.einsum("...af,...efh,...hb->...eab", ginv, dg, ginv)
 
 
 def _gamma_and_partial(g0, dg, ddg, ginv):
@@ -97,7 +97,7 @@ def _gamma_and_partial(g0, dg, ddg, ginv):
     dginv[e,a,b] = d_e g^ab."""
     t = np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg
     gamma = 0.5 * np.einsum("...ad,...dbc->...abc", ginv, t)
-    dginv = -np.einsum("...af,...efh,...hb->...eab", ginv, dg, ginv)
+    dginv = _inverse_partial(ginv, dg)
     dt = (
         np.einsum("...ebdc->...edbc", ddg)
         + np.einsum("...ecdb->...edbc", ddg)
@@ -176,81 +176,20 @@ def curvature_report(g, pt, method="jet"):
 
 
 # ---------------------------------------------------------------------------
-# 4D Hodge star and Maxwell operators
+# Maxwell and Einstein-Maxwell residuals
 # ---------------------------------------------------------------------------
 
 
-def _perm_sign(p):
-    sign = 1
-    p = list(p)
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                sign = -sign
-    return sign
-
-
-_EPS4 = np.zeros((4, 4, 4, 4))
-for _p in permutations(range(4)):
-    _EPS4[_p] = _perm_sign(_p)
-
-_PAIRS4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
-def _volume_jet(det):
-    """sqrt(|det|) as a jet, sign-aware for Lorentzian metrics."""
-    return jet_sqrt(abs(det))
-
-
-def hodge4(F, g):
-    """(star F)_ab = (1/2) sqrt|det g| eps_abcd F^cd with field components.
-
-    eps has eps_0123 = +1 in the chart's coordinate order.
-    """
-    if F.degree != 2 or len(F.chart) != 4:
-        raise ValueError("hodge4 expects a 2-form on a 4D chart")
-    if F.chart != g.chart:
-        raise ValueError("chart mismatch in hodge4")
-
-    # one evaluation per scope serves all six components
-    @Field
-    def block(pt, order=0):
-        rows = g.jet_matrix_at(pt, order)
-        det = jet_det(rows)
-        small = np.abs(det.value) < METRIC_DET_TOL
-        if anywhere(small):
-            raise SingularMetricError(f"|det g| = {abs(first_where(det.value, small)):.3e}")
-        inv = jet_inv(rows, det)
-        vol = _volume_jet(det)
-        f_low = {pair: F.comp(pair)(pt, order) for pair in _PAIRS4}
-        out = {}
-        for a, b in _PAIRS4:
-            c, d = (i for i in range(4) if i not in (a, b))
-            sign = _EPS4[a, b, c, d]
-            # F^cd = sum_{e<f} (g^ce g^df - g^cf g^de) F_ef
-            total = None
-            for (e, f), jet in f_low.items():
-                coeff = inv[c][e] * inv[d][f] - inv[c][f] * inv[d][e]
-                term = coeff * jet
-                total = term if total is None else total + term
-            star = vol * total
-            out[(a, b)] = star if sign > 0 else -star
-        return out
-
-    def comp_field(idx):
-        return Field(lambda pt, order=0: block(pt, order)[idx])
-
-    return PForm(F.chart, 2, {idx: comp_field(idx) for idx in _PAIRS4})
-
-
-def _f_matrix(F, pt):
+def _field_strength(A, pt, order):
+    """Packed arrays of F = dA through ``order``, like ``MetricField.jets_at``:
+    F[a,b], dF[c,a,b] = d_c F_ab, each antisymmetric in a, b."""
+    F = ext_d(A)
     n = len(F.chart)
-    m = np.zeros(pt.shape + (n, n))
+    packed = tuple(np.zeros(pt.shape + (n,) * (k + 2)) for k in range(order + 1))
     for (a, b), f in F.comps.items():
-        v = f(pt, 0).value
-        m[..., a, b] = v
-        m[..., b, a] = -v
-    return m
+        for arr, part in zip(packed, f(pt, order).parts):
+            arr[..., a, b], arr[..., b, a] = part, -part
+    return packed
 
 
 def _f_contract(fm, ginv):
@@ -259,7 +198,7 @@ def _f_contract(fm, ginv):
 
 def f_squared(A, g, pt):
     """|F|^2 = F_ab F^ab for F = dA."""
-    return _f_contract(_f_matrix(ext_d(A), pt), g.inverse_at(pt))
+    return _f_contract(_field_strength(A, pt, 0)[0], g.inverse_at(pt))
 
 
 def scalar_invariants(g, A, pt):
@@ -268,13 +207,32 @@ def scalar_invariants(g, A, pt):
     inverted once.  The last two equal ``f_squared`` and ``g.matrix_at``
     bit for bit, since a jet's value is the order-0 jet."""
     _, _, _, k, g0, ginv = _curvature(g, pt, "jet", scalar=True)
-    return k, _f_contract(_f_matrix(ext_d(A), pt), ginv), g0
+    return k, _f_contract(_field_strength(A, pt, 0)[0], ginv), g0
 
 
 def maxwell_residual(A, g, pt):
-    """Components of d(star dA), ordered by sorted 3-index tuples."""
-    r = ext_d(hodge4(ext_d(A), g))
-    return r.values_at(pt, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
+    """Components of d(star dA) at the sorted 3-index tuples 012, 013, 023,
+    123: eps_abcd J^d with J^d = d_e(sqrt|g| F^ed), that is J^3, -J^2,
+    J^1, -J^0."""
+    g0, dg = g.jets_at(pt, 1)
+    vol = np.sqrt(np.abs(metric_det(g0, pt)))
+    ginv = np.linalg.inv(g0)
+    dginv = _inverse_partial(ginv, dg)
+    fm, dfm = _field_strength(A, pt, 1)
+    # F^ed and its partials d_c F^ed
+    f_up = np.einsum("...ea,...ab,...db->...ed", ginv, fm, ginv)
+    df_up = (
+        np.einsum("...cea,...ab,...db->...ced", dginv, fm, ginv)
+        + np.einsum("...ea,...cab,...db->...ced", ginv, dfm, ginv)
+        + np.einsum("...ea,...ab,...cdb->...ced", ginv, fm, dginv)
+    )
+    # d_e sqrt|g| / sqrt|g| = (1/2) g^ab d_e g_ab
+    dlog_vol = 0.5 * np.einsum("...ab,...eab->...e", ginv, dg)
+    div = np.einsum("...e,...ed->...d", dlog_vol, f_up) + np.einsum("...eed->...d", df_up)
+    j_up = vol[..., None] * div
+    return np.stack(
+        (j_up[..., 3], -j_up[..., 2], j_up[..., 1], -j_up[..., 0]), axis=-1
+    )
 
 
 def em_residual(g, A, ell, pt, fsq_scale=1.0):
@@ -284,7 +242,7 @@ def em_residual(g, A, ell, pt, fsq_scale=1.0):
     exercised; 1.0 is the pinned convention.
     """
     _, _, ric, _, g0, ginv = _curvature(g, pt, "jet")
-    fm = _f_matrix(ext_d(A), pt)
+    fm = _field_strength(A, pt, 0)[0]
     stress = np.einsum("...ac,...bd,...dc->...ab", fm, fm, ginv)
     fsq = _f_contract(fm, ginv)
     return (

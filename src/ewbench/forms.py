@@ -37,6 +37,7 @@ __all__ = [
     "symmetric_product",
     "jet_det",
     "jet_inv",
+    "metric_det",
 ]
 
 FRAME_DET_TOL = 1e-12
@@ -453,22 +454,25 @@ class MetricField:
 
     def inverse_at(self, pt):
         g = self.matrix_at(pt)
-        if anywhere(np.abs(np.linalg.det(g)) < METRIC_DET_TOL):
-            raise SingularMetricError("metric not invertible at point")
+        metric_det(g, pt)
         return np.linalg.inv(g)
 
     def signature_at(self, pt):
         """(positive, negative) eigenvalue counts, per row of a batch."""
         return signature(self.matrix_at(pt))
 
-    def jet_matrix_at(self, pt, order):
-        """Dense jet matrix, for algebra that must stay differentiable."""
-        n = self.dim
-        rows = [[None] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                rows[a][b] = self.comp(a, b)(pt, order)
-        return rows
+
+def metric_det(g0, pt):
+    """det g of the metric matrix ``g0`` at ``pt`` (per row of a batch),
+    the one singular-metric test before a metric is inverted: where |det g|
+    is below METRIC_DET_TOL it raises SingularMetricError naming the point."""
+    det = np.linalg.det(g0)
+    small = np.abs(det) < METRIC_DET_TOL
+    if anywhere(small):
+        raise SingularMetricError(
+            f"|det g| = {abs(first_where(det, small)):.3e} at {pt.coords}"
+        )
+    return det
 
 
 def signature(matrix):

@@ -343,12 +343,6 @@ class Jet:
     def __neg__(self):
         return Jet([-p for p in self.parts])
 
-    def __abs__(self):
-        """The jet of |f|: every part times the sign of the value, row by row
-        (a zero value counts as positive)."""
-        sign = np.where(self.value < 0.0, -1.0, 1.0)
-        return Jet([p * _scaler(sign, k) for k, p in enumerate(self.parts)])
-
     def __sub__(self, other):
         if isinstance(other, (int, float)):
             return Jet([self.parts[0] - float(other), *self.parts[1:]])
@@ -518,7 +512,15 @@ def _derivatives(series, v, *args):
 def _reciprocal_series(v, count):
     """The first ``count`` of 1/v, -1/v^2, 2/v^3, -6/v^4: the derivatives of
     1/x at v, computed only as far as they are read."""
-    return [c / v ** (k + 1) for k, c in enumerate((1.0, -1.0, 2.0, -6.0)[:count])]
+    return [_over_power(c, v, k + 1) for k, c in enumerate((1.0, -1.0, 2.0, -6.0)[:count])]
+
+
+def _over_power(c, v, k):
+    """c / v^k; where v^k overflows, c (1/v)^k, which only underflows."""
+    try:
+        return c / v**k
+    except OverflowError:
+        return c * (1.0 / v) ** k
 
 
 def _power_series(v, c, order):

@@ -326,8 +326,9 @@ def flat_limit(factory, ells):
             report[key].append(run_check(f"lift.{key}", fn, pts, math.inf).max)
         report["ell_used"].append(data.ell)
     gaps = report["form_gap"]
+    # a later gap of exactly 0 has no ratio: null in the report
     report["ratios"] = [
-        gaps[i] / gaps[i + 1] if gaps[i + 1] else float("inf")
+        gaps[i] / gaps[i + 1] if gaps[i + 1] else None
         for i in range(len(gaps) - 1)
     ]
     report["diverges"] = (

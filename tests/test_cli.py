@@ -22,7 +22,6 @@ from ewbench import (
     ext_d,
     heisenberg,
     hodge3,
-    hodge4,
     parse_field,
     psi_const,
     ricci,
@@ -279,6 +278,20 @@ class TestLimit:
         assert code == EXIT_SAMPLING
         assert out == ""
 
+    def test_overflowing_divisors_with_finite_quotients_pass(self, capsys):
+        code, _ = run_cli(
+            capsys, "limit", "--case", "heisenberg", "--ells", "1e10,1e300",
+        )
+        assert code == EXIT_PASS
+
+    def test_a_zero_later_gap_has_a_null_ratio(self, capsys):
+        code, rep = run_json(
+            capsys, "limit", "--case", "class-b", "--ells", "100,1e100",
+        )
+        assert code == EXIT_PASS
+        assert rep["detail"]["form_gap"][1] == 0.0
+        assert rep["detail"]["ratios"] == [None]
+
 
 # --- eval ------------------------------------------------------------------------
 
@@ -328,6 +341,11 @@ class TestEval:
             ("ln(x)", "x=1e-200", 2),
             ("sqrt(x)", "x=1e-200", 3),
             ("x^0.5", "x=1e-200", 3),
+            # a power of the divisor overflows, the quotient only underflows
+            ("1/x", "x=1e100", 4),
+            ("x^(-2)", "x=1e200", 4),
+            ("ln(x)", "x=1e200", 4),
+            ("x/1e300", "x=1", 4),
         ],
     )
     def test_only_parts_through_the_order_can_overflow(
@@ -697,15 +715,15 @@ class TestDeterminism:
         pts4 = [ChartPoint.make(data.chart, (0.3,) + q.coords) for q in pts3]
         cases = (
             (hodge3(base.omega, base.frame), pts3),
-            (hodge4(ext_d(data.potential), data.g), pts4),
+            (ext_d(data.potential), pts4),
         )
 
         def evaluate():
             out = []
-            for star, pts in cases:
+            for form, pts in cases:
                 for q in pts:
                     with evaluation_scope():
-                        out.append([f(q, 1).grad.tolist() for f in star.comps.values()])
+                        out.append([f(q, 1).grad.tolist() for f in form.comps.values()])
             return out
 
         serial = evaluate()

@@ -13,7 +13,6 @@ from ewbench import (
     f_squared,
     from_H,
     heisenberg,
-    hodge4,
     kretschmann,
     maxwell_residual,
     parse_field,
@@ -21,12 +20,11 @@ from ewbench import (
     ricci,
     riemann,
     weyl_ricci_residual,
-    wedge,
 )
 from ewbench.errors import SingularMetricError
 from ewbench.families import class_b, default_domain
 from ewbench.forms import coordinate_form, zero_form
-from ewbench.jets import ChartPoint, PointBatch, sample
+from ewbench.jets import ChartPoint, PointBatch, fd_oracle, sample
 from ewbench.lift import ALPHA_WINDOW, build, fix_ell_sign
 
 from conftest import XYT, box_points, pt
@@ -183,59 +181,51 @@ class TestRiemann:
         assert np.abs(cyc).max() <= 1e-9
 
 
-# --- Hodge star and Maxwell -----------------------------------------------------
+# --- Maxwell ------------------------------------------------------------------
 
 
-class TestHodge4:
-    def test_minkowski_spatial_plane(self):
-        g = minkowski()
-        F = wedge(coordinate_form(MINK4, "x"), coordinate_form(MINK4, "y"))
-        star = hodge4(F, g)
-        q = pt(MINK4, 0.0, 0.0, 0.0, 0.0)
-        vals = {key: f(q, 0).value for key, f in star.comps.items()}
-        assert abs(vals[(2, 3)]) == pytest.approx(1.0)
-        others = [v for k, v in vals.items() if k != (2, 3)]
-        assert np.abs(others).max() <= 1e-15
+def curved_metric():
+    """A curved, non-diagonal Lorentzian metric on MINK4."""
+    f = lambda src: parse_field(src, MINK4)
+    return MetricField(
+        MINK4,
+        {
+            (0, 0): f("2+sin(y)"),
+            (0, 3): f("0.3*x*z"),
+            (1, 1): f("1+x^2"),
+            (1, 2): f("0.2*t"),
+            (2, 2): 1.0,
+            (3, 3): f("-1-0.1*y^2"),
+        },
+    )
 
-    def test_double_star_is_minus_identity(self, rng):
-        g = minkowski()
-        fields = [parse_field(src, MINK4) for src in ("sin(x)+2", "y*t", "exp(z)")]
-        F = (
-            wedge(coordinate_form(MINK4, "x"), coordinate_form(MINK4, "y")).scale(fields[0])
-            + wedge(coordinate_form(MINK4, "y"), coordinate_form(MINK4, "z")).scale(fields[1])
-            + wedge(coordinate_form(MINK4, "z"), coordinate_form(MINK4, "t")).scale(fields[2])
-        )
-        double = hodge4(hodge4(F, g), g)
-        for _ in range(5):
-            q = pt(MINK4, *rng.uniform(-1, 1, size=4))
-            assert (double + F).max_abs_at(q) <= 1e-12
 
-    def test_conformal_invariance_on_two_forms(self, rng):
-        g = minkowski()
-        scaled = g.scale(parse_field("exp(0.3*x)+1", MINK4))
-        F = wedge(coordinate_form(MINK4, "x"), coordinate_form(MINK4, "t")).scale(
-            parse_field("y^2+1", MINK4)
-        )
-        a = hodge4(F, g)
-        b = hodge4(F, scaled)
-        for _ in range(5):
-            q = pt(MINK4, *rng.uniform(-1, 1, size=4))
-            assert (a - b).max_abs_at(q) <= 1e-12
+def non_solution_potential():
+    """A = x^2 sin(t) dy + (yz + e^(0.2x)) dt, with d star dA != 0."""
+    return coordinate_form(MINK4, "y").scale(parse_field("x^2*sin(t)", MINK4)) + (
+        coordinate_form(MINK4, "t").scale(parse_field("y*z+exp(0.2*x)", MINK4))
+    )
 
-    def test_degree_and_chart_guards(self):
-        g = minkowski()
-        with pytest.raises(ValueError):
-            hodge4(coordinate_form(MINK4, "x"), g)
-        F3 = wedge(coordinate_form(XYT, "x"), coordinate_form(XYT, "y"))
-        with pytest.raises(ValueError):
-            hodge4(F3, g)
 
-    def test_singular_metric_rejected(self):
-        g = MetricField.from_value_matrix(MINK4, np.diag([1.0, 1.0, 1.0, 0.0]))
-        F = wedge(coordinate_form(MINK4, "x"), coordinate_form(MINK4, "y"))
-        star = hodge4(F, g)
-        with pytest.raises(SingularMetricError):
-            star.comp((0, 1))(pt(MINK4, 0.0, 0.0, 0.0, 0.0), 0)
+def maxwell_by_values(A, g, q, h=2e-3):
+    """(eps_abcd J^d) for abc = 012, 013, 023, 123, J^d = d_e(sqrt|g| F^ed),
+    from values only: F_ab = d_a A_b - d_b A_a by ``fd_oracle``, g from
+    ``matrix_at``, and d_e by a 4th-order central stencil of step h."""
+
+    def density(r):
+        # da[a, b] = d_a A_b
+        da = np.array([[fd_oracle(A.comp((b,)), r, (a,)) for b in range(4)] for a in range(4)])
+        fm = da - da.T
+        gm = g.matrix_at(r)
+        ginv = np.linalg.inv(gm)
+        return np.sqrt(abs(np.linalg.det(gm))) * ginv @ fm @ ginv
+
+    j_up = np.zeros(4)
+    for e in range(4):
+        x = q.coords[e]
+        w = [density(q.with_coord(e, x + k * h)) for k in (-2, -1, 1, 2)]
+        j_up += ((w[0] - 8.0 * w[1] + 8.0 * w[2] - w[3]) / (12.0 * h))[e]
+    return np.array([j_up[3], -j_up[2], j_up[1], -j_up[0]])
 
 
 class TestMaxwell:
@@ -254,6 +244,35 @@ class TestMaxwell:
         q = pt(MINK4, 0.0, 0.0, 0.0, 0.0)
         # F = dx^dy, |F|^2 = F_ab F^ab = 2 for a unit spatial plane
         assert f_squared(A, minkowski(), q) == pytest.approx(2.0)
+
+    def test_agrees_with_a_values_only_oracle(self, rng):
+        A, g = non_solution_potential(), curved_metric()
+        for _ in range(4):
+            q = pt(MINK4, *rng.uniform(-0.8, 0.8, size=4))
+            want = maxwell_by_values(A, g, q)
+            got = maxwell_residual(A, g, q)
+            assert np.abs(want).max() > 0.1
+            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+    def test_conformal_invariance(self, rng):
+        A, g = non_solution_potential(), curved_metric()
+        scaled = g.scale(parse_field("exp(0.3*x)+1", MINK4))
+        rows = rng.uniform(-0.8, 0.8, size=(6, 4))
+        q = PointBatch(MINK4, rows)
+        a, b = maxwell_residual(A, g, q), maxwell_residual(A, scaled, q)
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
+
+    @pytest.mark.parametrize(
+        "check",
+        [maxwell_residual, f_squared, lambda A, g, q: ricci(g, q)],
+        ids=["maxwell", "f_squared", "ricci"],
+    )
+    def test_singular_metric_names_its_point(self, check):
+        g = MetricField.from_value_matrix(MINK4, np.diag([1.0, 1.0, 1.0, 0.0]))
+        A = coordinate_form(MINK4, "y").scale(parse_field("x", MINK4))
+        with pytest.raises(SingularMetricError) as err:
+            check(A, g, pt(MINK4, 0.0, 0.0, 0.0, 0.0))
+        assert str(err.value) == "|det g| = 0.000e+00 at (0.0, 0.0, 0.0, 0.0)"
 
 
 # --- Einstein-Maxwell residual ---------------------------------------------------
