@@ -99,6 +99,15 @@ DEFAULTS = {
 
 _EXPR_FLAGS = ("beta", "F", "K", "H", "A", "B", "f")
 
+# the flags each subcommand reads; giving it any other is a configuration
+# error (config-file keys are not held to this: one file may serve all)
+_CASE_FLAGS = ("case", "ell", "checks", "points", "seed", "tol", "beta", "F", "K", "H", "A", "B")
+READ_FLAGS = {
+    "verify": _CASE_FLAGS + ("c", "f", "out"),
+    "lift": _CASE_FLAGS + ("c", "chart", "out"),
+    "limit": ("case", "checks", "tol", "c", "ells", "out"),
+}
+
 # options whose value may start with "-": the expressions, and the ells
 # sequence, whose first ell may be negative
 _DASH_VALUE_OPTIONS = frozenset(
@@ -237,8 +246,11 @@ def merge_config(args):
             cfg[key] = val
     for key in DEFAULTS:
         val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+        if val is None or key == "command":
+            continue
+        if key not in READ_FLAGS[args.command]:
+            raise ConfigError(f"--{key} is not used by {args.command}")
+        cfg[key] = val
     if cfg["tol"] is not None and not 0 < cfg["tol"] < math.inf:
         raise ConfigError("tol must be positive and finite")
     for key in ("ell", "c"):
@@ -252,9 +264,10 @@ def merge_config(args):
 
 
 def parse_checks(cfg, default):
-    """The requested check names; each must be one the subcommand offers."""
+    """The requested check names, each once, in the order first given;
+    each must be one the subcommand offers."""
     raw = cfg["checks"] or default
-    names = tuple(s.strip() for s in raw.split(",") if s.strip())
+    names = tuple(dict.fromkeys(s.strip() for s in raw.split(",") if s.strip()))
     command = cfg["command"]
     for n in names:
         if n not in CHECK_NAMES:
@@ -345,7 +358,9 @@ def cmd_verify(cfg):
         s = gauge_transform(s, ex.parse_field(cfg["f"], s.chart))
     fns = _verify_fns(s, cfg, names)
     pts = sample(dom)
-    results = [run_check(n, fns[n], pts, tol) for n in names]
+    # the checks share one scope: the frame and monopole jets are built once
+    with jets.evaluation_scope():
+        results = [run_check(n, fns[n], pts, tol) for n in names]
     report = build_report(_echo(cfg), s.chart, len(pts), results)
     return report
 
@@ -399,20 +414,22 @@ def cmd_lift(cfg):
     data = lift_mod.build(lcfg)
     pts4 = _lift_points(data.chart, cfg["seed"], base_pts)
     results = []
-    for name in names:
-        if name == "em":
-            fn = lambda q: em_residual(data.g, data.potential, data.ell, q)
-            results.append(run_check(name, fn, pts4, tol))
-        elif name == "maxwell":
-            fn = lambda q: maxwell_residual(data.potential, data.g, q)
-            results.append(run_check(name, fn, pts4, tol))
-        elif name == "invariants":
-            data_p, fn = _invariant_fn(lcfg, data)
-            pts_p = _lift_points(data_p.chart, cfg["seed"], base_pts)
-            results.append(run_check(name, fn, pts_p, tol))
-        else:
-            fn = _verify_fns(base, cfg, (name,))[name]
-            results.append(run_check(name, fn, base_pts, tol))
+    # the checks share one scope: em, maxwell and invariants pack g once
+    with jets.evaluation_scope():
+        for name in names:
+            if name == "em":
+                fn = lambda q: em_residual(data.g, data.potential, data.ell, q)
+                results.append(run_check(name, fn, pts4, tol))
+            elif name == "maxwell":
+                fn = lambda q: maxwell_residual(data.potential, data.g, q)
+                results.append(run_check(name, fn, pts4, tol))
+            elif name == "invariants":
+                data_p, fn = _invariant_fn(lcfg, data)
+                pts_p = _lift_points(data_p.chart, cfg["seed"], base_pts)
+                results.append(run_check(name, fn, pts_p, tol))
+            else:
+                fn = _verify_fns(base, cfg, (name,))[name]
+                results.append(run_check(name, fn, base_pts, tol))
     report = build_report(_echo(cfg), data.chart, len(pts4), results)
     return report
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularFrameError, SingularMetricError
-from .jets import Field, ZERO_FIELD, anywhere, first_where, pack
+from .jets import Field, ZERO_FIELD, anywhere, first_where, pack, shared_scope
 
 __all__ = [
     "PForm",
@@ -443,13 +443,29 @@ class MetricField:
     def jets_at(self, pt, order):
         """Packed value and derivative arrays through ``order``: the
         ``order + 1`` first of g, dg[c,a,b] = d_c g_ab, ddg[c,d,a,b], ...,
-        each with the batch axis first over a batch.  Nothing above the
-        order is allocated."""
+        each with the batch axis first over a batch.
+
+        The arrays are read-only and kept in the evaluation scope under
+        (metric, point), so the checks of one scope pack the metric once: a
+        call answers a lower order with the first ``order + 1`` arrays of a
+        higher one packed before.  Where the parts are finite those are the
+        arrays of a new order-``order`` packing bit for bit, because a jet's
+        parts do not depend on the order above them.  Nothing above the
+        highest order asked is allocated."""
+        with shared_scope() as memo:
+            packed = memo.get((self, pt), ())
+            if len(packed) <= order:
+                packed = memo[(self, pt)] = self._pack(pt, order)
+            return packed[: order + 1]
+
+    def _pack(self, pt, order):
         n = self.dim
         packed = tuple(np.zeros(pt.shape + (n,) * (k + 2)) for k in range(order + 1))
         for (a, b), f in self.comps.items():
             for arr, part in zip(packed, f(pt, order).parts):
                 arr[..., a, b] = arr[..., b, a] = part
+        for arr in packed:
+            arr.flags.writeable = False
         return packed
 
     def inverse_at(self, pt):

@@ -36,9 +36,10 @@ inf * 0 stays NaN.
 Field evaluations are memoized on the exact ``(field, point, order)`` in the
 open :func:`evaluation_scope`, so shared subexpressions are evaluated once.
 ``report.run_check`` is the one loop over sample or probe points: it
-evaluates each check once over the batch of all its points, in one scope.
-A call made with no scope open gets one for its own duration.  The memo is
-a context variable, never shared between threads.
+evaluates each check once over the batch of all its points, in the open
+scope, so the checks of one command share their evaluations.  A call made
+with no scope open gets one for its own duration.  The memo is a context
+variable, never shared between threads.
 
 The module also provides the independent finite-difference oracle used to
 cross-check jet output, and deterministic rejection sampling of guarded
@@ -74,6 +75,7 @@ __all__ = [
     "first_where",
     "Field",
     "evaluation_scope",
+    "shared_scope",
     "Guard",
     "SampleDomain",
     "sample",
@@ -618,12 +620,31 @@ _SCOPE = ContextVar("ewbench_evaluation_scope", default=None)
 
 @contextmanager
 def evaluation_scope():
-    """Share field evaluations made inside the block; forget them after it."""
+    """Share field evaluations made inside the block; forget them after it.
+
+    The block always gets a new, empty memo: a scope open around it is
+    neither read nor filled inside the block.  The CLI opens one scope for
+    the checks of a command, ``lift.validate_config`` one for its checks,
+    ``lift.flat_limit`` one per ell, and ``sample`` one per batch of draws,
+    so a scope holds only what its job can reuse.
+    """
     token = _SCOPE.set({})
     try:
         yield
     finally:
         _SCOPE.reset(token)
+
+
+@contextmanager
+def shared_scope():
+    """The memo of the open evaluation scope for the block, or of a new one
+    when none is open."""
+    memo = _SCOPE.get()
+    if memo is not None:
+        yield memo
+        return
+    with evaluation_scope():
+        yield _SCOPE.get()
 
 
 class Field:
@@ -865,7 +886,9 @@ def sample(domain):
     prefix falls short; guard k sees only the rows that guards 0..k-1
     accepted.  If a guard raises on a batch, that batch is screened again
     row by row in draw order, so a row past the last one accepted never
-    raises.  Deterministic for a fixed seed.  Raises
+    raises.  Each batch is screened in an evaluation scope of its own, so
+    no guard evaluation outlives its batch or enters a scope open around
+    the call.  Deterministic for a fixed seed.  Raises
     SamplingExhaustedError, with the number of draws each guard rejected,
     when the acceptance rate is below 1% after a million draws; a batch
     that can trigger it is screened whole, so those numbers do not depend
@@ -885,14 +908,15 @@ def sample(domain):
         prefix = (
             _prefix_rows(need, passed, passed + sum(rejected)) if drawn < _MAX_DRAWS else _BATCH
         )
-        try:
-            keep, counts = _screen(domain, rows[:prefix])
-            if len(keep) < need and prefix < _BATCH:
-                more, counts_more = _screen(domain, rows[prefix:])
-                keep = np.concatenate([keep, more + prefix])
-                counts = [a + b for a, b in zip(counts, counts_more)]
-        except EwbenchError:
-            keep, counts = _screen_rows(domain, rows, need)
+        with evaluation_scope():
+            try:
+                keep, counts = _screen(domain, rows[:prefix])
+                if len(keep) < need and prefix < _BATCH:
+                    more, counts_more = _screen(domain, rows[prefix:])
+                    keep = np.concatenate([keep, more + prefix])
+                    counts = [a + b for a, b in zip(counts, counts_more)]
+            except EwbenchError:
+                keep, counts = _screen_rows(domain, rows, need)
         passed += len(keep)
         rejected = [a + b for a, b in zip(rejected, counts)]
         accepted.extend(

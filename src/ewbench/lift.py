@@ -121,30 +121,32 @@ def validate_config(cfg):
     """Check the gauge, the base structure equations, and psi on probes.
 
     Each condition is one ``run_check`` over the probes, named
-    ``lift.gauge``, ``lift.gt`` and ``lift.psi``; a failing verdict raises
-    GaugeViolationError (gauge, structure equations) or PsiResidualError,
-    and a non-finite residual raises DomainError.
+    ``lift.gauge``, ``lift.gt`` and ``lift.psi``, all in one evaluation
+    scope of their own; a failing verdict raises GaugeViolationError
+    (gauge, structure equations) or PsiResidualError, and a non-finite
+    residual raises DomainError.
     """
     probes = cfg.probes or default_probes(cfg.base.chart)
     base = cfg.base
-    r = run_check(
-        "lift.gauge", lambda q: base.V(q, 0).value * cfg.ell + 2.0, probes, GAUGE_TOL
-    )
-    if r.verdict == "fail":
-        raise GaugeViolationError(
-            f"V*ell + 2 reaches {r.max:.3e}; the gauge V = -2/ell fails"
-        )
-    r = run_check("lift.gt", lambda q: gt_residual(base, q), probes, GT_TOL)
-    if r.verdict == "fail":
-        raise GaugeViolationError(
-            f"base structure equations fail: residual {r.max:.3e}"
-        )
-    if cfg.psi is not None:
+    with jets.evaluation_scope():
         r = run_check(
-            "lift.psi", lambda q: psi_residual(cfg.psi, base, q), probes, PSI_TOL
+            "lift.gauge", lambda q: base.V(q, 0).value * cfg.ell + 2.0, probes, GAUGE_TOL
         )
         if r.verdict == "fail":
-            raise PsiResidualError(f"psi residual reaches {r.max:.3e}")
+            raise GaugeViolationError(
+                f"V*ell + 2 reaches {r.max:.3e}; the gauge V = -2/ell fails"
+            )
+        r = run_check("lift.gt", lambda q: gt_residual(base, q), probes, GT_TOL)
+        if r.verdict == "fail":
+            raise GaugeViolationError(
+                f"base structure equations fail: residual {r.max:.3e}"
+            )
+        if cfg.psi is not None:
+            r = run_check(
+                "lift.psi", lambda q: psi_residual(cfg.psi, base, q), probes, PSI_TOL
+            )
+            if r.verdict == "fail":
+                raise PsiResidualError(f"psi residual reaches {r.max:.3e}")
     return probes
 
 
@@ -288,7 +290,8 @@ def flat_limit(factory, ells):
 
     Each per-ell maximum is one ``run_check`` over the points, named
     ``lift.<key>`` after its report key, so a non-finite value raises
-    DomainError.
+    DomainError.  Each ell is built and checked in one evaluation scope
+    (its validation in one of its own), closed before the next ell.
     """
     ells = [float(e) for e in ells]
     if len(ells) < 2:
@@ -306,24 +309,25 @@ def flat_limit(factory, ells):
     # every ell is evaluated at the same six seeded points of [-0.8, 0.8]^4
     rows = np.random.default_rng(2026).uniform(-0.8, 0.8, size=(6, 4))
     for ell in ells:
-        cfg = factory(ell)
-        data = build_p(cfg)
-        chart4 = data.chart
-        pts = tuple(ChartPoint.make(chart4, row) for row in rows)
-        g_lim = _limit_form(cfg, chart4)
-        om4 = embed_form(cfg.base.omega, chart4)
-        f_target = ext_d(om4).scale(data.ell / 4.0)
-        f_full = ext_d(data.potential)
-        keys = sorted(set(f_full.comps) | set(f_target.comps))
-        residuals = {
-            "form_gap": lambda q: data.g.matrix_at(q) - g_lim.matrix_at(q),
-            "f_gap": lambda q: f_full.values_at(q, keys) - f_target.values_at(q, keys),
-            "f_term": lambda q: f_target.values_at(q, keys),
-            "f_norm": lambda q: f_full.values_at(q, keys),
-            "riemann_limit": lambda q: riemann(g_lim, q),
-        }
-        for key, fn in residuals.items():
-            report[key].append(run_check(f"lift.{key}", fn, pts, math.inf).max)
+        with jets.evaluation_scope():
+            cfg = factory(ell)
+            data = build_p(cfg)
+            chart4 = data.chart
+            pts = tuple(ChartPoint.make(chart4, row) for row in rows)
+            g_lim = _limit_form(cfg, chart4)
+            om4 = embed_form(cfg.base.omega, chart4)
+            f_target = ext_d(om4).scale(data.ell / 4.0)
+            f_full = ext_d(data.potential)
+            keys = sorted(set(f_full.comps) | set(f_target.comps))
+            residuals = {
+                "form_gap": lambda q: data.g.matrix_at(q) - g_lim.matrix_at(q),
+                "f_gap": lambda q: f_full.values_at(q, keys) - f_target.values_at(q, keys),
+                "f_term": lambda q: f_target.values_at(q, keys),
+                "f_norm": lambda q: f_full.values_at(q, keys),
+                "riemann_limit": lambda q: riemann(g_lim, q),
+            }
+            for key, fn in residuals.items():
+                report[key].append(run_check(f"lift.{key}", fn, pts, math.inf).max)
         report["ell_used"].append(data.ell)
     gaps = report["form_gap"]
     # a later gap of exactly 0 has no ratio: null in the report

@@ -1,8 +1,9 @@
 """Check aggregation and machine-readable verification reports.
 
 A check maps sample points to residuals; ``run_check`` evaluates it once
-over the batch of all its points, reduces each point to its largest
-absolute component and keeps the maximum, the mean, and the worst point.
+over the batch of all its points, in the open evaluation scope, reduces
+each point to its largest absolute component and keeps the maximum, the
+mean, and the worst point.
 Reports serialize to JSON with a fixed key order so that two runs with the
 same configuration and seed are byte-identical apart from the wall-time
 field.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, EwbenchError
-from .jets import PointBatch, evaluation_scope
+from .jets import PointBatch, evaluation_scope, shared_scope
 
 SCHEMA = 1
 
@@ -52,24 +53,27 @@ def run_check(name, fn, points, tol):
     """Evaluate a residual function over points and aggregate.
 
     ``fn(q)`` returns the raw residual at q: a number, an array of
-    components, or a tuple of components.  It is called once, in one field
-    evaluation scope, on the PointBatch of all the points, where each
-    component carries the batch axis first, and each row is reduced to its
-    largest absolute component.  If that call raises an EwbenchError or a
+    components, or a tuple of components.  It is called once on the
+    PointBatch of all the points, where each component carries the batch
+    axis first, and each row is reduced to its largest absolute component.
+    That call runs in the open field evaluation scope, so checks over the
+    same points share their field and packed-metric evaluations, or in a
+    scope of its own when none is open.  If it raises an EwbenchError or a
     row is not finite, the points are evaluated again one at a time in
-    sample order, each in its own scope, so the first offending point
-    raises exactly the error it raises alone; a non-finite point raises
-    DomainError.  A residual without the batch axis (fn did not vectorize,
-    e.g. it returned a constant) is taken as the first point's, and the
-    other points are evaluated one at a time.  This is the one loop that
-    evaluates residuals over sample or probe points.
+    sample order, each in a new scope, so the first offending point raises
+    exactly the error it raises alone, whatever the open scope holds; a
+    non-finite point raises DomainError.  A residual without the batch
+    axis (fn did not vectorize, e.g. it returned a constant) is taken as
+    the first point's, and the other points are evaluated one at a time.
+    This is the one loop that evaluates residuals over sample or probe
+    points.
     """
     points = list(points)
     if not points:
         raise ConfigError(f"check {name!r} received no sample points")
     vals = []
     try:
-        with evaluation_scope():
+        with shared_scope():
             r = fn(PointBatch.of(points))
     except EwbenchError:
         pass  # the loop below finds the first point that raises
