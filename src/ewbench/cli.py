@@ -13,15 +13,20 @@ configuration and seed they are byte-identical apart from wall time.
 Exit codes: 0 all checks pass, 1 a check fails, 2 configuration problem,
 3 sampling, guard or domain problem (a non-finite value or an overflow
 included, in every subcommand), 4 an unexpected internal error.
+``main`` parses with one parser per process, built on its first call, so
+in-process callers build it once; a one-shot ``ewbench`` process is
+unaffected.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
+import threading
 import time
 
 import numpy as np
@@ -97,16 +102,29 @@ DEFAULTS = {
     "out": None,
 }
 
-_EXPR_FLAGS = ("beta", "F", "K", "H", "A", "B", "f")
+# the expression flags each catalog case reads
+CASE_EXPRS = {
+    "heisenberg": (),
+    "class_a": ("beta",),
+    "class_b": ("F",),
+    "class_c": ("K",),
+    "from_H": ("H",),
+    "from_G": ("A", "B"),
+}
+_CASE_EXPR_FLAGS = tuple(f for flags in CASE_EXPRS.values() for f in flags)
+_EXPR_FLAGS = _CASE_EXPR_FLAGS + ("f",)
 
 # the flags each subcommand reads; giving it any other is a configuration
-# error (config-file keys are not held to this: one file may serve all)
-_CASE_FLAGS = ("case", "ell", "checks", "points", "seed", "tol", "beta", "F", "K", "H", "A", "B")
+# error (config-file keys are not held to this: one file may serve all).
+# Within verify and lift, a case reads only its own expression flags, and
+# verify reads --ell only for heisenberg and --c only for the psi check.
+_CASE_FLAGS = ("case", "ell", "checks", "points", "seed", "tol") + _CASE_EXPR_FLAGS
 READ_FLAGS = {
     "verify": _CASE_FLAGS + ("c", "f", "out"),
     "lift": _CASE_FLAGS + ("c", "chart", "out"),
     "limit": ("case", "checks", "tol", "c", "ells", "out"),
 }
+DEFAULT_CHECKS = {"verify": "gt,monopole", "lift": "em,maxwell", "limit": "limit"}
 
 # options whose value may start with "-": the expressions, and the ells
 # sequence, whose first ell may be negative
@@ -222,6 +240,17 @@ def make_parser():
     return ap
 
 
+# parsing never changes a parser (namespaces are per call, usage errors
+# raise SystemExit), so every main call and thread shares one; the lock
+# makes concurrent first calls build it once
+_parser_lock = threading.Lock()
+
+
+@functools.cache
+def _built_parser():
+    return make_parser()
+
+
 def merge_config(args):
     """defaults <- JSON config file <- explicit flags."""
     cfg = dict(DEFAULTS)
@@ -244,6 +273,7 @@ def merge_config(args):
                     f"config key {key!r} must be {what}, got {json.dumps(val)}"
                 )
             cfg[key] = val
+    flags = []
     for key in DEFAULTS:
         val = getattr(args, key, None)
         if val is None or key == "command":
@@ -251,6 +281,7 @@ def merge_config(args):
         if key not in READ_FLAGS[args.command]:
             raise ConfigError(f"--{key} is not used by {args.command}")
         cfg[key] = val
+        flags.append(key)
     if cfg["tol"] is not None and not 0 < cfg["tol"] < math.inf:
         raise ConfigError("tol must be positive and finite")
     for key in ("ell", "c"):
@@ -260,14 +291,36 @@ def merge_config(args):
         raise ConfigError("points must be at least 1")
     if cfg["seed"] < 0:
         raise ConfigError("seed must be non-negative")
+    _refuse_unread_flags(cfg, flags)
     return cfg
 
 
-def parse_checks(cfg, default):
+def _refuse_unread_flags(cfg, flags):
+    """Refuse a command-line flag that the chosen case or checks do not
+    read; an unknown case is left for ``build_case`` to name."""
+    command, case = cfg["command"], cfg["case"]
+    key = (case or "").replace("-", "_")
+    if key not in CASE_EXPRS:
+        return
+    unread = [f for f in _CASE_EXPR_FLAGS if f not in CASE_EXPRS[key]]
+    if command == "verify" and key != "heisenberg":
+        unread.append("ell")
+    for flag in flags:
+        if flag in unread:
+            raise ConfigError(f"--{flag} is not used by {command} --case {case}")
+        if flag == "c" and command == "verify" and "psi" not in _check_names(cfg):
+            raise ConfigError("--c is not used by verify without the psi check")
+
+
+def _check_names(cfg):
+    raw = cfg["checks"] or DEFAULT_CHECKS[cfg["command"]]
+    return tuple(dict.fromkeys(s.strip() for s in raw.split(",") if s.strip()))
+
+
+def parse_checks(cfg):
     """The requested check names, each once, in the order first given;
     each must be one the subcommand offers."""
-    raw = cfg["checks"] or default
-    names = tuple(dict.fromkeys(s.strip() for s in raw.split(",") if s.strip()))
+    names = _check_names(cfg)
     command = cfg["command"]
     for n in names:
         if n not in CHECK_NAMES:
@@ -351,7 +404,7 @@ def _verify_fns(s, cfg, names):
 
 
 def cmd_verify(cfg):
-    names = parse_checks(cfg, "gt,monopole")
+    names = parse_checks(cfg)
     tol = cfg["tol"] if cfg["tol"] is not None else 1e-7
     s, dom = build_case(cfg)
     if cfg["f"]:
@@ -407,7 +460,7 @@ def _lift_data(cfg):
 
 
 def cmd_lift(cfg):
-    names = parse_checks(cfg, "em,maxwell")
+    names = parse_checks(cfg)
     tol = cfg["tol"] if cfg["tol"] is not None else 1e-6
     cfg["points"] = cfg["points"] or 100
     base, base_pts, lcfg = _lift_data(cfg)
@@ -462,7 +515,7 @@ def _invariant_fn(lcfg, data):
 
 
 def cmd_limit(cfg):
-    parse_checks(cfg, "limit")
+    parse_checks(cfg)
     tol = cfg["tol"] if cfg["tol"] is not None else 1e-6
     case = (cfg["case"] or "heisenberg").replace("-", "_")
     c = cfg["c"]
@@ -506,7 +559,7 @@ def cmd_limit(cfg):
         tol=tol,
         failed=rep["diverges"],
     )
-    chart = ("p",) + fam.heisenberg(ells[0]).chart if case == "heisenberg" else ("q", "p", "y", "t")
+    chart = ("p",) + fam.XYT if case == "heisenberg" else ("q", "p", "y", "t")
     report = build_report(_echo(cfg), chart, 0, [result], detail=rep)
     return report
 
@@ -586,7 +639,9 @@ def _run(args):
 # floating-point warnings would only repeat that on stderr
 @np.errstate(all="ignore")
 def main(argv=None):
-    args = make_parser().parse_args(argv)
+    with _parser_lock:
+        parser = _built_parser()
+    args = parser.parse_args(argv)
     try:
         return _run(args)
     except (

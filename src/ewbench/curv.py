@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import ext_d, metric_det, metric_from_coframe
-from .jets import fd_oracle
+from .jets import _over_power, fd_oracle
 
 __all__ = [
     "christoffel",
@@ -247,7 +247,7 @@ def em_residual(g, A, ell, pt, fsq_scale=1.0):
     fsq = _f_contract(fm, ginv)
     return (
         ric
-        + (3.0 / ell**2) * g0
+        + _over_power(3.0, ell, 2) * g0
         + 2.0 * stress
         - 0.5 * fsq_scale * fsq[..., None, None] * g0
     )

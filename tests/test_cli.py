@@ -179,6 +179,16 @@ class TestLift:
         assert rep["chart"][0] == "alpha"
 
     @pytest.mark.parametrize("chart", ["p", "alpha"])
+    @pytest.mark.parametrize("ell", ["1e150", "1e160", "1e200", "-1e200", "1e300"])
+    def test_a_huge_ell_is_never_an_internal_error(self, capsys, ell, chart):
+        # 3/ell^2 overflowed once ell^2 left the float range
+        code = main(["lift", "--case", "heisenberg", f"--ell={ell}", "--chart", chart,
+                     "--points", "3"])
+        err = capsys.readouterr().err
+        assert code in (EXIT_PASS, EXIT_FAIL, EXIT_SAMPLING)
+        assert err.count("error:") <= 1
+
+    @pytest.mark.parametrize("chart", ["p", "alpha"])
     def test_job_validates_its_config_once(self, capsys, monkeypatch, chart):
         calls = []
         validate = lift_mod.validate_config
@@ -576,6 +586,34 @@ class TestErrorExits:
         name = argv[-1].split(",")[-1]
         assert captured.err == f"error: check {name!r} is not available under {command}\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        (
+            (("verify", "--case", "class-a", "--ell", "5"), "--ell is not used by verify --case class-a"),
+            (("verify", "--case", "heisenberg", "--c", "5", "--checks", "gt"),
+             "--c is not used by verify without the psi check"),
+            (("verify", "--case", "heisenberg", "--c", "5"),
+             "--c is not used by verify without the psi check"),
+            (("verify", "--case", "heisenberg", "--F", "1"), "--F is not used by verify --case heisenberg"),
+            (("lift", "--case", "heisenberg", "--beta", "y"), "--beta is not used by lift --case heisenberg"),
+            (("lift", "--case", "class-b", "--F", "1", "--K", "s"), "--K is not used by lift --case class-b"),
+            (("verify", "--case", "from-G", "--H", "x"), "--H is not used by verify --case from-G"),
+            (("verify", "--case", "from-H", "--A", "p"), "--A is not used by verify --case from-H"),
+            (("verify", "--case", "class-c", "--B", "y"), "--B is not used by verify --case class-c"),
+        ),
+    )
+    def test_a_flag_the_case_or_checks_do_not_read_is_refused(self, capsys, monkeypatch, argv, message):
+        def never(*args):
+            raise AssertionError("sampled or built before the flag was refused")
+
+        monkeypatch.setattr(cli_mod, "sample", never)
+        monkeypatch.setattr(cli_mod, "build_case", never)
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_unexpected_exception_is_internal_exit(self, capsys, monkeypatch):
         def broken(cfg):
             raise TypeError("unsupported operand")
@@ -624,6 +662,13 @@ class TestConfigFile:
         path.write_text(json.dumps({"case": "heisenberg", "ell_used": 3.0}))
         code, _ = run_cli(capsys, "verify", "--config", str(path))
         assert code == EXIT_CONFIG
+
+    def test_file_keys_the_case_or_checks_do_not_read_are_echoed(self, capsys, tmp_path):
+        path = tmp_path / "shared.json"
+        path.write_text('{"ell": 5, "c": 0.25, "F": "1", "points": 3}')
+        code, rep = run_json(capsys, "verify", "--case", "class-a", "--config", str(path))
+        assert code == EXIT_PASS
+        assert (rep["config"]["ell"], rep["config"]["c"], rep["config"]["F"]) == (5, 0.25, "1")
 
     def test_missing_file(self, capsys, tmp_path):
         code, _ = run_cli(

@@ -6,10 +6,13 @@
 Each checkout's ``src/ewbench`` is copied into a temporary directory as the
 packages ``ewbench_old`` and ``ewbench_new``, and both ``cli`` modules are
 imported into this process, so the two sides share one interpreter, one
-numpy and one machine state.  The argvs are the ``ewbench ...`` command
-lines of README.md (the README-size runs, which perfbench does not time),
-or the command lines given after the two checkouts.  Each argv is run once
-on each side to warm it, then PAIRS times on each side in alternating
+numpy and one machine state.  The argvs are the command lines given after
+the two checkouts or, if none is, the ``ewbench ...`` command lines of
+README.md (the README-size runs, which perfbench does not time) followed by
+the jobs of one seed-1 cycle of each perfbench workload, which NEW's
+perfbench lists in a subprocess, as for ``tools/report_diff.py``; so a
+per-job change is sized without the perfbench harness.  Each argv is run
+once on each side to warm it, then PAIRS times on each side in alternating
 order (old first in even pairs, new first in odd ones), calling
 ``cli.main`` in process with its output discarded.  For each argv the tool
 prints both exit codes, each side's median wall time, and the median over
@@ -20,9 +23,11 @@ from __future__ import annotations
 import contextlib
 import importlib
 import io
+import json
 import re
 import shlex
 import shutil
+import subprocess
 import sys
 import tempfile
 import time
@@ -50,15 +55,34 @@ def run_once(cli, argv):
         return rc, time.perf_counter() - start
 
 
+# run inside a checkout: the argvs of one seed-1 cycle of each workload
+JOBS = r"""
+import json, sys
+sys.path[:0] = ["src", "perfbench"]
+import bench_jobs
+print(json.dumps([list(job.argv) for workload in bench_jobs.WORKLOADS
+                  for job in bench_jobs.make_jobs(workload, 1, 1)]))
+"""
+
+
 def readme_argvs():
     lines = re.findall(r"^ewbench +[a-z].*$", README.read_text(encoding="utf-8"), re.M)
     return [shlex.split(line)[1:] for line in lines]
 
 
+def perfbench_argvs(checkout):
+    proc = subprocess.run(
+        [sys.executable, "-c", JOBS], cwd=checkout, capture_output=True, text=True
+    )
+    if proc.returncode:
+        sys.exit(f"error: cannot read the perfbench jobs of {checkout}:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
 def main(args):
     if len(args) < 2:
         sys.exit(__doc__)
-    argvs = [shlex.split(a) for a in args[2:]] or readme_argvs()
+    argvs = [shlex.split(a) for a in args[2:]] or readme_argvs() + perfbench_argvs(args[1])
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         old, new = load_cli(args[0], "ewbench_old", tmp), load_cli(args[1], "ewbench_new", tmp)
