@@ -465,6 +465,9 @@ def cmd_lift(cfg):
     cfg["points"] = cfg["points"] or 100
     base, base_pts, lcfg = _lift_data(cfg)
     data = lift_mod.build(lcfg)
+    if "invariants" in names:
+        # builds the other chart now, so its ell bound refuses the job before any check
+        data_p, invariants_fn = _invariant_fn(lcfg, data)
     pts4 = _lift_points(data.chart, cfg["seed"], base_pts)
     results = []
     # the checks share one scope: em, maxwell and invariants pack g once
@@ -477,9 +480,8 @@ def cmd_lift(cfg):
                 fn = lambda q: maxwell_residual(data.potential, data.g, q)
                 results.append(run_check(name, fn, pts4, tol))
             elif name == "invariants":
-                data_p, fn = _invariant_fn(lcfg, data)
                 pts_p = _lift_points(data_p.chart, cfg["seed"], base_pts)
-                results.append(run_check(name, fn, pts_p, tol))
+                results.append(run_check(name, invariants_fn, pts_p, tol))
             else:
                 fn = _verify_fns(base, cfg, (name,))[name]
                 results.append(run_check(name, fn, base_pts, tol))

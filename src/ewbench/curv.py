@@ -247,7 +247,7 @@ def em_residual(g, A, ell, pt, fsq_scale=1.0):
     fsq = _f_contract(fm, ginv)
     return (
         ric
-        + _over_power(3.0, ell, 2) * g0
+        + _over_power(3.0, float(ell), 2) * g0
         + 2.0 * stress
         - 0.5 * fsq_scale * fsq[..., None, None] * g0
     )

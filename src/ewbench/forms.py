@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularFrameError, SingularMetricError
-from .jets import Field, ZERO_FIELD, anywhere, first_where, pack, shared_scope
+from .errors import JetOrderError, SingularFrameError, SingularMetricError
+from .jets import Field, Jet, ZERO_FIELD, anywhere, first_where, pack, shared_scope
 
 __all__ = [
     "PForm",
@@ -35,8 +35,6 @@ __all__ = [
     "metric_from_coframe",
     "signature",
     "symmetric_product",
-    "jet_det",
-    "jet_inv",
     "metric_det",
 ]
 
@@ -226,13 +224,6 @@ class Coframe3:
     def legs(self):
         return (self.e1, self.e2, self.e3)
 
-    def rows_at(self, pt, order=0):
-        """Dense 3x3 jet matrix: rows_at[i][j] = component of e^(i+1) along dx^j."""
-        rows = []
-        for leg in self.legs:
-            rows.append([leg.comp((j,))(pt, order) for j in range(3)])
-        return rows
-
 
 def star_frame(frame, i):
     """star of the i-th coframe leg (i in 1..3), straight from the rules."""
@@ -246,121 +237,72 @@ def star_frame(frame, i):
     raise ValueError("frame leg index must be 1, 2 or 3")
 
 
-def _expand_rows(rows, target):
-    """Coefficients c with sum_i c_i rows[i] = target (all jets)."""
-    det = jet_det(rows)
-    small = np.abs(det.value) < FRAME_DET_TOL
-    if anywhere(small):
-        raise SingularFrameError(
-            f"coframe determinant {first_where(det.value, small):.3e} below tolerance"
-        )
-    inv = jet_inv(rows, det)
-    # target_j = sum_i c_i rows[i][j]  =>  c = (rows^T)^{-1} target
-    coeffs = []
-    for i in range(3):
-        total = inv[0][i] * target[0]
-        for j in (1, 2):
-            total = total + inv[j][i] * target[j]
-        coeffs.append(total)
-    return coeffs
-
-
 def frame_expand(a, frame, pt):
     """Expand a 1-form or 2-form in the coframe basis at a point.
 
     Degree 1 returns coefficients against (e1, e2, e3); degree 2 against
-    (e1^e2, e1^e3, e2^e3).  Values only.
+    (e1^e2, e1^e3, e2^e3).  Values only, along the last axis (batch axis
+    first), from one solve against the basis values.  A determinant below
+    FRAME_DET_TOL raises SingularFrameError naming the first such one; rows
+    whose basis is not finite get NaN coefficients.
     """
+    legs = frame.legs
     if a.degree == 1:
-        target = [a.comp((j,))(pt, 0) for j in range(3)]
-        coeffs = _expand_rows(frame.rows_at(pt, 0), target)
-        return pack(pt, [c.value for c in coeffs])
-    if a.degree == 2:
-        pairs = ((0, 1), (0, 2), (1, 2))
-        legs = frame.legs
-        # basis[..., m, col]: component ``col`` of the m-th basis 2-form
-        basis = np.stack(
-            [wedge(legs[i], legs[j]).values_at(pt, pairs) for i, j in pairs], axis=-2
+        idxs, forms = ((0,), (1,), (2,)), legs
+    elif a.degree == 2:
+        idxs = ((0, 1), (0, 2), (1, 2))
+        forms = [wedge(legs[i], legs[j]) for i, j in idxs]
+    else:
+        raise ValueError("frame expansion supports degree 1 and 2 only")
+    # a_j = sum_m c_m basis_m[j]: solve m c = a, with m[..., j, k] the
+    # component j of basis form k
+    m = np.stack([f.values_at(pt, idxs) for f in forms], axis=-1)
+    # the determinant comes from the LU factors the solve uses, so a zero
+    # pivot there (an underflow, say) is a singular frame here
+    det = np.linalg.det(m)
+    small = np.abs(det) < FRAME_DET_TOL
+    if anywhere(small):
+        raise SingularFrameError(
+            f"coframe determinant {first_where(det, small):.3e} below tolerance"
+            + ("" if a.degree == 1 else " for a 2-form expansion")
         )
-        det = np.linalg.det(basis)
-        if anywhere(np.abs(det) < FRAME_DET_TOL):
-            raise SingularFrameError("degenerate coframe for 2-form expansion")
-        target = a.values_at(pt, pairs)
-        return np.linalg.solve(np.swapaxes(basis, -1, -2), target[..., None])[..., 0]
-    raise ValueError("frame expansion supports degree 1 and 2 only")
+    # where the basis is not finite LAPACK may still meet a zero pivot: those
+    # rows solve the identity instead and get NaN, which the checks report
+    broken = ~np.isfinite(det)
+    m = np.where(broken[..., None, None], np.eye(3), m)
+    c = np.linalg.solve(m, a.values_at(pt, idxs)[..., None])[..., 0]
+    return np.where(broken[..., None], np.nan, c)
 
 
 def hodge3(a, frame):
     """Hodge star of a 1-form a = sum_i c_i e^i: the sum of c_i star e^i
     over the legs i = 1, 2, 3 in that order, with each star e^i from
-    :func:`star_frame`; components stay fields.
+    :func:`star_frame`.
 
     Only degree 1 -> 2 is defined; that is the only case the residual
-    operators need, and the coframe rules pin it completely.
+    operators need, and the coframe rules pin it completely.  The
+    coefficients c_i are values: the components of the star answer order 0
+    and raise JetOrderError above it.
     """
     if a.degree != 1:
         raise ValueError("hodge3 is defined for 1-forms only")
     if a.chart != frame.chart:
         raise ValueError("chart mismatch in hodge3")
 
-    # one expansion per scope serves all three coefficients
+    # one solve per scope serves all three coefficients
     @Field
     def coeffs(pt, order=0):
-        target = [a.comp((j,))(pt, order) for j in range(3)]
-        return _expand_rows(frame.rows_at(pt, order), target)
+        if order:
+            raise JetOrderError(f"hodge3 has values only; order {order} was asked")
+        return frame_expand(a, frame, pt)
 
     def coeff(i):
-        return Field(lambda pt, order=0: coeffs(pt, order)[i - 1])
+        return Field(lambda pt, order=0: Jet([coeffs(pt, order)[..., i - 1]]))
 
     star = star_frame(frame, 1).scale(coeff(1))
     for i in (2, 3):
         star = star + star_frame(frame, i).scale(coeff(i))
     return star
-
-
-# ---------------------------------------------------------------------------
-# jet-valued linear algebra (n <= 4)
-# ---------------------------------------------------------------------------
-
-
-def jet_det(m):
-    """Determinant of a small square matrix of jets (Laplace expansion)."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = None
-    for j in range(n):
-        minor = [[row[k] for k in range(n) if k != j] for row in m[1:]]
-        term = m[0][j] * jet_det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
-def jet_inv(m, det=None):
-    """Inverse via the adjugate; works for jet entries."""
-    n = len(m)
-    if det is None:
-        det = jet_det(m)
-    if anywhere(det.value == 0.0):
-        raise SingularMetricError("singular matrix in jet inversion")
-    det_inv = det.reciprocal()
-    inv = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [m[r][c] for c in range(n) if c != i]
-                for r in range(n)
-                if r != j
-            ]
-            cof = jet_det(minor) if n > 1 else 1.0
-            if (i + j) % 2:
-                cof = -cof
-            inv[i][j] = cof * det_inv
-    return inv
 
 
 # ---------------------------------------------------------------------------

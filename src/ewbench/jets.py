@@ -14,8 +14,9 @@ the jet at point i alone.  Arithmetic propagates derivatives exactly
 Each part depends only on the parts of its operands up to its own order,
 and a smooth-function rule computes its scalar derivatives only that far,
 so the parts a jet shares with a higher-order jet of the same field are
-identical.  Those scalar derivatives come from Python's ``math`` module,
-row by row over a batch, never from numpy's CPU-dispatched SIMD loops.
+identical.  Their libm calls (``math`` functions and float powers) run row
+by row over a batch, never through numpy's CPU-dispatched SIMD loops; the
+``+ - * /`` that combine them run on the whole batch.
 
 A Python number in jet arithmetic is not lifted to a constant jet for a
 full Leibniz product: it shifts the value (``+ -``) or scales every part
@@ -52,6 +53,7 @@ import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -497,18 +499,33 @@ def _sym_hg(hess, grad):
 
 def _derivatives(series, v, *args):
     """``series(v, *args)``: the derivatives of a smooth function at the value
-    v, computed with Python floats and the ``math`` module.  Over a batch, v
-    is an (N,) array: series runs on the float of each row and each
-    derivative is stacked into an (N,) array, so row i has the bits of point
-    i alone, and no value depends on the SIMD loops numpy picks for the CPU.
-    None when a derivative leaves the float range (an overflow, a division
-    by zero, or the sine of infinity)."""
+    v, a float at a point or an (N,) array over a batch.  A series calls
+    libm only through :func:`_libm`, row by row, and does its ``+ - * /`` on
+    the whole array, which numpy rounds as Python rounds floats; so row i
+    has the bits of point i alone, and no value depends on the SIMD loops
+    numpy picks for the CPU.  None when a derivative leaves the float range
+    in some row (an overflow, a division by zero, or the sine of infinity)."""
     try:
-        if type(v) is float:
-            return series(v, *args)
-        return [np.array(f) for f in zip(*(series(x, *args) for x in v.tolist()))]
+        return series(v, *args)
     except (OverflowError, ZeroDivisionError, ValueError):
         return None
+
+
+def _libm(fn, v, *args):
+    """``fn(v, *args)`` for a float v; for an (N,) array, ``fn`` on the float
+    of each row, stacked into an (N,) array.  ``fn`` is a ``math`` function
+    or a float power, and raises as it does at a point."""
+    if type(v) is float:
+        return fn(v, *args)
+    return np.fromiter(map(fn, v.tolist(), *map(repeat, args)), float, len(v))
+
+
+def _quotient(c, d):
+    """c / d, refusing a zero divisor in any row as float division does
+    (numpy would give an infinity)."""
+    if type(d) is not float and np.count_nonzero(d) < d.size:
+        raise ZeroDivisionError("division by zero")
+    return c / d
 
 
 def _reciprocal_series(v, count):
@@ -520,16 +537,31 @@ def _reciprocal_series(v, count):
 def _over_power(c, v, k):
     """c / v^k; where v^k overflows, c (1/v)^k, which only underflows."""
     try:
-        return c / v**k
+        return _quotient(c, _libm(pow, v, k))
     except OverflowError:
-        return c * (1.0 / v) ** k
+        if type(v) is float:
+            return c * (1.0 / v) ** k
+    # some row overflowed: find which
+    p = _libm(_power_or_inf, v, k)
+    over = np.isinf(p)
+    out = _quotient(c, np.where(over, 1.0, p))
+    out[over] = c * _libm(pow, 1.0 / v[over], k)
+    return out
+
+
+def _power_or_inf(x, k):
+    """x ** k, or inf where that overflows."""
+    try:
+        return x**k
+    except OverflowError:
+        return math.inf
 
 
 def _power_series(v, c, order):
     # d^k/dv^k v^c = c (c-1) ... (c-k+1) v^(c-k)
     f, factor = [], 1.0
     for k in range(order + 1):
-        f.append(factor * v ** (c - k))
+        f.append(factor * _libm(pow, v, c - k))
         factor *= c - k
     return f
 
@@ -555,46 +587,54 @@ def _unary(series):
 
 
 def _exp_series(v, order):
-    return [math.exp(v)] * (order + 1)
+    return [_libm(math.exp, v)] * (order + 1)
 
 
 def _log_series(v, order):
-    if v <= 0.0:
+    if anywhere(v <= 0.0):
         raise DomainError("log of a non-positive value")
-    return [math.log(v), *_reciprocal_series(v, order)]
+    return [_libm(math.log, v), *_reciprocal_series(v, order)]
 
 
 def _sqrt_series(v, order):
-    if v <= 0.0:
+    if anywhere(v <= 0.0):
         raise DomainError("sqrt of a non-positive value")
-    s = math.sqrt(v)
+    s = _libm(math.sqrt, v)
     # the derivatives 0.5/s, -0.25/(v s), 0.375/(v^2 s), only as far as read
-    pairs = zip((0.5, -0.25, 0.375)[:order], (s, v * s, v * v * s))
-    return [s, *(c / d for c, d in pairs)]
+    f = [s]
+    if order >= 1:
+        f.append(_quotient(0.5, s))
+    if order >= 2:
+        f.append(_quotient(-0.25, v * s))
+    if order >= 3:
+        f.append(_quotient(0.375, v * v * s))
+    return f
 
 
 def _sin_series(v, order):
-    s, c = math.sin(v), math.cos(v)
+    s, c = _libm(math.sin, v), _libm(math.cos, v)
     return [s, c, -s, -c]
 
 
 def _cos_series(v, order):
-    s, c = math.sin(v), math.cos(v)
+    s, c = _libm(math.sin, v), _libm(math.cos, v)
     return [c, -s, -c, s]
 
 
 def _sinh_series(v, order):
-    s, c = math.sinh(v), math.cosh(v)
+    s, c = _libm(math.sinh, v), _libm(math.cosh, v)
     return [s, c, s, c]
 
 
 def _cosh_series(v, order):
-    s, c = math.sinh(v), math.cosh(v)
+    s, c = _libm(math.sinh, v), _libm(math.cosh, v)
     return [c, s, c, s]
 
 
 def _tanh_series(v, order):
-    t = math.tanh(v)
+    t = _libm(math.tanh, v)
+    if not order:
+        return [t]
     d1 = 1.0 - t * t
     return [t, d1, -2.0 * t * d1, d1 * (6.0 * t * t - 2.0)]
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import jets
 from .curv import riemann
-from .errors import ConfigError, GaugeViolationError, PsiResidualError
+from .errors import ConfigError, DomainError, GaugeViolationError, PsiResidualError
 from .ew import EWStructure, WeightedForm, gt_residual, psi_residual
 from .forms import (
     MetricField,
@@ -43,6 +43,9 @@ GT_TOL = 1e-7
 PSI_TOL = 1e-7
 # the angle chart degenerates at the poles; keep samples away from them
 ALPHA_WINDOW = (0.2, math.pi - 0.2)
+# the angle-chart metric holds (ell/sin a)^2 and ell^2 cos^2(a); past this
+# |ell| its determinant and curvature overflow inside ALPHA_WINDOW
+ALPHA_ELL_MAX = 1e150
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -170,6 +173,11 @@ def build_alpha(cfg):
     """
     if "alpha" in cfg.base.chart:
         raise ConfigError("base chart already uses the name 'alpha'")
+    if not abs(cfg.ell) <= ALPHA_ELL_MAX:
+        raise DomainError(
+            f"ell = {cfg.ell:g} is past the bound |ell| <= {ALPHA_ELL_MAX:g} of the "
+            "alpha chart, whose metric terms (ell/sin alpha)^2 overflow"
+        )
     if cfg.validate:
         validate_config(cfg)
     chart4 = ("alpha",) + cfg.base.chart

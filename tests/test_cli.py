@@ -188,6 +188,27 @@ class TestLift:
         assert code in (EXIT_PASS, EXIT_FAIL, EXIT_SAMPLING)
         assert err.count("error:") <= 1
 
+    @pytest.mark.parametrize(
+        "checks, chart, ell", [("em", "alpha", "1e160"), ("invariants", "p", "1e200")]
+    )
+    def test_the_alpha_chart_refuses_an_ell_past_its_bound(self, capsys, checks, chart, ell):
+        # its (ell/sin alpha)^2 terms overflow, so the checks would read NaN
+        code = main(["lift", "--case", "heisenberg", "--ell", ell, "--chart", chart,
+                     "--checks", checks, "--points", "3"])
+        err = capsys.readouterr().err
+        assert code == EXIT_SAMPLING
+        assert f"ell = -{float(ell):g} is past the bound |ell| <= 1e+150" in err
+        assert "alpha chart" in err and err.count("error:") == 1
+
+    def test_a_p_chart_lift_past_the_alpha_bound_passes(self, capsys):
+        code, rep = run_json(
+            capsys,
+            "lift", "--case", "heisenberg", "--ell", "1e160", "--chart", "p",
+            "--checks", "em", "--points", "3",
+        )
+        assert code == EXIT_PASS
+        assert rep["config"]["ell_used"] == -1e160
+
     @pytest.mark.parametrize("chart", ["p", "alpha"])
     def test_job_validates_its_config_once(self, capsys, monkeypatch, chart):
         calls = []
@@ -758,17 +779,19 @@ class TestDeterminism:
         data = build(LiftConfig(base, psi_const(base, 0.5), ell, c=0.5))
         pts3 = sample(default_domain("heisenberg", seed=3, count=20))
         pts4 = [ChartPoint.make(data.chart, (0.3,) + q.coords) for q in pts3]
+        # the star has values only; the lift's F is read through its gradient
         cases = (
-            (hodge3(base.omega, base.frame), pts3),
-            (ext_d(data.potential), pts4),
+            (hodge3(base.omega, base.frame), pts3, 0),
+            (ext_d(data.potential), pts4, 1),
         )
 
         def evaluate():
             out = []
-            for form, pts in cases:
+            for form, pts, order in cases:
                 for q in pts:
                     with evaluation_scope():
-                        out.append([f(q, 1).grad.tolist() for f in form.comps.values()])
+                        parts = [f(q, order).parts[order] for f in form.comps.values()]
+                        out.append([np.ravel(p).tolist() for p in parts])
             return out
 
         serial = evaluate()

@@ -288,6 +288,13 @@ class TestEmResidual:
             q = pt(ZXYT, float(rng.uniform(0.4, 2.0)), *rng.uniform(-1, 1, size=3))
             assert np.abs(em_residual(g, A, ell, q)).max() <= 1e-7
 
+    def test_any_real_ell_gives_the_float_residual(self):
+        g, A = poincare(1.0), zero_form(ZXYT, 1)
+        q = pt(ZXYT, 0.7, 0.1, -0.2, 0.3)
+        want = em_residual(g, A, 1.0, q)
+        for ell in (1, np.float64(1.0)):
+            assert em_residual(g, A, ell, q).tolist() == want.tolist()
+
     def test_minkowski_without_cosmological_term(self):
         g = minkowski()
         A = zero_form(MINK4, 1)

@@ -15,15 +15,14 @@ from ewbench import (
     point,
     wedge,
 )
-from ewbench.errors import JetOrderError, SingularFrameError, SingularMetricError
+from ewbench.errors import JetOrderError, SingularFrameError
+from ewbench.ew import PAIRS, EWStructure, monopole_residual
 from ewbench.families import class_b
 from ewbench.forms import (
     coordinate_form,
     embed_form,
     embed_metric,
     frame_expand,
-    jet_det,
-    jet_inv,
     scalar_form,
     star_frame,
     symmetric_product,
@@ -198,6 +197,25 @@ class TestFrameExpand:
         with pytest.raises(SingularFrameError):
             frame_expand(wedge(dx, d(XYT, "y")), frame, q)
 
+    def test_a_zero_pivot_of_the_solve_is_a_singular_frame(self):
+        # this coframe has determinant 1, but the LU factors that solve for
+        # its coefficients meet a pivot that underflows to 0
+        s = heisenberg(1e-300)
+        with pytest.raises(SingularFrameError, match=r"determinant 0\.000e\+00 below"):
+            frame_expand(s.omega, s.frame, pt(XYT, 0.25, 0.79, 0.55))
+
+    def test_rows_of_a_basis_that_is_not_finite_are_nan(self):
+        # e3 = 1e300 x^2 dt overflows at the second row only
+        big = parse_field("1e300*x*x", XYT)
+        frame = Coframe3(d(XYT, "x"), d(XYT, "y"), d(XYT, "t").scale(big))
+        a = d(XYT, "y") + d(XYT, "t")
+        rows = [(0.5, 0.1, 0.2), (1e10, 0.1, 0.2)]
+        with np.errstate(all="ignore"):
+            got = frame_expand(a, frame, PointBatch(XYT, rows))
+            first = frame_expand(a, frame, pt(XYT, *rows[0]))
+        assert got[0].tolist() == first.tolist()
+        assert np.isnan(got[1]).all()
+
 
 class TestHodge3:
     def test_role_of_each_leg(self, rng):
@@ -230,6 +248,29 @@ class TestHodge3:
         two = wedge(s.frame.e1, s.frame.e2)
         with pytest.raises(ValueError):
             hodge3(two, s.frame)
+
+    def test_values_only(self):
+        s = heisenberg(1.0)
+        q = pt(XYT, 0.5, -0.5, 0.2)
+        for f in hodge3(s.omega, s.frame).comps.values():
+            assert np.isfinite(f(q, 0).value)
+            with pytest.raises(JetOrderError, match="hodge3"):
+                f(q, 1)
+
+    def test_singular_frame_at_one_row_of_a_batch(self):
+        # e3 = x dt: the coframe determinant is x, below FRAME_DET_TOL at the
+        # second and fourth rows; the error names the second row's
+        frame = Coframe3(d(XYT, "x"), d(XYT, "y"), d(XYT, "t").scale(parse_field("x", XYT)))
+        s = EWStructure(frame, d(XYT, "y"), parse_field("1", XYT))
+        rows = [(0.5, 0.1, 0.2), (1e-13, 0.1, 0.2), (2.0, 0.3, 0.4), (1e-14, 0.0, 0.0)]
+        batch = PointBatch(XYT, rows)
+        residuals = (
+            lambda: hodge3(d(XYT, "y"), frame).values_at(batch, PAIRS),
+            lambda: monopole_residual(s, batch),
+        )
+        for residual in residuals:
+            with pytest.raises(SingularFrameError, match=r"determinant 1\.000e-13 below"):
+                residual()
 
 
 # --- metrics -----------------------------------------------------------------
@@ -309,17 +350,6 @@ class TestMetricField:
         q = pt(XYT, 0.4, 0.1, -0.3)
         gi = h.inverse_at(q)
         np.testing.assert_allclose(gi @ h.matrix_at(q), np.eye(3), atol=1e-12)
-
-    def test_singular_inverse_rejected(self):
-        rows = [
-            [parse_field("x", XYT), parse_field("0", XYT)],
-            [parse_field("0", XYT), parse_field("0", XYT)],
-        ]
-        q = pt(XYT, 1.0, 0.0, 0.0)
-        jets = [[rows[i][j](q, 1) for j in range(2)] for i in range(2)]
-        assert jet_det(jets).value == 0.0
-        with pytest.raises(SingularMetricError):
-            jet_inv(jets)
 
     def test_symmetric_product_cross_terms(self):
         a = d(XYT, "y")

@@ -465,3 +465,57 @@ class TestNothingPresentIsSkipped:
             for a, b in zip(got.parts, dense.parts):
                 a, b = np.broadcast_arrays(np.add(a, 0.0), np.add(b, 0.0))
                 assert a.tobytes() == b.tobytes()
+
+
+# every smooth function, the reciprocal and a non-integer power, as jet maps
+JET_MAPS = {
+    name: getattr(jets, name)
+    for name in ("exp", "log", "sin", "cos", "sqrt", "sinh", "cosh", "tanh")
+}
+JET_MAPS["reciprocal"] = Jet.reciprocal
+JET_MAPS["power 1.5"] = lambda j: j**1.5
+# values whose derivative series leave the float range: exp overflows past
+# 709.78 and underflows below -745; 1/v^2 underflows to 0 at 1e-200 and v^2
+# overflows at 1e155 (1/v^4 at 1e80); 0.375/(v^2 sqrt v) divides by 0 at
+# 1e-160; the sine of inf is a domain error of libm
+SERIES_VALUES = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from(
+        [0.0, 1e-320, 1e-200, 1e-160, 1e80, 1e155, 1e200, -1e200, 709.0, 711.0, -750.0]
+        + [math.inf, math.nan]
+    ),
+)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestBatchedSeries:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(
+        name=st.sampled_from(sorted(JET_MAPS)),
+        xs=st.lists(SERIES_VALUES, min_size=1, max_size=6),
+        order=st.integers(0, 3),
+    )
+    def test_each_row_is_the_jet_of_its_point_bit_for_bit(self, name, xs, order):
+        # u = x y at y = 1 has the value x and a gradient and Hessian
+        # that are not constant
+        u = Field.coordinate("x") * Field.coordinate("y")
+        chart, rows = ("x", "y"), [(x, 1.0) for x in xs]
+
+        def jet_at(q):
+            return JET_MAPS[name](u(q, order))
+
+        with np.errstate(all="ignore"):
+            points = [outcome(lambda: jet_at(ChartPoint.make(chart, r))) for r in rows]
+            if any(isinstance(p, EwbenchError) for p in points):
+                assert all(isinstance(p, (Jet, DomainError)) for p in points)
+                with pytest.raises(DomainError):
+                    jet_at(PointBatch(chart, rows))
+                return
+            batch = jet_at(PointBatch(chart, rows))
+        assert batch.order == order
+        for k, part in enumerate(batch.parts):
+            part = np.broadcast_to(part, (len(rows),) + (2,) * k)
+            assert [_bits(row) for row in part] == [_bits(p.parts[k]) for p in points]

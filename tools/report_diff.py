@@ -10,12 +10,17 @@ checkouts.  One subprocess per checkout runs them all through
 ``ewbench.cli.main`` in process, with that checkout's ``src`` first on the
 path.  The tool prints each argv whose exit code, stdout (without its
 ``wall_time_s`` line) or stderr differs, and exits 1 on any difference,
-0 when there is none.  It uses only the standard library; each checkout's
-perfbench reads its jobs.
+0 when there is none.  Over the argvs whose exit codes match and whose
+stdout is a JSON report on both sides, it then sums up the shift: each
+leaf path that differs (``checks.monopole.max``; the entries of a list
+share its path), its largest |delta| and the argvs it differs in, and the
+number of changed verdicts.  It uses only the standard library; each
+checkout's perfbench reads its jobs.
 """
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -70,6 +75,64 @@ def reports(checkout, extra):
     return {tuple(argv): tuple(rest) for argv, *rest in rows}
 
 
+def report_of(stdout):
+    """The JSON report printed as ``stdout``, or None; dropping the
+    ``wall_time_s`` line leaves a trailing comma, which is removed first."""
+    try:
+        return json.loads(re.sub(r",(\s*[}\]])", r"\1", stdout))
+    except ValueError:
+        return None
+
+
+def leaves(node, path=()):
+    """{path: value} of every leaf of a JSON value; a path holds dict keys
+    and list indices."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return {path: node}
+    out = {}
+    for key, value in items:
+        out.update(leaves(value, path + (key,)))
+    return out
+
+
+def shift_summary(old, new):
+    """Lines summing up how the JSON reports of argvs with equal exit codes
+    differ: per leaf path (list indices dropped), the largest |delta| and
+    the number of argvs; then the number of changed verdicts."""
+    largest, argvs, verdicts, compared = {}, {}, 0, 0
+    for key in old.keys() & new.keys():
+        if old[key][0] != new[key][0]:
+            continue
+        a, b = report_of(old[key][1]), report_of(new[key][1])
+        if a is None or b is None:
+            continue
+        compared += 1
+        a, b = leaves(a), leaves(b)
+        names = set()
+        for path in a.keys() | b.keys():
+            x, y = a.get(path), b.get(path)
+            if x == y:
+                continue
+            name = ".".join(p for p in path if isinstance(p, str))
+            numbers = all(type(v) in (int, float) for v in (x, y))
+            delta = abs(x - y) if numbers else float("inf")
+            largest[name] = max(largest.get(name, 0.0), delta)
+            names.add(name)
+            verdicts += path[-1:] == ("verdict",)
+        for name in names:
+            argvs[name] = argvs.get(name, 0) + 1
+    lines = [f"shift over {compared} JSON reports with equal exit codes:"]
+    for name in sorted(largest):
+        size = "not numeric" if largest[name] == float("inf") else f"{largest[name]:.3g}"
+        lines.append(f"  {name}: largest |delta| {size}, in {argvs[name]} argvs")
+    lines.append(f"  {verdicts} verdicts changed")
+    return lines
+
+
 def main(argv):
     if len(argv) < 2:
         sys.exit(__doc__)
@@ -90,6 +153,8 @@ def main(argv):
                 if a != b:
                     print(f"  {n} old: {str(a).strip()!r:.300}\n  {n} new: {str(b).strip()!r:.300}")
     print(f"{len(set(old) | set(new))} argvs, {differ} differ")
+    if differ:
+        print("\n".join(shift_summary(old, new)))
     return 1 if differ else 0
 
 
