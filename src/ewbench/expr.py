@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from . import jets
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifierError
 
@@ -382,7 +384,22 @@ def free_names(e):
 
 
 def to_field(e):
-    """Wrap an expression as a lazily evaluated scalar field."""
+    """Wrap an expression as a scalar field.
+
+    A variable-free expression whose jet through ``MAX_ORDER`` evaluates
+    without DomainError and with every part finite is the constant field
+    of its value, which field algebra folds.  Any other expression is
+    evaluated lazily at each point, so ``1/0``, ``exp(800)`` and
+    ``1/1e-300`` (past order 0) fail there as they always did.
+    """
+    if not free_names(e):
+        with np.errstate(all="ignore"):
+            try:
+                jet = eval_jet(e, jets.point(("x",), 0.0), jets.MAX_ORDER)
+            except DomainError:
+                jet = None
+        if jet is not None and all(np.isfinite(p).all() for p in jet.parts):
+            return jets.Field.const(jet.value)
     return jets.Field(lambda pt, order=0: eval_jet(e, pt, order))
 
 

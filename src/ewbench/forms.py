@@ -15,6 +15,7 @@ definition and everything downstream is checked against them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -224,17 +225,24 @@ class Coframe3:
     def legs(self):
         return (self.e1, self.e2, self.e3)
 
+    # built once per coframe, as the field memo keys on identity
+    @cached_property
+    def _stars(self):
+        e1, e2, e3 = self.legs
+        return (wedge(e1, e2), wedge(e1, e3).scale(2.0), wedge(e2, e3))
+
+    @cached_property
+    def _metric(self):
+        e1, e2, e3 = self.legs
+        return symmetric_product(e2, e2) + symmetric_product(e1, e3).scale(-4.0)
+
 
 def star_frame(frame, i):
-    """star of the i-th coframe leg (i in 1..3), straight from the rules."""
-    e1, e2, e3 = frame.legs
-    if i == 1:
-        return wedge(e1, e2)
-    if i == 2:
-        return wedge(e1, e3).scale(2.0)
-    if i == 3:
-        return wedge(e2, e3)
-    raise ValueError("frame leg index must be 1, 2 or 3")
+    """star of the i-th coframe leg (i in 1..3), straight from the rules;
+    the same form on every call for one coframe."""
+    if i not in (1, 2, 3):
+        raise ValueError("frame leg index must be 1, 2 or 3")
+    return frame._stars[i - 1]
 
 
 def frame_expand(a, frame, pt):
@@ -470,9 +478,9 @@ def symmetric_product(a, b):
 
 
 def metric_from_coframe(frame):
-    """h = e2 (.) e2 - 4 e1 (.) e3 from a coframe, components expanded."""
-    e1, e2, e3 = frame.legs
-    return symmetric_product(e2, e2) + symmetric_product(e1, e3).scale(-4.0)
+    """h = e2 (.) e2 - 4 e1 (.) e3 from a coframe, components expanded; the
+    same metric on every call for one coframe."""
+    return frame._metric
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,10 @@ batch of points; requesting a derivative field lowers the maximum order
 that can be evaluated by one, which is how the order cap stays honest.
 Constant fields know their number, and field algebra folds them: a
 constant applied to a field acts on that field's jet as a number does,
-and two constants make a constant.  No operand that is present is
-skipped: a field times the constant 0 still evaluates the field, so
-inf * 0 stays NaN.
+and two constants make a constant.  A coordinate-free expression
+(``expr.to_field``) is such a constant when its jets are finite.  No
+operand that is present is skipped: a field times the constant 0 still
+evaluates the field, so inf * 0 stays NaN.
 
 Field evaluations are memoized on the exact ``(field, point, order)`` in the
 open :func:`evaluation_scope`, so shared subexpressions are evaluated once.

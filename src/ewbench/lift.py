@@ -15,6 +15,7 @@ lift family against its limit form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -95,8 +96,9 @@ class LiftConfig:
             )
 
 
+@functools.cache
 def default_probes(chart, *, count=8):
-    """Deterministic validation points in a fixed positive box."""
+    """Deterministic validation points in a fixed positive box, drawn once."""
     rng = np.random.default_rng(424)
     rows = rng.uniform(0.25, 0.85, size=(count, len(chart)))
     return tuple(ChartPoint.make(chart, row) for row in rows)
@@ -132,8 +134,12 @@ def validate_config(cfg):
     probes = cfg.probes or default_probes(cfg.base.chart)
     base = cfg.base
     with jets.evaluation_scope():
+        # a constant V has a value without the batch axis: it serves every row
         r = run_check(
-            "lift.gauge", lambda q: base.V(q, 0).value * cfg.ell + 2.0, probes, GAUGE_TOL
+            "lift.gauge",
+            lambda q: np.broadcast_to(base.V(q, 0).value * cfg.ell + 2.0, q.shape),
+            probes,
+            GAUGE_TOL,
         )
         if r.verdict == "fail":
             raise GaugeViolationError(

@@ -63,8 +63,10 @@ def run_check(name, fn, points, tol):
     sample order, each in a new scope, so the first offending point raises
     exactly the error it raises alone, whatever the open scope holds; a
     non-finite point raises DomainError.  A residual without the batch
-    axis (fn did not vectorize, e.g. it returned a constant) is taken as
-    the first point's, and the other points are evaluated one at a time.
+    axis (fn did not vectorize) is taken as the first point's, and the
+    other points are evaluated one at a time; a residual built from jets
+    broadcasts a value without the batch axis (the value of a constant,
+    which serves every row) to ``q.shape`` instead, so it runs once.
     This is the one loop that evaluates residuals over sample or probe
     points.
     """

@@ -2,16 +2,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ewbench import ChartPoint, parse, to_source
 from ewbench.errors import (
     DomainError,
+    EwbenchError,
     ExprSyntaxError,
     UnknownIdentifierError,
 )
-from ewbench.expr import Bin, Const, Var, eval_jet, free_names, parse_field, substitute
+from ewbench.expr import (
+    Bin,
+    Const,
+    Var,
+    eval_jet,
+    free_names,
+    parse_field,
+    substitute,
+    to_field,
+)
+from ewbench.jets import MAX_ORDER, PointBatch
 
-from conftest import XYT, pt
+from conftest import COORDS, EXPRS, XYT, pt
 
 
 def val(src, chart, *coords, order=0):
@@ -142,6 +155,83 @@ class TestEvalJet:
     def test_parse_field_evaluates(self):
         f = parse_field("x+2*t", XYT)
         assert f(pt(XYT, 1.0, 0.0, 3.0), 0).value == pytest.approx(7.0)
+
+
+# --- constant expressions ---------------------------------------------------------
+
+# conftest.EXPRS with x and y replaced by numbers
+CONSTANT_EXPRS = st.builds(
+    lambda e, x, y: substitute(substitute(e, "x", Const(x)), "y", Const(y)),
+    EXPRS,
+    COORDS,
+    COORDS,
+)
+AT_POINT = pt(XYT, 0.3, -0.4, 0.7)
+OVER_BATCH = PointBatch(XYT, [(0.3, -0.4, 0.7), (1.5, 2.0, -3.0)])
+# each order's DomainError text (None: the order evaluates) of constants
+# whose jets fail: they stay lazy leaves and fail where they always did
+FAILING_CONSTANTS = {
+    "1/0": ["division by zero in '1/0'"] * 4,
+    "exp(800)": ["value 800.0 leaves the float range in 'exp(800)'"] * 4,
+    "1/1e-300": [None] + ["reciprocal of 1e-300 leaves the float range in '1/1e-300'"] * 3,
+    "0^0.5": ["non-integer power needs a positive base in '0^0.5'"] * 4,
+}
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except EwbenchError as err:
+        return err
+
+
+class TestConstantExpressions:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(e=CONSTANT_EXPRS)
+    # finite values whose derivative parts are NaN (inf times a zero part)
+    @example(e=parse("1/(1e200*1e200*2)", XYT))
+    @example(e=parse("tanh(1e200*1e200*2)", XYT))
+    def test_a_constant_folds_to_the_jets_it_evaluates_to(self, e):
+        f = to_field(e)
+        with np.errstate(all="ignore"):
+            top = outcome(lambda: eval_jet(e, AT_POINT, MAX_ORDER))
+            finite = not isinstance(top, EwbenchError) and all(
+                np.isfinite(p).all() for p in top.parts
+            )
+            assert (f.number is not None) == finite
+            for q in (AT_POINT, OVER_BATCH):
+                for order in range(MAX_ORDER + 1):
+                    want = outcome(lambda: eval_jet(e, q, order))
+                    got = outcome(lambda: f(q, order))
+                    if isinstance(want, EwbenchError):
+                        assert type(got) is type(want) and str(got) == str(want)
+                        continue
+                    assert got.order == order
+                    # the value bit for bit; derivative parts up to the sign of 0
+                    assert np.asarray(got.value).tobytes() == np.asarray(want.value).tobytes()
+                    for a, b in zip(got.parts[1:], want.parts[1:]):
+                        assert np.array_equal(*np.broadcast_arrays(a, b), equal_nan=True)
+
+    @pytest.mark.parametrize("src", ["2", "-1/4", "2^0.5", "1e308", "sin(1)*exp(-2)"])
+    def test_finite_constants_are_constant_fields(self, src):
+        e = parse(src, XYT)
+        assert to_field(e).number == eval_jet(e, AT_POINT).value
+
+    @pytest.mark.parametrize("src,errors", FAILING_CONSTANTS.items(), ids=list(FAILING_CONSTANTS))
+    def test_failing_constants_stay_lazy(self, src, errors):
+        f = to_field(parse(src, XYT))
+        assert f.number is None
+        for q in (AT_POINT, OVER_BATCH):
+            for order, message in enumerate(errors):
+                if message is None:
+                    assert f(q, order).value == eval_jet(parse(src, XYT), q, order).value
+                    continue
+                with pytest.raises(DomainError) as err:
+                    f(q, order)
+                assert str(err.value) == message
+
+    def test_an_expression_in_the_coordinates_stays_lazy(self):
+        assert to_field(parse("x+2", XYT)).number is None
 
 
 # --- grammar fuzzer -------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ewbench import report
 from ewbench import (
     GeneratorG,
     class_a,
@@ -115,6 +116,23 @@ class TestClassA:
     def test_heat_violation_rejected(self):
         with pytest.raises(HeatResidualError):
             class_a("y^2")
+
+    @pytest.mark.parametrize("beta,reaches", [("y-2", None), ("5", None), ("t+y", r"1\.000e\+00")])
+    def test_a_row_independent_heat_residual_is_checked_once(self, monkeypatch, beta, reaches):
+        calls = []
+        opened = report.evaluation_scope
+
+        def counting():
+            calls.append(1)
+            return opened()
+
+        monkeypatch.setattr(report, "evaluation_scope", counting)
+        if reaches is None:
+            class_a(beta)
+        else:
+            with pytest.raises(HeatResidualError, match=f"reaches {reaches} on the probe set"):
+                class_a(beta)
+        assert calls == []
 
     def test_polynomial_solution_accepted(self):
         s = class_a("y^2-2*t")

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from ewbench import (
     wedge,
 )
 from ewbench.errors import JetOrderError, SingularFrameError
-from ewbench.ew import PAIRS, EWStructure, monopole_residual
+from ewbench.ew import PAIRS, EWStructure, gt_residual, monopole_residual
 from ewbench.families import class_b
 from ewbench.forms import (
     coordinate_form,
@@ -28,7 +30,7 @@ from ewbench.forms import (
     symmetric_product,
     zero_form,
 )
-from ewbench.jets import PointBatch
+from ewbench.jets import PointBatch, evaluation_scope
 
 from conftest import XYT, PYT, box_points, pt
 
@@ -329,6 +331,36 @@ class TestMetricFromCoframe:
         h = metric_from_coframe(s.frame)
         for q in box_points(XYT, -1.0, 1.0, 20, 4):
             assert h.signature_at(q) == (2, 1)
+
+
+class TestSharedCoframeForms:
+    def test_one_coframe_has_one_set_of_stars_and_one_metric(self):
+        frame = class_b("1+p^2").frame
+        for i in (1, 2, 3):
+            assert star_frame(frame, i) is star_frame(frame, i)
+        assert metric_from_coframe(frame) is metric_from_coframe(frame)
+        assert star_frame(frame, 1) is not star_frame(class_b("1+p^2").frame, 1)
+
+    def test_gt_then_monopole_evaluate_each_leg_and_star_once(self, monkeypatch):
+        s = class_b("1+p^2")
+        stars = [star_frame(s.frame, i) for i in (1, 2, 3)]
+        fields = {id(f): f for form in s.frame.legs + tuple(stars) for f in form.comps.values()}
+        calls = Counter()
+
+        def counted(f):
+            fn = f.fn
+            return lambda q, order=0: calls.update([(id(f), order)]) or fn(q, order)
+
+        for f in fields.values():
+            monkeypatch.setattr(f, "fn", counted(f))
+        batch = PointBatch.of(box_points(PYT, 0.5, 2.0, 6, 5))
+        with evaluation_scope():
+            gt_residual(s, batch)
+            monopole_residual(s, batch)
+        assert set(calls.values()) == {1}
+        # a constant component acts as its number and is never evaluated
+        star_fields = {id(f) for form in stars for f in form.comps.values() if f.number is None}
+        assert star_fields and star_fields <= {key for key, _ in calls}
 
 
 class TestMetricField:

@@ -29,6 +29,7 @@ from ewbench.errors import (
     GaugeViolationError,
     PsiResidualError,
 )
+from ewbench import report
 from ewbench.families import class_b, default_domain, heisenberg_psi
 from ewbench.forms import coordinate_form, embed_form, embed_metric, symmetric_product
 from ewbench.jets import ChartPoint, sample
@@ -164,6 +165,41 @@ class TestFixEllSign:
         a = default_probes(XYT)
         b = default_probes(XYT)
         assert a == b
+
+    def test_default_probes_are_drawn_once(self):
+        assert default_probes(PYT, count=3) is default_probes(PYT, count=3)
+
+
+def count_point_scopes(monkeypatch):
+    """Count the scopes ``run_check`` opens for its per-point fallback."""
+    calls = []
+    opened = report.evaluation_scope
+
+    def counting():
+        calls.append(1)
+        return opened()
+
+    monkeypatch.setattr(report, "evaluation_scope", counting)
+    return calls
+
+
+class TestConstantGauge:
+    @pytest.mark.parametrize("base,ell", [(heisenberg(1.0), -1.0), (class_b("-1/4"), -1.0),
+                                          (class_b("2"), 8.0)], ids=["heisenberg", "fq", "f2"])
+    def test_a_constant_v_is_checked_once_over_the_probes(self, monkeypatch, base, ell):
+        calls = count_point_scopes(monkeypatch)
+        validate_config(LiftConfig(base, psi_const(base, 0.5), ell, c=0.5))
+        assert calls == []
+
+    def test_a_failing_constant_gauge_names_its_residual(self, monkeypatch):
+        calls = count_point_scopes(monkeypatch)
+        with pytest.raises(GaugeViolationError, match=r"V\*ell \+ 2 reaches 4\.000e\+00"):
+            validate_config(LiftConfig(heisenberg(1.0), None, 1.0))
+        assert calls == []
+
+    def test_a_numeric_f_folds_v(self):
+        assert class_b("2").V.number == -0.25
+        assert class_b("1+p^2").V.number is None
 
 
 # --- certification of the lifted space-times -------------------------------------

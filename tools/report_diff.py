@@ -5,8 +5,8 @@
 
 The argvs are every perfbench job of seeds 1-3, as
 ``perfbench/run.py --seconds 30`` makes them, the ``ewbench ...`` command
-lines of README.md, and any extra command lines given after the two
-checkouts.  One subprocess per checkout runs them all through
+lines of README.md, the constant-data command lines of ``CONSTANT_DATA``,
+and any extra command lines given after the two checkouts.  One subprocess per checkout runs them all through
 ``ewbench.cli.main`` in process, with that checkout's ``src`` first on the
 path.  The tool prints each argv whose exit code, stdout (without its
 ``wall_time_s`` line) or stderr differs, and exits 1 on any difference,
@@ -27,6 +27,25 @@ from pathlib import Path
 
 SEEDS = (1, 2, 3)
 SECONDS = 30
+
+# expression data without coordinates, and residuals the same at every
+# point: constants that must fold (or fail) with the bits of a per-point
+# evaluation
+CONSTANT_DATA = (
+    "verify --case class-b --F -1/4",
+    "verify --case class-b --F 2^0.5 --checks gt,monopole,psi --c 0.3",
+    "verify --case class-b --F 1/1e-300",
+    "verify --case class-b --F 1/0",
+    "verify --case class-b --F 1e308",
+    "lift --case class-b --F -1/4 --ell -1 --checks em,maxwell,invariants",
+    "lift --case class-b --F 1 --chart alpha --checks em,maxwell,invariants",
+    "verify --case from-H --H 5",
+    "verify --case class-c --K 2",
+    "verify --case class-a --beta 5",
+    "verify --case class-a --beta y-2",
+    "limit --case class-b --ells -100,-200",
+    "limit --case class-b --ells 100,200 --c 0.7",
+)
 
 # run inside a checkout: one JSON line [argv, exit code, stdout, stderr]
 # per distinct argv, in order
@@ -136,7 +155,8 @@ def shift_summary(old, new):
 def main(argv):
     if len(argv) < 2:
         sys.exit(__doc__)
-    old_dir, new_dir, extra = Path(argv[0]), Path(argv[1]), argv[2:]
+    old_dir, new_dir = Path(argv[0]), Path(argv[1])
+    extra = list(CONSTANT_DATA) + argv[2:]
     old, new = reports(old_dir, extra), reports(new_dir, extra)
     names = ("exit code", "stdout", "stderr")
     differ = 0
