@@ -7,7 +7,10 @@ Subcommands:
   limit   track a lift family toward its large-ell limit form
   eval    evaluate a text expression and its derivatives at a point
 
-Configuration comes from flags or a JSON file (flags override).  Reports
+Configuration comes from flags or a JSON file (flags override).  The
+driver maps flags to a catalog case and its parameters: the cases, their
+expression flags and defaults come from ``families.CASES``, the ``limit``
+families and the choice of ell from ``lift``.  Reports
 are JSON with a fixed key order and a ``schema`` version; for a fixed
 configuration and seed they are byte-identical apart from wall time.
 Exit codes: 0 all checks pass, 1 a check fails, 2 configuration problem,
@@ -51,7 +54,6 @@ from .errors import (
     SingularMetricError,
 )
 from .ew import (
-    from_H,
     gauge_transform,
     gt_residual,
     hypercr_residual,
@@ -59,7 +61,7 @@ from .ew import (
     psi_residual,
 )
 from .forms import signature
-from .jets import ChartPoint, Guard, SampleDomain, sample
+from .jets import ChartPoint, sample
 from .report import CheckResult, build_report, report_json, run_check
 
 EXIT_PASS = 0
@@ -103,21 +105,15 @@ DEFAULTS = {
 }
 
 # the expression flags each catalog case reads
-CASE_EXPRS = {
-    "heisenberg": (),
-    "class_a": ("beta",),
-    "class_b": ("F",),
-    "class_c": ("K",),
-    "from_H": ("H",),
-    "from_G": ("A", "B"),
-}
+CASE_EXPRS = {case: tuple(row.exprs) for case, row in fam.CASES.items()}
 _CASE_EXPR_FLAGS = tuple(f for flags in CASE_EXPRS.values() for f in flags)
 _EXPR_FLAGS = _CASE_EXPR_FLAGS + ("f",)
 
 # the flags each subcommand reads; giving it any other is a configuration
 # error (config-file keys are not held to this: one file may serve all).
 # Within verify and lift, a case reads only its own expression flags, and
-# verify reads --ell only for heisenberg and --c only for the psi check.
+# verify reads --ell only for a case whose structure reads it (heisenberg)
+# and --c only for the psi check.
 _CASE_FLAGS = ("case", "ell", "checks", "points", "seed", "tol") + _CASE_EXPR_FLAGS
 READ_FLAGS = {
     "verify": _CASE_FLAGS + ("c", "f", "out"),
@@ -303,7 +299,7 @@ def _refuse_unread_flags(cfg, flags):
     if key not in CASE_EXPRS:
         return
     unread = [f for f in _CASE_EXPR_FLAGS if f not in CASE_EXPRS[key]]
-    if command == "verify" and key != "heisenberg":
+    if command == "verify" and not fam.CASES[key].reads_ell:
         unread.append("ell")
     for flag in flags:
         if flag in unread:
@@ -332,53 +328,15 @@ def parse_checks(cfg):
     return names
 
 
-def _expr_or(cfg, key, fallback):
-    return cfg[key] if cfg[key] is not None else fallback
-
-
 def build_case(cfg):
     """Catalog structure plus its pinned sampling domain."""
     case = cfg["case"]
     if case is None:
         raise ConfigError("--case is required")
-    seed, count = cfg["seed"], cfg["points"] or 200
-    ell = cfg["ell"] if cfg["ell"] is not None else 1.0
     key = case.replace("-", "_")
-    if key == "heisenberg":
-        s = fam.heisenberg(ell)
-        dom = fam.default_domain("heisenberg", seed=seed, count=count)
-    elif key == "class_a":
-        beta = _expr_or(cfg, "beta", fam.CLASS_A_BETAS[0])
-        s = fam.class_a(beta)
-        dom = fam.default_domain("class_a", seed=seed, count=count, beta=beta)
-    elif key == "class_b":
-        F = _expr_or(cfg, "F", "1")
-        s = fam.class_b(F)
-        dom = fam.default_domain("class_b", seed=seed, count=count, F=F)
-    elif key == "class_c":
-        K = _expr_or(cfg, "K", "s")
-        s = fam.class_c(K)
-        dom = fam.default_domain("class_c", seed=seed, count=count, K=K)
-    elif key == "from_H":
-        H = _expr_or(cfg, "H", "1/sqrt(y^2-4*x*t)")
-        s = from_H(ex.parse_field(H, ("x", "y", "t")))
-        dom = fam.default_domain("from_H", seed=seed, count=count, H=H)
-    elif key == "from_G":
-        A = _expr_or(cfg, "A", "p*ln(p)-p")
-        B = _expr_or(cfg, "B", "0")
-        gen = fam.GeneratorG(A, B)
-        s = fam.from_generator(gen)
-        a_pp = gen.a_field().d("p").d("p")
-        dom = SampleDomain(
-            ("p", "y", "t"),
-            ((0.5, 2.0), (-1.0, 1.0), (0.3, 1.5)),
-            (Guard(a_pp * a_pp, 1e-6, "G_pp^2 > 1e-6"),),
-            seed,
-            count,
-        )
-    else:
+    if key not in fam.CASES:
         raise ConfigError(f"unknown case {case!r}")
-    return s, dom
+    return fam.build(key, cfg, ell=cfg["ell"], seed=cfg["seed"], count=cfg["points"] or 200)
 
 
 def _verify_fns(s, cfg, names):
@@ -436,21 +394,11 @@ def _lift_data(cfg):
     """Base structure, lift config, and lifted data for both charts."""
     base, dom = build_case(cfg)
     base_pts = sample(dom)
-    probe = base_pts[0]
-    requested = cfg["ell"]
-    if requested is None:
-        v = base.V(probe, 0).value
-        if abs(v) < 1e-12:
-            raise ConfigError("V = 0 at the probe; supply --ell explicitly")
-        ell_used, flipped = -2.0 / v, False
-    else:
-        ell_used, flipped = lift_mod.fix_ell_sign(base, requested, probe)
-    psi = fam.psi_const(base, cfg["c"])
+    ell_used, flipped = lift_mod.fix_ell_sign(base, cfg["ell"], base_pts[0])
     lcfg = lift_mod.LiftConfig(
         base=base,
-        psi=psi,
+        psi=fam.psi_const(base, cfg["c"]),
         ell=ell_used,
-        c=cfg["c"],
         chart=cfg["chart"],
         probes=tuple(base_pts[: min(8, len(base_pts))]),
     )
@@ -520,7 +468,6 @@ def cmd_limit(cfg):
     parse_checks(cfg)
     tol = cfg["tol"] if cfg["tol"] is not None else 1e-6
     case = (cfg["case"] or "heisenberg").replace("-", "_")
-    c = cfg["c"]
     raw = cfg["ells"] or "100,200,1000,10000"
     if isinstance(raw, str):
         try:
@@ -532,26 +479,7 @@ def cmd_limit(cfg):
     if not all(map(math.isfinite, ells)):
         raise ConfigError(f"ells must be finite, got {raw!r}")
 
-    if case == "heisenberg":
-
-        def factory(e):
-            base = fam.heisenberg(e)
-            ell_used, _ = lift_mod.fix_ell_sign(base, e)
-            return lift_mod.LiftConfig(
-                base=base, psi=fam.psi_const(base, c), ell=ell_used, c=c
-            )
-
-    elif case == "class_b":
-
-        def factory(e):
-            base = fam.class_b(repr(e / 4.0))
-            return lift_mod.LiftConfig(
-                base=base, psi=fam.psi_const(base, c), ell=e, c=c
-            )
-
-    else:
-        raise ConfigError(f"case {case!r} has no ell-parameterized lift family")
-
+    factory, chart = lift_mod.limit_family(case, cfg["c"])
     rep = lift_mod.flat_limit(factory, ells)
     result = CheckResult(
         name="limit",
@@ -561,7 +489,6 @@ def cmd_limit(cfg):
         tol=tol,
         failed=rep["diverges"],
     )
-    chart = ("p",) + fam.XYT if case == "heisenberg" else ("q", "p", "y", "t")
     report = build_report(_echo(cfg), chart, 0, [result], detail=rep)
     return report
 

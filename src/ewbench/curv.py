@@ -92,7 +92,7 @@ def _inverse_partial(ginv, dg):
     return -np.einsum("...af,...efh,...hb->...eab", ginv, dg, ginv)
 
 
-def _gamma_and_partial(g0, dg, ddg, ginv):
+def _gamma_and_partial(dg, ddg, ginv):
     """Christoffel symbols Gamma[a,b,c], dGamma[e,a,b,c] = d_e Gamma, and
     dginv[e,a,b] = d_e g^ab."""
     t = np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg
@@ -140,7 +140,7 @@ def _curvature(g, pt, method, scalar=False):
     """(Gamma, R^a_bcd, R_bd, Kretschmann, g, g^-1) from one pass over the
     metric arrays; the Kretschmann contraction runs only if ``scalar``."""
     g0, dg, ddg, ginv = _metric_arrays(g, pt, method)
-    gamma, dgamma, _ = _gamma_and_partial(g0, dg, ddg, ginv)
+    gamma, dgamma, _ = _gamma_and_partial(dg, ddg, ginv)
     r_up = _riemann_from_gamma(gamma, dgamma)
     k = _kretschmann(r_up, g0, ginv) if scalar else None
     return gamma, r_up, np.einsum("...abad->...bd", r_up), k, g0, ginv
@@ -268,7 +268,7 @@ def weyl_ricci_residual_metric(h, omega, pt, method="jet"):
     """
     n = h.dim
     g0, dg, ddg, ginv = _metric_arrays(h, pt, method)
-    gamma, dgamma, dginv = _gamma_and_partial(g0, dg, ddg, ginv)
+    gamma, dgamma, dginv = _gamma_and_partial(dg, ddg, ginv)
 
     w = np.zeros(pt.shape + (n,))
     dw = np.zeros(pt.shape + (n, n))

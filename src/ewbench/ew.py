@@ -72,7 +72,6 @@ class EWStructure:
     frame: Coframe3
     omega: PForm
     V: Field
-    family: str = ""
     u: Field | None = None
     w: Field | None = None
 
@@ -184,7 +183,6 @@ def gauge_transform(s, f):
         frame=Coframe3(*scaled),
         omega=s.omega + df.scale(2.0),
         V=jets.exp(-f) * s.V,
-        family=s.family,
     )
 
 
@@ -231,7 +229,7 @@ def constraints_residual(H, pt):
 XYT = ("x", "y", "t")
 
 
-def from_uw(u, w, family="", chart=XYT):
+def from_uw(u, w, chart=XYT):
     """Structure with e1 = dx - u dy + w dt, e2 = dy - u dt, e3 = dt.
 
     omega = u_x dy + (u u_x + 2 u_y) dt and V = u_x / 2; the first chart
@@ -252,12 +250,11 @@ def from_uw(u, w, family="", chart=XYT):
         frame=Coframe3(e1, e2, e3),
         omega=omega,
         V=ux * 0.5,
-        family=family,
         u=u,
         w=w,
     )
 
 
-def from_H(H, family="from_H"):
+def from_H(H):
     """Structure generated by a scalar solution via u = H_x, w = -H_y."""
-    return from_uw(H.d("x"), -H.d("y"), family=family)
+    return from_uw(H.d("x"), -H.d("y"))

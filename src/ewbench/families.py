@@ -1,11 +1,15 @@
 """The catalog of certified Einstein-Weyl structures.
 
-Four named constructions: the nilpotent (Heisenberg) example on (x, y, t),
-and Classes A, B, C on a chart (p, y, t) where p is the Legendre dual of x.
-The p-chart structures can be produced two independent ways: directly from
-the closed-form coframe components (class_a / class_b / class_c), or by
-running the generic Legendre-generator route (from_generator) on the raw
-data G(p, y, t) = A(p, t) + p B(y, t).  Agreement of the two routes is one
+Six cases, listed with their expression parameters and defaults in
+``CASES``: the nilpotent (Heisenberg) example and the structures of a
+scalar solution H on (x, y, t); Classes A, B, C on a chart (p, y, t)
+where p is the Legendre dual of x; and the structures of a Legendre
+generator G(p, y, t) = A(p, t) + p B(y, t).  ``build`` makes a case's
+structure and its pinned sampling domain (``default_domain``) from one
+parse of each parameter.  The p-chart structures can be produced two
+independent ways: directly from the closed-form coframe components
+(class_a / class_b / class_c), or by running the generic Legendre-generator
+route (from_generator) on the raw data.  Agreement of the two routes is one
 of the main consistency checks of the suite; neither is an oracle for the
 other in code, they only share the chart.
 
@@ -17,12 +21,13 @@ residuals; asking it for curvature raises JetOrderError by design.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import expr as ex
 from .errors import ConfigError, DegenerateLegendreError, HeatResidualError
-from .ew import EWStructure, WeightedForm, from_uw
+from .ew import EWStructure, WeightedForm, from_H, from_uw
 from .forms import (
     Coframe3,
     coordinate_form,
@@ -52,6 +57,8 @@ __all__ = [
     "class_a_closed",
     "class_b_closed",
     "class_c_closed",
+    "CASES",
+    "build",
     "default_domain",
     "CLASS_A_BETAS",
     "CLASS_B_FS",
@@ -86,7 +93,7 @@ def heisenberg(ell):
     if ell == 0.0:
         raise ConfigError("heisenberg requires ell != 0")
     u = Field.coordinate("x") * (4.0 / ell)
-    return from_uw(u, Field.const(0.0), family="heisenberg")
+    return from_uw(u, Field.const(0.0))
 
 
 def psi_const(s, c):
@@ -144,7 +151,6 @@ def class_a(beta):
         frame=frame,
         omega=omega,
         V=p * (-0.5),
-        family="class_a",
         u=p,
         w=p * ry,
     )
@@ -179,10 +185,14 @@ def class_b(F):
         frame=frame,
         omega=omega,
         V=-0.5 * inv,
-        family="class_b",
         u=p,
         w=Field.const(0.0),
     )
+
+
+def _k_field(K):
+    """K(s) composed with s = t p^2, as a field on (p, y, t)."""
+    return ex.to_field(ex.substitute(_ast(K, ["s"]), "s", ex.parse("t*p^2", ["p", "t"])))
 
 
 def class_c(K):
@@ -192,9 +202,7 @@ def class_c(K):
     with s = t p^2 here, so callers parameterize by the similarity
     variable rather than by (p, t) separately.
     """
-    k_ast = _ast(K, ["s"])
-    k_pyt = ex.substitute(k_ast, "s", ex.parse("t*p^2", ["p", "t"]))
-    k = ex.to_field(k_pyt)
+    k = _k_field(K)
     p = Field.coordinate("p")
     y = Field.coordinate("y")
     t = Field.coordinate("t")
@@ -210,7 +218,6 @@ def class_c(K):
         frame=frame,
         omega=omega,
         V=-p / (4.0 * k),
-        family="class_c",
         u=p,
         w=-p * b_y,
     )
@@ -259,10 +266,7 @@ def class_b_closed(F):
 
 def class_c_closed(K):
     """Closed-form (h, omega) for Class C with K = K(t p^2)."""
-    k_pyt = ex.substitute(
-        _ast(K, ["s"]), "s", ex.parse("t*p^2", ["p", "t"])
-    )
-    k = ex.to_field(k_pyt)
+    k = _k_field(K)
     p = Field.coordinate("p")
     y = Field.coordinate("y")
     t = Field.coordinate("t")
@@ -294,12 +298,6 @@ class GeneratorG:
         object.__setattr__(self, "A", _ast(self.A, ["p", "t"]))
         object.__setattr__(self, "B", _ast(self.B, ["y", "t"]))
 
-    def a_field(self):
-        return ex.to_field(self.A)
-
-    def b_field(self):
-        return ex.to_field(self.B)
-
 
 def _legendre_inv(g_pp):
     """1 / G_pp with the degeneracy cutoff, as a field."""
@@ -325,8 +323,8 @@ def from_generator(gen):
     available at full order; curvature-grade consumers should use the
     closed-form constructors.
     """
-    a = gen.a_field()
-    b = gen.b_field()
+    a = ex.to_field(gen.A)
+    b = ex.to_field(gen.B)
     a_pp = a.d("p").d("p")
     a_pt = a.d("p").d("t")
     b_y = b.d("y")
@@ -341,7 +339,6 @@ def from_generator(gen):
         frame=frame,
         omega=omega,
         V=inv * (-0.5),
-        family="generator",
         u=p,
         w=-p * b_y,
     )
@@ -447,44 +444,86 @@ def fundamental_H(pt, order=3):
 # ---------------------------------------------------------------------------
 
 
-def default_domain(case, *, seed=7, count=200, beta=None, F=None, K=None, H=None):
+def default_domain(case, *, seed=7, count=200, **params):
     """The pinned sampling box and guards for each catalog case.
 
+    ``params`` holds the case's expression parameters (``CASES``), as text
+    or parsed; a guard that reads one it is not given raises ConfigError.
     Guards keep clear of the singular sets: p > 0 where dp/p appears,
-    beta > 0 under the logarithm, F and K away from zero where inverted,
-    and the light cone for the fundamental solution.
+    beta > 0 under the logarithm, F, K and A_pp away from zero where
+    inverted, and the light cone for the fundamental solution.
     """
+
+    def param(name):
+        if params.get(name) is None:
+            raise ConfigError(f"{case} domain needs {name}")
+        return _ast(params[name], CASES[case].exprs[name][1])
+
     if case == "heisenberg":
         return SampleDomain(XYT, ((-1.0, 1.0),) * 3, (), seed, count)
     if case == "from_H":
-        guards = (
-            Guard(
-                ex.to_field(ex.parse("y^2-4*x*t", ["x", "y", "t"])),
-                0.25,
-                "y^2-4xt > 0.25",
-            ),
-        )
+        guard = Guard(ex.parse_field("y^2-4*x*t", XYT), 0.25, "y^2-4xt > 0.25")
         box = ((-1.0, 1.0), (2.0, 3.0), (-1.0, 1.0))
-        return SampleDomain(XYT, box, guards, seed, count)
+        return SampleDomain(XYT, box, (guard,), seed, count)
     if case == "class_a":
-        if beta is None:
-            raise ConfigError("class_a domain needs beta")
-        guard = Guard(ex.to_field(_ast(beta, ["y", "t"])), 0.1, "beta > 0.1")
+        guard = Guard(ex.to_field(param("beta")), 0.1, "beta > 0.1")
         box = ((0.5, 2.0), (2.0, 3.0), (0.2, 0.9))
         return SampleDomain(PYT, box, (guard,), seed, count)
     if case == "class_b":
-        if F is None:
-            raise ConfigError("class_b domain needs F")
-        f = ex.to_field(_ast(F, ["p"]))
+        f = ex.to_field(param("F"))
         guard = Guard(f * f, 1e-4, "F^2 > 1e-4")
         box = ((0.5, 2.0), (-1.0, 1.0), (-1.0, 1.0))
         return SampleDomain(PYT, box, (guard,), seed, count)
     if case == "class_c":
-        if K is None:
-            raise ConfigError("class_c domain needs K")
-        k_pyt = ex.substitute(_ast(K, ["s"]), "s", ex.parse("t*p^2", ["p", "t"]))
-        k = ex.to_field(k_pyt)
+        k = _k_field(param("K"))
         guard = Guard(k * k, 1e-6, "K^2 > 1e-6")
         box = ((0.5, 2.0), (-1.0, 1.0), (0.5, 2.0))
         return SampleDomain(PYT, box, (guard,), seed, count)
+    if case == "from_G":
+        a_pp = ex.to_field(param("A")).d("p").d("p")
+        guard = Guard(a_pp * a_pp, 1e-6, "G_pp^2 > 1e-6")
+        box = ((0.5, 2.0), (-1.0, 1.0), (0.3, 1.5))
+        return SampleDomain(PYT, box, (guard,), seed, count)
     raise ConfigError(f"unknown case {case!r}")
+
+
+# ---------------------------------------------------------------------------
+# the case table
+# ---------------------------------------------------------------------------
+
+
+class Case(NamedTuple):
+    exprs: dict  # expression parameter -> (default text, its variables), in flag order
+    make: Callable  # (ell, **parsed parameters) -> structure
+    reads_ell: bool = False  # whether the structure reads the scale ell
+
+
+# a catalog case per name; the constructors are looked up when called, so a
+# wrapped one is used
+CASES = {
+    "heisenberg": Case({}, lambda ell: heisenberg(ell), reads_ell=True),
+    "class_a": Case({"beta": (CLASS_A_BETAS[0], ("y", "t"))}, lambda ell, beta: class_a(beta)),
+    "class_b": Case({"F": ("1", ("p",))}, lambda ell, F: class_b(F)),
+    "class_c": Case({"K": ("s", ("s",))}, lambda ell, K: class_c(K)),
+    "from_H": Case({"H": ("1/sqrt(y^2-4*x*t)", XYT)}, lambda ell, H: from_H(ex.to_field(H))),
+    "from_G": Case(
+        {"A": ("p*ln(p)-p", ("p", "t")), "B": ("0", ("y", "t"))},
+        lambda ell, A, B: from_generator(GeneratorG(A, B)),
+    ),
+}
+
+
+def build(case, params, *, ell=None, seed=7, count=200):
+    """(structure, sampling domain) of a catalog case.
+
+    A parameter that ``params`` lacks or holds as None takes its default;
+    each is parsed once, for the constructor and the domain.  ``ell``
+    (default 1) is read only by a case that ``reads_ell``.
+    """
+    row = CASES[case]
+    asts = {}
+    for name, (default, variables) in row.exprs.items():
+        source = params.get(name)
+        asts[name] = _ast(default if source is None else source, variables)
+    s = row.make(1.0 if ell is None else ell, **asts)
+    return s, default_domain(case, seed=seed, count=count, **asts)

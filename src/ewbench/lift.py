@@ -9,8 +9,11 @@ related to it by
     sin(alpha) = sech(p/ell),    cos(alpha) = tanh(p/ell).
 
 Both charts carry the same geometry; the p chart extends smoothly through
-the alpha = pi/2 slice.  ``flat_limit`` tracks the large-ell behaviour of a
-lift family against its limit form.
+the alpha = pi/2 slice.  ``fix_ell_sign`` is the one choice of ell for a
+base: -2/V when none is given, else the given magnitude with the sign that
+makes V = -2/ell.  ``flat_limit`` tracks the large-ell behaviour of a lift
+family against its limit form; ``limit_family`` holds the two families the
+``limit`` subcommand offers, heisenberg(ell) and class B with F = ell/4.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import families as fam
 from . import jets
 from .curv import riemann
 from .errors import ConfigError, DomainError, GaugeViolationError, PsiResidualError
@@ -69,8 +73,7 @@ class SpacetimeData:
 class LiftConfig:
     """Input bundle for a lift.
 
-    ``psi`` must carry conformal weight -1 (or be None for the zero field);
-    ``c`` records the coefficient when psi comes from the c*omega preset.
+    ``psi`` must carry conformal weight -1 (or be None for the zero field).
     ``probes`` are base-chart points used to validate the gauge, the
     structure equations, and psi; when empty a deterministic default box is
     sampled, which suits bases defined on all of R^3.  ``validate=False``
@@ -80,7 +83,6 @@ class LiftConfig:
     base: EWStructure
     psi: WeightedForm | None
     ell: float
-    c: float = 0.0
     chart: str = "p"
     validate: bool = True
     probes: tuple[ChartPoint, ...] = ()
@@ -109,11 +111,16 @@ def fix_ell_sign(base, ell, probe=None):
 
     The magnitude is kept; only the sign is adjusted.  Raises
     GaugeViolationError when neither sign fits, e.g. when V is not the
-    constant +-2/|ell| to begin with.
+    constant +-2/|ell| to begin with.  With ell None, ell' is -2/V at the
+    probe, unflipped, and V = 0 there is a ConfigError.
     """
     if probe is None:
         probe = default_probes(base.chart, count=1)[0]
     v = base.V(probe, 0).value
+    if ell is None:
+        if abs(v) < 1e-12:
+            raise ConfigError("V = 0 at the probe; supply --ell explicitly")
+        return -2.0 / v, False
     for cand, flipped in ((float(ell), False), (-float(ell), True)):
         if abs(v * cand + 2.0) <= GAUGE_TOL:
             return cand, flipped
@@ -219,8 +226,8 @@ def build_p(cfg):
     """
     if cfg.validate:
         validate_config(cfg)
-    name = "p" if "p" not in cfg.base.chart else "q"
-    chart4 = (name,) + cfg.base.chart
+    chart4 = p_chart(cfg.base.chart)
+    name = chart4[0]
     ell = cfg.ell
     pc = Field.coordinate(name)
     th = jets.tanh(pc / ell)
@@ -234,6 +241,12 @@ def build_p(cfg):
         (1.0 - sech * sech * 2.0) * (ell / 4.0)
     )
     return SpacetimeData(chart4, g, pot, ell)
+
+
+def p_chart(base_chart):
+    """The chart of a p-chart lift: the fibre coordinate p, named q when
+    the base chart already has a p, then the base coordinates."""
+    return ("p" if "p" not in base_chart else "q",) + base_chart
 
 
 def build(cfg):
@@ -353,3 +366,22 @@ def flat_limit(factory, ells):
         gaps[-1] > gaps[0] or report["f_term"][-1] > report["f_term"][0]
     )
     return report
+
+
+def limit_family(case, c):
+    """(factory, chart) of the lift family of ``case`` that ``flat_limit``
+    tracks, with psi = c omega: heisenberg(ell) lifted at the sign-fixed
+    ell, or class B with F = ell/4, whose V is -2/ell.  ``chart`` is the
+    p chart of the family's lifts."""
+    if case not in ("heisenberg", "class_b"):
+        raise ConfigError(f"case {case!r} has no ell-parameterized lift family")
+
+    def factory(ell):
+        if case == "heisenberg":
+            base = fam.heisenberg(ell)
+            ell, _ = fix_ell_sign(base, ell)
+        else:
+            base = fam.class_b(repr(ell / 4.0))
+        return LiftConfig(base=base, psi=fam.psi_const(base, c), ell=ell)
+
+    return factory, p_chart(fam.XYT if case == "heisenberg" else fam.PYT)

@@ -167,7 +167,7 @@ def test_lift_certification_full_matrix():
     for name, base, ell, dom in _lift_cases():
         base_pts = sample(dom)
         for c in (0.0, 0.5):
-            data = build_p(LiftConfig(base, psi_const(base, c), ell, c=c))
+            data = build_p(LiftConfig(base, psi_const(base, c), ell))
             fibres = rng.uniform(-1.2, 1.2, size=2 * len(base_pts))
             pts4 = [
                 ChartPoint.make(data.chart, (fv,) + q.coords)
@@ -231,7 +231,7 @@ def test_convention_pinning_ads_oracle():
     assert worst_k <= 1e-6
 
     base = heisenberg(1.0)
-    data = build_p(LiftConfig(base, psi_const(base, 0.5), -1.0, c=0.5))
+    data = build_p(LiftConfig(base, psi_const(base, 0.5), -1.0))
     q = ChartPoint.make(data.chart, (0.3, 0.4, -0.2, 0.6))
     pinned = float(np.abs(em_residual(data.g, data.potential, data.ell, q)).max())
     halved = float(

@@ -31,7 +31,7 @@ from ewbench.curv import f_squared, kretschmann, scalar_invariants
 from ewbench.errors import DomainError, EwbenchError, SingularMetricError
 from ewbench.forms import signature
 from ewbench.expr import eval_jet, to_source
-from ewbench.families import default_domain
+from ewbench.families import CASES, default_domain
 from ewbench.jets import PointBatch, evaluation_scope, sample
 from ewbench.lift import build, fix_ell_sign
 from ewbench.report import report_json, run_check
@@ -135,6 +135,25 @@ class TestVerify:
         assert code == EXIT_PASS
 
 
+class TestCaseTable:
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_case_runs_at_its_defaults(self, capsys, case):
+        code, rep = run_json(
+            capsys, "verify", "--case", case.replace("_", "-"), "--points", "5", "--checks", "gt",
+        )
+        assert code == EXIT_PASS
+        assert rep["n_points"] == 5
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_build_case_samples_the_default_domain(self, case):
+        cfg = dict(DEFAULTS, command="verify", case=case.replace("_", "-"), seed=3, points=20)
+        defaults = {name: default for name, (default, _) in CASES[case].exprs.items()}
+        _, dom = cli_mod.build_case(cfg)
+        got = sample(dom)
+        want = sample(default_domain(case, seed=3, count=20, **defaults))
+        assert [(q.chart, q.coords) for q in got] == [(q.chart, q.coords) for q in want]
+
+
 # --- lift and limit ------------------------------------------------------------
 
 
@@ -236,7 +255,7 @@ class TestInvariantsCheck:
     @staticmethod
     def _check(chart):
         base = heisenberg(1.0)
-        cfg = LiftConfig(base, psi_const(base, 0.5), -1.0, c=0.5, chart=chart)
+        cfg = LiftConfig(base, psi_const(base, 0.5), -1.0, chart=chart)
         data_p, fn = cli_mod._invariant_fn(cfg, build(cfg))
         data_a = lift_mod.build_alpha(dataclasses.replace(cfg, validate=False))
         rows = np.random.default_rng(4).uniform(-1.0, 1.0, size=(6, 4))
@@ -635,6 +654,23 @@ class TestErrorExits:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        (
+            (("verify", "--case", "nope"), "unknown case 'nope'"),
+            (("limit", "--case", "class-a"), "case 'class_a' has no ell-parameterized lift family"),
+            (("lift", "--case", "class-b", "--F", "1e200", "--points", "3"),
+             "V = 0 at the probe; supply --ell explicitly"),
+        ),
+        ids=("unknown-case", "no-limit-family", "lift-v-zero"),
+    )
+    def test_a_case_or_ell_error_is_one_line(self, capsys, argv, message):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_unexpected_exception_is_internal_exit(self, capsys, monkeypatch):
         def broken(cfg):
             raise TypeError("unsupported operand")
@@ -776,7 +812,7 @@ class TestDeterminism:
     def test_shared_hodge_forms_agree_across_threads(self):
         base = heisenberg(1.0)
         ell, _ = fix_ell_sign(base, 1.0)
-        data = build(LiftConfig(base, psi_const(base, 0.5), ell, c=0.5))
+        data = build(LiftConfig(base, psi_const(base, 0.5), ell))
         pts3 = sample(default_domain("heisenberg", seed=3, count=20))
         pts4 = [ChartPoint.make(data.chart, (0.3,) + q.coords) for q in pts3]
         # the star has values only; the lift's F is read through its gradient

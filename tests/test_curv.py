@@ -48,7 +48,7 @@ def poincare(ell):
 def lifted_heisenberg(c=0.0, ell=1.0):
     base = heisenberg(ell)
     ell_fixed, _ = fix_ell_sign(base, ell)
-    cfg = LiftConfig(base, psi_const(base, c), ell_fixed, c=c)
+    cfg = LiftConfig(base, psi_const(base, c), ell_fixed)
     return build(cfg)
 
 
@@ -157,7 +157,7 @@ class TestKretschmannContraction:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_pairwise_matches_the_six_operand_einsum(self, chart, seed):
         base = heisenberg(1.0)
-        cfg = LiftConfig(base, psi_const(base, 0.5), -1.0, c=0.5, chart=chart)
+        cfg = LiftConfig(base, psi_const(base, 0.5), -1.0, chart=chart)
         data = build(cfg)
         rng = np.random.default_rng(seed)
         rows = rng.uniform(-1.0, 1.0, size=(40, 4))

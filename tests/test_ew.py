@@ -32,7 +32,7 @@ from conftest import XYT, PYT, box_points, pt
 
 
 def flat_structure():
-    return from_uw(Field.const(0.0), Field.const(0.0), family="flat")
+    return from_uw(Field.const(0.0), Field.const(0.0))
 
 
 # --- hydrodynamic pair -------------------------------------------------------

@@ -147,6 +147,12 @@ class TestClassA:
             default_domain("class_a")
 
 
+@pytest.mark.parametrize("case,name", [("class_b", "F"), ("class_c", "K"), ("from_G", "A")])
+def test_a_domain_guard_requires_its_parameter(case, name):
+    with pytest.raises(ConfigError, match=f"{case} domain needs {name}"):
+        default_domain(case)
+
+
 class TestClosedForms:
     CASES = (
         ("class_a", CLASS_A_BETAS[0]),

@@ -40,6 +40,7 @@ from ewbench.lift import (
     dalpha_dp,
     default_probes,
     fix_ell_sign,
+    limit_family,
     matched_alpha_point,
     p_of_alpha,
     validate_config,
@@ -101,7 +102,7 @@ class TestLiftConfig:
 
     def test_validate_passes_certified_base(self):
         s = heisenberg(1.0)
-        cfg = LiftConfig(s, psi_const(s, 0.5), -1.0, c=0.5)
+        cfg = LiftConfig(s, psi_const(s, 0.5), -1.0)
         probes = validate_config(cfg)
         assert len(probes) == 8
 
@@ -161,6 +162,14 @@ class TestFixEllSign:
         with pytest.raises(GaugeViolationError):
             fix_ell_sign(s, 1.0)
 
+    def test_without_ell_v_sets_it(self):
+        assert fix_ell_sign(class_b("1"), None, pt(PYT, 1.0, 0.0, 0.0)) == (4.0, False)
+        assert fix_ell_sign(heisenberg(2.0), None) == (-2.0, False)
+
+    def test_without_ell_v_zero_is_refused(self):
+        with pytest.raises(ConfigError, match="V = 0 at the probe"):
+            fix_ell_sign(class_b("1e200"), None)
+
     def test_default_probes_deterministic(self):
         a = default_probes(XYT)
         b = default_probes(XYT)
@@ -188,7 +197,7 @@ class TestConstantGauge:
                                           (class_b("2"), 8.0)], ids=["heisenberg", "fq", "f2"])
     def test_a_constant_v_is_checked_once_over_the_probes(self, monkeypatch, base, ell):
         calls = count_point_scopes(monkeypatch)
-        validate_config(LiftConfig(base, psi_const(base, 0.5), ell, c=0.5))
+        validate_config(LiftConfig(base, psi_const(base, 0.5), ell))
         assert calls == []
 
     def test_a_failing_constant_gauge_names_its_residual(self, monkeypatch):
@@ -209,7 +218,7 @@ class TestConstantGauge:
 @pytest.mark.parametrize("c", [0.0, 0.5])
 def test_lifted_heisenberg_solves_field_equations(c, chart):
     base = heisenberg(1.0)
-    cfg = LiftConfig(base, psi_const(base, c), -1.0, c=c, chart=chart)
+    cfg = LiftConfig(base, psi_const(base, c), -1.0, chart=chart)
     data = build(cfg)
     base_pts = sample(default_domain("heisenberg", count=6))
     for q in lift_points(data, base_pts):
@@ -220,7 +229,7 @@ def test_lifted_heisenberg_solves_field_equations(c, chart):
 @pytest.mark.parametrize("name,base,ell,dom", certified_cases()[1:],
                          ids=["class_b_f1", "class_b_fq"])
 def test_lifted_class_b_solves_field_equations(name, base, ell, dom):
-    cfg = LiftConfig(base, psi_const(base, 0.5), ell, c=0.5)
+    cfg = LiftConfig(base, psi_const(base, 0.5), ell)
     data = build_p(cfg)
     for q in lift_points(data, sample(dom)):
         assert np.abs(em_residual(data.g, data.potential, data.ell, q)).max() <= 1e-6
@@ -239,7 +248,7 @@ def test_general_psi_family_lifts(rng):
 
 def test_signature_is_lorentzian_everywhere():
     for name, base, ell, dom in certified_cases():
-        cfg = LiftConfig(base, psi_const(base, 0.5), ell, c=0.5)
+        cfg = LiftConfig(base, psi_const(base, 0.5), ell)
         data = build_p(cfg)
         for q in lift_points(data, sample(dom), seed=7):
             assert data.g.signature_at(q) == (3, 1), name
@@ -269,7 +278,7 @@ class TestNegativeControls:
 
     def test_halved_field_strength_normalization_fails(self):
         base = heisenberg(1.0)
-        data = build_p(LiftConfig(base, psi_const(base, 0.5), -1.0, c=0.5))
+        data = build_p(LiftConfig(base, psi_const(base, 0.5), -1.0))
         q = ChartPoint(data.chart, (0.3, 0.4, -0.2, 0.6))
         ok = np.abs(em_residual(data.g, data.potential, data.ell, q)).max()
         bad = np.abs(
@@ -280,7 +289,7 @@ class TestNegativeControls:
 
     def test_flipped_maxwell_coupling_fails(self):
         base = heisenberg(1.0)
-        data = build_p(LiftConfig(base, psi_const(base, 0.5), -1.0, c=0.5))
+        data = build_p(LiftConfig(base, psi_const(base, 0.5), -1.0))
         q = ChartPoint(data.chart, (0.3, 0.4, -0.2, 0.6))
         fm = np.zeros((4, 4))
         for (a, b), f in ext_d(data.potential).comps.items():
@@ -315,7 +324,7 @@ class TestChartAgreement:
     @staticmethod
     def _pair(c=0.5):
         base = heisenberg(1.0)
-        cfg = LiftConfig(base, psi_const(base, c), -1.0, c=c)
+        cfg = LiftConfig(base, psi_const(base, c), -1.0)
         return build_p(cfg), build_alpha(dataclasses.replace(cfg, chart="alpha"))
 
     def test_metric_pullback_agreement(self, rng):
@@ -371,7 +380,7 @@ class TestEquator:
     @staticmethod
     def _lift(c=0.5):
         base = heisenberg(1.0)
-        return build_p(LiftConfig(base, psi_const(base, c), -1.0, c=c))
+        return build_p(LiftConfig(base, psi_const(base, c), -1.0))
 
     def test_metric_at_fibre_origin(self):
         data = self._lift()
@@ -404,7 +413,7 @@ def heisenberg_flow(c=0.0):
     def factory(scale):
         base = heisenberg(scale)
         ell, _ = fix_ell_sign(base, scale)
-        return LiftConfig(base, psi_const(base, c), ell, c=c)
+        return LiftConfig(base, psi_const(base, c), ell)
 
     return factory
 
@@ -457,3 +466,18 @@ class TestFlatLimit:
     def test_needs_two_scales(self):
         with pytest.raises(ConfigError):
             flat_limit(heisenberg_flow(), (100.0,))
+
+
+class TestLimitFamily:
+    @pytest.mark.parametrize("case", ["heisenberg", "class_b"])
+    def test_chart_is_the_chart_of_the_built_lift(self, case):
+        factory, chart = limit_family(case, 0.5)
+        assert build_p(factory(100.0)).chart == chart
+
+    def test_heisenberg_lifts_at_the_sign_fixed_ell(self):
+        factory, _ = limit_family("heisenberg", 0.0)
+        assert factory(100.0).ell == -100.0
+
+    def test_a_case_without_a_family_is_refused(self):
+        with pytest.raises(ConfigError, match="case 'class_a' has no ell-parameterized"):
+            limit_family("class_a", 0.0)

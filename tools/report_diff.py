@@ -6,7 +6,8 @@
 The argvs are every perfbench job of seeds 1-3, as
 ``perfbench/run.py --seconds 30`` makes them, the ``ewbench ...`` command
 lines of README.md, the constant-data command lines of ``CONSTANT_DATA``,
-and any extra command lines given after the two checkouts.  One subprocess per checkout runs them all through
+the catalog command lines of ``CATALOG``, and any extra command lines
+given after the two checkouts.  One subprocess per checkout runs them all through
 ``ewbench.cli.main`` in process, with that checkout's ``src`` first on the
 path.  The tool prints each argv whose exit code, stdout (without its
 ``wall_time_s`` line) or stderr differs, and exits 1 on any difference,
@@ -45,6 +46,33 @@ CONSTANT_DATA = (
     "verify --case class-a --beta y-2",
     "limit --case class-b --ells -100,-200",
     "limit --case class-b --ells 100,200 --c 0.7",
+)
+
+# every catalog case at its defaults, the lift and limit families, and the
+# error paths of case lookup, the ell choice and the flags a case reads
+CATALOG = (
+    "verify --case heisenberg --points 5",
+    "verify --case class-a --points 5",
+    "verify --case class-b --points 5",
+    "verify --case class-c --points 5",
+    "verify --case from-H --points 5",
+    "verify --case from-G --points 5",
+    "lift --case heisenberg --points 5",
+    "lift --case class-b --points 5",
+    "limit --case heisenberg --ells 100,200",
+    "limit --case class-b --ells 100,200",
+    "verify --case nope",
+    "verify --checks gt",
+    "limit --case class-a",
+    "lift --case class-b --F 1e200 --points 3",
+    "lift --case class-a --points 3",
+    "lift --case heisenberg --ell 1 --points 3",
+    "verify --case heisenberg --F 1",
+    "verify --case class-a --ell 2",
+    "lift --case class-b --K s",
+    "verify --case class-c --H x",
+    "lift --case from-H --A p",
+    "verify --case from-G --beta y",
 )
 
 # run inside a checkout: one JSON line [argv, exit code, stdout, stderr]
@@ -156,7 +184,7 @@ def main(argv):
     if len(argv) < 2:
         sys.exit(__doc__)
     old_dir, new_dir = Path(argv[0]), Path(argv[1])
-    extra = list(CONSTANT_DATA) + argv[2:]
+    extra = list(CONSTANT_DATA + CATALOG) + argv[2:]
     old, new = reports(old_dir, extra), reports(new_dir, extra)
     names = ("exit code", "stdout", "stderr")
     differ = 0
