@@ -9,10 +9,12 @@ Subcommands:
 
 Configuration comes from flags or a JSON file (flags override).  The
 driver maps flags to a catalog case and its parameters: the cases, their
-expression flags and defaults come from ``families.CASES``, the ``limit``
-families and the choice of ell from ``lift``.  Reports
-are JSON with a fixed key order and a ``schema`` version; for a fixed
-configuration and seed they are byte-identical apart from wall time.
+expression flags and defaults come from ``families.CASES``; the fibre
+charts, their sample points, the ``limit`` families and the choice of ell
+from ``lift``.  Every check is one row of ``BASE_CHECKS`` or
+``LIFT_CHECKS``, which ``verify`` and ``lift`` build their checks from.
+Reports are JSON with a fixed key order and a ``schema`` version; for a
+fixed configuration and seed they are byte-identical apart from wall time.
 Exit codes: 0 all checks pass, 1 a check fails, 2 configuration problem,
 3 sampling, guard or domain problem (a non-finite value or an overflow
 included, in every subcommand), 4 an unexpected internal error.
@@ -24,7 +26,6 @@ unaffected.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -38,12 +39,7 @@ from . import expr as ex
 from . import families as fam
 from . import jets
 from . import lift as lift_mod
-from .curv import (
-    em_residual,
-    maxwell_residual,
-    scalar_invariants,
-    weyl_ricci_residual,
-)
+from .curv import em_residual, maxwell_residual, weyl_ricci_residual
 from .errors import (
     ConfigError,
     DomainError,
@@ -60,7 +56,6 @@ from .ew import (
     monopole_residual,
     psi_residual,
 )
-from .forms import signature
 from .jets import ChartPoint, sample
 from .report import CheckResult, build_report, report_json, run_check
 
@@ -70,15 +65,41 @@ EXIT_CONFIG = 2
 EXIT_SAMPLING = 3
 EXIT_INTERNAL = 4
 
+
+def _hypercr(s, cfg):
+    if s.u is None or s.w is None:
+        raise ConfigError(
+            "hypercr check needs the hydrodynamic pair (u, w), "
+            "which this structure does not carry"
+        )
+    return lambda q: hypercr_residual(s.u, s.w, q)
+
+
+# the checks of a base structure: name -> (the flags it reads under verify
+# beyond its case's, build), where build(structure, cfg) gives the residual
+# over the base sample points
+BASE_CHECKS = {
+    "gt": ((), lambda s, cfg: lambda q: gt_residual(s, q)),
+    "monopole": ((), lambda s, cfg: lambda q: monopole_residual(s, q)),
+    "hypercr": ((), _hypercr),
+    "psi": (("c",), lambda s, cfg: functools.partial(psi_residual, fam.psi_const(s, cfg["c"]), s)),
+    "weyl": ((), lambda s, cfg: lambda q: weyl_ricci_residual(s, q)),
+}
+# the checks of a lift: name -> build(lift config, lift), which gives the
+# lift on whose chart the check's points lie, and the residual there
+LIFT_CHECKS = {
+    "em": lambda lcfg, data: (data, lambda q: em_residual(data.g, data.potential, data.ell, q)),
+    "maxwell": lambda lcfg, data: (data, lambda q: maxwell_residual(data.potential, data.g, q)),
+    "invariants": lift_mod.invariants_check,
+}
 # the checks each subcommand offers
-_VERIFY_CHECKS = ("gt", "monopole", "hypercr", "psi", "weyl")
 OFFERED_CHECKS = {
-    "verify": _VERIFY_CHECKS,
-    "lift": ("em", "maxwell", "invariants") + _VERIFY_CHECKS,
+    "verify": tuple(BASE_CHECKS),
+    "lift": tuple(LIFT_CHECKS) + tuple(BASE_CHECKS),
     "limit": ("limit",),
 }
 CHECK_NAMES = OFFERED_CHECKS["lift"] + OFFERED_CHECKS["limit"]
-CHARTS = ("alpha", "p")
+CHARTS = tuple(lift_mod.FIBRE_WINDOWS)
 
 # merged configuration, in report echo order
 DEFAULTS = {
@@ -100,7 +121,7 @@ DEFAULTS = {
     "c": 0.0,
     "f": None,
     "ells": None,
-    "chart": "p",
+    "chart": lift_mod.LiftConfig.chart,
     "out": None,
 }
 
@@ -113,7 +134,7 @@ _EXPR_FLAGS = _CASE_EXPR_FLAGS + ("f",)
 # error (config-file keys are not held to this: one file may serve all).
 # Within verify and lift, a case reads only its own expression flags, and
 # verify reads --ell only for a case whose structure reads it (heisenberg)
-# and --c only for the psi check.
+# and --c only for a check that reads it (psi, per BASE_CHECKS).
 _CASE_FLAGS = ("case", "ell", "checks", "points", "seed", "tol") + _CASE_EXPR_FLAGS
 READ_FLAGS = {
     "verify": _CASE_FLAGS + ("c", "f", "out"),
@@ -304,8 +325,11 @@ def _refuse_unread_flags(cfg, flags):
     for flag in flags:
         if flag in unread:
             raise ConfigError(f"--{flag} is not used by {command} --case {case}")
-        if flag == "c" and command == "verify" and "psi" not in _check_names(cfg):
-            raise ConfigError("--c is not used by verify without the psi check")
+        readers = [n for n, (reads, _) in BASE_CHECKS.items() if flag in reads]
+        if command == "verify" and readers and not set(readers) & set(_check_names(cfg)):
+            raise ConfigError(
+                f"--{flag} is not used by verify without the {' or '.join(readers)} check"
+            )
 
 
 def _check_names(cfg):
@@ -339,59 +363,22 @@ def build_case(cfg):
     return fam.build(key, cfg, ell=cfg["ell"], seed=cfg["seed"], count=cfg["points"] or 200)
 
 
-def _verify_fns(s, cfg, names):
-    fns = {}
-    for name in names:
-        if name == "gt":
-            fns[name] = lambda q: gt_residual(s, q)
-        elif name == "monopole":
-            fns[name] = lambda q: monopole_residual(s, q)
-        elif name == "hypercr":
-            if s.u is None or s.w is None:
-                raise ConfigError(
-                    "hypercr check needs the hydrodynamic pair (u, w), "
-                    "which this structure does not carry"
-                )
-            fns[name] = lambda q: hypercr_residual(s.u, s.w, q)
-        elif name == "psi":
-            psi = fam.psi_const(s, cfg["c"])
-            fns[name] = lambda q: psi_residual(psi, s, q)
-        elif name == "weyl":
-            fns[name] = lambda q: weyl_ricci_residual(s, q)
-    return fns
-
-
 def cmd_verify(cfg):
     names = parse_checks(cfg)
     tol = cfg["tol"] if cfg["tol"] is not None else 1e-7
     s, dom = build_case(cfg)
     if cfg["f"]:
         s = gauge_transform(s, ex.parse_field(cfg["f"], s.chart))
-    fns = _verify_fns(s, cfg, names)
+    fns = {n: BASE_CHECKS[n][1](s, cfg) for n in names}
     pts = sample(dom)
     # the checks share one scope: the frame and monopole jets are built once
     with jets.evaluation_scope():
         results = [run_check(n, fns[n], pts, tol) for n in names]
-    report = build_report(_echo(cfg), s.chart, len(pts), results)
-    return report
-
-
-def _lift_points(chart4, seed, base_pts):
-    """Base points extended by seeded fibre values for the fibre chart."""
-    rng = np.random.default_rng(seed + 101)
-    if chart4[0] == "alpha":
-        lo, hi = lift_mod.ALPHA_WINDOW
-    else:
-        lo, hi = -1.2, 1.2
-    fibres = rng.uniform(lo, hi, size=len(base_pts))
-    return tuple(
-        ChartPoint.make(chart4, (fv,) + q.coords)
-        for fv, q in zip(fibres, base_pts)
-    )
+    return build_report(_echo(cfg), s.chart, len(pts), results)
 
 
 def _lift_data(cfg):
-    """Base structure, lift config, and lifted data for both charts."""
+    """Base structure, its sample points and the lift config; sets ``ell_used``."""
     base, dom = build_case(cfg)
     base_pts = sample(dom)
     ell_used, flipped = lift_mod.fix_ell_sign(base, cfg["ell"], base_pts[0])
@@ -413,55 +400,21 @@ def cmd_lift(cfg):
     cfg["points"] = cfg["points"] or 100
     base, base_pts, lcfg = _lift_data(cfg)
     data = lift_mod.build(lcfg)
-    if "invariants" in names:
-        # builds the other chart now, so its ell bound refuses the job before any check
-        data_p, invariants_fn = _invariant_fn(lcfg, data)
-    pts4 = _lift_points(data.chart, cfg["seed"], base_pts)
-    results = []
+    # every check is built before any runs (so the alpha chart's ell bound
+    # refuses the job first), and each chart's points are drawn once
+    drawn, checks = {}, []
+    for name in names:
+        if name in LIFT_CHECKS:
+            on, fn = LIFT_CHECKS[name](lcfg, data)
+            if on.chart not in drawn:
+                drawn[on.chart] = lift_mod.fibre_points(on, cfg["seed"], base_pts)
+            checks.append((name, fn, drawn[on.chart]))
+        else:
+            checks.append((name, BASE_CHECKS[name][1](base, cfg), base_pts))
     # the checks share one scope: em, maxwell and invariants pack g once
     with jets.evaluation_scope():
-        for name in names:
-            if name == "em":
-                fn = lambda q: em_residual(data.g, data.potential, data.ell, q)
-                results.append(run_check(name, fn, pts4, tol))
-            elif name == "maxwell":
-                fn = lambda q: maxwell_residual(data.potential, data.g, q)
-                results.append(run_check(name, fn, pts4, tol))
-            elif name == "invariants":
-                pts_p = _lift_points(data_p.chart, cfg["seed"], base_pts)
-                results.append(run_check(name, invariants_fn, pts_p, tol))
-            else:
-                fn = _verify_fns(base, cfg, (name,))[name]
-                results.append(run_check(name, fn, base_pts, tol))
-    report = build_report(_echo(cfg), data.chart, len(pts4), results)
-    return report
-
-
-def _invariant_fn(lcfg, data):
-    """Chart covariance of the scalar invariants, plus signature.
-
-    ``data`` is the lift already built on the configured chart; the other
-    chart is built from the same config without validating it again.
-    Returns the p-chart lift, whose points the check runs on, and the check.
-    """
-    other = dataclasses.replace(lcfg, validate=False)
-    if lcfg.chart == "alpha":
-        data_p, data_a = lift_mod.build_p(other), data
-    else:
-        data_p, data_a = data, lift_mod.build_alpha(other)
-
-    def fn(q):
-        qa = lift_mod.matched_alpha_point(q, data_p.ell)
-        k_p, fsq_p, g_p = scalar_invariants(data_p.g, data_p.potential, q)
-        k_a, fsq_a, _ = scalar_invariants(data_a.g, data_a.potential, qa)
-        plus, minus = signature(g_p)
-        return (
-            k_p - k_a,
-            fsq_p - fsq_a,
-            np.where((plus == 3) & (minus == 1), 0.0, 1.0),
-        )
-
-    return data_p, fn
+        results = [run_check(name, fn, pts, tol) for name, fn, pts in checks]
+    return build_report(_echo(cfg), data.chart, len(base_pts), results)
 
 
 def cmd_limit(cfg):
@@ -539,10 +492,12 @@ def _echo(cfg):
 
 
 def _emit(text, out_path):
-    sys.stdout.write(text)
+    """Write the report to ``out_path``, then to stdout, so a path that
+    cannot be written prints nothing but its error line."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def _run(args):
@@ -582,10 +537,7 @@ def main(argv=None):
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SAMPLING
-    except EwbenchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (EwbenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # a fault of the program, not of its input

@@ -9,24 +9,26 @@ related to it by
     sin(alpha) = sech(p/ell),    cos(alpha) = tanh(p/ell).
 
 Both charts carry the same geometry; the p chart extends smoothly through
-the alpha = pi/2 slice.  ``fix_ell_sign`` is the one choice of ell for a
-base: -2/V when none is given, else the given magnitude with the sign that
-makes V = -2/ell.  ``flat_limit`` tracks the large-ell behaviour of a lift
-family against its limit form; ``limit_family`` holds the two families the
-``limit`` subcommand offers, heisenberg(ell) and class B with F = ell/4.
+the alpha = pi/2 slice.  ``fibre_points`` samples a lift's chart and
+``invariants_check`` compares the two charts.  ``fix_ell_sign`` is the one
+choice of ell for a base: -2/V when none is given, else the given magnitude
+with the sign that makes V = -2/ell.  ``flat_limit`` tracks the large-ell
+behaviour of a lift family against its limit form; ``limit_family`` holds
+the two families the ``limit`` subcommand offers, heisenberg(ell) and class
+B with F = ell/4.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import families as fam
 from . import jets
-from .curv import riemann
+from .curv import riemann, scalar_invariants
 from .errors import ConfigError, DomainError, GaugeViolationError, PsiResidualError
 from .ew import EWStructure, WeightedForm, gt_residual, psi_residual
 from .forms import (
@@ -37,6 +39,7 @@ from .forms import (
     embed_metric,
     ext_d,
     metric_from_coframe,
+    signature,
     symmetric_product,
     zero_form,
 )
@@ -46,8 +49,10 @@ from .report import run_check
 GAUGE_TOL = 1e-9
 GT_TOL = 1e-7
 PSI_TOL = 1e-7
-# the angle chart degenerates at the poles; keep samples away from them
-ALPHA_WINDOW = (0.2, math.pi - 0.2)
+# each fibre chart and the window its fibre coordinate is sampled in; the
+# angle chart degenerates at the poles, so its samples keep away from them
+FIBRE_WINDOWS = {"alpha": (0.2, math.pi - 0.2), "p": (-1.2, 1.2)}
+ALPHA_WINDOW = FIBRE_WINDOWS["alpha"]
 # the angle-chart metric holds (ell/sin a)^2 and ell^2 cos^2(a); past this
 # |ell| its determinant and curvature overflow inside ALPHA_WINDOW
 ALPHA_ELL_MAX = 1e150
@@ -57,12 +62,14 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class SpacetimeData:
-    """A four-dimensional metric and Maxwell potential on a named chart."""
+    """A four-dimensional metric and Maxwell potential on a named chart;
+    ``kind`` is its fibre chart, a key of ``FIBRE_WINDOWS``."""
 
     chart: tuple[str, ...]
     g: MetricField
     potential: PForm
     ell: float
+    kind: str
 
     @property
     def fibre(self) -> str:
@@ -90,7 +97,7 @@ class LiftConfig:
     def __post_init__(self):
         if self.ell == 0.0:
             raise ConfigError("ell must be nonzero")
-        if self.chart not in ("alpha", "p"):
+        if self.chart not in FIBRE_WINDOWS:
             raise ConfigError(f"unknown fibre chart {self.chart!r}")
         if self.psi is not None and self.psi.weight != -1:
             raise ConfigError(
@@ -112,14 +119,17 @@ def fix_ell_sign(base, ell, probe=None):
     The magnitude is kept; only the sign is adjusted.  Raises
     GaugeViolationError when neither sign fits, e.g. when V is not the
     constant +-2/|ell| to begin with.  With ell None, ell' is -2/V at the
-    probe, unflipped, and V = 0 there is a ConfigError.
+    probe, unflipped, however small V is; V = 0 there, or a V whose -2/V
+    is not finite (a V so small that it overflows), is a ConfigError.
     """
     if probe is None:
         probe = default_probes(base.chart, count=1)[0]
     v = base.V(probe, 0).value
     if ell is None:
-        if abs(v) < 1e-12:
+        if v == 0:
             raise ConfigError("V = 0 at the probe; supply --ell explicitly")
+        if not math.isfinite(-2.0 / v):
+            raise ConfigError(f"ell = -2/V is not finite: V = {v:.6g} at the probe")
         return -2.0 / v, False
     for cand, flipped in ((float(ell), False), (-float(ell), True)):
         if abs(v * cand + 2.0) <= GAUGE_TOL:
@@ -208,7 +218,7 @@ def build_alpha(cfg):
     pot = ps.scale(jets.sin(al * 2.0) * (_SQRT2 / 2.0)) - om.scale(
         jets.cos(al * 2.0) * (ell / 4.0)
     )
-    return SpacetimeData(chart4, g, pot, ell)
+    return SpacetimeData(chart4, g, pot, ell, "alpha")
 
 
 def build_p(cfg):
@@ -240,7 +250,7 @@ def build_p(cfg):
     pot = ps.scale(sech * th * _SQRT2) - om.scale(
         (1.0 - sech * sech * 2.0) * (ell / 4.0)
     )
-    return SpacetimeData(chart4, g, pot, ell)
+    return SpacetimeData(chart4, g, pot, ell, "p")
 
 
 def p_chart(base_chart):
@@ -252,6 +262,44 @@ def p_chart(base_chart):
 def build(cfg):
     """Dispatch on the configured fibre chart."""
     return build_alpha(cfg) if cfg.chart == "alpha" else build_p(cfg)
+
+
+def fibre_points(data, seed, base_pts):
+    """The base points on the chart of the lift ``data``, each given a
+    seeded fibre value inside the window of the lift's fibre chart."""
+    lo, hi = FIBRE_WINDOWS[data.kind]
+    fibres = np.random.default_rng(seed + 101).uniform(lo, hi, size=len(base_pts))
+    return tuple(
+        ChartPoint.make(data.chart, (fv,) + q.coords) for fv, q in zip(fibres, base_pts)
+    )
+
+
+def invariants_check(cfg, data):
+    """Chart covariance of the scalar invariants, plus signature.
+
+    ``data`` is the lift of ``cfg`` on its configured chart; the other
+    chart is built from the same config without validating it again (and
+    refuses an ell past its bound here).  Returns the p-chart lift, whose
+    points the check runs on, and the check.
+    """
+    other = replace(cfg, validate=False)
+    if cfg.chart == "alpha":
+        data_p, data_a = build_p(other), data
+    else:
+        data_p, data_a = data, build_alpha(other)
+
+    def fn(q):
+        qa = matched_alpha_point(q, data_p.ell)
+        k_p, fsq_p, g_p = scalar_invariants(data_p.g, data_p.potential, q)
+        k_a, fsq_a, _ = scalar_invariants(data_a.g, data_a.potential, qa)
+        plus, minus = signature(g_p)
+        return (
+            k_p - k_a,
+            fsq_p - fsq_a,
+            np.where((plus == 3) & (minus == 1), 0.0, 1.0),
+        )
+
+    return data_p, fn
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,17 @@ class TestCaseTable:
         assert code == EXIT_PASS
         assert rep["n_points"] == 5
 
+    @pytest.mark.parametrize(
+        "command, check",
+        [(c, n) for c in ("verify", "lift") for n in cli_mod.OFFERED_CHECKS[c]],
+    )
+    def test_every_offered_check_runs(self, capsys, command, check):
+        code, rep = run_json(
+            capsys, command, "--case", "heisenberg", "--points", "5", "--checks", check,
+        )
+        assert code == EXIT_PASS
+        assert list(rep["checks"]) == [check]
+
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_build_case_samples_the_default_domain(self, case):
         cfg = dict(DEFAULTS, command="verify", case=case.replace("_", "-"), seed=3, points=20)
@@ -187,6 +198,29 @@ class TestLift:
             "--points", "6", "--tol", "1e-6",
         )
         assert code == EXIT_PASS
+
+    def test_a_small_v_sets_ell(self, capsys):
+        # V = -5e-13 is not 0: ell = -2/V
+        code, rep = run_json(capsys, "lift", "--case", "class-b", "--F", "1e12", "--points", "3")
+        assert code == EXIT_PASS
+        assert rep["config"]["ell_used"] == 4e12
+
+    @pytest.mark.parametrize("chart, draws", [("p", 1), ("alpha", 2)])
+    def test_each_chart_draws_its_points_once(self, capsys, monkeypatch, chart, draws):
+        charts = []
+        fibre_points = lift_mod.fibre_points
+
+        def counted(data, seed, base_pts):
+            charts.append(data.chart)
+            return fibre_points(data, seed, base_pts)
+
+        monkeypatch.setattr(lift_mod, "fibre_points", counted)
+        code, _ = run_cli(
+            capsys, "lift", "--case", "heisenberg", "--chart", chart,
+            "--checks", "em,maxwell,invariants", "--points", "3",
+        )
+        assert code == EXIT_PASS
+        assert len(charts) == len(set(charts)) == draws
 
     def test_alpha_chart(self, capsys):
         code, rep = run_json(
@@ -256,7 +290,7 @@ class TestInvariantsCheck:
     def _check(chart):
         base = heisenberg(1.0)
         cfg = LiftConfig(base, psi_const(base, 0.5), -1.0, chart=chart)
-        data_p, fn = cli_mod._invariant_fn(cfg, build(cfg))
+        data_p, fn = lift_mod.invariants_check(cfg, build(cfg))
         data_a = lift_mod.build_alpha(dataclasses.replace(cfg, validate=False))
         rows = np.random.default_rng(4).uniform(-1.0, 1.0, size=(6, 4))
         points = [ChartPoint(data_p.chart, tuple(r)) for r in rows.tolist()]
@@ -659,10 +693,12 @@ class TestErrorExits:
         (
             (("verify", "--case", "nope"), "unknown case 'nope'"),
             (("limit", "--case", "class-a"), "case 'class_a' has no ell-parameterized lift family"),
-            (("lift", "--case", "class-b", "--F", "1e200", "--points", "3"),
+            (("lift", "--case", "from-H", "--H", "y", "--points", "3"),
              "V = 0 at the probe; supply --ell explicitly"),
+            (("lift", "--case", "class-b", "--F", "1e308", "--points", "3"),
+             "ell = -2/V is not finite: V = -5e-309 at the probe"),
         ),
-        ids=("unknown-case", "no-limit-family", "lift-v-zero"),
+        ids=("unknown-case", "no-limit-family", "lift-v-zero", "lift-ell-overflows"),
     )
     def test_a_case_or_ell_error_is_one_line(self, capsys, argv, message):
         code = main(list(argv))
@@ -780,6 +816,21 @@ class TestConfigFile:
     )
     def test_bad_flag_value_is_one_error_line(self, capsys, argv):
         code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert re.fullmatch(r"error: [^\n]*\n", captured.err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("verify", "--case", "heisenberg", "--checks", "gt", "--points", "3"),
+            ("eval", "--expr", "x^2", "--at", "x=1"),
+        ),
+        ids=("verify", "eval"),
+    )
+    def test_an_unwritable_out_prints_only_its_error(self, capsys, tmp_path, argv):
+        code = main(list(argv) + ["--out", str(tmp_path)])
         captured = capsys.readouterr()
         assert code == EXIT_CONFIG
         assert captured.out == ""

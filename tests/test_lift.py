@@ -14,6 +14,7 @@ from ewbench import (
     ext_d,
     f_squared,
     flat_limit,
+    from_H,
     from_uw,
     heisenberg,
     kretschmann,
@@ -35,10 +36,12 @@ from ewbench.forms import coordinate_form, embed_form, embed_metric, symmetric_p
 from ewbench.jets import ChartPoint, sample
 from ewbench.lift import (
     ALPHA_WINDOW,
+    FIBRE_WINDOWS,
     alpha_of_p,
     build,
     dalpha_dp,
     default_probes,
+    fibre_points,
     fix_ell_sign,
     limit_family,
     matched_alpha_point,
@@ -168,7 +171,17 @@ class TestFixEllSign:
 
     def test_without_ell_v_zero_is_refused(self):
         with pytest.raises(ConfigError, match="V = 0 at the probe"):
-            fix_ell_sign(class_b("1e200"), None)
+            fix_ell_sign(from_H(parse_field("y", XYT)), None)
+
+    @pytest.mark.parametrize("F, ell", [("1e12", 4e12), ("1e200", 4e200)])
+    def test_without_ell_a_small_v_sets_it(self, F, ell):
+        # V = -1/(2F) is tiny but not 0: -2/V is a finite ell
+        assert fix_ell_sign(class_b(F), None, pt(PYT, 1.0, 0.0, 0.0)) == (ell, False)
+
+    def test_without_ell_an_overflowing_minus_two_over_v_is_refused(self):
+        # V = -5e-309: -2/V is past the float range
+        with pytest.raises(ConfigError, match=r"ell = -2/V is not finite: V = -5e-309"):
+            fix_ell_sign(class_b("1e308"), None, pt(PYT, 1.0, 0.0, 0.0))
 
     def test_default_probes_deterministic(self):
         a = default_probes(XYT)
@@ -259,6 +272,21 @@ def test_fibre_name_avoids_collision():
     data = build_p(LiftConfig(base, None, 4.0))
     assert data.fibre == "q"
     assert data.chart == ("q", "p", "y", "t")
+
+
+@pytest.mark.parametrize("chart", sorted(FIBRE_WINDOWS))
+@pytest.mark.parametrize("name, base, ell, dom", certified_cases()[:2])
+def test_fibre_points_keep_the_base_and_draw_inside_the_chart_window(name, base, ell, dom, chart):
+    data = build(LiftConfig(base, None, ell, chart=chart))
+    base_pts = sample(dom)
+    pts = fibre_points(data, 3, base_pts)
+    lo, hi = FIBRE_WINDOWS[chart]
+    fibres = [q.coords[0] for q in pts]
+    assert [q.chart for q in pts] == [data.chart] * len(base_pts)
+    assert [q.coords[1:] for q in pts] == [q.coords for q in base_pts]
+    assert lo <= min(fibres) and max(fibres) <= hi
+    assert max(fibres) - min(fibres) > (hi - lo) / 2
+    assert fibre_points(data, 3, base_pts) == pts
 
 
 # --- negative controls -------------------------------------------------------------

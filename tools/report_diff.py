@@ -6,17 +6,18 @@
 The argvs are every perfbench job of seeds 1-3, as
 ``perfbench/run.py --seconds 30`` makes them, the ``ewbench ...`` command
 lines of README.md, the constant-data command lines of ``CONSTANT_DATA``,
-the catalog command lines of ``CATALOG``, and any extra command lines
-given after the two checkouts.  One subprocess per checkout runs them all through
-``ewbench.cli.main`` in process, with that checkout's ``src`` first on the
-path.  The tool prints each argv whose exit code, stdout (without its
-``wall_time_s`` line) or stderr differs, and exits 1 on any difference,
-0 when there is none.  Over the argvs whose exit codes match and whose
-stdout is a JSON report on both sides, it then sums up the shift: each
-leaf path that differs (``checks.monopole.max``; the entries of a list
-share its path), its largest |delta| and the argvs it differs in, and the
-number of changed verdicts.  It uses only the standard library; each
-checkout's perfbench reads its jobs.
+the catalog command lines of ``CATALOG``, the check-table command lines of
+``CHECKS``, and any extra command lines given after the two checkouts.  One
+subprocess per checkout runs them all through ``ewbench.cli.main`` in
+process, with that checkout's ``src`` first on the path.  The tool prints
+each argv whose exit code, stdout (without its ``wall_time_s`` line) or
+stderr differs, and exits 1 on any difference, 0 when there is none.  Over
+the argvs whose exit codes match and whose stdout is a JSON report on both
+sides, it then sums up the shift: each leaf path that differs
+(``checks.monopole.max``; the entries of a list share its path), its
+largest |delta| and the argvs it differs in, and the number of changed
+verdicts.  It uses only the standard library; each checkout's perfbench
+reads its jobs.
 """
 from __future__ import annotations
 
@@ -73,6 +74,21 @@ CATALOG = (
     "verify --case class-c --H x",
     "lift --case from-H --A p",
     "verify --case from-G --beta y",
+)
+
+# every check of verify and lift on both fibre charts, the alpha chart's ell
+# bound under the invariants check, a check its structure cannot build, and
+# the choice of ell for a small, a vanishing and an overflowing -2/V
+CHECKS = (
+    "lift --case heisenberg --checks gt,monopole,hypercr,psi,weyl --points 5",
+    "verify --case heisenberg --checks gt,monopole,hypercr,psi,weyl --c 0.5 --points 5",
+    "lift --case class-b --chart alpha --checks invariants,em --points 5",
+    "lift --case heisenberg --ell 1e151 --checks em,invariants --points 3",
+    "lift --case class-b --checks hypercr --points 3",
+    "verify --case heisenberg --f x --checks hypercr --points 3",
+    "lift --case class-b --F 1e12 --points 3",
+    "lift --case from-H --H y --points 3",
+    "lift --case class-b --F 1e308 --points 3",
 )
 
 # run inside a checkout: one JSON line [argv, exit code, stdout, stderr]
@@ -184,7 +200,7 @@ def main(argv):
     if len(argv) < 2:
         sys.exit(__doc__)
     old_dir, new_dir = Path(argv[0]), Path(argv[1])
-    extra = list(CONSTANT_DATA + CATALOG) + argv[2:]
+    extra = list(CONSTANT_DATA + CATALOG + CHECKS) + argv[2:]
     old, new = reports(old_dir, extra), reports(new_dir, extra)
     names = ("exit code", "stdout", "stderr")
     differ = 0
