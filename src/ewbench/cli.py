@@ -55,6 +55,7 @@ from .ew import (
     hypercr_residual,
     monopole_residual,
     psi_residual,
+    require_x,
 )
 from .jets import ChartPoint, sample
 from .report import CheckResult, build_report, report_json, run_check
@@ -72,6 +73,7 @@ def _hypercr(s, cfg):
             "hypercr check needs the hydrodynamic pair (u, w), "
             "which this structure does not carry"
         )
+    require_x(s.chart)
     return lambda q: hypercr_residual(s.u, s.w, q)
 
 
@@ -143,10 +145,11 @@ READ_FLAGS = {
 }
 DEFAULT_CHECKS = {"verify": "gt,monopole", "lift": "em,maxwell", "limit": "limit"}
 
-# options whose value may start with "-": the expressions, and the ells
-# sequence, whose first ell may be negative
+# options whose value may start with "-": the expressions, the ells
+# sequence, whose first ell may be negative, and the numbers, which argparse
+# alone takes for options in exponent form (-1e-9)
 _DASH_VALUE_OPTIONS = frozenset(
-    ("--expr", "--ells") + tuple(f"--{name}" for name in _EXPR_FLAGS)
+    ("--expr", "--ells", "--ell", "--c", "--tol") + tuple(f"--{name}" for name in _EXPR_FLAGS)
 )
 
 
@@ -184,11 +187,11 @@ _FILE_VALUES = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads the word after an expression option or ``--ells`` as its value
-    even when it starts with "-": argparse alone takes ``--expr -x`` or
-    ``--ells -100,-200`` for two options.  A word that names an option of a
-    subcommand (``option_words``), or abbreviates one, is left to argparse,
-    so ``--expr --at x=1`` still lacks its argument."""
+    """Reads the word after an option of ``_DASH_VALUE_OPTIONS`` as its
+    value even when it starts with "-": argparse alone takes ``--expr -x``,
+    ``--ells -100,-200`` or ``--tol -1e-9`` for two options.  A word that
+    names an option of a subcommand (``option_words``), or abbreviates one,
+    is left to argparse, so ``--expr --at x=1`` still lacks its argument."""
 
     option_words = frozenset()
 
@@ -377,9 +380,9 @@ def cmd_verify(cfg):
     return build_report(_echo(cfg), s.chart, len(pts), results)
 
 
-def _lift_data(cfg):
-    """Base structure, its sample points and the lift config; sets ``ell_used``."""
-    base, dom = build_case(cfg)
+def _lift_data(cfg, base, dom):
+    """The sample points of the base structure and the lift config; sets
+    ``ell_used``."""
     base_pts = sample(dom)
     ell_used, flipped = lift_mod.fix_ell_sign(base, cfg["ell"], base_pts[0])
     lcfg = lift_mod.LiftConfig(
@@ -391,14 +394,17 @@ def _lift_data(cfg):
     )
     cfg["ell_used"] = ell_used
     cfg["sign_fixed"] = flipped
-    return base, base_pts, lcfg
+    return base_pts, lcfg
 
 
 def cmd_lift(cfg):
     names = parse_checks(cfg)
     tol = cfg["tol"] if cfg["tol"] is not None else 1e-6
     cfg["points"] = cfg["points"] or 100
-    base, base_pts, lcfg = _lift_data(cfg)
+    base, dom = build_case(cfg)
+    # the base checks are built before sampling, as under verify
+    base_fns = {n: BASE_CHECKS[n][1](base, cfg) for n in names if n in BASE_CHECKS}
+    base_pts, lcfg = _lift_data(cfg, base, dom)
     data = lift_mod.build(lcfg)
     # every check is built before any runs (so the alpha chart's ell bound
     # refuses the job first), and each chart's points are drawn once
@@ -410,7 +416,7 @@ def cmd_lift(cfg):
                 drawn[on.chart] = lift_mod.fibre_points(on, cfg["seed"], base_pts)
             checks.append((name, fn, drawn[on.chart]))
         else:
-            checks.append((name, BASE_CHECKS[name][1](base, cfg), base_pts))
+            checks.append((name, base_fns[name], base_pts))
     # the checks share one scope: em, maxwell and invariants pack g once
     with jets.evaluation_scope():
         results = [run_check(name, fn, pts, tol) for name, fn, pts in checks]

@@ -40,6 +40,7 @@ __all__ = [
     "EWStructure",
     "WeightedForm",
     "PAIRS",
+    "require_x",
     "hypercr_residual",
     "gt_residual",
     "gt_residual_forms",
@@ -93,17 +94,23 @@ class WeightedForm:
 # ---------------------------------------------------------------------------
 
 
+def require_x(chart):
+    """Refuse a chart without the x coordinate that the hydrodynamic
+    residual reads."""
+    if "x" not in chart:
+        raise ConfigError(
+            "hydrodynamic residual needs an x coordinate; "
+            f"chart {chart} has none"
+        )
+
+
 def hypercr_residual(u, w, pt):
     """Residual pair of the hydrodynamic system u_t = ..., u_y = -w_x.
 
     r1 = u_t + w_y + u w_x - w u_x,  r2 = u_y + w_x.
     """
     chart = pt.chart
-    if "x" not in chart:
-        raise ConfigError(
-            "hydrodynamic residual needs an x coordinate; "
-            f"chart {chart} has none"
-        )
+    require_x(chart)
     ix = chart.index("x")
     iy = chart.index("y")
     it = chart.index("t")

@@ -33,10 +33,17 @@ constant applied to a field acts on that field's jet as a number does,
 and two constants make a constant.  A coordinate-free expression
 (``expr.to_field``) is such a constant when its jets are finite.  No
 operand that is present is skipped: a field times the constant 0 still
-evaluates the field, so inf * 0 stays NaN.
+evaluates the field, so inf * 0 stays NaN.  An affine field (a coordinate,
+a constant, or one of them shifted, negated or scaled by a finite number)
+knows its constant derivatives, so its derivative field is a constant and
+costs no order.
 
-Field evaluations are memoized on the exact ``(field, point, order)`` in the
-open :func:`evaluation_scope`, so shared subexpressions are evaluated once.
+Field evaluations are memoized on ``(field, point)`` in the open
+:func:`evaluation_scope`, so shared subexpressions are evaluated once.  The
+memo holds the jet of the highest order asked so far and answers a lower
+order with its first parts, which are those of a fresh evaluation at that
+order; a memo value that is not a jet answers only the order it was
+computed at.
 ``report.run_check`` is the one loop over sample or probe points: it
 evaluates each check once over the batch of all its points, in the open
 scope, so the checks of one command share their evaluations.  A call made
@@ -655,7 +662,8 @@ tanh = _unary(_tanh_series)
 # ---------------------------------------------------------------------------
 
 
-# memo of the open evaluation scope: (field, point, order) -> jet
+# memo of the open evaluation scope: (field, point) -> (order, jet), the
+# highest order asked; a lower order of a jet is served from its parts
 _SCOPE = ContextVar("ewbench_evaluation_scope", default=None)
 
 
@@ -705,29 +713,45 @@ class Field:
     own jet), instead of building the jet of c.  f is still evaluated,
     whatever c is, so inf * 0 stays NaN.  Every remaining product keeps its
     operand order.
+
+    An affine field has a ``slope``: a function of a coordinate name giving
+    its constant derivative along it, or None where that is not a number
+    that evaluation would give.  Coordinates and constants have one, and
+    f + c, c + f, f - c, c - f, c * f, f / c and -f carry the slope of f
+    through; ``d`` of a field with a slope is that constant.
     """
 
-    __slots__ = ("fn", "number")
+    __slots__ = ("fn", "number", "slope")
 
-    def __init__(self, fn):
+    def __init__(self, fn, slope=None):
         self.fn = fn
         self.number = None
+        self.slope = slope
 
     def __call__(self, pt, order=0):
         memo = _SCOPE.get()
         if memo is None:
             with evaluation_scope():
                 return self(pt, order)
-        key = (self, pt, order)
-        jet = memo.get(key)
-        if jet is None:
-            jet = memo[key] = self.fn(pt, order)
+        key = (self, pt)
+        held = memo.get(key)
+        if held is not None:
+            held_order, jet = held
+            if held_order == order:
+                return jet
+            # a lower order is the first parts of a jet; any other value
+            # answers only the order it was computed at
+            if held_order > order and type(jet) is Jet:
+                return Jet(jet.parts[: order + 1])
+        jet = self.fn(pt, order)
+        if held is None or held_order < order:
+            memo[key] = (order, jet)
         return jet
 
     @staticmethod
     def const(value):
         v = float(value)
-        field = Field(lambda pt, order=0: Jet.constant(v, pt.dim, order))
+        field = Field(lambda pt, order=0: Jet.constant(v, pt.dim, order), lambda along: 0.0)
         field.number = v
         return field
 
@@ -737,9 +761,14 @@ class Field:
             idx = pt.chart.index(name)
             return Jet.variable(pt.coords[idx], idx, pt.dim, order)
 
-        return Field(fn)
+        return Field(fn, lambda along: 1.0 if along == name else 0.0)
 
     def d(self, name):
+        """The partial derivative field along coordinate ``name``."""
+        slope = None if self.slope is None else self.slope(name)
+        if slope is not None:
+            return Field.const(slope)
+
         def fn(pt, order=0):
             if order >= MAX_ORDER:
                 raise JetOrderError(
@@ -767,7 +796,9 @@ class Field:
     def _fold(self, other, op, constant):
         """``op`` pointwise on self and ``other``.  Two constants make the
         constant ``constant(a, b)`` unless that is None; otherwise a number
-        among the operands acts on the other operand's jet directly."""
+        among the operands acts on the other operand's jet directly, and
+        the result has a slope when that operand has one and ``op`` is
+        affine in it."""
         o = Field._lift(other)
         if o is None:
             return NotImplemented
@@ -777,9 +808,11 @@ class Field:
             if c is not None:
                 return Field.const(c)
         if b is not None:
-            return Field(lambda pt, order=0: op(self(pt, order), b))
+            slope = _affine(self, _SLOPE_RULES[op][0], b)
+            return Field(lambda pt, order=0: op(self(pt, order), b), slope)
         if a is not None:
-            return Field(lambda pt, order=0: op(a, o(pt, order)))
+            slope = _affine(o, _SLOPE_RULES[op][1], a)
+            return Field(lambda pt, order=0: op(a, o(pt, order)), slope)
         return Field(lambda pt, order=0: op(self(pt, order), o(pt, order)))
 
     def __add__(self, other):
@@ -809,7 +842,7 @@ class Field:
     def __neg__(self):
         if self.number is not None:
             return Field.const(-self.number)
-        return Field(lambda pt, order=0: -self(pt, order))
+        return Field(lambda pt, order=0: -self(pt, order), _affine(self, _negated, None))
 
 
 # The product of constant jets has zero derivative parts only when both
@@ -825,6 +858,41 @@ def _constant_product(a, b):
 def _constant_quotient(a, b):
     r = _finite_reciprocal(b, MAX_ORDER)
     return a * r if r is not None and math.isfinite(a) else None
+
+
+def _shifted(s, c):
+    return s
+
+
+def _negated(s, c):
+    return -s
+
+
+# The slope of f op c and of c op f, as rule(s, c) of the slope s of f: a
+# number c shifts the jet of f or scales it by c (or 1/c), and its
+# derivative parts with it, exactly as it does the constant s.  A scaling
+# that would leave the bits of evaluation (a non-finite factor, whose
+# product with a zero part is NaN) gives None, and so does c / f.
+_SLOPE_RULES = {
+    operator.add: (_shifted, _shifted),
+    operator.sub: (_shifted, _negated),
+    operator.mul: (_constant_product, _constant_product),
+    operator.truediv: (_constant_quotient, None),
+}
+
+
+def _affine(f, rule, c):
+    """The slope of the field that acts on f by a number c, whose slope is
+    ``rule(s, c)`` where f has the slope s; None when f has none, or when
+    ``rule`` is None."""
+    if f.slope is None or rule is None:
+        return None
+
+    def slope(name):
+        s = f.slope(name)
+        return None if s is None else rule(s, c)
+
+    return slope
 
 
 ZERO_FIELD = Field.const(0.0)

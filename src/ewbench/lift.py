@@ -366,7 +366,11 @@ def flat_limit(factory, ells):
     Each per-ell maximum is one ``run_check`` over the points, named
     ``lift.<key>`` after its report key, so a non-finite value raises
     DomainError.  Each ell is built and checked in one evaluation scope
-    (its validation in one of its own), closed before the next ell.
+    (its validation in one of its own), closed before the next ell.  The
+    checks run riemann_limit first, which packs the limit form through
+    order 2, so that form_gap reads its values from that packing; the
+    report keeps its own key order.  A ratio of successive gaps that is
+    not finite (a later gap of 0, or an overflow) is null.
     """
     ells = [float(e) for e in ells]
     if len(ells) < 2:
@@ -395,20 +399,21 @@ def flat_limit(factory, ells):
             f_full = ext_d(data.potential)
             keys = sorted(set(f_full.comps) | set(f_target.comps))
             residuals = {
+                "riemann_limit": lambda q: riemann(g_lim, q),
                 "form_gap": lambda q: data.g.matrix_at(q) - g_lim.matrix_at(q),
                 "f_gap": lambda q: f_full.values_at(q, keys) - f_target.values_at(q, keys),
                 "f_term": lambda q: f_target.values_at(q, keys),
                 "f_norm": lambda q: f_full.values_at(q, keys),
-                "riemann_limit": lambda q: riemann(g_lim, q),
             }
             for key, fn in residuals.items():
                 report[key].append(run_check(f"lift.{key}", fn, pts, math.inf).max)
         report["ell_used"].append(data.ell)
     gaps = report["form_gap"]
-    # a later gap of exactly 0 has no ratio: null in the report
+    # a later gap of exactly 0 has no ratio, and a ratio that overflows no
+    # finite one: null in the report
     report["ratios"] = [
-        gaps[i] / gaps[i + 1] if gaps[i + 1] else None
-        for i in range(len(gaps) - 1)
+        r if math.isfinite(r) else None
+        for r in (a / b if b else math.inf for a, b in zip(gaps, gaps[1:]))
     ]
     report["diverges"] = (
         gaps[-1] > gaps[0] or report["f_term"][-1] > report["f_term"][0]

@@ -376,6 +376,15 @@ class TestLimit:
         assert rep["detail"]["form_gap"][1] == 0.0
         assert rep["detail"]["ratios"] == [None]
 
+    @pytest.mark.parametrize("case,ells", [("heisenberg", "1,1e154"), ("class-b", "1,1e300")])
+    def test_an_overflowing_ratio_is_null(self, capsys, case, ells):
+        code, rep = run_json(capsys, "limit", "--case", case, "--ells", ells)
+        assert code == EXIT_PASS
+        gaps = rep["detail"]["form_gap"]
+        assert gaps[1] > 0.0 and gaps[0] / gaps[1] == math.inf
+        assert rep["detail"]["ratios"] == [None]
+        assert not rep["detail"]["diverges"]
+
 
 # --- eval ------------------------------------------------------------------------
 
@@ -522,6 +531,25 @@ class TestEval:
             main(["limit", "--case", "heisenberg", *argv])
         assert exc.value.code == EXIT_CONFIG
         assert "argument --ells: expected one argument" in capsys.readouterr().err
+
+    def test_a_negative_tol_in_exponent_form_is_one_error_line(self, capsys):
+        code = main(["verify", "--case", "heisenberg", "--tol", "-1e-9"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err == "error: tol must be positive and finite\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--case", "heisenberg", "--ell", "-1e-9", "--points", "3"),
+        ("lift", "--case", "heisenberg", "--c", "-1e-3", "--points", "3"),
+    ], ids=("ell", "c"))
+    def test_a_number_in_exponent_form_may_start_with_a_minus(self, capsys, argv):
+        flag, value = argv[3:5]
+        joined = argv[:3] + (f"{flag}={value}",) + argv[5:]
+        code, out = run_cli(capsys, *argv)
+        joined_code, joined_out = run_cli(capsys, *joined)
+        assert code == joined_code != EXIT_CONFIG
+        assert normalize(out) == normalize(joined_out)
+        assert json.loads(out)["config"][flag[2:]] == float(value)
 
     def test_expression_flag_value_may_start_with_a_minus(self, capsys):
         code, rep = run_json(
@@ -706,6 +734,24 @@ class TestErrorExits:
         assert code == EXIT_CONFIG
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--case", "class-a", "--checks", "gt,hypercr"),
+        ("lift", "--case", "class-b", "--checks", "em,hypercr"),
+    ], ids=("verify", "lift"))
+    def test_hypercr_off_its_chart_is_refused_before_sampling(self, capsys, monkeypatch, argv):
+        def never(*args):
+            raise AssertionError("sampled before the check was refused")
+
+        monkeypatch.setattr(cli_mod, "sample", never)
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == (
+            "error: hydrodynamic residual needs an x coordinate; "
+            "chart ('p', 'y', 't') has none\n"
+        )
 
     def test_unexpected_exception_is_internal_exit(self, capsys, monkeypatch):
         def broken(cfg):

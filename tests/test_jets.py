@@ -24,6 +24,7 @@ from ewbench.errors import (
     SamplingExhaustedError,
 )
 from ewbench.expr import to_field
+from ewbench.families import heisenberg
 from ewbench.forms import PForm, symmetric_product
 from ewbench.jets import ChartPoint, PointBatch, evaluation_scope, require_guards
 
@@ -417,6 +418,66 @@ class TestConstantFolds:
         with evaluation_scope():
             q = point(("x",), 0.5)
             assert (1.0 * x)(q, 3) is x(q, 3)
+
+
+# an affine map of a field by a number c, each as field algebra
+AFFINE_STEPS = {
+    "f+c": lambda f, c: f + c,
+    "c+f": lambda f, c: c + f,
+    "f-c": lambda f, c: f - c,
+    "c-f": lambda f, c: c - f,
+    "c*f": lambda f, c: Field.const(c) * f,
+    "f*c": lambda f, c: f * c,
+    "f/c": lambda f, c: f / c,
+    "-f": lambda f, c: -f,
+}
+AFFINE = st.tuples(
+    st.sampled_from(["x", "y"]),
+    st.lists(st.tuples(st.sampled_from(sorted(AFFINE_STEPS)), CONSTANTS), max_size=4),
+)
+
+
+def affine_field(start, steps):
+    f = Field.coordinate(start)
+    for name, c in steps:
+        f = AFFINE_STEPS[name](f, c)
+    return f
+
+
+class TestAffineDerivatives:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(affine=AFFINE, along=st.sampled_from(["x", "y"]), q=POINTS, order=st.integers(0, 2))
+    def test_a_folded_derivative_is_the_partial_of_a_finite_jet(self, affine, along, q, order):
+        f = affine_field(*affine)
+        fd = f.d(along)
+        with np.errstate(all="ignore"):
+            jet = outcome(lambda: f(q, order + 1))
+            if isinstance(jet, EwbenchError) or not all(np.isfinite(p).all() for p in jet.parts):
+                return
+            assert_same(fd(q, order), jet.partial(q.chart.index(along)))
+
+    def test_coordinates_constants_and_affine_maps_fold(self):
+        x, y = Field.coordinate("x"), Field.coordinate("y")
+        assert x.d("x").number == 1.0 and x.d("y").number == 0.0
+        assert Field.const(7.0).d("x").number == 0.0
+        f = (3.0 - x * 2.0) / 4.0 + y
+        assert f.d("x").number is None  # f + g is not folded
+        assert ((3.0 - x * 2.0) / 4.0).d("x").number == -0.5
+        assert (-(x + 5.0)).d("x").number == -1.0
+        assert (jets.exp(x) * 2.0).d("x").number is None
+
+    def test_a_non_finite_factor_is_left_to_evaluation(self):
+        x = Field.coordinate("x")
+        assert (x * math.inf).d("x").number is None
+        assert (x / 0.0).d("x").number is None
+        assert (2.0 / x).d("x").number is None
+
+    @pytest.mark.parametrize("ell", [1.0, -3.0, 0.7, 1e300])
+    def test_heisenberg_v_and_omega_dy_fold(self, ell):
+        s = heisenberg(ell)
+        assert s.V.number == 2 / ell
+        dy = s.chart.index("y")
+        assert s.omega.comps[(dy,)].number == 4 / ell
 
 
 class TestNothingPresentIsSkipped:

@@ -4,17 +4,25 @@ import sys
 import threading
 from collections import Counter
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ewbench import ChartPoint, MetricField, parse_field, ricci
 from ewbench import cli as cli_mod
 from ewbench import lift as lift_mod
 from ewbench.cli import EXIT_CONFIG, EXIT_PASS, main
-from ewbench.errors import EwbenchError
-from ewbench.families import default_domain
-from ewbench.jets import PointBatch, evaluation_scope, sample, shared_scope
+from ewbench.errors import EwbenchError, JetOrderError
+from ewbench.expr import to_field
+from ewbench.families import CASES, build, default_domain, heisenberg
+from ewbench.forms import hodge3
+from ewbench.jets import Field, Jet, PointBatch, evaluation_scope, sample, shared_scope
 from ewbench.report import run_check
+
+from conftest import COORDS, EXPRS
 
 
 def _count_calls(metric, calls):
@@ -211,3 +219,90 @@ def test_a_config_file_may_hold_keys_of_other_subcommands(capsys, tmp_path):
     assert main(["verify", "--case", "heisenberg", "--config", str(path)]) == EXIT_PASS
     assert main(["limit", "--case", "heisenberg", "--config", str(path)]) == EXIT_PASS
     capsys.readouterr()
+
+
+# --- one jet per field and point ---------------------------------------------------
+
+
+@functools.cache
+def catalog_fields():
+    """(field, sample points) for every frame, omega and V component of
+    each catalog case at its defaults."""
+    out = []
+    for case in CASES:
+        s, dom = build(case, {}, count=3)
+        pts = sample(dom)
+        legs = [f for leg in s.frame.legs for f in leg.comps.values()]
+        out += [(f, pts) for f in legs + list(s.omega.comps.values()) + [s.V]]
+    return out
+
+
+@np.errstate(all="ignore")
+def assert_served_is_fresh(f, q, high, low):
+    """f at ``low`` in a scope that holds f at ``high`` is the jet of a
+    fresh evaluation at ``low``, part by part and bit for bit."""
+    with evaluation_scope():
+        try:
+            f(q, high)
+        except EwbenchError:
+            return
+        served = f(q, low)
+        with shared_scope() as memo:
+            assert memo[(f, q)][0] == high
+    with evaluation_scope():
+        fresh = f(q, low)
+    assert served.order == fresh.order == low
+    for a, b in zip(served.parts, fresh.parts):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+ORDERS = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda hl: hl[0] > hl[1])
+
+
+class TestOneJetPerField:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(expr=EXPRS, rows=st.lists(st.tuples(COORDS, COORDS), min_size=1, max_size=4),
+           batched=st.booleans(), orders=ORDERS)
+    def test_a_lower_order_of_an_expression_is_a_fresh_evaluation(self, expr, rows, batched, orders):
+        chart = ("x", "y")
+        q = PointBatch(chart, rows) if batched else ChartPoint.make(chart, rows[0])
+        assert_served_is_fresh(to_field(expr), q, *orders)
+
+    @settings(derandomize=True, deadline=None)
+    @given(index=st.integers(0, 10**6), batched=st.booleans(), orders=ORDERS)
+    def test_a_lower_order_of_a_catalog_component_is_a_fresh_evaluation(self, index, batched, orders):
+        fields = catalog_fields()
+        f, pts = fields[index % len(fields)]
+        q = PointBatch.of(pts) if batched else pts[0]
+        assert_served_is_fresh(f, q, *orders)
+
+    def test_the_memo_holds_the_highest_order_asked(self):
+        calls = []
+        x = Field.coordinate("x")
+        f = Field(lambda pt, order=0: calls.append(order) or x(pt, order))
+        q = ChartPoint.make(("x",), (0.5,))
+        with evaluation_scope():
+            for order in (1, 0, 3, 2, 1, 3):
+                assert f(q, order).order == order
+            with shared_scope() as memo:
+                assert memo[(f, q)] == (3, f(q, 3))
+                assert all(len(key) == 2 for key in memo)
+        assert calls == [1, 3]
+
+    def test_a_value_that_is_not_a_jet_answers_only_its_order(self):
+        s = heisenberg(1.0)
+        q = ChartPoint.make(s.chart, (0.5, -0.5, 0.2))
+        with evaluation_scope():
+            for f in hodge3(s.omega, s.frame).comps.values():
+                assert np.isfinite(f(q, 0).value)
+                with pytest.raises(JetOrderError, match="hodge3"):
+                    f(q, 1)
+                assert isinstance(f(q, 0), Jet)
+
+    def test_a_value_that_is_not_a_jet_is_never_cut_down(self):
+        f = Field(lambda pt, order=0: np.full(order + 1, float(order)))
+        q = ChartPoint.make(("x",), (0.5,))
+        with evaluation_scope():
+            for order in (2, 1, 2, 0):
+                assert f(q, order).tolist() == [float(order)] * (order + 1)

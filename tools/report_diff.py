@@ -7,7 +7,8 @@ The argvs are every perfbench job of seeds 1-3, as
 ``perfbench/run.py --seconds 30`` makes them, the ``ewbench ...`` command
 lines of README.md, the constant-data command lines of ``CONSTANT_DATA``,
 the catalog command lines of ``CATALOG``, the check-table command lines of
-``CHECKS``, and any extra command lines given after the two checkouts.  One
+``CHECKS``, the edge-case command lines of ``EDGES``, and any extra command
+lines given after the two checkouts.  One
 subprocess per checkout runs them all through ``ewbench.cli.main`` in
 process, with that checkout's ``src`` first on the path.  The tool prints
 each argv whose exit code, stdout (without its ``wall_time_s`` line) or
@@ -89,6 +90,25 @@ CHECKS = (
     "lift --case class-b --F 1e12 --points 3",
     "lift --case from-H --H y --points 3",
     "lift --case class-b --F 1e308 --points 3",
+)
+
+# a check its chart cannot serve, refused before sampling; limit ratios that
+# overflow; negative numbers in exponent form; heisenberg at the ends of the
+# float range of ell, whose u = 4x/ell scales by an infinite, a huge or a
+# tiny factor; and the alpha chart just inside its ell bound
+EDGES = (
+    "verify --case class-a --checks gt,hypercr",
+    "lift --case class-b --checks em,hypercr",
+    "limit --case heisenberg --ells 1,1e154",
+    "limit --case class-b --ells 1,1e300",
+    "verify --case heisenberg --tol -1e-9",
+    "verify --case heisenberg --ell -1e-9",
+    "verify --case heisenberg --checks gt,psi --c -1e308",
+    "verify --case heisenberg --ell 1e-308",
+    "verify --case heisenberg --ell 5e-324",
+    "verify --case heisenberg --ell 1e308",
+    "verify --case heisenberg --ell -3e-200 --checks gt,monopole,weyl,psi --c 0.7",
+    "lift --case heisenberg --ell 1e140 --chart alpha --checks em,maxwell,invariants",
 )
 
 # run inside a checkout: one JSON line [argv, exit code, stdout, stderr]
@@ -200,7 +220,7 @@ def main(argv):
     if len(argv) < 2:
         sys.exit(__doc__)
     old_dir, new_dir = Path(argv[0]), Path(argv[1])
-    extra = list(CONSTANT_DATA + CATALOG + CHECKS) + argv[2:]
+    extra = list(CONSTANT_DATA + CATALOG + CHECKS + EDGES) + argv[2:]
     old, new = reports(old_dir, extra), reports(new_dir, extra)
     names = ("exit code", "stdout", "stderr")
     differ = 0
