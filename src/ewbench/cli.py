@@ -417,7 +417,8 @@ def cmd_lift(cfg):
             checks.append((name, fn, drawn[on.chart]))
         else:
             checks.append((name, base_fns[name], base_pts))
-    # the checks share one scope: em, maxwell and invariants pack g once
+    # the checks share one scope: em, maxwell and invariants share one
+    # metric pass per chart
     with jets.evaluation_scope():
         results = [run_check(name, fn, pts, tol) for name, fn, pts in checks]
     return build_report(_echo(cfg), data.chart, len(base_pts), results)

@@ -32,6 +32,24 @@ so a zero residual does not depend on it.
 Derivatives of the metric come from jets by default; ``method="fd"``
 switches every partial to the finite-difference oracle for an independent
 cross-check.
+
+The metric work is done once per metric and point (or batch) in the open
+evaluation scope: ``MetricField.pass_at`` holds a
+:class:`~ewbench.forms.MetricPass`, and every function here reads det g,
+g^-1, d g^-1, the Christoffel symbols, R^a_bcd and R_bd from it, filling
+each slot the first time one is needed.  So em, maxwell and the invariants
+of one chart, and ``riemann``, ``ricci``, ``christoffel``, ``kretschmann``,
+``f_squared`` and ``MetricField.inverse_at``, invert g and build its
+curvature once between them.  F = dA is packed once per potential and
+point in the same way.  ``method="fd"`` builds a pass of its own that no
+other call reads or fills, so the oracle never sees a jet derivative.
+
+Every contraction takes two operands in a fixed order, with ``np.einsum``
+and no contraction planner: the planner may hand a step to BLAS, whose
+kernels depend on the CPU, and a contraction of three or more operands in
+one einsum loops over all their indices at once (n^6 products a point for
+d g^-1 instead of 2 n^4).  Full sums run over a flattened last axis, so a
+batch row adds its terms in the order its point alone does.
 """
 from __future__ import annotations
 
@@ -39,8 +57,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import ext_d, metric_det, metric_from_coframe
-from .jets import _over_power, fd_oracle
+from .forms import MetricPass, ext_d, metric_from_coframe, read_only
+from .jets import _over_power, fd_oracle, scoped_arrays
 
 __all__ = [
     "christoffel",
@@ -58,46 +76,56 @@ __all__ = [
 ]
 
 # ---------------------------------------------------------------------------
-# packed metric derivatives
+# the metric pass
 # ---------------------------------------------------------------------------
 
 
-def _metric_arrays(g, pt, method="jet"):
-    """(g0, dg, ddg, ginv) with dg[c,a,b] = d_c g_ab, ddg[c,d,a,b]; over a
-    batch each array has the batch axis first, and every contraction below
-    runs on the trailing axes."""
+def _fd_arrays(g, pt):
+    """(g0, dg, ddg) with dg[c,a,b] = d_c g_ab and ddg[c,d,a,b] from the
+    finite-difference oracle, the batch axis first over a batch."""
+    n = g.dim
+    g0 = g.matrix_at(pt)
+    dg = np.zeros(pt.shape + (n, n, n))
+    ddg = np.zeros(pt.shape + (n, n, n, n))
+    for (a, b), f in g.comps.items():
+        for c in range(n):
+            v = fd_oracle(f, pt, (c,))
+            dg[..., c, a, b] = dg[..., c, b, a] = v
+            for d in range(c, n):
+                vv = fd_oracle(f, pt, (c, d))
+                for cc, dd in ((c, d), (d, c)):
+                    ddg[..., cc, dd, a, b] = ddg[..., cc, dd, b, a] = vv
+    return g0, dg, ddg
+
+
+def _metric_pass(g, pt, method):
+    """The scope's pass of g at pt for jets; for ``method="fd"`` a new pass
+    packed by the oracle, which no other call reads."""
     if method == "jet":
-        g0, dg, ddg = g.jets_at(pt, 2)
-    elif method == "fd":
-        n = g.dim
-        g0 = g.matrix_at(pt)
-        dg = np.zeros(pt.shape + (n, n, n))
-        ddg = np.zeros(pt.shape + (n, n, n, n))
-        for (a, b), f in g.comps.items():
-            for c in range(n):
-                v = fd_oracle(f, pt, (c,))
-                dg[..., c, a, b] = dg[..., c, b, a] = v
-                for d in range(c, n):
-                    vv = fd_oracle(f, pt, (c, d))
-                    for cc, dd in ((c, d), (d, c)):
-                        ddg[..., cc, dd, a, b] = ddg[..., cc, dd, b, a] = vv
-    else:
-        raise ValueError(f"unknown derivative method {method!r}")
-    metric_det(g0, pt)
-    return g0, dg, ddg, np.linalg.inv(g0)
+        return g.pass_at(pt)
+    if method == "fd":
+        return MetricPass(pt, lambda order: _fd_arrays(g, pt))
+    raise ValueError(f"unknown derivative method {method!r}")
 
 
 def _inverse_partial(ginv, dg):
-    """dginv[e,a,b] = d_e g^ab = -g^af (d_e g_fh) g^hb."""
-    return -np.einsum("...af,...efh,...hb->...eab", ginv, dg, ginv)
+    """dginv[e,a,b] = d_e g^ab = -g^af (d_e g_fh) g^hb, one index at a time."""
+    half = np.einsum("...af,...efh->...eah", ginv, dg)
+    return -np.einsum("...eah,...hb->...eab", half, ginv)
 
 
-def _gamma_and_partial(dg, ddg, ginv):
-    """Christoffel symbols Gamma[a,b,c], dGamma[e,a,b,c] = d_e Gamma, and
-    dginv[e,a,b] = d_e g^ab."""
+def _dginv(p):
+    """d g^-1 of the pass p."""
+    if p.dginv is None:
+        dg = p.arrays(1)[1]
+        p.dginv = read_only(_inverse_partial(p.inverse(), dg))
+    return p.dginv
+
+
+def _gamma_and_partial(dg, ddg, ginv, dginv):
+    """Christoffel symbols Gamma[a,b,c] and dGamma[e,a,b,c] = d_e Gamma."""
     t = np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg
     gamma = 0.5 * np.einsum("...ad,...dbc->...abc", ginv, t)
-    dginv = _inverse_partial(ginv, dg)
     dt = (
         np.einsum("...ebdc->...edbc", ddg)
         + np.einsum("...ecdb->...edbc", ddg)
@@ -107,7 +135,7 @@ def _gamma_and_partial(dg, ddg, ginv):
         np.einsum("...ead,...dbc->...eabc", dginv, t)
         + np.einsum("...ad,...edbc->...eabc", ginv, dt)
     )
-    return gamma, dgamma, dginv
+    return gamma, dgamma
 
 
 def _riemann_from_gamma(gamma, dgamma):
@@ -119,48 +147,55 @@ def _riemann_from_gamma(gamma, dgamma):
     )
 
 
-def _kretschmann(r_up, g0, ginv):
-    """R_abcd R^abcd from R^a_bcd: lower the first index, raise the last
-    three one at a time, then one elementwise product and sum.  Each index
-    moves in a two-operand einsum, n^5 products a point instead of the n^8
-    of a single contraction.  The order is fixed here, not left to einsum's
-    contraction planner, which may hand a step to BLAS, whose kernels
-    depend on the CPU.  The sum runs over the flattened last axis, so a
-    batch row adds its terms in the order its point alone does (an einsum
-    over all four axes does not)."""
-    r_low = np.einsum("...ae,...ebcd->...abcd", g0, r_up)
+def _curvature(g, pt, method="jet"):
+    """The pass of g at pt with Gamma, R^a_bcd and R_bd filled; d Gamma is
+    not kept, as only R^a_bcd reads it."""
+    p = _metric_pass(g, pt, method)
+    if p.r_up is None:
+        _, dg, ddg = p.arrays(2)
+        gamma, dgamma = _gamma_and_partial(dg, ddg, p.inverse(), _dginv(p))
+        r_up = _riemann_from_gamma(gamma, dgamma)
+        p.gamma = read_only(gamma)
+        p.ric = read_only(np.einsum("...abad->...bd", r_up))
+        p.r_up = read_only(r_up)
+    return p
+
+
+def _kretschmann(p):
+    """R_abcd R^abcd from the pass p: lower the first index of R^a_bcd,
+    raise the last three one at a time, then one elementwise product and
+    sum.  Each index moves in a two-operand einsum, n^5 products a point
+    instead of the n^8 of a single contraction."""
+    r_up, ginv = p.r_up, p.inverse()
+    r_low = np.einsum("...ae,...ebcd->...abcd", p.arrays(0)[0], r_up)
     r_all = np.einsum("...bf,...afcd->...abcd", ginv, r_up)
     r_all = np.einsum("...cg,...abgd->...abcd", ginv, r_all)
     r_all = np.einsum("...dh,...abch->...abcd", ginv, r_all)
-    terms = r_low * r_all
-    return np.sum(terms.reshape(terms.shape[:-4] + (-1,)), axis=-1)
+    return _full_sum(r_low * r_all, 4)
 
 
-def _curvature(g, pt, method, scalar=False):
-    """(Gamma, R^a_bcd, R_bd, Kretschmann, g, g^-1) from one pass over the
-    metric arrays; the Kretschmann contraction runs only if ``scalar``."""
-    g0, dg, ddg, ginv = _metric_arrays(g, pt, method)
-    gamma, dgamma, _ = _gamma_and_partial(dg, ddg, ginv)
-    r_up = _riemann_from_gamma(gamma, dgamma)
-    k = _kretschmann(r_up, g0, ginv) if scalar else None
-    return gamma, r_up, np.einsum("...abad->...bd", r_up), k, g0, ginv
+def _full_sum(terms, axes):
+    """The sum over the last ``axes`` axes of ``terms``, flattened into one,
+    so a batch row adds its terms in the order its point alone does (an
+    einsum or a sum over several axes does not)."""
+    return np.sum(terms.reshape(terms.shape[: terms.ndim - axes] + (-1,)), axis=-1)
 
 
 def christoffel(g, pt, method="jet"):
-    return _curvature(g, pt, method)[0]
+    return _curvature(g, pt, method).gamma
 
 
 def riemann(g, pt, method="jet"):
     """R^a_bcd from the metric at a point."""
-    return _curvature(g, pt, method)[1]
+    return _curvature(g, pt, method).r_up
 
 
 def ricci(g, pt, method="jet"):
-    return _curvature(g, pt, method)[2]
+    return _curvature(g, pt, method).ric
 
 
 def kretschmann(g, pt, method="jet"):
-    return _curvature(g, pt, method, scalar=True)[3]
+    return _kretschmann(_curvature(g, pt, method))
 
 
 @dataclass(frozen=True)
@@ -171,8 +206,8 @@ class CurvatureReport:
 
 
 def curvature_report(g, pt, method="jet"):
-    gamma, _, ric, k, _, _ = _curvature(g, pt, method, scalar=True)
-    return CurvatureReport(gamma, ric, k)
+    p = _curvature(g, pt, method)
+    return CurvatureReport(p.gamma, p.ric, _kretschmann(p))
 
 
 # ---------------------------------------------------------------------------
@@ -182,18 +217,25 @@ def curvature_report(g, pt, method="jet"):
 
 def _field_strength(A, pt, order):
     """Packed arrays of F = dA through ``order``, like ``MetricField.jets_at``:
-    F[a,b], dF[c,a,b] = d_c F_ab, each antisymmetric in a, b."""
+    F[a,b], dF[c,a,b] = d_c F_ab, each antisymmetric in a, b, kept in the
+    evaluation scope under (A, pt) at the highest order asked."""
+    return scoped_arrays((_field_strength, A, pt), order, lambda k: _pack_f(A, pt, k))
+
+
+def _pack_f(A, pt, order):
     F = ext_d(A)
     n = len(F.chart)
     packed = tuple(np.zeros(pt.shape + (n,) * (k + 2)) for k in range(order + 1))
     for (a, b), f in F.comps.items():
         for arr, part in zip(packed, f(pt, order).parts):
             arr[..., a, b], arr[..., b, a] = part, -part
-    return packed
+    return tuple(map(read_only, packed))
 
 
 def _f_contract(fm, ginv):
-    return np.einsum("...ab,...ac,...bd,...cd->...", fm, ginv, ginv, fm)
+    """|F|^2 = F_cd F^cd, raising F^cd = g^ac (F_ab g^bd) one index at a time."""
+    f_up = np.einsum("...ac,...ad->...cd", ginv, np.einsum("...ab,...bd->...ad", fm, ginv))
+    return _full_sum(fm * f_up, 2)
 
 
 def f_squared(A, g, pt):
@@ -202,29 +244,33 @@ def f_squared(A, g, pt):
 
 
 def scalar_invariants(g, A, pt):
-    """(Kretschmann, |F|^2 for F = dA, g) from one curvature pass: |F|^2
-    contracts with that pass's g^-1, so the metric is evaluated and
-    inverted once.  The last two equal ``f_squared`` and ``g.matrix_at``
-    bit for bit, since a jet's value is the order-0 jet."""
-    _, _, _, k, g0, ginv = _curvature(g, pt, "jet", scalar=True)
-    return k, _f_contract(_field_strength(A, pt, 0)[0], ginv), g0
+    """(Kretschmann, |F|^2 for F = dA, g) from the pass of g at pt: the
+    last two equal ``f_squared`` and ``g.matrix_at`` bit for bit, since a
+    jet's value is the order-0 jet."""
+    p = _curvature(g, pt)
+    fsq = _f_contract(_field_strength(A, pt, 0)[0], p.inverse())
+    return _kretschmann(p), fsq, p.arrays(0)[0]
 
 
 def maxwell_residual(A, g, pt):
     """Components of d(star dA) at the sorted 3-index tuples 012, 013, 023,
     123: eps_abcd J^d with J^d = d_e(sqrt|g| F^ed), that is J^3, -J^2,
     J^1, -J^0."""
-    g0, dg = g.jets_at(pt, 1)
-    vol = np.sqrt(np.abs(metric_det(g0, pt)))
-    ginv = np.linalg.inv(g0)
-    dginv = _inverse_partial(ginv, dg)
+    p = g.pass_at(pt)
+    _, dg = p.arrays(1)
+    ginv = p.inverse()
+    dginv = _dginv(p)
+    vol = np.sqrt(np.abs(p.det))
     fm, dfm = _field_strength(A, pt, 1)
-    # F^ed and its partials d_c F^ed
-    f_up = np.einsum("...ea,...ab,...db->...ed", ginv, fm, ginv)
-    df_up = (
-        np.einsum("...cea,...ab,...db->...ced", dginv, fm, ginv)
-        + np.einsum("...ea,...cab,...db->...ced", ginv, dfm, ginv)
-        + np.einsum("...ea,...ab,...cdb->...ced", ginv, fm, dginv)
+    # F^ed = u_eb g^db with u_eb = g^ea F_ab, and its partials
+    # d_c F^ed = (d_c g^ea F_ab + g^ea d_c F_ab) g^db + u_eb d_c g^db
+    u = np.einsum("...ea,...ab->...eb", ginv, fm)
+    f_up = np.einsum("...eb,...db->...ed", u, ginv)
+    v = np.einsum("...cea,...ab->...ceb", dginv, fm) + np.einsum(
+        "...ea,...cab->...ceb", ginv, dfm
+    )
+    df_up = np.einsum("...ceb,...db->...ced", v, ginv) + np.einsum(
+        "...eb,...cdb->...ced", u, dginv
     )
     # d_e sqrt|g| / sqrt|g| = (1/2) g^ab d_e g_ab
     dlog_vol = 0.5 * np.einsum("...ab,...eab->...e", ginv, dg)
@@ -241,12 +287,14 @@ def em_residual(g, A, ell, pt, fsq_scale=1.0):
     ``fsq_scale`` rescales |F|^2 so the rejected normalization can be
     exercised; 1.0 is the pinned convention.
     """
-    _, _, ric, _, g0, ginv = _curvature(g, pt, "jet")
+    p = _curvature(g, pt)
+    g0, ginv = p.arrays(0)[0], p.inverse()
     fm = _field_strength(A, pt, 0)[0]
-    stress = np.einsum("...ac,...bd,...dc->...ab", fm, fm, ginv)
+    # F_ac F_b^c = F_ac (F_bd g^dc)
+    stress = np.einsum("...ac,...bc->...ab", fm, np.einsum("...bd,...dc->...bc", fm, ginv))
     fsq = _f_contract(fm, ginv)
     return (
-        ric
+        p.ric
         + _over_power(3.0, float(ell), 2) * g0
         + 2.0 * stress
         - 0.5 * fsq_scale * fsq[..., None, None] * g0
@@ -267,8 +315,10 @@ def weyl_ricci_residual_metric(h, omega, pt, method="jet"):
     implementation self-test), ``ew`` the trace-free symmetrized Ricci of D.
     """
     n = h.dim
-    g0, dg, ddg, ginv = _metric_arrays(h, pt, method)
-    gamma, dgamma, dginv = _gamma_and_partial(dg, ddg, ginv)
+    p = _metric_pass(h, pt, method)
+    g0, dg, ddg = p.arrays(2)
+    ginv, dginv = p.inverse(), _dginv(p)
+    gamma, dgamma = _gamma_and_partial(dg, ddg, ginv, dginv)
 
     w = np.zeros(pt.shape + (n,))
     dw = np.zeros(pt.shape + (n, n))

@@ -20,12 +20,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import JetOrderError, SingularFrameError, SingularMetricError
-from .jets import Field, Jet, ZERO_FIELD, anywhere, first_where, pack, shared_scope
+from .jets import Field, Jet, ZERO_FIELD, anywhere, first_where, pack, scoped_arrays, shared_scope
 
 __all__ = [
     "PForm",
     "Coframe3",
     "MetricField",
+    "MetricPass",
     "coordinate_form",
     "zero_form",
     "wedge",
@@ -402,11 +403,7 @@ class MetricField:
         arrays of a new order-``order`` packing bit for bit, because a jet's
         parts do not depend on the order above them.  Nothing above the
         highest order asked is allocated."""
-        with shared_scope() as memo:
-            packed = memo.get((self, pt), ())
-            if len(packed) <= order:
-                packed = memo[(self, pt)] = self._pack(pt, order)
-            return packed[: order + 1]
+        return scoped_arrays((self, pt), order, lambda k: self._pack(pt, k))
 
     def _pack(self, pt, order):
         n = self.dim
@@ -414,18 +411,63 @@ class MetricField:
         for (a, b), f in self.comps.items():
             for arr, part in zip(packed, f(pt, order).parts):
                 arr[..., a, b] = arr[..., b, a] = part
-        for arr in packed:
-            arr.flags.writeable = False
-        return packed
+        return tuple(map(read_only, packed))
+
+    def pass_at(self, pt):
+        """The :class:`MetricPass` of this metric at ``pt``: one per
+        evaluation scope, shared by every call in it (a new one when no
+        scope is open)."""
+        with shared_scope() as memo:
+            key = (MetricPass, self, pt)
+            held = memo.get(key)
+            if held is None:
+                held = memo[key] = MetricPass(pt, lambda order: self.jets_at(pt, order))
+            return held
 
     def inverse_at(self, pt):
-        g = self.matrix_at(pt)
-        metric_det(g, pt)
-        return np.linalg.inv(g)
+        return self.pass_at(pt).inverse()
 
     def signature_at(self, pt):
         """(positive, negative) eigenvalue counts, per row of a batch."""
         return signature(self.matrix_at(pt))
+
+
+class MetricPass:
+    """The metric work of one metric at one point or batch, done once.
+
+    ``arrays(order)`` are the packed g, dg, ddg, ... through ``order``, from
+    ``pack(order)`` when fewer are held; ``inverse()`` tests det g (kept as
+    ``det``) and inverts g once.  The curvature slots ``dginv``, ``gamma``,
+    ``r_up`` and ``ric`` start as None, and :mod:`ewbench.curv` fills each
+    the first time one of its functions needs it.  A filled slot is final:
+    the arrays are read-only, as their readers share them.
+    """
+
+    __slots__ = ("pt", "_pack", "packed", "det", "ginv", "dginv", "gamma", "r_up", "ric")
+
+    def __init__(self, pt, pack):
+        self.pt = pt
+        self._pack = pack
+        self.packed = ()
+        self.det = self.ginv = self.dginv = self.gamma = self.r_up = self.ric = None
+
+    def arrays(self, order):
+        if len(self.packed) <= order:
+            self.packed = self._pack(order)
+        return self.packed[: order + 1]
+
+    def inverse(self):
+        if self.ginv is None:
+            g0 = self.arrays(0)[0]
+            self.det = metric_det(g0, self.pt)
+            self.ginv = read_only(np.linalg.inv(g0))
+        return self.ginv
+
+
+def read_only(arr):
+    """``arr``, marked read-only: it is shared through an evaluation scope."""
+    arr.flags.writeable = False
+    return arr
 
 
 def metric_det(g0, pt):
@@ -456,6 +498,13 @@ def symmetric_product(a, b):
     is an exact zero and builds nothing, and a pair with no such product
     is absent from the metric.  A present component is always evaluated,
     even where its value is 0.
+
+    A square (``b is a``) takes the one product a_i a_j instead.  Through
+    order 1 it is the averaged form bit for bit: the value products commute,
+    the gradient a'_i a_j + a_i a'_j adds the same two products as
+    a'_j a_i + a_j a'_i, and 0.5 * (x + x) is x wherever x + x is finite.
+    The order-2 and order-3 parts add their Leibniz terms in another order
+    and may differ at rounding level.
     """
     if a.chart != b.chart or a.degree != 1 or b.degree != 1:
         raise ValueError("symmetric product needs two 1-forms on one chart")
@@ -469,6 +518,10 @@ def symmetric_product(a, b):
     for i in range(n):
         for j in range(i, n):
             ij = product(i, j)
+            if b is a:
+                if ij is not None:
+                    comps[(i, j)] = ij
+                continue
             # a_i b_i twice is one product field, added to itself
             ji = ij if i == j else product(j, i)
             terms = [t for t in (ij, ji) if t is not None]

@@ -86,6 +86,7 @@ __all__ = [
     "Field",
     "evaluation_scope",
     "shared_scope",
+    "scoped_arrays",
     "Guard",
     "SampleDomain",
     "sample",
@@ -694,6 +695,19 @@ def shared_scope():
         return
     with evaluation_scope():
         yield _SCOPE.get()
+
+
+def scoped_arrays(key, order, pack):
+    """Packed arrays through ``order``, kept in the open evaluation scope
+    under ``key``: ``pack(order)`` builds the ``order + 1`` first of them
+    when the scope holds fewer, and a lower order is served by the first
+    ``order + 1`` arrays of a higher one held.  The scope keeps the highest
+    order asked, and nothing above it is allocated."""
+    with shared_scope() as memo:
+        packed = memo.get(key, ())
+        if len(packed) <= order:
+            packed = memo[key] = pack(order)
+        return packed[: order + 1]
 
 
 class Field:

@@ -7,10 +7,11 @@ The argvs are every perfbench job of seeds 1-3, as
 ``perfbench/run.py --seconds 30`` makes them, the ``ewbench ...`` command
 lines of README.md, the constant-data command lines of ``CONSTANT_DATA``,
 the catalog command lines of ``CATALOG``, the check-table command lines of
-``CHECKS``, the edge-case command lines of ``EDGES``, and any extra command
-lines given after the two checkouts.  One
-subprocess per checkout runs them all through ``ewbench.cli.main`` in
-process, with that checkout's ``src`` first on the path.  The tool prints
+``CHECKS``, the edge-case command lines of ``EDGES``, the large-batch
+command lines of ``LARGE``, and any extra command lines given after the two
+checkouts.  One subprocess per checkout runs them all through
+``ewbench.cli.main`` in process, with that checkout's ``src`` first on the
+path.  The tool prints
 each argv whose exit code, stdout (without its ``wall_time_s`` line) or
 stderr differs, and exits 1 on any difference, 0 when there is none.  Over
 the argvs whose exit codes match and whose stdout is a JSON report on both
@@ -109,6 +110,14 @@ EDGES = (
     "verify --case heisenberg --ell 1e308",
     "verify --case heisenberg --ell -3e-200 --checks gt,monopole,weyl,psi --c 0.7",
     "lift --case heisenberg --ell 1e140 --chart alpha --checks em,maxwell,invariants",
+)
+
+# batches past perfbench's sizes, where rounding shifts of the batched
+# contractions and any dependence of a row on the others would show
+LARGE = (
+    "lift --case class-b --checks em,maxwell,invariants --points 1000 --seed 3",
+    "verify --case class-c --checks gt,monopole,weyl --points 2000 --seed 3",
+    "lift --case heisenberg --chart alpha --checks em,maxwell,invariants --points 500 --seed 3",
 )
 
 # run inside a checkout: one JSON line [argv, exit code, stdout, stderr]
@@ -220,7 +229,7 @@ def main(argv):
     if len(argv) < 2:
         sys.exit(__doc__)
     old_dir, new_dir = Path(argv[0]), Path(argv[1])
-    extra = list(CONSTANT_DATA + CATALOG + CHECKS + EDGES) + argv[2:]
+    extra = list(CONSTANT_DATA + CATALOG + CHECKS + EDGES + LARGE) + argv[2:]
     old, new = reports(old_dir, extra), reports(new_dir, extra)
     names = ("exit code", "stdout", "stderr")
     differ = 0
