@@ -12,7 +12,12 @@ driver maps flags to a catalog case and its parameters: the cases, their
 expression flags and defaults come from ``families.CASES``; the fibre
 charts, their sample points, the ``limit`` families and the choice of ell
 from ``lift``.  Every check is one row of ``BASE_CHECKS`` or
-``LIFT_CHECKS``, which ``verify`` and ``lift`` build their checks from.
+``LIFT_CHECKS``, which ``verify`` and ``lift`` build their checks from; a
+row also names the packed arrays its check reads (g, F = dA, the coframe
+metric h) and to which jet order, and ``_run_checks`` packs each of them
+once, at the highest order a requested check reads, before the first
+check runs.  A packing that raises is left to the check that reads it, so
+errors still come in request order.
 Reports are JSON with a fixed key order and a ``schema`` version; for a
 fixed configuration and seed they are byte-identical apart from wall time.
 Exit codes: 0 all checks pass, 1 a check fails, 2 configuration problem,
@@ -39,7 +44,7 @@ from . import expr as ex
 from . import families as fam
 from . import jets
 from . import lift as lift_mod
-from .curv import em_residual, maxwell_residual, weyl_ricci_residual
+from .curv import em_residual, field_strength, maxwell_residual, weyl_ricci_residual
 from .errors import (
     ConfigError,
     DomainError,
@@ -57,7 +62,8 @@ from .ew import (
     psi_residual,
     require_x,
 )
-from .jets import ChartPoint, sample
+from .forms import metric_from_coframe
+from .jets import ChartPoint, PointBatch, sample
 from .report import CheckResult, build_report, report_json, run_check
 
 EXIT_PASS = 0
@@ -78,21 +84,36 @@ def _hypercr(s, cfg):
 
 
 # the checks of a base structure: name -> (the flags it reads under verify
-# beyond its case's, build), where build(structure, cfg) gives the residual
-# over the base sample points
+# beyond its case's, the packed arrays it reads, build), where
+# build(structure, cfg) gives the residual over the base sample points
 BASE_CHECKS = {
-    "gt": ((), lambda s, cfg: lambda q: gt_residual(s, q)),
-    "monopole": ((), lambda s, cfg: lambda q: monopole_residual(s, q)),
-    "hypercr": ((), _hypercr),
-    "psi": (("c",), lambda s, cfg: functools.partial(psi_residual, fam.psi_const(s, cfg["c"]), s)),
-    "weyl": ((), lambda s, cfg: lambda q: weyl_ricci_residual(s, q)),
+    "gt": ((), {}, lambda s, cfg: lambda q: gt_residual(s, q)),
+    "monopole": ((), {}, lambda s, cfg: lambda q: monopole_residual(s, q)),
+    "hypercr": ((), {}, _hypercr),
+    "psi": (("c",), {}, lambda s, cfg: functools.partial(psi_residual, fam.psi_const(s, cfg["c"]), s)),
+    "weyl": ((), {"h": 2}, lambda s, cfg: lambda q: weyl_ricci_residual(s, q)),
 }
-# the checks of a lift: name -> build(lift config, lift), which gives the
-# lift on whose chart the check's points lie, and the residual there
+# the checks of a lift: name -> (the packed arrays it reads, build), where
+# build(lift config, lift) gives the lift on whose chart the check's points
+# lie, and the residual there
 LIFT_CHECKS = {
-    "em": lambda lcfg, data: (data, lambda q: em_residual(data.g, data.potential, data.ell, q)),
-    "maxwell": lambda lcfg, data: (data, lambda q: maxwell_residual(data.potential, data.g, q)),
-    "invariants": lift_mod.invariants_check,
+    "em": (
+        {"g": 2, "F": 0},
+        lambda lcfg, data: (data, lambda q: em_residual(data.g, data.potential, data.ell, q)),
+    ),
+    "maxwell": (
+        {"g": 1, "F": 1},
+        lambda lcfg, data: (data, lambda q: maxwell_residual(data.potential, data.g, q)),
+    ),
+    "invariants": ({"g": 2, "F": 0}, lift_mod.invariants_check),
+}
+# the packed arrays a check may read, each of the structure or lift whose
+# points it runs on, through a jet order: the coframe metric h of a base,
+# and the metric g and the field strength F = dA of a lift
+PACKERS = {
+    "h": lambda s, q, order: metric_from_coframe(s.frame).jets_at(q, order),
+    "g": lambda data, q, order: data.g.jets_at(q, order),
+    "F": lambda data, q, order: field_strength(data.potential, q, order),
 }
 # the checks each subcommand offers
 OFFERED_CHECKS = {
@@ -328,7 +349,7 @@ def _refuse_unread_flags(cfg, flags):
     for flag in flags:
         if flag in unread:
             raise ConfigError(f"--{flag} is not used by {command} --case {case}")
-        readers = [n for n, (reads, _) in BASE_CHECKS.items() if flag in reads]
+        readers = [n for n, (reads, _, _) in BASE_CHECKS.items() if flag in reads]
         if command == "verify" and readers and not set(readers) & set(_check_names(cfg)):
             raise ConfigError(
                 f"--{flag} is not used by verify without the {' or '.join(readers)} check"
@@ -336,7 +357,7 @@ def _refuse_unread_flags(cfg, flags):
 
 
 def _check_names(cfg):
-    raw = cfg["checks"] or DEFAULT_CHECKS[cfg["command"]]
+    raw = DEFAULT_CHECKS[cfg["command"]] if cfg["checks"] is None else cfg["checks"]
     return tuple(dict.fromkeys(s.strip() for s in raw.split(",") if s.strip()))
 
 
@@ -370,14 +391,41 @@ def cmd_verify(cfg):
     names = parse_checks(cfg)
     tol = cfg["tol"] if cfg["tol"] is not None else 1e-7
     s, dom = build_case(cfg)
-    if cfg["f"]:
+    if cfg["f"] is not None:
         s = gauge_transform(s, ex.parse_field(cfg["f"], s.chart))
-    fns = {n: BASE_CHECKS[n][1](s, cfg) for n in names}
+    fns = {n: BASE_CHECKS[n][2](s, cfg) for n in names}
     pts = sample(dom)
-    # the checks share one scope: the frame and monopole jets are built once
-    with jets.evaluation_scope():
-        results = [run_check(n, fns[n], pts, tol) for n in names]
+    results = _run_checks([(n, fns[n], pts, s, BASE_CHECKS[n][1]) for n in names], tol)
     return build_report(_echo(cfg), s.chart, len(pts), results)
+
+
+def _run_checks(checks, tol):
+    """The results of the checks ``(name, fn, points, on, reads)``, run in
+    request order in one evaluation scope, so that they share their field
+    and metric work.
+
+    Before the first check runs, each packed array that some check reads
+    (``reads`` maps a ``PACKERS`` name to a jet order, of the structure or
+    lift ``on`` over the check's points) is packed once, at the highest
+    order any check reads it there, and every read after that slices what
+    is held: em's F serves maxwell, and the frame jets that weyl's h needs
+    serve gt and monopole.  A packing that raises is dropped; the check
+    that reads the array packs it again in its turn and raises the same
+    error there, so a job still stops at the first check, in request order,
+    that meets one.
+    """
+    plan = {}
+    for _, _, pts, on, reads in checks:
+        for array, order in reads.items():
+            held = plan.setdefault((array, id(on), id(pts)), [array, on, pts, order])
+            held[3] = max(held[3], order)
+    with jets.evaluation_scope():
+        for array, on, pts, order in plan.values():
+            try:
+                PACKERS[array](on, PointBatch.of(pts), order)
+            except EwbenchError:
+                pass
+        return [run_check(name, fn, pts, tol) for name, fn, pts, _, _ in checks]
 
 
 def _lift_data(cfg, base, dom):
@@ -403,7 +451,7 @@ def cmd_lift(cfg):
     cfg["points"] = cfg["points"] or 100
     base, dom = build_case(cfg)
     # the base checks are built before sampling, as under verify
-    base_fns = {n: BASE_CHECKS[n][1](base, cfg) for n in names if n in BASE_CHECKS}
+    base_fns = {n: BASE_CHECKS[n][2](base, cfg) for n in names if n in BASE_CHECKS}
     base_pts, lcfg = _lift_data(cfg, base, dom)
     data = lift_mod.build(lcfg)
     # every check is built before any runs (so the alpha chart's ell bound
@@ -411,24 +459,22 @@ def cmd_lift(cfg):
     drawn, checks = {}, []
     for name in names:
         if name in LIFT_CHECKS:
-            on, fn = LIFT_CHECKS[name](lcfg, data)
+            reads, build = LIFT_CHECKS[name]
+            on, fn = build(lcfg, data)
             if on.chart not in drawn:
                 drawn[on.chart] = lift_mod.fibre_points(on, cfg["seed"], base_pts)
-            checks.append((name, fn, drawn[on.chart]))
+            checks.append((name, fn, drawn[on.chart], on, reads))
         else:
-            checks.append((name, base_fns[name], base_pts))
-    # the checks share one scope: em, maxwell and invariants share one
-    # metric pass per chart
-    with jets.evaluation_scope():
-        results = [run_check(name, fn, pts, tol) for name, fn, pts in checks]
+            checks.append((name, base_fns[name], base_pts, base, BASE_CHECKS[name][1]))
+    results = _run_checks(checks, tol)
     return build_report(_echo(cfg), data.chart, len(base_pts), results)
 
 
 def cmd_limit(cfg):
     parse_checks(cfg)
     tol = cfg["tol"] if cfg["tol"] is not None else 1e-6
-    case = (cfg["case"] or "heisenberg").replace("-", "_")
-    raw = cfg["ells"] or "100,200,1000,10000"
+    case = ("heisenberg" if cfg["case"] is None else cfg["case"]).replace("-", "_")
+    raw = "100,200,1000,10000" if cfg["ells"] is None else cfg["ells"]
     if isinstance(raw, str):
         try:
             ells = [float(s) for s in raw.split(",") if s.strip()]
@@ -501,7 +547,7 @@ def _echo(cfg):
 def _emit(text, out_path):
     """Write the report to ``out_path``, then to stdout, so a path that
     cannot be written prints nothing but its error line."""
-    if out_path:
+    if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     sys.stdout.write(text)

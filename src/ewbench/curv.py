@@ -41,8 +41,13 @@ each slot the first time one is needed.  So em, maxwell and the invariants
 of one chart, and ``riemann``, ``ricci``, ``christoffel``, ``kretschmann``,
 ``f_squared`` and ``MetricField.inverse_at``, invert g and build its
 curvature once between them.  F = dA is packed once per potential and
-point in the same way.  ``method="fd"`` builds a pass of its own that no
-other call reads or fills, so the oracle never sees a jet derivative.
+point in the same way, by :func:`field_strength`.  A packing is kept at
+the highest order asked, and a later call that asks a higher one packs
+again, evaluating the component fields again at that order; so the CLI
+packs g, F and the coframe metric of its checks up front, each at the
+highest order any of them reads (``cli.PACKERS``), and the checks only
+slice.  ``method="fd"`` builds a pass of its own that no other call reads
+or fills, so the oracle never sees a jet derivative.
 
 Every contraction takes two operands in a fixed order, with ``np.einsum``
 and no contraction planner: the planner may hand a step to BLAS, whose
@@ -68,6 +73,7 @@ __all__ = [
     "CurvatureReport",
     "curvature_report",
     "f_squared",
+    "field_strength",
     "scalar_invariants",
     "maxwell_residual",
     "em_residual",
@@ -215,11 +221,15 @@ def curvature_report(g, pt, method="jet"):
 # ---------------------------------------------------------------------------
 
 
-def _field_strength(A, pt, order):
+def field_strength(A, pt, order):
     """Packed arrays of F = dA through ``order``, like ``MetricField.jets_at``:
     F[a,b], dF[c,a,b] = d_c F_ab, each antisymmetric in a, b, kept in the
     evaluation scope under (A, pt) at the highest order asked."""
-    return scoped_arrays((_field_strength, A, pt), order, lambda k: _pack_f(A, pt, k))
+    return scoped_arrays((field_strength, A, pt), order, lambda k: _pack_f(A, pt, k))
+
+
+# the private name that callers of earlier revisions import
+_field_strength = field_strength
 
 
 def _pack_f(A, pt, order):
@@ -240,7 +250,7 @@ def _f_contract(fm, ginv):
 
 def f_squared(A, g, pt):
     """|F|^2 = F_ab F^ab for F = dA."""
-    return _f_contract(_field_strength(A, pt, 0)[0], g.inverse_at(pt))
+    return _f_contract(field_strength(A, pt, 0)[0], g.inverse_at(pt))
 
 
 def scalar_invariants(g, A, pt):
@@ -248,7 +258,7 @@ def scalar_invariants(g, A, pt):
     last two equal ``f_squared`` and ``g.matrix_at`` bit for bit, since a
     jet's value is the order-0 jet."""
     p = _curvature(g, pt)
-    fsq = _f_contract(_field_strength(A, pt, 0)[0], p.inverse())
+    fsq = _f_contract(field_strength(A, pt, 0)[0], p.inverse())
     return _kretschmann(p), fsq, p.arrays(0)[0]
 
 
@@ -261,7 +271,7 @@ def maxwell_residual(A, g, pt):
     ginv = p.inverse()
     dginv = _dginv(p)
     vol = np.sqrt(np.abs(p.det))
-    fm, dfm = _field_strength(A, pt, 1)
+    fm, dfm = field_strength(A, pt, 1)
     # F^ed = u_eb g^db with u_eb = g^ea F_ab, and its partials
     # d_c F^ed = (d_c g^ea F_ab + g^ea d_c F_ab) g^db + u_eb d_c g^db
     u = np.einsum("...ea,...ab->...eb", ginv, fm)
@@ -289,7 +299,7 @@ def em_residual(g, A, ell, pt, fsq_scale=1.0):
     """
     p = _curvature(g, pt)
     g0, ginv = p.arrays(0)[0], p.inverse()
-    fm = _field_strength(A, pt, 0)[0]
+    fm = field_strength(A, pt, 0)[0]
     # F_ac F_b^c = F_ac (F_bd g^dc)
     stress = np.einsum("...ac,...bc->...ab", fm, np.einsum("...bd,...dc->...bc", fm, ginv))
     fsq = _f_contract(fm, ginv)

@@ -34,6 +34,7 @@ from .forms import (
     ext_d,
     scalar_form,
     symmetric_product,
+    zero_form,
 )
 from .jets import ChartPoint, Field, Guard, SampleDomain, anywhere, first_where
 from .report import run_check
@@ -97,7 +98,16 @@ def heisenberg(ell):
 
 
 def psi_const(s, c):
-    """The particular solution psi = c omega (weight -1), c constant."""
+    """The particular solution psi = c omega (weight -1), c constant.
+
+    At c = 0, of either sign, it is the zero 1-form, with no components
+    rather than the components of 0 omega: a lift, limit form or residual
+    built from it then builds and evaluates no psi terms, while a psi
+    check of it still solves the coframe at every point (its residual is
+    the star of the zero form, scaled by V).
+    """
+    if c == 0:
+        return WeightedForm(zero_form(s.chart, 1), -1.0)
     return WeightedForm(s.omega.scale(float(c)), -1.0)
 
 

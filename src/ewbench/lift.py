@@ -80,7 +80,9 @@ class SpacetimeData:
 class LiftConfig:
     """Input bundle for a lift.
 
-    ``psi`` must carry conformal weight -1 (or be None for the zero field).
+    ``psi`` must carry conformal weight -1.  None is the zero field and
+    skips the psi validation; the zero 1-form (``families.psi_const`` at
+    c = 0) is validated like any psi, and adds no psi terms to the lift.
     ``probes`` are base-chart points used to validate the gauge, the
     structure equations, and psi; when empty a deterministic default box is
     sampled, which suits bases defined on all of R^3.  ``validate=False``

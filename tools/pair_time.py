@@ -1,28 +1,33 @@
 #!/usr/bin/env python3
-"""Time the same command lines on two ewbench checkouts, in one process.
+"""Time the same command lines on two ewbench checkouts, in alternating pairs.
 
     python3 tools/pair_time.py OLD NEW ['lift --case heisenberg ...' ...]
 
 Each checkout's ``src/ewbench`` is copied into a temporary directory as the
-packages ``ewbench_old`` and ``ewbench_new``, and both ``cli`` modules are
-imported into this process, so the two sides share one interpreter, one
-numpy and one machine state.  The argvs are the command lines given after
-the two checkouts or, if none is, the ``ewbench ...`` command lines of
-README.md (the README-size runs, which perfbench does not time) followed by
-the jobs of one seed-1 cycle of each perfbench workload, which NEW's
-perfbench lists in a subprocess, as for ``tools/report_diff.py``; so a
-per-job change is sized without the perfbench harness.  Each argv is run
-once on each side to warm it, then PAIRS times on each side in alternating
-order (old first in even pairs, new first in odd ones), calling
-``cli.main`` in process with its output discarded.  For each argv the tool
-prints both exit codes, each side's median wall time, and the median over
-the pairs of new time / old time.  It uses only the standard library.
+packages ``ewbench_old`` and ``ewbench_new``, and WORKERS worker processes
+each import both ``cli`` modules, so the two sides of a pair share one
+interpreter, one numpy and one machine state.  Half of the workers import
+OLD first and half NEW first: in one process, the package imported first
+ran 2-3% faster on jobs of about 1 ms.  The argvs are the command lines
+given after the two checkouts or, if none is, the ``ewbench ...`` command
+lines of README.md (the README-size runs, which perfbench does not time)
+followed by the jobs of one seed-1 cycle of each perfbench workload, which
+NEW's perfbench lists in a subprocess, as for ``tools/report_diff.py``; so
+a per-job change is sized without the perfbench harness.
+
+Each argv is run once on each side of every worker to warm it, then in
+PAIRS pairs dealt to the workers in turn, one worker running at a time.
+A pair runs ``cli.main`` in process, with its output discarded, once
+untimed on the side that goes first, then timed on first, second, second,
+first (which side goes first alternates from pair to pair); a side's time
+is the mean of its two runs.  The run that follows the other side's, or a
+wait for the next pair, is slower by up to 15% on a 1 ms job, and this
+order gives both sides that cost alike.  For each argv the tool prints
+both exit codes, each side's median time, and the median over the pairs
+of new time / old time.  It uses only the standard library.
 """
 from __future__ import annotations
 
-import contextlib
-import importlib
-import io
 import json
 import re
 import shlex
@@ -30,22 +35,25 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 from statistics import median
 
-PAIRS = 15
+PAIRS = 64
+WORKERS = 4
 README = Path(__file__).resolve().parent.parent / "README.md"
 
+# run with the package directory and the side to import first: read one
+# JSON [argv, (first, second)] a line, and answer one JSON line
+# {side: [exit code, mean seconds of its two timed runs]} of one pair
+WORKER = r"""
+import contextlib, importlib, io, json, sys, time
+packages, first = sys.argv[1:]
+sys.path.insert(0, packages)
+sides = ("old", "new") if first == "old" else ("new", "old")
+clis = {side: importlib.import_module(f"ewbench_{side}.cli") for side in sides}
 
-def load_cli(checkout, name, into):
-    """The ``cli`` module of ``checkout``'s ewbench, imported as ``name``."""
-    shutil.copytree(Path(checkout) / "src" / "ewbench", Path(into) / name)
-    return importlib.import_module(f"{name}.cli")
 
-
-def run_once(cli, argv):
-    """(exit code, seconds) of one in-process ``cli.main(argv)``."""
+def run(cli, argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         start = time.perf_counter()
         try:
@@ -53,6 +61,37 @@ def run_once(cli, argv):
         except SystemExit as exc:
             rc = exc.code
         return rc, time.perf_counter() - start
+
+
+for line in sys.stdin:
+    argv, order = json.loads(line)
+    run(clis[order[0]], argv)
+    out = {side: [None, 0.0] for side in order}
+    for side in order + order[::-1]:
+        rc, seconds = run(clis[side], argv)
+        out[side][0] = rc
+        out[side][1] += seconds / 2
+    print(json.dumps(out), flush=True)
+"""
+
+
+def start_worker(packages, first):
+    """A worker that imports the side ``first`` of ``packages`` first."""
+    return subprocess.Popen(
+        [sys.executable, "-c", WORKER, packages, first], text=True,
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+    )
+
+
+def run_pair(worker, argv, order):
+    """{side: (exit code, seconds)} of one pair of ``cli.main(argv)`` runs
+    on each side of ``worker``, in ``order`` and back."""
+    worker.stdin.write(json.dumps([list(argv), order]) + "\n")
+    worker.stdin.flush()
+    line = worker.stdout.readline()
+    if not line:
+        sys.exit(f"error: a worker stopped at {shlex.join(argv)}")
+    return json.loads(line)
 
 
 # run inside a checkout: the argvs of one seed-1 cycle of each workload
@@ -84,22 +123,29 @@ def main(args):
         sys.exit(__doc__)
     argvs = [shlex.split(a) for a in args[2:]] or readme_argvs() + perfbench_argvs(args[1])
     with tempfile.TemporaryDirectory() as tmp:
-        sys.path.insert(0, tmp)
-        old, new = load_cli(args[0], "ewbench_old", tmp), load_cli(args[1], "ewbench_new", tmp)
-        for argv in argvs:
-            rc_old, _ = run_once(old, argv)
-            rc_new, _ = run_once(new, argv)
-            times_old, times_new = [], []
-            for i in range(PAIRS):
-                sides = ((old, times_old), (new, times_new))
-                for cli, times in sides if i % 2 == 0 else sides[::-1]:
-                    times.append(run_once(cli, argv)[1])
-            ratio = median(n / o for o, n in zip(times_old, times_new))
-            print(f"ewbench {shlex.join(argv)}")
-            print(
-                f"  exit {rc_old} -> {rc_new}; median {median(times_old):.4f} -> "
-                f"{median(times_new):.4f} s; new/old median of {PAIRS} pairs {ratio:.3f}"
-            )
+        for checkout, side in zip(args[:2], ("old", "new")):
+            shutil.copytree(Path(checkout) / "src" / "ewbench", Path(tmp) / f"ewbench_{side}")
+        workers = [start_worker(tmp, ("old", "new")[k % 2]) for k in range(WORKERS)]
+        try:
+            for argv in argvs:
+                for worker in workers:
+                    warm = run_pair(worker, argv, ("old", "new"))
+                times = {"old": [], "new": []}
+                for i in range(PAIRS):
+                    order = ("old", "new") if i // WORKERS % 2 == 0 else ("new", "old")
+                    for side, (_, seconds) in run_pair(workers[i % WORKERS], argv, order).items():
+                        times[side].append(seconds)
+                ratio = median(n / o for o, n in zip(times["old"], times["new"]))
+                print(f"ewbench {shlex.join(argv)}")
+                print(
+                    f"  exit {warm['old'][0]} -> {warm['new'][0]}; median "
+                    f"{median(times['old']):.4f} -> {median(times['new']):.4f} s; "
+                    f"new/old median of {PAIRS} pairs {ratio:.3f}"
+                )
+        finally:
+            for worker in workers:
+                worker.stdin.close()
+                worker.wait()
     return 0
 
 

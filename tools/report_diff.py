@@ -8,8 +8,8 @@ The argvs are every perfbench job of seeds 1-3, as
 lines of README.md, the constant-data command lines of ``CONSTANT_DATA``,
 the catalog command lines of ``CATALOG``, the check-table command lines of
 ``CHECKS``, the edge-case command lines of ``EDGES``, the large-batch
-command lines of ``LARGE``, and any extra command lines given after the two
-checkouts.  One subprocess per checkout runs them all through
+command lines of ``LARGE``, the pack-plan command lines of ``PLANS``, and
+any extra command lines given after the two checkouts.  One subprocess per checkout runs them all through
 ``ewbench.cli.main`` in process, with that checkout's ``src`` first on the
 path.  The tool prints
 each argv whose exit code, stdout (without its ``wall_time_s`` line) or
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -110,6 +111,36 @@ EDGES = (
     "verify --case heisenberg --ell 1e308",
     "verify --case heisenberg --ell -3e-200 --checks gt,monopole,weyl,psi --c 0.7",
     "lift --case heisenberg --ell 1e140 --chart alpha --checks em,maxwell,invariants",
+    "verify --case heisenberg --checks ''",
+    "lift --case heisenberg --checks '' --points 3",
+    "limit --case ''",
+    "limit --ells ''",
+    "verify --case heisenberg --f '' --checks gt --points 3",
+    "verify --case heisenberg --checks gt --points 3 --out ''",
+)
+
+# what each job packs once, at the highest order its checks read: every
+# lift check alone and maxwell before em, on both fibre charts; weyl alone
+# and before gt; from-G, whose coframe metric cannot be packed to order 2;
+# and psi = c omega at c = 0 of either sign and at c = 0.5, under each
+# subcommand
+PLANS = tuple(
+    f"lift --case heisenberg --ell {ell} --c {c} --chart {chart} --checks {checks} --points 5"
+    for chart, ell, c in (("p", -1, 0.5), ("alpha", -2, 0.3))
+    for checks in ("em", "maxwell", "invariants", "maxwell,em")
+) + (
+    "verify --case class-c --checks weyl --points 5",
+    "verify --case class-c --checks weyl,gt --points 5",
+    "verify --case from-G --checks gt,monopole,weyl --points 5",
+) + tuple(
+    argv.format(c=c)
+    for argv in (
+        "verify --case class-a --checks gt,psi --c {c} --points 5",
+        "lift --case heisenberg --checks em,maxwell,psi --c {c} --points 5",
+        "limit --case heisenberg --ells 100,200 --c {c}",
+        "limit --case class-b --ells 100,200,1000 --c {c}",
+    )
+    for c in ("0", "-0.0", "0.5")
 )
 
 # batches past perfbench's sizes, where rounding shifts of the batched
@@ -229,19 +260,19 @@ def main(argv):
     if len(argv) < 2:
         sys.exit(__doc__)
     old_dir, new_dir = Path(argv[0]), Path(argv[1])
-    extra = list(CONSTANT_DATA + CATALOG + CHECKS + EDGES + LARGE) + argv[2:]
+    extra = list(CONSTANT_DATA + CATALOG + CHECKS + EDGES + LARGE + PLANS) + argv[2:]
     old, new = reports(old_dir, extra), reports(new_dir, extra)
     names = ("exit code", "stdout", "stderr")
     differ = 0
     for key in list(old) + [k for k in new if k not in old]:
         if key not in old or key not in new:
             differ += 1
-            print(f"only in {old_dir if key in old else new_dir}: {' '.join(key)}")
+            print(f"only in {old_dir if key in old else new_dir}: {shlex.join(key)}")
             continue
         what = [n for n, a, b in zip(names, old[key], new[key]) if a != b]
         if what:
             differ += 1
-            print(f"{', '.join(what)} differ: {' '.join(key)}")
+            print(f"{', '.join(what)} differ: {shlex.join(key)}")
             for n, a, b in zip(names, old[key], new[key]):
                 if a != b:
                     print(f"  {n} old: {str(a).strip()!r:.300}\n  {n} new: {str(b).strip()!r:.300}")
