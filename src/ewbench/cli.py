@@ -12,12 +12,8 @@ driver maps flags to a catalog case and its parameters: the cases, their
 expression flags and defaults come from ``families.CASES``; the fibre
 charts, their sample points, the ``limit`` families and the choice of ell
 from ``lift``.  Every check is one row of ``BASE_CHECKS`` or
-``LIFT_CHECKS``, which ``verify`` and ``lift`` build their checks from; a
-row also names the packed arrays its check reads (g, F = dA, the coframe
-metric h) and to which jet order, and ``_run_checks`` packs each of them
-once, at the highest order a requested check reads, before the first
-check runs.  A packing that raises is left to the check that reads it, so
-errors still come in request order.
+``LIFT_CHECKS``, which also names the packed arrays the check reads;
+``_run_checks`` packs each once per job.
 Reports are JSON with a fixed key order and a ``schema`` version; for a
 fixed configuration and seed they are byte-identical apart from wall time.
 Exit codes: 0 all checks pass, 1 a check fails, 2 configuration problem,
@@ -63,7 +59,7 @@ from .ew import (
     require_x,
 )
 from .forms import metric_from_coframe
-from .jets import ChartPoint, PointBatch, sample
+from .jets import ChartPoint, sample
 from .report import CheckResult, build_report, report_json, run_check
 
 EXIT_PASS = 0
@@ -402,7 +398,7 @@ def cmd_verify(cfg):
 def _run_checks(checks, tol):
     """The results of the checks ``(name, fn, points, on, reads)``, run in
     request order in one evaluation scope, so that they share their field
-    and metric work.
+    and metric work; ``points`` is a PointBatch.
 
     Before the first check runs, each packed array that some check reads
     (``reads`` maps a ``PACKERS`` name to a jet order, of the structure or
@@ -422,27 +418,10 @@ def _run_checks(checks, tol):
     with jets.evaluation_scope():
         for array, on, pts, order in plan.values():
             try:
-                PACKERS[array](on, PointBatch.of(pts), order)
+                PACKERS[array](on, pts, order)
             except EwbenchError:
                 pass
         return [run_check(name, fn, pts, tol) for name, fn, pts, _, _ in checks]
-
-
-def _lift_data(cfg, base, dom):
-    """The sample points of the base structure and the lift config; sets
-    ``ell_used``."""
-    base_pts = sample(dom)
-    ell_used, flipped = lift_mod.fix_ell_sign(base, cfg["ell"], base_pts[0])
-    lcfg = lift_mod.LiftConfig(
-        base=base,
-        psi=fam.psi_const(base, cfg["c"]),
-        ell=ell_used,
-        chart=cfg["chart"],
-        probes=tuple(base_pts[: min(8, len(base_pts))]),
-    )
-    cfg["ell_used"] = ell_used
-    cfg["sign_fixed"] = flipped
-    return base_pts, lcfg
 
 
 def cmd_lift(cfg):
@@ -452,7 +431,15 @@ def cmd_lift(cfg):
     base, dom = build_case(cfg)
     # the base checks are built before sampling, as under verify
     base_fns = {n: BASE_CHECKS[n][2](base, cfg) for n in names if n in BASE_CHECKS}
-    base_pts, lcfg = _lift_data(cfg, base, dom)
+    base_pts = sample(dom)
+    cfg["ell_used"], cfg["sign_fixed"] = lift_mod.fix_ell_sign(base, cfg["ell"], base_pts[0])
+    lcfg = lift_mod.LiftConfig(
+        base=base,
+        psi=fam.psi_const(base, cfg["c"]),
+        ell=cfg["ell_used"],
+        chart=cfg["chart"],
+        probes=base_pts[:8],
+    )
     data = lift_mod.build(lcfg)
     # every check is built before any runs (so the alpha chart's ell bound
     # refuses the job first), and each chart's points are drawn once
@@ -477,7 +464,8 @@ def cmd_limit(cfg):
     raw = "100,200,1000,10000" if cfg["ells"] is None else cfg["ells"]
     if isinstance(raw, str):
         try:
-            ells = [float(s) for s in raw.split(",") if s.strip()]
+            # blank text is no ells; an empty entry between commas is an error
+            ells = [float(s) for s in raw.split(",")] if raw.strip() else []
         except ValueError as exc:
             raise ConfigError(f"ells must be comma-separated numbers, got {raw!r}") from exc
     else:

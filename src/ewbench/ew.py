@@ -29,6 +29,7 @@ from .forms import (
     PForm,
     coordinate_form,
     ext_d,
+    frame_expand,
     hodge3,
     scalar_form,
     star_frame,
@@ -168,7 +169,18 @@ def psi_residual_form(psi, s):
 
 
 def psi_residual(psi, s, pt):
-    return psi_residual_form(psi, s).values_at(pt, PAIRS)
+    """The components of ``psi_residual_form`` at a point, in PAIRS order.
+
+    For a psi without components (``families.psi_const`` at c = 0) that
+    form is -V (c1 *e1 + c2 *e2 + c3 *e3) with c = ``frame_expand`` of zero
+    (0, NaN where the coframe is not finite); it is evaluated on values, in
+    the form's order, without building the form."""
+    if psi.form.comps:
+        return psi_residual_form(psi, s).values_at(pt, PAIRS)
+    v = np.expand_dims(s.V(pt, 0).value, -1)
+    c = frame_expand(psi.form, s.frame, pt)
+    stars = [star_frame(s.frame, i).values_at(pt, PAIRS) for i in (1, 2, 3)]
+    return -(v * (c[..., :1] * stars[0] + c[..., 1:2] * stars[1] + c[..., 2:] * stars[2]))
 
 
 # ---------------------------------------------------------------------------

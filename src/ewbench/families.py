@@ -36,7 +36,7 @@ from .forms import (
     symmetric_product,
     zero_form,
 )
-from .jets import ChartPoint, Field, Guard, SampleDomain, anywhere, first_where
+from .jets import Field, Guard, PointBatch, SampleDomain, anywhere, first_where
 from .report import run_check
 
 __all__ = [
@@ -103,8 +103,8 @@ def psi_const(s, c):
     At c = 0, of either sign, it is the zero 1-form, with no components
     rather than the components of 0 omega: a lift, limit form or residual
     built from it then builds and evaluates no psi terms, while a psi
-    check of it still solves the coframe at every point (its residual is
-    the star of the zero form, scaled by V).
+    check of it still tests the coframe determinant at every point (see
+    ``ew.psi_residual``).
     """
     if c == 0:
         return WeightedForm(zero_form(s.chart, 1), -1.0)
@@ -168,8 +168,7 @@ def class_a(beta):
 
 def _heat_probe(beta_ast):
     rng = np.random.default_rng(1234)
-    rows = rng.uniform((2.0, 0.2), (3.0, 0.9), size=(25, 2))
-    pts = [ChartPoint(("y", "t"), (float(y), float(t))) for y, t in rows]
+    pts = PointBatch(("y", "t"), rng.uniform((2.0, 0.2), (3.0, 0.9), size=(25, 2)))
 
     def heat(pt):
         j = ex.eval_jet(beta_ast, pt, 2)

@@ -251,9 +251,10 @@ def frame_expand(a, frame, pt):
 
     Degree 1 returns coefficients against (e1, e2, e3); degree 2 against
     (e1^e2, e1^e3, e2^e3).  Values only, along the last axis (batch axis
-    first), from one solve against the basis values.  A determinant below
-    FRAME_DET_TOL raises SingularFrameError naming the first such one; rows
-    whose basis is not finite get NaN coefficients.
+    first), from one solve against the basis values (none for the zero
+    form).  A determinant below FRAME_DET_TOL raises SingularFrameError
+    naming the first such one; rows whose basis is not finite get NaN
+    coefficients.
     """
     legs = frame.legs
     if a.degree == 1:
@@ -278,8 +279,10 @@ def frame_expand(a, frame, pt):
     # where the basis is not finite LAPACK may still meet a zero pivot: those
     # rows solve the identity instead and get NaN, which the checks report
     broken = ~np.isfinite(det)
-    m = np.where(broken[..., None, None], np.eye(3), m)
-    c = np.linalg.solve(m, a.values_at(pt, idxs)[..., None])[..., 0]
+    c = np.zeros(3)
+    if a.comps:
+        m = np.where(broken[..., None, None], np.eye(3), m)
+        c = np.linalg.solve(m, a.values_at(pt, idxs)[..., None])[..., 0]
     return np.where(broken[..., None], np.nan, c)
 
 

@@ -28,27 +28,12 @@ spreads NaN, is still multiplied in full.
 A :class:`Field` is a lazily evaluated scalar function of a point or a
 batch of points; requesting a derivative field lowers the maximum order
 that can be evaluated by one, which is how the order cap stays honest.
-Constant fields know their number, and field algebra folds them: a
-constant applied to a field acts on that field's jet as a number does,
-and two constants make a constant.  A coordinate-free expression
-(``expr.to_field``) is such a constant when its jets are finite.  No
-operand that is present is skipped: a field times the constant 0 still
-evaluates the field, so inf * 0 stays NaN.  An affine field (a coordinate,
-a constant, or one of them shifted, negated or scaled by a finite number)
-knows its constant derivatives, so its derivative field is a constant and
-costs no order.
-
-Field evaluations are memoized on ``(field, point)`` in the open
-:func:`evaluation_scope`, so shared subexpressions are evaluated once.  The
-memo holds the jet of the highest order asked so far and answers a lower
-order with its first parts, which are those of a fresh evaluation at that
-order; a memo value that is not a jet answers only the order it was
-computed at.
-``report.run_check`` is the one loop over sample or probe points: it
-evaluates each check once over the batch of all its points, in the open
-scope, so the checks of one command share their evaluations.  A call made
-with no scope open gets one for its own duration.  The memo is a context
-variable, never shared between threads.
+Field algebra folds constants, and an affine field knows its constant
+derivatives (see :class:`Field`).  Field evaluations are memoized on
+``(field, point)`` in the open :func:`evaluation_scope`, a context
+variable never shared between threads, so shared subexpressions and the
+checks of one command (``report.run_check``) evaluate each field once; a
+call made with no scope open gets one for its own duration.
 
 The module also provides the independent finite-difference oracle used to
 cross-check jet output, and deterministic rejection sampling of guarded
@@ -58,7 +43,6 @@ from __future__ import annotations
 
 import math
 import operator
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import repeat
@@ -144,10 +128,7 @@ class ChartPoint(_Coordinates):
     def make(cls, chart, coords):
         return cls(tuple(chart), tuple(float(c) for c in coords))
 
-    @classmethod
-    def on_chart(cls, chart, coords):
-        """The point with ``coords`` along ``chart``."""
-        return cls.make(chart, coords)
+    on_chart = make  # the point with ``coords`` along ``chart``
 
 
 class PointBatch(_Coordinates):
@@ -158,7 +139,8 @@ class PointBatch(_Coordinates):
     and ``pt.dim`` serves a point and a batch alike; ``shape`` is (N,).
     Like a ChartPoint, a batch hashes and compares by value, so the field
     memo shares evaluations between equal batches.  Its arrays are
-    read-only.
+    read-only.  It reads as the sequence of its points: ``len``, iteration
+    and an index give ChartPoints in row order, and a slice a batch.
     """
 
     __slots__ = ("chart", "rows", "coords", "_key", "_hash")
@@ -178,7 +160,10 @@ class PointBatch(_Coordinates):
 
     @classmethod
     def of(cls, points):
-        """The batch of the ChartPoints ``points`` (one chart), in order."""
+        """The batch of the ChartPoints ``points`` (one chart), in order; a
+        batch is its own."""
+        if isinstance(points, PointBatch):
+            return points
         return cls(points[0].chart, [q.coords for q in points])
 
     @staticmethod
@@ -189,6 +174,17 @@ class PointBatch(_Coordinates):
     @property
     def shape(self):
         return (len(self.rows),)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __iter__(self):
+        return (ChartPoint(self.chart, tuple(row)) for row in self.rows.tolist())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return PointBatch(self.chart, self.rows[index])
+        return ChartPoint(self.chart, tuple(self.rows[index].tolist()))
 
     def __hash__(self):
         return self._hash
@@ -668,8 +664,7 @@ tanh = _unary(_tanh_series)
 _SCOPE = ContextVar("ewbench_evaluation_scope", default=None)
 
 
-@contextmanager
-def evaluation_scope():
+class evaluation_scope:
     """Share field evaluations made inside the block; forget them after it.
 
     The block always gets a new, empty memo: a scope open around it is
@@ -678,23 +673,29 @@ def evaluation_scope():
     ``lift.flat_limit`` one per ell, and ``sample`` one per batch of draws,
     so a scope holds only what its job can reuse.
     """
-    token = _SCOPE.set({})
-    try:
-        yield
-    finally:
-        _SCOPE.reset(token)
+
+    __slots__ = ("_token",)
+    shared = False
+
+    def __enter__(self):
+        memo = _SCOPE.get() if self.shared else None
+        self._token = None
+        if memo is None:
+            memo = {}
+            self._token = _SCOPE.set(memo)
+        return memo
+
+    def __exit__(self, *exc):
+        if self._token is not None:
+            _SCOPE.reset(self._token)
 
 
-@contextmanager
-def shared_scope():
+class shared_scope(evaluation_scope):
     """The memo of the open evaluation scope for the block, or of a new one
     when none is open."""
-    memo = _SCOPE.get()
-    if memo is not None:
-        yield memo
-        return
-    with evaluation_scope():
-        yield _SCOPE.get()
+
+    __slots__ = ()
+    shared = True
 
 
 def scoped_arrays(key, order, pack):
@@ -799,24 +800,19 @@ class Field:
 
     # -- pointwise algebra ---------------------------------------------------
 
-    @staticmethod
-    def _lift(other):
-        if isinstance(other, Field):
-            return other
-        if isinstance(other, (int, float)):
-            return Field.const(other)
-        return None
-
     def _fold(self, other, op, constant):
         """``op`` pointwise on self and ``other``.  Two constants make the
         constant ``constant(a, b)`` unless that is None; otherwise a number
         among the operands acts on the other operand's jet directly, and
         the result has a slope when that operand has one and ``op`` is
         affine in it."""
-        o = Field._lift(other)
-        if o is None:
+        if isinstance(other, (int, float)):
+            o, b = None, float(other)  # o is read only when b is None
+        elif isinstance(other, Field):
+            o, b = other, other.number
+        else:
             return NotImplemented
-        a, b = self.number, o.number
+        a = self.number
         if a is not None and b is not None:
             c = constant(a, b)
             if c is not None:
@@ -837,9 +833,8 @@ class Field:
     def __sub__(self, other):
         return self._fold(other, operator.sub, operator.sub)
 
-    def __rsub__(self, other):
-        o = Field._lift(other)
-        return NotImplemented if o is None else o - self
+    def __rsub__(self, other):  # a Field on the left is served by its __sub__
+        return Field.const(other) - self if isinstance(other, (int, float)) else NotImplemented
 
     def __mul__(self, other):
         return self._fold(other, operator.mul, _constant_product)
@@ -850,8 +845,7 @@ class Field:
         return self._fold(other, operator.truediv, _constant_quotient)
 
     def __rtruediv__(self, other):
-        o = Field._lift(other)
-        return NotImplemented if o is None else o / self
+        return Field.const(other) / self if isinstance(other, (int, float)) else NotImplemented
 
     def __neg__(self):
         if self.number is not None:
@@ -1000,7 +994,8 @@ _BATCH = 512
 
 @np.errstate(all="ignore")  # a guard value that is not finite is a rejection
 def sample(domain):
-    """Uniform points in the box, rejection-filtered by the guards.
+    """Uniform points in the box, rejection-filtered by the guards: the
+    PointBatch of the accepted rows.
 
     Draws come in batches of 512 rows, and rows are accepted in draw order
     up to ``count``.  Each guard is evaluated, value only, on a prefix of
@@ -1020,14 +1015,15 @@ def sample(domain):
     rng = np.random.default_rng(domain.seed)
     lows = np.array([b[0] for b in domain.box])
     highs = np.array([b[1] for b in domain.box])
-    accepted = []
+    accepted = [np.empty((0, len(domain.chart)))]  # the accepted rows of each batch
+    taken = 0  # rows accepted so far
     rejected = [0] * len(domain.guards)
     passed = 0  # rows every guard accepted, past ``count`` included
     drawn = 0
-    while len(accepted) < domain.count:
+    while taken < domain.count:
         rows = rng.uniform(lows, highs, size=(_BATCH, len(domain.chart)))
         drawn += _BATCH
-        need = domain.count - len(accepted)
+        need = domain.count - taken
         prefix = (
             _prefix_rows(need, passed, passed + sum(rejected)) if drawn < _MAX_DRAWS else _BATCH
         )
@@ -1042,19 +1038,18 @@ def sample(domain):
                 keep, counts = _screen_rows(domain, rows, need)
         passed += len(keep)
         rejected = [a + b for a, b in zip(rejected, counts)]
-        accepted.extend(
-            ChartPoint(domain.chart, tuple(float(v) for v in rows[i])) for i in keep[:need]
-        )
-        if drawn >= _MAX_DRAWS and len(accepted) < 0.01 * drawn:
+        accepted.append(rows[keep[:need]])
+        taken += len(accepted[-1])
+        if drawn >= _MAX_DRAWS and taken < 0.01 * drawn:
             by_guard = ", ".join(
                 f"{g.label or f'guard {k}'}: {n}"
                 for k, (g, n) in enumerate(zip(domain.guards, rejected))
             )
             raise SamplingExhaustedError(
-                f"acceptance rate {len(accepted)}/{drawn} below 1% "
+                f"acceptance rate {taken}/{drawn} below 1% "
                 f"after {drawn} draws; rejected by {by_guard}"
             )
-    return accepted
+    return PointBatch(domain.chart, np.concatenate(accepted))
 
 
 def _prefix_rows(need, passed, screened):

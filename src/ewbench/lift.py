@@ -43,7 +43,7 @@ from .forms import (
     symmetric_product,
     zero_form,
 )
-from .jets import ChartPoint, Field
+from .jets import ChartPoint, Field, PointBatch
 from .report import run_check
 
 GAUGE_TOL = 1e-9
@@ -83,10 +83,11 @@ class LiftConfig:
     ``psi`` must carry conformal weight -1.  None is the zero field and
     skips the psi validation; the zero 1-form (``families.psi_const`` at
     c = 0) is validated like any psi, and adds no psi terms to the lift.
-    ``probes`` are base-chart points used to validate the gauge, the
-    structure equations, and psi; when empty a deterministic default box is
-    sampled, which suits bases defined on all of R^3.  ``validate=False``
-    skips the checks, for deliberately broken inputs.
+    ``probes`` are base-chart points (a PointBatch, or a sequence of
+    ChartPoints) used to validate the gauge, the structure equations, and
+    psi; when empty a deterministic default box is sampled, which suits
+    bases defined on all of R^3.  ``validate=False`` skips the checks, for
+    deliberately broken inputs.
     """
 
     base: EWStructure
@@ -94,7 +95,7 @@ class LiftConfig:
     ell: float
     chart: str = "p"
     validate: bool = True
-    probes: tuple[ChartPoint, ...] = ()
+    probes: PointBatch | tuple[ChartPoint, ...] = ()
 
     def __post_init__(self):
         if self.ell == 0.0:
@@ -109,10 +110,10 @@ class LiftConfig:
 
 @functools.cache
 def default_probes(chart, *, count=8):
-    """Deterministic validation points in a fixed positive box, drawn once."""
+    """Deterministic validation points in a fixed positive box, drawn once,
+    as one PointBatch."""
     rng = np.random.default_rng(424)
-    rows = rng.uniform(0.25, 0.85, size=(count, len(chart)))
-    return tuple(ChartPoint.make(chart, row) for row in rows)
+    return PointBatch(chart, rng.uniform(0.25, 0.85, size=(count, len(chart))))
 
 
 def fix_ell_sign(base, ell, probe=None):
@@ -268,12 +269,12 @@ def build(cfg):
 
 def fibre_points(data, seed, base_pts):
     """The base points on the chart of the lift ``data``, each given a
-    seeded fibre value inside the window of the lift's fibre chart."""
+    seeded fibre value inside the window of the lift's fibre chart, as one
+    PointBatch."""
     lo, hi = FIBRE_WINDOWS[data.kind]
-    fibres = np.random.default_rng(seed + 101).uniform(lo, hi, size=len(base_pts))
-    return tuple(
-        ChartPoint.make(data.chart, (fv,) + q.coords) for fv, q in zip(fibres, base_pts)
-    )
+    base = PointBatch.of(base_pts).rows
+    fibres = np.random.default_rng(seed + 101).uniform(lo, hi, size=len(base))
+    return PointBatch(data.chart, np.column_stack((fibres, base)))
 
 
 def invariants_check(cfg, data):
@@ -397,7 +398,7 @@ def flat_limit(factory, ells):
             cfg = factory(ell)
             data = build_p(cfg)
             chart4 = data.chart
-            pts = tuple(ChartPoint.make(chart4, row) for row in rows)
+            pts = PointBatch(chart4, rows)
             g_lim = _limit_form(cfg, chart4)
             om4 = embed_form(cfg.base.omega, chart4)
             f_target = ext_d(om4).scale(data.ell / 4.0)

@@ -52,48 +52,47 @@ class CheckResult:
 def run_check(name, fn, points, tol):
     """Evaluate a residual function over points and aggregate.
 
-    ``fn(q)`` returns the raw residual at q: a number, an array of
-    components, or a tuple of components.  It is called once on the
-    PointBatch of all the points, where each component carries the batch
-    axis first, and each row is reduced to its largest absolute component.
-    That call runs in the open field evaluation scope, so checks over the
-    same points share their field and packed-metric evaluations, or in a
-    scope of its own when none is open.  If it raises an EwbenchError or a
-    row is not finite, the points are evaluated again one at a time in
-    sample order, each in a new scope, so the first offending point raises
-    exactly the error it raises alone, whatever the open scope holds; a
-    non-finite point raises DomainError.  A residual without the batch
-    axis (fn did not vectorize) is taken as the first point's, and the
-    other points are evaluated one at a time; a residual built from jets
-    broadcasts a value without the batch axis (the value of a constant,
-    which serves every row) to ``q.shape`` instead, so it runs once.
-    This is the one loop that evaluates residuals over sample or probe
-    points.
+    ``points`` is a PointBatch, or a sequence of ChartPoints packed into
+    one.  ``fn(q)`` returns the raw residual at q: a number, an array of
+    components, or a tuple of components.  It is called once on the batch,
+    in the open field evaluation scope (so checks over the same points
+    share their field and packed-metric evaluations) or in a scope of its
+    own, and each row is reduced to its largest absolute component.  If it
+    raises an EwbenchError or a row is not finite, the points are
+    evaluated again one at a time in sample order, each in a new scope, so
+    the first offending point raises exactly the error it raises alone; a
+    non-finite point raises DomainError.
+    A residual without the batch axis (fn did not vectorize) is taken as
+    the first point's, and the other points are evaluated one at a time; a
+    residual built from jets broadcasts a constant value to ``q.shape``
+    instead, so it runs once.  This is the one loop that evaluates
+    residuals over sample or probe points.
     """
-    points = list(points)
-    if not points:
+    if not len(points):
         raise ConfigError(f"check {name!r} received no sample points")
+    batch = PointBatch.of(points)
     vals = []
     try:
         with shared_scope():
-            r = fn(PointBatch.of(points))
+            r = fn(batch)
     except EwbenchError:
         pass  # the loop below finds the first point that raises
     else:
-        rows = _row_maxima(r, len(points))
+        rows = _row_maxima(r, len(batch))
         if rows is None:
-            vals.append(_point_max(name, points[0], r))
+            vals.append(_point_max(name, batch[0], r))
         elif np.isfinite(rows).all():
             vals = rows.tolist()
-    for q in points[len(vals):]:
+    for i in range(len(vals), len(batch)):
+        q = batch[i]
         with evaluation_scope():
             vals.append(_point_max(name, q, fn(q)))
-    worst = max(range(len(vals)), key=vals.__getitem__)
+    top = max(vals)
     return CheckResult(
         name=name,
-        max=vals[worst],
+        max=top,
         mean=sum(vals) / len(vals),
-        worst_point=tuple(points[worst].coords),
+        worst_point=tuple(batch.rows[vals.index(top)].tolist()),
         tol=float(tol),
     )
 
@@ -101,6 +100,8 @@ def run_check(name, fn, points, tol):
 def _row_maxima(r, n):
     """Largest absolute component of each of the n rows of a batch
     residual, or None when the residual has no leading batch axis."""
+    if type(r) is np.ndarray:  # one array: two numpy calls
+        return np.abs(r.reshape(n, -1)).max(axis=1, initial=0.0) if r.shape[:1] == (n,) else None
     comps = np.broadcast_arrays(*(r if isinstance(r, tuple) else (r,)))
     if not comps or comps[0].shape[:1] != (n,):
         return None

@@ -8,8 +8,9 @@ The argvs are every perfbench job of seeds 1-3, as
 lines of README.md, the constant-data command lines of ``CONSTANT_DATA``,
 the catalog command lines of ``CATALOG``, the check-table command lines of
 ``CHECKS``, the edge-case command lines of ``EDGES``, the large-batch
-command lines of ``LARGE``, the pack-plan command lines of ``PLANS``, and
-any extra command lines given after the two checkouts.  One subprocess per checkout runs them all through
+command lines of ``LARGE``, the pack-plan command lines of ``PLANS``, the
+one-batch command lines of ``BATCHES``, and any extra command lines given
+after the two checkouts.  One subprocess per checkout runs them all through
 ``ewbench.cli.main`` in process, with that checkout's ``src`` first on the
 path.  The tool prints
 each argv whose exit code, stdout (without its ``wall_time_s`` line) or
@@ -117,6 +118,9 @@ EDGES = (
     "limit --ells ''",
     "verify --case heisenberg --f '' --checks gt --points 3",
     "verify --case heisenberg --checks gt --points 3 --out ''",
+    "limit --ells '100,,200'",
+    "limit --case class-b --ells ',100,200'",
+    "limit --ells '100,200,'",
 )
 
 # what each job packs once, at the highest order its checks read: every
@@ -141,6 +145,20 @@ PLANS = tuple(
         "limit --case class-b --ells 100,200,1000 --c {c}",
     )
     for c in ("0", "-0.0", "0.5")
+)
+
+# each job handed one batch: psi = 0 omega of either sign on every catalog
+# case, checked by its coframe alone; a batch that raises (a singular
+# coframe) and one with a non-finite row, each evaluated again point by
+# point; and a sparse-guard sample of 50 points
+BATCHES = tuple(
+    f"verify --case {case} --checks psi --c {c} --points 5"
+    for case in ("heisenberg", "class-a", "class-b", "class-c", "from-H", "from-G")
+    for c in ("0", "-0.0")
+) + (
+    "verify --case from-H --H 1e308*x^3 --checks psi --points 5",
+    "verify --case from-H --H 'x^2*(1e308*y-2.5e308)' --checks psi --points 20",
+    "verify --case class-b --F '0.0102*(p-1)' --checks gt --points 50 --seed 5",
 )
 
 # batches past perfbench's sizes, where rounding shifts of the batched
@@ -260,7 +278,7 @@ def main(argv):
     if len(argv) < 2:
         sys.exit(__doc__)
     old_dir, new_dir = Path(argv[0]), Path(argv[1])
-    extra = list(CONSTANT_DATA + CATALOG + CHECKS + EDGES + LARGE + PLANS) + argv[2:]
+    extra = list(CONSTANT_DATA + CATALOG + CHECKS + EDGES + LARGE + PLANS + BATCHES) + argv[2:]
     old, new = reports(old_dir, extra), reports(new_dir, extra)
     names = ("exit code", "stdout", "stderr")
     differ = 0
