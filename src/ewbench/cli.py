@@ -12,8 +12,8 @@ driver maps flags to a catalog case and its parameters: the cases, their
 expression flags and defaults come from ``families.CASES``; the fibre
 charts, their sample points, the ``limit`` families and the choice of ell
 from ``lift``.  Every check is one row of ``BASE_CHECKS`` or
-``LIFT_CHECKS``, which also names the packed arrays the check reads;
-``_run_checks`` packs each once per job.
+``LIFT_CHECKS``, which also names the packed arrays the check reads (with
+``FRAME_READS`` for a base check); ``_run_checks`` packs each once per job.
 Reports are JSON with a fixed key order and a ``schema`` version; for a
 fixed configuration and seed they are byte-identical apart from wall time.
 Exit codes: 0 all checks pass, 1 a check fails, 2 configuration problem,
@@ -80,7 +80,7 @@ def _hypercr(s, cfg):
 
 
 # the checks of a base structure: name -> (the flags it reads under verify
-# beyond its case's, the packed arrays it reads, build), where
+# beyond its case's, the packed metric arrays it reads, build), where
 # build(structure, cfg) gives the residual over the base sample points
 BASE_CHECKS = {
     "gt": ((), {}, lambda s, cfg: lambda q: gt_residual(s, q)),
@@ -88,6 +88,16 @@ BASE_CHECKS = {
     "hypercr": ((), {}, _hypercr),
     "psi": (("c",), {}, lambda s, cfg: functools.partial(psi_residual, fam.psi_const(s, cfg["c"]), s)),
     "weyl": ((), {"h": 2}, lambda s, cfg: lambda q: weyl_ricci_residual(s, q)),
+}
+# the arrays of its structure's frame pass (ew.FramePass) that a base check
+# reads, through a jet order; psi also packs its own psi through 1, and
+# omega at 0 only when psi has components (psi = c omega has read omega
+# at 1 by then)
+FRAME_READS = {
+    "gt": {"frame": 1, "omega": 0, "V": 0},
+    "monopole": {"frame": 0, "omega": 1, "V": 1},
+    "psi": {"frame": 0, "V": 0},
+    "weyl": {"omega": 1},
 }
 # the checks of a lift: name -> (the packed arrays it reads, build), where
 # build(lift config, lift) gives the lift on whose chart the check's points
@@ -104,10 +114,14 @@ LIFT_CHECKS = {
     "invariants": ({"g": 2, "F": 0}, lift_mod.invariants_check),
 }
 # the packed arrays a check may read, each of the structure or lift whose
-# points it runs on, through a jet order: the coframe metric h of a base,
-# and the metric g and the field strength F = dA of a lift
+# points it runs on, through a jet order: the coframe metric h and the
+# frame pass arrays of a base (omega and V, which differentiate coframe
+# fields, before the coframe), and the metric g and F = dA of a lift
 PACKERS = {
     "h": lambda s, q, order: metric_from_coframe(s.frame).jets_at(q, order),
+    "omega": lambda s, q, order: s.pass_at(q).arrays("omega", order),
+    "V": lambda s, q, order: s.pass_at(q).arrays("V", order),
+    "frame": lambda s, q, order: s.pass_at(q).arrays("frame", order),
     "g": lambda data, q, order: data.g.jets_at(q, order),
     "F": lambda data, q, order: field_strength(data.potential, q, order),
 }
@@ -391,8 +405,12 @@ def cmd_verify(cfg):
         s = gauge_transform(s, ex.parse_field(cfg["f"], s.chart))
     fns = {n: BASE_CHECKS[n][2](s, cfg) for n in names}
     pts = sample(dom)
-    results = _run_checks([(n, fns[n], pts, s, BASE_CHECKS[n][1]) for n in names], tol)
+    results = _run_checks([(n, fns[n], pts, s, _base_reads(n)) for n in names], tol)
     return build_report(_echo(cfg), s.chart, len(pts), results)
+
+
+def _base_reads(name):
+    return {**BASE_CHECKS[name][1], **FRAME_READS.get(name, {})}
 
 
 def _run_checks(checks, tol):
@@ -404,11 +422,13 @@ def _run_checks(checks, tol):
     (``reads`` maps a ``PACKERS`` name to a jet order, of the structure or
     lift ``on`` over the check's points) is packed once, at the highest
     order any check reads it there, and every read after that slices what
-    is held: em's F serves maxwell, and the frame jets that weyl's h needs
-    serve gt and monopole.  A packing that raises is dropped; the check
-    that reads the array packs it again in its turn and raises the same
-    error there, so a job still stops at the first check, in request order,
-    that meets one.
+    is held: em's F serves maxwell, and monopole's omega and V serve gt.
+    The highest orders are packed first, then in ``PACKERS`` order, so a
+    field that two arrays read is evaluated once, at the higher order (the
+    coframe jets of weyl's h serve the frame pass).  A packing that raises
+    is dropped; the check that reads the array packs it again in its turn
+    and raises the same error there, so a job still stops at the first
+    check, in request order, that meets one.
     """
     plan = {}
     for _, _, pts, on, reads in checks:
@@ -416,7 +436,8 @@ def _run_checks(checks, tol):
             held = plan.setdefault((array, id(on), id(pts)), [array, on, pts, order])
             held[3] = max(held[3], order)
     with jets.evaluation_scope():
-        for array, on, pts, order in plan.values():
+        rank = list(PACKERS).index
+        for array, on, pts, order in sorted(plan.values(), key=lambda p: (-p[3], rank(p[0]))):
             try:
                 PACKERS[array](on, pts, order)
             except EwbenchError:
@@ -452,7 +473,7 @@ def cmd_lift(cfg):
                 drawn[on.chart] = lift_mod.fibre_points(on, cfg["seed"], base_pts)
             checks.append((name, fn, drawn[on.chart], on, reads))
         else:
-            checks.append((name, base_fns[name], base_pts, base, BASE_CHECKS[name][1]))
+            checks.append((name, base_fns[name], base_pts, base, _base_reads(name)))
     results = _run_checks(checks, tol)
     return build_report(_echo(cfg), data.chart, len(base_pts), results)
 

@@ -317,7 +317,9 @@ def em_residual(g, A, ell, pt, fsq_scale=1.0):
 
 
 def weyl_ricci_residual_metric(h, omega, pt, method="jet"):
-    """(compat, ew) for raw (h, omega) data on a 3D chart.
+    """(compat, ew) for a metric h and the packed arrays ``omega`` = (w,
+    dw) of a 1-form at ``pt``, w[..., a] and dw[..., e, a] = d_e w_a (as
+    ``EWStructure.pass_at(pt).arrays("omega", 1)`` gives them).
 
     The connection is Levi-Civita(h) minus the standard correction
     C^a_bc = (1/2)(delta^a_b w_c + delta^a_c w_b - h_bc w^a), which makes
@@ -330,12 +332,7 @@ def weyl_ricci_residual_metric(h, omega, pt, method="jet"):
     ginv, dginv = p.inverse(), _dginv(p)
     gamma, dgamma = _gamma_and_partial(dg, ddg, ginv, dginv)
 
-    w = np.zeros(pt.shape + (n,))
-    dw = np.zeros(pt.shape + (n, n))
-    for a in range(n):
-        j = omega.comp((a,))(pt, 1)
-        w[..., a] = j.value
-        dw[..., :, a] = j.grad
+    w, dw = omega
     w_up = (ginv @ w[..., None])[..., 0]
     dw_up = np.einsum("...eab,...b->...ea", dginv, w) + np.einsum(
         "...ab,...eb->...ea", ginv, dw
@@ -371,7 +368,8 @@ def weyl_ricci_residual_metric(h, omega, pt, method="jet"):
 
 
 def weyl_ricci_residual(s, pt, method="jet"):
-    """(compat, ew) for an EW structure, metric taken from its coframe."""
+    """(compat, ew) for an EW structure, metric taken from its coframe and
+    omega from its frame pass."""
     return weyl_ricci_residual_metric(
-        metric_from_coframe(s.frame), s.omega, pt, method
+        metric_from_coframe(s.frame), s.pass_at(pt).arrays("omega", 1), pt, method
     )

@@ -14,7 +14,9 @@ together with the scalar second-order equation
 
 whose solutions generate such structures through u = H_x, w = -H_y.  All
 residuals are returned as coordinate components so tolerances mean the same
-thing across families and charts.
+thing across families and charts.  The exterior residuals combine the
+arrays of a :class:`FramePass` (coframe, omega, V) elementwise, as the
+values of the same expressions in form algebra.
 """
 from __future__ import annotations
 
@@ -29,28 +31,25 @@ from .forms import (
     PForm,
     coordinate_form,
     ext_d,
-    frame_expand,
-    hodge3,
+    frame_solve,
     scalar_form,
     star_frame,
     wedge,
 )
-from .jets import Field
+from .jets import Field, pack_jets, scoped
 
 __all__ = [
     "EWStructure",
+    "FramePass",
     "WeightedForm",
     "PAIRS",
     "require_x",
     "hypercr_residual",
     "gt_residual",
-    "gt_residual_forms",
     "monopole_residual",
-    "monopole_residual_form",
     "gauge_transform",
     "weighted_d",
     "psi_residual",
-    "psi_residual_form",
     "hcr_residual",
     "constraints_residual",
     "from_H",
@@ -80,6 +79,10 @@ class EWStructure:
     @property
     def chart(self):
         return self.frame.chart
+
+    def pass_at(self, pt):
+        """The :class:`FramePass` at ``pt``, one per evaluation scope."""
+        return scoped((FramePass, self, pt), lambda: FramePass(self, pt))
 
 
 @dataclass(frozen=True)
@@ -124,38 +127,87 @@ def hypercr_residual(u, w, pt):
 
 
 # ---------------------------------------------------------------------------
-# exterior residual systems
+# exterior residual systems, on the packed arrays of a frame pass
 # ---------------------------------------------------------------------------
 
+_I, _J = [0, 0, 1], [1, 2, 2]  # PAIRS: pair k is (_I[k], _J[k])
 
-def gt_residual_forms(s):
-    """The three frame-system residual 2-forms d e^i - 1/2 omega^e^i + V *e^i."""
-    half_omega = s.omega.scale(0.5)
-    out = []
-    for i, leg in enumerate(s.frame.legs, start=1):
-        r = ext_d(leg) - wedge(half_omega, leg) + star_frame(s.frame, i).scale(s.V)
-        out.append(r)
-    return tuple(out)
+
+def _w(a, b):
+    """a ^ b in PAIRS order from the component arrays (last axis) of two
+    1-forms: a_i b_j - a_j b_i."""
+    return a[..., _I] * b[..., _J] - a[..., _J] * b[..., _I]
+
+
+def _d(da):
+    """dA in PAIRS order from da[..., b, a] = d_b A_a: d_i A_j - d_j A_i."""
+    return da[..., _I, _J] - da[..., _J, _I]
+
+
+def _comps(forms, idxs):
+    return [form.comps.get(idx) for form in forms for idx in idxs]
+
+
+_LEGS = ((0,), (1,), (2,))
+
+
+class FramePass:
+    """The packed jets of one structure at one point or batch, shared by
+    gt, monopole, psi and weyl through :meth:`EWStructure.pass_at`.
+
+    ``arrays(name, order)`` are those of ``"frame"``, E[..., i, a] (leg i,
+    component a) and dE[..., b, i, a] = d_b E_ia; of ``"omega"``, w[..., a]
+    and dw[..., b, a]; of ``"V"``, V and dV[..., b]; or of ``"stars"``, the
+    values S[..., k, pair] of *e1, *e2, *e3 (``forms.star_frame``): packed
+    when first asked, and again when a higher order is, as
+    ``MetricPass.arrays`` does.
+    """
+
+    __slots__ = ("s", "pt", "packed")
+    FIELDS = {
+        "frame": (lambda s: _comps(s.frame.legs, _LEGS), (3, 3)),
+        "omega": (lambda s: _comps([s.omega], _LEGS), (3,)),
+        "V": (lambda s: [s.V], ()),
+        "stars": (lambda s: _comps([star_frame(s.frame, i) for i in (1, 2, 3)], PAIRS), (3, 3)),
+    }
+
+    def __init__(self, s, pt):
+        self.s, self.pt, self.packed = s, pt, {}
+
+    def arrays(self, name, order):
+        held = self.packed.get(name, ())
+        if len(held) <= order:
+            fields, shape = self.FIELDS[name]
+            held = self.packed[name] = pack_jets(self.pt, fields(self.s), order, shape)
+        return held[: order + 1]
+
+    def hodge(self, values):
+        """sum_k c_k *e_k for a = sum_k c_k e_k, c by ``forms.frame_solve``:
+        ``values()`` gives the components of a, and None is the zero form."""
+        c = frame_solve(np.swapaxes(self.arrays("frame", 0)[0], -1, -2), values)
+        st = self.arrays("stars", 0)[0]
+        return c[..., :1] * st[..., 0, :] + c[..., 1:2] * st[..., 1, :] + c[..., 2:] * st[..., 2, :]
 
 
 def gt_residual(s, pt):
-    """Frame-system residual components at a point, shape (3, 3).
-
-    Row i holds the (dx^0^dx^1, dx^0^dx^2, dx^1^dx^2) components of the
-    residual of the i-th frame equation; over a batch the shape is (N, 3, 3).
-    """
-    return np.stack([r.values_at(pt, PAIRS) for r in gt_residual_forms(s)], axis=-2)
-
-
-def monopole_residual_form(s):
-    """*(dV + 1/2 V omega) - 1/2 d omega as a 2-form."""
-    dV = ext_d(scalar_form(s.chart, s.V))
-    arg = dV + s.omega.scale(s.V * 0.5)
-    return hodge3(arg, s.frame) - ext_d(s.omega).scale(0.5)
+    """The components of d e^i - 1/2 omega^e^i + V *e^i, shape (3, 3) (or
+    (N, 3, 3) over a batch): row i is leg i, in PAIRS order."""
+    p = s.pass_at(pt)
+    e, de = p.arrays("frame", 1)
+    wedged = _w((0.5 * p.arrays("omega", 0)[0])[..., None, :], e)
+    v = p.arrays("V", 0)[0][..., None, None]
+    return _d(np.swapaxes(de, -3, -2)) - wedged + v * p.arrays("stars", 0)[0]
 
 
 def monopole_residual(s, pt):
-    return monopole_residual_form(s).values_at(pt, PAIRS)
+    """*(dV + 1/2 V omega) - 1/2 d omega in PAIRS order."""
+    p = s.pass_at(pt)
+
+    def arg():
+        v, dv = p.arrays("V", 1)
+        return dv + (0.5 * v)[..., None] * p.arrays("omega", 1)[0]
+
+    return p.hodge(arg) - 0.5 * _d(p.arrays("omega", 1)[1])
 
 
 def weighted_d(psi, omega):
@@ -163,24 +215,17 @@ def weighted_d(psi, omega):
     return ext_d(psi.form) - wedge(omega.scale(0.5 * psi.weight), psi.form)
 
 
-def psi_residual_form(psi, s):
-    """D psi - V * psi, using the structure's own V."""
-    return weighted_d(psi, s.omega) - hodge3(psi.form, s.frame).scale(s.V)
-
-
 def psi_residual(psi, s, pt):
-    """The components of ``psi_residual_form`` at a point, in PAIRS order.
-
-    For a psi without components (``families.psi_const`` at c = 0) that
-    form is -V (c1 *e1 + c2 *e2 + c3 *e3) with c = ``frame_expand`` of zero
-    (0, NaN where the coframe is not finite); it is evaluated on values, in
-    the form's order, without building the form."""
-    if psi.form.comps:
-        return psi_residual_form(psi, s).values_at(pt, PAIRS)
-    v = np.expand_dims(s.V(pt, 0).value, -1)
-    c = frame_expand(psi.form, s.frame, pt)
-    stars = [star_frame(s.frame, i).values_at(pt, PAIRS) for i in (1, 2, 3)]
-    return -(v * (c[..., :1] * stars[0] + c[..., 1:2] * stars[1] + c[..., 2:] * stars[2]))
+    """D psi - V * psi in PAIRS order, with the structure's own V.  A psi
+    without components (``families.psi_const`` at c = 0) has no D psi
+    terms, reads no omega, and is not solved: its star is 0, or NaN where
+    the coframe is not finite."""
+    p = s.pass_at(pt)
+    if not psi.form.comps:
+        return -(p.arrays("V", 0)[0][..., None] * p.hodge(None))
+    ps, dps = pack_jets(pt, _comps([psi.form], _LEGS), 1, (3,))
+    dpsi = _d(dps) - _w((0.5 * psi.weight) * p.arrays("omega", 0)[0], ps)
+    return dpsi - p.arrays("V", 0)[0][..., None] * p.hodge(lambda: ps)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import JetOrderError, SingularFrameError, SingularMetricError
-from .jets import Field, Jet, ZERO_FIELD, anywhere, first_where, pack, scoped_arrays, shared_scope
+from .jets import (
+    Field, Jet, ZERO_FIELD, anywhere, first_where, pack_jets, read_only, scoped, scoped_arrays,
+)
 
 __all__ = [
     "PForm",
@@ -32,6 +34,7 @@ __all__ = [
     "wedge",
     "ext_d",
     "frame_expand",
+    "frame_solve",
     "hodge3",
     "star_frame",
     "metric_from_coframe",
@@ -91,7 +94,7 @@ class PForm:
     def values_at(self, pt, idxs):
         """The values of the components ``idxs`` at ``pt``, in that order,
         with the batch axis first over a batch."""
-        return pack(pt, [self.comp(idx)(pt, 0).value for idx in idxs])
+        return pack_jets(pt, [self.comps.get(tuple(idx)) for idx in idxs], 0, (len(idxs),))[0]
 
     def max_abs_at(self, pt):
         """Largest absolute component value at ``pt`` (per row of a batch);
@@ -251,10 +254,7 @@ def frame_expand(a, frame, pt):
 
     Degree 1 returns coefficients against (e1, e2, e3); degree 2 against
     (e1^e2, e1^e3, e2^e3).  Values only, along the last axis (batch axis
-    first), from one solve against the basis values (none for the zero
-    form).  A determinant below FRAME_DET_TOL raises SingularFrameError
-    naming the first such one; rows whose basis is not finite get NaN
-    coefficients.
+    first), by :func:`frame_solve` against the basis values.
     """
     legs = frame.legs
     if a.degree == 1:
@@ -264,25 +264,37 @@ def frame_expand(a, frame, pt):
         forms = [wedge(legs[i], legs[j]) for i, j in idxs]
     else:
         raise ValueError("frame expansion supports degree 1 and 2 only")
-    # a_j = sum_m c_m basis_m[j]: solve m c = a, with m[..., j, k] the
-    # component j of basis form k
     m = np.stack([f.values_at(pt, idxs) for f in forms], axis=-1)
+    values = (lambda: a.values_at(pt, idxs)) if a.comps else None
+    return frame_solve(m, values, "" if a.degree == 1 else " for a 2-form expansion")
+
+
+def frame_solve(m, values, what=""):
+    """The coefficients c of a = sum_k c_k b_k along the last axis, where
+    m[..., j, k] is the component j of the basis form b_k and ``values()``
+    gives the components of a, or ``values`` is None for the zero form,
+    which is not solved.
+
+    The determinant is tested before ``values`` is called: one below
+    FRAME_DET_TOL raises SingularFrameError naming the first such one
+    (``what`` ends the message); rows whose basis is not finite get NaN
+    coefficients.
+    """
     # the determinant comes from the LU factors the solve uses, so a zero
     # pivot there (an underflow, say) is a singular frame here
     det = np.linalg.det(m)
     small = np.abs(det) < FRAME_DET_TOL
     if anywhere(small):
         raise SingularFrameError(
-            f"coframe determinant {first_where(det, small):.3e} below tolerance"
-            + ("" if a.degree == 1 else " for a 2-form expansion")
+            f"coframe determinant {first_where(det, small):.3e} below tolerance{what}"
         )
     # where the basis is not finite LAPACK may still meet a zero pivot: those
     # rows solve the identity instead and get NaN, which the checks report
     broken = ~np.isfinite(det)
     c = np.zeros(3)
-    if a.comps:
+    if values is not None:
         m = np.where(broken[..., None, None], np.eye(3), m)
-        c = np.linalg.solve(m, a.values_at(pt, idxs)[..., None])[..., 0]
+        c = np.linalg.solve(m, values()[..., None])[..., 0]
     return np.where(broken[..., None], np.nan, c)
 
 
@@ -420,12 +432,8 @@ class MetricField:
         """The :class:`MetricPass` of this metric at ``pt``: one per
         evaluation scope, shared by every call in it (a new one when no
         scope is open)."""
-        with shared_scope() as memo:
-            key = (MetricPass, self, pt)
-            held = memo.get(key)
-            if held is None:
-                held = memo[key] = MetricPass(pt, lambda order: self.jets_at(pt, order))
-            return held
+        key = (MetricPass, self, pt)
+        return scoped(key, lambda: MetricPass(pt, lambda order: self.jets_at(pt, order)))
 
     def inverse_at(self, pt):
         return self.pass_at(pt).inverse()
@@ -465,12 +473,6 @@ class MetricPass:
             self.det = metric_det(g0, self.pt)
             self.ginv = read_only(np.linalg.inv(g0))
         return self.ginv
-
-
-def read_only(arr):
-    """``arr``, marked read-only: it is shared through an evaluation scope."""
-    arr.flags.writeable = False
-    return arr
 
 
 def metric_det(g0, pt):

@@ -64,12 +64,14 @@ __all__ = [
     "Jet",
     "ChartPoint",
     "PointBatch",
-    "pack",
+    "pack_jets",
+    "read_only",
     "anywhere",
     "first_where",
     "Field",
     "evaluation_scope",
     "shared_scope",
+    "scoped",
     "scoped_arrays",
     "Guard",
     "SampleDomain",
@@ -203,14 +205,35 @@ def point(chart, *coords):
     return ChartPoint.make(chart, coords)
 
 
-def pack(pt, values):
-    """``values`` at ``pt`` as one array with the batch axis first, of shape
-    ``pt.shape + (len(values),)``; a value without the batch axis (a
-    constant) is repeated over the batch."""
-    out = np.empty(pt.shape + (len(values),))
-    for i, v in enumerate(values):
-        out[..., i] = v
-    return out
+def pack_jets(pt, fields, order, shape):
+    """The jets of ``fields`` at ``pt`` through ``order``, part k as one
+    read-only array of shape pt.shape + (dim,) * k + ``shape`` (derivative
+    axes first, the fields in row-major order over ``shape``); a part
+    without the batch axis (a constant) is repeated over the batch, and a
+    field that is None is an absent component, an exact zero that is not
+    evaluated.  At order 1 an affine field's first derivatives are its
+    slopes, as ``Field.d`` gives them: it is evaluated at order 0 only,
+    after the others, which may read its own fields at order 1."""
+    packed = [np.zeros(pt.shape + (pt.dim,) * k + (len(fields),)) for k in range(order + 1)]
+    affine = {}
+    for i, f in enumerate(fields):
+        if f is None:
+            continue
+        slopes = [f.slope(c) for c in pt.chart] if order == 1 and f.slope else [None]
+        if None not in slopes:
+            affine[i] = slopes
+            continue
+        for arr, part in zip(packed, f(pt, order).parts):
+            arr[..., i] = part
+    for i, slopes in affine.items():
+        packed[0][..., i], packed[1][..., i] = fields[i](pt, 0).value, slopes
+    return tuple(read_only(arr.reshape(arr.shape[:-1] + shape)) for arr in packed)
+
+
+def read_only(arr):
+    """``arr``, marked read-only: it is shared through an evaluation scope."""
+    arr.flags.writeable = False
+    return arr
 
 
 def anywhere(mask):
@@ -696,6 +719,15 @@ class shared_scope(evaluation_scope):
 
     __slots__ = ()
     shared = True
+
+
+def scoped(key, make):
+    """The value kept under ``key`` in the open evaluation scope, made by
+    ``make()`` when the scope holds none."""
+    with shared_scope() as memo:
+        if key not in memo:
+            memo[key] = make()
+        return memo[key]
 
 
 def scoped_arrays(key, order, pack):

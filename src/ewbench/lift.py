@@ -147,9 +147,9 @@ def validate_config(cfg):
 
     Each condition is one ``run_check`` over the probes, named
     ``lift.gauge``, ``lift.gt`` and ``lift.psi``, all in one evaluation
-    scope of their own; a failing verdict raises GaugeViolationError
-    (gauge, structure equations) or PsiResidualError, and a non-finite
-    residual raises DomainError.
+    scope of their own, where they read one frame pass of the base; a
+    failing verdict raises GaugeViolationError (gauge, structure
+    equations) or PsiResidualError, and a non-finite one DomainError.
     """
     probes = cfg.probes or default_probes(cfg.base.chart)
     base = cfg.base
@@ -374,9 +374,11 @@ def flat_limit(factory, ells):
     DomainError.  Each ell is built and checked in one evaluation scope
     (its validation in one of its own), closed before the next ell.  The
     checks run riemann_limit first, which packs the limit form through
-    order 2, so that form_gap reads its values from that packing; the
-    report keeps its own key order.  A ratio of successive gaps that is
-    not finite (a later gap of 0, or an overflow) is null.
+    order 2 for form_gap, and form_gap last, after the F checks ask order 1
+    of the omega and fibre-profile fields that the lift metric reads, so no
+    field is evaluated again at a higher order; the report keeps its own
+    key order.  A ratio of successive gaps that is not finite (a later gap
+    of 0, or an overflow) is null.
     """
     ells = [float(e) for e in ells]
     if len(ells) < 2:
@@ -406,10 +408,10 @@ def flat_limit(factory, ells):
             keys = sorted(set(f_full.comps) | set(f_target.comps))
             residuals = {
                 "riemann_limit": lambda q: riemann(g_lim, q),
-                "form_gap": lambda q: data.g.matrix_at(q) - g_lim.matrix_at(q),
                 "f_gap": lambda q: f_full.values_at(q, keys) - f_target.values_at(q, keys),
                 "f_term": lambda q: f_target.values_at(q, keys),
                 "f_norm": lambda q: f_full.values_at(q, keys),
+                "form_gap": lambda q: data.g.matrix_at(q) - g_lim.matrix_at(q),
             }
             for key, fn in residuals.items():
                 report[key].append(run_check(f"lift.{key}", fn, pts, math.inf).max)

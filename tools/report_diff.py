@@ -9,7 +9,8 @@ lines of README.md, the constant-data command lines of ``CONSTANT_DATA``,
 the catalog command lines of ``CATALOG``, the check-table command lines of
 ``CHECKS``, the edge-case command lines of ``EDGES``, the large-batch
 command lines of ``LARGE``, the pack-plan command lines of ``PLANS``, the
-one-batch command lines of ``BATCHES``, and any extra command lines given
+one-batch command lines of ``BATCHES``, the frame-pass command lines of
+``FRAMES``, and any extra command lines given
 after the two checkouts.  One subprocess per checkout runs them all through
 ``ewbench.cli.main`` in process, with that checkout's ``src`` first on the
 path.  The tool prints
@@ -161,6 +162,20 @@ BATCHES = tuple(
     "verify --case class-b --F '0.0102*(p-1)' --checks gt --points 50 --seed 5",
 )
 
+# the checks that read the frame pass: gt, monopole and psi = c omega on
+# every catalog case after a gauge transform, beside em in one lift job, on
+# a from-H coframe that overflows, and on a singular class-b coframe
+FRAMES = tuple(
+    f"verify --case {case} --checks gt,monopole,psi --c 0.5 --f 0.3*t --points 5"
+    for case in ("heisenberg", "class-a", "class-b", "class-c", "from-H", "from-G")
+) + (
+    "lift --case heisenberg --checks gt,monopole,psi,em --points 5",
+    "verify --case from-H --H 1e308*x^3 --checks gt --points 5",
+    "verify --case from-H --H 1e308*x^3 --checks monopole --points 5",
+    "verify --case from-H --H 1e308*x^3 --checks psi --c 0.5 --points 5",
+    "verify --case class-b --F 1e-13 --checks monopole --points 5",
+)
+
 # batches past perfbench's sizes, where rounding shifts of the batched
 # contractions and any dependence of a row on the others would show
 LARGE = (
@@ -278,7 +293,8 @@ def main(argv):
     if len(argv) < 2:
         sys.exit(__doc__)
     old_dir, new_dir = Path(argv[0]), Path(argv[1])
-    extra = list(CONSTANT_DATA + CATALOG + CHECKS + EDGES + LARGE + PLANS + BATCHES) + argv[2:]
+    sets = CONSTANT_DATA + CATALOG + CHECKS + EDGES + LARGE + PLANS + BATCHES + FRAMES
+    extra = list(sets) + argv[2:]
     old, new = reports(old_dir, extra), reports(new_dir, extra)
     names = ("exit code", "stdout", "stderr")
     differ = 0
