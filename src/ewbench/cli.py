@@ -11,9 +11,9 @@ Configuration comes from flags or a JSON file (flags override).  The
 driver maps flags to a catalog case and its parameters: the cases, their
 expression flags and defaults come from ``families.CASES``; the fibre
 charts, their sample points, the ``limit`` families and the choice of ell
-from ``lift``.  Every check is one row of ``BASE_CHECKS`` or
-``LIFT_CHECKS``, which also names the packed arrays the check reads (with
-``FRAME_READS`` for a base check); ``_run_checks`` packs each once per job.
+from ``lift``.  Every check is one ``Check`` row of ``CHECKS``: the flags
+it reads, the packed arrays it reads, whether it runs on the base or on the
+lift, and its builder; ``_run_checks`` packs each array once per job.
 Reports are JSON with a fixed key order and a ``schema`` version; for a
 fixed configuration and seed they are byte-identical apart from wall time.
 Exit codes: 0 all checks pass, 1 a check fails, 2 configuration problem,
@@ -33,6 +33,7 @@ import math
 import sys
 import threading
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,39 +80,59 @@ def _hypercr(s, cfg):
     return lambda q: hypercr_residual(s.u, s.w, q)
 
 
-# the checks of a base structure: name -> (the flags it reads under verify
-# beyond its case's, the packed metric arrays it reads, build), where
-# build(structure, cfg) gives the residual over the base sample points
-BASE_CHECKS = {
-    "gt": ((), {}, lambda s, cfg: lambda q: gt_residual(s, q)),
-    "monopole": ((), {}, lambda s, cfg: lambda q: monopole_residual(s, q)),
-    "hypercr": ((), {}, _hypercr),
-    "psi": (("c",), {}, lambda s, cfg: functools.partial(psi_residual, fam.psi_const(s, cfg["c"]), s)),
-    "weyl": ((), {"h": 2}, lambda s, cfg: lambda q: weyl_ricci_residual(s, q)),
-}
-# the arrays of its structure's frame pass (ew.FramePass) that a base check
-# reads, through a jet order; psi also packs its own psi through 1, and
-# omega at 0 only when psi has components (psi = c omega has read omega
-# at 1 by then)
-FRAME_READS = {
-    "gt": {"frame": 1, "omega": 0, "V": 0},
-    "monopole": {"frame": 0, "omega": 1, "V": 1},
-    "psi": {"frame": 0, "V": 0},
-    "weyl": {"omega": 1},
-}
-# the checks of a lift: name -> (the packed arrays it reads, build), where
-# build(lift config, lift) gives the lift on whose chart the check's points
-# lie, and the residual there
-LIFT_CHECKS = {
-    "em": (
+class Check(NamedTuple):
+    """One row of ``CHECKS``: whether the check runs on the base structure
+    or on the lift, the packed arrays it reads (a ``PACKERS`` name -> jet
+    order), its builder, the flags it reads under verify beyond its case's,
+    and the arrays it reads besides when one of those flags is nonzero.
+
+    ``build(structure, cfg)`` of a base check gives its residual over the
+    base sample points; ``build(lift config, lift)`` of a lift check gives
+    the lift on whose chart its points lie, and its residual there."""
+
+    on: str
+    reads: dict
+    build: Callable
+    flags: tuple = ()
+    flag_reads: dict = {}
+
+    def reads_under(self, cfg):
+        if any(cfg[flag] for flag in self.flags):
+            return {**self.reads, **self.flag_reads}
+        return self.reads
+
+
+# every check; psi = c omega packs its own psi through 1, so it reads omega
+# there when c != 0 (a zero psi reads no omega)
+CHECKS = {
+    "gt": Check(
+        "base", {"frame": 1, "omega": 0, "V": 0}, lambda s, cfg: lambda q: gt_residual(s, q)
+    ),
+    "monopole": Check(
+        "base", {"frame": 0, "omega": 1, "V": 1}, lambda s, cfg: lambda q: monopole_residual(s, q)
+    ),
+    "hypercr": Check("base", {}, _hypercr),
+    "psi": Check(
+        "base",
+        {"frame": 0, "V": 0},
+        lambda s, cfg: functools.partial(psi_residual, fam.psi_const(s, cfg["c"]), s),
+        flags=("c",),
+        flag_reads={"omega": 1},
+    ),
+    "weyl": Check(
+        "base", {"h": 2, "omega": 1}, lambda s, cfg: lambda q: weyl_ricci_residual(s, q)
+    ),
+    "em": Check(
+        "lift",
         {"g": 2, "F": 0},
         lambda lcfg, data: (data, lambda q: em_residual(data.g, data.potential, data.ell, q)),
     ),
-    "maxwell": (
+    "maxwell": Check(
+        "lift",
         {"g": 1, "F": 1},
         lambda lcfg, data: (data, lambda q: maxwell_residual(data.potential, data.g, q)),
     ),
-    "invariants": ({"g": 2, "F": 0}, lift_mod.invariants_check),
+    "invariants": Check("lift", {"g": 2, "F": 0}, lift_mod.invariants_check),
 }
 # the packed arrays a check may read, each of the structure or lift whose
 # points it runs on, through a jet order: the coframe metric h and the
@@ -127,8 +148,8 @@ PACKERS = {
 }
 # the checks each subcommand offers
 OFFERED_CHECKS = {
-    "verify": tuple(BASE_CHECKS),
-    "lift": tuple(LIFT_CHECKS) + tuple(BASE_CHECKS),
+    "verify": tuple(name for name, check in CHECKS.items() if check.on == "base"),
+    "lift": tuple(CHECKS),
     "limit": ("limit",),
 }
 CHECK_NAMES = OFFERED_CHECKS["lift"] + OFFERED_CHECKS["limit"]
@@ -167,7 +188,7 @@ _EXPR_FLAGS = _CASE_EXPR_FLAGS + ("f",)
 # error (config-file keys are not held to this: one file may serve all).
 # Within verify and lift, a case reads only its own expression flags, and
 # verify reads --ell only for a case whose structure reads it (heisenberg)
-# and --c only for a check that reads it (psi, per BASE_CHECKS).
+# and --c only for a check that reads it (psi, per its row of CHECKS).
 _CASE_FLAGS = ("case", "ell", "checks", "points", "seed", "tol") + _CASE_EXPR_FLAGS
 READ_FLAGS = {
     "verify": _CASE_FLAGS + ("c", "f", "out"),
@@ -359,7 +380,7 @@ def _refuse_unread_flags(cfg, flags):
     for flag in flags:
         if flag in unread:
             raise ConfigError(f"--{flag} is not used by {command} --case {case}")
-        readers = [n for n, (reads, _, _) in BASE_CHECKS.items() if flag in reads]
+        readers = [n for n, check in CHECKS.items() if flag in check.flags]
         if command == "verify" and readers and not set(readers) & set(_check_names(cfg)):
             raise ConfigError(
                 f"--{flag} is not used by verify without the {' or '.join(readers)} check"
@@ -403,14 +424,10 @@ def cmd_verify(cfg):
     s, dom = build_case(cfg)
     if cfg["f"] is not None:
         s = gauge_transform(s, ex.parse_field(cfg["f"], s.chart))
-    fns = {n: BASE_CHECKS[n][2](s, cfg) for n in names}
+    fns = {n: CHECKS[n].build(s, cfg) for n in names}
     pts = sample(dom)
-    results = _run_checks([(n, fns[n], pts, s, _base_reads(n)) for n in names], tol)
+    results = _run_checks([(n, fns[n], pts, s, CHECKS[n].reads_under(cfg)) for n in names], tol)
     return build_report(_echo(cfg), s.chart, len(pts), results)
-
-
-def _base_reads(name):
-    return {**BASE_CHECKS[name][1], **FRAME_READS.get(name, {})}
 
 
 def _run_checks(checks, tol):
@@ -451,7 +468,7 @@ def cmd_lift(cfg):
     cfg["points"] = cfg["points"] or 100
     base, dom = build_case(cfg)
     # the base checks are built before sampling, as under verify
-    base_fns = {n: BASE_CHECKS[n][2](base, cfg) for n in names if n in BASE_CHECKS}
+    base_fns = {n: CHECKS[n].build(base, cfg) for n in names if CHECKS[n].on == "base"}
     base_pts = sample(dom)
     cfg["ell_used"], cfg["sign_fixed"] = lift_mod.fix_ell_sign(base, cfg["ell"], base_pts[0])
     lcfg = lift_mod.LiftConfig(
@@ -466,14 +483,14 @@ def cmd_lift(cfg):
     # refuses the job first), and each chart's points are drawn once
     drawn, checks = {}, []
     for name in names:
-        if name in LIFT_CHECKS:
-            reads, build = LIFT_CHECKS[name]
-            on, fn = build(lcfg, data)
-            if on.chart not in drawn:
-                drawn[on.chart] = lift_mod.fibre_points(on, cfg["seed"], base_pts)
-            checks.append((name, fn, drawn[on.chart], on, reads))
-        else:
-            checks.append((name, base_fns[name], base_pts, base, _base_reads(name)))
+        reads = CHECKS[name].reads_under(cfg)
+        if name in base_fns:
+            checks.append((name, base_fns[name], base_pts, base, reads))
+            continue
+        on, fn = CHECKS[name].build(lcfg, data)
+        if on.chart not in drawn:
+            drawn[on.chart] = lift_mod.fibre_points(on, cfg["seed"], base_pts)
+        checks.append((name, fn, drawn[on.chart], on, reads))
     results = _run_checks(checks, tol)
     return build_report(_echo(cfg), data.chart, len(base_pts), results)
 

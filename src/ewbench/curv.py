@@ -228,10 +228,6 @@ def field_strength(A, pt, order):
     return scoped_arrays((field_strength, A, pt), order, lambda k: _pack_f(A, pt, k))
 
 
-# the private name that callers of earlier revisions import
-_field_strength = field_strength
-
-
 def _pack_f(A, pt, order):
     F = ext_d(A)
     n = len(F.chart)

@@ -34,7 +34,6 @@ from .forms import (
     frame_solve,
     scalar_form,
     star_frame,
-    wedge,
 )
 from .jets import Field, pack_jets, scoped
 
@@ -48,7 +47,6 @@ __all__ = [
     "gt_residual",
     "monopole_residual",
     "gauge_transform",
-    "weighted_d",
     "psi_residual",
     "hcr_residual",
     "constraints_residual",
@@ -208,11 +206,6 @@ def monopole_residual(s, pt):
         return dv + (0.5 * v)[..., None] * p.arrays("omega", 1)[0]
 
     return p.hodge(arg) - 0.5 * _d(p.arrays("omega", 1)[1])
-
-
-def weighted_d(psi, omega):
-    """Weighted exterior derivative D psi = d psi - (m/2) omega ^ psi."""
-    return ext_d(psi.form) - wedge(omega.scale(0.5 * psi.weight), psi.form)
 
 
 def psi_residual(psi, s, pt):

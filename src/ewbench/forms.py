@@ -3,7 +3,7 @@
 Forms are stored sparsely over strictly increasing multi-indices, so
 antisymmetry is a property of the storage, not of the data.  Components are
 :class:`~ewbench.jets.Field` objects, which keeps every derived form (wedge
-products, exterior derivatives, Hodge duals) differentiable as far as the
+products, exterior derivatives) differentiable as far as the
 jet order cap allows.
 
 The three-dimensional Hodge star is defined only through its action on a
@@ -19,9 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import JetOrderError, SingularFrameError, SingularMetricError
+from .errors import SingularFrameError, SingularMetricError
 from .jets import (
-    Field, Jet, ZERO_FIELD, anywhere, first_where, pack_jets, read_only, scoped, scoped_arrays,
+    Field, ZERO_FIELD, anywhere, first_where, pack_jets, read_only, scoped, scoped_arrays,
 )
 
 __all__ = [
@@ -33,9 +33,7 @@ __all__ = [
     "zero_form",
     "wedge",
     "ext_d",
-    "frame_expand",
     "frame_solve",
-    "hodge3",
     "star_frame",
     "metric_from_coframe",
     "signature",
@@ -95,11 +93,6 @@ class PForm:
         """The values of the components ``idxs`` at ``pt``, in that order,
         with the batch axis first over a batch."""
         return pack_jets(pt, [self.comps.get(tuple(idx)) for idx in idxs], 0, (len(idxs),))[0]
-
-    def max_abs_at(self, pt):
-        """Largest absolute component value at ``pt`` (per row of a batch);
-        NaN if any is NaN."""
-        return np.max(np.abs(self.values_at(pt, self.comps)), axis=-1, initial=0.0)
 
     # -- algebra ---------------------------------------------------------------
 
@@ -249,36 +242,15 @@ def star_frame(frame, i):
     return frame._stars[i - 1]
 
 
-def frame_expand(a, frame, pt):
-    """Expand a 1-form or 2-form in the coframe basis at a point.
-
-    Degree 1 returns coefficients against (e1, e2, e3); degree 2 against
-    (e1^e2, e1^e3, e2^e3).  Values only, along the last axis (batch axis
-    first), by :func:`frame_solve` against the basis values.
-    """
-    legs = frame.legs
-    if a.degree == 1:
-        idxs, forms = ((0,), (1,), (2,)), legs
-    elif a.degree == 2:
-        idxs = ((0, 1), (0, 2), (1, 2))
-        forms = [wedge(legs[i], legs[j]) for i, j in idxs]
-    else:
-        raise ValueError("frame expansion supports degree 1 and 2 only")
-    m = np.stack([f.values_at(pt, idxs) for f in forms], axis=-1)
-    values = (lambda: a.values_at(pt, idxs)) if a.comps else None
-    return frame_solve(m, values, "" if a.degree == 1 else " for a 2-form expansion")
-
-
-def frame_solve(m, values, what=""):
+def frame_solve(m, values):
     """The coefficients c of a = sum_k c_k b_k along the last axis, where
     m[..., j, k] is the component j of the basis form b_k and ``values()``
     gives the components of a, or ``values`` is None for the zero form,
     which is not solved.
 
     The determinant is tested before ``values`` is called: one below
-    FRAME_DET_TOL raises SingularFrameError naming the first such one
-    (``what`` ends the message); rows whose basis is not finite get NaN
-    coefficients.
+    FRAME_DET_TOL raises SingularFrameError naming the first such one; rows
+    whose basis is not finite get NaN coefficients.
     """
     # the determinant comes from the LU factors the solve uses, so a zero
     # pivot there (an underflow, say) is a singular frame here
@@ -286,7 +258,7 @@ def frame_solve(m, values, what=""):
     small = np.abs(det) < FRAME_DET_TOL
     if anywhere(small):
         raise SingularFrameError(
-            f"coframe determinant {first_where(det, small):.3e} below tolerance{what}"
+            f"coframe determinant {first_where(det, small):.3e} below tolerance"
         )
     # where the basis is not finite LAPACK may still meet a zero pivot: those
     # rows solve the identity instead and get NaN, which the checks report
@@ -296,37 +268,6 @@ def frame_solve(m, values, what=""):
         m = np.where(broken[..., None, None], np.eye(3), m)
         c = np.linalg.solve(m, values()[..., None])[..., 0]
     return np.where(broken[..., None], np.nan, c)
-
-
-def hodge3(a, frame):
-    """Hodge star of a 1-form a = sum_i c_i e^i: the sum of c_i star e^i
-    over the legs i = 1, 2, 3 in that order, with each star e^i from
-    :func:`star_frame`.
-
-    Only degree 1 -> 2 is defined; that is the only case the residual
-    operators need, and the coframe rules pin it completely.  The
-    coefficients c_i are values: the components of the star answer order 0
-    and raise JetOrderError above it.
-    """
-    if a.degree != 1:
-        raise ValueError("hodge3 is defined for 1-forms only")
-    if a.chart != frame.chart:
-        raise ValueError("chart mismatch in hodge3")
-
-    # one solve per scope serves all three coefficients
-    @Field
-    def coeffs(pt, order=0):
-        if order:
-            raise JetOrderError(f"hodge3 has values only; order {order} was asked")
-        return frame_expand(a, frame, pt)
-
-    def coeff(i):
-        return Field(lambda pt, order=0: Jet([coeffs(pt, order)[..., i - 1]]))
-
-    star = star_frame(frame, 1).scale(coeff(1))
-    for i in (2, 3):
-        star = star + star_frame(frame, i).scale(coeff(i))
-    return star
 
 
 # ---------------------------------------------------------------------------
@@ -361,23 +302,6 @@ class MetricField:
         metric.chart = chart
         metric.comps = comps
         return metric
-
-    @classmethod
-    def from_value_matrix(cls, chart, matrix):
-        matrix = np.asarray(matrix, dtype=float)
-        n = len(chart)
-        if matrix.shape != (n, n):
-            raise ValueError("matrix shape does not match chart")
-        if not np.allclose(matrix, matrix.T, rtol=0.0, atol=1e-12):
-            raise ValueError("metric matrix must be symmetric")
-        matrix = 0.5 * (matrix + matrix.T)
-        comps = {
-            (a, b): Field.const(matrix[a, b])
-            for a in range(n)
-            for b in range(a, n)
-            if matrix[a, b] != 0.0
-        }
-        return cls(chart, comps)
 
     @property
     def dim(self):
@@ -437,10 +361,6 @@ class MetricField:
 
     def inverse_at(self, pt):
         return self.pass_at(pt).inverse()
-
-    def signature_at(self, pt):
-        """(positive, negative) eigenvalue counts, per row of a batch."""
-        return signature(self.matrix_at(pt))
 
 
 class MetricPass:

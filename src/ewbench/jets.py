@@ -52,7 +52,6 @@ import numpy as np
 from .errors import (
     DomainError,
     EwbenchError,
-    GuardViolationError,
     JetOrderError,
     SamplingExhaustedError,
 )
@@ -1125,11 +1124,3 @@ def _screen_rows(domain, rows, need):
             if len(keep) == need:
                 break
     return keep, counts
-
-
-def require_guards(domain, pt):
-    """Raise GuardViolationError if ``pt`` fails any guard of ``domain``."""
-    for g in domain.guards:
-        if not g.accepts(pt):
-            label = g.label or "guard"
-            raise GuardViolationError(f"point {pt.coords} violates {label}")

@@ -321,16 +321,6 @@ def _alpha_at(p, ell):
     return math.atan2(1.0 / math.cosh(p / ell), math.tanh(p / ell))
 
 
-def p_of_alpha(alpha, ell):
-    if not 0.0 < alpha < math.pi:
-        raise ConfigError("alpha must lie in (0, pi)")
-    return ell * math.atanh(math.cos(alpha))
-
-
-def dalpha_dp(p, ell):
-    return -1.0 / (ell * math.cosh(p / ell))
-
-
 def matched_alpha_point(pt, ell):
     """Angle-chart point (or batch) matching a p-chart one (base coordinates
     kept)."""

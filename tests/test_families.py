@@ -37,6 +37,7 @@ from ewbench.families import (
 from ewbench.jets import ChartPoint, sample
 
 from conftest import XYT, PYT, pt
+from oracle import max_abs_at
 
 
 def catalog():
@@ -62,8 +63,8 @@ def catalog():
 
 def assert_structures_close(a, b, q, tol):
     for la, lb in zip(a.frame.legs, b.frame.legs):
-        assert (la - lb).max_abs_at(q) <= tol
-    assert (a.omega - b.omega).max_abs_at(q) <= tol
+        assert max_abs_at(la - lb, q) <= tol
+    assert max_abs_at(a.omega - b.omega, q) <= tol
     assert abs(a.V(q, 0).value - b.V(q, 0).value) <= tol
 
 
@@ -193,7 +194,7 @@ class TestClosedForms:
             np.testing.assert_allclose(
                 h.matrix_at(q), h_closed.matrix_at(q), atol=1e-9
             )
-            assert (s.omega - om_closed).max_abs_at(q) <= 1e-9
+            assert max_abs_at(s.omega - om_closed, q) <= 1e-9
 
 
 class TestClassBHeisenbergEquivalence:

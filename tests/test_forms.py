@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from ewbench import (
     Coframe3,
-    MetricField,
     PForm,
     ext_d,
     heisenberg,
-    hodge3,
     metric_from_coframe,
     parse_field,
     point,
@@ -24,7 +22,6 @@ from ewbench.forms import (
     coordinate_form,
     embed_form,
     embed_metric,
-    frame_expand,
     scalar_form,
     star_frame,
     symmetric_product,
@@ -33,6 +30,7 @@ from ewbench.forms import (
 from ewbench.jets import PointBatch, evaluation_scope
 
 from conftest import XYT, PYT, box_points, pt
+from oracle import frame_expand, from_value_matrix, hodge3, max_abs_at, signature_at
 
 
 def d(chart, name):
@@ -51,12 +49,12 @@ class TestWedge:
         dy = d(XYT, "y")
         w = wedge(dy, dy)
         q = pt(XYT, 0.3, 0.7, -0.2)
-        assert w.max_abs_at(q) == 0.0
+        assert max_abs_at(w, q) == 0.0
 
     @pytest.mark.parametrize("values", [(0.0, np.nan), (np.nan, 0.0)])
     def test_max_abs_at_keeps_nan_in_any_component(self, values):
         w = PForm(XYT, 1, {(0,): values[0], (1,): values[1]})
-        assert np.isnan(w.max_abs_at(pt(XYT, 0.3, 0.7, -0.2)))
+        assert np.isnan(max_abs_at(w, pt(XYT, 0.3, 0.7, -0.2)))
 
     def test_heisenberg_frame_wedge_components(self):
         s = heisenberg(1.0)
@@ -81,7 +79,7 @@ class TestWedge:
             )
             total = wedge(a, b) + wedge(b, a)
             q = pt(XYT, *rng.uniform(-1, 1, size=3))
-            assert total.max_abs_at(q) <= 1e-12
+            assert max_abs_at(total, q) <= 1e-12
 
     def test_two_form_commutes_with_one_form(self):
         chart = ("a", "b", "c", "e")
@@ -91,7 +89,7 @@ class TestWedge:
         lhs = wedge(two, one)
         rhs = wedge(one, two)
         diff = lhs - rhs
-        assert diff.max_abs_at(q) <= 1e-15
+        assert max_abs_at(diff, q) <= 1e-15
 
     def test_associativity_on_fields(self, rng):
         fx = parse_field("sin(x)+t", XYT)
@@ -103,7 +101,7 @@ class TestWedge:
         rhs = wedge(a, wedge(b, c))
         for _ in range(5):
             q = pt(XYT, *rng.uniform(-1, 1, size=3))
-            assert (lhs - rhs).max_abs_at(q) <= 1e-12
+            assert max_abs_at(lhs - rhs, q) <= 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -120,7 +118,7 @@ class TestWedge:
             zero_form(XYT, 1),
         )
         q = pt(XYT, 0.4, -0.8, 1.1)
-        assert (wedge(a, b) + wedge(b, a)).max_abs_at(q) <= 1e-9
+        assert max_abs_at(wedge(a, b) + wedge(b, a), q) <= 1e-9
 
 
 # --- exterior derivative ----------------------------------------------------
@@ -134,7 +132,7 @@ class TestExtD:
         f = scalar_form(XYT, parse_field(src, XYT))
         dd = ext_d(ext_d(f))
         for q in box_points(XYT, -1.0, 1.0, 25, 5):
-            assert dd.max_abs_at(q) <= 1e-9
+            assert max_abs_at(dd, q) <= 1e-9
 
     def test_dd_zero_on_one_forms(self, rng):
         a = d(XYT, "x").scale(parse_field("x*y", XYT)) + d(XYT, "t").scale(
@@ -142,7 +140,7 @@ class TestExtD:
         )
         dd = ext_d(ext_d(a))
         for q in box_points(XYT, -1.0, 1.0, 25, 6):
-            assert dd.max_abs_at(q) <= 1e-9
+            assert max_abs_at(dd, q) <= 1e-9
 
     def test_heisenberg_omega_derivative(self):
         s = heisenberg(1.0)
@@ -227,14 +225,14 @@ class TestHodge3:
             want = star_frame(s.frame, i)
             for _ in range(4):
                 q = pt(XYT, *rng.uniform(-1, 1, size=3))
-                assert (starred - want).max_abs_at(q) <= 1e-12
+                assert max_abs_at(starred - want, q) <= 1e-12
 
     def test_linearity_constant_coefficients(self):
         s = heisenberg(1.0)
         a = s.frame.e1.scale(2.0) + s.frame.e3.scale(3.0)
         want = star_frame(s.frame, 1).scale(2.0) + star_frame(s.frame, 3).scale(3.0)
         q = pt(XYT, 0.5, -0.5, 0.2)
-        assert (hodge3(a, s.frame) - want).max_abs_at(q) <= 1e-12
+        assert max_abs_at(hodge3(a, s.frame) - want, q) <= 1e-12
 
     def test_linearity_field_coefficients(self, rng):
         s = heisenberg(1.0)
@@ -243,7 +241,7 @@ class TestHodge3:
         want = star_frame(s.frame, 2).scale(f)
         for _ in range(5):
             q = pt(XYT, *rng.uniform(-1, 1, size=3))
-            assert (hodge3(a, s.frame) - want).max_abs_at(q) <= 1e-12
+            assert max_abs_at(hodge3(a, s.frame) - want, q) <= 1e-12
 
     def test_degree_restriction(self):
         s = heisenberg(1.0)
@@ -330,7 +328,7 @@ class TestMetricFromCoframe:
         s = heisenberg(2.0)
         h = metric_from_coframe(s.frame)
         for q in box_points(XYT, -1.0, 1.0, 20, 4):
-            assert h.signature_at(q) == (2, 1)
+            assert signature_at(h, q) == (2, 1)
 
 
 class TestSharedCoframeForms:
@@ -367,14 +365,14 @@ class TestMetricField:
     def test_asymmetric_values_rejected(self):
         bad = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(ValueError):
-            MetricField.from_value_matrix(("a", "b"), bad)
+            from_value_matrix(("a", "b"), bad)
 
     def test_constant_metric_roundtrip(self):
         m = np.array([[2.0, 0.0], [0.0, -1.0]])
-        g = MetricField.from_value_matrix(("a", "b"), m)
+        g = from_value_matrix(("a", "b"), m)
         q = pt(("a", "b"), 0.0, 0.0)
         np.testing.assert_allclose(g.matrix_at(q), m)
-        assert g.signature_at(q) == (1, 1)
+        assert signature_at(g, q) == (1, 1)
 
     def test_inverse(self):
         s = heisenberg(1.0)
@@ -476,4 +474,4 @@ class TestPullback:
         a = wedge(d(XYT, "x"), d(XYT, "y")) + wedge(d(XYT, "y"), d(XYT, "t")).scale(3.0)
         want = wedge(d(big, "x"), d(big, "y")) + wedge(d(big, "y"), d(big, "t")).scale(3.0)
         q = pt(big, 0.3, -0.4, 0.8, 1.1)
-        assert (embed_form(a, big) - want).max_abs_at(q) == 0.0
+        assert max_abs_at(embed_form(a, big) - want, q) == 0.0

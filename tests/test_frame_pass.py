@@ -17,7 +17,7 @@ from ewbench import cli as cli_mod
 from ewbench import expr as ex
 from ewbench import families as fam
 from ewbench import jets
-from ewbench.cli import EXIT_PASS, main
+from ewbench.cli import EXIT_FAIL, EXIT_PASS, main
 from ewbench.errors import EwbenchError, SingularFrameError
 from ewbench.ew import (
     PAIRS,
@@ -26,13 +26,13 @@ from ewbench.ew import (
     gt_residual,
     monopole_residual,
     psi_residual,
-    weighted_d,
 )
-from ewbench.forms import ext_d, hodge3, scalar_form, star_frame, wedge
+from ewbench.forms import ext_d, scalar_form, star_frame, wedge
 from ewbench.jets import Field, PointBatch, evaluation_scope, sample
 from ewbench.lift import LiftConfig, fix_ell_sign, validate_config
 from ewbench.report import run_check
 
+from oracle import hodge3, weighted_d
 
 
 def _bench_jobs():
@@ -243,26 +243,21 @@ def test_each_component_is_computed_once_per_job(capsys, monkeypatch, case):
     assert calls and {f: orders for f, orders in calls.items() if len(orders) != 1} == {}
 
 
-def _recount(monkeypatch):
-    """A list that gains one entry each time a field built from now on is
-    evaluated again in one scope, at the same points, at a higher order
-    than before."""
-    seen, again, scopes = {}, [], []
-    init = Field.__init__
+def _count_reevaluations(monkeypatch):
+    """A list that gains one entry each time a field is called at a higher
+    order than the jet its scope holds for the same points, so that its
+    function runs again."""
+    again = []
+    call = Field.__call__
 
-    def counted_init(self, fn, slope=None):
-        def counted(pt, order=0):
-            memo = jets._SCOPE.get()
-            scopes.append(memo)  # kept alive, so no later scope reuses its id
-            key = (id(memo), self, pt)
-            if key in seen and seen[key] < order:
-                again.append(order)
-            seen[key] = max(order, seen.get(key, order))
-            return fn(pt, order)
+    def counted(self, pt, order=0):
+        memo = jets._SCOPE.get()
+        held = None if memo is None else memo.get((self, pt))
+        if held is not None and held[0] < order:
+            again.append(order)
+        return call(self, pt, order)
 
-        init(self, counted, slope)
-
-    monkeypatch.setattr(Field, "__init__", counted_init)
+    monkeypatch.setattr(Field, "__call__", counted)
     return again
 
 
@@ -272,9 +267,18 @@ def _quiet(argv):
 
 
 def test_a_verify_3d_cycle_evaluates_no_field_again(monkeypatch):
-    again = _recount(monkeypatch)
+    again = _count_reevaluations(monkeypatch)
     jobs = BENCH_JOBS.make_jobs("verify-3d", 1, 1)
     assert [_quiet(job.argv) for job in jobs] == [job.expect_rc for job in jobs]
+    assert again == []
+
+
+def test_a_psi_with_components_evaluates_no_omega_again(monkeypatch):
+    """psi = c omega packs its psi through 1 after gt read omega at 0: its
+    row declares omega at 1, so the job packs omega there first."""
+    again = _count_reevaluations(monkeypatch)
+    argv = "verify --case class-a --checks gt,psi --c 0.5 --points 5"
+    assert _quiet(argv.split()) == EXIT_FAIL  # c omega fails psi on the class-a default
     assert again == []
 
 
@@ -288,12 +292,16 @@ def test_a_verify_3d_cycle_evaluates_no_field_again(monkeypatch):
     ],
 )
 def test_limit_and_lift_jobs_evaluate_no_field_again(monkeypatch, argv):
-    again = _recount(monkeypatch)
+    again = _count_reevaluations(monkeypatch)
     assert _quiet(shlex.split(argv)) == EXIT_PASS
     assert again == []
 
 
 # --- the frame arrays a check declares ---------------------------------------
+
+
+# the frame-pass arrays a check may declare
+FRAME_ARRAYS = ("frame", "omega", "V")
 
 
 def _record_frame_packs(monkeypatch):
@@ -321,14 +329,29 @@ def _record_frame_packs(monkeypatch):
     return packs
 
 
+def _packs_what_it_declares(capsys, monkeypatch, command, name, c):
+    """--c is given wherever it is read: under lift, and under verify with
+    psi, whose psi = c omega reads omega at 1 when c != 0."""
+    packs = _record_frame_packs(monkeypatch)
+    check = cli_mod.CHECKS[name]
+    given = ["--c", c] if command == "lift" or "c" in check.flags else []
+    code = main([command, "--case", "heisenberg", "--checks", name, "--points", "4"] + given)
+    capsys.readouterr()
+    assert code == EXIT_PASS
+    declared = check.reads_under({"c": float(c)})
+    assert sorted(packs) == sorted((a, o) for a, o in declared.items() if a in FRAME_ARRAYS)
+
+
 @pytest.mark.parametrize("command", ["verify", "lift"])
 @pytest.mark.parametrize("name", cli_mod.OFFERED_CHECKS["verify"])
 def test_a_single_check_packs_the_frame_arrays_it_declares(capsys, monkeypatch, command, name):
-    packs = _record_frame_packs(monkeypatch)
-    code = main([command, "--case", "heisenberg", "--checks", name, "--points", "4"])
-    capsys.readouterr()
-    assert code == EXIT_PASS
-    assert sorted(packs) == sorted(cli_mod.FRAME_READS.get(name, {}).items())
+    _packs_what_it_declares(capsys, monkeypatch, command, name, "0")
+
+
+@pytest.mark.parametrize("command", ["verify", "lift"])
+@pytest.mark.parametrize("name", cli_mod.OFFERED_CHECKS["verify"])
+def test_at_a_nonzero_c_a_single_check_packs_what_it_declares(capsys, monkeypatch, command, name):
+    _packs_what_it_declares(capsys, monkeypatch, command, name, "0.5")
 
 
 def test_one_job_packs_each_frame_array_once_at_its_highest_order(capsys, monkeypatch):

@@ -26,9 +26,10 @@ from ewbench.errors import (
 from ewbench.expr import to_field
 from ewbench.families import heisenberg
 from ewbench.forms import PForm, symmetric_product
-from ewbench.jets import ChartPoint, PointBatch, evaluation_scope, require_guards
+from ewbench.jets import ChartPoint, PointBatch, evaluation_scope
 
 from conftest import COORDS, EXPRS, XYT, PYT, box_points, pt
+from oracle import require_guards
 
 
 class TestJetArithmetic:

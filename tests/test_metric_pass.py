@@ -209,7 +209,7 @@ def einsum_maxwell(A, g, q):
     vol = np.sqrt(np.abs(np.linalg.det(g0)))
     ginv = np.linalg.inv(g0)
     dginv = einsum_inverse_partial(ginv, dg)
-    fm, dfm = curv._field_strength(A, q, 1)
+    fm, dfm = curv.field_strength(A, q, 1)
     f_up = np.einsum("...ea,...ab,...db->...ed", ginv, fm, ginv)
     df_up = (
         np.einsum("...cea,...ab,...db->...ced", dginv, fm, ginv)
@@ -226,7 +226,7 @@ def einsum_em(g, A, ell, q):
     """em_residual with its stress and |F|^2 each one multi-operand einsum."""
     g0 = g.matrix_at(q)
     ginv = np.linalg.inv(g0)
-    fm = curv._field_strength(A, q, 0)[0]
+    fm = curv.field_strength(A, q, 0)[0]
     stress = np.einsum("...ac,...bd,...dc->...ab", fm, fm, ginv)
     fsq = einsum_f_contract(fm, ginv)
     ric = curv.ricci(g, q)
@@ -255,7 +255,7 @@ class TestContractions:
         A = non_solution(data)
         g0, dg = data.g.jets_at(q, 1)
         ginv = np.linalg.inv(g0)
-        fm = curv._field_strength(A, q, 0)[0]
+        fm = curv.field_strength(A, q, 0)[0]
         assert_close(curv._inverse_partial(ginv, dg), einsum_inverse_partial(ginv, dg))
         assert_close(curv._f_contract(fm, ginv), einsum_f_contract(fm, ginv))
         assert_close(f_squared(A, data.g, q), einsum_f_contract(fm, ginv))

@@ -53,16 +53,18 @@ def _outcome(name, fn, points, tol):
 
 
 def _base_checks():
-    """(case, name, fn, points) of every BASE_CHECKS row that builds on each
-    catalog case at its defaults, psi at c = 0 and c = 0.5."""
+    """(case, name, fn, points) of every base row of ``cli.CHECKS`` that
+    builds on each catalog case at its defaults, psi at c = 0 and c = 0.5."""
     rows = []
     for case in sorted(fam.CASES):
         s, dom = fam.build(case, {}, count=6)
         pts = sample(dom)
-        for name, (_, _, build) in cli_mod.BASE_CHECKS.items():
+        for name, check in cli_mod.CHECKS.items():
+            if check.on != "base":
+                continue
             for c in (0.0, 0.5) if name == "psi" else (0.0,):
                 try:
-                    fn = build(s, {"c": c})
+                    fn = check.build(s, {"c": c})
                 except EwbenchError:
                     continue  # hypercr on a chart without x
                 rows.append((case, f"{name} c={c}", fn, pts))
@@ -70,8 +72,8 @@ def _base_checks():
 
 
 def _lift_checks():
-    """(case, name, fn, points) of every LIFT_CHECKS row on the two lift
-    cases at their defaults, on both fibre charts."""
+    """(case, name, fn, points) of every lift row of ``cli.CHECKS`` on the
+    two lift cases at their defaults, on both fibre charts."""
     rows = []
     for case in ("heisenberg", "class_b"):
         for chart in ("p", "alpha"):
@@ -80,8 +82,10 @@ def _lift_checks():
             ell, _ = fix_ell_sign(base, None, base_pts[0])
             lcfg = LiftConfig(base, fam.psi_const(base, 0.5), ell, chart=chart, probes=base_pts[:8])
             data = lift_mod.build(lcfg)
-            for name, (_, build) in cli_mod.LIFT_CHECKS.items():
-                on, fn = build(lcfg, data)
+            for name, check in cli_mod.CHECKS.items():
+                if check.on != "lift":
+                    continue
+                on, fn = check.build(lcfg, data)
                 rows.append((f"{case} {chart}", name, fn, fibre_points(on, 7, base_pts)))
     return rows
 
@@ -263,7 +267,7 @@ def test_a_singular_coframe_raises_the_frame_error(probes):
     with pytest.raises(SingularFrameError) as exc:
         validate_config(LiftConfig(base, fam.psi_const(base, 0.0), ell, probes=pts))
     assert str(exc.value) == message
-    fn = cli_mod.BASE_CHECKS["psi"][2](base, {"c": -0.0})
+    fn = cli_mod.CHECKS["psi"].build(base, {"c": -0.0})
     assert _outcome("psi", fn, pts, 1e-7) == (SingularFrameError, message)
 
 

@@ -185,10 +185,9 @@ def test_each_array_is_packed_once_per_batch(capsys, monkeypatch, argv):
 
 
 def _declared(name):
-    """The packed arrays a check reads, by its row of the check tables."""
-    if name in cli_mod.LIFT_CHECKS:
-        return cli_mod.LIFT_CHECKS[name][0]
-    return cli_mod.BASE_CHECKS[name][1]
+    """The metric and F arrays a check reads, by its row of ``cli.CHECKS``:
+    the arrays the metric and F packers record."""
+    return {a: o for a, o in cli_mod.CHECKS[name].reads.items() if a in ("h", "g", "F")}
 
 
 @pytest.mark.parametrize(

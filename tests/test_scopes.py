@@ -18,11 +18,11 @@ from ewbench.cli import EXIT_CONFIG, EXIT_PASS, main
 from ewbench.errors import EwbenchError, JetOrderError
 from ewbench.expr import to_field
 from ewbench.families import CASES, build, default_domain, heisenberg
-from ewbench.forms import hodge3
 from ewbench.jets import Field, Jet, PointBatch, evaluation_scope, sample, shared_scope
 from ewbench.report import run_check
 
 from conftest import COORDS, EXPRS
+from oracle import hodge3
 
 
 def _count_calls(metric, calls):
