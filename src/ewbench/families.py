@@ -1,17 +1,18 @@
 """The catalog of certified Einstein-Weyl structures.
 
-Six cases, listed with their expression parameters and defaults in
-``CASES``: the nilpotent (Heisenberg) example and the structures of a
+Six cases: the nilpotent (Heisenberg) example and the structures of a
 scalar solution H on (x, y, t); Classes A, B, C on a chart (p, y, t)
 where p is the Legendre dual of x; and the structures of a Legendre
-generator G(p, y, t) = A(p, t) + p B(y, t).  ``build`` makes a case's
-structure and its pinned sampling domain (``default_domain``) from one
-parse of each parameter.  The p-chart structures can be produced two
-independent ways: directly from the closed-form coframe components
-(class_a / class_b / class_c), or by running the generic Legendre-generator
-route (from_generator) on the raw data.  Agreement of the two routes is one
-of the main consistency checks of the suite; neither is an oracle for the
-other in code, they only share the chart.
+generator G(p, y, t) = A(p, t) + p B(y, t).  Each case is one ``CASES``
+row: its expression parameters with their defaults, its constructor, its
+sampling chart, box and guard (``default_domain``), and the route to its
+Legendre generator (``generator_for``).  ``build`` makes a case's structure
+and domain from one parse of each parameter.  The p-chart structures can
+be produced two independent ways: directly from the closed-form coframe
+components (class_a / class_b / class_c), or by running the generic
+Legendre-generator route (from_generator) on the raw data.  Agreement of
+the two routes is one of the main consistency checks of the suite; neither
+is an oracle for the other in code, they only share the chart.
 
 Closed-form constructors differentiate their parameter expressions once at
 most, so curvature of the induced metric stays inside the order-3 jet cap.
@@ -407,33 +408,24 @@ _CLASS_B_AS = {
 }
 
 
+def _preset(table, key, what, hint=""):
+    """``table[key]``, or a ConfigError naming the ``what`` not recorded."""
+    if key not in table:
+        raise ConfigError(f"no recorded {what} = {key!r}{hint}")
+    return table[key]
+
+
 def k_from_phi(phi_source):
     """K expression for a Class C member given Phi (A_p = Phi(tp^2))."""
-    try:
-        return CLASS_C_PHIS[phi_source]["K"]
-    except KeyError:
-        raise ConfigError(
-            f"no recorded K for Phi = {phi_source!r}; supply K directly"
-        ) from None
+    return _preset(CLASS_C_PHIS, phi_source, "K for Phi", "; supply K directly")["K"]
 
 
 def generator_for(case, param):
-    """GeneratorG matching a closed-form class member, for cross-checks."""
-    if case == "class_a":
-        beta_ast = _ast(param, ["y", "t"])
-        b_ast = ex.Neg(ex.Call("ln", beta_ast))
-        return GeneratorG("p*ln(p)-p", b_ast)
-    if case == "class_b":
-        if param not in _CLASS_B_AS:
-            raise ConfigError(
-                f"no recorded antiderivative for F = {param!r}"
-            )
-        return GeneratorG(_CLASS_B_AS[param], "0")
-    if case == "class_c":
-        if param not in CLASS_C_PHIS:
-            raise ConfigError(f"no recorded generator for Phi = {param!r}")
-        return GeneratorG(CLASS_C_PHIS[param]["A"], "-y^2/(4*t)")
-    raise ConfigError(f"no generator route for case {case!r}")
+    """GeneratorG matching a closed-form class member: its ``CASES`` row's route."""
+    row = CASES.get(case)
+    if row is None or row.generator is None:
+        raise ConfigError(f"no generator route for case {case!r}")
+    return row.generator(param)
 
 
 # ---------------------------------------------------------------------------
@@ -454,46 +446,22 @@ def fundamental_H(pt, order=3):
 
 
 def default_domain(case, *, seed=7, count=200, **params):
-    """The pinned sampling box and guards for each catalog case.
+    """The pinned sampling box and guard of a catalog case, from its row.
 
     ``params`` holds the case's expression parameters (``CASES``), as text
     or parsed; a guard that reads one it is not given raises ConfigError.
-    Guards keep clear of the singular sets: p > 0 where dp/p appears,
-    beta > 0 under the logarithm, F, K and A_pp away from zero where
-    inverted, and the light cone for the fundamental solution.
     """
+    row = CASES.get(case)
+    if row is None:
+        raise ConfigError(f"unknown case {case!r}")
 
     def param(name):
         if params.get(name) is None:
             raise ConfigError(f"{case} domain needs {name}")
-        return _ast(params[name], CASES[case].exprs[name][1])
+        return _ast(params[name], row.exprs[name][1])
 
-    if case == "heisenberg":
-        return SampleDomain(XYT, ((-1.0, 1.0),) * 3, (), seed, count)
-    if case == "from_H":
-        guard = Guard(ex.parse_field("y^2-4*x*t", XYT), 0.25, "y^2-4xt > 0.25")
-        box = ((-1.0, 1.0), (2.0, 3.0), (-1.0, 1.0))
-        return SampleDomain(XYT, box, (guard,), seed, count)
-    if case == "class_a":
-        guard = Guard(ex.to_field(param("beta")), 0.1, "beta > 0.1")
-        box = ((0.5, 2.0), (2.0, 3.0), (0.2, 0.9))
-        return SampleDomain(PYT, box, (guard,), seed, count)
-    if case == "class_b":
-        f = ex.to_field(param("F"))
-        guard = Guard(f * f, 1e-4, "F^2 > 1e-4")
-        box = ((0.5, 2.0), (-1.0, 1.0), (-1.0, 1.0))
-        return SampleDomain(PYT, box, (guard,), seed, count)
-    if case == "class_c":
-        k = _k_field(param("K"))
-        guard = Guard(k * k, 1e-6, "K^2 > 1e-6")
-        box = ((0.5, 2.0), (-1.0, 1.0), (0.5, 2.0))
-        return SampleDomain(PYT, box, (guard,), seed, count)
-    if case == "from_G":
-        a_pp = ex.to_field(param("A")).d("p").d("p")
-        guard = Guard(a_pp * a_pp, 1e-6, "G_pp^2 > 1e-6")
-        box = ((0.5, 2.0), (-1.0, 1.0), (0.3, 1.5))
-        return SampleDomain(PYT, box, (guard,), seed, count)
-    raise ConfigError(f"unknown case {case!r}")
+    guards = () if row.guard is None else (row.guard(param),)
+    return SampleDomain(row.chart, row.box, guards, seed, count)
 
 
 # ---------------------------------------------------------------------------
@@ -501,23 +469,56 @@ def default_domain(case, *, seed=7, count=200, **params):
 # ---------------------------------------------------------------------------
 
 
+def _nonzero(field, floor, label):
+    """The guard field^2 > floor, keeping clear of a zero of ``field``."""
+    return Guard(field * field, floor, label)
+
+
 class Case(NamedTuple):
     exprs: dict  # expression parameter -> (default text, its variables), in flag order
     make: Callable  # (ell, **parsed parameters) -> structure
+    chart: tuple  # the sampling chart
+    box: tuple  # the sampling box, a (low, high) per chart coordinate
+    guard: Callable = None  # (param lookup of default_domain) -> the domain's Guard
+    generator: Callable = None  # preset text -> the matching GeneratorG
     reads_ell: bool = False  # whether the structure reads the scale ell
 
 
-# a catalog case per name; the constructors are looked up when called, so a
-# wrapped one is used
+# a catalog case per name.  The constructors are looked up when called, so a
+# wrapped one is used.  Guards keep clear of the singular sets: beta > 0
+# under the logarithm, F, K and A_pp away from zero where inverted, and the
+# light cone for the fundamental solution; every p box keeps p > 0 where
+# dp/p appears.
 CASES = {
-    "heisenberg": Case({}, lambda ell: heisenberg(ell), reads_ell=True),
-    "class_a": Case({"beta": (CLASS_A_BETAS[0], ("y", "t"))}, lambda ell, beta: class_a(beta)),
-    "class_b": Case({"F": ("1", ("p",))}, lambda ell, F: class_b(F)),
-    "class_c": Case({"K": ("s", ("s",))}, lambda ell, K: class_c(K)),
-    "from_H": Case({"H": ("1/sqrt(y^2-4*x*t)", XYT)}, lambda ell, H: from_H(ex.to_field(H))),
+    "heisenberg": Case({}, lambda ell: heisenberg(ell), XYT, ((-1.0, 1.0),) * 3, reads_ell=True),
+    "class_a": Case(
+        {"beta": (CLASS_A_BETAS[0], ("y", "t"))}, lambda ell, beta: class_a(beta),
+        PYT, ((0.5, 2.0), (2.0, 3.0), (0.2, 0.9)),
+        lambda param: Guard(ex.to_field(param("beta")), 0.1, "beta > 0.1"),
+        lambda beta: GeneratorG("p*ln(p)-p", ex.Neg(ex.Call("ln", _ast(beta, ["y", "t"])))),
+    ),
+    "class_b": Case(
+        {"F": ("1", ("p",))}, lambda ell, F: class_b(F),
+        PYT, ((0.5, 2.0), (-1.0, 1.0), (-1.0, 1.0)),
+        lambda param: _nonzero(ex.to_field(param("F")), 1e-4, "F^2 > 1e-4"),
+        lambda F: GeneratorG(_preset(_CLASS_B_AS, F, "antiderivative for F"), "0"),
+    ),
+    "class_c": Case(
+        {"K": ("s", ("s",))}, lambda ell, K: class_c(K),
+        PYT, ((0.5, 2.0), (-1.0, 1.0), (0.5, 2.0)),
+        lambda param: _nonzero(_k_field(param("K")), 1e-6, "K^2 > 1e-6"),
+        lambda phi: GeneratorG(_preset(CLASS_C_PHIS, phi, "generator for Phi")["A"], "-y^2/(4*t)"),
+    ),
+    "from_H": Case(
+        {"H": ("1/sqrt(y^2-4*x*t)", XYT)}, lambda ell, H: from_H(ex.to_field(H)),
+        XYT, ((-1.0, 1.0), (2.0, 3.0), (-1.0, 1.0)),
+        lambda param: Guard(ex.parse_field("y^2-4*x*t", XYT), 0.25, "y^2-4xt > 0.25"),
+    ),
     "from_G": Case(
         {"A": ("p*ln(p)-p", ("p", "t")), "B": ("0", ("y", "t"))},
         lambda ell, A, B: from_generator(GeneratorG(A, B)),
+        PYT, ((0.5, 2.0), (-1.0, 1.0), (0.3, 1.5)),
+        lambda param: _nonzero(ex.to_field(param("A")).d("p").d("p"), 1e-6, "G_pp^2 > 1e-6"),
     ),
 }
 

@@ -307,11 +307,6 @@ class MetricField:
     def dim(self):
         return len(self.chart)
 
-    def comp(self, a, b):
-        if a > b:
-            a, b = b, a
-        return self.comps.get((a, b), ZERO_FIELD)
-
     def scale(self, factor):
         factor = _as_field(factor)
         return MetricField._built(self.chart, {k: factor * f for k, f in self.comps.items()})

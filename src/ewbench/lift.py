@@ -242,13 +242,13 @@ def build_p(cfg):
     chart4 = p_chart(cfg.base.chart)
     name = chart4[0]
     ell = cfg.ell
-    pc = Field.coordinate(name)
-    th = jets.tanh(pc / ell)
-    sech = 1.0 / jets.cosh(pc / ell)
+    pc = Field.coordinate(name) / ell
+    th = jets.tanh(pc)
+    ch = jets.cosh(pc)
+    sech = 1.0 / ch
     dp = coordinate_form(chart4, name)
     om, ps, h4 = _embedded(cfg, chart4)
     leg = dp + om.scale(th * (ell / 2.0)) - ps.scale(sech * _SQRT2)
-    ch = jets.cosh(pc / ell)
     g = symmetric_product(leg, leg) + h4.scale(ch * ch)
     pot = ps.scale(sech * th * _SQRT2) - om.scale(
         (1.0 - sech * sech * 2.0) * (ell / 4.0)

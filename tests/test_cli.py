@@ -735,6 +735,28 @@ class TestErrorExits:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        (
+            (("verify", "--case", "heisenberg", "--points", "0"), "points must be at least 1"),
+            (("lift", "--case", "heisenberg", "--points", "0"), "points must be at least 1"),
+            (("verify", "--checks", "gt"), "--case is required"),
+            (("lift",), "--case is required"),
+            (("eval", "--expr", "x", "--at", "x=abc"), "bad coordinate value 'abc'"),
+            (("eval", "--expr", "x$y", "--at", "x=1,y=2"), "unexpected character '$' at offset 1"),
+            (("eval", "--expr", "x)", "--at", "x=1"), "unexpected ')' at offset 1"),
+            (("eval", "--expr", "foo(x)", "--at", "x=1"), "unknown identifier 'foo' at offset 0"),
+        ),
+        ids=("verify-points-0", "lift-points-0", "verify-no-case", "lift-no-case",
+             "eval-bad-value", "eval-bad-character", "eval-unmatched-paren", "eval-unknown-name"),
+    )
+    def test_an_input_error_is_one_line(self, capsys, argv, message):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("argv", [
         ("verify", "--case", "class-a", "--checks", "gt,hypercr"),
         ("lift", "--case", "class-b", "--checks", "em,hypercr"),
@@ -808,6 +830,23 @@ class TestConfigFile:
         code, rep = run_json(capsys, "verify", "--case", "class-a", "--config", str(path))
         assert code == EXIT_PASS
         assert (rep["config"]["ell"], rep["config"]["c"], rep["config"]["F"]) == (5, 0.25, "1")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        (
+            ("not json{", "config file is not JSON: Expecting value: line 1 column 1 (char 0)"),
+            ("[1, 2]", "config file must hold a JSON object"),
+        ),
+        ids=("not-json", "list"),
+    )
+    def test_a_file_that_is_not_a_json_object_is_one_error_line(self, capsys, tmp_path, text, message):
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        code = main(["verify", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_missing_file(self, capsys, tmp_path):
         code, _ = run_cli(

@@ -9,7 +9,6 @@ from ewbench import (
     christoffel,
     curvature_report,
     em_residual,
-    ext_d,
     f_squared,
     from_H,
     heisenberg,

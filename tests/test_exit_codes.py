@@ -1,0 +1,71 @@
+"""The exit-code contract on extreme scales: every catalog case under verify
+with psi, lift on each fibre chart, and limit, with --ell, --c or --ells set
+to a number at the edge of the float range.
+
+Each argv exits 0, 1, 2 or 3 and raises no warning.  An exit of 2 or 3
+prints exactly one ``error:`` line on stderr and nothing on stdout; an exit
+of 0 or 1 prints a strict JSON report (no NaN or Infinity) whose verdict
+matches the exit code, and nothing on stderr.
+"""
+import contextlib
+import io
+import json
+import warnings
+
+import pytest
+
+from ewbench.cli import CHARTS, EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, EXIT_SAMPLING, main
+from ewbench.families import CASES
+
+VALUES = (
+    "0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1e150", "1e154", "1e200",
+    "1e300", "-1e300", "1e308", "-1e308",
+)
+
+
+def _argvs():
+    """(argv prefix, flag, how a value becomes the flag's argument)."""
+    for case in sorted(CASES):
+        c = case.replace("_", "-")
+        verify = ("verify", "--case", c, "--checks", "gt,psi", "--points", "3")
+        lifts = [("lift", "--case", c, "--chart", chart, "--points", "3") for chart in CHARTS]
+        for base in [verify] + lifts:
+            yield base, "--ell", str
+            yield base, "--c", str
+        yield ("limit", "--case", c), "--ells", lambda v: f"100,{v}"
+        yield ("limit", "--case", c), "--c", str
+
+
+GRID = list(_argvs())
+
+
+def _strict(constant):
+    raise ValueError(f"non-finite JSON constant {constant}")
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize(
+    "base, flag, arg", GRID, ids=[" ".join(base + (flag,)) for base, flag, _ in GRID]
+)
+def test_an_extreme_scale_keeps_the_exit_code_contract(base, flag, arg):
+    for value in VALUES:
+        argv = list(base) + [flag, arg(value)]
+        code, out, err, caught = _run(argv)
+        assert code in (EXIT_PASS, EXIT_FAIL, EXIT_CONFIG, EXIT_SAMPLING), (argv, code, err)
+        assert caught == [], (argv, caught)
+        assert "Warning" not in err, (argv, err)
+        if code in (EXIT_CONFIG, EXIT_SAMPLING):
+            assert out == "", argv
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+        else:
+            assert err == "", (argv, err)
+            report = json.loads(out, parse_constant=_strict)
+            assert report["verdict"] == ("pass" if code == EXIT_PASS else "fail"), argv

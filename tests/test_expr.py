@@ -1,11 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ewbench import ChartPoint, parse, to_source
+from ewbench import parse, to_source
 from ewbench.errors import (
     DomainError,
     EwbenchError,

@@ -21,6 +21,7 @@ from ewbench.errors import (
     HeatResidualError,
 )
 from ewbench.families import (
+    CASES,
     CLASS_A_BETAS,
     CLASS_B_FS,
     CLASS_C_PHIS,
@@ -343,3 +344,59 @@ class TestFundamentalH:
 def test_default_domain_unknown_case():
     with pytest.raises(ConfigError):
         default_domain("torus")
+
+
+# --- the case rows -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "case, chart, box, guard, probe, value",
+    (
+        ("heisenberg", XYT, ((-1.0, 1.0),) * 3, None, None, None),
+        ("class_a", PYT, ((0.5, 2.0), (2.0, 3.0), (0.2, 0.9)), ("beta > 0.1", 0.1),
+         (1.0, 2.5, 0.5), 5.25),
+        ("class_b", PYT, ((0.5, 2.0), (-1.0, 1.0), (-1.0, 1.0)), ("F^2 > 1e-4", 1e-4),
+         (1.2, 0.3, 0.4), 1.0),
+        ("class_c", PYT, ((0.5, 2.0), (-1.0, 1.0), (0.5, 2.0)), ("K^2 > 1e-6", 1e-6),
+         (1.2, 0.3, 0.4), 0.576**2),
+        ("from_H", XYT, ((-1.0, 1.0), (2.0, 3.0), (-1.0, 1.0)), ("y^2-4xt > 0.25", 0.25),
+         (0.1, 2.5, 0.5), 6.05),
+        ("from_G", PYT, ((0.5, 2.0), (-1.0, 1.0), (0.3, 1.5)), ("G_pp^2 > 1e-6", 1e-6),
+         (1.2, 0.3, 0.4), 1.0 / 1.44),
+    ),
+)
+def test_a_case_row_pins_its_chart_box_and_guard(case, chart, box, guard, probe, value):
+    defaults = {name: default for name, (default, _) in CASES[case].exprs.items()}
+    dom = default_domain(case, seed=5, count=3, **defaults)
+    assert (dom.chart, dom.box, dom.seed, dom.count) == (chart, box, 5, 3)
+    assert [(g.label, g.threshold) for g in dom.guards] == ([] if guard is None else [guard])
+    if guard is not None:
+        assert dom.guards[0].predicate(pt(chart, *probe), 0).value == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "case, param, message",
+    (
+        ("class_b", "2", "no recorded antiderivative for F = '2'"),
+        ("class_c", "s^2", "no recorded generator for Phi = 's^2'"),
+        ("heisenberg", None, "no generator route for case 'heisenberg'"),
+        ("from_G", "p", "no generator route for case 'from_G'"),
+        ("torus", None, "no generator route for case 'torus'"),
+    ),
+)
+def test_a_case_without_a_recorded_generator_names_what_it_lacks(case, param, message):
+    with pytest.raises(ConfigError) as err:
+        generator_for(case, param)
+    assert str(err.value) == message
+
+
+def test_an_unknown_phi_names_its_k():
+    with pytest.raises(ConfigError) as err:
+        k_from_phi("s^2")
+    assert str(err.value) == "no recorded K for Phi = 's^2'; supply K directly"
+
+
+def test_an_unknown_case_has_no_domain():
+    with pytest.raises(ConfigError) as err:
+        default_domain("torus")
+    assert str(err.value) == "unknown case 'torus'"

@@ -12,7 +12,6 @@ from ewbench import (
     heisenberg,
     metric_from_coframe,
     parse_field,
-    point,
     wedge,
 )
 from ewbench.errors import JetOrderError, SingularFrameError

@@ -28,7 +28,7 @@ from ewbench.families import heisenberg
 from ewbench.forms import PForm, symmetric_product
 from ewbench.jets import ChartPoint, PointBatch, evaluation_scope
 
-from conftest import COORDS, EXPRS, XYT, PYT, box_points, pt
+from conftest import COORDS, EXPRS, XYT, PYT, pt
 from oracle import require_guards
 
 
@@ -312,6 +312,50 @@ class TestBatchedSampling:
             "acceptance rate 0/1000448 below 1% after 1000448 draws; "
             "rejected by p>-2: 0, p>0.5: 1000448, guard 2: 0"
         )
+
+
+def batch_shy(field):
+    """``field``, raising DomainError when evaluated on a batch of points."""
+
+    def fn(q, order=0):
+        if isinstance(q, PointBatch):
+            raise DomainError("a batch")
+        return field(q, order)
+
+    return Field(fn)
+
+
+class TestRowByRowRescreen:
+    """A guard that raises on a batch has the batch screened again one row
+    at a time (``jets._screen_rows``)."""
+
+    GUARDS = (
+        Guard(batch_shy(parse_field("x", ("x",))), 0.0, "x > 0"),
+        Guard(parse_field("0.5-x", ("x",)), 0.0, "x < 0.5"),
+    )
+    DRAWS = np.random.default_rng(4).uniform(-1.0, 1.0, size=(512, 1))
+
+    def domain(self, count):
+        return SampleDomain(("x",), ((-1.0, 1.0),), self.GUARDS, 4, count)
+
+    def test_it_stops_at_the_row_that_completes_the_count(self):
+        keep, counts = jets._screen_rows(self.domain(5), self.DRAWS, 5)
+        x = self.DRAWS[:21, 0]
+        assert keep == np.flatnonzero((x > 0) & (x < 0.5)).tolist() == [1, 4, 9, 19, 20]
+        assert counts == [int(np.sum(x <= 0)), int(np.sum(x >= 0.5))] == [7, 9]
+
+    def test_it_counts_every_rejection_of_a_batch_that_falls_short(self):
+        keep, counts = jets._screen_rows(self.domain(200), self.DRAWS, 200)
+        x = self.DRAWS[:, 0]
+        assert keep == np.flatnonzero((x > 0) & (x < 0.5)).tolist()
+        assert counts == [int(np.sum(x <= 0)), int(np.sum(x >= 0.5))]
+        assert len(keep) == 132 and sum(counts) == 512 - 132
+
+    @pytest.mark.parametrize("count", [5, 200])
+    def test_sample_keeps_the_accepted_rows_in_draw_order(self, count):
+        got = [q.coords for q in sample(self.domain(count))]
+        assert got == [q.coords for q in row_by_row_sample(self.domain(count))]
+        assert [c[0] for c in got[:5]] == self.DRAWS[[1, 4, 9, 19, 20], 0].tolist()
 
 
 # --- constants fold ------------------------------------------------------------------

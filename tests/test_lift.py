@@ -22,7 +22,6 @@ from ewbench import (
     metric_from_coframe,
     parse_field,
     psi_const,
-    riemann,
 )
 from ewbench.errors import (
     ConfigError,
