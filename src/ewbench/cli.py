@@ -498,7 +498,9 @@ def cmd_lift(cfg):
 def cmd_limit(cfg):
     parse_checks(cfg)
     tol = cfg["tol"] if cfg["tol"] is not None else 1e-6
-    case = ("heisenberg" if cfg["case"] is None else cfg["case"]).replace("-", "_")
+    if cfg["case"] is None:
+        cfg = dict(cfg, case="heisenberg")  # the family that runs, as the report echoes it
+    case = cfg["case"].replace("-", "_")
     raw = "100,200,1000,10000" if cfg["ells"] is None else cfg["ells"]
     if isinstance(raw, str):
         try:

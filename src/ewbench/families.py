@@ -37,7 +37,7 @@ from .forms import (
     symmetric_product,
     zero_form,
 )
-from .jets import Field, Guard, PointBatch, SampleDomain, anywhere, first_where
+from .jets import Field, Guard, Param, PointBatch, SampleDomain, anywhere, first_where
 from .report import run_check
 
 __all__ = [
@@ -89,11 +89,14 @@ def _ast(source, variables):
 def heisenberg(ell):
     """u = 4/ell x, w = 0; the structure lives on a nilpotent group.
 
-    V comes out as the constant +2/ell.
+    V comes out as the constant +2/ell.  ``ell`` is a number, or a
+    ``jets.Param`` that gives each row of a batch its own ell (there a
+    zero ell raises DomainError when evaluated).
     """
-    ell = float(ell)
-    if ell == 0.0:
-        raise ConfigError("heisenberg requires ell != 0")
+    if not isinstance(ell, Param):
+        ell = float(ell)
+        if ell == 0.0:
+            raise ConfigError("heisenberg requires ell != 0")
     u = Field.coordinate("x") * (4.0 / ell)
     return from_uw(u, Field.const(0.0))
 
@@ -185,8 +188,15 @@ def _heat_probe(beta_ast):
 
 
 def class_b(F):
-    """Class B structure from an arbitrary nonvanishing F(p)."""
-    f = ex.to_field(_ast(F, ["p"]))
+    """Class B structure from an arbitrary nonvanishing F(p): expression
+    text, a parsed expression, a field, or a number or ``jets.Param``,
+    which is the constant field of its value."""
+    if isinstance(F, (int, float, Param)):
+        f = Field.const(F)
+    elif isinstance(F, Field):
+        f = F
+    else:
+        f = ex.to_field(_ast(F, ["p"]))
     p = Field.coordinate("p")
     frame, dp, dy, dt = _p_coframe(a_pp=f, dy_extra=0.0, dt_extra=0.0)
     inv = 1.0 / f

@@ -23,13 +23,17 @@ full Leibniz product: it shifts the value (``+ -``) or scales every part
 (``* /``, dividing by c as scaling by 1/c).  The full product would add
 only exact zeros, so the parts are the same apart from the sign of a zero;
 a jet with a part below the top one that is not finite, where 0 * inf
-spreads NaN, is still multiplied in full.
+spreads NaN, is still multiplied in full.  Over a batch an (N,) array acts
+as one such number per row, the same arithmetic row by row.
 
 A :class:`Field` is a lazily evaluated scalar function of a point or a
 batch of points; requesting a derivative field lowers the maximum order
 that can be evaluated by one, which is how the order cap stays honest.
 Field algebra folds constants, and an affine field knows its constant
-derivatives (see :class:`Field`).  Field evaluations are memoized on
+derivatives (see :class:`Field`).  A point or a batch may carry named
+parameters, one number per row, which :meth:`Field.param` reads: a field
+constant along the chart, whose arithmetic with numbers runs as numbers
+(see :class:`Param`).  Field evaluations are memoized on
 ``(field, point)`` in the open :func:`evaluation_scope`, a context
 variable never shared between threads, so shared subexpressions and the
 checks of one command (``report.run_check``) evaluate each field once; a
@@ -68,6 +72,8 @@ __all__ = [
     "anywhere",
     "first_where",
     "Field",
+    "Param",
+    "row_numbers",
     "evaluation_scope",
     "shared_scope",
     "scoped",
@@ -94,7 +100,8 @@ __all__ = [
 
 class _Coordinates:
     """What field code reads from a point or a batch: ``chart``, ``coords``
-    (one entry per chart coordinate) and ``shape``, the batch shape."""
+    (one entry per chart coordinate), ``shape``, the batch shape, and
+    ``params``, the (name, value) pairs of its parameters, sorted by name."""
 
     __slots__ = ()
 
@@ -105,18 +112,34 @@ class _Coordinates:
     def coord(self, name):
         return self.coords[self.chart.index(name)]
 
+    def param(self, name):
+        """The value of parameter ``name``: a float at a point, the (N,)
+        array of its rows over a batch."""
+        for key, value in self.params:
+            if key == name:
+                return value
+        raise KeyError(f"no parameter {name!r} at this point")
+
     def with_coord(self, index, value):
         coords = list(self.coords)
         coords[index] = value
         return self.on_chart(self.chart, coords)
 
 
+def _param_pairs(params):
+    """The (name, value) pairs of a mapping or of pairs, sorted by name."""
+    return tuple(sorted(dict(params).items()))
+
+
 @dataclass(frozen=True)
 class ChartPoint(_Coordinates):
-    """A point of a coordinate chart: ``coords`` along the names in ``chart``."""
+    """A point of a coordinate chart: ``coords`` along the names in
+    ``chart``, and ``params``, the values of its parameters (see
+    :meth:`Field.param`) as (name, value) pairs sorted by name."""
 
     chart: tuple[str, ...]
     coords: tuple[float, ...]
+    params: tuple[tuple[str, float], ...] = ()
 
     # everything evaluated at a single point has no batch axis
     shape = ()
@@ -126,10 +149,13 @@ class ChartPoint(_Coordinates):
             raise ValueError("coordinate count does not match chart")
 
     @classmethod
-    def make(cls, chart, coords):
-        return cls(tuple(chart), tuple(float(c) for c in coords))
+    def make(cls, chart, coords, params=()):
+        pairs = tuple((name, float(v)) for name, v in _param_pairs(params))
+        return cls(tuple(chart), tuple(float(c) for c in coords), pairs)
 
-    on_chart = make  # the point with ``coords`` along ``chart``
+    def on_chart(self, chart, coords):
+        """The point with ``coords`` along ``chart`` and these parameters."""
+        return ChartPoint.make(chart, coords, self.params)
 
 
 class PointBatch(_Coordinates):
@@ -138,39 +164,51 @@ class PointBatch(_Coordinates):
     ``rows[i]`` holds the coordinates of point i and ``coords[k]`` is the
     (N,) array of coordinate k, so field code that reads ``pt.coords[k]``
     and ``pt.dim`` serves a point and a batch alike; ``shape`` is (N,).
-    Like a ChartPoint, a batch hashes and compares by value, so the field
-    memo shares evaluations between equal batches.  Its arrays are
-    read-only.  It reads as the sequence of its points: ``len``, iteration
-    and an index give ChartPoints in row order, and a slice a batch.
+    ``params`` holds the (name, (N,) array) pairs of the batch's
+    parameters, one value per row.  Like a ChartPoint, a batch hashes and
+    compares by value, parameters included, so the field memo shares
+    evaluations between equal batches.  Its arrays are read-only.  It reads
+    as the sequence of its points: ``len``, iteration and an index give
+    ChartPoints (with their parameters) in row order, and a slice a batch.
     """
 
-    __slots__ = ("chart", "rows", "coords", "_key", "_hash")
+    __slots__ = ("chart", "rows", "coords", "params", "_key", "_hash")
 
-    def __init__(self, chart, rows):
+    def __init__(self, chart, rows, params=()):
         rows = np.array(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != len(chart):
             raise ValueError("coordinate count does not match chart")
         rows.flags.writeable = False
         cols = np.ascontiguousarray(rows.T)
         cols.flags.writeable = False
+        pairs = ()
+        if params:
+            pairs = tuple((name, np.array(v, dtype=float)) for name, v in _param_pairs(params))
+        for _, values in pairs:
+            if values.shape != rows.shape[:1]:
+                raise ValueError("a parameter needs one value per row")
+            values.flags.writeable = False
         self.chart = tuple(chart)
         self.rows = rows
         self.coords = tuple(cols)
-        self._key = (self.chart, rows.tobytes())
+        self.params = pairs
+        self._key = (self.chart, rows.tobytes(), *[(n, v.tobytes()) for n, v in pairs])
         self._hash = hash(self._key)
 
     @classmethod
     def of(cls, points):
-        """The batch of the ChartPoints ``points`` (one chart), in order; a
-        batch is its own."""
+        """The batch of the ChartPoints ``points`` (one chart, the same
+        parameter names), in order; a batch is its own."""
         if isinstance(points, PointBatch):
             return points
-        return cls(points[0].chart, [q.coords for q in points])
+        first = points[0]
+        params = {name: [q.param(name) for q in points] for name, _ in first.params}
+        return cls(first.chart, [q.coords for q in points], params)
 
-    @staticmethod
-    def on_chart(chart, coords):
-        """The batch with the (N,) arrays ``coords`` along ``chart``."""
-        return PointBatch(chart, np.stack(coords, axis=-1))
+    def on_chart(self, chart, coords):
+        """The batch with the (N,) arrays ``coords`` along ``chart`` and
+        these parameters."""
+        return PointBatch(chart, np.stack(coords, axis=-1), self.params)
 
     @property
     def shape(self):
@@ -180,12 +218,20 @@ class PointBatch(_Coordinates):
         return len(self.rows)
 
     def __iter__(self):
-        return (ChartPoint(self.chart, tuple(row)) for row in self.rows.tolist())
+        if not self.params:
+            return (ChartPoint(self.chart, tuple(row)) for row in self.rows.tolist())
+        names = [name for name, _ in self.params]
+        params = zip(*(v.tolist() for _, v in self.params))
+        return (
+            ChartPoint(self.chart, tuple(row), tuple(zip(names, values)))
+            for row, values in zip(self.rows.tolist(), params)
+        )
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return PointBatch(self.chart, self.rows[index])
-        return ChartPoint(self.chart, tuple(self.rows[index].tolist()))
+            return PointBatch(self.chart, self.rows[index], {n: v[index] for n, v in self.params})
+        params = tuple((n, v[index].item()) for n, v in self.params)
+        return ChartPoint(self.chart, tuple(self.rows[index].tolist()), params)
 
     def __hash__(self):
         return self._hash
@@ -196,7 +242,8 @@ class PointBatch(_Coordinates):
         )
 
     def __repr__(self):
-        return f"PointBatch(chart={self.chart}, points={len(self.rows)})"
+        names = ", ".join(n for n, _ in self.params)
+        return f"PointBatch(chart={self.chart}, points={len(self.rows)}, params=({names}))"
 
 
 def point(chart, *coords):
@@ -211,8 +258,9 @@ def pack_jets(pt, fields, order, shape):
     without the batch axis (a constant) is repeated over the batch, and a
     field that is None is an absent component, an exact zero that is not
     evaluated.  At order 1 an affine field's first derivatives are its
-    slopes, as ``Field.d`` gives them: it is evaluated at order 0 only,
-    after the others, which may read its own fields at order 1."""
+    slopes, as ``Field.d`` gives them (the numbers of a slope that is a row
+    constant): it is evaluated at order 0 only, after the others, which
+    may read its own fields at order 1."""
     packed = [np.zeros(pt.shape + (pt.dim,) * k + (len(fields),)) for k in range(order + 1)]
     affine = {}
     for i, f in enumerate(fields):
@@ -225,6 +273,8 @@ def pack_jets(pt, fields, order, shape):
         for arr, part in zip(packed, f(pt, order).parts):
             arr[..., i] = part
     for i, slopes in affine.items():
+        if _RowConstant in map(type, slopes):  # a slope that is a row constant
+            slopes = np.stack(np.broadcast_arrays(*(row_numbers(s, pt) for s in slopes)), axis=-1)
         packed[0][..., i], packed[1][..., i] = fields[i](pt, 0).value, slopes
     return tuple(read_only(arr.reshape(arr.shape[:-1] + shape)) for arr in packed)
 
@@ -291,6 +341,8 @@ class Jet:
     """
 
     __slots__ = ("parts",)
+    # an array on the left of ``+ - * /`` leaves the operation to the jet
+    __array_ufunc__ = None
 
     def __init__(self, parts):
         v = parts[0]
@@ -346,7 +398,8 @@ class Jet:
             )
         return Jet([p[(Ellipsis, index) + _AFTER_FIRST[k]] for k, p in enumerate(self.parts[1:])])
 
-    # -- arithmetic (a Python number acts as its constant jet; see above) ----
+    # -- arithmetic (a Python number, or an (N,) array of one per row, acts
+    # as its constant jet; see above) ----------------------------------------
 
     def _constant_like(self, value):
         return Jet([value] + [np.zeros(p.shape[-k:]) for k, p in enumerate(self.parts[1:], 1)])
@@ -360,11 +413,14 @@ class Jet:
         for p in parts[:-1]:
             if not math.isfinite(p if type(p) is float else p.sum()):
                 return full()
+        if type(c) is np.ndarray:
+            return Jet([p * _scaler(c, k) for k, p in enumerate(parts)])
         return self if c == 1.0 else Jet([p * c for p in parts])
 
     def __add__(self, other):
-        if isinstance(other, (int, float)):
-            return Jet([self.parts[0] + float(other), *self.parts[1:]])
+        if isinstance(other, _NUMBERS):
+            c = other if type(other) is np.ndarray else float(other)
+            return Jet([self.parts[0] + c, *self.parts[1:]])
         if not isinstance(other, Jet):
             return NotImplemented
         return Jet([a + b for a, b in zip(self.parts, other.parts)])
@@ -375,8 +431,9 @@ class Jet:
         return Jet([-p for p in self.parts])
 
     def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return Jet([self.parts[0] - float(other), *self.parts[1:]])
+        if isinstance(other, _NUMBERS):
+            c = other if type(other) is np.ndarray else float(other)
+            return Jet([self.parts[0] - c, *self.parts[1:]])
         if not isinstance(other, Jet):
             return NotImplemented
         return Jet([a - b for a, b in zip(self.parts, other.parts)])
@@ -385,8 +442,8 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            c = float(other)
+        if isinstance(other, _NUMBERS):
+            c = other if type(other) is np.ndarray else float(other)
             return self._scaled(c, lambda: self * self._constant_like(c))
         if not isinstance(other, Jet):
             return NotImplemented
@@ -413,9 +470,9 @@ class Jet:
         return Jet(parts)
 
     def __rmul__(self, other):
-        if not isinstance(other, (int, float)):
+        if not isinstance(other, _NUMBERS):
             return NotImplemented
-        return _times(float(other), self)
+        return _times(other if type(other) is np.ndarray else float(other), self)
 
     def reciprocal(self):
         v = self.value
@@ -427,8 +484,8 @@ class Jet:
         return self.compose(*f)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            c = float(other)
+        if isinstance(other, _NUMBERS):
+            c = other if type(other) is np.ndarray else float(other)
 
             def full():
                 return self * self._constant_like(c).reciprocal()
@@ -440,9 +497,9 @@ class Jet:
         return self * other.reciprocal()
 
     def __rtruediv__(self, other):
-        if not isinstance(other, (int, float)):
+        if not isinstance(other, _NUMBERS):
             return NotImplemented
-        return _times(float(other), self.reciprocal())
+        return _times(other if type(other) is np.ndarray else float(other), self.reciprocal())
 
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
@@ -496,6 +553,16 @@ class Jet:
         return Jet(parts)
 
 
+# what jet arithmetic takes as a number: a Python number, or an (N,) array
+# of one number per row of a batch
+_NUMBERS = (int, float, np.ndarray)
+
+
+def _finite(x):
+    """Whether a number, or every entry of an array of them, is finite."""
+    return math.isfinite(x) if type(x) is float else bool(np.isfinite(x).all())
+
+
 def _times(c, jet):
     """The number c times ``jet``: ``jet`` scaled by c, or the full product
     with the constant jet of c as its left operand."""
@@ -506,11 +573,10 @@ def _finite_reciprocal(c, order):
     """1/c when the derivatives of 1/x at c through ``order`` (those that
     ``Jet.reciprocal`` computes) are finite: then the reciprocal of the
     constant jet of c is 1/c with zero derivatives, and dividing by c is
-    scaling by 1/c.  None otherwise, c = 0 included."""
-    if c == 0.0:
-        return None
+    scaling by 1/c.  None otherwise, c = 0 included; for an array of row
+    numbers, the array of 1/c, or None when that fails in some row."""
     f = _derivatives(_reciprocal_series, c, order + 1)
-    if f is None or not all(map(math.isfinite, f)):
+    if f is None or not all(map(math.isfinite if type(c) is float else _finite, f)):
         return None
     return f[0]
 
@@ -692,8 +758,8 @@ class evaluation_scope:
     The block always gets a new, empty memo: a scope open around it is
     neither read nor filled inside the block.  The CLI opens one scope for
     the checks of a command, ``lift.validate_config`` one for its checks,
-    ``lift.flat_limit`` one per ell, and ``sample`` one per batch of draws,
-    so a scope holds only what its job can reuse.
+    ``lift.flat_limit`` one for all its ells, and ``sample`` one per batch
+    of draws, so a scope holds only what its job can reuse.
     """
 
     __slots__ = ("_token",)
@@ -723,10 +789,13 @@ class shared_scope(evaluation_scope):
 def scoped(key, make):
     """The value kept under ``key`` in the open evaluation scope, made by
     ``make()`` when the scope holds none."""
-    with shared_scope() as memo:
-        if key not in memo:
-            memo[key] = make()
-        return memo[key]
+    memo = _SCOPE.get()
+    if memo is None:
+        with evaluation_scope():
+            return scoped(key, make)
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
 
 
 def scoped_arrays(key, order, pack):
@@ -760,14 +829,26 @@ class Field:
     whatever c is, so inf * 0 stays NaN.  Every remaining product keeps its
     operand order.
 
+    A row constant is constant along the chart but takes one number per
+    row from the parameters of the points: a :class:`Param`, or the
+    constant field of one (``Field.const(param)``).  Its ``rows(pt)`` gives
+    those numbers (``rows`` is None for any other field), and algebra
+    treats it as a constant whose number is that of each row: two
+    constants fold row by row by the rules above, and a row constant acts
+    on the jet of any other field as its numbers do.  Where a row's
+    constants would not fold (their jet would be evaluated instead),
+    evaluating the result raises DomainError.
+
     An affine field has a ``slope``: a function of a coordinate name giving
     its constant derivative along it, or None where that is not a number
     that evaluation would give.  Coordinates and constants have one, and
     f + c, c + f, f - c, c - f, c * f, f / c and -f carry the slope of f
-    through; ``d`` of a field with a slope is that constant.
+    through, a row constant where f or c is one; ``d`` of a field with a
+    slope is that constant.
     """
 
     __slots__ = ("fn", "number", "slope")
+    rows = None
 
     def __init__(self, fn, slope=None):
         self.fn = fn
@@ -796,10 +877,21 @@ class Field:
 
     @staticmethod
     def const(value):
+        """The constant field of a number, or the row constant of a
+        :class:`Param` (which stood for a number)."""
+        if isinstance(value, Param):
+            return _RowConstant(lambda pt: row_numbers(value, pt))
         v = float(value)
-        field = Field(lambda pt, order=0: Jet.constant(v, pt.dim, order), lambda along: 0.0)
+        field = Field(lambda pt, order=0: Jet.constant(v, pt.dim, order), _flat)
         field.number = v
         return field
+
+    @staticmethod
+    def param(name):
+        """The parameter ``name`` of the points, a :class:`Param`: its jet
+        is the parameter's value (one per row of a batch) with zero
+        derivatives, and ``d`` of it is the constant 0."""
+        return Param(lambda pt: pt.param(name))
 
     @staticmethod
     def coordinate(name):
@@ -813,7 +905,7 @@ class Field:
         """The partial derivative field along coordinate ``name``."""
         slope = None if self.slope is None else self.slope(name)
         if slope is not None:
-            return Field.const(slope)
+            return slope if isinstance(slope, Field) else Field.const(slope)
 
         def fn(pt, order=0):
             if order >= MAX_ORDER:
@@ -833,26 +925,35 @@ class Field:
 
     def _fold(self, other, op, constant):
         """``op`` pointwise on self and ``other``.  Two constants make the
-        constant ``constant(a, b)`` unless that is None; otherwise a number
-        among the operands acts on the other operand's jet directly, and
-        the result has a slope when that operand has one and ``op`` is
-        affine in it."""
+        constant ``constant(a, b)`` unless that is None (row by row when
+        either is a row constant); otherwise a constant among the operands
+        acts on the other operand's jet directly, and the result has a
+        slope when that operand has one and ``op`` is affine in it."""
         if isinstance(other, (int, float)):
             o, b = None, float(other)  # o is read only when b is None
         elif isinstance(other, Field):
-            o, b = other, other.number
+            # a row constant stands for its numbers: it is its own constant
+            o, b = other, other.number if other.rows is None else other
         else:
             return NotImplemented
-        a = self.number
+        a = self.number if self.rows is None else self
         if a is not None and b is not None:
+            if isinstance(a, Field) or isinstance(b, Field):
+                return _RowConstant(
+                    lambda pt: _folded(constant, row_numbers(a, pt), row_numbers(b, pt))
+                )
             c = constant(a, b)
             if c is not None:
                 return Field.const(c)
         if b is not None:
             slope = _affine(self, _SLOPE_RULES[op][0], b)
+            if isinstance(b, Field):
+                return Field(lambda pt, order=0: op(self(pt, order), row_numbers(b, pt)), slope)
             return Field(lambda pt, order=0: op(self(pt, order), b), slope)
         if a is not None:
             slope = _affine(o, _SLOPE_RULES[op][1], a)
+            if isinstance(a, Field):
+                return Field(lambda pt, order=0: op(row_numbers(a, pt), o(pt, order)), slope)
             return Field(lambda pt, order=0: op(a, o(pt, order)), slope)
         return Field(lambda pt, order=0: op(self(pt, order), o(pt, order)))
 
@@ -865,7 +966,7 @@ class Field:
         return self._fold(other, operator.sub, operator.sub)
 
     def __rsub__(self, other):  # a Field on the left is served by its __sub__
-        return Field.const(other) - self if isinstance(other, (int, float)) else NotImplemented
+        return Field.const(other) - self if isinstance(other, _SCALARS) else NotImplemented
 
     def __mul__(self, other):
         return self._fold(other, operator.mul, _constant_product)
@@ -876,27 +977,140 @@ class Field:
         return self._fold(other, operator.truediv, _constant_quotient)
 
     def __rtruediv__(self, other):
-        return Field.const(other) / self if isinstance(other, (int, float)) else NotImplemented
+        return Field.const(other) / self if isinstance(other, _SCALARS) else NotImplemented
 
     def __neg__(self):
         if self.number is not None:
             return Field.const(-self.number)
+        if self.rows is not None:
+            return _RowConstant(lambda pt: -row_numbers(self, pt))
         return Field(lambda pt, order=0: -self(pt, order), _affine(self, _negated, None))
+
+
+def _flat(along):
+    """The slope of a field constant along the chart."""
+    return 0.0
+
+
+def row_numbers(x, pt):
+    """The number x, or the numbers of the row constant x at ``pt`` (a
+    float at a point, an (N,) array over a batch), computed once per
+    evaluation scope."""
+    if not isinstance(x, Field):
+        return x
+    return scoped((row_numbers, x, pt), lambda: x.rows(pt))
+
+
+class _RowConstant(Field):
+    """The row constant whose numbers at ``pt`` are ``rows(pt)``."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        def fn(pt, order=0):
+            return Jet.constant(row_numbers(self, pt), pt.dim, order)
+
+        super().__init__(fn, _flat)
+        self.rows = rows
+
+
+@np.errstate(all="ignore")  # a row whose constant is not finite fails below
+def _folded(rule, a, b):
+    """``rule(a, b)`` on numbers or arrays of row numbers; DomainError
+    where it gives None, in some row, and so would leave the constants to
+    evaluation."""
+    c = rule(a, b)
+    if c is None:
+        raise DomainError("a constant of some row does not fold")
+    return c
+
+
+class Param(_RowConstant):
+    """A parameter of the points (``Field.param``), or numbers in arithmetic
+    with parameters: a row constant that stands for a number.
+
+    It is what a build that takes a number takes instead, so that one build
+    serves the rows of many numbers.  ``+ - * /`` and negation with numbers
+    and other Params run as Python numbers do, row by row, and give a
+    Param: numpy rounds ``+ - * /`` on float arrays as Python rounds floats,
+    and a zero divisor raises DomainError where Python raises
+    ZeroDivisionError.  With any other field a Param acts as a number does;
+    ``Field.const`` of it is the row constant of its numbers, as that of a
+    number is a constant.
+    """
+
+    __slots__ = ()
+
+    def _numbers(self, other, op, reflected=False):
+        if isinstance(other, (int, float)):
+            other = float(other)
+        elif not isinstance(other, Param):
+            return NotImplemented  # the other field's reflected operation serves
+        a, b = (other, self) if reflected else (self, other)
+        return Param(lambda pt: _number_op(op, row_numbers(a, pt), row_numbers(b, pt)))
+
+    def __add__(self, other):
+        return self._numbers(other, operator.add)
+
+    def __radd__(self, other):
+        return self._numbers(other, operator.add, True)
+
+    def __sub__(self, other):
+        return self._numbers(other, operator.sub)
+
+    def __rsub__(self, other):
+        return self._numbers(other, operator.sub, True)
+
+    def __mul__(self, other):
+        return self._numbers(other, operator.mul)
+
+    def __rmul__(self, other):
+        return self._numbers(other, operator.mul, True)
+
+    def __truediv__(self, other):
+        return self._numbers(other, operator.truediv)
+
+    def __rtruediv__(self, other):
+        return self._numbers(other, operator.truediv, True)
+
+    def __neg__(self):
+        return Param(lambda pt: -row_numbers(self, pt))
+
+
+# what Field.const takes: a number, or a Param that stands for one
+_SCALARS = (int, float, Param)
+
+
+def _number_op(op, a, b):
+    """``op`` on two numbers as Python runs it, or on arrays of row numbers
+    row by row; a zero divisor raises DomainError."""
+    if type(a) is float and type(b) is float:
+        try:
+            return op(a, b)
+        except ZeroDivisionError:
+            raise DomainError("division by zero") from None
+    if op is operator.truediv and np.count_nonzero(b) < np.size(b):
+        raise DomainError("division by zero")
+    with np.errstate(all="ignore"):
+        return op(a, b)
 
 
 # The product of constant jets has zero derivative parts only when both
 # values are finite (0 * inf is NaN), and the quotient only when the
 # divisor's reciprocal jet is 1/b with zero derivatives; otherwise the
-# constants are left to evaluation.
+# constants are left to evaluation.  Both take arrays of row numbers too,
+# and give None when that fails in some row.
 
 
 def _constant_product(a, b):
-    return a * b if math.isfinite(a) and math.isfinite(b) else None
+    if type(a) is float and type(b) is float:
+        return a * b if math.isfinite(a) and math.isfinite(b) else None
+    return a * b if _finite(a) and _finite(b) else None
 
 
 def _constant_quotient(a, b):
     r = _finite_reciprocal(b, MAX_ORDER)
-    return a * r if r is not None and math.isfinite(a) else None
+    return a * r if r is not None and _finite(a) else None
 
 
 def _shifted(s, c):
@@ -921,15 +1135,21 @@ _SLOPE_RULES = {
 
 
 def _affine(f, rule, c):
-    """The slope of the field that acts on f by a number c, whose slope is
-    ``rule(s, c)`` where f has the slope s; None when f has none, or when
-    ``rule`` is None."""
+    """The slope of the field that acts on f by a constant c (a number or a
+    row constant), whose slope is ``rule(s, c)`` where f has the slope s
+    (row by row, a row constant, where s or c is one); None when f has
+    none, or when ``rule`` is None."""
     if f.slope is None or rule is None:
         return None
+    rows = isinstance(c, Field) and rule not in (_shifted, _negated)
 
     def slope(name):
         s = f.slope(name)
-        return None if s is None else rule(s, c)
+        if s is None:
+            return None
+        if rows or (type(s) is _RowConstant and rule not in (_shifted, _negated)):
+            return _RowConstant(lambda pt: _folded(rule, row_numbers(s, pt), row_numbers(c, pt)))
+        return rule(s, c)
 
     return slope
 

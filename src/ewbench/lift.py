@@ -16,6 +16,12 @@ with the sign that makes V = -2/ell.  ``flat_limit`` tracks the large-ell
 behaviour of a lift family against its limit form; ``limit_family`` holds
 the two families the ``limit`` subcommand offers, heisenberg(ell) and class
 B with F = ell/4.
+
+A family's scale may be a ``jets.Param`` instead of a number: the
+parameter ``ell`` of the points, so that one build of the family serves
+every ell, each row of a batch at its own.  ``fix_ell_sign``, ``LiftConfig``
+and ``build_p`` take it as they take a number, and ``flat_limit`` evaluates
+all its ells this way in one pass.
 """
 
 from __future__ import annotations
@@ -29,7 +35,13 @@ import numpy as np
 from . import families as fam
 from . import jets
 from .curv import riemann, scalar_invariants
-from .errors import ConfigError, DomainError, GaugeViolationError, PsiResidualError
+from .errors import (
+    ConfigError,
+    DomainError,
+    EwbenchError,
+    GaugeViolationError,
+    PsiResidualError,
+)
 from .ew import EWStructure, WeightedForm, gt_residual, psi_residual
 from .forms import (
     MetricField,
@@ -43,8 +55,8 @@ from .forms import (
     symmetric_product,
     zero_form,
 )
-from .jets import ChartPoint, Field, PointBatch
-from .report import run_check
+from .jets import ChartPoint, Field, Param, PointBatch, first_where, row_numbers
+from .report import row_pass, run_check
 
 GAUGE_TOL = 1e-9
 GT_TOL = 1e-7
@@ -87,18 +99,19 @@ class LiftConfig:
     ChartPoints) used to validate the gauge, the structure equations, and
     psi; when empty a deterministic default box is sampled, which suits
     bases defined on all of R^3.  ``validate=False`` skips the checks, for
-    deliberately broken inputs.
+    deliberately broken inputs.  ``ell`` may be a ``jets.Param`` (see the
+    module docstring), whose zero rows fail when the lift is evaluated.
     """
 
     base: EWStructure
     psi: WeightedForm | None
-    ell: float
+    ell: float | Param
     chart: str = "p"
     validate: bool = True
     probes: PointBatch | tuple[ChartPoint, ...] = ()
 
     def __post_init__(self):
-        if self.ell == 0.0:
+        if not isinstance(self.ell, Param) and self.ell == 0.0:
             raise ConfigError("ell must be nonzero")
         if self.chart not in FIBRE_WINDOWS:
             raise ConfigError(f"unknown fibre chart {self.chart!r}")
@@ -124,9 +137,15 @@ def fix_ell_sign(base, ell, probe=None):
     constant +-2/|ell| to begin with.  With ell None, ell' is -2/V at the
     probe, unflipped, however small V is; V = 0 there, or a V whose -2/V
     is not finite (a V so small that it overflows), is a ConfigError.
+
+    With ell a ``jets.Param``, ell' is the Param that makes this choice row
+    by row when it is evaluated, reading V at the probe with the
+    parameters of each row, and ``flipped`` is None.
     """
     if probe is None:
         probe = default_probes(base.chart, count=1)[0]
+    if isinstance(ell, Param):
+        return Param(lambda pt: _signed_rows(base, ell, _probe_rows(probe, pt))), None
     v = base.V(probe, 0).value
     if ell is None:
         if v == 0:
@@ -140,6 +159,32 @@ def fix_ell_sign(base, ell, probe=None):
     raise GaugeViolationError(
         f"no sign of ell = {ell} gives V = -2/ell; V = {v:.6g} at the probe"
     )
+
+
+def _probe_rows(probe, pt):
+    """The ChartPoint ``probe`` once per row of ``pt`` (a point or a
+    batch), with the parameters of that row."""
+    if not pt.shape:
+        return ChartPoint(probe.chart, probe.coords, pt.params)
+    rows = np.broadcast_to(probe.coords, pt.shape + (probe.dim,))
+    return PointBatch(probe.chart, rows, pt.params)
+
+
+def _signed_rows(base, ell, probes):
+    """fix_ell_sign on the rows of ``probes``, the probe once per row with
+    that row's parameters: ell or -ell in each row, or GaugeViolationError
+    for the first row where neither sign fits."""
+    v = base.V(probes, 0).value
+    e = row_numbers(ell, probes)
+    plus = np.abs(v * e + 2.0) <= GAUGE_TOL
+    minus = np.abs(v * -e + 2.0) <= GAUGE_TOL
+    fails = ~(plus | minus)
+    if jets.anywhere(fails):
+        raise GaugeViolationError(
+            f"no sign of ell = {first_where(e, fails)} gives V = -2/ell; "
+            f"V = {first_where(np.broadcast_to(v, np.shape(e)), fails):.6g} at the probe"
+        )
+    return np.where(plus, e, -e) if probes.shape else (e if plus else -e)
 
 
 def validate_config(cfg):
@@ -157,7 +202,7 @@ def validate_config(cfg):
         # a constant V has a value without the batch axis: it serves every row
         r = run_check(
             "lift.gauge",
-            lambda q: np.broadcast_to(base.V(q, 0).value * cfg.ell + 2.0, q.shape),
+            lambda q: np.broadcast_to(base.V(q, 0).value * row_numbers(cfg.ell, q) + 2.0, q.shape),
             probes,
             GAUGE_TOL,
         )
@@ -347,65 +392,67 @@ def _limit_form(cfg, chart4):
     return symmetric_product(leg, leg) + h4
 
 
+# every ell is evaluated at the same six seeded points of [-0.8, 0.8]^4
+LIMIT_ROWS = jets.read_only(np.random.default_rng(2026).uniform(-0.8, 0.8, size=(6, 4)))
+# flat_limit's per-ell maxima, in the order their checks run
+LIMIT_KEYS = ("riemann_limit", "f_gap", "f_term", "f_norm", "form_gap")
+
+
 def flat_limit(factory, ells):
     """Track convergence of a lift family toward its limit form.
 
-    ``factory`` maps a positive scale parameter to a LiftConfig whose base
-    is built at that parameter.  For each value the p-chart lift is
-    compared against the limit form at the same parameter, the field
-    strength F = dA against its limit term (ell/4) d(omega) (with ell the
-    sign-fixed lift parameter; cos(2 alpha) -> -1 at the equator), and the
-    curvature of the limit form is recorded.  ``diverges`` is set when the
-    form gap or the limit term grows along the sequence, which happens
-    precisely when omega fails to scale with ell.
+    ``factory`` maps a scale parameter to a LiftConfig whose base is built
+    at that parameter: a number, or the ``jets.Param`` of the ells (see the
+    module docstring).  For each ell the p-chart lift is compared against
+    the limit form at the same parameter, the field strength F = dA
+    against its limit term (ell/4) d(omega) (with ell the sign-fixed lift
+    parameter; cos(2 alpha) -> -1 at the equator), and the curvature of the
+    limit form is recorded.  ``diverges`` is set when the form gap or the
+    limit term grows along the sequence, which happens precisely when omega
+    fails to scale with ell.
 
-    Each per-ell maximum is one ``run_check`` over the points, named
-    ``lift.<key>`` after its report key, so a non-finite value raises
-    DomainError.  Each ell is built and checked in one evaluation scope
-    (its validation in one of its own), closed before the next ell.  The
-    checks run riemann_limit first, which packs the limit form through
-    order 2 for form_gap, and form_gap last, after the F checks ask order 1
-    of the omega and fibre-profile fields that the lift metric reads, so no
-    field is evaluated again at a higher order; the report keeps its own
-    key order.  A ratio of successive gaps that is not finite (a later gap
-    of 0, or an overflow) is null.
+    ``factory`` is called once, with the Param ``ell``, and all ells are
+    evaluated in one pass, in one evaluation scope: the validation probes
+    and the six limit rows are tiled over the ells, each tile carrying its
+    ell as the row parameter, the lift is validated once (in a scope of its
+    own), and each residual is evaluated once over all rows
+    (``report.row_pass``), named ``lift.<key>`` after its report key.  The
+    maximum of an ell's rows is its entry in the report.  The checks run
+    riemann_limit first, which packs the limit form through order 2 for
+    form_gap, and form_gap last, after the F checks ask order 1 of the
+    omega and fibre-profile fields that the lift metric reads, so no field
+    is evaluated again at a higher order; the report keeps its own key
+    order.
+
+    If that pass raises an EwbenchError or leaves a row that is not finite,
+    the ells are evaluated again one at a time, in order, each with the
+    factory called at its number and each check one ``run_check``: the
+    first ell that fails raises exactly what it raises alone (a non-finite
+    value DomainError), and otherwise the report is that of the single
+    ells.  A ratio of successive gaps that is not finite (a later gap of 0,
+    or an overflow) is null.
     """
     ells = [float(e) for e in ells]
     if len(ells) < 2:
         raise ConfigError("need at least two ell values")
+    try:
+        with np.errstate(all="ignore"):
+            columns = _limit_columns(factory, Field.param("ell"), ells)
+    except EwbenchError:
+        columns = None
+    if columns is None:
+        singles = [_limit_columns(factory, ell, [ell]) for ell in ells]
+        columns = {key: [v for one in singles for v in one[key]] for key in singles[0]}
     report = {
         "ells": ells,
-        "ell_used": [],
-        "form_gap": [],
+        "ell_used": columns["ell_used"],
+        "form_gap": columns["form_gap"],
         "ratios": [],
-        "f_gap": [],
-        "f_term": [],
-        "f_norm": [],
-        "riemann_limit": [],
+        "f_gap": columns["f_gap"],
+        "f_term": columns["f_term"],
+        "f_norm": columns["f_norm"],
+        "riemann_limit": columns["riemann_limit"],
     }
-    # every ell is evaluated at the same six seeded points of [-0.8, 0.8]^4
-    rows = np.random.default_rng(2026).uniform(-0.8, 0.8, size=(6, 4))
-    for ell in ells:
-        with jets.evaluation_scope():
-            cfg = factory(ell)
-            data = build_p(cfg)
-            chart4 = data.chart
-            pts = PointBatch(chart4, rows)
-            g_lim = _limit_form(cfg, chart4)
-            om4 = embed_form(cfg.base.omega, chart4)
-            f_target = ext_d(om4).scale(data.ell / 4.0)
-            f_full = ext_d(data.potential)
-            keys = sorted(set(f_full.comps) | set(f_target.comps))
-            residuals = {
-                "riemann_limit": lambda q: riemann(g_lim, q),
-                "f_gap": lambda q: f_full.values_at(q, keys) - f_target.values_at(q, keys),
-                "f_term": lambda q: f_target.values_at(q, keys),
-                "f_norm": lambda q: f_full.values_at(q, keys),
-                "form_gap": lambda q: data.g.matrix_at(q) - g_lim.matrix_at(q),
-            }
-            for key, fn in residuals.items():
-                report[key].append(run_check(f"lift.{key}", fn, pts, math.inf).max)
-        report["ell_used"].append(data.ell)
     gaps = report["form_gap"]
     # a later gap of exactly 0 has no ratio, and a ratio that overflows no
     # finite one: null in the report
@@ -417,6 +464,59 @@ def flat_limit(factory, ells):
         gaps[-1] > gaps[0] or report["f_term"][-1] > report["f_term"][0]
     )
     return report
+
+
+def _limit_columns(factory, scale, ells):
+    """{key: one value per ell} of the family at ``scale``: the number of
+    the one ell in ``ells``, or the Param ``ell`` whose rows take the
+    ``ells``.  None when a residual row of the Param pass is not finite."""
+    with jets.evaluation_scope():
+        cfg = factory(scale)
+        params = isinstance(scale, Param)
+        if params and cfg.validate:
+            probes = cfg.probes or default_probes(cfg.base.chart)
+            cfg = replace(cfg, probes=_tiled(probes, ells))
+        data = build_p(cfg)
+        chart4 = data.chart
+        pts = PointBatch(chart4, LIMIT_ROWS)
+        if params:
+            pts = _tiled(pts, ells)
+        g_lim = _limit_form(cfg, chart4)
+        om4 = embed_form(cfg.base.omega, chart4)
+        f_target = ext_d(om4).scale(data.ell / 4.0)
+        f_full = ext_d(data.potential)
+        keys = sorted(set(f_full.comps) | set(f_target.comps))
+        residuals = {
+            "riemann_limit": lambda q: riemann(g_lim, q),
+            "f_gap": lambda q: f_full.values_at(q, keys) - f_target.values_at(q, keys),
+            "f_term": lambda q: f_target.values_at(q, keys),
+            "f_norm": lambda q: f_full.values_at(q, keys),
+            "form_gap": lambda q: data.g.matrix_at(q) - g_lim.matrix_at(q),
+        }
+        columns = {}
+        for key in LIMIT_KEYS:
+            name, fn = f"lift.{key}", residuals[key]
+            if not params:
+                columns[key] = [run_check(name, fn, pts, math.inf).max]
+                continue
+            rows = row_pass(name, fn, pts)
+            if len(rows) < len(pts):
+                return None
+            columns[key] = np.reshape(rows, (len(ells), -1)).max(axis=1).tolist()
+        if params:
+            ell_used = np.broadcast_to(row_numbers(data.ell, pts), pts.shape)
+            columns["ell_used"] = ell_used[:: len(LIMIT_ROWS)].tolist()
+        else:
+            columns["ell_used"] = [data.ell]
+    return columns
+
+
+def _tiled(points, ells):
+    """The points once per ell, in order, each copy carrying its ell as the
+    row parameter ``ell``."""
+    batch = PointBatch.of(points)
+    rows = np.tile(batch.rows, (len(ells), 1))
+    return PointBatch(batch.chart, rows, {"ell": np.repeat(ells, len(batch))})
 
 
 def limit_family(case, c):
@@ -432,7 +532,7 @@ def limit_family(case, c):
             base = fam.heisenberg(ell)
             ell, _ = fix_ell_sign(base, ell)
         else:
-            base = fam.class_b(repr(ell / 4.0))
+            base = fam.class_b(ell / 4.0)
         return LiftConfig(base=base, psi=fam.psi_const(base, c), ell=ell)
 
     return factory, p_chart(fam.XYT if case == "heisenberg" else fam.PYT)

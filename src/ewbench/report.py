@@ -1,9 +1,9 @@
 """Check aggregation and machine-readable verification reports.
 
 A check maps sample points to residuals; ``run_check`` evaluates it once
-over the batch of all its points, in the open evaluation scope, reduces
-each point to its largest absolute component and keeps the maximum, the
-mean, and the worst point.
+over the batch of all its points (``row_pass``), in the open evaluation
+scope, reduces each point to its largest absolute component and keeps the
+maximum, the mean, and the worst point.
 Reports serialize to JSON with a fixed key order so that two runs with the
 same configuration and seed are byte-identical apart from the wall-time
 field.
@@ -48,20 +48,19 @@ class CheckResult:
         return "pass" if self.max <= self.tol else "fail"
 
 
-@np.errstate(all="ignore")  # every value is checked for finiteness below
 def run_check(name, fn, points, tol):
     """Evaluate a residual function over points and aggregate.
 
     ``points`` is a PointBatch, or a sequence of ChartPoints packed into
     one.  ``fn(q)`` returns the raw residual at q: a number, an array of
-    components, or a tuple of components.  It is called once on the batch,
-    in the open field evaluation scope (so checks over the same points
-    share their field and packed-metric evaluations) or in a scope of its
-    own, and each row is reduced to its largest absolute component.  If it
-    raises an EwbenchError or a row is not finite, the points are
-    evaluated again one at a time in sample order, each in a new scope, so
-    the first offending point raises exactly the error it raises alone; a
-    non-finite point raises DomainError.
+    components, or a tuple of components.  It is called once on the batch
+    (``row_pass``), in the open field evaluation scope (so checks over the
+    same points share their field and packed-metric evaluations) or in a
+    scope of its own, and each row is reduced to its largest absolute
+    component.  If it raises an EwbenchError or a row is not finite, the
+    points are evaluated again one at a time in sample order, each in a new
+    scope, so the first offending point raises exactly the error it raises
+    alone; a non-finite point raises DomainError.
     A residual without the batch axis (fn did not vectorize) is taken as
     the first point's, and the other points are evaluated one at a time; a
     residual built from jets broadcasts a constant value to ``q.shape``
@@ -71,21 +70,11 @@ def run_check(name, fn, points, tol):
     if not len(points):
         raise ConfigError(f"check {name!r} received no sample points")
     batch = PointBatch.of(points)
-    vals = []
-    try:
-        with shared_scope():
-            r = fn(batch)
-    except EwbenchError:
-        pass  # the loop below finds the first point that raises
-    else:
-        rows = _row_maxima(r, len(batch))
-        if rows is None:
-            vals.append(_point_max(name, batch[0], r))
-        elif np.isfinite(rows).all():
-            vals = rows.tolist()
+    vals = row_pass(name, fn, batch)
     for i in range(len(vals), len(batch)):
         q = batch[i]
-        with evaluation_scope():
+        # every value is checked for finiteness
+        with evaluation_scope(), np.errstate(all="ignore"):
             vals.append(_point_max(name, q, fn(q)))
     top = max(vals)
     return CheckResult(
@@ -95,6 +84,25 @@ def run_check(name, fn, points, tol):
         worst_point=tuple(batch.rows[vals.index(top)].tolist()),
         tol=float(tol),
     )
+
+
+@np.errstate(all="ignore")  # every value is checked for finiteness below
+def row_pass(name, fn, batch):
+    """The row values that one call ``fn(batch)`` settles, in row order,
+    each the largest absolute component of its row's residual: those of
+    every row; that of the first row alone when the residual has no batch
+    axis (DomainError if it is not finite); or none when fn raises an
+    EwbenchError or some row is not finite.  fn runs in the open field
+    evaluation scope, or in a scope of its own."""
+    try:
+        with shared_scope():
+            r = fn(batch)
+    except EwbenchError:
+        return []
+    rows = _row_maxima(r, len(batch))
+    if rows is None:
+        return [_point_max(name, batch[0], r)]
+    return rows.tolist() if np.isfinite(rows).all() else []
 
 
 def _row_maxima(r, n):

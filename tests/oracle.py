@@ -2,17 +2,21 @@
 kept so that tests can pin the packed-array code against them.
 
 ``hodge3`` is the 3D Hodge star as a form, with ``frame_expand`` giving its
-coefficients; ``weighted_d`` is D psi = d psi - (m/2) omega ^ psi.  The
-rest are small readers of a form, a metric, the alpha fibre chart and a
+coefficients; ``weighted_d`` is D psi = d psi - (m/2) omega ^ psi;
+``flat_limit_per_ell`` is ``lift.flat_limit`` one ell at a time.  The rest
+are small readers of a form, a metric, the alpha fibre chart and a
 sampling domain.
 """
 import math
 
 import numpy as np
 
+from ewbench.curv import riemann
 from ewbench.errors import ConfigError, GuardViolationError, JetOrderError
-from ewbench.forms import MetricField, ext_d, frame_solve, signature, star_frame, wedge
-from ewbench.jets import Field, Jet
+from ewbench.forms import MetricField, embed_form, ext_d, frame_solve, signature, star_frame, wedge
+from ewbench.jets import Field, Jet, PointBatch, evaluation_scope
+from ewbench.lift import LIMIT_ROWS, _limit_form, build_p
+from ewbench.report import run_check
 
 
 def max_abs_at(form, pt):
@@ -117,3 +121,51 @@ def require_guards(domain, pt):
         if not g.accepts(pt):
             label = g.label or "guard"
             raise GuardViolationError(f"point {pt.coords} violates {label}")
+
+
+def flat_limit_per_ell(factory, ells):
+    """The report of ``lift.flat_limit``, with the factory called at each
+    ell's number and each ell evaluated alone, in its own evaluation scope,
+    one ``run_check`` per residual: the first ell that fails raises what it
+    raises alone."""
+    ells = [float(e) for e in ells]
+    if len(ells) < 2:
+        raise ConfigError("need at least two ell values")
+    report = {
+        "ells": ells,
+        "ell_used": [],
+        "form_gap": [],
+        "ratios": [],
+        "f_gap": [],
+        "f_term": [],
+        "f_norm": [],
+        "riemann_limit": [],
+    }
+    for ell in ells:
+        with evaluation_scope():
+            cfg = factory(ell)
+            data = build_p(cfg)
+            chart4 = data.chart
+            pts = PointBatch(chart4, LIMIT_ROWS)
+            g_lim = _limit_form(cfg, chart4)
+            om4 = embed_form(cfg.base.omega, chart4)
+            f_target = ext_d(om4).scale(data.ell / 4.0)
+            f_full = ext_d(data.potential)
+            keys = sorted(set(f_full.comps) | set(f_target.comps))
+            residuals = {
+                "riemann_limit": lambda q: riemann(g_lim, q),
+                "f_gap": lambda q: f_full.values_at(q, keys) - f_target.values_at(q, keys),
+                "f_term": lambda q: f_target.values_at(q, keys),
+                "f_norm": lambda q: f_full.values_at(q, keys),
+                "form_gap": lambda q: data.g.matrix_at(q) - g_lim.matrix_at(q),
+            }
+            for key, fn in residuals.items():
+                report[key].append(run_check(f"lift.{key}", fn, pts, math.inf).max)
+        report["ell_used"].append(data.ell)
+    gaps = report["form_gap"]
+    report["ratios"] = [
+        r if math.isfinite(r) else None
+        for r in (a / b if b else math.inf for a, b in zip(gaps, gaps[1:]))
+    ]
+    report["diverges"] = gaps[-1] > gaps[0] or report["f_term"][-1] > report["f_term"][0]
+    return report

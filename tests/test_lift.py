@@ -447,7 +447,7 @@ def heisenberg_flow(c=0.0):
 def frozen_omega_flow(scale):
     """Negative control: the base no longer scales with the flow parameter."""
     base = heisenberg(1.0)
-    return LiftConfig(base, None, -float(scale), validate=False)
+    return LiftConfig(base, None, -scale, validate=False)
 
 
 class TestFlatLimit:
@@ -474,9 +474,9 @@ class TestFlatLimit:
     def test_class_b_flow_converges(self):
         def factory(scale):
             return LiftConfig(
-                class_b(repr(scale / 4.0)),
+                class_b(scale / 4.0),
                 None,
-                float(scale),
+                scale,
                 probes=tuple(sample(default_domain("class_b", F="1", count=4))),
             )
 

@@ -1,0 +1,208 @@
+"""Every ell of a limit family in one pass: points and batches that carry
+parameters, ``Field.param`` and the Params that stand for numbers, and
+``lift.flat_limit`` against the per-ell oracle."""
+import contextlib
+import io
+import json
+import re
+
+import numpy as np
+import pytest
+
+from ewbench.cli import EXIT_PASS, main
+from ewbench.errors import DomainError, EwbenchError
+from ewbench.families import XYT, class_b, heisenberg, psi_const
+from ewbench.jets import ChartPoint, Field, Param, PointBatch, evaluation_scope
+from ewbench.lift import LiftConfig, build_p, fix_ell_sign, flat_limit, limit_family
+
+from oracle import flat_limit_per_ell
+from test_exit_codes import VALUES as EXTREMES
+
+XY = ("x", "y")
+ROWS = [[0.5, -1.0], [2.0, 0.25], [-3.0, 4.0]]
+BATCH = PointBatch(XY, ROWS, {"ell": [100.0, -200.0, 1e-300]})
+
+
+# --- points and batches that carry parameters ---------------------------------
+
+
+def test_an_index_iteration_and_a_slice_keep_the_parameters():
+    assert BATCH[1] == ChartPoint(XY, (2.0, 0.25), (("ell", -200.0),))
+    assert BATCH[-1].param("ell") == 1e-300
+    assert [q.param("ell") for q in BATCH] == [100.0, -200.0, 1e-300]
+    tail = BATCH[1:]
+    assert isinstance(tail, PointBatch) and tail.param("ell").tolist() == [-200.0, 1e-300]
+    assert list(tail) == list(BATCH)[1:]
+
+
+def test_a_batch_of_its_points_is_the_batch():
+    again = PointBatch.of(list(BATCH))
+    assert again == BATCH and hash(again) == hash(BATCH)
+    assert PointBatch.of(tuple(BATCH[1:])) == BATCH[1:]
+
+
+def test_a_moved_point_keeps_its_parameters():
+    q = BATCH[0].with_coord(1, 3.0)
+    assert q.coords == (0.5, 3.0) and q.params == BATCH[0].params
+    assert BATCH.with_coord(0, np.zeros(3)).param("ell").tolist() == [100.0, -200.0, 1e-300]
+
+
+def test_points_that_differ_only_in_a_parameter_are_distinct():
+    other = PointBatch(XY, ROWS, {"ell": [100.0, -200.0, 2e-300]})
+    assert other != BATCH and BATCH[2] != other[2]
+    assert PointBatch(XY, ROWS) != BATCH
+    f = Field.coordinate("x") * Field.param("ell")
+    with evaluation_scope() as memo:
+        got, got_other = f.value(BATCH), f.value(other)
+        assert (f, BATCH) in memo and (f, other) in memo
+        assert memo[(f, BATCH)] is not memo[(f, other)]
+    assert got[2] == -3e-300 and got_other[2] == -6e-300
+
+
+def test_a_parameter_has_zero_derivative_parts():
+    ell = Field.param("ell")
+    jet = ell(BATCH, 3)
+    assert jet.value.tolist() == [100.0, -200.0, 1e-300]
+    assert all(not np.any(part) for part in jet.parts[1:])
+    assert ell(BATCH[1], 2).value == -200.0
+    assert ell.d("x").number == 0.0 and ell.d("y").number == 0.0
+
+
+def test_arithmetic_with_numbers_runs_as_numbers():
+    ell = Field.param("ell")
+    for q in BATCH:
+        e = q.param("ell")
+        assert (4.0 / ell).value(q) == 4.0 / e
+        assert ((ell - 1.5) * 3.0 / 7.0).value(q) == (e - 1.5) * 3.0 / 7.0
+    assert isinstance(4.0 / ell, Param) and isinstance(-ell * ell, Param)
+    assert (4.0 / ell).value(BATCH).tolist() == [4.0 / e for e in (100.0, -200.0, 1e-300)]
+
+
+def test_a_row_whose_constants_would_not_fold_raises():
+    """1 / F folds only where the jet of 1/x at F is finite through order 3;
+    in a row where it is not, the build at that number would evaluate the
+    quotient instead, so the row constant refuses to give a number."""
+    inv = 1.0 / Field.const(Field.param("ell"))
+    assert inv.value(BATCH[:2]).tolist() == [0.01, -0.005]
+    with pytest.raises(DomainError, match="does not fold"):
+        inv.value(BATCH)
+    assert (1.0 / Field.const(1e-300)).number is None
+
+
+def _bytes(jet, row=None):
+    """The parts of a jet, or of its row ``row`` of a batch (a part without
+    the batch axis serves every row), as bytes."""
+    parts = [p if row is None or np.ndim(p) == k else p[row] for k, p in enumerate(jet.parts)]
+    return tuple(np.asarray(p, dtype=float).tobytes() for p in parts)
+
+
+def _family_fields(family, scale):
+    """Fields of a limit family's base and p-chart lift at ``scale``."""
+    if family == "heisenberg":
+        base = heisenberg(scale)
+        ell, _ = fix_ell_sign(base, scale)
+    else:
+        base = class_b(scale / 4.0)
+        ell = scale
+    data = build_p(LiftConfig(base, psi_const(base, 0.5), ell, validate=False))
+    forms = (base.omega, data.g, data.potential)
+    return data.chart, [base.V] + [f for form in forms for f in form.comps.values()]
+
+
+@pytest.mark.parametrize("family", ["heisenberg", "class_b"])
+def test_each_row_equals_its_point_alone_and_the_build_at_its_number(family):
+    ells = [100.0, -3.0, 1e150, 7.5]
+    chart, fields = _family_fields(family, Field.param("ell"))
+    rows = np.random.default_rng(5).uniform(0.2, 0.8, size=(len(ells), 4))
+    batch = PointBatch(chart, rows, {"ell": ells})
+    with evaluation_scope():
+        batched = [f(batch, 2) for f in fields]
+    for i, ell in enumerate(ells):
+        with evaluation_scope():
+            alone = [_bytes(f(batch[i], 2)) for f in fields]
+        _, scalar_fields = _family_fields(family, ell)
+        with evaluation_scope():
+            scalar = [_bytes(f(ChartPoint.make(chart, rows[i]), 2)) for f in scalar_fields]
+        assert [_bytes(jet, i) for jet in batched] == alone == scalar
+
+
+# --- flat_limit in one pass ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "ells", ["100,200,1000,10000", "200,100", "-100,-200", "1,1e154", "1,1e300"]
+)
+@pytest.mark.parametrize("c", [0.0, -0.0, 0.5])
+@pytest.mark.parametrize("case", ["heisenberg", "class_b"])
+def test_the_batched_report_is_the_per_ell_report(case, c, ells):
+    factory, _ = limit_family(case, c)
+    ells = [float(e) for e in ells.split(",")]
+    got, want = flat_limit(factory, ells), flat_limit_per_ell(factory, ells)
+    assert got == want and repr(got) == repr(want)
+
+
+def _outcome(limit, factory, ells):
+    """The report of ``limit``, or the type and text of what it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return repr(limit(factory, ells))
+    except EwbenchError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("order", ["first", "last"])
+@pytest.mark.parametrize("value", EXTREMES)
+@pytest.mark.parametrize("case", ["heisenberg", "class_b"])
+def test_an_extreme_scale_gives_what_each_ell_gives_alone(case, value, order):
+    """The scales of tests/test_exit_codes.py, where the batched pass meets
+    constants that do not fold, non-finite rows and failing ells."""
+    factory, _ = limit_family(case, 0.5)
+    ells = [float(value), 100.0] if order == "first" else [100.0, float(value)]
+    assert _outcome(flat_limit, factory, ells) == _outcome(flat_limit_per_ell, factory, ells)
+
+
+@pytest.mark.parametrize(
+    "case, ells",
+    [
+        ("heisenberg", [100.0, 0.0, 5e-324]),
+        ("heisenberg", [100.0, 5e-324, 0.0]),
+        ("class_b", [100.0, 0.0, 1e-300]),
+        ("class_b", [100.0, 1e-300, 0.0]),
+    ],
+)
+def test_the_first_failing_ell_is_the_one_reported(case, ells):
+    """Two ells that fail with different errors: the job raises what the
+    first of them raises alone, whichever comes first."""
+    factory, _ = limit_family(case, 0.0)
+    with np.errstate(all="ignore"), pytest.raises(EwbenchError) as want:
+        flat_limit_per_ell(factory, ells)
+    with np.errstate(all="ignore"), pytest.raises(EwbenchError) as got:
+        flat_limit(factory, ells)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+    with np.errstate(all="ignore"), pytest.raises(EwbenchError) as other:
+        flat_limit_per_ell(factory, [ells[0], ells[2], ells[1]])
+    assert (type(other.value), str(other.value)) != (type(want.value), str(want.value))
+
+
+def _report(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, re.sub(r'^ *"wall_time_s": .*\n', "", out.getvalue(), flags=re.M)
+
+
+def test_a_limit_without_a_case_echoes_the_family_that_ran():
+    code, out = _report(["limit", "--ells", "100,200"])
+    assert code == EXIT_PASS
+    assert json.loads(re.sub(r",(\s*[}\]])", r"\1", out))["config"]["case"] == "heisenberg"
+    assert (code, out) == _report(["limit", "--case", "heisenberg", "--ells", "100,200"])
+
+
+def test_fix_ell_sign_chooses_the_sign_row_by_row():
+    """The probe that fix_ell_sign reads V at carries each row's ell."""
+    scale = Field.param("ell")
+    ell, flipped = fix_ell_sign(heisenberg(scale), scale)
+    batch = PointBatch(XYT, [[0.1, 0.2, 0.3]] * 3, {"ell": [2.0, -5.0, 1e150]})
+    assert flipped is None and ell.value(batch).tolist() == [-2.0, 5.0, -1e150]
+    alone = [fix_ell_sign(heisenberg(e), e)[0] for e in (2.0, -5.0, 1e150)]
+    assert [ell.value(q) for q in batch] == alone

@@ -10,8 +10,8 @@ the catalog command lines of ``CATALOG``, the check-table command lines of
 ``CHECKS``, the edge-case command lines of ``EDGES``, the large-batch
 command lines of ``LARGE``, the pack-plan command lines of ``PLANS``, the
 one-batch command lines of ``BATCHES``, the frame-pass command lines of
-``FRAMES``, and any extra command lines given
-after the two checkouts.  One subprocess per checkout runs them all through
+``FRAMES``, the limit command lines of ``LIMITS``, and any extra command
+lines given after the two checkouts.  One subprocess per checkout runs them all through
 ``ewbench.cli.main`` in process, with that checkout's ``src`` first on the
 path.  The tool prints
 each argv whose exit code, stdout (without its ``wall_time_s`` line) or
@@ -67,6 +67,7 @@ CATALOG = (
     "lift --case class-b --points 5",
     "limit --case heisenberg --ells 100,200",
     "limit --case class-b --ells 100,200",
+    "limit --ells 100,200",
     "verify --case nope",
     "verify --checks gt",
     "limit --case class-a",
@@ -174,6 +175,25 @@ FRAMES = tuple(
     "verify --case from-H --H 1e308*x^3 --checks monopole --points 5",
     "verify --case from-H --H 1e308*x^3 --checks psi --c 0.5 --points 5",
     "verify --case class-b --F 1e-13 --checks monopole --points 5",
+)
+
+# both limit families with one ell at each extreme scale of
+# tests/test_exit_codes.py, after 100 and before it, so that the ell that
+# fails comes first and last; ells of both signs; and the default ells at
+# c = 0.5
+EXTREME_SCALES = (
+    "0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1e150", "1e154", "1e200",
+    "1e300", "-1e300", "1e308", "-1e308",
+)
+LIMITS = tuple(
+    f"limit --case {case} --ells {ells}"
+    for case in ("heisenberg", "class-b")
+    for v in EXTREME_SCALES
+    for ells in (f"100,{v}", f"{v},100")
+) + tuple(
+    f"limit --case {case} {flags}"
+    for case in ("heisenberg", "class-b")
+    for flags in ("--ells -100,100", "--c 0.5")
 )
 
 # batches past perfbench's sizes, where rounding shifts of the batched
@@ -293,7 +313,7 @@ def main(argv):
     if len(argv) < 2:
         sys.exit(__doc__)
     old_dir, new_dir = Path(argv[0]), Path(argv[1])
-    sets = CONSTANT_DATA + CATALOG + CHECKS + EDGES + LARGE + PLANS + BATCHES + FRAMES
+    sets = CONSTANT_DATA + CATALOG + CHECKS + EDGES + LARGE + PLANS + BATCHES + FRAMES + LIMITS
     extra = list(sets) + argv[2:]
     old, new = reports(old_dir, extra), reports(new_dir, extra)
     names = ("exit code", "stdout", "stderr")
