@@ -214,7 +214,8 @@ def _integer(v):
 
 
 def _finite(v):
-    return _number(v) and math.isfinite(v)
+    # an int is finite; merge_config refuses one past the float range
+    return _number(v) and (isinstance(v, int) or math.isfinite(v))
 
 
 def _text(v):
@@ -354,6 +355,13 @@ def merge_config(args):
             raise ConfigError(f"--{key} is not used by {args.command}")
         cfg[key] = val
         flags.append(key)
+    # a config file, or --points, may give an int that no float holds
+    for key in ("ell", "c", "tol", "points", "ells"):
+        for v in cfg[key] if isinstance(cfg[key], list) else [cfg[key]]:
+            if _integer(v) and abs(v) > sys.float_info.max:
+                raise ConfigError(
+                    f"{key} must lie in the float range (magnitude at most {sys.float_info.max:.6g})"
+                )
     if cfg["tol"] is not None and not 0 < cfg["tol"] < math.inf:
         raise ConfigError("tol must be positive and finite")
     for key in ("ell", "c"):
@@ -560,10 +568,12 @@ def cmd_eval(args):
         "order": order,
         "value": jet.value,
     }
-    if order >= 1:
-        out["gradient"] = dict(zip(chart, jet.parts[1]))
-    if order >= 2:
-        out["hessian"] = {n: dict(zip(chart, row)) for n, row in zip(chart, jet.parts[2])}
+
+    def nested(part):  # one level of dicts by coordinate per derivative axis
+        return dict(zip(chart, map(nested, part) if np.ndim(part) > 1 else part))
+
+    for k, key in enumerate(("gradient", "hessian", "third")[:order], 1):
+        out[key] = nested(jet.parts[k])
     return out
 
 

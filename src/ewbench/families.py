@@ -189,12 +189,10 @@ def _heat_probe(beta_ast):
 
 def class_b(F):
     """Class B structure from an arbitrary nonvanishing F(p): expression
-    text, a parsed expression, a field, or a number or ``jets.Param``,
-    which is the constant field of its value."""
+    text, a parsed expression, or a number or ``jets.Param``, which is the
+    constant field of its value."""
     if isinstance(F, (int, float, Param)):
         f = Field.const(F)
-    elif isinstance(F, Field):
-        f = F
     else:
         f = ex.to_field(_ast(F, ["p"]))
     p = Field.coordinate("p")

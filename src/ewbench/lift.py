@@ -20,8 +20,11 @@ B with F = ell/4.
 A family's scale may be a ``jets.Param`` instead of a number: the
 parameter ``ell`` of the points, so that one build of the family serves
 every ell, each row of a batch at its own.  ``fix_ell_sign``, ``LiftConfig``
-and ``build_p`` take it as they take a number, and ``flat_limit`` evaluates
-all its ells this way in one pass.
+and ``build_p`` take it as they take a number, and a number goes the same
+way as one row: ``fix_ell_sign`` applies one sign rule to the rows of the
+probe, and ``flat_limit`` evaluates a tiled batch of the ells, each
+residual one ``report.run_check``, whether the scale is the Param of all
+its ells or the number of one.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .forms import (
     zero_form,
 )
 from .jets import ChartPoint, Field, Param, PointBatch, first_where, row_numbers
-from .report import row_pass, run_check
+from .report import run_check
 
 GAUGE_TOL = 1e-9
 GT_TOL = 1e-7
@@ -140,25 +143,22 @@ def fix_ell_sign(base, ell, probe=None):
 
     With ell a ``jets.Param``, ell' is the Param that makes this choice row
     by row when it is evaluated, reading V at the probe with the
-    parameters of each row, and ``flipped`` is None.
+    parameters of each row, and ``flipped`` is None.  A number is the one
+    row of the probe itself, by the same rule.
     """
     if probe is None:
         probe = default_probes(base.chart, count=1)[0]
     if isinstance(ell, Param):
         return Param(lambda pt: _signed_rows(base, ell, _probe_rows(probe, pt))), None
-    v = base.V(probe, 0).value
     if ell is None:
+        v = base.V(probe, 0).value
         if v == 0:
             raise ConfigError("V = 0 at the probe; supply --ell explicitly")
         if not math.isfinite(-2.0 / v):
             raise ConfigError(f"ell = -2/V is not finite: V = {v:.6g} at the probe")
         return -2.0 / v, False
-    for cand, flipped in ((float(ell), False), (-float(ell), True)):
-        if abs(v * cand + 2.0) <= GAUGE_TOL:
-            return cand, flipped
-    raise GaugeViolationError(
-        f"no sign of ell = {ell} gives V = -2/ell; V = {v:.6g} at the probe"
-    )
+    signed = float(_signed_rows(base, ell, probe))
+    return signed, signed != ell
 
 
 def _probe_rows(probe, pt):
@@ -415,22 +415,21 @@ def flat_limit(factory, ells):
     evaluated in one pass, in one evaluation scope: the validation probes
     and the six limit rows are tiled over the ells, each tile carrying its
     ell as the row parameter, the lift is validated once (in a scope of its
-    own), and each residual is evaluated once over all rows
-    (``report.row_pass``), named ``lift.<key>`` after its report key.  The
-    maximum of an ell's rows is its entry in the report.  The checks run
-    riemann_limit first, which packs the limit form through order 2 for
-    form_gap, and form_gap last, after the F checks ask order 1 of the
-    omega and fibre-profile fields that the lift metric reads, so no field
-    is evaluated again at a higher order; the report keeps its own key
-    order.
+    own), and each residual is one ``run_check`` over all rows, named
+    ``lift.<key>`` after its report key.  The maximum of an ell's rows is
+    its entry in the report.  The checks run riemann_limit first, which
+    packs the limit form through order 2 for form_gap, and form_gap last,
+    after the F checks ask order 1 of the omega and fibre-profile fields
+    that the lift metric reads, so no field is evaluated again at a higher
+    order; the report keeps its own key order.
 
-    If that pass raises an EwbenchError or leaves a row that is not finite,
-    the ells are evaluated again one at a time, in order, each with the
-    factory called at its number and each check one ``run_check``: the
-    first ell that fails raises exactly what it raises alone (a non-finite
-    value DomainError), and otherwise the report is that of the single
-    ells.  A ratio of successive gaps that is not finite (a later gap of 0,
-    or an overflow) is null.
+    If that pass raises an EwbenchError (a row that is not finite raises
+    DomainError in ``run_check``), the same pass runs again for each ell
+    alone, in order, with the factory called at its number, as a one-ell
+    batch: the first ell that fails raises exactly what it raises alone,
+    and otherwise the report is that of the single ells.  A ratio of
+    successive gaps that is not finite (a later gap of 0, or an overflow)
+    is null.
     """
     ells = [float(e) for e in ells]
     if len(ells) < 2:
@@ -439,8 +438,6 @@ def flat_limit(factory, ells):
         with np.errstate(all="ignore"):
             columns = _limit_columns(factory, Field.param("ell"), ells)
     except EwbenchError:
-        columns = None
-    if columns is None:
         singles = [_limit_columns(factory, ell, [ell]) for ell in ells]
         columns = {key: [v for one in singles for v in one[key]] for key in singles[0]}
     report = {
@@ -469,18 +466,15 @@ def flat_limit(factory, ells):
 def _limit_columns(factory, scale, ells):
     """{key: one value per ell} of the family at ``scale``: the number of
     the one ell in ``ells``, or the Param ``ell`` whose rows take the
-    ``ells``.  None when a residual row of the Param pass is not finite."""
+    ``ells``.  The probes and the limit rows are tiled over the ells; an
+    ell's entry is the maximum of its rows.  A check that fails raises its
+    EwbenchError."""
     with jets.evaluation_scope():
         cfg = factory(scale)
-        params = isinstance(scale, Param)
-        if params and cfg.validate:
-            probes = cfg.probes or default_probes(cfg.base.chart)
-            cfg = replace(cfg, probes=_tiled(probes, ells))
-        data = build_p(cfg)
+        probes = cfg.probes or default_probes(cfg.base.chart)
+        data = build_p(replace(cfg, probes=_tiled(probes, ells)))
         chart4 = data.chart
-        pts = PointBatch(chart4, LIMIT_ROWS)
-        if params:
-            pts = _tiled(pts, ells)
+        pts = _tiled(PointBatch(chart4, LIMIT_ROWS), ells)
         g_lim = _limit_form(cfg, chart4)
         om4 = embed_form(cfg.base.omega, chart4)
         f_target = ext_d(om4).scale(data.ell / 4.0)
@@ -495,19 +489,10 @@ def _limit_columns(factory, scale, ells):
         }
         columns = {}
         for key in LIMIT_KEYS:
-            name, fn = f"lift.{key}", residuals[key]
-            if not params:
-                columns[key] = [run_check(name, fn, pts, math.inf).max]
-                continue
-            rows = row_pass(name, fn, pts)
-            if len(rows) < len(pts):
-                return None
+            rows = run_check(f"lift.{key}", residuals[key], pts, math.inf).rows
             columns[key] = np.reshape(rows, (len(ells), -1)).max(axis=1).tolist()
-        if params:
-            ell_used = np.broadcast_to(row_numbers(data.ell, pts), pts.shape)
-            columns["ell_used"] = ell_used[:: len(LIMIT_ROWS)].tolist()
-        else:
-            columns["ell_used"] = [data.ell]
+        ell_used = np.broadcast_to(row_numbers(data.ell, pts), pts.shape)
+        columns["ell_used"] = ell_used[:: len(LIMIT_ROWS)].tolist()
     return columns
 
 

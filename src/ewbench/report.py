@@ -1,9 +1,9 @@
 """Check aggregation and machine-readable verification reports.
 
 A check maps sample points to residuals; ``run_check`` evaluates it once
-over the batch of all its points (``row_pass``), in the open evaluation
-scope, reduces each point to its largest absolute component and keeps the
-maximum, the mean, and the worst point.
+over the batch of all its points, in the open evaluation scope, reduces
+each point to its largest absolute component and keeps those values, their
+maximum, their mean, and the worst point.
 Reports serialize to JSON with a fixed key order so that two runs with the
 same configuration and seed are byte-identical apart from the wall-time
 field.
@@ -40,6 +40,8 @@ class CheckResult:
     # checks whose pass condition is not a plain threshold (convergence
     # studies) set this explicitly; None means "max <= tol"
     failed: bool | None = None
+    # the value of each point, in point order
+    rows: tuple[float, ...] = ()
 
     @property
     def verdict(self):
@@ -53,14 +55,14 @@ def run_check(name, fn, points, tol):
 
     ``points`` is a PointBatch, or a sequence of ChartPoints packed into
     one.  ``fn(q)`` returns the raw residual at q: a number, an array of
-    components, or a tuple of components.  It is called once on the batch
-    (``row_pass``), in the open field evaluation scope (so checks over the
-    same points share their field and packed-metric evaluations) or in a
-    scope of its own, and each row is reduced to its largest absolute
-    component.  If it raises an EwbenchError or a row is not finite, the
-    points are evaluated again one at a time in sample order, each in a new
-    scope, so the first offending point raises exactly the error it raises
-    alone; a non-finite point raises DomainError.
+    components, or a tuple of components.  It is called once on the batch,
+    in the open field evaluation scope (so checks over the same points
+    share their field and packed-metric evaluations) or in a scope of its
+    own, and each row is reduced to its largest absolute component, the
+    point's value in ``rows``.  If it raises an EwbenchError or a row is
+    not finite, the points are evaluated again one at a time in sample
+    order, each in a new scope, so the first offending point raises exactly
+    the error it raises alone; a non-finite point raises DomainError.
     A residual without the batch axis (fn did not vectorize) is taken as
     the first point's, and the other points are evaluated one at a time; a
     residual built from jets broadcasts a constant value to ``q.shape``
@@ -70,7 +72,7 @@ def run_check(name, fn, points, tol):
     if not len(points):
         raise ConfigError(f"check {name!r} received no sample points")
     batch = PointBatch.of(points)
-    vals = row_pass(name, fn, batch)
+    vals = _row_pass(name, fn, batch)
     for i in range(len(vals), len(batch)):
         q = batch[i]
         # every value is checked for finiteness
@@ -83,11 +85,12 @@ def run_check(name, fn, points, tol):
         mean=sum(vals) / len(vals),
         worst_point=tuple(batch.rows[vals.index(top)].tolist()),
         tol=float(tol),
+        rows=tuple(vals),
     )
 
 
 @np.errstate(all="ignore")  # every value is checked for finiteness below
-def row_pass(name, fn, batch):
+def _row_pass(name, fn, batch):
     """The row values that one call ``fn(batch)`` settles, in row order,
     each the largest absolute component of its row's residual: those of
     every row; that of the first row alone when the residual has no batch

@@ -407,6 +407,31 @@ class TestEval:
         assert rep["hessian"]["x"]["x"] == pytest.approx(6.0)
         assert rep["hessian"]["x"]["y"] == pytest.approx(4.0)
 
+    def test_third_derivatives_at_order_three(self, capsys):
+        code, rep = run_json(
+            capsys, "eval", "--expr", "x^3*y", "--at", "x=1,y=2", "--order", "3",
+        )
+        assert code == EXIT_PASS
+        assert list(rep)[-3:] == ["gradient", "hessian", "third"]
+        assert rep["third"]["x"]["x"]["x"] == 12
+        assert rep["third"]["x"]["x"]["y"] == 6
+        assert rep["third"]["x"]["y"]["x"] == rep["third"]["y"]["x"]["x"] == 6
+        assert rep["third"]["y"]["y"]["y"] == 0
+
+    def test_an_underflowing_third_derivative_prints_as_zero(self, capsys):
+        code, rep = run_json(
+            capsys, "eval", "--expr", "1/x", "--at", "x=1e100", "--order", "3",
+        )
+        assert code == EXIT_PASS
+        assert rep["third"] == {"x": {"x": {"x": 0.0}}}
+
+    @pytest.mark.parametrize("order", ["0", "1", "2"])
+    def test_below_order_three_there_is_no_third_block(self, capsys, order):
+        code, rep = run_json(
+            capsys, "eval", "--expr", "x^3*y", "--at", "x=1,y=2", "--order", order,
+        )
+        assert code == EXIT_PASS and "third" not in rep
+
     def test_domain_error_is_sampling_exit(self, capsys):
         code, _ = run_cli(capsys, "eval", "--expr", "ln(x)", "--at", "x=-1")
         assert code == EXIT_SAMPLING

@@ -69,3 +69,35 @@ def test_an_extreme_scale_keeps_the_exit_code_contract(base, flag, arg):
             assert err == "", (argv, err)
             report = json.loads(out, parse_constant=_strict)
             assert report["verdict"] == ("pass" if code == EXIT_PASS else "fail"), argv
+
+
+# an integer that no float holds, where the float range ends
+HUGE = int("1" + "0" * 399)
+
+
+@pytest.mark.parametrize(
+    "command, values",
+    [
+        ("lift", {"ell": HUGE}),
+        ("lift", {"c": HUGE}),
+        ("lift", {"tol": HUGE}),
+        ("lift", {"points": HUGE}),
+        ("verify", {"points": -HUGE}),
+        ("limit", {"ells": [100, HUGE]}),
+        ("limit", {"ells": [-HUGE, 100]}),
+    ],
+    ids=lambda v: v if isinstance(v, str) else next(iter(v)),
+)
+def test_a_config_integer_past_the_float_range_is_a_config_error(tmp_path, command, values):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(values))
+    key = next(iter(values))
+    code, out, err, caught = _run([command, "--case", "heisenberg", "--config", str(path)])
+    assert (code, out, caught) == (EXIT_CONFIG, "", [])
+    assert err == f"error: {key} must lie in the float range (magnitude at most 1.79769e+308)\n"
+
+
+def test_a_points_flag_past_the_float_range_is_a_config_error():
+    code, out, err, caught = _run(["verify", "--case", "heisenberg", "--points", str(HUGE)])
+    assert (code, out, caught) == (EXIT_CONFIG, "", [])
+    assert err == "error: points must lie in the float range (magnitude at most 1.79769e+308)\n"

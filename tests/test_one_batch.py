@@ -207,20 +207,14 @@ def test_probes_fibre_points_and_limit_rows_are_batches(monkeypatch):
     assert isinstance(pts, PointBatch) and pts.chart == data.chart and len(pts) == 4
     assert fibre_points(data, 3, list(sample(dom))) == pts
     seen, names = [], []
-    run, row_pass = lift_mod.run_check, lift_mod.row_pass
+    run = lift_mod.run_check
 
     def checked(name, fn, points, tol):
         seen.append(points)
         names.append(name)
         return run(name, fn, points, tol)
 
-    def passed(name, fn, points):
-        seen.append(points)
-        names.append(name)
-        return row_pass(name, fn, points)
-
     monkeypatch.setattr(lift_mod, "run_check", checked)
-    monkeypatch.setattr(lift_mod, "row_pass", passed)
     factory, _ = lift_mod.limit_family("heisenberg", 0.0)
     lift_mod.flat_limit(factory, [100.0, 200.0])
     assert all(isinstance(p, PointBatch) for p in seen)

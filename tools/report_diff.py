@@ -100,7 +100,8 @@ CHECKS = (
 # a check its chart cannot serve, refused before sampling; limit ratios that
 # overflow; negative numbers in exponent form; heisenberg at the ends of the
 # float range of ell, whose u = 4x/ell scales by an infinite, a huge or a
-# tiny factor; and the alpha chart just inside its ell bound
+# tiny factor; the alpha chart just inside its ell bound; order-3 jets under
+# eval; and a sample size past the float range
 EDGES = (
     "verify --case class-a --checks gt,hypercr",
     "lift --case class-b --checks em,hypercr",
@@ -123,6 +124,9 @@ EDGES = (
     "limit --ells '100,,200'",
     "limit --case class-b --ells ',100,200'",
     "limit --ells '100,200,'",
+    "eval --expr 1/x --at x=1e100 --order 3",
+    "eval --expr x^3*y --at x=1,y=2 --order 3",
+    "verify --case heisenberg --points 1" + "0" * 399,
 )
 
 # what each job packs once, at the highest order its checks read: every
