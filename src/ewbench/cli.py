@@ -7,13 +7,16 @@ Subcommands:
   limit   track a lift family toward its large-ell limit form
   eval    evaluate a text expression and its derivatives at a point
 
-Configuration comes from flags or a JSON file (flags override).  The
-driver maps flags to a catalog case and its parameters: the cases, their
-expression flags and defaults come from ``families.CASES``; the fibre
-charts, their sample points, the ``limit`` families and the choice of ell
-from ``lift``.  Every check is one ``Check`` row of ``CHECKS``: the flags
-it reads, the packed arrays it reads, whether it runs on the base or on the
-lift, and its builder; ``_run_checks`` packs each array once per job.
+Configuration comes from flags or a JSON file (flags override).  Every
+configuration key is one ``Key`` row of ``KEYS``: its default, the
+subcommands whose flag sets it, what the flag parses to and what a file
+value must be.  The driver maps flags to a catalog case and its
+parameters: the cases, their expression flags and defaults come from
+``families.CASES``; the fibre charts, their sample points, the ``limit``
+families and the choice of ell from ``lift``.  Every check is one
+``Check`` row of ``CHECKS``: the flags it reads, the packed arrays it reads,
+whether it runs on the base or on the lift, and its builder;
+``_run_checks`` packs each array once per job.
 Reports are JSON with a fixed key order and a ``schema`` version; for a
 fixed configuration and seed they are byte-identical apart from wall time.
 Exit codes: 0 all checks pass, 1 a check fails, 2 configuration problem,
@@ -155,54 +158,10 @@ OFFERED_CHECKS = {
 CHECK_NAMES = OFFERED_CHECKS["lift"] + OFFERED_CHECKS["limit"]
 CHARTS = tuple(lift_mod.FIBRE_WINDOWS)
 
-# merged configuration, in report echo order
-DEFAULTS = {
-    "command": None,
-    "case": None,
-    "ell": None,
-    "ell_used": None,
-    "sign_fixed": False,
-    "checks": None,
-    "points": None,
-    "seed": 7,
-    "tol": None,
-    "beta": None,
-    "F": None,
-    "K": None,
-    "H": None,
-    "A": None,
-    "B": None,
-    "c": 0.0,
-    "f": None,
-    "ells": None,
-    "chart": lift_mod.LiftConfig.chart,
-    "out": None,
-}
-
+DEFAULT_CHECKS = {"verify": "gt,monopole", "lift": "em,maxwell", "limit": "limit"}
 # the expression flags each catalog case reads
 CASE_EXPRS = {case: tuple(row.exprs) for case, row in fam.CASES.items()}
 _CASE_EXPR_FLAGS = tuple(f for flags in CASE_EXPRS.values() for f in flags)
-_EXPR_FLAGS = _CASE_EXPR_FLAGS + ("f",)
-
-# the flags each subcommand reads; giving it any other is a configuration
-# error (config-file keys are not held to this: one file may serve all).
-# Within verify and lift, a case reads only its own expression flags, and
-# verify reads --ell only for a case whose structure reads it (heisenberg)
-# and --c only for a check that reads it (psi, per its row of CHECKS).
-_CASE_FLAGS = ("case", "ell", "checks", "points", "seed", "tol") + _CASE_EXPR_FLAGS
-READ_FLAGS = {
-    "verify": _CASE_FLAGS + ("c", "f", "out"),
-    "lift": _CASE_FLAGS + ("c", "chart", "out"),
-    "limit": ("case", "checks", "tol", "c", "ells", "out"),
-}
-DEFAULT_CHECKS = {"verify": "gt,monopole", "lift": "em,maxwell", "limit": "limit"}
-
-# options whose value may start with "-": the expressions, the ells
-# sequence, whose first ell may be negative, and the numbers, which argparse
-# alone takes for options in exponent form (-1e-9)
-_DASH_VALUE_OPTIONS = frozenset(
-    ("--expr", "--ells", "--ell", "--c", "--tol") + tuple(f"--{name}" for name in _EXPR_FLAGS)
-)
 
 
 def _number(v):
@@ -222,31 +181,77 @@ def _text(v):
     return isinstance(v, str)
 
 
-# what a config-file value must be: what its flag parses to (a bool is not
-# a number, and JSON's Infinity and NaN are no ell or c); a key not named
-# here takes text
-_FILE_VALUES = {
-    "ell": (_finite, "a finite number"),
-    "tol": (_number, "a number"),
-    "c": (_finite, "a finite number"),
-    "points": (_integer, "an integer"),
-    "seed": (_integer, "an integer"),
-    "ells": (
-        lambda v: _text(v) or isinstance(v, list) and all(map(_finite, v)),
-        "text or a list of finite numbers",
+class Key(NamedTuple):
+    """One row of ``KEYS``: a configuration key's default; the subcommands
+    whose flag sets it (none for a key the program sets); what the flag
+    parses to (argparse's ``type`` and ``choices``) and what a config-file
+    value must be (``valid``, named ``what`` in its error: a bool is not a
+    number, and JSON's Infinity and NaN are no ell or c); whether the flag's
+    value may start with "-"; and the flag's help."""
+
+    default: object = None
+    commands: tuple = ()
+    help: str = ""
+    type: Callable = None
+    choices: tuple = None
+    valid: Callable = _text
+    what: str = "text"
+    dash: bool = False
+
+
+_ALL = ("verify", "lift", "limit")
+_CASE = ("verify", "lift")
+_FINITE = dict(type=float, valid=_finite, what="a finite number")
+_INTEGER = dict(type=int, valid=_integer, what="an integer")
+
+# every configuration key, in report echo order.  The verify, lift and limit
+# parsers take every flag, and a subcommand that a flag's row does not name
+# refuses it (a config file is not held to this: one file may serve all).
+# Within verify and lift, a case reads only its own expression flags, and
+# verify reads --ell only for a case whose structure reads it (heisenberg)
+# and --c only for a check that reads it (psi, per its row of CHECKS).  A
+# value that may start with "-" is an expression, the ells sequence, whose
+# first ell may be negative, or a number, which argparse alone takes for an
+# option in exponent form (-1e-9).
+KEYS = {
+    "command": Key(),
+    "case": Key(None, _ALL, "catalog case name"),
+    "ell": Key(None, _CASE, "scale parameter", dash=True, **_FINITE),
+    "ell_used": Key(),
+    "sign_fixed": Key(False),
+    "checks": Key(None, _ALL, "comma-separated check names"),
+    "points": Key(None, _CASE, "sample size", **_INTEGER),
+    "seed": Key(7, _CASE, "sampling seed", **_INTEGER),
+    "tol": Key(None, _ALL, "residual tolerance", float, valid=_number, what="a number", dash=True),
+    **{f: Key(None, _CASE, f"expression for {f}", dash=True) for f in _CASE_EXPR_FLAGS},
+    "c": Key(0.0, _ALL, "psi = c*omega coefficient", dash=True, **_FINITE),
+    "f": Key(None, ("verify",), "expression for f", dash=True),
+    "ells": Key(
+        None, ("limit",), "comma-separated ell sequence (limit)",
+        valid=lambda v: _text(v) or isinstance(v, list) and all(map(_finite, v)),
+        what="text or a list of finite numbers", dash=True,
     ),
-    "chart": (lambda v: v in CHARTS, " or ".join(map(repr, CHARTS))),
+    "chart": Key(
+        lift_mod.LiftConfig.chart, ("lift",), "fibre chart", choices=CHARTS,
+        valid=lambda v: v in CHARTS, what=" or ".join(map(repr, CHARTS)),
+    ),
+    "out": Key(None, _ALL, "also write the report to this path"),
 }
+DEFAULTS = {key: row.default for key, row in KEYS.items()}
+_DASH_VALUE_OPTIONS = frozenset(
+    ("--expr",) + tuple(f"--{key}" for key, row in KEYS.items() if row.dash)
+)
 
 
 class _Parser(argparse.ArgumentParser):
     """Reads the word after an option of ``_DASH_VALUE_OPTIONS`` as its
     value even when it starts with "-": argparse alone takes ``--expr -x``,
     ``--ells -100,-200`` or ``--tol -1e-9`` for two options.  A word that
-    names an option of a subcommand (``option_words``), or abbreviates one,
-    is left to argparse, so ``--expr --at x=1`` still lacks its argument."""
+    names an option of a subcommand (of ``commands``), or abbreviates one,
+    is left to argparse, so ``--expr --at x=1`` still lacks its argument;
+    so does ``--X=--``, from which argparse alone strips the "--"."""
 
-    option_words = frozenset()
+    commands = {}  # subcommand name -> its parser
 
     def parse_known_args(self, args=None, namespace=None):
         args = list(sys.argv[1:] if args is None else args)
@@ -261,13 +266,18 @@ class _Parser(argparse.ArgumentParser):
             else:
                 joined.append(word)
                 i += 1
-        return super().parse_known_args(joined, namespace)
+        parsed, extras = super().parse_known_args(joined, namespace)
+        for dest, value in vars(parsed).items():
+            if isinstance(value, list):  # what argparse leaves of --X=--
+                self.commands[parsed.command].error(f"argument --{dest}: expected one argument")
+        return parsed, extras
 
     def _names_option(self, word):
         name = word.split("=", 1)[0]
+        words = [o for p in self.commands.values() for o in p._option_string_actions]
         if name.startswith("--"):
-            return any(o.startswith(name) for o in self.option_words)
-        return name in self.option_words
+            return any(o.startswith(name) for o in words)
+        return name in words
 
 
 def make_parser():
@@ -280,36 +290,23 @@ def make_parser():
         dest="command", required=True, parser_class=argparse.ArgumentParser
     )
 
-    def common(p):
-        p.add_argument("--case", help="catalog case name")
-        p.add_argument("--ell", type=float, help="scale parameter")
-        p.add_argument("--checks", help="comma-separated check names")
-        p.add_argument("--points", type=int, help="sample size")
-        p.add_argument("--seed", type=int, help="sampling seed")
-        p.add_argument("--tol", type=float, help="residual tolerance")
-        for name in _EXPR_FLAGS:
-            p.add_argument(f"--{name}", help=f"expression for {name}")
-        p.add_argument("--c", type=float, help="psi = c*omega coefficient")
-        p.add_argument("--ells", help="comma-separated ell sequence (limit)")
-        p.add_argument("--chart", choices=CHARTS, help="fibre chart")
-        p.add_argument("--out", help="also write the report to this path")
-        p.add_argument("--config", help="JSON file with the same keys")
-
-    for name, blurb in (
+    for command, blurb in (
         ("verify", "check a structure's defining equations"),
         ("lift", "check the lifted field equations"),
         ("limit", "study the large-ell limit of a lift family"),
     ):
-        common(sub.add_parser(name, help=blurb))
+        p = sub.add_parser(command, help=blurb)
+        for key, row in KEYS.items():
+            if row.commands:
+                p.add_argument(f"--{key}", type=row.type, choices=row.choices, help=row.help)
+        p.add_argument("--config", help="JSON file with the same keys")
 
     pe = sub.add_parser("eval", help="evaluate an expression at a point")
     pe.add_argument("--expr", required=True, help="expression text")
     pe.add_argument("--at", required=True, help="point, e.g. x=1,y=3,t=2")
     pe.add_argument("--order", type=int, default=1, help="jet order (0..3)")
     pe.add_argument("--out", help="also write the result to this path")
-    ap.option_words = frozenset(
-        word for p in sub.choices.values() for word in p._option_string_actions
-    )
+    ap.commands = sub.choices
     return ap
 
 
@@ -338,20 +335,20 @@ def merge_config(args):
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         for key, val in loaded.items():
-            if key not in DEFAULTS or key in ("command", "ell_used", "sign_fixed"):
+            row = KEYS.get(key, Key())
+            if not row.commands:
                 raise ConfigError(f"unknown config key {key!r}")
-            valid, what = _FILE_VALUES.get(key, (_text, "text"))
-            if not valid(val):
+            if not row.valid(val):
                 raise ConfigError(
-                    f"config key {key!r} must be {what}, got {json.dumps(val)}"
+                    f"config key {key!r} must be {row.what}, got {json.dumps(val)}"
                 )
             cfg[key] = val
     flags = []
-    for key in DEFAULTS:
+    for key, row in KEYS.items():
         val = getattr(args, key, None)
-        if val is None or key == "command":
+        if val is None or not row.commands:
             continue
-        if key not in READ_FLAGS[args.command]:
+        if args.command not in row.commands:
             raise ConfigError(f"--{key} is not used by {args.command}")
         cfg[key] = val
         flags.append(key)
@@ -362,6 +359,8 @@ def merge_config(args):
                 raise ConfigError(
                     f"{key} must lie in the float range (magnitude at most {sys.float_info.max:.6g})"
                 )
+    if cfg["points"] is not None and cfg["points"] > jets._MAX_DRAWS:
+        raise ConfigError(f"points must be at most {jets._MAX_DRAWS}")
     if cfg["tol"] is not None and not 0 < cfg["tol"] < math.inf:
         raise ConfigError("tol must be positive and finite")
     for key in ("ell", "c"):
@@ -578,8 +577,7 @@ def cmd_eval(args):
 
 
 def _echo(cfg):
-    echo = {k: cfg[k] for k in DEFAULTS}
-    return echo
+    return {k: cfg[k] for k in KEYS}
 
 
 def _emit(text, out_path):

@@ -4,7 +4,8 @@ Grammar (loosest to tightest binding): ``+ -``, then ``* /``, then unary
 minus, then right-associative ``^``.  Identifiers must name either a chart
 coordinate or a declared parameter; anything else is rejected at parse time
 with its byte offset.  The function set is closed: ln, exp, sin, cos, sqrt,
-tanh, cosh, sinh.
+tanh, cosh, sinh.  A number is ASCII digits with an optional fraction and
+exponent (``2``, ``1.``, ``2.5e-3``); one past the float range is infinite.
 
 An exponent that names no chart coordinate is evaluated once, as a number:
 an integer one by repeated multiplication (so negative bases are fine), any
@@ -13,6 +14,7 @@ evaluated as exp(y ln x) at every order and needs a positive base too.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -92,61 +94,28 @@ class _Token:
     offset: int
 
 
-def _is_name_start(ch):
-    return ch.isalpha() or ch == "_"
-
-
-def _is_name_char(ch):
-    return ch.isalnum() or ch == "_"
+# one group per token kind, tried in this order at each offset: a number is
+# ASCII digits, an optional fraction and an exponent only when digits
+# follow it ("2e" is the number 2 and the name e); a name is word
+# characters that do not start with a decimal digit ("_b", "x2", and
+# "²", which names no coordinate)
+_TOKEN = re.compile(
+    r"(?P<num>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)|(?P<name>[^\W\d]\w*)"
+    r"|(?P<op>[-+*/^])|(?P<lparen>\()|(?P<rparen>\))|(?P<space>\s+)"
+)
 
 
 def _tokenize(source):
     tokens = []
     i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            if i < n and source[i] == ".":
-                i += 1
-                while i < n and source[i].isdigit():
-                    i += 1
-            if i < n and source[i] in "eE":
-                j = i + 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                if j < n and source[j].isdigit():
-                    i = j
-                    while i < n and source[i].isdigit():
-                        i += 1
-            tokens.append(_Token("num", source[start:i], start))
-            continue
-        if _is_name_start(ch):
-            start = i
-            while i < n and _is_name_char(source[i]):
-                i += 1
-            tokens.append(_Token("name", source[start:i], start))
-            continue
-        if ch in "+-*/^":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(_Token("lparen", ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token("rparen", ch, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
+    while i < len(source):
+        m = _TOKEN.match(source, i)
+        if m is None:
+            raise ExprSyntaxError(f"unexpected character {source[i]!r}", i)
+        if m.lastgroup != "space":
+            tokens.append(_Token(m.lastgroup, m.group(), i))
+        i = m.end()
+    tokens.append(_Token("end", "", len(source)))
     return tokens
 
 
@@ -184,19 +153,16 @@ class _Parser:
         return e
 
     def parse_sum(self):
-        left = self.parse_product()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            right = self.parse_product()
-            left = Bin(op, left, right)
-        return left
+        return self.parse_left_assoc("+-", self.parse_product)
 
     def parse_product(self):
-        left = self.parse_unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
+        return self.parse_left_assoc("*/", self.parse_unary)
+
+    def parse_left_assoc(self, ops, parse_operand):
+        left = parse_operand()
+        while self.peek().kind == "op" and self.peek().text in ops:
             op = self.advance().text
-            right = self.parse_unary()
-            left = Bin(op, left, right)
+            left = Bin(op, left, parse_operand())
         return left
 
     def parse_unary(self):
@@ -212,16 +178,8 @@ class _Parser:
         if tok.kind == "op" and tok.text == "^":
             self.advance()
             # the exponent may start with a unary minus; ^ stays right-assoc
-            exponent = self.parse_unary_in_exponent()
-            return Bin("^", base, exponent)
+            return Bin("^", base, self.parse_unary())
         return base
-
-    def parse_unary_in_exponent(self):
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return Neg(self.parse_unary_in_exponent())
-        return self.parse_power()
 
     def parse_atom(self):
         tok = self.peek()
@@ -272,7 +230,8 @@ def to_source(e):
 def _render(e):
     if isinstance(e, Const):
         v = e.value
-        text = repr(int(v)) if v == int(v) and abs(v) < 1e15 else repr(v)
+        # an infinite literal prints as one that parses back to it
+        text = repr(int(v)) if abs(v) < 1e15 and v == int(v) else repr(v).replace("inf", "1e999")
         return text, _PREC["atom"]
     if isinstance(e, Var):
         return e.name, _PREC["atom"]
@@ -353,34 +312,38 @@ def eval_jet(e, pt, order=0):
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def _children(e):
+    """(the leading fields of the node ``e`` that are not expressions, its
+    subexpressions): ``type(e)(*fixed, *children)`` builds it again."""
+    if isinstance(e, Bin):
+        return (e.op,), (e.left, e.right)
+    if isinstance(e, Call):
+        return (e.func,), (e.arg,)
+    if isinstance(e, Neg):
+        return (), (e.arg,)
+    if isinstance(e, Const):
+        return (e.value,), ()
+    if isinstance(e, Var):
+        return (e.name,), ()
+    raise TypeError(f"not an expression node: {e!r}")
+
+
 def substitute(e, name, replacement):
     """Replace every Var named ``name`` with the expression ``replacement``."""
-    if isinstance(e, Const):
-        return e
     if isinstance(e, Var):
         return replacement if e.name == name else e
-    if isinstance(e, Neg):
-        return Neg(substitute(e.arg, name, replacement))
-    if isinstance(e, Bin):
-        return Bin(e.op, substitute(e.left, name, replacement), substitute(e.right, name, replacement))
-    if isinstance(e, Call):
-        return Call(e.func, substitute(e.arg, name, replacement))
-    raise TypeError(f"not an expression node: {e!r}")
+    fixed, children = _children(e)
+    return type(e)(*fixed, *(substitute(c, name, replacement) for c in children))
 
 
 def free_names(e):
     """The set of variable names appearing in ``e``."""
-    if isinstance(e, Const):
-        return set()
     if isinstance(e, Var):
         return {e.name}
-    if isinstance(e, Neg):
-        return free_names(e.arg)
-    if isinstance(e, Bin):
-        return free_names(e.left) | free_names(e.right)
-    if isinstance(e, Call):
-        return free_names(e.arg)
-    raise TypeError(f"not an expression node: {e!r}")
+    names = set()
+    for child in _children(e)[1]:
+        names |= free_names(child)
+    return names
 
 
 def to_field(e):

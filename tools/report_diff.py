@@ -101,7 +101,8 @@ CHECKS = (
 # overflow; negative numbers in exponent form; heisenberg at the ends of the
 # float range of ell, whose u = 4x/ell scales by an infinite, a huge or a
 # tiny factor; the alpha chart just inside its ell bound; order-3 jets under
-# eval; and a sample size past the float range
+# eval; a sample size past the float range; a non-ASCII digit; an infinite
+# literal inside a failing subexpression; and an option given "=--"
 EDGES = (
     "verify --case class-a --checks gt,hypercr",
     "lift --case class-b --checks em,hypercr",
@@ -127,6 +128,11 @@ EDGES = (
     "eval --expr 1/x --at x=1e100 --order 3",
     "eval --expr x^3*y --at x=1,y=2 --order 3",
     "verify --case heisenberg --points 1" + "0" * 399,
+    "eval --expr 'y^²' --at y=2",
+    "verify --case from-H --H 'x^1e999' --points 3",
+    "verify --case class-b --F '1e999/1e-320' --points 3",
+    "verify --case heisenberg --checks=-- --points 3",
+    "verify --case heisenberg --config=--",
 )
 
 # what each job packs once, at the highest order its checks read: every
