@@ -430,7 +430,8 @@ def cmd_verify(cfg):
     tol = cfg["tol"] if cfg["tol"] is not None else 1e-7
     s, dom = build_case(cfg)
     if cfg["f"] is not None:
-        s = gauge_transform(s, ex.parse_field(cfg["f"], s.chart))
+        f = ex.refuse_nonfinite(ex.parse(cfg["f"], s.chart), "f")
+        s = gauge_transform(s, ex.to_field(f))
     fns = {n: CHECKS[n].build(s, cfg) for n in names}
     pts = sample(dom)
     results = _run_checks([(n, fns[n], pts, s, CHECKS[n].reads_under(cfg)) for n in names], tol)

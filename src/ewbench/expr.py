@@ -14,6 +14,7 @@ evaluated as exp(y ln x) at every order and needs a positive base too.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -21,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from . import jets
-from .errors import DomainError, ExprSyntaxError, UnknownIdentifierError
+from .errors import ConfigError, DomainError, ExprSyntaxError, UnknownIdentifierError
 
 __all__ = [
     "Const",
@@ -37,6 +38,7 @@ __all__ = [
     "substitute",
     "to_field",
     "free_names",
+    "refuse_nonfinite",
 ]
 
 
@@ -355,15 +357,30 @@ def to_field(e):
     evaluated lazily at each point, so ``1/0``, ``exp(800)`` and
     ``1/1e-300`` (past order 0) fail there as they always did.
     """
-    if not free_names(e):
-        with np.errstate(all="ignore"):
-            try:
-                jet = eval_jet(e, jets.point(("x",), 0.0), jets.MAX_ORDER)
-            except DomainError:
-                jet = None
-        if jet is not None and all(np.isfinite(p).all() for p in jet.parts):
-            return jets.Field.const(jet.value)
+    jet = _constant_jet(e)
+    if jet is not None and all(np.isfinite(p).all() for p in jet.parts):
+        return jets.Field.const(jet.value)
     return jets.Field(lambda pt, order=0: eval_jet(e, pt, order))
+
+
+def _constant_jet(e):
+    """The jet through ``MAX_ORDER`` of a variable-free ``e``, or None."""
+    if free_names(e):
+        return None
+    with np.errstate(all="ignore"):
+        try:
+            return eval_jet(e, jets.point(("x",), 0.0), jets.MAX_ORDER)
+        except DomainError:
+            return None
+
+
+def refuse_nonfinite(e, name):
+    """``e``, or a ConfigError naming ``name`` when ``e`` is a constant
+    whose value is not finite; one whose evaluation raises keeps that."""
+    jet = _constant_jet(e)
+    if jet is not None and not math.isfinite(jet.value):
+        raise ConfigError(f"{name} must be finite, got {float(jet.value)!r}")
+    return e
 
 
 def parse_field(source, variables):

@@ -5,9 +5,10 @@ scalar solution H on (x, y, t); Classes A, B, C on a chart (p, y, t)
 where p is the Legendre dual of x; and the structures of a Legendre
 generator G(p, y, t) = A(p, t) + p B(y, t).  Each case is one ``CASES``
 row: its expression parameters with their defaults, its constructor, its
-sampling chart, box and guard (``default_domain``), and the route to its
-Legendre generator (``generator_for``).  ``build`` makes a case's structure
-and domain from one parse of each parameter.  The p-chart structures can
+sampling chart, box and guard (``default_domain``), the route to its
+Legendre generator (``generator_for``) and its lift family (``limit``).
+``build`` makes a case's structure and domain from one parse of each
+parameter.  The p-chart structures can
 be produced two independent ways: directly from the closed-form coframe
 components (class_a / class_b / class_c), or by running the generic
 Legendre-generator route (from_generator) on the raw data.  Agreement of
@@ -483,6 +484,10 @@ def _nonzero(field, floor, label):
 
 
 class Case(NamedTuple):
+    """One catalog case.  ``limit`` states the gauge V = -2/ell of the
+    case's lift family by construction: heisenberg(s) has V = +2/s and
+    lifts at ell = -s; class B at F = s/4 has V = -2/s, at ell = s."""
+
     exprs: dict  # expression parameter -> (default text, its variables), in flag order
     make: Callable  # (ell, **parsed parameters) -> structure
     chart: tuple  # the sampling chart
@@ -490,6 +495,7 @@ class Case(NamedTuple):
     guard: Callable = None  # (param lookup of default_domain) -> the domain's Guard
     generator: Callable = None  # preset text -> the matching GeneratorG
     reads_ell: bool = False  # whether the structure reads the scale ell
+    limit: Callable = None  # scale s (number or jets.Param) -> (base, lift ell)
 
 
 # a catalog case per name.  The constructors are looked up when called, so a
@@ -498,7 +504,10 @@ class Case(NamedTuple):
 # light cone for the fundamental solution; every p box keeps p > 0 where
 # dp/p appears.
 CASES = {
-    "heisenberg": Case({}, lambda ell: heisenberg(ell), XYT, ((-1.0, 1.0),) * 3, reads_ell=True),
+    "heisenberg": Case(
+        {}, lambda ell: heisenberg(ell), XYT, ((-1.0, 1.0),) * 3, reads_ell=True,
+        limit=lambda s: (heisenberg(s), -s),
+    ),
     "class_a": Case(
         {"beta": (CLASS_A_BETAS[0], ("y", "t"))}, lambda ell, beta: class_a(beta),
         PYT, ((0.5, 2.0), (2.0, 3.0), (0.2, 0.9)),
@@ -510,6 +519,7 @@ CASES = {
         PYT, ((0.5, 2.0), (-1.0, 1.0), (-1.0, 1.0)),
         lambda param: _nonzero(ex.to_field(param("F")), 1e-4, "F^2 > 1e-4"),
         lambda F: GeneratorG(_preset(_CLASS_B_AS, F, "antiderivative for F"), "0"),
+        limit=lambda s: (class_b(s / 4.0), s),
     ),
     "class_c": Case(
         {"K": ("s", ("s",))}, lambda ell, K: class_c(K),
@@ -535,13 +545,15 @@ def build(case, params, *, ell=None, seed=7, count=200):
     """(structure, sampling domain) of a catalog case.
 
     A parameter that ``params`` lacks or holds as None takes its default;
-    each is parsed once, for the constructor and the domain.  ``ell``
-    (default 1) is read only by a case that ``reads_ell``.
+    each is parsed once, for the constructor and the domain, and a constant
+    one that is not finite is a ConfigError.  ``ell`` (default 1) is read
+    only by a case that ``reads_ell``.
     """
     row = CASES[case]
     asts = {}
     for name, (default, variables) in row.exprs.items():
         source = params.get(name)
-        asts[name] = _ast(default if source is None else source, variables)
+        ast = _ast(default if source is None else source, variables)
+        asts[name] = ex.refuse_nonfinite(ast, name)
     s = row.make(1.0 if ell is None else ell, **asts)
     return s, default_domain(case, seed=seed, count=count, **asts)

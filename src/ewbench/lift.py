@@ -11,20 +11,19 @@ related to it by
 Both charts carry the same geometry; the p chart extends smoothly through
 the alpha = pi/2 slice.  ``fibre_points`` samples a lift's chart and
 ``invariants_check`` compares the two charts.  ``fix_ell_sign`` is the one
-choice of ell for a base: -2/V when none is given, else the given magnitude
-with the sign that makes V = -2/ell.  ``flat_limit`` tracks the large-ell
-behaviour of a lift family against its limit form; ``limit_family`` holds
-the two families the ``limit`` subcommand offers, heisenberg(ell) and class
-B with F = ell/4.
+choice of a number ell for a base: -2/V when none is given, else the given
+magnitude with the sign that makes V = -2/ell.  ``flat_limit`` tracks the
+large-ell behaviour of a lift family against its limit form;
+``limit_family`` reads a case's family, heisenberg(ell) or class B with
+F = ell/4, from its ``families.CASES`` row, which states its gauge.
 
 A family's scale may be a ``jets.Param`` instead of a number: the
 parameter ``ell`` of the points, so that one build of the family serves
-every ell, each row of a batch at its own.  ``fix_ell_sign``, ``LiftConfig``
-and ``build_p`` take it as they take a number, and a number goes the same
-way as one row: ``fix_ell_sign`` applies one sign rule to the rows of the
-probe, and ``flat_limit`` evaluates a tiled batch of the ells, each
-residual one ``report.run_check``, whether the scale is the Param of all
-its ells or the number of one.
+every ell, each row of a batch at its own.  ``LiftConfig`` and ``build_p``
+take it as they take a number, and ``flat_limit`` evaluates a tiled batch
+of the ells, each residual one ``report.run_check``, whether the scale is
+the Param of all its ells or the number of one.  No sign rule reads a
+Param: ``validate_config``'s gauge check certifies each row.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from .forms import (
     symmetric_product,
     zero_form,
 )
-from .jets import ChartPoint, Field, Param, PointBatch, first_where, row_numbers
+from .jets import ChartPoint, Field, Param, PointBatch, row_numbers
 from .report import run_check
 
 GAUGE_TOL = 1e-9
@@ -114,7 +113,7 @@ class LiftConfig:
     probes: PointBatch | tuple[ChartPoint, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.ell, Param) and self.ell == 0.0:
+        if self.ell == 0.0:
             raise ConfigError("ell must be nonzero")
         if self.chart not in FIBRE_WINDOWS:
             raise ConfigError(f"unknown fibre chart {self.chart!r}")
@@ -137,54 +136,29 @@ def fix_ell_sign(base, ell, probe=None):
 
     The magnitude is kept; only the sign is adjusted.  Raises
     GaugeViolationError when neither sign fits, e.g. when V is not the
-    constant +-2/|ell| to begin with.  With ell None, ell' is -2/V at the
-    probe, unflipped, however small V is; V = 0 there, or a V whose -2/V
-    is not finite (a V so small that it overflows), is a ConfigError.
-
-    With ell a ``jets.Param``, ell' is the Param that makes this choice row
-    by row when it is evaluated, reading V at the probe with the
-    parameters of each row, and ``flipped`` is None.  A number is the one
-    row of the probe itself, by the same rule.
+    constant +-2/|ell| to begin with, and DomainError when V at the probe
+    is not finite.  With ell None, ell' is -2/V at the probe, unflipped,
+    however small V is; V = 0 there, or a V whose -2/V is not finite (a V
+    so small that it overflows), is a ConfigError.  ``ell`` is a number:
+    a limit family's row in ``families.CASES`` gives its ell with its base.
     """
     if probe is None:
         probe = default_probes(base.chart, count=1)[0]
-    if isinstance(ell, Param):
-        return Param(lambda pt: _signed_rows(base, ell, _probe_rows(probe, pt))), None
+    v = base.V(probe, 0).value
     if ell is None:
-        v = base.V(probe, 0).value
         if v == 0:
             raise ConfigError("V = 0 at the probe; supply --ell explicitly")
         if not math.isfinite(-2.0 / v):
             raise ConfigError(f"ell = -2/V is not finite: V = {v:.6g} at the probe")
         return -2.0 / v, False
-    signed = float(_signed_rows(base, ell, probe))
-    return signed, signed != ell
-
-
-def _probe_rows(probe, pt):
-    """The ChartPoint ``probe`` once per row of ``pt`` (a point or a
-    batch), with the parameters of that row."""
-    if not pt.shape:
-        return ChartPoint(probe.chart, probe.coords, pt.params)
-    rows = np.broadcast_to(probe.coords, pt.shape + (probe.dim,))
-    return PointBatch(probe.chart, rows, pt.params)
-
-
-def _signed_rows(base, ell, probes):
-    """fix_ell_sign on the rows of ``probes``, the probe once per row with
-    that row's parameters: ell or -ell in each row, or GaugeViolationError
-    for the first row where neither sign fits."""
-    v = base.V(probes, 0).value
-    e = row_numbers(ell, probes)
-    plus = np.abs(v * e + 2.0) <= GAUGE_TOL
-    minus = np.abs(v * -e + 2.0) <= GAUGE_TOL
-    fails = ~(plus | minus)
-    if jets.anywhere(fails):
-        raise GaugeViolationError(
-            f"no sign of ell = {first_where(e, fails)} gives V = -2/ell; "
-            f"V = {first_where(np.broadcast_to(v, np.shape(e)), fails):.6g} at the probe"
-        )
-    return np.where(plus, e, -e) if probes.shape else (e if plus else -e)
+    if not math.isfinite(v):
+        raise DomainError(f"V is not finite at the probe: V = {v:.6g} for ell = {ell}")
+    for signed in (ell, -ell):
+        if abs(v * signed + 2.0) <= GAUGE_TOL:
+            return float(signed), signed != ell
+    raise GaugeViolationError(
+        f"no sign of ell = {ell} gives V = -2/ell; V = {v:.6g} at the probe"
+    )
 
 
 def validate_config(cfg):
@@ -405,8 +379,8 @@ def flat_limit(factory, ells):
     at that parameter: a number, or the ``jets.Param`` of the ells (see the
     module docstring).  For each ell the p-chart lift is compared against
     the limit form at the same parameter, the field strength F = dA
-    against its limit term (ell/4) d(omega) (with ell the sign-fixed lift
-    parameter; cos(2 alpha) -> -1 at the equator), and the curvature of the
+    against its limit term (ell/4) d(omega) (with ell the lift's, of
+    V = -2/ell; cos(2 alpha) -> -1 at the equator), and the curvature of the
     limit form is recorded.  ``diverges`` is set when the form gap or the
     limit term grows along the sequence, which happens precisely when omega
     fails to scale with ell.
@@ -506,18 +480,14 @@ def _tiled(points, ells):
 
 def limit_family(case, c):
     """(factory, chart) of the lift family of ``case`` that ``flat_limit``
-    tracks, with psi = c omega: heisenberg(ell) lifted at the sign-fixed
-    ell, or class B with F = ell/4, whose V is -2/ell.  ``chart`` is the
-    p chart of the family's lifts."""
-    if case not in ("heisenberg", "class_b"):
+    tracks, with psi = c omega: the base and ell of its ``families.CASES``
+    row at each scale.  ``chart`` is the p chart of the family's lifts."""
+    row = fam.CASES.get(case)
+    if row is None or row.limit is None:
         raise ConfigError(f"case {case!r} has no ell-parameterized lift family")
 
-    def factory(ell):
-        if case == "heisenberg":
-            base = fam.heisenberg(ell)
-            ell, _ = fix_ell_sign(base, ell)
-        else:
-            base = fam.class_b(ell / 4.0)
+    def factory(scale):
+        base, ell = row.limit(scale)
         return LiftConfig(base=base, psi=fam.psi_const(base, c), ell=ell)
 
-    return factory, p_chart(fam.XYT if case == "heisenberg" else fam.PYT)
+    return factory, p_chart(row.chart)

@@ -31,6 +31,7 @@ from ewbench import (
 from ewbench.cli import main
 from ewbench.ew import constraints_residual, hcr_residual
 from ewbench.families import (
+    CASES,
     CLASS_A_BETAS,
     CLASS_B_FS,
     CLASS_C_PHIS,
@@ -45,7 +46,7 @@ from ewbench.families import (
 )
 from ewbench.forms import coordinate_form, scalar_form
 from ewbench.jets import ChartPoint, fd_oracle, sample
-from ewbench.lift import fix_ell_sign, flat_limit
+from ewbench.lift import flat_limit
 
 from conftest import XYT, PYT, pt
 from oracle import max_abs_at
@@ -279,8 +280,7 @@ def test_conformal_invariance_of_certificates():
 
 def test_flat_limit_rate_and_limit_curvature():
     def factory(scale):
-        base = heisenberg(scale)
-        ell, _ = fix_ell_sign(base, scale)
+        base, ell = CASES["heisenberg"].limit(scale)
         return LiftConfig(base, psi_const(base, 0.0), ell)
 
     rep = flat_limit(factory, (100.0, 200.0, 10000.0))

@@ -336,13 +336,12 @@ class TestInvariantsCheck:
 
 class TestLimit:
     def test_heisenberg_flow(self, capsys):
-        code, rep = run_json(
-            capsys, "limit", "--case", "heisenberg", "--ells", "100,200",
-        )
-        assert code == EXIT_PASS
-        detail = rep["detail"]
-        assert 3.6 <= detail["ratios"][0] <= 4.4
-        assert detail["ell_used"] == [-100.0, -200.0]
+        for ells, used in (("100,200", [-100.0, -200.0]), ("-100,200", [100.0, -200.0])):
+            code, rep = run_json(capsys, "limit", "--case", "heisenberg", "--ells", ells)
+            assert code == EXIT_PASS
+            detail = rep["detail"]
+            assert 3.6 <= detail["ratios"][0] <= 4.4
+            assert detail["ell_used"] == used
 
     def test_class_b_flow(self, capsys):
         code, rep = run_json(

@@ -97,6 +97,21 @@ def test_a_config_integer_past_the_float_range_is_a_config_error(tmp_path, comma
     assert err == f"error: {key} must lie in the float range (magnitude at most 1.79769e+308)\n"
 
 
+@pytest.mark.parametrize("ell, v", [("5e-324", "inf"), ("-5e-324", "-inf")])
+def test_an_overflowing_v_is_a_sampling_exit_under_lift_and_limit(ell, v):
+    """heisenberg's V = 2/ell overflows: lift's sign rule and limit's gauge
+    check both refuse the value as not finite."""
+    runs = [
+        (["lift", "--case", "heisenberg", "--ell", ell, "--points", "3"],
+         f"error: V is not finite at the probe: V = {v} for ell = {ell}\n"),
+        (["limit", "--case", "heisenberg", "--ells", f"100,{ell}"], "error: check 'lift.gauge' is "),
+    ]
+    for argv, err in runs:
+        code, out, got, caught = _run(argv)
+        assert (code, out, caught) == (EXIT_SAMPLING, "", []), (argv, got)
+        assert got.startswith(err), (argv, got)
+
+
 def test_a_points_flag_past_the_float_range_is_a_config_error():
     code, out, err, caught = _run(["verify", "--case", "heisenberg", "--points", str(HUGE)])
     assert (code, out, caught) == (EXIT_CONFIG, "", [])

@@ -223,6 +223,25 @@ def test_a_failing_subexpression_names_its_infinite_literal():
     assert err == "error: reciprocal of 1e-320 leaves the float range in '1e999/1e-320'\n"
 
 
+# each expression flag of each case under verify and lift, and verify's --f
+CONSTANT_FLAGS = [
+    (command, case.replace("_", "-"), flag)
+    for command in ("verify", "lift")
+    for case, row in sorted(CASES.items())
+    for flag in row.exprs
+] + [("verify", "heisenberg", "f")]
+
+
+@pytest.mark.parametrize("command, case, flag", CONSTANT_FLAGS, ids=lambda v: v)
+@pytest.mark.parametrize(
+    "text, shown", [("1e999", "inf"), ("-1e999", "-inf"), ("1e999-1e999", "nan")]
+)
+def test_a_constant_that_is_not_finite_is_refused_naming_its_flag(command, case, flag, text, shown):
+    code, out, err, caught = run([command, "--case", case, f"--{flag}={text}", "--points", "3"])
+    assert (code, out, caught) == (EXIT_CONFIG, "", [])
+    assert err == f"error: {flag} must be finite, got {shown}\n"
+
+
 # the cases that read expression text, each with its flag
 READERS = (("from-H", "H"), ("class-b", "F"), ("class-a", "beta"))
 

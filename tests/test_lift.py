@@ -30,7 +30,7 @@ from ewbench.errors import (
     PsiResidualError,
 )
 from ewbench import report
-from ewbench.families import class_b, default_domain, heisenberg_psi
+from ewbench.families import CASES, class_b, default_domain, heisenberg_psi
 from ewbench.forms import coordinate_form, embed_form, embed_metric, symmetric_product
 from ewbench.jets import ChartPoint, sample
 from ewbench.lift import (
@@ -162,6 +162,12 @@ class TestFixEllSign:
         s = from_uw(parse_field("x^2", XYT), Field.const(0.0))
         with pytest.raises(GaugeViolationError):
             fix_ell_sign(s, 1.0)
+
+    def test_a_v_that_is_not_finite_is_a_domain_error(self):
+        # u = 4x/ell overflows, so V = inf: no sign of ell is checked
+        match = r"V is not finite at the probe: V = inf for ell = 5e-324"
+        with np.errstate(all="ignore"), pytest.raises(DomainError, match=match):
+            fix_ell_sign(heisenberg(5e-324), 5e-324)
 
     def test_without_ell_v_sets_it(self):
         assert fix_ell_sign(class_b("1"), None, pt(PYT, 1.0, 0.0, 0.0)) == (4.0, False)
@@ -437,8 +443,7 @@ class TestEquator:
 
 def heisenberg_flow(c=0.0):
     def factory(scale):
-        base = heisenberg(scale)
-        ell, _ = fix_ell_sign(base, scale)
+        base, ell = CASES["heisenberg"].limit(scale)
         return LiftConfig(base, psi_const(base, c), ell)
 
     return factory

@@ -11,9 +11,9 @@ import pytest
 
 from ewbench.cli import EXIT_PASS, main
 from ewbench.errors import DomainError, EwbenchError
-from ewbench.families import XYT, class_b, heisenberg, psi_const
+from ewbench.families import CASES, psi_const
 from ewbench.jets import ChartPoint, Field, Param, PointBatch, evaluation_scope
-from ewbench.lift import LiftConfig, build_p, fix_ell_sign, flat_limit, limit_family
+from ewbench.lift import LiftConfig, build_p, flat_limit, limit_family
 
 from oracle import flat_limit_per_ell
 from test_exit_codes import VALUES as EXTREMES
@@ -98,12 +98,7 @@ def _bytes(jet, row=None):
 
 def _family_fields(family, scale):
     """Fields of a limit family's base and p-chart lift at ``scale``."""
-    if family == "heisenberg":
-        base = heisenberg(scale)
-        ell, _ = fix_ell_sign(base, scale)
-    else:
-        base = class_b(scale / 4.0)
-        ell = scale
+    base, ell = CASES[family].limit(scale)
     data = build_p(LiftConfig(base, psi_const(base, 0.5), ell, validate=False))
     forms = (base.omega, data.g, data.potential)
     return data.chart, [base.V] + [f for form in forms for f in form.comps.values()]
@@ -197,12 +192,3 @@ def test_a_limit_without_a_case_echoes_the_family_that_ran():
     assert json.loads(re.sub(r",(\s*[}\]])", r"\1", out))["config"]["case"] == "heisenberg"
     assert (code, out) == _report(["limit", "--case", "heisenberg", "--ells", "100,200"])
 
-
-def test_fix_ell_sign_chooses_the_sign_row_by_row():
-    """The probe that fix_ell_sign reads V at carries each row's ell."""
-    scale = Field.param("ell")
-    ell, flipped = fix_ell_sign(heisenberg(scale), scale)
-    batch = PointBatch(XYT, [[0.1, 0.2, 0.3]] * 3, {"ell": [2.0, -5.0, 1e150]})
-    assert flipped is None and ell.value(batch).tolist() == [-2.0, 5.0, -1e150]
-    alone = [fix_ell_sign(heisenberg(e), e)[0] for e in (2.0, -5.0, 1e150)]
-    assert [ell.value(q) for q in batch] == alone

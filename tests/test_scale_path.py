@@ -1,7 +1,7 @@
-"""One scale path through ``lift``: ``fix_ell_sign`` at a number takes the
-sign rule of the Param rows, ``run_check`` hands back the value of each
-point, and ``flat_limit`` runs its one pass and its per-ell fallback
-through ``lift.run_check``."""
+"""One scale path through ``lift``: ``fix_ell_sign`` at a number gives a
+float and a bool and names the ell as given, ``run_check`` hands back the
+value of each point, and ``flat_limit`` runs its one pass and its per-ell
+fallback through ``lift.run_check``."""
 import contextlib
 import io
 import json

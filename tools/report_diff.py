@@ -102,7 +102,8 @@ CHECKS = (
 # float range of ell, whose u = 4x/ell scales by an infinite, a huge or a
 # tiny factor; the alpha chart just inside its ell bound; order-3 jets under
 # eval; a sample size past the float range; a non-ASCII digit; an infinite
-# literal inside a failing subexpression; and an option given "=--"
+# literal inside a failing subexpression; an option given "=--"; heisenberg's
+# V overflowing under lift; and expression constants that are not finite
 EDGES = (
     "verify --case class-a --checks gt,hypercr",
     "lift --case class-b --checks em,hypercr",
@@ -133,6 +134,10 @@ EDGES = (
     "verify --case class-b --F '1e999/1e-320' --points 3",
     "verify --case heisenberg --checks=-- --points 3",
     "verify --case heisenberg --config=--",
+    "lift --case heisenberg --ell 5e-324 --points 3",
+    "verify --case class-a --beta 1e999 --points 3",
+    "verify --case from-H --H 1e999 --points 3",
+    "lift --case class-b --F 1e999 --points 3",
 )
 
 # what each job packs once, at the highest order its checks read: every
