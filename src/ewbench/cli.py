@@ -45,15 +45,7 @@ from . import families as fam
 from . import jets
 from . import lift as lift_mod
 from .curv import em_residual, field_strength, maxwell_residual, weyl_ricci_residual
-from .errors import (
-    ConfigError,
-    DomainError,
-    EwbenchError,
-    GuardViolationError,
-    SamplingExhaustedError,
-    SingularFrameError,
-    SingularMetricError,
-)
+from .errors import ConfigError, DomainError, EwbenchError
 from .ew import (
     gauge_transform,
     gt_residual,
@@ -618,16 +610,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (
-        SamplingExhaustedError,
-        GuardViolationError,
-        DomainError,
-        SingularFrameError,
-        SingularMetricError,
-    ) as exc:
+    except EwbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SAMPLING
-    except (EwbenchError, OSError) as exc:
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # a fault of the program, not of its input

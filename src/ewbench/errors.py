@@ -1,13 +1,16 @@
 """Exception types shared across the workbench.
 
-The CLI maps these onto exit codes: configuration problems (bad flags,
-unparseable expressions) exit with 2, sampling and guard problems with 3,
-and ordinary check failures with 1.
+Each class states the exit code of the CLI in its ``exit_code``: 2 for
+configuration problems (bad flags, unparseable expressions, inputs that
+fail their certificates), 3 for sampling, guard, domain and singular
+frame or metric problems.  Ordinary check failures exit with 1.
 """
 
 
 class EwbenchError(Exception):
     """Base class for all workbench errors."""
+
+    exit_code = 2
 
 
 class ConfigError(EwbenchError):
@@ -38,6 +41,8 @@ class DomainError(EwbenchError):
     through the expression layer.
     """
 
+    exit_code = 3
+
     def __init__(self, message, subexpr=None):
         if subexpr is not None:
             message = f"{message} in '{subexpr}'"
@@ -52,17 +57,25 @@ class JetOrderError(EwbenchError):
 class SamplingExhaustedError(EwbenchError):
     """Rejection sampling accepted fewer than 1% of draws after the cap."""
 
+    exit_code = 3
+
 
 class GuardViolationError(EwbenchError):
     """A point violates the guard predicates of its domain."""
+
+    exit_code = 3
 
 
 class SingularFrameError(EwbenchError):
     """Coframe determinant too close to zero for a frame expansion."""
 
+    exit_code = 3
+
 
 class SingularMetricError(EwbenchError):
     """Metric determinant too close to zero to invert."""
+
+    exit_code = 3
 
 
 class DegenerateLegendreError(EwbenchError):

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import ConfigError, DegenerateLegendreError, HeatResidualError
-from .ew import EWStructure, WeightedForm, from_H, from_uw
+from .ew import XYT, EWStructure, WeightedForm, from_H, from_uw
 from .forms import (
     Coframe3,
     coordinate_form,
@@ -69,7 +69,6 @@ __all__ = [
     "k_from_phi",
 ]
 
-XYT = ("x", "y", "t")
 PYT = ("p", "y", "t")
 
 LEGENDRE_TOL = 1e-10

@@ -30,10 +30,9 @@ A :class:`Field` is a lazily evaluated scalar function of a point or a
 batch of points; requesting a derivative field lowers the maximum order
 that can be evaluated by one, which is how the order cap stays honest.
 Field algebra folds constants, and an affine field knows its constant
-derivatives (see :class:`Field`).  A point or a batch may carry named
-parameters, one number per row, which :meth:`Field.param` reads: a field
-constant along the chart, whose arithmetic with numbers runs as numbers
-(see :class:`Param`).  Field evaluations are memoized on
+derivatives (see :class:`Field`).  A :class:`Param` is a field constant
+along the chart that takes one number per row from its caller, and whose
+arithmetic with numbers runs as numbers.  Field evaluations are memoized on
 ``(field, point)`` in the open :func:`evaluation_scope`, a context
 variable never shared between threads, so shared subexpressions and the
 checks of one command (``report.run_check``) evaluate each field once; a
@@ -100,8 +99,7 @@ __all__ = [
 
 class _Coordinates:
     """What field code reads from a point or a batch: ``chart``, ``coords``
-    (one entry per chart coordinate), ``shape``, the batch shape, and
-    ``params``, the (name, value) pairs of its parameters, sorted by name."""
+    (one entry per chart coordinate) and ``shape``, the batch shape."""
 
     __slots__ = ()
 
@@ -112,34 +110,18 @@ class _Coordinates:
     def coord(self, name):
         return self.coords[self.chart.index(name)]
 
-    def param(self, name):
-        """The value of parameter ``name``: a float at a point, the (N,)
-        array of its rows over a batch."""
-        for key, value in self.params:
-            if key == name:
-                return value
-        raise KeyError(f"no parameter {name!r} at this point")
-
     def with_coord(self, index, value):
         coords = list(self.coords)
         coords[index] = value
         return self.on_chart(self.chart, coords)
 
 
-def _param_pairs(params):
-    """The (name, value) pairs of a mapping or of pairs, sorted by name."""
-    return tuple(sorted(dict(params).items()))
-
-
 @dataclass(frozen=True)
 class ChartPoint(_Coordinates):
-    """A point of a coordinate chart: ``coords`` along the names in
-    ``chart``, and ``params``, the values of its parameters (see
-    :meth:`Field.param`) as (name, value) pairs sorted by name."""
+    """A point of a coordinate chart: ``coords`` along the names in ``chart``."""
 
     chart: tuple[str, ...]
     coords: tuple[float, ...]
-    params: tuple[tuple[str, float], ...] = ()
 
     # everything evaluated at a single point has no batch axis
     shape = ()
@@ -149,13 +131,10 @@ class ChartPoint(_Coordinates):
             raise ValueError("coordinate count does not match chart")
 
     @classmethod
-    def make(cls, chart, coords, params=()):
-        pairs = tuple((name, float(v)) for name, v in _param_pairs(params))
-        return cls(tuple(chart), tuple(float(c) for c in coords), pairs)
+    def make(cls, chart, coords):
+        return cls(tuple(chart), tuple(float(c) for c in coords))
 
-    def on_chart(self, chart, coords):
-        """The point with ``coords`` along ``chart`` and these parameters."""
-        return ChartPoint.make(chart, coords, self.params)
+    on_chart = make  # the point with ``coords`` along ``chart``
 
 
 class PointBatch(_Coordinates):
@@ -164,51 +143,39 @@ class PointBatch(_Coordinates):
     ``rows[i]`` holds the coordinates of point i and ``coords[k]`` is the
     (N,) array of coordinate k, so field code that reads ``pt.coords[k]``
     and ``pt.dim`` serves a point and a batch alike; ``shape`` is (N,).
-    ``params`` holds the (name, (N,) array) pairs of the batch's
-    parameters, one value per row.  Like a ChartPoint, a batch hashes and
-    compares by value, parameters included, so the field memo shares
-    evaluations between equal batches.  Its arrays are read-only.  It reads
-    as the sequence of its points: ``len``, iteration and an index give
-    ChartPoints (with their parameters) in row order, and a slice a batch.
+    Like a ChartPoint, a batch hashes and compares by value, so the field
+    memo shares evaluations between equal batches.  Its arrays are
+    read-only.  It reads as the sequence of its points: ``len``, iteration
+    and an index give ChartPoints in row order, and a slice a batch.
     """
 
-    __slots__ = ("chart", "rows", "coords", "params", "_key", "_hash")
+    __slots__ = ("chart", "rows", "coords", "_key", "_hash")
 
-    def __init__(self, chart, rows, params=()):
+    def __init__(self, chart, rows):
         rows = np.array(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != len(chart):
             raise ValueError("coordinate count does not match chart")
         rows.flags.writeable = False
         cols = np.ascontiguousarray(rows.T)
         cols.flags.writeable = False
-        pairs = ()
-        if params:
-            pairs = tuple((name, np.array(v, dtype=float)) for name, v in _param_pairs(params))
-        for _, values in pairs:
-            if values.shape != rows.shape[:1]:
-                raise ValueError("a parameter needs one value per row")
-            values.flags.writeable = False
         self.chart = tuple(chart)
         self.rows = rows
         self.coords = tuple(cols)
-        self.params = pairs
-        self._key = (self.chart, rows.tobytes(), *[(n, v.tobytes()) for n, v in pairs])
+        self._key = (self.chart, rows.tobytes())
         self._hash = hash(self._key)
 
     @classmethod
     def of(cls, points):
-        """The batch of the ChartPoints ``points`` (one chart, the same
-        parameter names), in order; a batch is its own."""
+        """The batch of the ChartPoints ``points`` (one chart), in order; a
+        batch is its own."""
         if isinstance(points, PointBatch):
             return points
-        first = points[0]
-        params = {name: [q.param(name) for q in points] for name, _ in first.params}
-        return cls(first.chart, [q.coords for q in points], params)
+        return cls(points[0].chart, [q.coords for q in points])
 
-    def on_chart(self, chart, coords):
-        """The batch with the (N,) arrays ``coords`` along ``chart`` and
-        these parameters."""
-        return PointBatch(chart, np.stack(coords, axis=-1), self.params)
+    @staticmethod
+    def on_chart(chart, coords):
+        """The batch with the (N,) arrays ``coords`` along ``chart``."""
+        return PointBatch(chart, np.stack(coords, axis=-1))
 
     @property
     def shape(self):
@@ -218,20 +185,12 @@ class PointBatch(_Coordinates):
         return len(self.rows)
 
     def __iter__(self):
-        if not self.params:
-            return (ChartPoint(self.chart, tuple(row)) for row in self.rows.tolist())
-        names = [name for name, _ in self.params]
-        params = zip(*(v.tolist() for _, v in self.params))
-        return (
-            ChartPoint(self.chart, tuple(row), tuple(zip(names, values)))
-            for row, values in zip(self.rows.tolist(), params)
-        )
+        return (ChartPoint(self.chart, tuple(row)) for row in self.rows.tolist())
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return PointBatch(self.chart, self.rows[index], {n: v[index] for n, v in self.params})
-        params = tuple((n, v[index].item()) for n, v in self.params)
-        return ChartPoint(self.chart, tuple(self.rows[index].tolist()), params)
+            return PointBatch(self.chart, self.rows[index])
+        return ChartPoint(self.chart, tuple(self.rows[index].tolist()))
 
     def __hash__(self):
         return self._hash
@@ -242,8 +201,7 @@ class PointBatch(_Coordinates):
         )
 
     def __repr__(self):
-        names = ", ".join(n for n, _ in self.params)
-        return f"PointBatch(chart={self.chart}, points={len(self.rows)}, params=({names}))"
+        return f"PointBatch(chart={self.chart}, points={len(self.rows)})"
 
 
 def point(chart, *coords):
@@ -830,9 +788,9 @@ class Field:
     operand order.
 
     A row constant is constant along the chart but takes one number per
-    row from the parameters of the points: a :class:`Param`, or the
-    constant field of one (``Field.const(param)``).  Its ``rows(pt)`` gives
-    those numbers (``rows`` is None for any other field), and algebra
+    row: a :class:`Param`, or the constant field of one (``Field.const``
+    of a Param).  Its ``rows(pt)`` gives those numbers (``rows`` is None
+    for any other field), and algebra
     treats it as a constant whose number is that of each row: two
     constants fold row by row by the rules above, and a row constant acts
     on the jet of any other field as its numbers do.  Where a row's
@@ -885,13 +843,6 @@ class Field:
         field = Field(lambda pt, order=0: Jet.constant(v, pt.dim, order), _flat)
         field.number = v
         return field
-
-    @staticmethod
-    def param(name):
-        """The parameter ``name`` of the points, a :class:`Param`: its jet
-        is the parameter's value (one per row of a batch) with zero
-        derivatives, and ``d`` of it is the constant 0."""
-        return Param(lambda pt: pt.param(name))
 
     @staticmethod
     def coordinate(name):
@@ -1026,8 +977,10 @@ def _folded(rule, a, b):
 
 
 class Param(_RowConstant):
-    """A parameter of the points (``Field.param``), or numbers in arithmetic
-    with parameters: a row constant that stands for a number.
+    """A row constant that stands for a number: ``Param(rows)`` has the
+    numbers ``rows(pt)`` at ``pt`` (a float at a point, an (N,) array over
+    a batch), its jet has zero derivative parts, and ``d`` of it is the
+    constant 0.
 
     It is what a build that takes a number takes instead, so that one build
     serves the rows of many numbers.  ``+ - * /`` and negation with numbers

@@ -17,13 +17,13 @@ large-ell behaviour of a lift family against its limit form;
 ``limit_family`` reads a case's family, heisenberg(ell) or class B with
 F = ell/4, from its ``families.CASES`` row, which states its gauge.
 
-A family's scale may be a ``jets.Param`` instead of a number: the
-parameter ``ell`` of the points, so that one build of the family serves
-every ell, each row of a batch at its own.  ``LiftConfig`` and ``build_p``
-take it as they take a number, and ``flat_limit`` evaluates a tiled batch
-of the ells, each residual one ``report.run_check``, whether the scale is
-the Param of all its ells or the number of one.  No sign rule reads a
-Param: ``validate_config``'s gauge check certifies each row.
+A family's scale may be a ``jets.Param`` instead of a number, so that one
+build of the family serves every ell, each row of a batch at its own.
+``LiftConfig`` and ``build_p`` take it as they take a number.
+``flat_limit`` makes the one Param of its pass: it tiles its points once
+per ell and the Param's rows at each tiled batch are that batch's ells.
+No sign rule reads a Param: ``validate_config``'s gauge check certifies
+each row.
 """
 
 from __future__ import annotations
@@ -84,10 +84,6 @@ class SpacetimeData:
     potential: PForm
     ell: float
     kind: str
-
-    @property
-    def fibre(self) -> str:
-        return self.chart[0]
 
 
 @dataclass(frozen=True)
@@ -385,10 +381,10 @@ def flat_limit(factory, ells):
     limit term grows along the sequence, which happens precisely when omega
     fails to scale with ell.
 
-    ``factory`` is called once, with the Param ``ell``, and all ells are
+    ``factory`` is called once, with a Param of the ells, and all ells are
     evaluated in one pass, in one evaluation scope: the validation probes
-    and the six limit rows are tiled over the ells, each tile carrying its
-    ell as the row parameter, the lift is validated once (in a scope of its
+    and the six limit rows are tiled over the ells, the Param's rows at
+    each tile being its ell, the lift is validated once (in a scope of its
     own), and each residual is one ``run_check`` over all rows, named
     ``lift.<key>`` after its report key.  The maximum of an ell's rows is
     its entry in the report.  The checks run riemann_limit first, which
@@ -398,9 +394,11 @@ def flat_limit(factory, ells):
     order; the report keeps its own key order.
 
     If that pass raises an EwbenchError (a row that is not finite raises
-    DomainError in ``run_check``), the same pass runs again for each ell
-    alone, in order, with the factory called at its number, as a one-ell
-    batch: the first ell that fails raises exactly what it raises alone,
+    DomainError in ``run_check``, and so does the Param read at points the
+    pass did not tile, as ``run_check``'s point-by-point rows are), the
+    same pass runs again for each ell alone, in order, with the factory
+    called at its number, as a one-ell batch: the first ell that fails
+    raises what it raises alone, its text prefixed with ``ell = <repr>: ``,
     and otherwise the report is that of the single ells.  A ratio of
     successive gaps that is not finite (a later gap of 0, or an overflow)
     is null.
@@ -410,9 +408,15 @@ def flat_limit(factory, ells):
         raise ConfigError("need at least two ell values")
     try:
         with np.errstate(all="ignore"):
-            columns = _limit_columns(factory, Field.param("ell"), ells)
+            columns = _limit_columns(factory, ells)
     except EwbenchError:
-        singles = [_limit_columns(factory, ell, [ell]) for ell in ells]
+        singles = []
+        for ell in ells:
+            try:
+                singles.append(_limit_columns(factory, [ell]))
+            except EwbenchError as exc:
+                exc.args = (f"ell = {ell!r}: {exc}",)  # name the failing ell
+                raise
         columns = {key: [v for one in singles for v in one[key]] for key in singles[0]}
     report = {
         "ells": ells,
@@ -437,18 +441,27 @@ def flat_limit(factory, ells):
     return report
 
 
-def _limit_columns(factory, scale, ells):
-    """{key: one value per ell} of the family at ``scale``: the number of
-    the one ell in ``ells``, or the Param ``ell`` whose rows take the
-    ``ells``.  The probes and the limit rows are tiled over the ells; an
-    ell's entry is the maximum of its rows.  A check that fails raises its
-    EwbenchError."""
+def _limit_columns(factory, ells):
+    """{key: one value per ell} of the family over ``ells``.  The probes and
+    the limit rows are tiled over the ells.  The factory gets the number of
+    a lone ell, or else a Param whose rows at each batch this pass tiled
+    are the ells of its rows; read at any other point or batch, it raises
+    DomainError.  An ell's entry is the maximum of its rows.  A check that
+    fails raises its EwbenchError."""
+    scales = {}  # each batch tiled in this pass -> the ell of each row
+
+    def rows(pt):
+        held = scales.get(pt)
+        if held is None:
+            raise DomainError("the scale has rows only at the batches its pass tiles")
+        return held
+
     with jets.evaluation_scope():
-        cfg = factory(scale)
+        cfg = factory(ells[0] if len(ells) == 1 else Param(rows))
         probes = cfg.probes or default_probes(cfg.base.chart)
-        data = build_p(replace(cfg, probes=_tiled(probes, ells)))
+        data = build_p(replace(cfg, probes=_tiled(probes, ells, scales)))
         chart4 = data.chart
-        pts = _tiled(PointBatch(chart4, LIMIT_ROWS), ells)
+        pts = _tiled(PointBatch(chart4, LIMIT_ROWS), ells, scales)
         g_lim = _limit_form(cfg, chart4)
         om4 = embed_form(cfg.base.omega, chart4)
         f_target = ext_d(om4).scale(data.ell / 4.0)
@@ -470,12 +483,13 @@ def _limit_columns(factory, scale, ells):
     return columns
 
 
-def _tiled(points, ells):
-    """The points once per ell, in order, each copy carrying its ell as the
-    row parameter ``ell``."""
+def _tiled(points, ells, scales):
+    """The batch of the points once per ell, in order; ``scales`` records
+    the ell of each of its rows."""
     batch = PointBatch.of(points)
-    rows = np.tile(batch.rows, (len(ells), 1))
-    return PointBatch(batch.chart, rows, {"ell": np.repeat(ells, len(batch))})
+    tiled = PointBatch(batch.chart, np.tile(batch.rows, (len(ells), 1)))
+    scales[tiled] = jets.read_only(np.repeat(ells, len(batch)))
+    return tiled
 
 
 def limit_family(case, c):

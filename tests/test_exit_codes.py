@@ -14,6 +14,7 @@ import warnings
 
 import pytest
 
+from ewbench import cli, errors
 from ewbench.cli import CHARTS, EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, EXIT_SAMPLING, main
 from ewbench.families import CASES
 
@@ -100,11 +101,12 @@ def test_a_config_integer_past_the_float_range_is_a_config_error(tmp_path, comma
 @pytest.mark.parametrize("ell, v", [("5e-324", "inf"), ("-5e-324", "-inf")])
 def test_an_overflowing_v_is_a_sampling_exit_under_lift_and_limit(ell, v):
     """heisenberg's V = 2/ell overflows: lift's sign rule and limit's gauge
-    check both refuse the value as not finite."""
+    check both refuse the value as not finite, limit naming the ell."""
     runs = [
         (["lift", "--case", "heisenberg", "--ell", ell, "--points", "3"],
          f"error: V is not finite at the probe: V = {v} for ell = {ell}\n"),
-        (["limit", "--case", "heisenberg", "--ells", f"100,{ell}"], "error: check 'lift.gauge' is "),
+        (["limit", "--case", "heisenberg", "--ells", f"100,{ell}"],
+         f"error: ell = {ell}: check 'lift.gauge' is "),
     ]
     for argv, err in runs:
         code, out, got, caught = _run(argv)
@@ -116,3 +118,47 @@ def test_a_points_flag_past_the_float_range_is_a_config_error():
     code, out, err, caught = _run(["verify", "--case", "heisenberg", "--points", str(HUGE)])
     assert (code, out, caught) == (EXIT_CONFIG, "", [])
     assert err == "error: points must lie in the float range (magnitude at most 1.79769e+308)\n"
+
+
+# every EwbenchError class, the exit code of the CLI when it is raised, and
+# the arguments it is raised with
+EXIT_CODES = {
+    errors.EwbenchError: (EXIT_CONFIG, ("boom",)),
+    errors.ConfigError: (EXIT_CONFIG, ("boom",)),
+    errors.ExprError: (EXIT_CONFIG, ("boom",)),
+    errors.ExprSyntaxError: (EXIT_CONFIG, ("boom", 3)),
+    errors.UnknownIdentifierError: (EXIT_CONFIG, ("q", 3)),
+    errors.DomainError: (EXIT_SAMPLING, ("boom", "1/x")),
+    errors.JetOrderError: (EXIT_CONFIG, ("boom",)),
+    errors.SamplingExhaustedError: (EXIT_SAMPLING, ("boom",)),
+    errors.GuardViolationError: (EXIT_SAMPLING, ("boom",)),
+    errors.SingularFrameError: (EXIT_SAMPLING, ("boom",)),
+    errors.SingularMetricError: (EXIT_SAMPLING, ("boom",)),
+    errors.DegenerateLegendreError: (EXIT_CONFIG, ("boom",)),
+    errors.HeatResidualError: (EXIT_CONFIG, ("boom",)),
+    errors.GaugeViolationError: (EXIT_CONFIG, ("boom",)),
+    errors.PsiResidualError: (EXIT_CONFIG, ("boom",)),
+}
+
+
+def _subclasses(cls):
+    return [cls] + [s for sub in cls.__subclasses__() for s in _subclasses(sub)]
+
+
+def test_the_table_holds_every_error_class():
+    assert set(_subclasses(errors.EwbenchError)) == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("cls", list(EXIT_CODES), ids=lambda cls: cls.__name__)
+def test_each_error_class_exits_with_its_code(monkeypatch, cls):
+    code, args = EXIT_CODES[cls]
+    exc = cls(*args)
+
+    def raising(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_run", raising)
+    got, out, err, caught = _run(["verify", "--case", "heisenberg"])
+    assert (got, out, caught) == (code, "", [])
+    assert cls.exit_code == code
+    assert err == f"error: {exc}\n" and err.count("\n") == 1

@@ -7,6 +7,7 @@ import pytest
 
 import ewbench
 from ewbench.forms import MetricField, PForm
+from ewbench.jets import ChartPoint, Field, PointBatch
 
 MODULES = ["ewbench"] + [
     f"ewbench.{m.name}" for m in pkgutil.iter_modules(ewbench.__path__) if m.name != "__main__"
@@ -41,3 +42,10 @@ def test_no_class_keeps_a_moved_method():
     assert not hasattr(PForm, "max_abs_at")
     assert not hasattr(MetricField, "signature_at")
     assert not hasattr(MetricField, "from_value_matrix")
+
+
+def test_points_carry_no_parameters():
+    assert not hasattr(Field, "param")
+    assert not hasattr(ChartPoint, "params") and not hasattr(ChartPoint, "param")
+    assert not hasattr(PointBatch, "params") and not hasattr(PointBatch, "param")
+    assert not hasattr(ChartPoint.make(("x",), (1.0,)), "params")

@@ -274,7 +274,6 @@ def test_signature_is_lorentzian_everywhere():
 def test_fibre_name_avoids_collision():
     base = class_b("1")
     data = build_p(LiftConfig(base, None, 4.0))
-    assert data.fibre == "q"
     assert data.chart == ("q", "p", "y", "t")
 
 

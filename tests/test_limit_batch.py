@@ -1,6 +1,6 @@
-"""Every ell of a limit family in one pass: points and batches that carry
-parameters, ``Field.param`` and the Params that stand for numbers, and
-``lift.flat_limit`` against the per-ell oracle."""
+"""Every ell of a limit family in one pass: the Params that stand for
+numbers, the scale that ``lift.flat_limit``'s pass reads from the batches it
+tiles, and ``flat_limit`` against the per-ell oracle."""
 import contextlib
 import io
 import json
@@ -13,26 +13,26 @@ from ewbench.cli import EXIT_PASS, main
 from ewbench.errors import DomainError, EwbenchError
 from ewbench.families import CASES, psi_const
 from ewbench.jets import ChartPoint, Field, Param, PointBatch, evaluation_scope
-from ewbench.lift import LiftConfig, build_p, flat_limit, limit_family
+from ewbench.lift import LiftConfig, build_p, default_probes, flat_limit, limit_family, p_chart
 
 from oracle import flat_limit_per_ell
 from test_exit_codes import VALUES as EXTREMES
 
 XY = ("x", "y")
 ROWS = [[0.5, -1.0], [2.0, 0.25], [-3.0, 4.0]]
-BATCH = PointBatch(XY, ROWS, {"ell": [100.0, -200.0, 1e-300]})
+BATCH = PointBatch(XY, ROWS)
+ELLS = [100.0, -200.0, 1e-300]
 
 
-# --- points and batches that carry parameters ---------------------------------
+def given(batch, numbers):
+    """The Param whose numbers are ``numbers`` over ``batch``, its row i at
+    point i alone, and over each leading slice of it the numbers of its rows."""
+    held = {batch[i]: float(v) for i, v in enumerate(numbers)}
+    held.update({batch[:n]: np.array(numbers[:n], dtype=float) for n in range(1, len(batch) + 1)})
+    return Param(held.__getitem__)
 
 
-def test_an_index_iteration_and_a_slice_keep_the_parameters():
-    assert BATCH[1] == ChartPoint(XY, (2.0, 0.25), (("ell", -200.0),))
-    assert BATCH[-1].param("ell") == 1e-300
-    assert [q.param("ell") for q in BATCH] == [100.0, -200.0, 1e-300]
-    tail = BATCH[1:]
-    assert isinstance(tail, PointBatch) and tail.param("ell").tolist() == [-200.0, 1e-300]
-    assert list(tail) == list(BATCH)[1:]
+# --- a Param over given rows --------------------------------------------------
 
 
 def test_a_batch_of_its_points_is_the_batch():
@@ -41,48 +41,29 @@ def test_a_batch_of_its_points_is_the_batch():
     assert PointBatch.of(tuple(BATCH[1:])) == BATCH[1:]
 
 
-def test_a_moved_point_keeps_its_parameters():
-    q = BATCH[0].with_coord(1, 3.0)
-    assert q.coords == (0.5, 3.0) and q.params == BATCH[0].params
-    assert BATCH.with_coord(0, np.zeros(3)).param("ell").tolist() == [100.0, -200.0, 1e-300]
-
-
-def test_points_that_differ_only_in_a_parameter_are_distinct():
-    other = PointBatch(XY, ROWS, {"ell": [100.0, -200.0, 2e-300]})
-    assert other != BATCH and BATCH[2] != other[2]
-    assert PointBatch(XY, ROWS) != BATCH
-    f = Field.coordinate("x") * Field.param("ell")
-    with evaluation_scope() as memo:
-        got, got_other = f.value(BATCH), f.value(other)
-        assert (f, BATCH) in memo and (f, other) in memo
-        assert memo[(f, BATCH)] is not memo[(f, other)]
-    assert got[2] == -3e-300 and got_other[2] == -6e-300
-
-
 def test_a_parameter_has_zero_derivative_parts():
-    ell = Field.param("ell")
+    ell = given(BATCH, ELLS)
     jet = ell(BATCH, 3)
-    assert jet.value.tolist() == [100.0, -200.0, 1e-300]
+    assert jet.value.tolist() == ELLS
     assert all(not np.any(part) for part in jet.parts[1:])
     assert ell(BATCH[1], 2).value == -200.0
     assert ell.d("x").number == 0.0 and ell.d("y").number == 0.0
 
 
 def test_arithmetic_with_numbers_runs_as_numbers():
-    ell = Field.param("ell")
-    for q in BATCH:
-        e = q.param("ell")
+    ell = given(BATCH, ELLS)
+    for q, e in zip(BATCH, ELLS):
         assert (4.0 / ell).value(q) == 4.0 / e
         assert ((ell - 1.5) * 3.0 / 7.0).value(q) == (e - 1.5) * 3.0 / 7.0
     assert isinstance(4.0 / ell, Param) and isinstance(-ell * ell, Param)
-    assert (4.0 / ell).value(BATCH).tolist() == [4.0 / e for e in (100.0, -200.0, 1e-300)]
+    assert (4.0 / ell).value(BATCH).tolist() == [4.0 / e for e in ELLS]
 
 
 def test_a_row_whose_constants_would_not_fold_raises():
     """1 / F folds only where the jet of 1/x at F is finite through order 3;
     in a row where it is not, the build at that number would evaluate the
     quotient instead, so the row constant refuses to give a number."""
-    inv = 1.0 / Field.const(Field.param("ell"))
+    inv = 1.0 / Field.const(given(BATCH, ELLS))
     assert inv.value(BATCH[:2]).tolist() == [0.01, -0.005]
     with pytest.raises(DomainError, match="does not fold"):
         inv.value(BATCH)
@@ -107,9 +88,10 @@ def _family_fields(family, scale):
 @pytest.mark.parametrize("family", ["heisenberg", "class_b"])
 def test_each_row_equals_its_point_alone_and_the_build_at_its_number(family):
     ells = [100.0, -3.0, 1e150, 7.5]
-    chart, fields = _family_fields(family, Field.param("ell"))
+    chart = p_chart(CASES[family].chart)
     rows = np.random.default_rng(5).uniform(0.2, 0.8, size=(len(ells), 4))
-    batch = PointBatch(chart, rows, {"ell": ells})
+    batch = PointBatch(chart, rows)
+    _, fields = _family_fields(family, given(batch, ells))
     with evaluation_scope():
         batched = [f(batch, 2) for f in fields]
     for i, ell in enumerate(ells):
@@ -119,6 +101,49 @@ def test_each_row_equals_its_point_alone_and_the_build_at_its_number(family):
         with evaluation_scope():
             scalar = [_bytes(f(ChartPoint.make(chart, rows[i]), 2)) for f in scalar_fields]
         assert [_bytes(jet, i) for jet in batched] == alone == scalar
+
+
+# --- the scale of flat_limit's one pass ------------------------------------------
+
+
+def _pass_scale(case, ells):
+    """The scale that ``flat_limit``'s one pass over ``ells`` hands the
+    factory of ``case``, and the base chart of the family."""
+    factory, _ = limit_family(case, 0.0)
+    scales = []
+
+    def spied(scale):
+        scales.append(scale)
+        return factory(scale)
+
+    flat_limit(spied, ells)
+    return scales[0], CASES[case].chart
+
+
+@pytest.mark.parametrize("case", ["heisenberg", "class_b"])
+def test_the_pass_scale_reads_the_rows_of_each_batch_it_tiled(case):
+    ells = [100.0, -200.0, 1000.0]
+    scale, chart = _pass_scale(case, ells)
+    probes = default_probes(chart)
+    # the lookup is by value: an equal batch, or the batch of its points
+    tiled = PointBatch(chart, np.tile(probes.rows, (len(ells), 1)))
+    want = np.repeat(ells, len(probes)).tolist()
+    assert isinstance(scale, Param)
+    assert scale.rows(tiled).tolist() == want
+    assert scale.rows(PointBatch.of(list(tiled))).tolist() == want
+
+
+@pytest.mark.parametrize("untiled", ["point", "slice", "probes"])
+def test_the_pass_scale_refuses_points_it_did_not_tile(untiled):
+    """What ``run_check`` reads point by point ends the pass with an exit-3
+    error, never a KeyError (an internal error)."""
+    ells = [100.0, -200.0]
+    scale, chart = _pass_scale("heisenberg", ells)
+    probes = default_probes(chart)
+    tiled = PointBatch(chart, np.tile(probes.rows, (len(ells), 1)))
+    pt = {"point": tiled[0], "slice": tiled[1:], "probes": probes}[untiled]
+    with pytest.raises(DomainError, match="only at the batches its pass tiles"):
+        scale.value(pt)
 
 
 # --- flat_limit in one pass ----------------------------------------------------
@@ -145,6 +170,26 @@ def _outcome(limit, factory, ells):
         return type(exc).__name__, str(exc)
 
 
+def _first_failing(factory, ells):
+    """The first of ``ells`` whose lone run raises."""
+    for ell in ells:
+        if isinstance(_outcome(flat_limit_per_ell, factory, [ell, ell]), tuple):
+            return ell
+    raise AssertionError(f"no lone run of {ells} fails")
+
+
+def _unprefixed(factory, ells):
+    """The outcome of ``flat_limit``, with the ``ell = <repr>: `` prefix of
+    an error split off after checking that it names the first ell whose
+    lone run fails."""
+    got = _outcome(flat_limit, factory, ells)
+    if isinstance(got, str):
+        return got
+    prefix = f"ell = {_first_failing(factory, ells)!r}: "
+    assert got[1].startswith(prefix)
+    return got[0], got[1][len(prefix):]
+
+
 @pytest.mark.parametrize("order", ["first", "last"])
 @pytest.mark.parametrize("value", EXTREMES)
 @pytest.mark.parametrize("case", ["heisenberg", "class_b"])
@@ -153,7 +198,7 @@ def test_an_extreme_scale_gives_what_each_ell_gives_alone(case, value, order):
     constants that do not fold, non-finite rows and failing ells."""
     factory, _ = limit_family(case, 0.5)
     ells = [float(value), 100.0] if order == "first" else [100.0, float(value)]
-    assert _outcome(flat_limit, factory, ells) == _outcome(flat_limit_per_ell, factory, ells)
+    assert _unprefixed(factory, ells) == _outcome(flat_limit_per_ell, factory, ells)
 
 
 @pytest.mark.parametrize(
@@ -167,13 +212,14 @@ def test_an_extreme_scale_gives_what_each_ell_gives_alone(case, value, order):
 )
 def test_the_first_failing_ell_is_the_one_reported(case, ells):
     """Two ells that fail with different errors: the job raises what the
-    first of them raises alone, whichever comes first."""
+    first of them raises alone, whichever comes first, and names it."""
     factory, _ = limit_family(case, 0.0)
     with np.errstate(all="ignore"), pytest.raises(EwbenchError) as want:
         flat_limit_per_ell(factory, ells)
     with np.errstate(all="ignore"), pytest.raises(EwbenchError) as got:
         flat_limit(factory, ells)
-    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == f"ell = {ells[1]!r}: {want.value}"
     with np.errstate(all="ignore"), pytest.raises(EwbenchError) as other:
         flat_limit_per_ell(factory, [ells[0], ells[2], ells[1]])
     assert (type(other.value), str(other.value)) != (type(want.value), str(want.value))

@@ -14,7 +14,7 @@ from ewbench.cli import EXIT_CONFIG, EXIT_PASS, main
 from ewbench.errors import DomainError, GaugeViolationError
 from ewbench.expr import parse_field
 from ewbench.families import class_b, from_uw, heisenberg
-from ewbench.jets import Field, PointBatch
+from ewbench.jets import Field, PointBatch, row_numbers
 from ewbench.lift import LIMIT_KEYS, fix_ell_sign, limit_family
 from ewbench.report import run_check
 
@@ -128,16 +128,22 @@ def test_a_point_list_gives_the_rows_of_its_batch():
 
 def _limit_calls(monkeypatch, case, ells):
     """The (check name, ells of its points) of every ``lift.run_check`` of
-    a limit job, and the error it raised."""
-    calls = []
+    a limit job, read from the scale the factory was last called at (a
+    number, or the Param of the one pass), and the error it raised."""
+    calls, scales = [], []
     run = lift_mod.run_check
 
     def spied(name, fn, points, tol):
-        calls.append((name, tuple(dict.fromkeys(points.param("ell").tolist()))))
+        rows = np.ravel(row_numbers(scales[-1], points)).tolist()
+        calls.append((name, tuple(dict.fromkeys(rows))))
         return run(name, fn, points, tol)
 
+    def factory(scale):
+        scales.append(scale)
+        return family(scale)
+
     monkeypatch.setattr(lift_mod, "run_check", spied)
-    factory, _ = limit_family(case, 0.0)
+    family, _ = limit_family(case, 0.0)
     with pytest.raises(DomainError) as err:
         lift_mod.flat_limit(factory, ells)
     return calls, str(err.value)
@@ -156,7 +162,7 @@ def test_a_failing_param_pass_runs_each_ell_alone_in_order(monkeypatch, ells, al
     shared = [c for c in calls if len(c[1]) > 1]
     assert calls[: len(shared)] == shared and shared[0] == ("lift.gauge", tuple(ells))
     assert calls[len(shared):] == [(name, (ell,)) for names, ell in alone for name in names]
-    assert message.startswith("check 'lift.gt' is nan at ")
+    assert message.startswith("ell = 1e-300: check 'lift.gt' is nan at ")
 
 
 def test_a_passing_job_is_one_run_check_per_check_on_all_ells(monkeypatch):
