@@ -500,7 +500,6 @@ def cmd_limit(cfg):
     tol = cfg["tol"] if cfg["tol"] is not None else 1e-6
     if cfg["case"] is None:
         cfg = dict(cfg, case="heisenberg")  # the family that runs, as the report echoes it
-    case = cfg["case"].replace("-", "_")
     raw = "100,200,1000,10000" if cfg["ells"] is None else cfg["ells"]
     if isinstance(raw, str):
         try:
@@ -512,8 +511,10 @@ def cmd_limit(cfg):
         ells = [float(v) for v in raw]
     if not all(map(math.isfinite, ells)):
         raise ConfigError(f"ells must be finite, got {raw!r}")
+    if 0.0 in ells:  # -0.0 too
+        raise ConfigError(f"ells must be nonzero, got {raw!r}")
 
-    factory, chart = lift_mod.limit_family(case, cfg["c"])
+    factory, chart = lift_mod.limit_family(cfg["case"], cfg["c"])
     rep = lift_mod.flat_limit(factory, ells)
     result = CheckResult(
         name="limit",

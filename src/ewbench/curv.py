@@ -34,20 +34,21 @@ switches every partial to the finite-difference oracle for an independent
 cross-check.
 
 The metric work is done once per metric and point (or batch) in the open
-evaluation scope: ``MetricField.pass_at`` holds a
-:class:`~ewbench.forms.MetricPass`, and every function here reads det g,
-g^-1, d g^-1, the Christoffel symbols, R^a_bcd and R_bd from it, filling
-each slot the first time one is needed.  So em, maxwell and the invariants
-of one chart, and ``riemann``, ``ricci``, ``christoffel``, ``kretschmann``,
-``f_squared`` and ``MetricField.inverse_at``, invert g and build its
-curvature once between them.  F = dA is packed once per potential and
-point in the same way, by :func:`field_strength`.  A packing is kept at
-the highest order asked, and a later call that asks a higher one packs
-again, evaluating the component fields again at that order; so the CLI
-packs g, F and the coframe metric of its checks up front, each at the
-highest order any of them reads (``cli.PACKERS``), and the checks only
-slice.  ``method="fd"`` builds a pass of its own that no other call reads
-or fills, so the oracle never sees a jet derivative.
+evaluation scope: :func:`metric_pass` holds a :class:`MetricPass`, and
+every function here reads det g, g^-1, d g^-1, the Christoffel symbols,
+R^a_bcd and R_bd from it, filling each slot the first time one is needed.
+This module alone declares, fills and reads the slots.  So em, maxwell
+and the invariants of one chart, and ``riemann``, ``ricci``,
+``christoffel``, ``kretschmann``, ``f_squared`` and
+``metric_pass(g, pt).inverse()``, invert g and build its curvature once
+between them.  F = dA is packed once per potential and point in the same
+way, by :func:`field_strength`.  A packing is kept at the highest order
+asked, and a later call that asks a higher one packs again, evaluating
+the component fields again at that order; so the CLI packs g, F and the
+coframe metric of its checks up front, each at the highest order any of
+them reads (``cli.PACKERS``), and the checks only slice.
+``method="fd"`` builds a pass of its own that no other call reads or
+fills, so the oracle never sees a jet derivative.
 
 Every contraction takes two operands in a fixed order, with ``np.einsum``
 and no contraction planner: the planner may hand a step to BLAS, whose
@@ -58,20 +59,19 @@ batch row adds its terms in the order its point alone does.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .forms import MetricPass, ext_d, metric_from_coframe, read_only
-from .jets import _over_power, fd_oracle, scoped_arrays
+from .errors import SingularMetricError
+from .forms import ext_d, metric_from_coframe
+from .jets import _over_power, anywhere, fd_oracle, first_where, read_only, scoped, scoped_arrays
 
 __all__ = [
+    "MetricPass",
+    "metric_pass",
     "christoffel",
     "riemann",
     "ricci",
     "kretschmann",
-    "CurvatureReport",
-    "curvature_report",
     "f_squared",
     "field_strength",
     "scalar_invariants",
@@ -81,9 +81,63 @@ __all__ = [
     "weyl_ricci_residual_metric",
 ]
 
+# |det g| below this is singular for every metric inversion
+METRIC_DET_TOL = 1e-12
+
 # ---------------------------------------------------------------------------
 # the metric pass
 # ---------------------------------------------------------------------------
+
+
+class MetricPass:
+    """The metric work of one metric at one point or batch, done once.
+
+    ``arrays(order)`` are the packed g, dg, ddg, ... through ``order``, from
+    ``pack(order)`` when fewer are held; ``inverse()`` tests det g (kept as
+    ``det``) and inverts g once.  The curvature slots ``dginv``, ``gamma``,
+    ``r_up`` and ``ric`` start as None, and the functions below fill each
+    the first time one of them needs it.  A filled slot is final: the
+    arrays are read-only, as their readers share them.
+    """
+
+    __slots__ = ("pt", "_pack", "packed", "det", "ginv", "dginv", "gamma", "r_up", "ric")
+
+    def __init__(self, pt, pack):
+        self.pt = pt
+        self._pack = pack
+        self.packed = ()
+        self.det = self.ginv = self.dginv = self.gamma = self.r_up = self.ric = None
+
+    def arrays(self, order):
+        if len(self.packed) <= order:
+            self.packed = self._pack(order)
+        return self.packed[: order + 1]
+
+    def inverse(self):
+        if self.ginv is None:
+            g0 = self.arrays(0)[0]
+            self.det = metric_det(g0, self.pt)
+            self.ginv = read_only(np.linalg.inv(g0))
+        return self.ginv
+
+
+def metric_pass(g, pt):
+    """The :class:`MetricPass` of the metric g at ``pt``: one per evaluation
+    scope, shared by every call in it (a new one when no scope is open)."""
+    return scoped((MetricPass, g, pt), lambda: MetricPass(pt, lambda order: g.jets_at(pt, order)))
+
+
+def metric_det(g0, pt):
+    """det g of the metric matrix ``g0`` at ``pt`` (per row of a batch),
+    the one singular-metric test before a metric is inverted: where |det g|
+    is below METRIC_DET_TOL it raises SingularMetricError naming the point."""
+    det = np.linalg.det(g0)
+    small = np.abs(det) < METRIC_DET_TOL
+    if anywhere(small):
+        raise SingularMetricError(
+            f"|det g| = {abs(first_where(det, small)):.3e} at {pt.coords}"
+        )
+    return det
 
 
 def _fd_arrays(g, pt):
@@ -108,7 +162,7 @@ def _metric_pass(g, pt, method):
     """The scope's pass of g at pt for jets; for ``method="fd"`` a new pass
     packed by the oracle, which no other call reads."""
     if method == "jet":
-        return g.pass_at(pt)
+        return metric_pass(g, pt)
     if method == "fd":
         return MetricPass(pt, lambda order: _fd_arrays(g, pt))
     raise ValueError(f"unknown derivative method {method!r}")
@@ -204,18 +258,6 @@ def kretschmann(g, pt, method="jet"):
     return _kretschmann(_curvature(g, pt, method))
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
-    christoffel: np.ndarray
-    ricci: np.ndarray
-    kretschmann: float
-
-
-def curvature_report(g, pt, method="jet"):
-    p = _curvature(g, pt, method)
-    return CurvatureReport(p.gamma, p.ric, _kretschmann(p))
-
-
 # ---------------------------------------------------------------------------
 # Maxwell and Einstein-Maxwell residuals
 # ---------------------------------------------------------------------------
@@ -246,7 +288,7 @@ def _f_contract(fm, ginv):
 
 def f_squared(A, g, pt):
     """|F|^2 = F_ab F^ab for F = dA."""
-    return _f_contract(field_strength(A, pt, 0)[0], g.inverse_at(pt))
+    return _f_contract(field_strength(A, pt, 0)[0], metric_pass(g, pt).inverse())
 
 
 def scalar_invariants(g, A, pt):
@@ -262,7 +304,7 @@ def maxwell_residual(A, g, pt):
     """Components of d(star dA) at the sorted 3-index tuples 012, 013, 023,
     123: eps_abcd J^d with J^d = d_e(sqrt|g| F^ed), that is J^3, -J^2,
     J^1, -J^0."""
-    p = g.pass_at(pt)
+    p = metric_pass(g, pt)
     _, dg = p.arrays(1)
     ginv = p.inverse()
     dginv = _dginv(p)

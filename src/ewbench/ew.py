@@ -158,7 +158,7 @@ class FramePass:
     and dw[..., b, a]; of ``"V"``, V and dV[..., b]; or of ``"stars"``, the
     values S[..., k, pair] of *e1, *e2, *e3 (``forms.star_frame``): packed
     when first asked, and again when a higher order is, as
-    ``MetricPass.arrays`` does.
+    ``curv.MetricPass.arrays`` does.
     """
 
     __slots__ = ("s", "pt", "packed")

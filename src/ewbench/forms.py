@@ -11,6 +11,9 @@ fixed coframe: star e1 = e1^e2, star e2 = 2 e1^e3, star e3 = e2^e3.  The
 coframe is not orthonormal for the induced metric h = e2 (x) e2 - 4 e1 (.) e3,
 which is where the factor 2 comes from; the rules are taken as the
 definition and everything downstream is checked against them.
+
+Metric fields keep their algebra and packing here; the metric pass over a
+packing (det g, g^-1, the curvature) is :mod:`ewbench.curv`'s.
 """
 from __future__ import annotations
 
@@ -19,16 +22,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SingularFrameError, SingularMetricError
+from .errors import SingularFrameError
 from .jets import (
-    Field, ZERO_FIELD, anywhere, first_where, pack_jets, read_only, scoped, scoped_arrays,
+    Field, ZERO_FIELD, anywhere, first_where, pack_jets, read_only, scoped_arrays,
 )
 
 __all__ = [
     "PForm",
     "Coframe3",
     "MetricField",
-    "MetricPass",
     "coordinate_form",
     "zero_form",
     "wedge",
@@ -38,12 +40,9 @@ __all__ = [
     "metric_from_coframe",
     "signature",
     "symmetric_product",
-    "metric_det",
 ]
 
 FRAME_DET_TOL = 1e-12
-# |det g| below this is singular for every metric inversion
-METRIC_DET_TOL = 1e-12
 
 
 def _as_field(x):
@@ -346,61 +345,6 @@ class MetricField:
             for arr, part in zip(packed, f(pt, order).parts):
                 arr[..., a, b] = arr[..., b, a] = part
         return tuple(map(read_only, packed))
-
-    def pass_at(self, pt):
-        """The :class:`MetricPass` of this metric at ``pt``: one per
-        evaluation scope, shared by every call in it (a new one when no
-        scope is open)."""
-        key = (MetricPass, self, pt)
-        return scoped(key, lambda: MetricPass(pt, lambda order: self.jets_at(pt, order)))
-
-    def inverse_at(self, pt):
-        return self.pass_at(pt).inverse()
-
-
-class MetricPass:
-    """The metric work of one metric at one point or batch, done once.
-
-    ``arrays(order)`` are the packed g, dg, ddg, ... through ``order``, from
-    ``pack(order)`` when fewer are held; ``inverse()`` tests det g (kept as
-    ``det``) and inverts g once.  The curvature slots ``dginv``, ``gamma``,
-    ``r_up`` and ``ric`` start as None, and :mod:`ewbench.curv` fills each
-    the first time one of its functions needs it.  A filled slot is final:
-    the arrays are read-only, as their readers share them.
-    """
-
-    __slots__ = ("pt", "_pack", "packed", "det", "ginv", "dginv", "gamma", "r_up", "ric")
-
-    def __init__(self, pt, pack):
-        self.pt = pt
-        self._pack = pack
-        self.packed = ()
-        self.det = self.ginv = self.dginv = self.gamma = self.r_up = self.ric = None
-
-    def arrays(self, order):
-        if len(self.packed) <= order:
-            self.packed = self._pack(order)
-        return self.packed[: order + 1]
-
-    def inverse(self):
-        if self.ginv is None:
-            g0 = self.arrays(0)[0]
-            self.det = metric_det(g0, self.pt)
-            self.ginv = read_only(np.linalg.inv(g0))
-        return self.ginv
-
-
-def metric_det(g0, pt):
-    """det g of the metric matrix ``g0`` at ``pt`` (per row of a batch),
-    the one singular-metric test before a metric is inverted: where |det g|
-    is below METRIC_DET_TOL it raises SingularMetricError naming the point."""
-    det = np.linalg.det(g0)
-    small = np.abs(det) < METRIC_DET_TOL
-    if anywhere(small):
-        raise SingularMetricError(
-            f"|det g| = {abs(first_where(det, small)):.3e} at {pt.coords}"
-        )
-    return det
 
 
 def signature(matrix):

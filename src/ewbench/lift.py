@@ -495,9 +495,12 @@ def _tiled(points, ells, scales):
 def limit_family(case, c):
     """(factory, chart) of the lift family of ``case`` that ``flat_limit``
     tracks, with psi = c omega: the base and ell of its ``families.CASES``
-    row at each scale.  ``chart`` is the p chart of the family's lifts."""
-    row = fam.CASES.get(case)
-    if row is None or row.limit is None:
+    row at each scale.  ``chart`` is the p chart of the family's lifts.
+    ``case`` may spell '_' as '-', as the CLI does; errors name it as given."""
+    row = fam.CASES.get(case.replace("-", "_"))
+    if row is None:
+        raise ConfigError(f"unknown case {case!r}")
+    if row.limit is None:
         raise ConfigError(f"case {case!r} has no ell-parameterized lift family")
 
     def factory(scale):

@@ -744,7 +744,7 @@ class TestErrorExits:
         "argv, message",
         (
             (("verify", "--case", "nope"), "unknown case 'nope'"),
-            (("limit", "--case", "class-a"), "case 'class_a' has no ell-parameterized lift family"),
+            (("limit", "--case", "class-a"), "case 'class-a' has no ell-parameterized lift family"),
             (("lift", "--case", "from-H", "--H", "y", "--points", "3"),
              "V = 0 at the probe; supply --ell explicitly"),
             (("lift", "--case", "class-b", "--F", "1e308", "--points", "3"),

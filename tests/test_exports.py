@@ -22,6 +22,8 @@ MOVED = (
     "dalpha_dp",
     "require_guards",
     "_field_strength",
+    "curvature_report",
+    "CurvatureReport",
 )
 
 
@@ -42,6 +44,15 @@ def test_no_class_keeps_a_moved_method():
     assert not hasattr(PForm, "max_abs_at")
     assert not hasattr(MetricField, "signature_at")
     assert not hasattr(MetricField, "from_value_matrix")
+    assert not hasattr(MetricField, "pass_at") and not hasattr(MetricField, "inverse_at")
+
+
+def test_the_metric_pass_is_declared_in_curv_only():
+    from ewbench import curv, forms
+
+    names = ("MetricPass", "metric_pass", "metric_det", "METRIC_DET_TOL")
+    assert all(hasattr(curv, n) for n in names)
+    assert [n for n in names if hasattr(forms, n)] == []
 
 
 def test_points_carry_no_parameters():

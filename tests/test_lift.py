@@ -30,6 +30,7 @@ from ewbench.errors import (
     PsiResidualError,
 )
 from ewbench import report
+from ewbench.curv import metric_pass
 from ewbench.families import CASES, class_b, default_domain, heisenberg_psi
 from ewbench.forms import coordinate_form, embed_form, embed_metric, symmetric_product
 from ewbench.jets import ChartPoint, sample
@@ -327,7 +328,7 @@ class TestNegativeControls:
             v = f(q, 0).value
             fm[a, b] = v
             fm[b, a] = -v
-        ginv = data.g.inverse_at(q)
+        ginv = metric_pass(data.g, q).inverse()
         stress = np.einsum("ac,bd,dc->ab", fm, fm, ginv)
         flipped = em_residual(data.g, data.potential, data.ell, q) - 4.0 * stress
         assert np.abs(flipped).max() > 1e-3

@@ -9,7 +9,8 @@ import re
 import numpy as np
 import pytest
 
-from ewbench.cli import EXIT_PASS, main
+from ewbench import lift as lift_mod
+from ewbench.cli import EXIT_CONFIG, EXIT_PASS, main
 from ewbench.errors import DomainError, EwbenchError
 from ewbench.families import CASES, psi_const
 from ewbench.jets import ChartPoint, Field, Param, PointBatch, evaluation_scope
@@ -238,3 +239,52 @@ def test_a_limit_without_a_case_echoes_the_family_that_ran():
     assert json.loads(re.sub(r",(\s*[}\]])", r"\1", out))["config"]["case"] == "heisenberg"
     assert (code, out) == _report(["limit", "--case", "heisenberg", "--ells", "100,200"])
 
+
+
+def _spy_columns(monkeypatch):
+    """The ells of every ``lift._limit_columns`` call, in order."""
+    calls, columns = [], lift_mod._limit_columns
+
+    def spied(factory, ells):
+        calls.append(list(ells))
+        return columns(factory, ells)
+
+    monkeypatch.setattr(lift_mod, "_limit_columns", spied)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["heisenberg", "class_b"])
+def test_a_failed_pass_merges_the_columns_of_each_ell_alone(monkeypatch, case):
+    """A pass that raises runs again one ell at a time, and the report is
+    the per-ell report."""
+    family, _ = limit_family(case, 0.5)
+
+    def factory(scale):
+        if isinstance(scale, Param):
+            raise DomainError("this family is built at numbers only")
+        return family(scale)
+
+    calls = _spy_columns(monkeypatch)
+    ells = [100.0, 200.0, 1000.0]
+    got = flat_limit(factory, ells)
+    assert calls == [ells, [100.0], [200.0], [1000.0]]
+    want = flat_limit_per_ell(factory, ells)
+    assert got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("zero", ["0", "-0.0"])
+def test_a_zero_ell_is_refused_before_any_pass(capsys, monkeypatch, tmp_path, zero):
+    """From text or a config-file list, one line that both families share,
+    and no pass runs."""
+    calls = _spy_columns(monkeypatch)
+    path = tmp_path / "limit.json"
+    path.write_text(f'{{"ells": [100, {zero}]}}')
+    runs = [
+        (["--ells", f"100,200,{zero}"], f"100,200,{zero}"),
+        (["--config", str(path)], json.loads(f"[100, {zero}]")),
+    ]
+    for args, raw in runs:
+        for case in ("heisenberg", "class-b"):
+            assert main(["limit", "--case", case] + args) == EXIT_CONFIG
+            assert capsys.readouterr() == ("", f"error: ells must be nonzero, got {raw!r}\n")
+    assert calls == []

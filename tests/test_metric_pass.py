@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ewbench import curv, forms
+from ewbench import curv
 from ewbench.curv import (
+    MetricPass,
     em_residual,
     f_squared,
     kretschmann,
@@ -19,7 +20,7 @@ from ewbench.curv import (
 from ewbench.errors import EwbenchError
 from ewbench.expr import parse_field, to_field
 from ewbench.families import CASES, build as build_case, heisenberg, psi_const
-from ewbench.forms import MetricPass, PForm, coordinate_form, symmetric_product
+from ewbench.forms import PForm, coordinate_form, symmetric_product
 from ewbench.jets import ChartPoint, Jet, PointBatch, evaluation_scope, sample, shared_scope
 from ewbench.lift import LiftConfig, build, invariants_check
 
@@ -137,7 +138,7 @@ class TestSharedPass:
         cfg, data = heisenberg_lift()
         q = lift_batch(data, 6, 4)
         dets, calls = Counter(), Counter()
-        metric_det, inv, inverse_partial = forms.metric_det, np.linalg.inv, curv._inverse_partial
+        metric_det, inv, inverse_partial = curv.metric_det, np.linalg.inv, curv._inverse_partial
 
         def counted_det(g0, pt):
             dets[pt.chart[0]] += 1
@@ -150,7 +151,7 @@ class TestSharedPass:
 
             return wrapper
 
-        monkeypatch.setattr(forms, "metric_det", counted_det)
+        monkeypatch.setattr(curv, "metric_det", counted_det)
         monkeypatch.setattr(np.linalg, "inv", counted("inv", inv))
         monkeypatch.setattr(curv, "_inverse_partial", counted("dginv", inverse_partial))
         with evaluation_scope():

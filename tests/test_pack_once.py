@@ -262,7 +262,7 @@ def test_a_pack_that_raises_leaves_the_error_to_its_check(capsys, monkeypatch):
     [
         (["verify", "--case", "heisenberg", "--checks", ""], "no checks requested"),
         (["lift", "--case", "heisenberg", "--checks", "", "--points", "3"], "no checks requested"),
-        (["limit", "--case", ""], "case '' has no ell-parameterized lift family"),
+        (["limit", "--case", ""], "unknown case ''"),
         (["limit", "--ells", ""], "need at least two ell values"),
         (["verify", "--case", "heisenberg", "--f", "", "--checks", "gt", "--points", "3"],
          "unexpected end of input at offset 0"),

@@ -126,6 +126,9 @@ EDGES = (
     "limit --ells '100,,200'",
     "limit --case class-b --ells ',100,200'",
     "limit --ells '100,200,'",
+    "limit --case nope",
+    "limit --ells 100,200,0",
+    "limit --case class-a --ells 100,0",
     "eval --expr 1/x --at x=1e100 --order 3",
     "eval --expr x^3*y --at x=1,y=2 --order 3",
     "verify --case heisenberg --points 1" + "0" * 399,
