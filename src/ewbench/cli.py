@@ -151,9 +151,8 @@ CHECK_NAMES = OFFERED_CHECKS["lift"] + OFFERED_CHECKS["limit"]
 CHARTS = tuple(lift_mod.FIBRE_WINDOWS)
 
 DEFAULT_CHECKS = {"verify": "gt,monopole", "lift": "em,maxwell", "limit": "limit"}
-# the expression flags each catalog case reads
-CASE_EXPRS = {case: tuple(row.exprs) for case, row in fam.CASES.items()}
-_CASE_EXPR_FLAGS = tuple(f for flags in CASE_EXPRS.values() for f in flags)
+# the expression flags of the catalog cases
+_CASE_EXPR_FLAGS = tuple(f for row in fam.CASES.values() for f in row.exprs)
 
 
 def _number(v):
@@ -370,11 +369,12 @@ def _refuse_unread_flags(cfg, flags):
     """Refuse a command-line flag that the chosen case or checks do not
     read; an unknown case is left for ``build_case`` to name."""
     command, case = cfg["command"], cfg["case"]
-    key = (case or "").replace("-", "_")
-    if key not in CASE_EXPRS:
+    try:
+        row = fam.case_row(case or "")
+    except ConfigError:
         return
-    unread = [f for f in _CASE_EXPR_FLAGS if f not in CASE_EXPRS[key]]
-    if command == "verify" and not fam.CASES[key].reads_ell:
+    unread = [f for f in _CASE_EXPR_FLAGS if f not in row.exprs]
+    if command == "verify" and not row.reads_ell:
         unread.append("ell")
     for flag in flags:
         if flag in unread:
@@ -411,10 +411,7 @@ def build_case(cfg):
     case = cfg["case"]
     if case is None:
         raise ConfigError("--case is required")
-    key = case.replace("-", "_")
-    if key not in fam.CASES:
-        raise ConfigError(f"unknown case {case!r}")
-    return fam.build(key, cfg, ell=cfg["ell"], seed=cfg["seed"], count=cfg["points"] or 200)
+    return fam.build(case, cfg, ell=cfg["ell"], seed=cfg["seed"], count=cfg["points"] or 200)
 
 
 def cmd_verify(cfg):

@@ -13,9 +13,7 @@ R_ab = -3 l^-2 g_ab, which is the sign the cosmological field equation
 
     R_ab + 3 l^-2 g_ab + 2 F_ac F_b^c - (1/2) |F|^2 g_ab = 0
 
-needs to cancel at F = 0.  |F|^2 means F_ab F^ab with no extra factor; the
-halved alternative is exposed through ``fsq_scale`` purely so the tests can
-demonstrate it fails.
+needs to cancel at F = 0.  |F|^2 means F_ab F^ab with no extra factor.
 
 Maxwell's equation d star F = 0 is evaluated in divergence form.  With
 (star F)_ab = (1/2) sqrt|g| eps_abcd F^cd and eps_0123 = +1 in the chart's
@@ -29,26 +27,22 @@ d_e sqrt|g| = (1/2) sqrt|g| g^ab d_e g_ab come from the same packed metric
 arrays as the curvature.  The orientation flips every component at once,
 so a zero residual does not depend on it.
 
-Derivatives of the metric come from jets by default; ``method="fd"``
-switches every partial to the finite-difference oracle for an independent
-cross-check.
-
 The metric work is done once per metric and point (or batch) in the open
-evaluation scope: :func:`metric_pass` holds a :class:`MetricPass`, and
-every function here reads det g, g^-1, d g^-1, the Christoffel symbols,
-R^a_bcd and R_bd from it, filling each slot the first time one is needed.
-This module alone declares, fills and reads the slots.  So em, maxwell
-and the invariants of one chart, and ``riemann``, ``ricci``,
-``christoffel``, ``kretschmann``, ``f_squared`` and
-``metric_pass(g, pt).inverse()``, invert g and build its curvature once
-between them.  F = dA is packed once per potential and point in the same
-way, by :func:`field_strength`.  A packing is kept at the highest order
-asked, and a later call that asks a higher one packs again, evaluating
-the component fields again at that order; so the CLI packs g, F and the
-coframe metric of its checks up front, each at the highest order any of
-them reads (``cli.PACKERS``), and the checks only slice.
-``method="fd"`` builds a pass of its own that no other call reads or
-fills, so the oracle never sees a jet derivative.
+evaluation scope: det g, g^-1 (:func:`inverse`), d g^-1 and the curvature
+(Gamma, R^a_bcd, R_bd) are each one scoped value, keyed by the function, the
+metric and the point, and computed from the packed arrays of ``g.jets_at``;
+a function that reads several opens a scope when none is open.  So em,
+maxwell and the invariants of one chart, ``riemann``, ``ricci``,
+``christoffel``, ``kretschmann``, ``f_squared`` and ``inverse`` invert g
+and build its curvature once between them.  F = dA is packed once per
+potential and point in the same way, by :func:`field_strength`.  A packing
+is kept at the highest order asked, and one of a higher order evaluates the
+component fields again; so each function here asks for its highest order
+first, and the CLI packs g, F and the coframe metric of its checks up
+front, each at the highest order any of them reads (``cli.PACKERS``).  Any
+object with ``dim`` and ``jets_at`` serves as the metric: the tests'
+finite-difference oracle is one, and as the scope keys on the metric
+object, it never reads or fills the jet metric's values.
 
 Every contraction takes two operands in a fixed order, with ``np.einsum``
 and no contraction planner: the planner may hand a step to BLAS, whose
@@ -63,11 +57,19 @@ import numpy as np
 
 from .errors import SingularMetricError
 from .forms import ext_d, metric_from_coframe
-from .jets import _over_power, anywhere, fd_oracle, first_where, read_only, scoped, scoped_arrays
+from .jets import (
+    _over_power,
+    anywhere,
+    first_where,
+    pack_jets,
+    read_only,
+    scoped,
+    scoped_arrays,
+    shared_scope,
+)
 
 __all__ = [
-    "MetricPass",
-    "metric_pass",
+    "inverse",
     "christoffel",
     "riemann",
     "ricci",
@@ -85,46 +87,8 @@ __all__ = [
 METRIC_DET_TOL = 1e-12
 
 # ---------------------------------------------------------------------------
-# the metric pass
+# the metric work, once per metric and point in the evaluation scope
 # ---------------------------------------------------------------------------
-
-
-class MetricPass:
-    """The metric work of one metric at one point or batch, done once.
-
-    ``arrays(order)`` are the packed g, dg, ddg, ... through ``order``, from
-    ``pack(order)`` when fewer are held; ``inverse()`` tests det g (kept as
-    ``det``) and inverts g once.  The curvature slots ``dginv``, ``gamma``,
-    ``r_up`` and ``ric`` start as None, and the functions below fill each
-    the first time one of them needs it.  A filled slot is final: the
-    arrays are read-only, as their readers share them.
-    """
-
-    __slots__ = ("pt", "_pack", "packed", "det", "ginv", "dginv", "gamma", "r_up", "ric")
-
-    def __init__(self, pt, pack):
-        self.pt = pt
-        self._pack = pack
-        self.packed = ()
-        self.det = self.ginv = self.dginv = self.gamma = self.r_up = self.ric = None
-
-    def arrays(self, order):
-        if len(self.packed) <= order:
-            self.packed = self._pack(order)
-        return self.packed[: order + 1]
-
-    def inverse(self):
-        if self.ginv is None:
-            g0 = self.arrays(0)[0]
-            self.det = metric_det(g0, self.pt)
-            self.ginv = read_only(np.linalg.inv(g0))
-        return self.ginv
-
-
-def metric_pass(g, pt):
-    """The :class:`MetricPass` of the metric g at ``pt``: one per evaluation
-    scope, shared by every call in it (a new one when no scope is open)."""
-    return scoped((MetricPass, g, pt), lambda: MetricPass(pt, lambda order: g.jets_at(pt, order)))
 
 
 def metric_det(g0, pt):
@@ -140,32 +104,19 @@ def metric_det(g0, pt):
     return det
 
 
-def _fd_arrays(g, pt):
-    """(g0, dg, ddg) with dg[c,a,b] = d_c g_ab and ddg[c,d,a,b] from the
-    finite-difference oracle, the batch axis first over a batch."""
-    n = g.dim
-    g0 = g.matrix_at(pt)
-    dg = np.zeros(pt.shape + (n, n, n))
-    ddg = np.zeros(pt.shape + (n, n, n, n))
-    for (a, b), f in g.comps.items():
-        for c in range(n):
-            v = fd_oracle(f, pt, (c,))
-            dg[..., c, a, b] = dg[..., c, b, a] = v
-            for d in range(c, n):
-                vv = fd_oracle(f, pt, (c, d))
-                for cc, dd in ((c, d), (d, c)):
-                    ddg[..., cc, dd, a, b] = ddg[..., cc, dd, b, a] = vv
-    return g0, dg, ddg
+def _det(g, pt):
+    """det g at pt, tested by :func:`metric_det`."""
+    return scoped((_det, g, pt), lambda: metric_det(g.jets_at(pt, 0)[0], pt))
 
 
-def _metric_pass(g, pt, method):
-    """The scope's pass of g at pt for jets; for ``method="fd"`` a new pass
-    packed by the oracle, which no other call reads."""
-    if method == "jet":
-        return metric_pass(g, pt)
-    if method == "fd":
-        return MetricPass(pt, lambda order: _fd_arrays(g, pt))
-    raise ValueError(f"unknown derivative method {method!r}")
+def inverse(g, pt):
+    """g^-1 at pt, after det g has passed :func:`metric_det`'s test."""
+
+    def make():
+        _det(g, pt)
+        return read_only(np.linalg.inv(g.jets_at(pt, 0)[0]))
+
+    return scoped((inverse, g, pt), make)
 
 
 def _inverse_partial(ginv, dg):
@@ -174,12 +125,14 @@ def _inverse_partial(ginv, dg):
     return -np.einsum("...eah,...hb->...eab", half, ginv)
 
 
-def _dginv(p):
-    """d g^-1 of the pass p."""
-    if p.dginv is None:
-        dg = p.arrays(1)[1]
-        p.dginv = read_only(_inverse_partial(p.inverse(), dg))
-    return p.dginv
+def _dginv(g, pt):
+    """d g^-1 at pt."""
+
+    def make():
+        dg = g.jets_at(pt, 1)[1]
+        return read_only(_inverse_partial(inverse(g, pt), dg))
+
+    return scoped((_dginv, g, pt), make)
 
 
 def _gamma_and_partial(dg, ddg, ginv, dginv):
@@ -207,31 +160,18 @@ def _riemann_from_gamma(gamma, dgamma):
     )
 
 
-def _curvature(g, pt, method="jet"):
-    """The pass of g at pt with Gamma, R^a_bcd and R_bd filled; d Gamma is
-    not kept, as only R^a_bcd reads it."""
-    p = _metric_pass(g, pt, method)
-    if p.r_up is None:
-        _, dg, ddg = p.arrays(2)
-        gamma, dgamma = _gamma_and_partial(dg, ddg, p.inverse(), _dginv(p))
+def _curvature(g, pt):
+    """(Gamma, R^a_bcd, R_bd) at pt; d Gamma is not kept, as only R^a_bcd
+    reads it."""
+
+    def make():
+        _, dg, ddg = g.jets_at(pt, 2)
+        gamma, dgamma = _gamma_and_partial(dg, ddg, inverse(g, pt), _dginv(g, pt))
         r_up = _riemann_from_gamma(gamma, dgamma)
-        p.gamma = read_only(gamma)
-        p.ric = read_only(np.einsum("...abad->...bd", r_up))
-        p.r_up = read_only(r_up)
-    return p
+        ric = np.einsum("...abad->...bd", r_up)
+        return read_only(gamma), read_only(r_up), read_only(ric)
 
-
-def _kretschmann(p):
-    """R_abcd R^abcd from the pass p: lower the first index of R^a_bcd,
-    raise the last three one at a time, then one elementwise product and
-    sum.  Each index moves in a two-operand einsum, n^5 products a point
-    instead of the n^8 of a single contraction."""
-    r_up, ginv = p.r_up, p.inverse()
-    r_low = np.einsum("...ae,...ebcd->...abcd", p.arrays(0)[0], r_up)
-    r_all = np.einsum("...bf,...afcd->...abcd", ginv, r_up)
-    r_all = np.einsum("...cg,...abgd->...abcd", ginv, r_all)
-    r_all = np.einsum("...dh,...abch->...abcd", ginv, r_all)
-    return _full_sum(r_low * r_all, 4)
+    return scoped((_curvature, g, pt), make)
 
 
 def _full_sum(terms, axes):
@@ -241,21 +181,31 @@ def _full_sum(terms, axes):
     return np.sum(terms.reshape(terms.shape[: terms.ndim - axes] + (-1,)), axis=-1)
 
 
-def christoffel(g, pt, method="jet"):
-    return _curvature(g, pt, method).gamma
+def christoffel(g, pt):
+    return _curvature(g, pt)[0]
 
 
-def riemann(g, pt, method="jet"):
+def riemann(g, pt):
     """R^a_bcd from the metric at a point."""
-    return _curvature(g, pt, method).r_up
+    return _curvature(g, pt)[1]
 
 
-def ricci(g, pt, method="jet"):
-    return _curvature(g, pt, method).ric
+def ricci(g, pt):
+    return _curvature(g, pt)[2]
 
 
-def kretschmann(g, pt, method="jet"):
-    return _kretschmann(_curvature(g, pt, method))
+def kretschmann(g, pt):
+    """R_abcd R^abcd: lower the first index of R^a_bcd, raise the last
+    three one at a time, then one elementwise product and sum.  Each index
+    moves in a two-operand einsum, n^5 products a point instead of the n^8
+    of a single contraction."""
+    with shared_scope():
+        r_up, ginv, g0 = _curvature(g, pt)[1], inverse(g, pt), g.jets_at(pt, 0)[0]
+    r_low = np.einsum("...ae,...ebcd->...abcd", g0, r_up)
+    r_all = np.einsum("...bf,...afcd->...abcd", ginv, r_up)
+    r_all = np.einsum("...cg,...abgd->...abcd", ginv, r_all)
+    r_all = np.einsum("...dh,...abch->...abcd", ginv, r_all)
+    return _full_sum(r_low * r_all, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +221,13 @@ def field_strength(A, pt, order):
 
 
 def _pack_f(A, pt, order):
+    """The upper components P of F packed by ``pack_jets``, then P - P^T."""
     F = ext_d(A)
     n = len(F.chart)
-    packed = tuple(np.zeros(pt.shape + (n,) * (k + 2)) for k in range(order + 1))
-    for (a, b), f in F.comps.items():
-        for arr, part in zip(packed, f(pt, order).parts):
-            arr[..., a, b], arr[..., b, a] = part, -part
-    return tuple(map(read_only, packed))
+    upper = [F.comps.get((a, b)) if a < b else None for a in range(n) for b in range(n)]
+    return tuple(
+        read_only(p - np.swapaxes(p, -1, -2)) for p in pack_jets(pt, upper, order, (n, n))
+    )
 
 
 def _f_contract(fm, ginv):
@@ -288,28 +238,27 @@ def _f_contract(fm, ginv):
 
 def f_squared(A, g, pt):
     """|F|^2 = F_ab F^ab for F = dA."""
-    return _f_contract(field_strength(A, pt, 0)[0], metric_pass(g, pt).inverse())
+    return _f_contract(field_strength(A, pt, 0)[0], inverse(g, pt))
 
 
 def scalar_invariants(g, A, pt):
-    """(Kretschmann, |F|^2 for F = dA, g) from the pass of g at pt: the
-    last two equal ``f_squared`` and ``g.matrix_at`` bit for bit, since a
-    jet's value is the order-0 jet."""
-    p = _curvature(g, pt)
-    fsq = _f_contract(field_strength(A, pt, 0)[0], p.inverse())
-    return _kretschmann(p), fsq, p.arrays(0)[0]
+    """(Kretschmann, |F|^2 for F = dA, g) at pt: the last two equal
+    ``f_squared`` and ``g.matrix_at`` bit for bit, since a jet's value is
+    the order-0 jet.  The curvature is asked first, so g is packed once,
+    at order 2."""
+    with shared_scope():
+        return kretschmann(g, pt), f_squared(A, g, pt), g.jets_at(pt, 0)[0]
 
 
 def maxwell_residual(A, g, pt):
     """Components of d(star dA) at the sorted 3-index tuples 012, 013, 023,
     123: eps_abcd J^d with J^d = d_e(sqrt|g| F^ed), that is J^3, -J^2,
     J^1, -J^0."""
-    p = metric_pass(g, pt)
-    _, dg = p.arrays(1)
-    ginv = p.inverse()
-    dginv = _dginv(p)
-    vol = np.sqrt(np.abs(p.det))
-    fm, dfm = field_strength(A, pt, 1)
+    with shared_scope():
+        dg = g.jets_at(pt, 1)[1]
+        ginv, dginv, det = inverse(g, pt), _dginv(g, pt), _det(g, pt)
+        fm, dfm = field_strength(A, pt, 1)
+    vol = np.sqrt(np.abs(det))
     # F^ed = u_eb g^db with u_eb = g^ea F_ab, and its partials
     # d_c F^ed = (d_c g^ea F_ab + g^ea d_c F_ab) g^db + u_eb d_c g^db
     u = np.einsum("...ea,...ab->...eb", ginv, fm)
@@ -329,23 +278,20 @@ def maxwell_residual(A, g, pt):
     )
 
 
-def em_residual(g, A, ell, pt, fsq_scale=1.0):
-    """R_ab + 3 l^-2 g_ab + 2 F_ac F_b^c - (1/2) fsq_scale |F|^2 g_ab.
-
-    ``fsq_scale`` rescales |F|^2 so the rejected normalization can be
-    exercised; 1.0 is the pinned convention.
-    """
-    p = _curvature(g, pt)
-    g0, ginv = p.arrays(0)[0], p.inverse()
-    fm = field_strength(A, pt, 0)[0]
+def em_residual(g, A, ell, pt):
+    """R_ab + 3 l^-2 g_ab + 2 F_ac F_b^c - (1/2) |F|^2 g_ab."""
+    with shared_scope():
+        ric = _curvature(g, pt)[2]
+        g0, ginv = g.jets_at(pt, 0)[0], inverse(g, pt)
+        fm = field_strength(A, pt, 0)[0]
     # F_ac F_b^c = F_ac (F_bd g^dc)
     stress = np.einsum("...ac,...bc->...ab", fm, np.einsum("...bd,...dc->...bc", fm, ginv))
     fsq = _f_contract(fm, ginv)
     return (
-        p.ric
+        ric
         + _over_power(3.0, float(ell), 2) * g0
         + 2.0 * stress
-        - 0.5 * fsq_scale * fsq[..., None, None] * g0
+        - 0.5 * fsq[..., None, None] * g0
     )
 
 
@@ -354,7 +300,7 @@ def em_residual(g, A, ell, pt, fsq_scale=1.0):
 # ---------------------------------------------------------------------------
 
 
-def weyl_ricci_residual_metric(h, omega, pt, method="jet"):
+def weyl_ricci_residual_metric(h, omega, pt):
     """(compat, ew) for a metric h and the packed arrays ``omega`` = (w,
     dw) of a 1-form at ``pt``, w[..., a] and dw[..., e, a] = d_e w_a (as
     ``EWStructure.pass_at(pt).arrays("omega", 1)`` gives them).
@@ -365,9 +311,9 @@ def weyl_ricci_residual_metric(h, omega, pt, method="jet"):
     implementation self-test), ``ew`` the trace-free symmetrized Ricci of D.
     """
     n = h.dim
-    p = _metric_pass(h, pt, method)
-    g0, dg, ddg = p.arrays(2)
-    ginv, dginv = p.inverse(), _dginv(p)
+    with shared_scope():
+        g0, dg, ddg = h.jets_at(pt, 2)
+        ginv, dginv = inverse(h, pt), _dginv(h, pt)
     gamma, dgamma = _gamma_and_partial(dg, ddg, ginv, dginv)
 
     w, dw = omega
@@ -405,9 +351,9 @@ def weyl_ricci_residual_metric(h, omega, pt, method="jet"):
     return (compat, ew)
 
 
-def weyl_ricci_residual(s, pt, method="jet"):
+def weyl_ricci_residual(s, pt):
     """(compat, ew) for an EW structure, metric taken from its coframe and
     omega from its frame pass."""
     return weyl_ricci_residual_metric(
-        metric_from_coframe(s.frame), s.pass_at(pt).arrays("omega", 1), pt, method
+        metric_from_coframe(s.frame), s.pass_at(pt).arrays("omega", 1), pt
     )

@@ -35,7 +35,7 @@ from .forms import (
     scalar_form,
     star_frame,
 )
-from .jets import Field, pack_jets, scoped
+from .jets import Field, pack_jets, scoped, scoped_arrays
 
 __all__ = [
     "EWStructure",
@@ -156,12 +156,12 @@ class FramePass:
     ``arrays(name, order)`` are those of ``"frame"``, E[..., i, a] (leg i,
     component a) and dE[..., b, i, a] = d_b E_ia; of ``"omega"``, w[..., a]
     and dw[..., b, a]; of ``"V"``, V and dV[..., b]; or of ``"stars"``, the
-    values S[..., k, pair] of *e1, *e2, *e3 (``forms.star_frame``): packed
-    when first asked, and again when a higher order is, as
-    ``curv.MetricPass.arrays`` does.
+    values S[..., k, pair] of *e1, *e2, *e3 (``forms.star_frame``): kept in
+    the evaluation scope under (pass, name) by ``jets.scoped_arrays``,
+    packed when first asked and again when a higher order is.
     """
 
-    __slots__ = ("s", "pt", "packed")
+    __slots__ = ("s", "pt")
     FIELDS = {
         "frame": (lambda s: _comps(s.frame.legs, _LEGS), (3, 3)),
         "omega": (lambda s: _comps([s.omega], _LEGS), (3,)),
@@ -170,14 +170,13 @@ class FramePass:
     }
 
     def __init__(self, s, pt):
-        self.s, self.pt, self.packed = s, pt, {}
+        self.s, self.pt = s, pt
 
     def arrays(self, name, order):
-        held = self.packed.get(name, ())
-        if len(held) <= order:
-            fields, shape = self.FIELDS[name]
-            held = self.packed[name] = pack_jets(self.pt, fields(self.s), order, shape)
-        return held[: order + 1]
+        fields, shape = self.FIELDS[name]
+        return scoped_arrays(
+            (self, name), order, lambda k: pack_jets(self.pt, fields(self.s), k, shape)
+        )
 
     def hodge(self, values):
         """sum_k c_k *e_k for a = sum_k c_k e_k, c by ``forms.frame_solve``:

@@ -7,6 +7,7 @@ generator G(p, y, t) = A(p, t) + p B(y, t).  Each case is one ``CASES``
 row: its expression parameters with their defaults, its constructor, its
 sampling chart, box and guard (``default_domain``), the route to its
 Legendre generator (``generator_for``) and its lift family (``limit``).
+``case_row`` is the one lookup of a case name, which reads '-' as '_';
 ``build`` makes a case's structure and domain from one parse of each
 parameter.  The p-chart structures can
 be produced two independent ways: directly from the closed-form coframe
@@ -35,7 +36,6 @@ from .forms import (
     coordinate_form,
     ext_d,
     scalar_form,
-    symmetric_product,
     zero_form,
 )
 from .jets import Field, Guard, Param, PointBatch, SampleDomain, anywhere, first_where
@@ -53,14 +53,10 @@ __all__ = [
     "GeneratorG",
     "from_generator",
     "generator_for",
-    "g_equation_residual",
-    "branch_residual",
     "fundamental_H",
     "FUNDAMENTAL_H",
-    "class_a_closed",
-    "class_b_closed",
-    "class_c_closed",
     "CASES",
+    "case_row",
     "build",
     "default_domain",
     "CLASS_A_BETAS",
@@ -242,65 +238,6 @@ def class_c(K):
 
 
 # ---------------------------------------------------------------------------
-# closed-form (h, omega) pairs for the cross-checks
-# ---------------------------------------------------------------------------
-
-
-def _dy_p_dt():
-    dy = coordinate_form(PYT, "y")
-    dt = coordinate_form(PYT, "t")
-    return dy + dt.scale(Field.coordinate("p")), dy, dt
-
-
-def class_a_closed(beta):
-    """Closed-form (h, omega) for Class A.
-
-    h = (dy+pdt)^2 + 4(dp/p - (beta_y/beta)(dy+pdt) - (beta_t/beta)dt) (.) dt.
-    The bracket enters with a plus sign: that is what the generator route
-    produces and what matches Classes B and C; the opposite sign fails the
-    direct Einstein-Weyl check (see tests).
-    """
-    b = ex.to_field(_ast(beta, ["y", "t"]))
-    ry = b.d("y") / b
-    rt = b.d("t") / b
-    p = Field.coordinate("p")
-    dyp, dy, dt = _dy_p_dt()
-    dp = coordinate_form(PYT, "p")
-    bracket = dp.scale(1.0 / p) - dyp.scale(ry) - dt.scale(rt)
-    h = symmetric_product(dyp, dyp) + symmetric_product(bracket, dt).scale(4.0)
-    omega = -dyp.scale(p) + dt.scale(2.0 * p * ry)
-    return h, omega
-
-
-def class_b_closed(F):
-    """h = (dy+pdt)^2 + 4F dp (.) dt, omega = -(1/F)(dy+pdt)."""
-    f = ex.to_field(_ast(F, ["p"]))
-    dyp, dy, dt = _dy_p_dt()
-    dp = coordinate_form(PYT, "p")
-    h = symmetric_product(dyp, dyp) + symmetric_product(dp, dt).scale(4.0 * f)
-    omega = -dyp.scale(1.0 / f)
-    return h, omega
-
-
-def class_c_closed(K):
-    """Closed-form (h, omega) for Class C with K = K(t p^2)."""
-    k = _k_field(K)
-    p = Field.coordinate("p")
-    y = Field.coordinate("y")
-    t = Field.coordinate("t")
-    dyp, dy, dt = _dy_p_dt()
-    dp = coordinate_form(PYT, "p")
-    bracket = (
-        dp.scale(2.0 * k / p)
-        - dy.scale(y / (2.0 * t))
-        + dt.scale((y * y / (4.0 * t) + k - p * y * 0.5) / t)
-    )
-    h = symmetric_product(dyp, dyp) + symmetric_product(bracket, dt).scale(4.0)
-    omega = (dyp - dt.scale(y / t)).scale(-p / (2.0 * k))
-    return h, omega
-
-
-# ---------------------------------------------------------------------------
 # the Legendre generator route
 # ---------------------------------------------------------------------------
 
@@ -362,32 +299,6 @@ def from_generator(gen):
     )
 
 
-def g_equation_residual(gen, pt):
-    """G_yp^2 - G_yy G_pp - G_pt for G = A + pB, as jets of A and B."""
-    ja = ex.eval_jet(gen.A, pt, 2)
-    jb = ex.eval_jet(gen.B, pt, 2)
-    ip, iy, it = (pt.chart.index(n) for n in PYT)
-    p = pt.coord("p")
-    g_yp = jb.grad[..., iy]
-    g_yy = p * jb.hess[..., iy, iy]
-    g_pp = ja.hess[..., ip, ip]
-    g_pt = ja.hess[..., ip, it] + jb.grad[..., it]
-    return g_yp**2 - g_yy * g_pp - g_pt
-
-
-def branch_residual(A, B, pt):
-    """2 B_y B_yy - p B_yyy A_pp - B_yt, the y-derivative of the G-equation."""
-    ja = ex.eval_jet(_ast(A, ["p", "t"]), pt, 2)
-    jb = ex.eval_jet(_ast(B, ["y", "t"]), pt, 3)
-    ip, iy, it = (pt.chart.index(n) for n in PYT)
-    p = pt.coord("p")
-    return (
-        2.0 * jb.grad[..., iy] * jb.hess[..., iy, iy]
-        - p * jb.third[..., iy, iy, iy] * ja.hess[..., ip, ip]
-        - jb.hess[..., iy, it]
-    )
-
-
 # ---------------------------------------------------------------------------
 # presets
 # ---------------------------------------------------------------------------
@@ -430,8 +341,8 @@ def k_from_phi(phi_source):
 
 def generator_for(case, param):
     """GeneratorG matching a closed-form class member: its ``CASES`` row's route."""
-    row = CASES.get(case)
-    if row is None or row.generator is None:
+    row = case_row(case)
+    if row.generator is None:
         raise ConfigError(f"no generator route for case {case!r}")
     return row.generator(param)
 
@@ -459,9 +370,7 @@ def default_domain(case, *, seed=7, count=200, **params):
     ``params`` holds the case's expression parameters (``CASES``), as text
     or parsed; a guard that reads one it is not given raises ConfigError.
     """
-    row = CASES.get(case)
-    if row is None:
-        raise ConfigError(f"unknown case {case!r}")
+    row = case_row(case)
 
     def param(name):
         if params.get(name) is None:
@@ -540,6 +449,15 @@ CASES = {
 }
 
 
+def case_row(case):
+    """The ``CASES`` row of ``case``, which may spell '_' as '-', as the CLI
+    does; ConfigError naming the case as given when there is none."""
+    row = CASES.get(case.replace("-", "_"))
+    if row is None:
+        raise ConfigError(f"unknown case {case!r}")
+    return row
+
+
 def build(case, params, *, ell=None, seed=7, count=200):
     """(structure, sampling domain) of a catalog case.
 
@@ -548,7 +466,7 @@ def build(case, params, *, ell=None, seed=7, count=200):
     one that is not finite is a ConfigError.  ``ell`` (default 1) is read
     only by a case that ``reads_ell``.
     """
-    row = CASES[case]
+    row = case_row(case)
     asts = {}
     for name, (default, variables) in row.exprs.items():
         source = params.get(name)

@@ -762,11 +762,14 @@ def scoped_arrays(key, order, pack):
     when the scope holds fewer, and a lower order is served by the first
     ``order + 1`` arrays of a higher one held.  The scope keeps the highest
     order asked, and nothing above it is allocated."""
-    with shared_scope() as memo:
-        packed = memo.get(key, ())
-        if len(packed) <= order:
-            packed = memo[key] = pack(order)
-        return packed[: order + 1]
+    memo = _SCOPE.get()
+    if memo is None:
+        with evaluation_scope():
+            return scoped_arrays(key, order, pack)
+    packed = memo.get(key, ())
+    if len(packed) <= order:
+        packed = memo[key] = pack(order)
+    return packed[: order + 1]
 
 
 class Field:

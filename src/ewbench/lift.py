@@ -17,13 +17,9 @@ large-ell behaviour of a lift family against its limit form;
 ``limit_family`` reads a case's family, heisenberg(ell) or class B with
 F = ell/4, from its ``families.CASES`` row, which states its gauge.
 
-A family's scale may be a ``jets.Param`` instead of a number, so that one
-build of the family serves every ell, each row of a batch at its own.
-``LiftConfig`` and ``build_p`` take it as they take a number.
-``flat_limit`` makes the one Param of its pass: it tiles its points once
-per ell and the Param's rows at each tiled batch are that batch's ells.
-No sign rule reads a Param: ``validate_config``'s gauge check certifies
-each row.
+A family's scale may be a ``jets.Param``, one ell per row of a batch, so
+that ``flat_limit`` builds the family once for every ell; no sign rule
+reads it.
 """
 
 from __future__ import annotations
@@ -497,9 +493,7 @@ def limit_family(case, c):
     tracks, with psi = c omega: the base and ell of its ``families.CASES``
     row at each scale.  ``chart`` is the p chart of the family's lifts.
     ``case`` may spell '_' as '-', as the CLI does; errors name it as given."""
-    row = fam.CASES.get(case.replace("-", "_"))
-    if row is None:
-        raise ConfigError(f"unknown case {case!r}")
+    row = fam.case_row(case)
     if row.limit is None:
         raise ConfigError(f"case {case!r} has no ell-parameterized lift family")
 

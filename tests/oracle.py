@@ -3,18 +3,34 @@ kept so that tests can pin the packed-array code against them.
 
 ``hodge3`` is the 3D Hodge star as a form, with ``frame_expand`` giving its
 coefficients; ``weighted_d`` is D psi = d psi - (m/2) omega ^ psi;
-``flat_limit_per_ell`` is ``lift.flat_limit`` one ell at a time.  The rest
-are small readers of a form, a metric, the alpha fibre chart and a
-sampling domain.
+``flat_limit_per_ell`` is ``lift.flat_limit`` one ell at a time;
+``FDMetric`` is a metric whose derivatives come from the finite-difference
+oracle; ``class_a_closed``, ``class_b_closed`` and ``class_c_closed`` are
+the closed-form (h, omega) pairs of the p-chart classes, and
+``g_equation_residual`` and ``branch_residual`` the Legendre generator's
+equation and its y-derivative.  The rest are small readers of a form, a
+metric, the alpha fibre chart and a sampling domain.
 """
 import math
 
 import numpy as np
 
+from ewbench import expr as ex
 from ewbench.curv import riemann
 from ewbench.errors import ConfigError, GuardViolationError, JetOrderError
-from ewbench.forms import MetricField, embed_form, ext_d, frame_solve, signature, star_frame, wedge
-from ewbench.jets import Field, Jet, PointBatch, evaluation_scope
+from ewbench.families import PYT, _ast, _k_field
+from ewbench.forms import (
+    MetricField,
+    coordinate_form,
+    embed_form,
+    ext_d,
+    frame_solve,
+    signature,
+    star_frame,
+    symmetric_product,
+    wedge,
+)
+from ewbench.jets import Field, Jet, PointBatch, evaluation_scope, fd_oracle, scoped
 from ewbench.lift import LIMIT_ROWS, _limit_form, build_p
 from ewbench.report import run_check
 
@@ -41,6 +57,48 @@ def from_value_matrix(chart, matrix):
         if matrix[a, b] != 0.0
     }
     return MetricField(chart, comps)
+
+
+class FDMetric:
+    """The metric ``g`` with its derivatives from the finite-difference
+    oracle: passed to the functions of ``ewbench.curv`` in place of g, it
+    gives the curvature of nested central differences of g's values, and
+    as the evaluation scope keys on the metric object, it never reads or
+    fills the entries of g."""
+
+    def __init__(self, g):
+        self.g = g
+
+    @property
+    def dim(self):
+        return self.g.dim
+
+    @property
+    def chart(self):
+        return self.g.chart
+
+    def matrix_at(self, pt):
+        return self.g.matrix_at(pt)
+
+    def jets_at(self, pt, order):
+        """(g0, dg, ddg) through ``order``, with dg[c,a,b] = d_c g_ab and
+        ddg[c,d,a,b], the batch axis first over a batch."""
+        return scoped((FDMetric, self, pt), lambda: self._arrays(pt))[: order + 1]
+
+    def _arrays(self, pt):
+        n = self.dim
+        g0 = self.matrix_at(pt)
+        dg = np.zeros(pt.shape + (n, n, n))
+        ddg = np.zeros(pt.shape + (n, n, n, n))
+        for (a, b), f in self.g.comps.items():
+            for c in range(n):
+                v = fd_oracle(f, pt, (c,))
+                dg[..., c, a, b] = dg[..., c, b, a] = v
+                for d in range(c, n):
+                    vv = fd_oracle(f, pt, (c, d))
+                    for cc, dd in ((c, d), (d, c)):
+                        ddg[..., cc, dd, a, b] = ddg[..., cc, dd, b, a] = vv
+        return g0, dg, ddg
 
 
 def signature_at(metric, pt):
@@ -169,3 +227,83 @@ def flat_limit_per_ell(factory, ells):
     ]
     report["diverges"] = gaps[-1] > gaps[0] or report["f_term"][-1] > report["f_term"][0]
     return report
+
+
+def _dy_p_dt():
+    dy = coordinate_form(PYT, "y")
+    dt = coordinate_form(PYT, "t")
+    return dy + dt.scale(Field.coordinate("p")), dy, dt
+
+
+def class_a_closed(beta):
+    """Closed-form (h, omega) for Class A.
+
+    h = (dy+pdt)^2 + 4(dp/p - (beta_y/beta)(dy+pdt) - (beta_t/beta)dt) (.) dt.
+    The bracket enters with a plus sign: that is what the generator route
+    produces and what matches Classes B and C; the opposite sign fails the
+    direct Einstein-Weyl check (see tests).
+    """
+    b = ex.to_field(_ast(beta, ["y", "t"]))
+    ry = b.d("y") / b
+    rt = b.d("t") / b
+    p = Field.coordinate("p")
+    dyp, dy, dt = _dy_p_dt()
+    dp = coordinate_form(PYT, "p")
+    bracket = dp.scale(1.0 / p) - dyp.scale(ry) - dt.scale(rt)
+    h = symmetric_product(dyp, dyp) + symmetric_product(bracket, dt).scale(4.0)
+    omega = -dyp.scale(p) + dt.scale(2.0 * p * ry)
+    return h, omega
+
+
+def class_b_closed(F):
+    """h = (dy+pdt)^2 + 4F dp (.) dt, omega = -(1/F)(dy+pdt)."""
+    f = ex.to_field(_ast(F, ["p"]))
+    dyp, dy, dt = _dy_p_dt()
+    dp = coordinate_form(PYT, "p")
+    h = symmetric_product(dyp, dyp) + symmetric_product(dp, dt).scale(4.0 * f)
+    omega = -dyp.scale(1.0 / f)
+    return h, omega
+
+
+def class_c_closed(K):
+    """Closed-form (h, omega) for Class C with K = K(t p^2)."""
+    k = _k_field(K)
+    p = Field.coordinate("p")
+    y = Field.coordinate("y")
+    t = Field.coordinate("t")
+    dyp, dy, dt = _dy_p_dt()
+    dp = coordinate_form(PYT, "p")
+    bracket = (
+        dp.scale(2.0 * k / p)
+        - dy.scale(y / (2.0 * t))
+        + dt.scale((y * y / (4.0 * t) + k - p * y * 0.5) / t)
+    )
+    h = symmetric_product(dyp, dyp) + symmetric_product(bracket, dt).scale(4.0)
+    omega = (dyp - dt.scale(y / t)).scale(-p / (2.0 * k))
+    return h, omega
+
+
+def g_equation_residual(gen, pt):
+    """G_yp^2 - G_yy G_pp - G_pt for G = A + pB, as jets of A and B."""
+    ja = ex.eval_jet(gen.A, pt, 2)
+    jb = ex.eval_jet(gen.B, pt, 2)
+    ip, iy, it = (pt.chart.index(n) for n in PYT)
+    p = pt.coord("p")
+    g_yp = jb.grad[..., iy]
+    g_yy = p * jb.hess[..., iy, iy]
+    g_pp = ja.hess[..., ip, ip]
+    g_pt = ja.hess[..., ip, it] + jb.grad[..., it]
+    return g_yp**2 - g_yy * g_pp - g_pt
+
+
+def branch_residual(A, B, pt):
+    """2 B_y B_yy - p B_yyy A_pp - B_yt, the y-derivative of the G-equation."""
+    ja = ex.eval_jet(_ast(A, ["p", "t"]), pt, 2)
+    jb = ex.eval_jet(_ast(B, ["y", "t"]), pt, 3)
+    ip, iy, it = (pt.chart.index(n) for n in PYT)
+    p = pt.coord("p")
+    return (
+        2.0 * jb.grad[..., iy] * jb.hess[..., iy, iy]
+        - p * jb.third[..., iy, iy, iy] * ja.hess[..., ip, ip]
+        - jb.hess[..., iy, it]
+    )

@@ -15,6 +15,7 @@ from ewbench import (
     build_p,
     em_residual,
     ext_d,
+    f_squared,
     from_uw,
     gauge_transform,
     gt_residual,
@@ -236,9 +237,9 @@ def test_convention_pinning_ads_oracle():
     data = build_p(LiftConfig(base, psi_const(base, 0.5), -1.0))
     q = ChartPoint.make(data.chart, (0.3, 0.4, -0.2, 0.6))
     pinned = float(np.abs(em_residual(data.g, data.potential, data.ell, q)).max())
-    halved = float(
-        np.abs(em_residual(data.g, data.potential, data.ell, q, fsq_scale=0.5)).max()
-    )
+    fsq = f_squared(data.potential, data.g, q)[..., None, None]
+    halved_em = em_residual(data.g, data.potential, data.ell, q) + 0.25 * fsq * data.g.matrix_at(q)
+    halved = float(np.abs(halved_em).max())
     assert pinned <= 1e-6 and halved > 1e-3
     print(
         f"conventions: AdS Einstein residual {worst_einstein:.3e} <= 1e-7, "

@@ -300,13 +300,13 @@ class TestInvariantsCheck:
     def test_each_chart_metric_is_evaluated_once(self, monkeypatch, chart):
         _, _, fn, points = self._check(chart)
         charts = []
-        jets_at = MetricField.jets_at
+        pack = MetricField._pack
 
         def counted(g, pt, order):
             charts.append(g.chart[0])
-            return jets_at(g, pt, order)
+            return pack(g, pt, order)
 
-        monkeypatch.setattr(MetricField, "jets_at", counted)
+        monkeypatch.setattr(MetricField, "_pack", counted)
         result = run_check("invariants", fn, points, 1e-6)
         assert result.verdict == "pass"
         assert sorted(charts) == ["alpha", "p"]

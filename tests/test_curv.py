@@ -19,15 +19,15 @@ from ewbench import (
     riemann,
     weyl_ricci_residual,
 )
-from ewbench.curv import metric_pass
+from ewbench.curv import inverse, weyl_ricci_residual_metric
 from ewbench.errors import SingularMetricError
 from ewbench.families import class_b, default_domain
-from ewbench.forms import coordinate_form, zero_form
+from ewbench.forms import coordinate_form, metric_from_coframe, zero_form
 from ewbench.jets import ChartPoint, PointBatch, fd_oracle, sample
 from ewbench.lift import ALPHA_WINDOW, build, fix_ell_sign
 
 from conftest import XYT, box_points, pt
-from oracle import from_value_matrix
+from oracle import FDMetric, from_value_matrix
 
 ZXYT = ("z", "x", "y", "t")
 MINK4 = ("x", "y", "z", "t")
@@ -102,8 +102,8 @@ class TestRicci:
     def test_jet_fd_agreement_poincare(self):
         g = poincare(1.0)
         q = pt(ZXYT, 0.8, 0.1, -0.2, 0.5)
-        a = ricci(g, q, method="jet")
-        b = ricci(g, q, method="fd")
+        a = ricci(g, q)
+        b = ricci(FDMetric(g), q)
         scale = max(1.0, float(np.abs(a).max()))
         assert np.abs(a - b).max() / scale <= 1e-5
 
@@ -131,10 +131,10 @@ class TestKretschmann:
     def test_jet_fd_agreement_on_lift(self):
         s = lifted_heisenberg(c=0.5)
         for q in fibre_points(s, 3, 33):
-            ric, ric_fd = (ricci(s.g, q, method=m) for m in ("jet", "fd"))
+            ric, ric_fd = (ricci(g, q) for g in (s.g, FDMetric(s.g)))
             scale = max(1.0, float(np.abs(ric).max()))
             assert np.abs(ric - ric_fd).max() / scale <= 1e-4
-            k, k_fd = (kretschmann(s.g, q, method=m) for m in ("jet", "fd"))
+            k, k_fd = (kretschmann(g, q) for g in (s.g, FDMetric(s.g)))
             kscale = max(1.0, abs(k))
             assert abs(k - k_fd) / kscale <= 1e-4
 
@@ -144,7 +144,7 @@ def six_operand_kretschmann(g, q):
     pairwise contraction, and the same sum over the absolute values of its
     terms, the scale of its rounding error."""
     r_low = np.einsum("...ae,...ebcd->...abcd", g.matrix_at(q), riemann(g, q))
-    ginv = metric_pass(g, q).inverse()
+    ginv = inverse(g, q)
     spec = "...abcd,...ae,...bf,...cg,...dh,...efgh->..."
     value = np.einsum(spec, r_low, ginv, ginv, ginv, ginv, r_low)
     r_abs, ginv_abs = np.abs(r_low), np.abs(ginv)
@@ -339,6 +339,7 @@ class TestWeylRicci:
     def test_fd_method_agrees(self):
         s = heisenberg(1.0)
         q = pt(XYT, 0.4, -0.3, 0.7)
-        _, ew_jet = weyl_ricci_residual(s, q, method="jet")
-        _, ew_fd = weyl_ricci_residual(s, q, method="fd")
+        _, ew_jet = weyl_ricci_residual(s, q)
+        h_fd = FDMetric(metric_from_coframe(s.frame))
+        _, ew_fd = weyl_ricci_residual_metric(h_fd, s.pass_at(q).arrays("omega", 1), q)
         assert abs(ew_jet - ew_fd) <= 1e-5

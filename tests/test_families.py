@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from ewbench import report
+from ewbench import cli, report
+from ewbench import families as fam
+from ewbench import lift as lift_mod
 from ewbench import (
     GeneratorG,
     class_a,
@@ -25,20 +27,22 @@ from ewbench.families import (
     CLASS_A_BETAS,
     CLASS_B_FS,
     CLASS_C_PHIS,
-    branch_residual,
-    class_a_closed,
-    class_b_closed,
-    class_c_closed,
     default_domain,
     fundamental_H,
     generator_for,
-    g_equation_residual,
     k_from_phi,
 )
 from ewbench.jets import ChartPoint, sample
 
 from conftest import XYT, PYT, pt
-from oracle import max_abs_at
+from oracle import (
+    branch_residual,
+    class_a_closed,
+    class_b_closed,
+    class_c_closed,
+    g_equation_residual,
+    max_abs_at,
+)
 
 
 def catalog():
@@ -381,7 +385,7 @@ def test_a_case_row_pins_its_chart_box_and_guard(case, chart, box, guard, probe,
         ("class_c", "s^2", "no recorded generator for Phi = 's^2'"),
         ("heisenberg", None, "no generator route for case 'heisenberg'"),
         ("from_G", "p", "no generator route for case 'from_G'"),
-        ("torus", None, "no generator route for case 'torus'"),
+        ("torus", None, "unknown case 'torus'"),
     ),
 )
 def test_a_case_without_a_recorded_generator_names_what_it_lacks(case, param, message):
@@ -400,3 +404,38 @@ def test_an_unknown_case_has_no_domain():
     with pytest.raises(ConfigError) as err:
         default_domain("torus")
     assert str(err.value) == "unknown case 'torus'"
+
+
+# --- one case lookup ------------------------------------------------------------
+
+CASE_ENTRY_POINTS = {
+    "cli.build_case": lambda case: sample(cli.build_case({**cli.DEFAULTS, "case": case, "points": 3})[1]),
+    "families.build": lambda case: sample(fam.build(case, {}, count=3)[1]),
+    "default_domain": lambda case: sample(fam.default_domain(case, count=3, F="1")),
+    "generator_for": lambda case: fam.generator_for(case, "1"),
+    "limit_family": lambda case: lift_mod.limit_family(case, 0.0)[1],
+}
+
+
+@pytest.mark.parametrize("entry", CASE_ENTRY_POINTS)
+def test_every_case_entry_point_reads_a_dash_as_an_underscore(entry):
+    fn = CASE_ENTRY_POINTS[entry]
+    assert fn("class-b") == fn("class_b")
+
+
+@pytest.mark.parametrize("entry", CASE_ENTRY_POINTS)
+def test_every_case_entry_point_names_an_unknown_case_as_given(entry):
+    with pytest.raises(ConfigError) as err:
+        CASE_ENTRY_POINTS[entry]("nope")
+    assert str(err.value) == "unknown case 'nope'"
+
+
+@pytest.mark.parametrize("case", ["class-b", "class_b", "nope"])
+def test_unread_flags_are_refused_for_a_known_case_only(case):
+    cfg = {**cli.DEFAULTS, "command": "verify", "case": case}
+    if case == "nope":
+        assert cli._refuse_unread_flags(cfg, ["H"]) is None  # build_case names it
+    else:
+        with pytest.raises(ConfigError) as err:
+            cli._refuse_unread_flags(cfg, ["H"])
+        assert str(err.value) == f"--H is not used by verify --case {case}"

@@ -14,7 +14,7 @@ from ewbench import (
     parse_field,
     wedge,
 )
-from ewbench.curv import metric_pass
+from ewbench.curv import inverse
 from ewbench.errors import JetOrderError, SingularFrameError
 from ewbench.ew import PAIRS, EWStructure, gt_residual, monopole_residual
 from ewbench.families import class_b
@@ -378,7 +378,7 @@ class TestMetricField:
         s = heisenberg(1.0)
         h = metric_from_coframe(s.frame)
         q = pt(XYT, 0.4, 0.1, -0.3)
-        gi = metric_pass(h, q).inverse()
+        gi = inverse(h, q)
         np.testing.assert_allclose(gi @ h.matrix_at(q), np.eye(3), atol=1e-12)
 
     def test_symmetric_product_cross_terms(self):

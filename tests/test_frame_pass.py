@@ -28,7 +28,7 @@ from ewbench.ew import (
     psi_residual,
 )
 from ewbench.forms import ext_d, scalar_form, star_frame, wedge
-from ewbench.jets import Field, PointBatch, evaluation_scope, sample
+from ewbench.jets import Field, PointBatch, evaluation_scope, sample, shared_scope
 from ewbench.lift import LiftConfig, fix_ell_sign, validate_config
 from ewbench.report import run_check
 
@@ -121,11 +121,11 @@ def test_the_array_residuals_are_the_forms_bit_for_bit(case, c, gauge):
 def test_the_checks_of_one_scope_read_one_pass(case):
     s, batch = _structure(case, False)
     psi = fam.psi_const(s, 0.5)
-    with evaluation_scope():
+    with evaluation_scope() as memo:
         together = [(fn(batch) + 0.0).tobytes() for _, fn, _ in _pairs(s, psi)]
         p = s.pass_at(batch)
         assert type(p) is FramePass and s.pass_at(batch) is p
-        assert set(p.packed) == {"frame", "omega", "V", "stars"}
+        assert {k[1] for k in memo if k[0] is p} == {"frame", "omega", "V", "stars"}
     assert together == [_outcome(fn, batch)[1] for _, fn, _ in _pairs(s, psi)]
 
 
@@ -313,7 +313,9 @@ def _record_frame_packs(monkeypatch):
     arrays, run_checks = FramePass.arrays, cli_mod._run_checks
 
     def recorded(self, name, order):
-        if running and name != "stars" and len(self.packed.get(name, ())) <= order:
+        with shared_scope() as memo:
+            held = memo.get((self, name), ())
+        if running and name != "stars" and len(held) <= order:
             packs.append((name, order))
         return arrays(self, name, order)
 

@@ -30,7 +30,7 @@ from ewbench.errors import (
     PsiResidualError,
 )
 from ewbench import report
-from ewbench.curv import metric_pass
+from ewbench.curv import inverse
 from ewbench.families import CASES, class_b, default_domain, heisenberg_psi
 from ewbench.forms import coordinate_form, embed_form, embed_metric, symmetric_product
 from ewbench.jets import ChartPoint, sample
@@ -313,9 +313,9 @@ class TestNegativeControls:
         data = build_p(LiftConfig(base, psi_const(base, 0.5), -1.0))
         q = ChartPoint(data.chart, (0.3, 0.4, -0.2, 0.6))
         ok = np.abs(em_residual(data.g, data.potential, data.ell, q)).max()
-        bad = np.abs(
-            em_residual(data.g, data.potential, data.ell, q, fsq_scale=0.5)
-        ).max()
+        fsq = f_squared(data.potential, data.g, q)[..., None, None]
+        halved = em_residual(data.g, data.potential, data.ell, q) + 0.25 * fsq * data.g.matrix_at(q)
+        bad = np.abs(halved).max()
         assert ok <= 1e-6
         assert bad > 1e-3
 
@@ -328,7 +328,7 @@ class TestNegativeControls:
             v = f(q, 0).value
             fm[a, b] = v
             fm[b, a] = -v
-        ginv = metric_pass(data.g, q).inverse()
+        ginv = inverse(data.g, q)
         stress = np.einsum("ac,bd,dc->ab", fm, fm, ginv)
         flipped = em_residual(data.g, data.potential, data.ell, q) - 4.0 * stress
         assert np.abs(flipped).max() > 1e-3

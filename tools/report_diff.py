@@ -141,6 +141,9 @@ EDGES = (
     "verify --case class-a --beta 1e999 --points 3",
     "verify --case from-H --H 1e999 --points 3",
     "lift --case class-b --F 1e999 --points 3",
+    "verify --case class_b --points 2",
+    "limit --case class_b",
+    "lift --case Heisenberg",
 )
 
 # what each job packs once, at the highest order its checks read: every
