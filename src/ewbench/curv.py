@@ -137,13 +137,9 @@ def _dginv(g, pt):
 
 def _gamma_and_partial(dg, ddg, ginv, dginv):
     """Christoffel symbols Gamma[a,b,c] and dGamma[e,a,b,c] = d_e Gamma."""
-    t = np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg
+    t = _permuted("bdc->dbc", dg) + _permuted("cdb->dbc", dg) - dg
     gamma = 0.5 * np.einsum("...ad,...dbc->...abc", ginv, t)
-    dt = (
-        np.einsum("...ebdc->...edbc", ddg)
-        + np.einsum("...ecdb->...edbc", ddg)
-        - np.einsum("...edbc->...edbc", ddg)
-    )
+    dt = _permuted("ebdc->edbc", ddg) + _permuted("ecdb->edbc", ddg) - ddg
     dgamma = 0.5 * (
         np.einsum("...ead,...dbc->...eabc", dginv, t)
         + np.einsum("...ad,...edbc->...eabc", ginv, dt)
@@ -151,10 +147,18 @@ def _gamma_and_partial(dg, ddg, ginv, dginv):
     return gamma, dgamma
 
 
+def _permuted(spec, a):
+    """The view of ``a`` whose last axes are permuted as ``spec`` says, in
+    einsum's notation for them ("bdc->dbc": out[..., d, b, c] = a[..., b, d, c])."""
+    src, dst = spec.split("->")
+    lead = a.ndim - len(src)
+    return a.transpose(*range(lead), *(lead + src.index(ch) for ch in dst))
+
+
 def _riemann_from_gamma(gamma, dgamma):
     return (
-        np.einsum("...cadb->...abcd", dgamma)
-        - np.einsum("...dacb->...abcd", dgamma)
+        _permuted("cadb->abcd", dgamma)
+        - _permuted("dacb->abcd", dgamma)
         + np.einsum("...ace,...edb->...abcd", gamma, gamma)
         - np.einsum("...ade,...ecb->...abcd", gamma, gamma)
     )
@@ -322,17 +326,19 @@ def weyl_ricci_residual_metric(h, omega, pt):
         "...ab,...eb->...ea", ginv, dw
     )
 
+    # outer products, which sum nothing, broadcast: delta^a_b w_c is
+    # eye[a, b, None] * w[..., None, None, c], and so on
     eye = np.eye(n)
     corr = 0.5 * (
-        np.einsum("ab,...c->...abc", eye, w)
-        + np.einsum("ac,...b->...abc", eye, w)
-        - np.einsum("...bc,...a->...abc", g0, w_up)
+        eye[:, :, None] * w[..., None, None, :]
+        + eye[:, None, :] * w[..., None, :, None]
+        - g0[..., None, :, :] * w_up[..., :, None, None]
     )
     dcorr = 0.5 * (
-        np.einsum("ab,...ec->...eabc", eye, dw)
-        + np.einsum("ac,...eb->...eabc", eye, dw)
-        - np.einsum("...ebc,...a->...eabc", dg, w_up)
-        - np.einsum("...bc,...ea->...eabc", g0, dw_up)
+        eye[:, :, None] * dw[..., :, None, None, :]
+        + eye[:, None, :] * dw[..., :, None, :, None]
+        - dg[..., :, None, :, :] * w_up[..., None, :, None, None]
+        - g0[..., None, None, :, :] * dw_up[..., :, :, None, None]
     )
     gamma_w = gamma - corr
     dgamma_w = dgamma - dcorr
@@ -342,7 +348,7 @@ def weyl_ricci_residual_metric(h, omega, pt):
         - np.einsum("...eca,...eb->...cab", gamma_w, g0)
         - np.einsum("...ecb,...ae->...cab", gamma_w, g0)
     )
-    compat = np.abs(cov_h - np.einsum("...c,...ab->...cab", w, g0)).max(axis=(-3, -2, -1))
+    compat = np.abs(cov_h - w[..., :, None, None] * g0[..., None, :, :]).max(axis=(-3, -2, -1))
 
     ric_w = np.einsum("...abad->...bd", _riemann_from_gamma(gamma_w, dgamma_w))
     sym = 0.5 * (ric_w + np.swapaxes(ric_w, -1, -2))

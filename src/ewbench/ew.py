@@ -33,9 +33,8 @@ from .forms import (
     ext_d,
     frame_solve,
     scalar_form,
-    star_frame,
 )
-from .jets import Field, pack_jets, scoped, scoped_arrays
+from .jets import Field, pack_jets, read_only, scoped, scoped_arrays
 
 __all__ = [
     "EWStructure",
@@ -155,10 +154,15 @@ class FramePass:
 
     ``arrays(name, order)`` are those of ``"frame"``, E[..., i, a] (leg i,
     component a) and dE[..., b, i, a] = d_b E_ia; of ``"omega"``, w[..., a]
-    and dw[..., b, a]; of ``"V"``, V and dV[..., b]; or of ``"stars"``, the
-    values S[..., k, pair] of *e1, *e2, *e3 (``forms.star_frame``): kept in
-    the evaluation scope under (pass, name) by ``jets.scoped_arrays``,
-    packed when first asked and again when a higher order is.
+    and dw[..., b, a]; or of ``"V"``, V and dV[..., b]: kept in the
+    evaluation scope under (pass, name) by ``jets.scoped_arrays``, packed
+    when first asked and again when a higher order is.
+
+    ``stars()`` are the values S[..., k, pair] of *e1, *e2, *e3, kept in
+    the scope under (pass, "stars").  The 3D Hodge star is defined by its
+    action on the coframe, *e1 = e1^e2, *e2 = 2 e1^e3, *e3 = e2^e3 (the
+    coframe is not orthonormal for h = e2 (x) e2 - 4 e1 (.) e3, hence the
+    2), so they are wedges of the coframe values E, as in gt.
     """
 
     __slots__ = ("s", "pt")
@@ -166,7 +170,6 @@ class FramePass:
         "frame": (lambda s: _comps(s.frame.legs, _LEGS), (3, 3)),
         "omega": (lambda s: _comps([s.omega], _LEGS), (3,)),
         "V": (lambda s: [s.V], ()),
-        "stars": (lambda s: _comps([star_frame(s.frame, i) for i in (1, 2, 3)], PAIRS), (3, 3)),
     }
 
     def __init__(self, s, pt):
@@ -178,11 +181,19 @@ class FramePass:
             (self, name), order, lambda k: pack_jets(self.pt, fields(self.s), k, shape)
         )
 
+    def stars(self):
+        def make():
+            e = self.arrays("frame", 0)[0]
+            e1, e2, e3 = e[..., 0, :], e[..., 1, :], e[..., 2, :]
+            return read_only(np.stack((_w(e1, e2), 2.0 * _w(e1, e3), _w(e2, e3)), axis=-2))
+
+        return scoped((self, "stars"), make)
+
     def hodge(self, values):
         """sum_k c_k *e_k for a = sum_k c_k e_k, c by ``forms.frame_solve``:
         ``values()`` gives the components of a, and None is the zero form."""
         c = frame_solve(np.swapaxes(self.arrays("frame", 0)[0], -1, -2), values)
-        st = self.arrays("stars", 0)[0]
+        st = self.stars()
         return c[..., :1] * st[..., 0, :] + c[..., 1:2] * st[..., 1, :] + c[..., 2:] * st[..., 2, :]
 
 
@@ -193,7 +204,7 @@ def gt_residual(s, pt):
     e, de = p.arrays("frame", 1)
     wedged = _w((0.5 * p.arrays("omega", 0)[0])[..., None, :], e)
     v = p.arrays("V", 0)[0][..., None, None]
-    return _d(np.swapaxes(de, -3, -2)) - wedged + v * p.arrays("stars", 0)[0]
+    return _d(np.swapaxes(de, -3, -2)) - wedged + v * p.stars()
 
 
 def monopole_residual(s, pt):

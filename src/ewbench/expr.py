@@ -269,7 +269,10 @@ def _render(e):
 
 
 def eval_jet(e, pt, order=0):
-    """Evaluate ``e`` at a chart point as a jet of the requested order."""
+    """Evaluate ``e`` at a chart point as a jet of the requested order.
+
+    A literal operand of ``+ - *``, or a literal dividend, acts as its
+    number (``jets.literal_op``), with the parts its constant jet gives."""
     if isinstance(e, Const):
         return jets.Jet.constant(e.value, pt.dim, order)
     if isinstance(e, Var):
@@ -280,12 +283,20 @@ def eval_jet(e, pt, order=0):
     if isinstance(e, Neg):
         return -eval_jet(e.arg, pt, order)
     if isinstance(e, Bin):
-        left = eval_jet(e.left, pt, order)
-        if e.op == "^" and free_names(e.right).isdisjoint(pt.chart):
-            right = eval_jet(e.right, pt, 0).value
+        literal = None
+        if e.op != "^" and isinstance(e.left, Const):
+            literal, jet, on_left = e.left.value, eval_jet(e.right, pt, order), True
+        elif e.op in "+-*" and isinstance(e.right, Const):
+            literal, jet, on_left = e.right.value, eval_jet(e.left, pt, order), False
         else:
-            right = eval_jet(e.right, pt, order)
+            left = eval_jet(e.left, pt, order)
+            if e.op == "^" and free_names(e.right).isdisjoint(pt.chart):
+                right = eval_jet(e.right, pt, 0).value
+            else:
+                right = eval_jet(e.right, pt, order)
         try:
+            if literal is not None:
+                return jets.literal_op(e.op, literal, jet, on_left)
             if e.op == "+":
                 return left + right
             if e.op == "-":

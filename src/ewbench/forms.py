@@ -7,10 +7,9 @@ products, exterior derivatives) differentiable as far as the
 jet order cap allows.
 
 The three-dimensional Hodge star is defined only through its action on a
-fixed coframe: star e1 = e1^e2, star e2 = 2 e1^e3, star e3 = e2^e3.  The
-coframe is not orthonormal for the induced metric h = e2 (x) e2 - 4 e1 (.) e3,
-which is where the factor 2 comes from; the rules are taken as the
-definition and everything downstream is checked against them.
+fixed coframe; its rules are stated, and its values computed, in
+:class:`ewbench.ew.FramePass`, and this module solves for the coefficients
+of a form in a coframe (:func:`frame_solve`).
 
 Metric fields keep their algebra and packing here; the metric pass over a
 packing (det g, g^-1, the curvature) is :mod:`ewbench.curv`'s.
@@ -36,7 +35,6 @@ __all__ = [
     "wedge",
     "ext_d",
     "frame_solve",
-    "star_frame",
     "metric_from_coframe",
     "signature",
     "symmetric_product",
@@ -193,7 +191,7 @@ def ext_d(a):
 
 
 # ---------------------------------------------------------------------------
-# coframes and the 3D Hodge star
+# coframes
 # ---------------------------------------------------------------------------
 
 
@@ -223,22 +221,9 @@ class Coframe3:
 
     # built once per coframe, as the field memo keys on identity
     @cached_property
-    def _stars(self):
-        e1, e2, e3 = self.legs
-        return (wedge(e1, e2), wedge(e1, e3).scale(2.0), wedge(e2, e3))
-
-    @cached_property
     def _metric(self):
         e1, e2, e3 = self.legs
         return symmetric_product(e2, e2) + symmetric_product(e1, e3).scale(-4.0)
-
-
-def star_frame(frame, i):
-    """star of the i-th coframe leg (i in 1..3), straight from the rules;
-    the same form on every call for one coframe."""
-    if i not in (1, 2, 3):
-        raise ValueError("frame leg index must be 1, 2 or 3")
-    return frame._stars[i - 1]
 
 
 def frame_solve(m, values):

@@ -24,7 +24,8 @@ full Leibniz product: it shifts the value (``+ -``) or scales every part
 only exact zeros, so the parts are the same apart from the sign of a zero;
 a jet with a part below the top one that is not finite, where 0 * inf
 spreads NaN, is still multiplied in full.  Over a batch an (N,) array acts
-as one such number per row, the same arithmetic row by row.
+as one such number per row, the same arithmetic row by row.  A literal of
+an expression (:func:`literal_op`) keeps the zero signs of its constant jet.
 
 A :class:`Field` is a lazily evaluated scalar function of a point or a
 batch of points; requesting a derivative field lowers the maximum order
@@ -38,8 +39,7 @@ variable never shared between threads, so shared subexpressions and the
 checks of one command (``report.run_check``) evaluate each field once; a
 call made with no scope open gets one for its own duration.
 
-The module also provides the independent finite-difference oracle used to
-cross-check jet output, and deterministic rejection sampling of guarded
+The module also provides deterministic rejection sampling of guarded
 coordinate boxes.
 """
 from __future__ import annotations
@@ -77,10 +77,10 @@ __all__ = [
     "shared_scope",
     "scoped",
     "scoped_arrays",
+    "literal_op",
     "Guard",
     "SampleDomain",
     "sample",
-    "fd_oracle",
     "exp",
     "log",
     "sin",
@@ -412,11 +412,10 @@ class Jet:
         if order >= 1:
             parts.append(a[1] * _scaler(b0, 1) + _scaler(a0, 1) * b[1])
         if order >= 2:
+            # a'_i b'_j + b'_i a'_j: one outer product and its transpose
+            outer = a[1][..., :, None] * b[1][..., None, :]
             parts.append(
-                a[2] * _scaler(b0, 2)
-                + a[1][..., :, None] * b[1][..., None, :]
-                + b[1][..., :, None] * a[1][..., None, :]
-                + _scaler(a0, 2) * b[2]
+                a[2] * _scaler(b0, 2) + outer + np.swapaxes(outer, -1, -2) + _scaler(a0, 2) * b[2]
             )
         if order >= 3:
             parts.append(
@@ -467,13 +466,17 @@ class Jet:
         return self._float_pow(float(exponent))
 
     def _int_pow(self, k):
+        """The constant jet 1 times k factors of ``self``, by squaring; the
+        1 acts as a literal (:func:`literal_op`)."""
         if k < 0:
             return self.reciprocal()._int_pow(-k)
-        result = self._constant_like(1.0)
+        if not k:
+            return self._constant_like(1.0)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = _literal_product(1.0, base) if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
         return result
@@ -527,6 +530,44 @@ def _times(c, jet):
     return jet._scaled(c, lambda: jet._constant_like(c) * jet)
 
 
+def literal_op(op, c, jet, left):
+    """``op`` of ``jet`` and the expression literal c, the left operand when
+    ``left``: the parts of the same operation on the constant jet of c,
+    zero signs included (``eval`` prints them), bit for bit apart from the
+    payload of a NaN, in fewer array operations.  The constant's derivative
+    parts are +0.0: a sum adds +0.0 to each derivative part, c - jet
+    subtracts each from +0.0, and c / jet is c times the reciprocal."""
+    v, *d = jet.parts
+    if op == "+":
+        return Jet([v + c, *(p + 0.0 for p in d)])
+    if op == "-":
+        return Jet([c - v, *(0.0 - p for p in d)]) if left else Jet([v - c, *d])
+    return _literal_product(c, jet.reciprocal() if op == "/" else jet)
+
+
+def _literal_product(c, jet):
+    """The product of the constant jet of c and ``jet``: part k is c times
+    part k plus the sum of the zero parts' products with the lower parts.
+    In any order, that sum is NaN where one of those entries is not
+    finite, -0.0 where all are negative or -0.0, and +0.0 elsewhere; so it
+    is built from 0 v, 0 g and 0 H once each: z2_ij = u_i + u_j with
+    u = 0 v + 0 g, and z3_ijk = w_ij + w_ik + w_jk with w = z2 + 0 H."""
+    v, *d = jet.parts
+    parts = [c * v]
+    main = [p if c == 1.0 else c * p for p in d]
+    if d:
+        zv = _scaler(v * 0.0, 1)
+        parts.append(zv + main[0])
+    if len(d) >= 2:
+        u = zv + d[0] * 0.0
+        z2 = u[..., :, None] + u[..., None, :]
+        parts.append(z2 + main[1])
+    if len(d) >= 3:
+        w = z2 + d[1] * 0.0
+        parts.append(w[..., :, :, None] + w[..., :, None, :] + w[..., None, :, :] + main[2])
+    return Jet(parts)
+
+
 def _finite_reciprocal(c, order):
     """1/c when the derivatives of 1/x at c through ``order`` (those that
     ``Jet.reciprocal`` computes) are finite: then the reciprocal of the
@@ -539,13 +580,15 @@ def _finite_reciprocal(c, order):
     return f[0]
 
 
+# the axes of t[..., j, k, i] as a view of t[..., i, j, k], by t.ndim
+_ROTATED = {n: (*range(n - 3), n - 1, n - 3, n - 2) for n in (3, 4)}
+
+
 def _sym_hg(hess, grad):
-    """Symmetrized hess (x) grad: H_ij g_k + H_ik g_j + H_jk g_i."""
-    return (
-        hess[..., :, :, None] * grad[..., None, None, :]
-        + hess[..., :, None, :] * grad[..., None, :, None]
-        + hess[..., None, :, :] * grad[..., :, None, None]
-    )
+    """Symmetrized hess (x) grad: H_ij g_k + H_ik g_j + H_jk g_i, as one
+    product t_ijk = H_ij g_k and two views of it, t_ikj and t_jki."""
+    t = hess[..., :, :, None] * grad[..., None, None, :]
+    return t + np.swapaxes(t, -1, -2) + t.transpose(_ROTATED[t.ndim])
 
 
 def _derivatives(series, v, *args):
@@ -1114,55 +1157,6 @@ ZERO_FIELD = Field.const(0.0)
 
 
 # ---------------------------------------------------------------------------
-# finite-difference oracle
-# ---------------------------------------------------------------------------
-
-FD_STEP_SCALE = 1e-4
-
-
-def _fd_step(x):
-    return FD_STEP_SCALE * np.maximum(1.0, np.abs(x))
-
-
-def fd_oracle(field, pt, axes):
-    """Mixed partial of ``field`` at ``pt`` by nested central differences.
-
-    ``axes`` is a tuple of coordinate indices or names, at most three long.
-    First and second derivatives use 4th-order stencils, third derivatives
-    2nd-order ones.  Entirely independent of the jet machinery: only values
-    are sampled.  The caller is responsible for keeping the stencil inside
-    the field's domain.
-    """
-    axes = tuple(
-        pt.chart.index(a) if isinstance(a, str) else int(a) for a in axes
-    )
-    if len(axes) > MAX_ORDER:
-        raise JetOrderError("finite differences support order <= 3")
-    fourth_order = len(axes) <= 2
-
-    def value_at(q):
-        return field(q, 0).value
-
-    def deriv(q, remaining):
-        if not remaining:
-            return value_at(q)
-        axis, rest = remaining[0], remaining[1:]
-        x = q.coords[axis]
-        h = _fd_step(x)
-        if fourth_order:
-            fp1 = deriv(q.with_coord(axis, x + h), rest)
-            fp2 = deriv(q.with_coord(axis, x + 2 * h), rest)
-            fm1 = deriv(q.with_coord(axis, x - h), rest)
-            fm2 = deriv(q.with_coord(axis, x - 2 * h), rest)
-            return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
-        fp = deriv(q.with_coord(axis, x + h), rest)
-        fm = deriv(q.with_coord(axis, x - h), rest)
-        return (fp - fm) / (2.0 * h)
-
-    return deriv(pt, axes)
-
-
-# ---------------------------------------------------------------------------
 # deterministic guarded sampling
 # ---------------------------------------------------------------------------
 
@@ -1221,14 +1215,17 @@ def sample(domain):
     """
     rng = np.random.default_rng(domain.seed)
     lows = np.array([b[0] for b in domain.box])
-    highs = np.array([b[1] for b in domain.box])
+    spans = np.array([b[1] for b in domain.box]) - lows
+    if not np.isfinite(spans).all():
+        raise OverflowError("Range exceeds valid bounds")
     accepted = [np.empty((0, len(domain.chart)))]  # the accepted rows of each batch
     taken = 0  # rows accepted so far
     rejected = [0] * len(domain.guards)
     passed = 0  # rows every guard accepted, past ``count`` included
     drawn = 0
     while taken < domain.count:
-        rows = rng.uniform(lows, highs, size=(_BATCH, len(domain.chart)))
+        # rng.uniform(lows, highs, size) computes this, from the same stream
+        rows = lows + spans * rng.random((_BATCH, len(domain.chart)))
         drawn += _BATCH
         need = domain.count - taken
         prefix = (

@@ -6,13 +6,13 @@ each point to its largest absolute component and keeps those values, their
 maximum, their mean, and the worst point.
 Reports serialize to JSON with a fixed key order so that two runs with the
 same configuration and seed are byte-identical apart from the wall-time
-field.
+field; ``report_json`` writes the text itself, the text of ``json.dumps``.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,4 +159,56 @@ def build_report(config, chart, n_points, results, detail=None):
 
 
 def report_json(report):
-    return json.dumps(report, indent=2, sort_keys=False, allow_nan=False) + "\n"
+    """``report`` as the text of ``json.dumps(report, indent=2,
+    allow_nan=False)`` and a newline, written directly: json indents in
+    pure Python, by generators.  The type rules and errors are json's."""
+    out = []
+    _encode(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(o, newline, out):
+    """Append the JSON text of ``o``, nested at the line start ``newline``."""
+    if not isinstance(o, (list, tuple, dict)):
+        out.append(_scalar(o))
+    elif not o:
+        out.append("{}" if isinstance(o, dict) else "[]")
+    elif isinstance(o, dict):
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in o.items():
+            out.append(sep + _quote(key if isinstance(key, str) else _key(key)) + ": ")
+            _encode(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in o:
+            out.append(sep)
+            _encode(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+
+
+def _scalar(o):
+    """json's text of a string, None, a bool (before int), or an int or
+    float, subclasses (``numpy.float64``) as their numbers."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if not isinstance(o, float):
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    if not math.isfinite(o):
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(o))
+    return float.__repr__(o)
+
+
+def _key(key):
+    if isinstance(key, (int, float)) or key is None:
+        return _scalar(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")

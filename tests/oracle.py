@@ -1,17 +1,19 @@
 """Test-local oracles: the form-algebra definitions that no command reaches,
 kept so that tests can pin the packed-array code against them.
 
-``hodge3`` is the 3D Hodge star as a form, with ``frame_expand`` giving its
-coefficients; ``weighted_d`` is D psi = d psi - (m/2) omega ^ psi;
+``star_frame`` is the star of a coframe leg as a form, by the rules that
+``ew.FramePass`` computes on values; ``hodge3`` is the 3D Hodge star as a
+form, with ``frame_expand`` giving its coefficients; ``weighted_d`` is D psi = d psi - (m/2) omega ^ psi;
 ``flat_limit_per_ell`` is ``lift.flat_limit`` one ell at a time;
-``FDMetric`` is a metric whose derivatives come from the finite-difference
-oracle; ``class_a_closed``, ``class_b_closed`` and ``class_c_closed`` are
+``fd_oracle`` is the finite-difference oracle, which samples values only,
+and ``FDMetric`` a metric whose derivatives come from it; ``class_a_closed``, ``class_b_closed`` and ``class_c_closed`` are
 the closed-form (h, omega) pairs of the p-chart classes, and
 ``g_equation_residual`` and ``branch_residual`` the Legendre generator's
 equation and its y-derivative.  The rest are small readers of a form, a
 metric, the alpha fibre chart and a sampling domain.
 """
 import math
+import weakref
 
 import numpy as np
 
@@ -26,11 +28,10 @@ from ewbench.forms import (
     ext_d,
     frame_solve,
     signature,
-    star_frame,
     symmetric_product,
     wedge,
 )
-from ewbench.jets import Field, Jet, PointBatch, evaluation_scope, fd_oracle, scoped
+from ewbench.jets import MAX_ORDER, Field, Jet, PointBatch, evaluation_scope, scoped
 from ewbench.lift import LIMIT_ROWS, _limit_form, build_p
 from ewbench.report import run_check
 
@@ -57,6 +58,51 @@ def from_value_matrix(chart, matrix):
         if matrix[a, b] != 0.0
     }
     return MetricField(chart, comps)
+
+
+FD_STEP_SCALE = 1e-4
+
+
+def _fd_step(x):
+    return FD_STEP_SCALE * np.maximum(1.0, np.abs(x))
+
+
+def fd_oracle(field, pt, axes):
+    """Mixed partial of ``field`` at ``pt`` by nested central differences.
+
+    ``axes`` is a tuple of coordinate indices or names, at most three long.
+    First and second derivatives use 4th-order stencils, third derivatives
+    2nd-order ones.  Entirely independent of the jet machinery: only values
+    are sampled.  The caller is responsible for keeping the stencil inside
+    the field's domain.
+    """
+    axes = tuple(
+        pt.chart.index(a) if isinstance(a, str) else int(a) for a in axes
+    )
+    if len(axes) > MAX_ORDER:
+        raise JetOrderError("finite differences support order <= 3")
+    fourth_order = len(axes) <= 2
+
+    def value_at(q):
+        return field(q, 0).value
+
+    def deriv(q, remaining):
+        if not remaining:
+            return value_at(q)
+        axis, rest = remaining[0], remaining[1:]
+        x = q.coords[axis]
+        h = _fd_step(x)
+        if fourth_order:
+            fp1 = deriv(q.with_coord(axis, x + h), rest)
+            fp2 = deriv(q.with_coord(axis, x + 2 * h), rest)
+            fm1 = deriv(q.with_coord(axis, x - h), rest)
+            fm2 = deriv(q.with_coord(axis, x - 2 * h), rest)
+            return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
+        fp = deriv(q.with_coord(axis, x + h), rest)
+        fm = deriv(q.with_coord(axis, x - h), rest)
+        return (fp - fm) / (2.0 * h)
+
+    return deriv(pt, axes)
 
 
 class FDMetric:
@@ -127,10 +173,26 @@ def frame_expand(a, frame, pt):
     return frame_solve(m, values)
 
 
+# the stars of each coframe, built once: the field memo keys on identity
+_STARS = weakref.WeakKeyDictionary()
+
+
+def star_frame(frame, i):
+    """star of the i-th coframe leg (i in 1..3), straight from the rules
+    *e1 = e1^e2, *e2 = 2 e1^e3, *e3 = e2^e3; the same form on every call
+    for one coframe."""
+    if i not in (1, 2, 3):
+        raise ValueError("frame leg index must be 1, 2 or 3")
+    if frame not in _STARS:
+        e1, e2, e3 = frame.legs
+        _STARS[frame] = (wedge(e1, e2), wedge(e1, e3).scale(2.0), wedge(e2, e3))
+    return _STARS[frame][i - 1]
+
+
 def hodge3(a, frame):
     """Hodge star of a 1-form a = sum_i c_i e^i: the sum of c_i star e^i
     over the legs i = 1, 2, 3 in that order, with each star e^i from
-    ``forms.star_frame``.
+    :func:`star_frame`.
 
     Only degree 1 -> 2 is defined.  The coefficients c_i are values: the
     components of the star answer order 0 and raise JetOrderError above it.

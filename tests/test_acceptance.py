@@ -46,11 +46,11 @@ from ewbench.families import (
     k_from_phi,
 )
 from ewbench.forms import coordinate_form, scalar_form
-from ewbench.jets import ChartPoint, fd_oracle, sample
+from ewbench.jets import ChartPoint, sample
 from ewbench.lift import flat_limit
 
 from conftest import XYT, PYT, pt
-from oracle import max_abs_at
+from oracle import fd_oracle, max_abs_at
 
 
 def worst(values):

@@ -23,11 +23,11 @@ from ewbench.curv import inverse, weyl_ricci_residual_metric
 from ewbench.errors import SingularMetricError
 from ewbench.families import class_b, default_domain
 from ewbench.forms import coordinate_form, metric_from_coframe, zero_form
-from ewbench.jets import ChartPoint, PointBatch, fd_oracle, sample
+from ewbench.jets import ChartPoint, PointBatch, sample
 from ewbench.lift import ALPHA_WINDOW, build, fix_ell_sign
 
 from conftest import XYT, box_points, pt
-from oracle import FDMetric, from_value_matrix
+from oracle import FDMetric, fd_oracle, from_value_matrix
 
 ZXYT = ("z", "x", "y", "t")
 MINK4 = ("x", "y", "z", "t")

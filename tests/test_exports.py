@@ -34,6 +34,10 @@ MOVED = (
     "_dy_p_dt",
     "g_equation_residual",
     "branch_residual",
+    "star_frame",
+    "fd_oracle",
+    "_fd_step",
+    "FD_STEP_SCALE",
 )
 
 

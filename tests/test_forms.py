@@ -23,14 +23,20 @@ from ewbench.forms import (
     embed_form,
     embed_metric,
     scalar_form,
-    star_frame,
     symmetric_product,
     zero_form,
 )
 from ewbench.jets import PointBatch, evaluation_scope
 
 from conftest import XYT, PYT, box_points, pt
-from oracle import frame_expand, from_value_matrix, hodge3, max_abs_at, signature_at
+from oracle import (
+    frame_expand,
+    from_value_matrix,
+    hodge3,
+    max_abs_at,
+    signature_at,
+    star_frame,
+)
 
 
 def d(chart, name):
@@ -332,33 +338,37 @@ class TestMetricFromCoframe:
 
 
 class TestSharedCoframeForms:
-    def test_one_coframe_has_one_set_of_stars_and_one_metric(self):
+    def test_one_coframe_has_one_metric(self):
         frame = class_b("1+p^2").frame
-        for i in (1, 2, 3):
-            assert star_frame(frame, i) is star_frame(frame, i)
         assert metric_from_coframe(frame) is metric_from_coframe(frame)
-        assert star_frame(frame, 1) is not star_frame(class_b("1+p^2").frame, 1)
 
-    def test_gt_then_monopole_evaluate_each_leg_and_star_once(self, monkeypatch):
+    def test_gt_then_monopole_evaluate_each_leg_once_and_no_star(self, monkeypatch):
+        """The stars are products of the packed coframe values: no field of
+        the form-valued stars is evaluated, and their values are the
+        oracle's, up to the sign of a zero."""
         s = class_b("1+p^2")
         stars = [star_frame(s.frame, i) for i in (1, 2, 3)]
-        fields = {id(f): f for form in s.frame.legs + tuple(stars) for f in form.comps.values()}
+        legs = {id(f): f for form in s.frame.legs for f in form.comps.values()}
+        star_fields = {id(f): f for form in stars for f in form.comps.values()}
         calls = Counter()
 
         def counted(f):
             fn = f.fn
             return lambda q, order=0: calls.update([(id(f), order)]) or fn(q, order)
 
-        for f in fields.values():
+        for f in {**legs, **star_fields}.values():
             monkeypatch.setattr(f, "fn", counted(f))
         batch = PointBatch.of(box_points(PYT, 0.5, 2.0, 6, 5))
         with evaluation_scope():
             gt_residual(s, batch)
             monopole_residual(s, batch)
+            got = s.pass_at(batch).stars()
+        assert {key for key, _ in calls} == set(legs)
         assert set(calls.values()) == {1}
-        # a constant component acts as its number and is never evaluated
-        star_fields = {id(f) for form in stars for f in form.comps.values() if f.number is None}
-        assert star_fields and star_fields <= {key for key, _ in calls}
+        assert not set(star_fields) & set(legs)
+        with evaluation_scope():
+            want = np.stack([form.values_at(batch, PAIRS) for form in stars], axis=-2)
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
 class TestMetricField:

@@ -27,12 +27,12 @@ from ewbench.ew import (
     monopole_residual,
     psi_residual,
 )
-from ewbench.forms import ext_d, scalar_form, star_frame, wedge
+from ewbench.forms import ext_d, scalar_form, wedge
 from ewbench.jets import Field, PointBatch, evaluation_scope, sample, shared_scope
 from ewbench.lift import LiftConfig, fix_ell_sign, validate_config
 from ewbench.report import run_check
 
-from oracle import hodge3, weighted_d
+from oracle import hodge3, star_frame, weighted_d
 
 
 def _bench_jobs():
@@ -141,7 +141,7 @@ def test_the_pass_arrays_are_read_only_and_sliced():
         e, de = p.arrays("frame", 1)
         assert e.shape == (5, 3, 3) and de.shape == (5, 3, 3, 3)
         assert p.arrays("frame", 0)[0] is e
-        assert not e.flags.writeable and not p.arrays("stars", 0)[0].flags.writeable
+        assert not e.flags.writeable and not p.stars().flags.writeable
         v, dv = p.arrays("V", 1)
         w, dw = p.arrays("omega", 1)
         assert v.shape == (5,) and dv.shape == (5, 3) and w.shape == (5, 3) and dw.shape == (5, 3, 3)
@@ -307,15 +307,14 @@ FRAME_ARRAYS = ("frame", "omega", "V")
 def _record_frame_packs(monkeypatch):
     """[(array, order)] of each packing of a frame-pass array that a check
     may declare while a job's checks run (a lift validates its base in a
-    scope of its own before); the stars are the values of the coframe's
-    products, which the frame jets serve."""
+    scope of its own before)."""
     packs, running = [], []
     arrays, run_checks = FramePass.arrays, cli_mod._run_checks
 
     def recorded(self, name, order):
         with shared_scope() as memo:
             held = memo.get((self, name), ())
-        if running and name != "stars" and len(held) <= order:
+        if running and len(held) <= order:
             packs.append((name, order))
         return arrays(self, name, order)
 

@@ -10,7 +10,6 @@ from ewbench import (
     Guard,
     Jet,
     SampleDomain,
-    fd_oracle,
     parse_field,
     point,
     sample,
@@ -29,7 +28,7 @@ from ewbench.forms import PForm, symmetric_product
 from ewbench.jets import ChartPoint, PointBatch, evaluation_scope
 
 from conftest import COORDS, EXPRS, XYT, PYT, pt
-from oracle import require_guards
+from oracle import fd_oracle, require_guards
 
 
 class TestJetArithmetic:

@@ -10,8 +10,9 @@ the catalog command lines of ``CATALOG``, the check-table command lines of
 ``CHECKS``, the edge-case command lines of ``EDGES``, the large-batch
 command lines of ``LARGE``, the pack-plan command lines of ``PLANS``, the
 one-batch command lines of ``BATCHES``, the frame-pass command lines of
-``FRAMES``, the limit command lines of ``LIMITS``, and any extra command
-lines given after the two checkouts.  One subprocess per checkout runs them all through
+``FRAMES``, the limit command lines of ``LIMITS``, the literal-heavy
+command lines of ``LITERALS``, and any extra command lines given after the
+two checkouts.  One subprocess per checkout runs them all through
 ``ewbench.cli.main`` in process, with that checkout's ``src`` first on the
 path.  The tool prints
 each argv whose exit code, stdout (without its ``wall_time_s`` line) or
@@ -217,6 +218,36 @@ LIMITS = tuple(
     for flags in ("--ells -100,100", "--c 0.5")
 )
 
+# expressions whose literals act as numbers: in sums, products, quotients
+# and powers, past the float range, dividing by zero, and under eval, where
+# the parts are printed with the sign of each zero (a literal must not flip
+# one: 2*(-x) at x=-1 has the second derivative +0.0)
+LITERALS = (
+    "verify --case from-H --H '0.5*x^2-3*y*t+1/(2+x^2)' --checks hypercr,gt,monopole --points 5",
+    "verify --case from-H --H '2*x-y*t/3+4' --checks hypercr,gt,monopole,psi --c 0.5 --points 5",
+    "verify --case class-b --F '2^p' --checks gt,monopole,weyl --points 5",
+    "verify --case class-b --F '1e308*p' --points 5",
+    "verify --case class-b --F 'p/0' --points 5",
+    "verify --case class-b --F '3-1/p' --checks gt,monopole,psi --c 0.3 --points 5",
+    "verify --case class-a --beta '3-2*y' --points 5",
+    "verify --case class-c --K '2*s+1' --checks gt,monopole,weyl --points 5",
+    "lift --case class-b --F '0.5+p^2/4' --checks em,maxwell,invariants --points 3",
+    "eval --expr '2*x^3-x/4' --at x=1.5 --order 3",
+    "eval --expr 'x^0+x^1' --at x=2 --order 3",
+    "eval --expr '2*(-x)' --at x=-1 --order 3",
+    "eval --expr '2*(-sin(y))' --at x=-1,y=1 --order 3",
+    "eval --expr '2+(-x)' --at x=-1 --order 3",
+    "eval --expr '1-y' --at x=-1,y=1 --order 3",
+    "eval --expr 'y^2' --at x=1,y=-1 --order 3",
+    "eval --expr '1/(-y)+3*(x-y)' --at x=1,y=-2 --order 3",
+    "eval --expr '1*(-(y-x))' --at x=-1,y=1 --order 3",
+    "eval --expr '(-x)^3-1e308*x' --at x=-1 --order 3",
+    "eval --expr 'x/0' --at x=1 --order 2",
+    "eval --expr '1/0+x' --at x=1",
+    "eval --expr '0^-1' --at x=1",
+    "eval --expr 'exp(800)*x' --at x=1",
+)
+
 # batches past perfbench's sizes, where rounding shifts of the batched
 # contractions and any dependence of a row on the others would show
 LARGE = (
@@ -334,7 +365,10 @@ def main(argv):
     if len(argv) < 2:
         sys.exit(__doc__)
     old_dir, new_dir = Path(argv[0]), Path(argv[1])
-    sets = CONSTANT_DATA + CATALOG + CHECKS + EDGES + LARGE + PLANS + BATCHES + FRAMES + LIMITS
+    sets = (
+        CONSTANT_DATA + CATALOG + CHECKS + EDGES + LARGE + PLANS + BATCHES + FRAMES + LIMITS
+        + LITERALS
+    )
     extra = list(sets) + argv[2:]
     old, new = reports(old_dir, extra), reports(new_dir, extra)
     names = ("exit code", "stdout", "stderr")
