@@ -127,7 +127,9 @@ def hypercr_residual(u, w, pt):
 # exterior residual systems, on the packed arrays of a frame pass
 # ---------------------------------------------------------------------------
 
-_I, _J = [0, 0, 1], [1, 2, 2]  # PAIRS: pair k is (_I[k], _J[k])
+_I, _J = np.array([0, 0, 1]), np.array([1, 2, 2])  # PAIRS: pair k is (_I[k], _J[k])
+# *e1 = e1^e2, *e2 = 2 e1^e3, *e3 = e2^e3: star k is the wedge of pair k, scaled
+_STAR_SCALE = np.array([[1.0], [2.0], [1.0]])
 
 
 def _w(a, b):
@@ -162,7 +164,8 @@ class FramePass:
     the scope under (pass, "stars").  The 3D Hodge star is defined by its
     action on the coframe, *e1 = e1^e2, *e2 = 2 e1^e3, *e3 = e2^e3 (the
     coframe is not orthonormal for h = e2 (x) e2 - 4 e1 (.) e3, hence the
-    2), so they are wedges of the coframe values E, as in gt.
+    2), so they are the wedges of the coframe values E over PAIRS, as in
+    gt, times 1, 2 and 1.
     """
 
     __slots__ = ("s", "pt")
@@ -184,8 +187,7 @@ class FramePass:
     def stars(self):
         def make():
             e = self.arrays("frame", 0)[0]
-            e1, e2, e3 = e[..., 0, :], e[..., 1, :], e[..., 2, :]
-            return read_only(np.stack((_w(e1, e2), 2.0 * _w(e1, e3), _w(e2, e3)), axis=-2))
+            return read_only(_w(e[..., _I, :], e[..., _J, :]) * _STAR_SCALE)
 
         return scoped((self, "stars"), make)
 

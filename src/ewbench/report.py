@@ -163,52 +163,63 @@ def report_json(report):
     allow_nan=False)`` and a newline, written directly: json indents in
     pure Python, by generators.  The type rules and errors are json's."""
     out = []
-    _encode(report, "\n", out)
+    _encode(report, "", "\n", out)
     out.append("\n")
     return "".join(out)
 
 
-def _encode(o, newline, out):
-    """Append the JSON text of ``o``, nested at the line start ``newline``."""
+def _encode(o, head, newline, out):
+    """Append the text ``head`` and the JSON text of ``o``, nested at the
+    line start ``newline``, to ``out``."""
     if not isinstance(o, (list, tuple, dict)):
-        out.append(_scalar(o))
+        out.append(head + _leaf(o))
     elif not o:
-        out.append("{}" if isinstance(o, dict) else "[]")
+        out.append(head + ("{}" if isinstance(o, dict) else "[]"))
     elif isinstance(o, dict):
         inner = newline + "  "
-        sep = "{" + inner
+        sep = head + "{" + inner
         for key, value in o.items():
-            out.append(sep + _quote(key if isinstance(key, str) else _key(key)) + ": ")
-            _encode(value, inner, out)
+            _encode(value, sep + _quote(key if isinstance(key, str) else _key(key)) + ": ", inner, out)
             sep = "," + inner
         out.append(newline + "}")
     else:
         inner = newline + "  "
-        sep = "[" + inner
+        sep = head + "[" + inner
         for item in o:
-            out.append(sep)
-            _encode(item, inner, out)
+            _encode(item, sep, inner, out)
             sep = "," + inner
         out.append(newline + "]")
 
 
-def _scalar(o):
-    """json's text of a string, None, a bool (before int), or an int or
-    float, subclasses (``numpy.float64``) as their numbers."""
-    if isinstance(o, str):
-        return _quote(o)
-    if o is None or o is True or o is False:
-        return "null" if o is None else "true" if o else "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if not isinstance(o, float):
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+def _float(o):
     if not math.isfinite(o):
         raise ValueError("Out of range float values are not JSON compliant: " + repr(o))
     return float.__repr__(o)
 
 
+# the JSON text of a leaf by its type
+_LEAVES = {
+    str: _quote,
+    float: _float,
+    int: int.__repr__,
+    bool: lambda o: "true" if o else "false",
+    type(None): lambda o: "null",
+}
+
+
+def _leaf(o):
+    """json's text of a string, number, bool or None, and of a subclass of
+    str, int or float (``numpy.float64``) as its value."""
+    text = _LEAVES.get(type(o))
+    if text is not None:
+        return text(o)
+    for kind in (str, int, float):
+        if isinstance(o, kind):
+            return _LEAVES[kind](o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
 def _key(key):
     if isinstance(key, (int, float)) or key is None:
-        return _scalar(key)
+        return _leaf(key)
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")

@@ -4,6 +4,7 @@ order-2 term and ``_sym_hg`` are the three-product formulas, and an
 expression literal gives the parts of its constant jet, zero signs and
 error texts included."""
 import contextlib
+import enum
 import io
 import json
 import operator
@@ -84,8 +85,9 @@ def test_a_non_ascii_out_path_is_echoed_as_json_escapes_it(monkeypatch, tmp_path
         {"x": np.float64(0.1), "y": [np.float64(-0.0), 1e-320, 1e300], "n": [1, True, False, None]},
         {"é\t\"q\"": "ψ\n", 2: "int key", 2.5: "float key", None: 0, True: 1},
         ({"nested": ({"deep": [1.5, -2]},)}, "tuple"),
+        {"int": enum.IntEnum("N", "A B").B, "str": enum.StrEnum("S", "x").x},
     ],
-    ids=["empty-dict", "empty-list", "empty-nests", "numpy-floats", "keys", "tuples"],
+    ids=["empty-dict", "empty-list", "empty-nests", "numpy-floats", "keys", "tuples", "subclasses"],
 )
 def test_the_writer_follows_json_on_every_type(report):
     assert report_json(report) == _dumps(report)
