@@ -48,7 +48,6 @@ from .families import (
     class_b,
     class_c,
     from_generator,
-    fundamental_H,
     GeneratorG,
     heisenberg,
     psi_const,
@@ -62,7 +61,7 @@ from .forms import (
     wedge,
 )
 from .jets import ChartPoint, Field, Guard, Jet, SampleDomain, point, sample
-from .lift import LiftConfig, SpacetimeData, build_alpha, build_p, flat_limit
+from .lift import LiftConfig, SpacetimeData, flat_limit
 
 __all__ = [
     "ChartPoint",
@@ -78,8 +77,6 @@ __all__ = [
     "SampleDomain",
     "SpacetimeData",
     "WeightedForm",
-    "build_alpha",
-    "build_p",
     "christoffel",
     "class_a",
     "class_b",
@@ -92,7 +89,6 @@ __all__ = [
     "from_H",
     "from_generator",
     "from_uw",
-    "fundamental_H",
     "gauge_transform",
     "gt_residual",
     "heisenberg",

@@ -148,7 +148,7 @@ OFFERED_CHECKS = {
     "limit": ("limit",),
 }
 CHECK_NAMES = OFFERED_CHECKS["lift"] + OFFERED_CHECKS["limit"]
-CHARTS = tuple(lift_mod.FIBRE_WINDOWS)
+CHARTS = tuple(lift_mod.FIBRES)
 
 DEFAULT_CHECKS = {"verify": "gt,monopole", "lift": "em,maxwell", "limit": "limit"}
 # the expression flags of the catalog cases
@@ -289,7 +289,10 @@ def make_parser():
         p = sub.add_parser(command, help=blurb)
         for key, row in KEYS.items():
             if row.commands:
-                p.add_argument(f"--{key}", type=row.type, choices=row.choices, help=row.help)
+                # every flag parses, so that one a command does not read is
+                # refused by name; its help lists only the flags it reads
+                shown = row.help if command in row.commands else argparse.SUPPRESS
+                p.add_argument(f"--{key}", type=row.type, choices=row.choices, help=shown)
         p.add_argument("--config", help="JSON file with the same keys")
 
     pe = sub.add_parser("eval", help="evaluate an expression at a point")

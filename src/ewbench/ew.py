@@ -47,8 +47,6 @@ __all__ = [
     "monopole_residual",
     "gauge_transform",
     "psi_residual",
-    "hcr_residual",
-    "constraints_residual",
     "from_H",
     "from_uw",
 ]
@@ -253,42 +251,6 @@ def gauge_transform(s, f):
         omega=s.omega + df.scale(2.0),
         V=jets.exp(-f) * s.V,
     )
-
-
-# ---------------------------------------------------------------------------
-# the scalar equation and its structure
-# ---------------------------------------------------------------------------
-
-
-def _hxyt(H, pt, order=2):
-    chart = pt.chart
-    j = H(pt, order)
-    return j, chart.index("x"), chart.index("y"), chart.index("t")
-
-
-def hcr_residual(H, pt):
-    """H_xt - H_yy + H_y H_xx - H_x H_xy at a point."""
-    j, ix, iy, it = _hxyt(H, pt)
-    g, h = j.grad, j.hess
-    return (
-        h[..., ix, it]
-        - h[..., iy, iy]
-        + g[..., iy] * h[..., ix, ix]
-        - g[..., ix] * h[..., ix, iy]
-    )
-
-
-def constraints_residual(H, pt):
-    """(nonlinear, linear) parts: (H_xx H_y - H_xy H_x, H_xt - H_yy).
-
-    Their sum is hcr_residual; vanishing of both is the stronger condition
-    the fundamental solution satisfies.
-    """
-    j, ix, iy, it = _hxyt(H, pt)
-    g, h = j.grad, j.hess
-    nonlinear = h[..., ix, ix] * g[..., iy] - h[..., ix, iy] * g[..., ix]
-    linear = h[..., ix, it] - h[..., iy, iy]
-    return (nonlinear, linear)
 
 
 # ---------------------------------------------------------------------------

@@ -31,13 +31,7 @@ import numpy as np
 from . import expr as ex
 from .errors import ConfigError, DegenerateLegendreError, HeatResidualError
 from .ew import XYT, EWStructure, WeightedForm, from_H, from_uw
-from .forms import (
-    Coframe3,
-    coordinate_form,
-    ext_d,
-    scalar_form,
-    zero_form,
-)
+from .forms import Coframe3, coordinate_form, zero_form
 from .jets import Field, Guard, Param, PointBatch, SampleDomain, anywhere, first_where
 from .report import run_check
 
@@ -45,7 +39,6 @@ __all__ = [
     "PYT",
     "XYT",
     "heisenberg",
-    "heisenberg_psi",
     "psi_const",
     "class_a",
     "class_b",
@@ -53,16 +46,12 @@ __all__ = [
     "GeneratorG",
     "from_generator",
     "generator_for",
-    "fundamental_H",
-    "FUNDAMENTAL_H",
     "CASES",
     "case_row",
     "build",
     "default_domain",
     "CLASS_A_BETAS",
-    "CLASS_B_FS",
     "CLASS_C_PHIS",
-    "k_from_phi",
 ]
 
 PYT = ("p", "y", "t")
@@ -109,17 +98,6 @@ def psi_const(s, c):
     if c == 0:
         return WeightedForm(zero_form(s.chart, 1), -1.0)
     return WeightedForm(s.omega.scale(float(c)), -1.0)
-
-
-def heisenberg_psi(s, c_source, k_source):
-    """The y-independent family psi = c(x) omega + d(c + k), weight -1.
-
-    c depends on x only and k on t only; both may be expression text.
-    """
-    c_field = ex.to_field(_ast(c_source, ["x"]))
-    k_field = ex.to_field(_ast(k_source, ["t"]))
-    psi = s.omega.scale(c_field) + ext_d(scalar_form(s.chart, c_field + k_field))
-    return WeightedForm(psi, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +282,6 @@ def from_generator(gen):
 # ---------------------------------------------------------------------------
 
 CLASS_A_BETAS = ("y^2-2*t", "exp(t)*sin(y)")
-CLASS_B_FS = ("-1/4", "1", "1+p^2")
 
 # Phi parameterizes Class C through A_p = Phi(t p^2); K = s Phi'(s).
 # Antiderivatives in p are recorded alongside for the generator route.
@@ -327,16 +304,11 @@ _CLASS_B_AS = {
 }
 
 
-def _preset(table, key, what, hint=""):
+def _preset(table, key, what):
     """``table[key]``, or a ConfigError naming the ``what`` not recorded."""
     if key not in table:
-        raise ConfigError(f"no recorded {what} = {key!r}{hint}")
+        raise ConfigError(f"no recorded {what} = {key!r}")
     return table[key]
-
-
-def k_from_phi(phi_source):
-    """K expression for a Class C member given Phi (A_p = Phi(tp^2))."""
-    return _preset(CLASS_C_PHIS, phi_source, "K for Phi", "; supply K directly")["K"]
 
 
 def generator_for(case, param):
@@ -345,18 +317,6 @@ def generator_for(case, param):
     if row.generator is None:
         raise ConfigError(f"no generator route for case {case!r}")
     return row.generator(param)
-
-
-# ---------------------------------------------------------------------------
-# the fundamental solution
-# ---------------------------------------------------------------------------
-
-FUNDAMENTAL_H = ex.parse_field("1/sqrt(y^2-4*x*t)", ["x", "y", "t"])
-
-
-def fundamental_H(pt, order=3):
-    """Jet of H = (y^2 - 4xt)^(-1/2); domain error on the cone."""
-    return FUNDAMENTAL_H(pt, order)
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +366,9 @@ class Case(NamedTuple):
     limit: Callable = None  # scale s (number or jets.Param) -> (base, lift ell)
 
 
+# the from-H guard reads no parameter: it is built once
+_FROM_H_GUARD = Guard(ex.parse_field("y^2-4*x*t", XYT), 0.25, "y^2-4xt > 0.25")
+
 # a catalog case per name.  The constructors are looked up when called, so a
 # wrapped one is used.  Guards keep clear of the singular sets: beta > 0
 # under the logarithm, F, K and A_pp away from zero where inverted, and the
@@ -438,7 +401,7 @@ CASES = {
     "from_H": Case(
         {"H": ("1/sqrt(y^2-4*x*t)", XYT)}, lambda ell, H: from_H(ex.to_field(H)),
         XYT, ((-1.0, 1.0), (2.0, 3.0), (-1.0, 1.0)),
-        lambda param: Guard(ex.parse_field("y^2-4*x*t", XYT), 0.25, "y^2-4xt > 0.25"),
+        lambda param: _FROM_H_GUARD,
     ),
     "from_G": Case(
         {"A": ("p*ln(p)-p", ("p", "t")), "B": ("0", ("y", "t"))},

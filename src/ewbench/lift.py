@@ -2,20 +2,21 @@
 
 A three-dimensional structure whose monopole function is the constant
 V = -2/ell extends to a four-dimensional metric g and Maxwell potential A
-on a fibre chart.  Two fibre coordinates are supported: a latitude-like
-angle alpha, degenerate at the poles, and an unrestricted coordinate p
-related to it by
+on a fibre chart, one row of ``FIBRES``: a latitude-like angle alpha,
+degenerate at the poles, or an unrestricted coordinate p related to it by
 
     sin(alpha) = sech(p/ell),    cos(alpha) = tanh(p/ell).
 
 Both charts carry the same geometry; the p chart extends smoothly through
-the alpha = pi/2 slice.  ``fibre_points`` samples a lift's chart and
-``invariants_check`` compares the two charts.  ``fix_ell_sign`` is the one
-choice of a number ell for a base: -2/V when none is given, else the given
-magnitude with the sign that makes V = -2/ell.  ``flat_limit`` tracks the
-large-ell behaviour of a lift family against its limit form;
-``limit_family`` reads a case's family, heisenberg(ell) or class B with
-F = ell/4, from its ``families.CASES`` row, which states its gauge.
+the alpha = pi/2 slice.  ``assemble`` builds a lift from its chart's row,
+unvalidated; ``build`` is the one builder that validates a config.
+``fibre_points`` samples a lift's chart and ``invariants_check`` compares
+the two charts.  ``fix_ell_sign`` is the one choice of a number ell for a
+base: -2/V when none is given, else the given magnitude with the sign that
+makes V = -2/ell.  ``flat_limit`` tracks the large-ell behaviour of a lift
+family against its limit form; ``limit_family`` reads a case's family,
+heisenberg(ell) or class B with F = ell/4, from its ``families.CASES``
+row, which states its gauge.
 
 A family's scale may be a ``jets.Param``, one ell per row of a batch, so
 that ``flat_limit`` builds the family once for every ell; no sign rule
@@ -27,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,7 +53,6 @@ from .forms import (
     metric_from_coframe,
     signature,
     symmetric_product,
-    zero_form,
 )
 from .jets import ChartPoint, Field, Param, PointBatch, row_numbers
 from .report import run_check
@@ -59,21 +60,61 @@ from .report import run_check
 GAUGE_TOL = 1e-9
 GT_TOL = 1e-7
 PSI_TOL = 1e-7
-# each fibre chart and the window its fibre coordinate is sampled in; the
-# angle chart degenerates at the poles, so its samples keep away from them
-FIBRE_WINDOWS = {"alpha": (0.2, math.pi - 0.2), "p": (-1.2, 1.2)}
-ALPHA_WINDOW = FIBRE_WINDOWS["alpha"]
-# the angle-chart metric holds (ell/sin a)^2 and ell^2 cos^2(a); past this
-# |ell| its determinant and curvature overflow inside ALPHA_WINDOW
-ALPHA_ELL_MAX = 1e150
 
 _SQRT2 = math.sqrt(2.0)
+
+
+def _alpha_profile(al, ell):
+    """g = (ell/sin(a) da - (ell/2)cos(a) omega + sqrt(2) sin(a) psi)^2
+        + (1/sin^2 a) h,
+    A = (sqrt(2)/2) sin(2a) psi - (ell/4) cos(2a) omega."""
+    sa, ca = jets.sin(al), jets.cos(al)
+    return (ell / sa, ca * (-ell / 2.0), sa * _SQRT2, 1.0 / (sa * sa),
+            jets.sin(al * 2.0) * (_SQRT2 / 2.0), jets.cos(al * 2.0) * (ell / 4.0))
+
+
+def _p_profile(p, ell):
+    """The angle chart's leg pulled back under cos(alpha) = tanh(p/ell),
+
+        dp + (ell/2) tanh(p/ell) omega - sqrt(2) sech(p/ell) psi,
+
+    so the metric agrees pointwise with the angle chart's at matched
+    points (squaring makes the overall sign of the leg immaterial; the
+    relative signs are what that agreement pins down); the potential is
+    the angle chart's scalar combination rewritten in p."""
+    pc = p / ell
+    th, ch = jets.tanh(pc), jets.cosh(pc)
+    sech = 1.0 / ch
+    return (1.0, th * (ell / 2.0), sech * -_SQRT2, ch * ch,
+            sech * th * _SQRT2, (1.0 - sech * sech * 2.0) * (ell / 4.0))
+
+
+class Fibre(NamedTuple):
+    """A fibre chart: the window its fibre coordinate is sampled in, the
+    largest |ell| it lifts at (None: no bound), and its profile
+    (fibre coordinate field, ell) -> (c_d, c_omega, c_psi, c_h, a_psi,
+    a_omega), the factors of leg = c_d d(fibre) + c_omega omega + c_psi psi
+    in g = leg (.) leg + c_h h and A = a_psi psi - a_omega omega."""
+
+    window: tuple
+    ell_max: float | None
+    profile: Callable
+
+
+# each fibre chart.  The angle chart degenerates at the poles, so its
+# samples keep away from them, and its metric holds (ell/sin a)^2 and
+# ell^2 cos^2(a), whose determinant and curvature overflow inside its
+# window past |ell| = 1e150
+FIBRES = {
+    "alpha": Fibre((0.2, math.pi - 0.2), 1e150, _alpha_profile),
+    "p": Fibre((-1.2, 1.2), None, _p_profile),
+}
 
 
 @dataclass(frozen=True)
 class SpacetimeData:
     """A four-dimensional metric and Maxwell potential on a named chart;
-    ``kind`` is its fibre chart, a key of ``FIBRE_WINDOWS``."""
+    ``kind`` is its fibre chart, a key of ``FIBRES``."""
 
     chart: tuple[str, ...]
     g: MetricField
@@ -86,32 +127,30 @@ class SpacetimeData:
 class LiftConfig:
     """Input bundle for a lift.
 
-    ``psi`` must carry conformal weight -1.  None is the zero field and
-    skips the psi validation; the zero 1-form (``families.psi_const`` at
-    c = 0) is validated like any psi, and adds no psi terms to the lift.
-    ``probes`` are base-chart points (a PointBatch, or a sequence of
-    ChartPoints) used to validate the gauge, the structure equations, and
-    psi; when empty a deterministic default box is sampled, which suits
-    bases defined on all of R^3.  ``validate=False`` skips the checks, for
-    deliberately broken inputs.  ``ell`` may be a ``jets.Param`` (see the
-    module docstring), whose zero rows fail when the lift is evaluated.
+    ``psi`` is a weighted form of conformal weight -1; the zero psi is
+    ``families.psi_const(base, 0)``, validated like any psi, which adds no
+    psi terms to the lift.  ``probes`` are base-chart points (a PointBatch,
+    or a sequence of ChartPoints) used to validate the gauge, the structure
+    equations, and psi; when empty a deterministic default box is sampled,
+    which suits bases defined on all of R^3.  ``ell`` may be a
+    ``jets.Param`` (see the module docstring), whose zero rows fail when
+    the lift is evaluated.
     """
 
     base: EWStructure
-    psi: WeightedForm | None
+    psi: WeightedForm
     ell: float | Param
     chart: str = "p"
-    validate: bool = True
     probes: PointBatch | tuple[ChartPoint, ...] = ()
 
     def __post_init__(self):
         if self.ell == 0.0:
             raise ConfigError("ell must be nonzero")
-        if self.chart not in FIBRE_WINDOWS:
+        if self.chart not in FIBRES:
             raise ConfigError(f"unknown fibre chart {self.chart!r}")
-        if self.psi is not None and self.psi.weight != -1:
+        if not isinstance(self.psi, WeightedForm) or self.psi.weight != -1:
             raise ConfigError(
-                f"psi must have conformal weight -1, got {self.psi.weight}"
+                f"psi must be a weighted form of conformal weight -1, got {self.psi!r}"
             )
 
 
@@ -181,108 +220,63 @@ def validate_config(cfg):
             raise GaugeViolationError(
                 f"base structure equations fail: residual {r.max:.3e}"
             )
-        if cfg.psi is not None:
-            r = run_check(
-                "lift.psi", lambda q: psi_residual(cfg.psi, base, q), probes, PSI_TOL
-            )
-            if r.verdict == "fail":
-                raise PsiResidualError(f"psi residual reaches {r.max:.3e}")
+        r = run_check(
+            "lift.psi", lambda q: psi_residual(cfg.psi, base, q), probes, PSI_TOL
+        )
+        if r.verdict == "fail":
+            raise PsiResidualError(f"psi residual reaches {r.max:.3e}")
     return probes
 
 
-def _embedded(cfg, chart4):
-    """Base ingredients re-indexed onto the four-dimensional chart."""
-    om = embed_form(cfg.base.omega, chart4)
-    if cfg.psi is None:
-        ps = zero_form(chart4, 1)
-    else:
-        ps = embed_form(cfg.psi.form, chart4)
-    h4 = embed_metric(metric_from_coframe(cfg.base.frame), chart4)
-    return om, ps, h4
+def fibre_chart(chart, base_chart):
+    """The chart of a lift on the fibre chart ``chart`` over a base chart:
+    the fibre coordinate, named after its chart, then the base coordinates.
+    On a base chart that has a p, the p chart's fibre is named q; a base
+    chart that has an alpha is refused."""
+    if chart not in base_chart:
+        return (chart,) + base_chart
+    if chart == "p":
+        return ("q",) + base_chart
+    raise ConfigError(f"base chart already uses the name {chart!r}")
 
 
-def build_alpha(cfg):
-    """Lift on the angle chart (alpha, base coordinates).
-
-    g = (ell/sin(a) da - (ell/2)cos(a) omega + sqrt(2) sin(a) psi)^2
-        + (1/sin^2 a) h,
-    A = (sqrt(2)/2) sin(2a) psi - (ell/4) cos(2a) omega.
-    """
-    if "alpha" in cfg.base.chart:
-        raise ConfigError("base chart already uses the name 'alpha'")
-    if not abs(cfg.ell) <= ALPHA_ELL_MAX:
+def assemble(cfg, chart):
+    """The lift of ``cfg`` on the fibre chart ``chart``, from the factors
+    of its ``FIBRES`` row's profile (see ``Fibre``), without validating
+    ``cfg``.  The chart's refusals still apply: the name of its fibre
+    (``fibre_chart``), then its ell bound.  Nothing is evaluated here."""
+    chart4 = fibre_chart(chart, cfg.base.chart)
+    row = FIBRES[chart]
+    if row.ell_max is not None and not abs(cfg.ell) <= row.ell_max:
         raise DomainError(
-            f"ell = {cfg.ell:g} is past the bound |ell| <= {ALPHA_ELL_MAX:g} of the "
-            "alpha chart, whose metric terms (ell/sin alpha)^2 overflow"
+            f"ell = {cfg.ell:g} is past the bound |ell| <= {row.ell_max:g} of the "
+            f"{chart} chart, whose metric terms (ell/sin alpha)^2 overflow"
         )
-    if cfg.validate:
-        validate_config(cfg)
-    chart4 = ("alpha",) + cfg.base.chart
-    ell = cfg.ell
-    al = Field.coordinate("alpha")
-    sa, ca = jets.sin(al), jets.cos(al)
-    da = coordinate_form(chart4, "alpha")
-    om, ps, h4 = _embedded(cfg, chart4)
-    leg = (
-        da.scale(ell / sa)
-        - om.scale(ca * (ell / 2.0))
-        + ps.scale(sa * _SQRT2)
-    )
-    g = symmetric_product(leg, leg) + h4.scale(1.0 / (sa * sa))
-    pot = ps.scale(jets.sin(al * 2.0) * (_SQRT2 / 2.0)) - om.scale(
-        jets.cos(al * 2.0) * (ell / 4.0)
-    )
-    return SpacetimeData(chart4, g, pot, ell, "alpha")
-
-
-def build_p(cfg):
-    """Lift on the unrestricted fibre chart (p, base coordinates).
-
-    The fibre leg is the exact pullback of the angle-chart leg under
-    cos(alpha) = tanh(p/ell):
-
-        dp + (ell/2) tanh(p/ell) omega - sqrt(2) sech(p/ell) psi,
-
-    so the metric agrees pointwise with build_alpha at matched points.
-    Squaring makes the overall sign of the leg immaterial; the relative
-    signs are what that agreement pins down.  The potential is the same
-    scalar combination as on the angle chart, rewritten in p.
-    """
-    if cfg.validate:
-        validate_config(cfg)
-    chart4 = p_chart(cfg.base.chart)
-    name = chart4[0]
-    ell = cfg.ell
-    pc = Field.coordinate(name) / ell
-    th = jets.tanh(pc)
-    ch = jets.cosh(pc)
-    sech = 1.0 / ch
-    dp = coordinate_form(chart4, name)
-    om, ps, h4 = _embedded(cfg, chart4)
-    leg = dp + om.scale(th * (ell / 2.0)) - ps.scale(sech * _SQRT2)
-    g = symmetric_product(leg, leg) + h4.scale(ch * ch)
-    pot = ps.scale(sech * th * _SQRT2) - om.scale(
-        (1.0 - sech * sech * 2.0) * (ell / 4.0)
-    )
-    return SpacetimeData(chart4, g, pot, ell, "p")
-
-
-def p_chart(base_chart):
-    """The chart of a p-chart lift: the fibre coordinate p, named q when
-    the base chart already has a p, then the base coordinates."""
-    return ("p" if "p" not in base_chart else "q",) + base_chart
+    fibre = chart4[0]
+    c_d, c_om, c_psi, c_h, a_psi, a_om = row.profile(Field.coordinate(fibre), cfg.ell)
+    om = embed_form(cfg.base.omega, chart4)
+    ps = embed_form(cfg.psi.form, chart4)
+    h4 = embed_metric(metric_from_coframe(cfg.base.frame), chart4)
+    leg = coordinate_form(chart4, fibre).scale(c_d) + om.scale(c_om) + ps.scale(c_psi)
+    g = symmetric_product(leg, leg) + h4.scale(c_h)
+    pot = ps.scale(a_psi) - om.scale(a_om)
+    return SpacetimeData(chart4, g, pot, cfg.ell, chart)
 
 
 def build(cfg):
-    """Dispatch on the configured fibre chart."""
-    return build_alpha(cfg) if cfg.chart == "alpha" else build_p(cfg)
+    """The lift of ``cfg`` on its fibre chart, validated: the one place a
+    lift is.  ``assemble`` runs the chart's refusals first, then
+    ``validate_config`` runs."""
+    data = assemble(cfg, cfg.chart)
+    validate_config(cfg)
+    return data
 
 
 def fibre_points(data, seed, base_pts):
     """The base points on the chart of the lift ``data``, each given a
     seeded fibre value inside the window of the lift's fibre chart, as one
     PointBatch."""
-    lo, hi = FIBRE_WINDOWS[data.kind]
+    lo, hi = FIBRES[data.kind].window
     base = PointBatch.of(base_pts).rows
     fibres = np.random.default_rng(seed + 101).uniform(lo, hi, size=len(base))
     return PointBatch(data.chart, np.column_stack((fibres, base)))
@@ -292,15 +286,12 @@ def invariants_check(cfg, data):
     """Chart covariance of the scalar invariants, plus signature.
 
     ``data`` is the lift of ``cfg`` on its configured chart; the other
-    chart is built from the same config without validating it again (and
+    chart is assembled from the same config, which ``data`` validated (and
     refuses an ell past its bound here).  Returns the p-chart lift, whose
     points the check runs on, and the check.
     """
-    other = replace(cfg, validate=False)
-    if cfg.chart == "alpha":
-        data_p, data_a = build_p(other), data
-    else:
-        data_p, data_a = data, build_alpha(other)
+    other = assemble(cfg, "p" if cfg.chart == "alpha" else "alpha")
+    data_p, data_a = (other, data) if cfg.chart == "alpha" else (data, other)
 
     def fn(q):
         qa = matched_alpha_point(q, data_p.ell)
@@ -351,11 +342,12 @@ def _limit_form(cfg, chart4):
     (ell/2)tanh(p/ell) -> p/2, sech -> 1, cosh^2 -> 1; the remainder of
     each replacement is O(ell^-2) at fixed p.
     """
-    om, ps, h4 = _embedded(cfg, chart4)
+    om = embed_form(cfg.base.omega, chart4)
+    ps = embed_form(cfg.psi.form, chart4)
     pc = Field.coordinate(chart4[0])
     dp = coordinate_form(chart4, chart4[0])
     leg = dp + om.scale(pc * 0.5) - ps.scale(_SQRT2)
-    return symmetric_product(leg, leg) + h4
+    return symmetric_product(leg, leg) + embed_metric(metric_from_coframe(cfg.base.frame), chart4)
 
 
 # every ell is evaluated at the same six seeded points of [-0.8, 0.8]^4
@@ -455,7 +447,7 @@ def _limit_columns(factory, ells):
     with jets.evaluation_scope():
         cfg = factory(ells[0] if len(ells) == 1 else Param(rows))
         probes = cfg.probes or default_probes(cfg.base.chart)
-        data = build_p(replace(cfg, probes=_tiled(probes, ells, scales)))
+        data = build(replace(cfg, chart="p", probes=_tiled(probes, ells, scales)))
         chart4 = data.chart
         pts = _tiled(PointBatch(chart4, LIMIT_ROWS), ells, scales)
         g_lim = _limit_form(cfg, chart4)
@@ -501,4 +493,4 @@ def limit_family(case, c):
         base, ell = row.limit(scale)
         return LiftConfig(base=base, psi=fam.psi_const(base, c), ell=ell)
 
-    return factory, p_chart(row.chart)
+    return factory, fibre_chart("p", row.chart)

@@ -9,8 +9,15 @@ form, with ``frame_expand`` giving its coefficients; ``weighted_d`` is D psi = d
 and ``FDMetric`` a metric whose derivatives come from it; ``class_a_closed``, ``class_b_closed`` and ``class_c_closed`` are
 the closed-form (h, omega) pairs of the p-chart classes, and
 ``g_equation_residual`` and ``branch_residual`` the Legendre generator's
-equation and its y-derivative.  The rest are small readers of a form, a
-metric, the alpha fibre chart and a sampling domain.
+equation and its y-derivative.  ``build_p`` and ``build_alpha`` build a
+lift on each fibre chart by that chart's own formulas, unvalidated: the
+reference that ``lift.assemble`` is pinned to bit for bit.  ``hcr_residual`` and
+``constraints_residual`` are the scalar hyper-CR equation of a generating
+H and its two parts, ``fundamental_H`` that equation's fundamental
+solution, ``heisenberg_psi`` a y-independent family of weighted forms on
+the Heisenberg structure, ``CLASS_B_FS`` the class B presets and
+``k_from_phi`` the class C K of a preset Phi.  The rest are small readers
+of a form, a metric, the alpha fibre chart and a sampling domain.
 """
 import math
 import weakref
@@ -18,21 +25,26 @@ import weakref
 import numpy as np
 
 from ewbench import expr as ex
+from ewbench import jets
 from ewbench.curv import riemann
-from ewbench.errors import ConfigError, GuardViolationError, JetOrderError
-from ewbench.families import PYT, _ast, _k_field
+from ewbench.errors import ConfigError, DomainError, GuardViolationError, JetOrderError
+from ewbench.ew import WeightedForm
+from ewbench.families import CLASS_C_PHIS, PYT, _ast, _k_field
 from ewbench.forms import (
     MetricField,
     coordinate_form,
     embed_form,
+    embed_metric,
     ext_d,
     frame_solve,
+    metric_from_coframe,
+    scalar_form,
     signature,
     symmetric_product,
     wedge,
 )
 from ewbench.jets import MAX_ORDER, Field, Jet, PointBatch, evaluation_scope, scoped
-from ewbench.lift import LIMIT_ROWS, _limit_form, build_p
+from ewbench.lift import LIMIT_ROWS, SpacetimeData, _limit_form, build
 from ewbench.report import run_check
 
 
@@ -264,7 +276,7 @@ def flat_limit_per_ell(factory, ells):
     for ell in ells:
         with evaluation_scope():
             cfg = factory(ell)
-            data = build_p(cfg)
+            data = build(cfg)
             chart4 = data.chart
             pts = PointBatch(chart4, LIMIT_ROWS)
             g_lim = _limit_form(cfg, chart4)
@@ -369,3 +381,142 @@ def branch_residual(A, B, pt):
         - p * jb.third[..., iy, iy, iy] * ja.hess[..., ip, ip]
         - jb.hess[..., iy, it]
     )
+
+
+# ---------------------------------------------------------------------------
+# a lift on each fibre chart by its own formulas, without validation
+# ---------------------------------------------------------------------------
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def _embedded(cfg, chart4):
+    """Base ingredients re-indexed onto the four-dimensional chart."""
+    om = embed_form(cfg.base.omega, chart4)
+    ps = embed_form(cfg.psi.form, chart4)
+    h4 = embed_metric(metric_from_coframe(cfg.base.frame), chart4)
+    return om, ps, h4
+
+
+def build_alpha(cfg):
+    """Lift on the angle chart (alpha, base coordinates).
+
+    g = (ell/sin(a) da - (ell/2)cos(a) omega + sqrt(2) sin(a) psi)^2
+        + (1/sin^2 a) h,
+    A = (sqrt(2)/2) sin(2a) psi - (ell/4) cos(2a) omega.
+    """
+    if "alpha" in cfg.base.chart:
+        raise ConfigError("base chart already uses the name 'alpha'")
+    if not abs(cfg.ell) <= 1e150:
+        raise DomainError(
+            f"ell = {cfg.ell:g} is past the bound |ell| <= {1e150:g} of the "
+            "alpha chart, whose metric terms (ell/sin alpha)^2 overflow"
+        )
+    chart4 = ("alpha",) + cfg.base.chart
+    ell = cfg.ell
+    al = Field.coordinate("alpha")
+    sa, ca = jets.sin(al), jets.cos(al)
+    da = coordinate_form(chart4, "alpha")
+    om, ps, h4 = _embedded(cfg, chart4)
+    leg = (
+        da.scale(ell / sa)
+        - om.scale(ca * (ell / 2.0))
+        + ps.scale(sa * _SQRT2)
+    )
+    g = symmetric_product(leg, leg) + h4.scale(1.0 / (sa * sa))
+    pot = ps.scale(jets.sin(al * 2.0) * (_SQRT2 / 2.0)) - om.scale(
+        jets.cos(al * 2.0) * (ell / 4.0)
+    )
+    return SpacetimeData(chart4, g, pot, ell, "alpha")
+
+
+def build_p(cfg):
+    """Lift on the unrestricted fibre chart (p, base coordinates).
+
+    The fibre leg is the exact pullback of the angle-chart leg under
+    cos(alpha) = tanh(p/ell):
+
+        dp + (ell/2) tanh(p/ell) omega - sqrt(2) sech(p/ell) psi,
+
+    so the metric agrees pointwise with build_alpha at matched points.
+    """
+    chart4 = ("p" if "p" not in cfg.base.chart else "q",) + cfg.base.chart
+    name = chart4[0]
+    ell = cfg.ell
+    pc = Field.coordinate(name) / ell
+    th = jets.tanh(pc)
+    ch = jets.cosh(pc)
+    sech = 1.0 / ch
+    dp = coordinate_form(chart4, name)
+    om, ps, h4 = _embedded(cfg, chart4)
+    leg = dp + om.scale(th * (ell / 2.0)) - ps.scale(sech * _SQRT2)
+    g = symmetric_product(leg, leg) + h4.scale(ch * ch)
+    pot = ps.scale(sech * th * _SQRT2) - om.scale(
+        (1.0 - sech * sech * 2.0) * (ell / 4.0)
+    )
+    return SpacetimeData(chart4, g, pot, ell, "p")
+
+
+# ---------------------------------------------------------------------------
+# the scalar equation, its fundamental solution, and catalog presets
+# ---------------------------------------------------------------------------
+
+
+def _hxyt(H, pt, order=2):
+    chart = pt.chart
+    j = H(pt, order)
+    return j, chart.index("x"), chart.index("y"), chart.index("t")
+
+
+def hcr_residual(H, pt):
+    """H_xt - H_yy + H_y H_xx - H_x H_xy at a point."""
+    j, ix, iy, it = _hxyt(H, pt)
+    g, h = j.grad, j.hess
+    return (
+        h[..., ix, it]
+        - h[..., iy, iy]
+        + g[..., iy] * h[..., ix, ix]
+        - g[..., ix] * h[..., ix, iy]
+    )
+
+
+def constraints_residual(H, pt):
+    """(nonlinear, linear) parts: (H_xx H_y - H_xy H_x, H_xt - H_yy).
+
+    Their sum is hcr_residual; vanishing of both is the stronger condition
+    the fundamental solution satisfies.
+    """
+    j, ix, iy, it = _hxyt(H, pt)
+    g, h = j.grad, j.hess
+    nonlinear = h[..., ix, ix] * g[..., iy] - h[..., ix, iy] * g[..., ix]
+    linear = h[..., ix, it] - h[..., iy, iy]
+    return (nonlinear, linear)
+
+
+FUNDAMENTAL_H = ex.parse_field("1/sqrt(y^2-4*x*t)", ["x", "y", "t"])
+
+
+def fundamental_H(pt, order=3):
+    """Jet of H = (y^2 - 4xt)^(-1/2); domain error on the cone."""
+    return FUNDAMENTAL_H(pt, order)
+
+
+def heisenberg_psi(s, c_source, k_source):
+    """The y-independent family psi = c(x) omega + d(c + k), weight -1.
+
+    c depends on x only and k on t only; both may be expression text.
+    """
+    c_field = ex.to_field(_ast(c_source, ["x"]))
+    k_field = ex.to_field(_ast(k_source, ["t"]))
+    psi = s.omega.scale(c_field) + ext_d(scalar_form(s.chart, c_field + k_field))
+    return WeightedForm(psi, -1.0)
+
+
+CLASS_B_FS = ("-1/4", "1", "1+p^2")
+
+
+def k_from_phi(phi_source):
+    """K expression for a Class C member given Phi (A_p = Phi(tp^2))."""
+    if phi_source not in CLASS_C_PHIS:
+        raise ConfigError(f"no recorded K for Phi = {phi_source!r}; supply K directly")
+    return CLASS_C_PHIS[phi_source]["K"]

@@ -12,7 +12,6 @@ from ewbench import (
     Field,
     LiftConfig,
     MetricField,
-    build_p,
     em_residual,
     ext_d,
     f_squared,
@@ -30,27 +29,31 @@ from ewbench import (
     weyl_ricci_residual,
 )
 from ewbench.cli import main
-from ewbench.ew import constraints_residual, hcr_residual
 from ewbench.families import (
     CASES,
     CLASS_A_BETAS,
-    CLASS_B_FS,
     CLASS_C_PHIS,
     class_a,
     class_b,
     class_c,
     default_domain,
     from_generator,
-    fundamental_H,
     generator_for,
-    k_from_phi,
 )
 from ewbench.forms import coordinate_form, scalar_form
 from ewbench.jets import ChartPoint, sample
-from ewbench.lift import flat_limit
+from ewbench.lift import assemble, build, flat_limit
 
 from conftest import XYT, PYT, pt
-from oracle import fd_oracle, max_abs_at
+from oracle import (
+    CLASS_B_FS,
+    constraints_residual,
+    fd_oracle,
+    fundamental_H,
+    hcr_residual,
+    k_from_phi,
+    max_abs_at,
+)
 
 
 def worst(values):
@@ -170,7 +173,7 @@ def test_lift_certification_full_matrix():
     for name, base, ell, dom in _lift_cases():
         base_pts = sample(dom)
         for c in (0.0, 0.5):
-            data = build_p(LiftConfig(base, psi_const(base, c), ell))
+            data = build(LiftConfig(base, psi_const(base, c), ell))
             fibres = rng.uniform(-1.2, 1.2, size=2 * len(base_pts))
             pts4 = [
                 ChartPoint.make(data.chart, (fv,) + q.coords)
@@ -198,7 +201,7 @@ def test_lift_negative_controls_fail():
     devs = []
     for name, base, ell in controls:
         bad = from_uw(base.u + 0.1 * x * x, base.w)
-        data = build_p(LiftConfig(bad, None, ell, validate=False))
+        data = assemble(LiftConfig(bad, psi_const(bad, 0), ell), "p")
         q = ChartPoint.make(data.chart, (0.4, 0.5, 0.3, 0.7))
         dev = float(np.abs(em_residual(data.g, data.potential, data.ell, q)).max())
         devs.append(dev)
@@ -234,7 +237,7 @@ def test_convention_pinning_ads_oracle():
     assert worst_k <= 1e-6
 
     base = heisenberg(1.0)
-    data = build_p(LiftConfig(base, psi_const(base, 0.5), -1.0))
+    data = build(LiftConfig(base, psi_const(base, 0.5), -1.0))
     q = ChartPoint.make(data.chart, (0.3, 0.4, -0.2, 0.6))
     pinned = float(np.abs(em_residual(data.g, data.potential, data.ell, q)).max())
     fsq = f_squared(data.potential, data.g, q)[..., None, None]

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -291,7 +290,7 @@ class TestInvariantsCheck:
         base = heisenberg(1.0)
         cfg = LiftConfig(base, psi_const(base, 0.5), -1.0, chart=chart)
         data_p, fn = lift_mod.invariants_check(cfg, build(cfg))
-        data_a = lift_mod.build_alpha(dataclasses.replace(cfg, validate=False))
+        data_a = lift_mod.assemble(cfg, "alpha")
         rows = np.random.default_rng(4).uniform(-1.0, 1.0, size=(6, 4))
         points = [ChartPoint(data_p.chart, tuple(r)) for r in rows.tolist()]
         return data_p, data_a, fn, points

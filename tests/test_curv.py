@@ -24,7 +24,7 @@ from ewbench.errors import SingularMetricError
 from ewbench.families import class_b, default_domain
 from ewbench.forms import coordinate_form, metric_from_coframe, zero_form
 from ewbench.jets import ChartPoint, PointBatch, sample
-from ewbench.lift import ALPHA_WINDOW, build, fix_ell_sign
+from ewbench.lift import FIBRES, build, fix_ell_sign
 
 from conftest import XYT, box_points, pt
 from oracle import FDMetric, fd_oracle, from_value_matrix
@@ -162,7 +162,7 @@ class TestKretschmannContraction:
         rng = np.random.default_rng(seed)
         rows = rng.uniform(-1.0, 1.0, size=(40, 4))
         if chart == "alpha":
-            rows[:, 0] = rng.uniform(*ALPHA_WINDOW, size=40)
+            rows[:, 0] = rng.uniform(*FIBRES["alpha"].window, size=40)
         q = PointBatch(data.chart, rows)
         want, size = six_operand_kretschmann(data.g, q)
         got = kretschmann(data.g, q)

@@ -19,16 +19,19 @@ from ewbench import (
 )
 from ewbench import jets
 from ewbench.errors import ConfigError
-from ewbench.ew import (
-    constraints_residual,
-    hcr_residual,
-)
-from ewbench.families import default_domain, fundamental_H, heisenberg_psi
+from ewbench.families import default_domain
 from ewbench.jets import sample
 from ewbench.forms import Coframe3, coordinate_form, ext_d, scalar_form, zero_form
 
 from conftest import XYT, PYT, box_points, pt
-from oracle import max_abs_at, weighted_d
+from oracle import (
+    constraints_residual,
+    fundamental_H,
+    hcr_residual,
+    heisenberg_psi,
+    max_abs_at,
+    weighted_d,
+)
 
 
 def flat_structure():

@@ -38,6 +38,21 @@ MOVED = (
     "fd_oracle",
     "_fd_step",
     "FD_STEP_SCALE",
+    "build_p",
+    "build_alpha",
+    "p_chart",
+    "_embedded",
+    "FIBRE_WINDOWS",
+    "ALPHA_WINDOW",
+    "ALPHA_ELL_MAX",
+    "hcr_residual",
+    "constraints_residual",
+    "_hxyt",
+    "heisenberg_psi",
+    "fundamental_H",
+    "FUNDAMENTAL_H",
+    "CLASS_B_FS",
+    "k_from_phi",
 )
 
 
@@ -67,6 +82,12 @@ def test_the_metric_work_is_declared_in_curv_only():
     names = ("inverse", "metric_det", "METRIC_DET_TOL")
     assert all(hasattr(curv, n) for n in names)
     assert [n for n in names if hasattr(forms, n)] == []
+
+
+def test_a_lift_config_has_no_validate_knob():
+    from ewbench.lift import LiftConfig
+
+    assert "validate" not in LiftConfig.__dataclass_fields__
 
 
 def test_points_carry_no_parameters():

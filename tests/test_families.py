@@ -25,22 +25,22 @@ from ewbench.errors import (
 from ewbench.families import (
     CASES,
     CLASS_A_BETAS,
-    CLASS_B_FS,
     CLASS_C_PHIS,
     default_domain,
-    fundamental_H,
     generator_for,
-    k_from_phi,
 )
 from ewbench.jets import ChartPoint, sample
 
 from conftest import XYT, PYT, pt
 from oracle import (
+    CLASS_B_FS,
     branch_residual,
     class_a_closed,
     class_b_closed,
     class_c_closed,
+    fundamental_H,
     g_equation_residual,
+    k_from_phi,
     max_abs_at,
 )
 
@@ -343,6 +343,10 @@ class TestFundamentalH:
         field = parse_field("y^2-4*x*t", XYT)
         for q in sample(dom):
             assert field(q, 0).value > 0.25
+
+    def test_the_guard_is_built_once(self):
+        first = default_domain("from-H").guards
+        assert len(first) == 1 and default_domain("from-H", seed=3).guards[0] is first[0]
 
 
 def test_default_domain_unknown_case():

@@ -9,6 +9,7 @@ strict JSON (no NaN or Infinity) whose verdict matches the exit code.
 import contextlib
 import io
 import json
+import re
 import warnings
 
 import pytest
@@ -78,6 +79,22 @@ def test_a_config_key_that_no_flag_sets_is_unknown(tmp_path, key):
 def test_each_parser_takes_the_flag_of_every_key_row(command):
     _, subs = subparsers()
     assert set(subs[command]._option_string_actions) == {"-h", "--help", "--config"} | FLAGS
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("verify", "--case --ell --checks --points --seed --tol --beta --F --K --H --A --B --c --f"),
+    ("lift", "--case --ell --checks --points --seed --tol --beta --F --K --H --A --B --c --chart"),
+    ("limit", "--case --checks --tol --c --ells"),
+])
+def test_help_names_exactly_the_flags_a_subcommand_reads(capsys, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    named = re.findall(r"^  (--[a-zA-Z]+)", capsys.readouterr().out, flags=re.M)
+    assert exc.value.code == 0
+    assert named == flags.split() + ["--out", "--config"]
+    assert set(named) == {f"--{k}" for k, row in KEYS.items() if command in row.commands} | {
+        "--config"
+    }
 
 
 # a value each flag parses

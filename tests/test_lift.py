@@ -8,8 +8,6 @@ from ewbench import (
     Field,
     LiftConfig,
     WeightedForm,
-    build_alpha,
-    build_p,
     em_residual,
     ext_d,
     f_squared,
@@ -31,13 +29,14 @@ from ewbench.errors import (
 )
 from ewbench import report
 from ewbench.curv import inverse
-from ewbench.families import CASES, class_b, default_domain, heisenberg_psi
+from ewbench import lift as lift_mod
+from ewbench.families import CASES, class_b, default_domain
 from ewbench.forms import coordinate_form, embed_form, embed_metric, symmetric_product
 from ewbench.jets import ChartPoint, sample
 from ewbench.lift import (
-    ALPHA_WINDOW,
-    FIBRE_WINDOWS,
+    FIBRES,
     alpha_of_p,
+    assemble,
     build,
     default_probes,
     fibre_points,
@@ -48,7 +47,7 @@ from ewbench.lift import (
 )
 
 from conftest import XYT, PYT, pt
-from oracle import dalpha_dp, p_of_alpha, signature_at
+from oracle import dalpha_dp, heisenberg_psi, p_of_alpha, signature_at
 
 SQRT2 = math.sqrt(2.0)
 
@@ -71,7 +70,7 @@ def lift_points(data, base_points, seed=99):
     out = []
     for q in base_points:
         if data.chart[0] == "alpha":
-            fibre = float(rng.uniform(*ALPHA_WINDOW))
+            fibre = float(rng.uniform(*FIBRES["alpha"].window))
         else:
             fibre = float(rng.uniform(-1.2, 1.2))
         out.append(ChartPoint(data.chart, (fibre,) + q.coords))
@@ -89,12 +88,18 @@ def perturbed(base, amount=0.1):
 
 class TestLiftConfig:
     def test_zero_ell_rejected(self):
+        s = heisenberg(1.0)
         with pytest.raises(ConfigError):
-            LiftConfig(heisenberg(1.0), None, 0.0)
+            LiftConfig(s, psi_const(s, 0), 0.0)
 
     def test_unknown_chart_rejected(self):
+        s = heisenberg(1.0)
         with pytest.raises(ConfigError):
-            LiftConfig(heisenberg(1.0), None, -1.0, chart="beta")
+            LiftConfig(s, psi_const(s, 0), -1.0, chart="beta")
+
+    def test_a_psi_of_none_is_refused(self):
+        with pytest.raises(ConfigError, match="psi must be a weighted form"):
+            LiftConfig(heisenberg(1.0), None, -1.0)
 
     def test_wrong_psi_weight_rejected(self):
         s = heisenberg(1.0)
@@ -111,24 +116,24 @@ class TestLiftConfig:
     def test_wrong_ell_sign_rejected(self):
         s = heisenberg(1.0)
         with pytest.raises(GaugeViolationError):
-            build_p(LiftConfig(s, None, 1.0))
+            build(LiftConfig(s, psi_const(s, 0), 1.0))
 
     def test_flat_base_has_no_gauge(self):
         flat = from_uw(Field.const(0.0), Field.const(0.0))
         with pytest.raises(GaugeViolationError):
-            build_p(LiftConfig(flat, None, 1.0))
+            build(LiftConfig(flat, psi_const(flat, 0), 1.0))
 
     def test_broken_structure_equations_rejected(self):
         s = heisenberg(1.0)
         bad = dataclasses.replace(s, omega=s.omega.scale(1.1))
         with pytest.raises(GaugeViolationError):
-            build_p(LiftConfig(bad, None, -1.0))
+            build(LiftConfig(bad, psi_const(bad, 0), -1.0))
 
     def test_non_solution_psi_rejected(self):
         s = heisenberg(1.0)
         bad = WeightedForm(s.omega.scale(parse_field("sin(x)", XYT)), -1.0)
         with pytest.raises(PsiResidualError):
-            build_p(LiftConfig(s, bad, -1.0))
+            build(LiftConfig(s, bad, -1.0))
 
     @pytest.mark.parametrize("bad_first", [True, False])
     def test_non_finite_probe_is_a_domain_error(self, bad_first):
@@ -137,15 +142,15 @@ class TestLiftConfig:
         bad, good = pt(XYT, 1e308, 0.5, 0.5), pt(XYT, 0.5, 0.5, 0.5)
         probes = (bad, good) if bad_first else (good, bad)
         with pytest.raises(DomainError, match=r"'lift\.gt' is nan"):
-            validate_config(LiftConfig(s, None, -1.0, probes=probes))
+            validate_config(LiftConfig(s, psi_const(s, 0), -1.0, probes=probes))
 
     def test_alpha_name_collision_rejected(self):
         base = from_uw(
             Field.const(0.0), Field.const(0.0), chart=("alpha", "y", "t")
         )
-        cfg = LiftConfig(base, None, 1.0, chart="alpha", validate=False)
+        cfg = LiftConfig(base, psi_const(base, 0), 1.0, chart="alpha")
         with pytest.raises(ConfigError):
-            build_alpha(cfg)
+            assemble(cfg, "alpha")
 
 
 class TestFixEllSign:
@@ -220,8 +225,9 @@ class TestConstantGauge:
 
     def test_a_failing_constant_gauge_names_its_residual(self, monkeypatch):
         calls = count_point_scopes(monkeypatch)
+        s = heisenberg(1.0)
         with pytest.raises(GaugeViolationError, match=r"V\*ell \+ 2 reaches 4\.000e\+00"):
-            validate_config(LiftConfig(heisenberg(1.0), None, 1.0))
+            validate_config(LiftConfig(s, psi_const(s, 0), 1.0))
         assert calls == []
 
     def test_a_numeric_f_folds_v(self):
@@ -248,7 +254,7 @@ def test_lifted_heisenberg_solves_field_equations(c, chart):
                          ids=["class_b_f1", "class_b_fq"])
 def test_lifted_class_b_solves_field_equations(name, base, ell, dom):
     cfg = LiftConfig(base, psi_const(base, 0.5), ell)
-    data = build_p(cfg)
+    data = build(cfg)
     for q in lift_points(data, sample(dom)):
         assert np.abs(em_residual(data.g, data.potential, data.ell, q)).max() <= 1e-6
         assert np.abs(maxwell_residual(data.potential, data.g, q)).max() <= 1e-6
@@ -257,7 +263,7 @@ def test_lifted_class_b_solves_field_equations(name, base, ell, dom):
 def test_general_psi_family_lifts(rng):
     base = heisenberg(1.0)
     psi = heisenberg_psi(base, "0.3*sin(x)", "0.2*t^2")
-    data = build_p(LiftConfig(base, psi, -1.0))
+    data = build(LiftConfig(base, psi, -1.0))
     base_pts = sample(default_domain("heisenberg", count=4))
     for q in lift_points(data, base_pts, seed=101):
         assert np.abs(em_residual(data.g, data.potential, data.ell, q)).max() <= 1e-6
@@ -267,24 +273,24 @@ def test_general_psi_family_lifts(rng):
 def test_signature_is_lorentzian_everywhere():
     for name, base, ell, dom in certified_cases():
         cfg = LiftConfig(base, psi_const(base, 0.5), ell)
-        data = build_p(cfg)
+        data = build(cfg)
         for q in lift_points(data, sample(dom), seed=7):
             assert signature_at(data.g, q) == (3, 1), name
 
 
 def test_fibre_name_avoids_collision():
     base = class_b("1")
-    data = build_p(LiftConfig(base, None, 4.0))
+    data = build(LiftConfig(base, psi_const(base, 0), 4.0))
     assert data.chart == ("q", "p", "y", "t")
 
 
-@pytest.mark.parametrize("chart", sorted(FIBRE_WINDOWS))
+@pytest.mark.parametrize("chart", sorted(FIBRES))
 @pytest.mark.parametrize("name, base, ell, dom", certified_cases()[:2])
 def test_fibre_points_keep_the_base_and_draw_inside_the_chart_window(name, base, ell, dom, chart):
-    data = build(LiftConfig(base, None, ell, chart=chart))
+    data = build(LiftConfig(base, psi_const(base, 0), ell, chart=chart))
     base_pts = sample(dom)
     pts = fibre_points(data, 3, base_pts)
-    lo, hi = FIBRE_WINDOWS[chart]
+    lo, hi = FIBRES[chart].window
     fibres = [q.coords[0] for q in pts]
     assert [q.chart for q in pts] == [data.chart] * len(base_pts)
     assert [q.coords[1:] for q in pts] == [q.coords for q in base_pts]
@@ -303,14 +309,14 @@ class TestNegativeControls:
             (perturbed(from_uw(parse_field("x", XYT), Field.const(0.0))), -4.0),
         )
         for bad, ell in cases:
-            data = build_p(LiftConfig(bad, None, ell, validate=False))
+            data = assemble(LiftConfig(bad, psi_const(bad, 0), ell), "p")
             q = ChartPoint(data.chart, (0.4, 0.5, 0.3, 0.7))
             worst = np.abs(em_residual(data.g, data.potential, data.ell, q)).max()
             assert worst > 1e-3
 
     def test_halved_field_strength_normalization_fails(self):
         base = heisenberg(1.0)
-        data = build_p(LiftConfig(base, psi_const(base, 0.5), -1.0))
+        data = build(LiftConfig(base, psi_const(base, 0.5), -1.0))
         q = ChartPoint(data.chart, (0.3, 0.4, -0.2, 0.6))
         ok = np.abs(em_residual(data.g, data.potential, data.ell, q)).max()
         fsq = f_squared(data.potential, data.g, q)[..., None, None]
@@ -321,7 +327,7 @@ class TestNegativeControls:
 
     def test_flipped_maxwell_coupling_fails(self):
         base = heisenberg(1.0)
-        data = build_p(LiftConfig(base, psi_const(base, 0.5), -1.0))
+        data = build(LiftConfig(base, psi_const(base, 0.5), -1.0))
         q = ChartPoint(data.chart, (0.3, 0.4, -0.2, 0.6))
         fm = np.zeros((4, 4))
         for (a, b), f in ext_d(data.potential).comps.items():
@@ -336,8 +342,8 @@ class TestNegativeControls:
     def test_flat_base_angle_metric_is_not_einstein_maxwell(self):
         """The ungauged V = 0 base produces the stated metric but no solution."""
         flat = from_uw(Field.const(0.0), Field.const(0.0))
-        cfg = LiftConfig(flat, None, 1.0, chart="alpha", validate=False)
-        data = build_alpha(cfg)
+        cfg = LiftConfig(flat, psi_const(flat, 0), 1.0, chart="alpha")
+        data = assemble(cfg, "alpha")
         al, x = 0.9, 0.3
         q = ChartPoint(data.chart, (al, x, -0.2, 0.5))
         want = np.zeros((4, 4))
@@ -357,7 +363,7 @@ class TestChartAgreement:
     def _pair(c=0.5):
         base = heisenberg(1.0)
         cfg = LiftConfig(base, psi_const(base, c), -1.0)
-        return build_p(cfg), build_alpha(dataclasses.replace(cfg, chart="alpha"))
+        return build(cfg), build(dataclasses.replace(cfg, chart="alpha"))
 
     def test_metric_pullback_agreement(self, rng):
         data_p, data_a = self._pair()
@@ -412,7 +418,7 @@ class TestEquator:
     @staticmethod
     def _lift(c=0.5):
         base = heisenberg(1.0)
-        return build_p(LiftConfig(base, psi_const(base, c), -1.0))
+        return build(LiftConfig(base, psi_const(base, c), -1.0))
 
     def test_metric_at_fibre_origin(self):
         data = self._lift()
@@ -450,9 +456,10 @@ def heisenberg_flow(c=0.0):
 
 
 def frozen_omega_flow(scale):
-    """Negative control: the base no longer scales with the flow parameter."""
+    """Negative control: the base no longer scales with the flow parameter,
+    so it fails the gauge; the test that runs it skips the validation."""
     base = heisenberg(1.0)
-    return LiftConfig(base, None, -scale, validate=False)
+    return LiftConfig(base, psi_const(base, 0), -scale)
 
 
 class TestFlatLimit:
@@ -478,9 +485,10 @@ class TestFlatLimit:
 
     def test_class_b_flow_converges(self):
         def factory(scale):
+            base = class_b(scale / 4.0)
             return LiftConfig(
-                class_b(scale / 4.0),
-                None,
+                base,
+                psi_const(base, 0),
                 scale,
                 probes=tuple(sample(default_domain("class_b", F="1", count=4))),
             )
@@ -489,7 +497,8 @@ class TestFlatLimit:
         assert not rep["diverges"]
         assert rep["form_gap"][0] > rep["form_gap"][-1]
 
-    def test_frozen_omega_diverges(self):
+    def test_frozen_omega_diverges(self, monkeypatch):
+        monkeypatch.setattr(lift_mod, "validate_config", lambda cfg: None)
         rep = flat_limit(frozen_omega_flow, (10.0, 100.0, 1000.0))
         assert rep["diverges"]
         assert rep["f_term"][-1] > rep["f_term"][0]
@@ -503,7 +512,7 @@ class TestLimitFamily:
     @pytest.mark.parametrize("case", ["heisenberg", "class_b"])
     def test_chart_is_the_chart_of_the_built_lift(self, case):
         factory, chart = limit_family(case, 0.5)
-        assert build_p(factory(100.0)).chart == chart
+        assert build(factory(100.0)).chart == chart
 
     def test_heisenberg_lifts_at_the_sign_fixed_ell(self):
         factory, _ = limit_family("heisenberg", 0.0)

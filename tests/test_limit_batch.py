@@ -14,7 +14,14 @@ from ewbench.cli import EXIT_CONFIG, EXIT_PASS, main
 from ewbench.errors import DomainError, EwbenchError
 from ewbench.families import CASES, psi_const
 from ewbench.jets import ChartPoint, Field, Param, PointBatch, evaluation_scope
-from ewbench.lift import LiftConfig, build_p, default_probes, flat_limit, limit_family, p_chart
+from ewbench.lift import (
+    LiftConfig,
+    assemble,
+    default_probes,
+    fibre_chart,
+    flat_limit,
+    limit_family,
+)
 
 from oracle import flat_limit_per_ell
 from test_exit_codes import VALUES as EXTREMES
@@ -81,7 +88,7 @@ def _bytes(jet, row=None):
 def _family_fields(family, scale):
     """Fields of a limit family's base and p-chart lift at ``scale``."""
     base, ell = CASES[family].limit(scale)
-    data = build_p(LiftConfig(base, psi_const(base, 0.5), ell, validate=False))
+    data = assemble(LiftConfig(base, psi_const(base, 0.5), ell), "p")
     forms = (base.omega, data.g, data.potential)
     return data.chart, [base.V] + [f for form in forms for f in form.comps.values()]
 
@@ -89,7 +96,7 @@ def _family_fields(family, scale):
 @pytest.mark.parametrize("family", ["heisenberg", "class_b"])
 def test_each_row_equals_its_point_alone_and_the_build_at_its_number(family):
     ells = [100.0, -3.0, 1e150, 7.5]
-    chart = p_chart(CASES[family].chart)
+    chart = fibre_chart("p", CASES[family].chart)
     rows = np.random.default_rng(5).uniform(0.2, 0.8, size=(len(ells), 4))
     batch = PointBatch(chart, rows)
     _, fields = _family_fields(family, given(batch, ells))

@@ -202,7 +202,7 @@ def test_probes_fibre_points_and_limit_rows_are_batches(monkeypatch):
     assert isinstance(probes, PointBatch) and len(probes) == 8
     assert probes[0] == default_probes(XYT, count=1)[0]
     base, dom = fam.build("heisenberg", {}, count=4)
-    data = lift_mod.build(LiftConfig(base, None, -1.0))
+    data = lift_mod.build(LiftConfig(base, fam.psi_const(base, 0), -1.0))
     pts = fibre_points(data, 3, sample(dom))
     assert isinstance(pts, PointBatch) and pts.chart == data.chart and len(pts) == 4
     assert fibre_points(data, 3, list(sample(dom))) == pts

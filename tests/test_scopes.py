@@ -39,14 +39,15 @@ def _count_calls(metric, calls):
 
 def test_a_lift_evaluates_each_metric_component_once(capsys, monkeypatch):
     calls = Counter()
-    build_p = lift_mod.build_p
+    assemble = lift_mod.assemble
 
-    def counted_build(cfg):
-        data = build_p(cfg)
-        _count_calls(data.g, calls)
+    def counted_assemble(cfg, chart):
+        data = assemble(cfg, chart)
+        if chart == "p":
+            _count_calls(data.g, calls)
         return data
 
-    monkeypatch.setattr(lift_mod, "build_p", counted_build)
+    monkeypatch.setattr(lift_mod, "assemble", counted_assemble)
     code = main([
         "lift", "--case", "heisenberg", "--ell", "-1", "--c", "0.5", "--chart", "p",
         "--checks", "em,maxwell,invariants", "--points", "4",

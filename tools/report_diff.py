@@ -11,8 +11,9 @@ the catalog command lines of ``CATALOG``, the check-table command lines of
 command lines of ``LARGE``, the pack-plan command lines of ``PLANS``, the
 one-batch command lines of ``BATCHES``, the frame-pass command lines of
 ``FRAMES``, the limit command lines of ``LIMITS``, the literal-heavy
-command lines of ``LITERALS``, and any extra command lines given after the
-two checkouts.  One subprocess per checkout runs them all through
+command lines of ``LITERALS``, the fibre-chart command lines of
+``FIBRES``, and any extra command lines given after the two checkouts.
+One subprocess per checkout runs them all through
 ``ewbench.cli.main`` in process, with that checkout's ``src`` first on the
 path.  The tool prints
 each argv whose exit code, stdout (without its ``wall_time_s`` line) or
@@ -248,6 +249,21 @@ LITERALS = (
     "eval --expr 'exp(800)*x' --at x=1",
 )
 
+# every lift check on both fibre charts over each lift base: heisenberg,
+# class-b at three F (on whose chart the fibre is named q) and class-c;
+# class-a, which exits at the gauge; and heisenberg past the alpha chart's
+# ell bound, on the alpha chart and on the p chart
+FIBRES = tuple(
+    f"lift --case {case} --chart {chart} --checks em,maxwell,invariants --points 5"
+    for case in (
+        "heisenberg", "class-b --F 1", "class-b --F 2", "class-b --F 1+p^2", "class-c", "class-a",
+    )
+    for chart in ("p", "alpha")
+) + (
+    "lift --case heisenberg --chart alpha --ell 1e151 --points 3",
+    "lift --case heisenberg --chart p --ell 1e151 --points 3",
+)
+
 # batches past perfbench's sizes, where rounding shifts of the batched
 # contractions and any dependence of a row on the others would show
 LARGE = (
@@ -367,7 +383,7 @@ def main(argv):
     old_dir, new_dir = Path(argv[0]), Path(argv[1])
     sets = (
         CONSTANT_DATA + CATALOG + CHECKS + EDGES + LARGE + PLANS + BATCHES + FRAMES + LIMITS
-        + LITERALS
+        + LITERALS + FIBRES
     )
     extra = list(sets) + argv[2:]
     old, new = reports(old_dir, extra), reports(new_dir, extra)
