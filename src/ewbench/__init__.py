@@ -33,7 +33,6 @@ from .errors import (
 )
 from .ew import (
     EWStructure,
-    WeightedForm,
     from_H,
     from_uw,
     gauge_transform,
@@ -76,7 +75,6 @@ __all__ = [
     "PForm",
     "SampleDomain",
     "SpacetimeData",
-    "WeightedForm",
     "christoffel",
     "class_a",
     "class_b",

@@ -47,6 +47,7 @@ from . import lift as lift_mod
 from .curv import em_residual, field_strength, maxwell_residual, weyl_ricci_residual
 from .errors import ConfigError, DomainError, EwbenchError
 from .ew import (
+    frame_arrays,
     gauge_transform,
     gt_residual,
     hypercr_residual,
@@ -131,13 +132,13 @@ CHECKS = {
 }
 # the packed arrays a check may read, each of the structure or lift whose
 # points it runs on, through a jet order: the coframe metric h and the
-# frame pass arrays of a base (omega and V, which differentiate coframe
+# frame arrays of a base (omega and V, which differentiate coframe
 # fields, before the coframe), and the metric g and F = dA of a lift
 PACKERS = {
     "h": lambda s, q, order: metric_from_coframe(s.frame).jets_at(q, order),
-    "omega": lambda s, q, order: s.pass_at(q).arrays("omega", order),
-    "V": lambda s, q, order: s.pass_at(q).arrays("V", order),
-    "frame": lambda s, q, order: s.pass_at(q).arrays("frame", order),
+    "omega": lambda s, q, order: frame_arrays(s, q, "omega", order),
+    "V": lambda s, q, order: frame_arrays(s, q, "V", order),
+    "frame": lambda s, q, order: frame_arrays(s, q, "frame", order),
     "g": lambda data, q, order: data.g.jets_at(q, order),
     "F": lambda data, q, order: field_strength(data.potential, q, order),
 }
@@ -442,7 +443,7 @@ def _run_checks(checks, tol):
     is held: em's F serves maxwell, and monopole's omega and V serve gt.
     The highest orders are packed first, then in ``PACKERS`` order, so a
     field that two arrays read is evaluated once, at the higher order (the
-    coframe jets of weyl's h serve the frame pass).  A packing that raises
+    coframe jets of weyl's h serve the frame arrays).  A packing that raises
     is dropped; the check that reads the array packs it again in its turn
     and raises the same error there, so a job still stops at the first
     check, in request order, that meets one.

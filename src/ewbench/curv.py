@@ -56,6 +56,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularMetricError
+from .ew import frame_arrays
 from .forms import ext_d, metric_from_coframe
 from .jets import (
     _over_power,
@@ -307,7 +308,7 @@ def em_residual(g, A, ell, pt):
 def weyl_ricci_residual_metric(h, omega, pt):
     """(compat, ew) for a metric h and the packed arrays ``omega`` = (w,
     dw) of a 1-form at ``pt``, w[..., a] and dw[..., e, a] = d_e w_a (as
-    ``EWStructure.pass_at(pt).arrays("omega", 1)`` gives them).
+    ``ew.frame_arrays(s, pt, "omega", 1)`` gives them).
 
     The connection is Levi-Civita(h) minus the standard correction
     C^a_bc = (1/2)(delta^a_b w_c + delta^a_c w_b - h_bc w^a), which makes
@@ -359,7 +360,7 @@ def weyl_ricci_residual_metric(h, omega, pt):
 
 def weyl_ricci_residual(s, pt):
     """(compat, ew) for an EW structure, metric taken from its coframe and
-    omega from its frame pass."""
+    omega from its frame arrays."""
     return weyl_ricci_residual_metric(
-        metric_from_coframe(s.frame), s.pass_at(pt).arrays("omega", 1), pt
+        metric_from_coframe(s.frame), frame_arrays(s, pt, "omega", 1), pt
     )

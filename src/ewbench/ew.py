@@ -6,7 +6,7 @@ measure how far the data is from satisfying the defining exterior system
 
     d e^i = (1/2) omega ^ e^i - V * e^i,        (frame system)
     * (dV + (1/2) V omega) = (1/2) d omega,     (monopole equation)
-    D psi = V * psi,  D = d - (m/2) omega ^ .   (weighted 1-form equation)
+    D psi = V * psi,  D = d + (1/2) omega ^ .   (psi equation)
 
 together with the scalar second-order equation
 
@@ -15,8 +15,8 @@ together with the scalar second-order equation
 whose solutions generate such structures through u = H_x, w = -H_y.  All
 residuals are returned as coordinate components so tolerances mean the same
 thing across families and charts.  The exterior residuals combine the
-arrays of a :class:`FramePass` (coframe, omega, V) elementwise, as the
-values of the same expressions in form algebra.
+arrays of :func:`frame_arrays` and :func:`stars` elementwise, as the values
+of the same expressions in form algebra; psi is a plain 1-form of weight -1.
 """
 from __future__ import annotations
 
@@ -38,8 +38,8 @@ from .jets import Field, pack_jets, read_only, scoped, scoped_arrays
 
 __all__ = [
     "EWStructure",
-    "FramePass",
-    "WeightedForm",
+    "frame_arrays",
+    "stars",
     "PAIRS",
     "require_x",
     "hypercr_residual",
@@ -74,18 +74,6 @@ class EWStructure:
     @property
     def chart(self):
         return self.frame.chart
-
-    def pass_at(self, pt):
-        """The :class:`FramePass` at ``pt``, one per evaluation scope."""
-        return scoped((FramePass, self, pt), lambda: FramePass(self, pt))
-
-
-@dataclass(frozen=True)
-class WeightedForm:
-    """A 1-form carrying a conformal weight m."""
-
-    form: PForm
-    weight: float
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +110,7 @@ def hypercr_residual(u, w, pt):
 
 
 # ---------------------------------------------------------------------------
-# exterior residual systems, on the packed arrays of a frame pass
+# exterior residual systems, on the packed arrays of a structure
 # ---------------------------------------------------------------------------
 
 _I, _J = np.array([0, 0, 1]), np.array([1, 2, 2])  # PAIRS: pair k is (_I[k], _J[k])
@@ -146,76 +134,63 @@ def _comps(forms, idxs):
 
 
 _LEGS = ((0,), (1,), (2,))
+# the fields and array shape packed under each name of ``frame_arrays``
+_FRAME_FIELDS = {
+    "frame": (lambda s: _comps(s.frame.legs, _LEGS), (3, 3)),
+    "omega": (lambda s: _comps([s.omega], _LEGS), (3,)),
+    "V": (lambda s: [s.V], ()),
+}
 
 
-class FramePass:
-    """The packed jets of one structure at one point or batch, shared by
-    gt, monopole, psi and weyl through :meth:`EWStructure.pass_at`.
-
-    ``arrays(name, order)`` are those of ``"frame"``, E[..., i, a] (leg i,
+def frame_arrays(s, pt, name, order):
+    """The packed jets through ``order`` of ``s`` at ``pt`` that gt,
+    monopole, psi and weyl share: of ``"frame"``, E[..., i, a] (leg i,
     component a) and dE[..., b, i, a] = d_b E_ia; of ``"omega"``, w[..., a]
-    and dw[..., b, a]; or of ``"V"``, V and dV[..., b]: kept in the
-    evaluation scope under (pass, name) by ``jets.scoped_arrays``, packed
-    when first asked and again when a higher order is.
+    and dw[..., b, a]; or of ``"V"``, V and dV[..., b].  ``jets.scoped_arrays``
+    keeps them under (name, s, pt), packed again only for a higher order."""
+    fields, shape = _FRAME_FIELDS[name]
+    return scoped_arrays((name, s, pt), order, lambda k: pack_jets(pt, fields(s), k, shape))
 
-    ``stars()`` are the values S[..., k, pair] of *e1, *e2, *e3, kept in
-    the scope under (pass, "stars").  The 3D Hodge star is defined by its
+
+def stars(s, pt):
+    """The values S[..., k, pair] of *e1, *e2, *e3 at ``pt``, kept in the
+    scope under ("stars", s, pt).  The 3D Hodge star is defined by its
     action on the coframe, *e1 = e1^e2, *e2 = 2 e1^e3, *e3 = e2^e3 (the
     coframe is not orthonormal for h = e2 (x) e2 - 4 e1 (.) e3, hence the
-    2), so they are the wedges of the coframe values E over PAIRS, as in
-    gt, times 1, 2 and 1.
-    """
+    2): the wedges of the coframe values E over PAIRS, times 1, 2 and 1."""
 
-    __slots__ = ("s", "pt")
-    FIELDS = {
-        "frame": (lambda s: _comps(s.frame.legs, _LEGS), (3, 3)),
-        "omega": (lambda s: _comps([s.omega], _LEGS), (3,)),
-        "V": (lambda s: [s.V], ()),
-    }
+    def make():
+        e = frame_arrays(s, pt, "frame", 0)[0]
+        return read_only(_w(e[..., _I, :], e[..., _J, :]) * _STAR_SCALE)
 
-    def __init__(self, s, pt):
-        self.s, self.pt = s, pt
+    return scoped(("stars", s, pt), make)
 
-    def arrays(self, name, order):
-        fields, shape = self.FIELDS[name]
-        return scoped_arrays(
-            (self, name), order, lambda k: pack_jets(self.pt, fields(self.s), k, shape)
-        )
 
-    def stars(self):
-        def make():
-            e = self.arrays("frame", 0)[0]
-            return read_only(_w(e[..., _I, :], e[..., _J, :]) * _STAR_SCALE)
-
-        return scoped((self, "stars"), make)
-
-    def hodge(self, values):
-        """sum_k c_k *e_k for a = sum_k c_k e_k, c by ``forms.frame_solve``:
-        ``values()`` gives the components of a, and None is the zero form."""
-        c = frame_solve(np.swapaxes(self.arrays("frame", 0)[0], -1, -2), values)
-        st = self.stars()
-        return c[..., :1] * st[..., 0, :] + c[..., 1:2] * st[..., 1, :] + c[..., 2:] * st[..., 2, :]
+def _hodge(s, pt, values):
+    """sum_k c_k *e_k for a = sum_k c_k e_k, c by ``forms.frame_solve``:
+    ``values()`` gives the components of a, and None is the zero form."""
+    c = frame_solve(np.swapaxes(frame_arrays(s, pt, "frame", 0)[0], -1, -2), values)
+    st = stars(s, pt)
+    return c[..., :1] * st[..., 0, :] + c[..., 1:2] * st[..., 1, :] + c[..., 2:] * st[..., 2, :]
 
 
 def gt_residual(s, pt):
     """The components of d e^i - 1/2 omega^e^i + V *e^i, shape (3, 3) (or
     (N, 3, 3) over a batch): row i is leg i, in PAIRS order."""
-    p = s.pass_at(pt)
-    e, de = p.arrays("frame", 1)
-    wedged = _w((0.5 * p.arrays("omega", 0)[0])[..., None, :], e)
-    v = p.arrays("V", 0)[0][..., None, None]
-    return _d(np.swapaxes(de, -3, -2)) - wedged + v * p.stars()
+    e, de = frame_arrays(s, pt, "frame", 1)
+    wedged = _w((0.5 * frame_arrays(s, pt, "omega", 0)[0])[..., None, :], e)
+    v = frame_arrays(s, pt, "V", 0)[0][..., None, None]
+    return _d(np.swapaxes(de, -3, -2)) - wedged + v * stars(s, pt)
 
 
 def monopole_residual(s, pt):
     """*(dV + 1/2 V omega) - 1/2 d omega in PAIRS order."""
-    p = s.pass_at(pt)
 
     def arg():
-        v, dv = p.arrays("V", 1)
-        return dv + (0.5 * v)[..., None] * p.arrays("omega", 1)[0]
+        v, dv = frame_arrays(s, pt, "V", 1)
+        return dv + (0.5 * v)[..., None] * frame_arrays(s, pt, "omega", 1)[0]
 
-    return p.hodge(arg) - 0.5 * _d(p.arrays("omega", 1)[1])
+    return _hodge(s, pt, arg) - 0.5 * _d(frame_arrays(s, pt, "omega", 1)[1])
 
 
 def psi_residual(psi, s, pt):
@@ -223,12 +198,11 @@ def psi_residual(psi, s, pt):
     without components (``families.psi_const`` at c = 0) has no D psi
     terms, reads no omega, and is not solved: its star is 0, or NaN where
     the coframe is not finite."""
-    p = s.pass_at(pt)
-    if not psi.form.comps:
-        return -(p.arrays("V", 0)[0][..., None] * p.hodge(None))
-    ps, dps = pack_jets(pt, _comps([psi.form], _LEGS), 1, (3,))
-    dpsi = _d(dps) - _w((0.5 * psi.weight) * p.arrays("omega", 0)[0], ps)
-    return dpsi - p.arrays("V", 0)[0][..., None] * p.hodge(lambda: ps)
+    if not psi.comps:
+        return -(frame_arrays(s, pt, "V", 0)[0][..., None] * _hodge(s, pt, None))
+    ps, dps = pack_jets(pt, _comps([psi], _LEGS), 1, (3,))
+    dpsi = _d(dps) - _w(-0.5 * frame_arrays(s, pt, "omega", 0)[0], ps)
+    return dpsi - frame_arrays(s, pt, "V", 0)[0][..., None] * _hodge(s, pt, lambda: ps)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import ConfigError, DegenerateLegendreError, HeatResidualError
-from .ew import XYT, EWStructure, WeightedForm, from_H, from_uw
+from .ew import XYT, EWStructure, from_H, from_uw
 from .forms import Coframe3, coordinate_form, zero_form
 from .jets import Field, Guard, Param, PointBatch, SampleDomain, anywhere, first_where
 from .report import run_check
@@ -87,7 +87,7 @@ def heisenberg(ell):
 
 
 def psi_const(s, c):
-    """The particular solution psi = c omega (weight -1), c constant.
+    """The particular solution psi = c omega, c constant.
 
     At c = 0, of either sign, it is the zero 1-form, with no components
     rather than the components of 0 omega: a lift, limit form or residual
@@ -96,8 +96,8 @@ def psi_const(s, c):
     ``ew.psi_residual``).
     """
     if c == 0:
-        return WeightedForm(zero_form(s.chart, 1), -1.0)
-    return WeightedForm(s.omega.scale(float(c)), -1.0)
+        return zero_form(s.chart, 1)
+    return s.omega.scale(float(c))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ products, exterior derivatives) differentiable as far as the
 jet order cap allows.
 
 The three-dimensional Hodge star is defined only through its action on a
-fixed coframe; its rules are stated, and its values computed, in
-:class:`ewbench.ew.FramePass`, and this module solves for the coefficients
-of a form in a coframe (:func:`frame_solve`).
+fixed coframe; its rules are stated, and its values computed, by
+:func:`ewbench.ew.stars`, and this module solves for the coefficients of a
+form in a coframe (:func:`frame_solve`).
 
 Metric fields keep their algebra and packing here; the metric pass over a
 packing (det g, g^-1, the curvature) is :mod:`ewbench.curv`'s.
@@ -22,9 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SingularFrameError
-from .jets import (
-    Field, ZERO_FIELD, anywhere, first_where, pack_jets, read_only, scoped_arrays,
-)
+from .jets import Field, anywhere, first_where, pack_jets, read_only, scoped_arrays
 
 __all__ = [
     "PForm",
@@ -82,9 +80,6 @@ class PForm:
         return form
 
     # -- access --------------------------------------------------------------
-
-    def comp(self, idx):
-        return self.comps.get(tuple(idx), ZERO_FIELD)
 
     def values_at(self, pt, idxs):
         """The values of the components ``idxs`` at ``pt``, in that order,

@@ -97,27 +97,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-class _Coordinates:
-    """What field code reads from a point or a batch: ``chart``, ``coords``
-    (one entry per chart coordinate) and ``shape``, the batch shape."""
-
-    __slots__ = ()
-
-    @property
-    def dim(self):
-        return len(self.chart)
-
-    def coord(self, name):
-        return self.coords[self.chart.index(name)]
-
-    def with_coord(self, index, value):
-        coords = list(self.coords)
-        coords[index] = value
-        return self.on_chart(self.chart, coords)
+# Field code reads ``chart``, ``coords`` (one entry per chart coordinate),
+# ``dim`` and ``shape``, the batch shape, of a point and a batch alike.
 
 
 @dataclass(frozen=True)
-class ChartPoint(_Coordinates):
+class ChartPoint:
     """A point of a coordinate chart: ``coords`` along the names in ``chart``."""
 
     chart: tuple[str, ...]
@@ -130,6 +115,10 @@ class ChartPoint(_Coordinates):
         if len(self.chart) != len(self.coords):
             raise ValueError("coordinate count does not match chart")
 
+    @property
+    def dim(self):
+        return len(self.chart)
+
     @classmethod
     def make(cls, chart, coords):
         return cls(tuple(chart), tuple(float(c) for c in coords))
@@ -137,7 +126,7 @@ class ChartPoint(_Coordinates):
     on_chart = make  # the point with ``coords`` along ``chart``
 
 
-class PointBatch(_Coordinates):
+class PointBatch:
     """N points of one chart, evaluated together.
 
     ``rows[i]`` holds the coordinates of point i and ``coords[k]`` is the
@@ -176,6 +165,10 @@ class PointBatch(_Coordinates):
     def on_chart(chart, coords):
         """The batch with the (N,) arrays ``coords`` along ``chart``."""
         return PointBatch(chart, np.stack(coords, axis=-1))
+
+    @property
+    def dim(self):
+        return len(self.chart)
 
     @property
     def shape(self):
@@ -748,8 +741,8 @@ tanh = _unary(_tanh_series)
 # ---------------------------------------------------------------------------
 
 
-# memo of the open evaluation scope: (field, point) -> (order, jet), the
-# highest order asked; a lower order of a jet is served from its parts
+# memo of the open evaluation scope: (field, point) -> the jet of the
+# highest order asked, whose first parts serve a lower order
 _SCOPE = ContextVar("ewbench_evaluation_scope", default=None)
 
 
@@ -865,18 +858,14 @@ class Field:
             with evaluation_scope():
                 return self(pt, order)
         key = (self, pt)
-        held = memo.get(key)
-        if held is not None:
-            held_order, jet = held
-            if held_order == order:
+        jet = memo.get(key)
+        if jet is not None:
+            held = len(jet.parts)
+            if held == order + 1:
                 return jet
-            # a lower order is the first parts of a jet; any other value
-            # answers only the order it was computed at
-            if held_order > order and type(jet) is Jet:
+            if held > order:  # a lower order is the first parts of the jet
                 return Jet(jet.parts[: order + 1])
-        jet = self.fn(pt, order)
-        if held is None or held_order < order:
-            memo[key] = (order, jet)
+        jet = memo[key] = self.fn(pt, order)
         return jet
 
     @staticmethod
@@ -1141,19 +1130,21 @@ def _affine(f, rule, c):
     if f.slope is None or rule is None:
         return None
     rows = isinstance(c, Field) and rule not in (_shifted, _negated)
+    made = {}  # the row-constant slope along each name, built once to share its rows
 
     def slope(name):
         s = f.slope(name)
         if s is None:
             return None
         if rows or (type(s) is _RowConstant and rule not in (_shifted, _negated)):
-            return _RowConstant(lambda pt: _folded(rule, row_numbers(s, pt), row_numbers(c, pt)))
+            if name not in made:
+                made[name] = _RowConstant(
+                    lambda pt: _folded(rule, row_numbers(s, pt), row_numbers(c, pt))
+                )
+            return made[name]
         return rule(s, c)
 
     return slope
-
-
-ZERO_FIELD = Field.const(0.0)
 
 
 # ---------------------------------------------------------------------------

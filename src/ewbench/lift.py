@@ -42,7 +42,7 @@ from .errors import (
     GaugeViolationError,
     PsiResidualError,
 )
-from .ew import EWStructure, WeightedForm, gt_residual, psi_residual
+from .ew import EWStructure, gt_residual, psi_residual
 from .forms import (
     MetricField,
     PForm,
@@ -127,18 +127,18 @@ class SpacetimeData:
 class LiftConfig:
     """Input bundle for a lift.
 
-    ``psi`` is a weighted form of conformal weight -1; the zero psi is
-    ``families.psi_const(base, 0)``, validated like any psi, which adds no
-    psi terms to the lift.  ``probes`` are base-chart points (a PointBatch,
-    or a sequence of ChartPoints) used to validate the gauge, the structure
-    equations, and psi; when empty a deterministic default box is sampled,
-    which suits bases defined on all of R^3.  ``ell`` may be a
-    ``jets.Param`` (see the module docstring), whose zero rows fail when
-    the lift is evaluated.
+    ``psi`` is a 1-form on the base chart, of conformal weight -1 by
+    definition; the zero psi is ``families.psi_const(base, 0)``, validated
+    like any psi, which adds no psi terms to the lift.  ``probes`` are
+    base-chart points (a PointBatch, or a sequence of ChartPoints) used to
+    validate the gauge, the structure equations, and psi; when empty a
+    deterministic default box is sampled, which suits bases defined on all
+    of R^3.  ``ell`` may be a ``jets.Param`` (see the module docstring),
+    whose zero rows fail when the lift is evaluated.
     """
 
     base: EWStructure
-    psi: WeightedForm
+    psi: PForm
     ell: float | Param
     chart: str = "p"
     probes: PointBatch | tuple[ChartPoint, ...] = ()
@@ -148,10 +148,9 @@ class LiftConfig:
             raise ConfigError("ell must be nonzero")
         if self.chart not in FIBRES:
             raise ConfigError(f"unknown fibre chart {self.chart!r}")
-        if not isinstance(self.psi, WeightedForm) or self.psi.weight != -1:
-            raise ConfigError(
-                f"psi must be a weighted form of conformal weight -1, got {self.psi!r}"
-            )
+        psi = self.psi
+        if not (isinstance(psi, PForm) and psi.degree == 1 and psi.chart == self.base.chart):
+            raise ConfigError(f"psi must be a 1-form on the base chart, got {psi!r}")
 
 
 @functools.cache
@@ -197,7 +196,7 @@ def validate_config(cfg):
 
     Each condition is one ``run_check`` over the probes, named
     ``lift.gauge``, ``lift.gt`` and ``lift.psi``, all in one evaluation
-    scope of their own, where they read one frame pass of the base; a
+    scope of their own, where they share the frame arrays of the base; a
     failing verdict raises GaugeViolationError (gauge, structure
     equations) or PsiResidualError, and a non-finite one DomainError.
     """
@@ -255,7 +254,7 @@ def assemble(cfg, chart):
     fibre = chart4[0]
     c_d, c_om, c_psi, c_h, a_psi, a_om = row.profile(Field.coordinate(fibre), cfg.ell)
     om = embed_form(cfg.base.omega, chart4)
-    ps = embed_form(cfg.psi.form, chart4)
+    ps = embed_form(cfg.psi, chart4)
     h4 = embed_metric(metric_from_coframe(cfg.base.frame), chart4)
     leg = coordinate_form(chart4, fibre).scale(c_d) + om.scale(c_om) + ps.scale(c_psi)
     g = symmetric_product(leg, leg) + h4.scale(c_h)
@@ -343,7 +342,7 @@ def _limit_form(cfg, chart4):
     each replacement is O(ell^-2) at fixed p.
     """
     om = embed_form(cfg.base.omega, chart4)
-    ps = embed_form(cfg.psi.form, chart4)
+    ps = embed_form(cfg.psi, chart4)
     pc = Field.coordinate(chart4[0])
     dp = coordinate_form(chart4, chart4[0])
     leg = dp + om.scale(pc * 0.5) - ps.scale(_SQRT2)

@@ -2,8 +2,10 @@
 kept so that tests can pin the packed-array code against them.
 
 ``star_frame`` is the star of a coframe leg as a form, by the rules that
-``ew.FramePass`` computes on values; ``hodge3`` is the 3D Hodge star as a
-form, with ``frame_expand`` giving its coefficients; ``weighted_d`` is D psi = d psi - (m/2) omega ^ psi;
+``ew.stars`` computes on values; ``hodge3`` is the 3D Hodge star as a
+form, with ``frame_expand`` giving its coefficients; ``weighted_d`` is
+D psi = d psi - (m/2) omega ^ psi for a ``Weighted`` pair of a 1-form and
+its weight m;
 ``flat_limit_per_ell`` is ``lift.flat_limit`` one ell at a time;
 ``fd_oracle`` is the finite-difference oracle, which samples values only,
 and ``FDMetric`` a metric whose derivatives come from it; ``class_a_closed``, ``class_b_closed`` and ``class_c_closed`` are
@@ -14,13 +16,15 @@ lift on each fibre chart by that chart's own formulas, unvalidated: the
 reference that ``lift.assemble`` is pinned to bit for bit.  ``hcr_residual`` and
 ``constraints_residual`` are the scalar hyper-CR equation of a generating
 H and its two parts, ``fundamental_H`` that equation's fundamental
-solution, ``heisenberg_psi`` a y-independent family of weighted forms on
+solution, ``heisenberg_psi`` a y-independent family of psi 1-forms on
 the Heisenberg structure, ``CLASS_B_FS`` the class B presets and
 ``k_from_phi`` the class C K of a preset Phi.  The rest are small readers
-of a form, a metric, the alpha fibre chart and a sampling domain.
+of a point (``coord``, ``with_coord``), a form (``comp``), a metric, the
+alpha fibre chart and a sampling domain.
 """
 import math
 import weakref
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +32,6 @@ from ewbench import expr as ex
 from ewbench import jets
 from ewbench.curv import riemann
 from ewbench.errors import ConfigError, DomainError, GuardViolationError, JetOrderError
-from ewbench.ew import WeightedForm
 from ewbench.families import CLASS_C_PHIS, PYT, _ast, _k_field
 from ewbench.forms import (
     MetricField,
@@ -46,6 +49,23 @@ from ewbench.forms import (
 from ewbench.jets import MAX_ORDER, Field, Jet, PointBatch, evaluation_scope, scoped
 from ewbench.lift import LIMIT_ROWS, SpacetimeData, _limit_form, build
 from ewbench.report import run_check
+
+
+def coord(q, name):
+    """The coordinate ``name`` of a point, or its (N,) array over a batch."""
+    return q.coords[q.chart.index(name)]
+
+
+def with_coord(q, index, value):
+    """The point or batch ``q`` with coordinate ``index`` set to ``value``."""
+    coords = list(q.coords)
+    coords[index] = value
+    return q.on_chart(q.chart, coords)
+
+
+def comp(form, idx):
+    """The component of ``form`` at ``idx``, the constant 0 where absent."""
+    return form.comps.get(tuple(idx), Field.const(0.0))
 
 
 def max_abs_at(form, pt):
@@ -105,13 +125,13 @@ def fd_oracle(field, pt, axes):
         x = q.coords[axis]
         h = _fd_step(x)
         if fourth_order:
-            fp1 = deriv(q.with_coord(axis, x + h), rest)
-            fp2 = deriv(q.with_coord(axis, x + 2 * h), rest)
-            fm1 = deriv(q.with_coord(axis, x - h), rest)
-            fm2 = deriv(q.with_coord(axis, x - 2 * h), rest)
+            fp1 = deriv(with_coord(q, axis, x + h), rest)
+            fp2 = deriv(with_coord(q, axis, x + 2 * h), rest)
+            fm1 = deriv(with_coord(q, axis, x - h), rest)
+            fm2 = deriv(with_coord(q, axis, x - 2 * h), rest)
             return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
-        fp = deriv(q.with_coord(axis, x + h), rest)
-        fm = deriv(q.with_coord(axis, x - h), rest)
+        fp = deriv(with_coord(q, axis, x + h), rest)
+        fm = deriv(with_coord(q, axis, x - h), rest)
         return (fp - fm) / (2.0 * h)
 
     return deriv(pt, axes)
@@ -215,14 +235,16 @@ def hodge3(a, frame):
         raise ValueError("chart mismatch in hodge3")
 
     # one solve per scope serves all three coefficients
-    @Field
-    def coeffs(pt, order=0):
-        if order:
-            raise JetOrderError(f"hodge3 has values only; order {order} was asked")
-        return frame_expand(a, frame, pt)
+    def coeffs(pt):
+        return scoped((coeffs, pt), lambda: frame_expand(a, frame, pt))
 
     def coeff(i):
-        return Field(lambda pt, order=0: Jet([coeffs(pt, order)[..., i - 1]]))
+        def fn(pt, order=0):
+            if order:
+                raise JetOrderError(f"hodge3 has values only; order {order} was asked")
+            return Jet([coeffs(pt)[..., i - 1]])
+
+        return Field(fn)
 
     star = star_frame(frame, 1).scale(coeff(1))
     for i in (2, 3):
@@ -230,8 +252,16 @@ def hodge3(a, frame):
     return star
 
 
+class Weighted(NamedTuple):
+    """A 1-form carrying a conformal weight m."""
+
+    form: object
+    weight: float
+
+
 def weighted_d(psi, omega):
-    """Weighted exterior derivative D psi = d psi - (m/2) omega ^ psi."""
+    """Weighted exterior derivative D psi = d psi - (m/2) omega ^ psi of a
+    ``Weighted`` pair."""
     return ext_d(psi.form) - wedge(omega.scale(0.5 * psi.weight), psi.form)
 
 
@@ -362,7 +392,7 @@ def g_equation_residual(gen, pt):
     ja = ex.eval_jet(gen.A, pt, 2)
     jb = ex.eval_jet(gen.B, pt, 2)
     ip, iy, it = (pt.chart.index(n) for n in PYT)
-    p = pt.coord("p")
+    p = coord(pt, "p")
     g_yp = jb.grad[..., iy]
     g_yy = p * jb.hess[..., iy, iy]
     g_pp = ja.hess[..., ip, ip]
@@ -375,7 +405,7 @@ def branch_residual(A, B, pt):
     ja = ex.eval_jet(_ast(A, ["p", "t"]), pt, 2)
     jb = ex.eval_jet(_ast(B, ["y", "t"]), pt, 3)
     ip, iy, it = (pt.chart.index(n) for n in PYT)
-    p = pt.coord("p")
+    p = coord(pt, "p")
     return (
         2.0 * jb.grad[..., iy] * jb.hess[..., iy, iy]
         - p * jb.third[..., iy, iy, iy] * ja.hess[..., ip, ip]
@@ -393,7 +423,7 @@ _SQRT2 = math.sqrt(2.0)
 def _embedded(cfg, chart4):
     """Base ingredients re-indexed onto the four-dimensional chart."""
     om = embed_form(cfg.base.omega, chart4)
-    ps = embed_form(cfg.psi.form, chart4)
+    ps = embed_form(cfg.psi, chart4)
     h4 = embed_metric(metric_from_coframe(cfg.base.frame), chart4)
     return om, ps, h4
 
@@ -502,14 +532,13 @@ def fundamental_H(pt, order=3):
 
 
 def heisenberg_psi(s, c_source, k_source):
-    """The y-independent family psi = c(x) omega + d(c + k), weight -1.
+    """The y-independent family psi = c(x) omega + d(c + k).
 
     c depends on x only and k on t only; both may be expression text.
     """
     c_field = ex.to_field(_ast(c_source, ["x"]))
     k_field = ex.to_field(_ast(k_source, ["t"]))
-    psi = s.omega.scale(c_field) + ext_d(scalar_form(s.chart, c_field + k_field))
-    return WeightedForm(psi, -1.0)
+    return s.omega.scale(c_field) + ext_d(scalar_form(s.chart, c_field + k_field))
 
 
 CLASS_B_FS = ("-1/4", "1", "1+p^2")

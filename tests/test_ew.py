@@ -5,7 +5,6 @@ import pytest
 
 from ewbench import (
     Field,
-    WeightedForm,
     from_H,
     from_uw,
     gauge_transform,
@@ -25,6 +24,7 @@ from ewbench.forms import Coframe3, coordinate_form, ext_d, scalar_form, zero_fo
 
 from conftest import XYT, PYT, box_points, pt
 from oracle import (
+    Weighted,
     constraints_residual,
     fundamental_H,
     hcr_residual,
@@ -179,7 +179,7 @@ class TestWeightedD:
     def test_weight_zero_is_plain_d(self, rng):
         s = heisenberg(1.0)
         a = s.frame.e1.scale(parse_field("sin(y)", XYT))
-        psi = WeightedForm(a, 0.0)
+        psi = Weighted(a, 0.0)
         diff = weighted_d(psi, s.omega) - ext_d(a)
         for _ in range(5):
             q = pt(XYT, *rng.uniform(-1, 1, size=3))
@@ -187,7 +187,7 @@ class TestWeightedD:
 
     def test_connection_form_self_term_drops(self):
         s = heisenberg(1.0)
-        psi = WeightedForm(s.omega, -1.0)
+        psi = Weighted(s.omega, -1.0)
         diff = weighted_d(psi, s.omega) - ext_d(s.omega)
         q = pt(XYT, 0.3, -0.4, 0.5)
         assert max_abs_at(diff, q) <= 1e-12
@@ -198,8 +198,8 @@ class TestWeightedD:
         f = parse_field("0.2*x+0.1*sin(y)", XYT)
         a = s.frame.e2.scale(parse_field("cos(t)", XYT)) + s.frame.e1
         omega_new = s.omega + ext_d(scalar_form(XYT, f)).scale(2.0)
-        lhs = weighted_d(WeightedForm(a.scale(jets.exp(m * f)), m), omega_new)
-        rhs = weighted_d(WeightedForm(a, m), s.omega).scale(jets.exp(m * f))
+        lhs = weighted_d(Weighted(a.scale(jets.exp(m * f)), m), omega_new)
+        rhs = weighted_d(Weighted(a, m), s.omega).scale(jets.exp(m * f))
         for _ in range(5):
             q = pt(XYT, *rng.uniform(-1, 1, size=3))
             assert max_abs_at(lhs - rhs, q) <= 1e-12
@@ -214,7 +214,7 @@ class TestPsiResidual:
 
     def test_zero_section(self):
         s = heisenberg(1.0)
-        psi = WeightedForm(zero_form(XYT, 1), -1.0)
+        psi = zero_form(XYT, 1)
         q = pt(XYT, 0.1, 0.2, 0.3)
         assert np.abs(psi_residual(psi, s, q)).max() == 0.0
 
@@ -226,7 +226,7 @@ class TestPsiResidual:
 
     def test_missing_exact_correction_fails(self):
         s = heisenberg(1.0)
-        bare = WeightedForm(s.omega.scale(parse_field("sin(x)", XYT)), -1.0)
+        bare = s.omega.scale(parse_field("sin(x)", XYT))
         q = pt(XYT, 0.9, 0.2, 0.4)
         assert np.abs(psi_residual(bare, s, q)).max() > 1e-3
 
@@ -235,7 +235,7 @@ class TestPsiResidual:
         psi = psi_const(s, 1.3)
         f = parse_field("0.2*x+0.1*sin(y)", XYT)
         s2 = gauge_transform(s, f)
-        psi2 = WeightedForm(psi.form.scale(jets.exp(-f)), -1.0)
+        psi2 = psi.scale(jets.exp(-f))
         for q in box_points(XYT, -1.0, 1.0, 20, 17):
             assert np.abs(psi_residual(psi2, s2, q)).max() <= 1e-7
 

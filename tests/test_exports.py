@@ -6,6 +6,7 @@ import pkgutil
 import pytest
 
 import ewbench
+from ewbench.ew import EWStructure
 from ewbench.forms import MetricField, PForm
 from ewbench.jets import ChartPoint, Field, PointBatch
 
@@ -53,6 +54,11 @@ MOVED = (
     "FUNDAMENTAL_H",
     "CLASS_B_FS",
     "k_from_phi",
+    "FramePass",
+    "pass_at",
+    "WeightedForm",
+    "ZERO_FIELD",
+    "_Coordinates",
 )
 
 
@@ -74,6 +80,9 @@ def test_no_class_keeps_a_moved_method():
     assert not hasattr(MetricField, "signature_at")
     assert not hasattr(MetricField, "from_value_matrix")
     assert not hasattr(MetricField, "pass_at") and not hasattr(MetricField, "inverse_at")
+    assert not hasattr(EWStructure, "pass_at") and not hasattr(PForm, "comp")
+    for cls in (ChartPoint, PointBatch):
+        assert not hasattr(cls, "coord") and not hasattr(cls, "with_coord")
 
 
 def test_the_metric_work_is_declared_in_curv_only():

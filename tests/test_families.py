@@ -38,6 +38,7 @@ from oracle import (
     class_a_closed,
     class_b_closed,
     class_c_closed,
+    comp,
     fundamental_H,
     g_equation_residual,
     k_from_phi,
@@ -241,7 +242,7 @@ class TestFromGenerator:
         s = from_generator(GeneratorG("p^2/2", "0"))
         q = pt(PYT, 0.7, 0.1, -0.4)
         assert s.V(q, 0).value == pytest.approx(-0.5)
-        vals = [s.omega.comp((i,))(q, 0).value for i in range(3)]
+        vals = [comp(s.omega, (i,))(q, 0).value for i in range(3)]
         assert vals == pytest.approx([0.0, -1.0, -0.7])
 
     @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
-"""One frame pass per job: gt, monopole and psi computed on the packed
-arrays of ``EWStructure.pass_at`` equal their form-algebra definitions bit
-for bit, raise the same errors, and each job evaluates every coframe, omega
-and V component once."""
+"""One packing of the frame arrays per job: gt, monopole and psi computed
+on the packed arrays of ``ew.frame_arrays`` and ``ew.stars`` equal their
+form-algebra definitions bit for bit, raise the same errors, and each job
+evaluates every coframe, omega and V component once."""
 import contextlib
 import importlib.util
 import io
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from ewbench import cli as cli_mod
+from ewbench import ew as ew_mod
 from ewbench import expr as ex
 from ewbench import families as fam
 from ewbench import jets
@@ -21,18 +22,19 @@ from ewbench.cli import EXIT_FAIL, EXIT_PASS, main
 from ewbench.errors import EwbenchError, SingularFrameError
 from ewbench.ew import (
     PAIRS,
-    FramePass,
+    frame_arrays,
     gauge_transform,
     gt_residual,
     monopole_residual,
     psi_residual,
+    stars,
 )
 from ewbench.forms import ext_d, scalar_form, wedge
 from ewbench.jets import Field, PointBatch, evaluation_scope, sample, shared_scope
 from ewbench.lift import LiftConfig, fix_ell_sign, validate_config
 from ewbench.report import run_check
 
-from oracle import hodge3, star_frame, weighted_d
+from oracle import Weighted, hodge3, star_frame, weighted_d
 
 
 def _bench_jobs():
@@ -65,9 +67,10 @@ def oracle_monopole(s, pt):
 
 
 def oracle_psi(psi, s, pt):
-    """D psi - V * psi; for the zero form, hodge3 takes the coefficients of
-    frame_expand's zero-form rule."""
-    return (weighted_d(psi, s.omega) - hodge3(psi.form, s.frame).scale(s.V)).values_at(pt, PAIRS)
+    """D psi - V * psi, psi of weight -1; for the zero form, hodge3 takes
+    the coefficients of frame_expand's zero-form rule."""
+    dpsi = weighted_d(Weighted(psi, -1.0), s.omega)
+    return (dpsi - hodge3(psi, s.frame).scale(s.V)).values_at(pt, PAIRS)
 
 
 def _outcome(fn, pt):
@@ -123,27 +126,28 @@ def test_the_checks_of_one_scope_read_one_pass(case):
     psi = fam.psi_const(s, 0.5)
     with evaluation_scope() as memo:
         together = [(fn(batch) + 0.0).tobytes() for _, fn, _ in _pairs(s, psi)]
-        p = s.pass_at(batch)
-        assert type(p) is FramePass and s.pass_at(batch) is p
-        assert {k[1] for k in memo if k[0] is p} == {"frame", "omega", "V", "stars"}
+        assert stars(s, batch) is stars(s, batch)
+        assert frame_arrays(s, batch, "frame", 1)[1] is frame_arrays(s, batch, "frame", 1)[1]
+        held = {k[0] for k in memo if len(k) == 3 and k[1:] == (s, batch)}
+        assert held == {"frame", "omega", "V", "stars"}
     assert together == [_outcome(fn, batch)[1] for _, fn, _ in _pairs(s, psi)]
 
 
-def test_a_pass_without_a_scope_is_new_each_call():
+def test_the_arrays_without_a_scope_are_new_each_call():
     s, batch = _structure("class_b", False)
-    assert s.pass_at(batch) is not s.pass_at(batch)
+    assert stars(s, batch) is not stars(s, batch)
+    assert frame_arrays(s, batch, "V", 0)[0] is not frame_arrays(s, batch, "V", 0)[0]
 
 
 def test_the_pass_arrays_are_read_only_and_sliced():
     s, batch = _structure("heisenberg", False)
     with evaluation_scope():
-        p = s.pass_at(batch)
-        e, de = p.arrays("frame", 1)
+        e, de = frame_arrays(s, batch, "frame", 1)
         assert e.shape == (5, 3, 3) and de.shape == (5, 3, 3, 3)
-        assert p.arrays("frame", 0)[0] is e
-        assert not e.flags.writeable and not p.stars().flags.writeable
-        v, dv = p.arrays("V", 1)
-        w, dw = p.arrays("omega", 1)
+        assert frame_arrays(s, batch, "frame", 0)[0] is e
+        assert not e.flags.writeable and not stars(s, batch).flags.writeable
+        v, dv = frame_arrays(s, batch, "V", 1)
+        w, dw = frame_arrays(s, batch, "omega", 1)
         assert v.shape == (5,) and dv.shape == (5, 3) and w.shape == (5, 3) and dw.shape == (5, 3, 3)
         for a, leg in enumerate(s.frame.legs):
             for (k,), f in leg.comps.items():
@@ -253,7 +257,7 @@ def _count_reevaluations(monkeypatch):
     def counted(self, pt, order=0):
         memo = jets._SCOPE.get()
         held = None if memo is None else memo.get((self, pt))
-        if held is not None and held[0] < order:
+        if held is not None and held.order < order:
             again.append(order)
         return call(self, pt, order)
 
@@ -300,23 +304,25 @@ def test_limit_and_lift_jobs_evaluate_no_field_again(monkeypatch, argv):
 # --- the frame arrays a check declares ---------------------------------------
 
 
-# the frame-pass arrays a check may declare
+# the frame arrays a check may declare
 FRAME_ARRAYS = ("frame", "omega", "V")
 
 
 def _record_frame_packs(monkeypatch):
-    """[(array, order)] of each packing of a frame-pass array that a check
-    may declare while a job's checks run (a lift validates its base in a
-    scope of its own before)."""
+    """[(array, order)] of each packing of a frame array that a check may
+    declare while a job's checks run (a lift validates its base in a scope
+    of its own before).  Every frame array, those that ``cli.PACKERS``
+    packs included, is kept by ``ew.frame_arrays`` through the
+    ``scoped_arrays`` of ``ew``, which the recorder wraps."""
     packs, running = [], []
-    arrays, run_checks = FramePass.arrays, cli_mod._run_checks
+    scoped_arrays, run_checks = ew_mod.scoped_arrays, cli_mod._run_checks
 
-    def recorded(self, name, order):
+    def recorded(key, order, pack):
         with shared_scope() as memo:
-            held = memo.get((self, name), ())
+            held = memo.get(key, ())
         if running and len(held) <= order:
-            packs.append((name, order))
-        return arrays(self, name, order)
+            packs.append((key[0], order))
+        return scoped_arrays(key, order, pack)
 
     def counted_run(*args):
         running.append(True)
@@ -325,7 +331,7 @@ def _record_frame_packs(monkeypatch):
         finally:
             running.pop()
 
-    monkeypatch.setattr(FramePass, "arrays", recorded)
+    monkeypatch.setattr(ew_mod, "scoped_arrays", recorded)
     monkeypatch.setattr(cli_mod, "_run_checks", counted_run)
     return packs
 

@@ -7,7 +7,6 @@ import pytest
 from ewbench import (
     Field,
     LiftConfig,
-    WeightedForm,
     em_residual,
     ext_d,
     f_squared,
@@ -47,7 +46,7 @@ from ewbench.lift import (
 )
 
 from conftest import XYT, PYT, pt
-from oracle import dalpha_dp, heisenberg_psi, p_of_alpha, signature_at
+from oracle import comp, dalpha_dp, heisenberg_psi, p_of_alpha, signature_at
 
 SQRT2 = math.sqrt(2.0)
 
@@ -97,15 +96,14 @@ class TestLiftConfig:
         with pytest.raises(ConfigError):
             LiftConfig(s, psi_const(s, 0), -1.0, chart="beta")
 
-    def test_a_psi_of_none_is_refused(self):
-        with pytest.raises(ConfigError, match="psi must be a weighted form"):
-            LiftConfig(heisenberg(1.0), None, -1.0)
-
-    def test_wrong_psi_weight_rejected(self):
-        s = heisenberg(1.0)
-        bad = WeightedForm(s.omega, 0.0)
-        with pytest.raises(ConfigError):
-            LiftConfig(s, bad, -1.0)
+    @pytest.mark.parametrize(
+        "bad",
+        [None, ext_d(heisenberg(1.0).omega), class_b("1").omega],
+        ids=["none", "2-form", "other-chart"],
+    )
+    def test_a_psi_that_is_not_a_1_form_on_the_base_chart_is_refused(self, bad):
+        with pytest.raises(ConfigError, match="psi must be a 1-form on the base chart, got"):
+            LiftConfig(heisenberg(1.0), bad, -1.0)
 
     def test_validate_passes_certified_base(self):
         s = heisenberg(1.0)
@@ -131,7 +129,7 @@ class TestLiftConfig:
 
     def test_non_solution_psi_rejected(self):
         s = heisenberg(1.0)
-        bad = WeightedForm(s.omega.scale(parse_field("sin(x)", XYT)), -1.0)
+        bad = s.omega.scale(parse_field("sin(x)", XYT))
         with pytest.raises(PsiResidualError):
             build(LiftConfig(s, bad, -1.0))
 
@@ -382,10 +380,10 @@ class TestChartAgreement:
             p = float(rng.uniform(-1.0, 1.0))
             qp = ChartPoint(data_p.chart, (p,) + tuple(rng.uniform(-1, 1, size=3)))
             qa = matched_alpha_point(qp, data_p.ell)
-            assert data_a.potential.comp((0,))(qa, 0).value == 0.0
+            assert comp(data_a.potential, (0,))(qa, 0).value == 0.0
             for i in range(1, 4):
-                va = data_a.potential.comp((i,))(qa, 0).value
-                vp = data_p.potential.comp((i,))(qp, 0).value
+                va = comp(data_a.potential, (i,))(qa, 0).value
+                vp = comp(data_p.potential, (i,))(qp, 0).value
                 assert abs(va - vp) <= 1e-10
 
     def test_scalar_invariants_agree(self, rng):
@@ -424,7 +422,7 @@ class TestEquator:
         data = self._lift()
         base = heisenberg(1.0)
         q0 = ChartPoint(data.chart, (0.0, 0.4, -0.2, 0.7))
-        ps = embed_form(psi_const(base, 0.5).form, data.chart)
+        ps = embed_form(psi_const(base, 0.5), data.chart)
         h4 = embed_metric(metric_from_coframe(base.frame), data.chart)
         leg = coordinate_form(data.chart, "p") - ps.scale(SQRT2)
         want = symmetric_product(leg, leg) + h4

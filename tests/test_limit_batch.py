@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+from ewbench import jets
 from ewbench import lift as lift_mod
 from ewbench.cli import EXIT_CONFIG, EXIT_PASS, main
 from ewbench.errors import DomainError, EwbenchError
@@ -295,3 +296,55 @@ def test_a_zero_ell_is_refused_before_any_pass(capsys, monkeypatch, tmp_path, ze
             assert main(["limit", "--case", case] + args) == EXIT_CONFIG
             assert capsys.readouterr() == ("", f"error: ells must be nonzero, got {raw!r}\n")
     assert calls == []
+
+
+# --- the row-constant slopes of one pass ----------------------------------------
+
+
+def _unshared_affine(f, rule, c):
+    """``jets._affine`` with no slope kept: a new row constant on every call."""
+    if f.slope is None or rule is None:
+        return None
+    shifts = (jets._shifted, jets._negated)
+    rows = isinstance(c, Field) and rule not in shifts
+
+    def slope(name):
+        s = f.slope(name)
+        if s is None:
+            return None
+        if rows or (type(s) is jets._RowConstant and rule not in shifts):
+            return jets._RowConstant(
+                lambda pt: jets._folded(rule, jets.row_numbers(s, pt), jets.row_numbers(c, pt))
+            )
+        return rule(s, c)
+
+    return slope
+
+
+def test_a_limit_pass_builds_each_row_constant_slope_once(monkeypatch):
+    """Every ``.d`` of a Param-scaled field along one name is one row
+    constant, so the scope shares its rows; the report is that of slopes
+    built anew on every call."""
+    built = {}  # (slope, name) -> the row constants it gave
+    affine = jets._affine
+
+    def recorded(f, rule, c):
+        slope = affine(f, rule, c)
+        if slope is None:
+            return None
+
+        def seen(name):
+            s = slope(name)
+            if type(s) is jets._RowConstant:
+                built.setdefault((slope, name), []).append(s)
+            return s
+
+        return seen
+
+    argv = ["limit", "--case", "heisenberg"]
+    monkeypatch.setattr(jets, "_affine", recorded)
+    shared = _report(argv)
+    assert any(len(made) > 1 for made in built.values())
+    assert all(s is made[0] for made in built.values() for s in made)
+    monkeypatch.setattr(jets, "_affine", _unshared_affine)
+    assert shared == _report(argv) and shared[0] == EXIT_PASS

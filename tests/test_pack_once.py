@@ -16,7 +16,7 @@ from ewbench import families as fam
 from ewbench import lift as lift_mod
 from ewbench.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, main
 from ewbench.errors import SingularFrameError
-from ewbench.ew import WeightedForm, psi_residual
+from ewbench.ew import psi_residual
 from ewbench.forms import MetricField
 from ewbench.jets import ChartPoint, PointBatch, evaluation_scope, sample
 from ewbench.lift import LiftConfig, fix_ell_sign, validate_config
@@ -84,8 +84,8 @@ def _record_packs(monkeypatch):
 def test_psi_const_at_zero_has_no_components(case, c):
     s, _ = fam.build(case, {})
     psi = fam.psi_const(s, c)
-    assert psi.form.comps == {}
-    assert (psi.form.chart, psi.form.degree, psi.weight) == (s.chart, 1, -1.0)
+    assert psi.comps == {}
+    assert (psi.chart, psi.degree) == (s.chart, 1)
 
 
 def _count_calls(fields, calls):
@@ -115,7 +115,7 @@ def test_the_zero_psi_check_reads_no_omega_but_solves_the_frame():
 
 def _old_psi_const(s, c):
     """psi = c omega as the components of c omega, also at c = 0."""
-    return WeightedForm(s.omega.scale(float(c)), -1.0)
+    return s.omega.scale(float(c))
 
 
 @pytest.mark.parametrize(

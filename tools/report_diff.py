@@ -12,7 +12,8 @@ command lines of ``LARGE``, the pack-plan command lines of ``PLANS``, the
 one-batch command lines of ``BATCHES``, the frame-pass command lines of
 ``FRAMES``, the limit command lines of ``LIMITS``, the literal-heavy
 command lines of ``LITERALS``, the fibre-chart command lines of
-``FIBRES``, and any extra command lines given after the two checkouts.
+``FIBRES``, the psi command lines of ``PSI``, and any extra command lines
+given after the two checkouts.
 One subprocess per checkout runs them all through
 ``ewbench.cli.main`` in process, with that checkout's ``src`` first on the
 path.  The tool prints
@@ -186,7 +187,7 @@ BATCHES = tuple(
     "verify --case class-b --F '0.0102*(p-1)' --checks gt --points 50 --seed 5",
 )
 
-# the checks that read the frame pass: gt, monopole and psi = c omega on
+# the checks that read the frame arrays: gt, monopole and psi = c omega on
 # every catalog case after a gauge transform, beside em in one lift job, on
 # a from-H coframe that overflows, and on a singular class-b coframe
 FRAMES = tuple(
@@ -262,6 +263,15 @@ FIBRES = tuple(
 ) + (
     "lift --case heisenberg --chart alpha --ell 1e151 --points 3",
     "lift --case heisenberg --chart p --ell 1e151 --points 3",
+)
+
+# the psi check beside the lift checks that embed psi, on each lift base
+# and both fibre charts, at a psi with components and at the zero psi
+PSI = tuple(
+    f"lift --case {case} --chart {chart} --c {c} --checks psi,em,maxwell --points 5"
+    for case in ("heisenberg", "class-b --F 1", "class-c")
+    for chart in ("p", "alpha")
+    for c in ("0.5", "-0.0")
 )
 
 # batches past perfbench's sizes, where rounding shifts of the batched
@@ -383,7 +393,7 @@ def main(argv):
     old_dir, new_dir = Path(argv[0]), Path(argv[1])
     sets = (
         CONSTANT_DATA + CATALOG + CHECKS + EDGES + LARGE + PLANS + BATCHES + FRAMES + LIMITS
-        + LITERALS + FIBRES
+        + LITERALS + FIBRES + PSI
     )
     extra = list(sets) + argv[2:]
     old, new = reports(old_dir, extra), reports(new_dir, extra)
