@@ -119,7 +119,7 @@ class PForm:
         )
 
     def __repr__(self):
-        return f"PForm(degree={self.degree}, comps={sorted(self.comps)})"
+        return f"PForm(chart={self.chart}, degree={self.degree}, comps={sorted(self.comps)})"
 
 
 def zero_form(chart, degree):

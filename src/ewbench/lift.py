@@ -150,7 +150,9 @@ class LiftConfig:
             raise ConfigError(f"unknown fibre chart {self.chart!r}")
         psi = self.psi
         if not (isinstance(psi, PForm) and psi.degree == 1 and psi.chart == self.base.chart):
-            raise ConfigError(f"psi must be a 1-form on the base chart, got {psi!r}")
+            raise ConfigError(
+                f"psi must be a 1-form on the base chart, got {psi!r}; the base chart is {self.base.chart}"
+            )
 
 
 @functools.cache
@@ -339,7 +341,9 @@ def _limit_form(cfg, chart4):
 
     This replaces the fibre profiles by their leading terms,
     (ell/2)tanh(p/ell) -> p/2, sech -> 1, cosh^2 -> 1; the remainder of
-    each replacement is O(ell^-2) at fixed p.
+    each replacement is O(ell^-2) at fixed p.  But class B's h holds
+    4F dp.dt = ell dp.dt, so (cosh^2 - 1) h, and its form gap, fall as
+    O(1/ell): the observed order 1.000 of its limit.
     """
     om = embed_form(cfg.base.omega, chart4)
     ps = embed_form(cfg.psi, chart4)

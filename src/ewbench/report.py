@@ -4,15 +4,15 @@ A check maps sample points to residuals; ``run_check`` evaluates it once
 over the batch of all its points, in the open evaluation scope, reduces
 each point to its largest absolute component and keeps those values, their
 maximum, their mean, and the worst point.
-Reports serialize to JSON with a fixed key order so that two runs with the
-same configuration and seed are byte-identical apart from the wall-time
-field; ``report_json`` writes the text itself, the text of ``json.dumps``.
+Reports are dicts in a fixed key order, written as ``json.dumps`` text by
+``report_json``, so two runs with the same configuration and seed are
+byte-identical apart from the wall-time field.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from json.encoder import encode_basestring_ascii as _quote
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,67 +159,7 @@ def build_report(config, chart, n_points, results, detail=None):
 
 
 def report_json(report):
-    """``report`` as the text of ``json.dumps(report, indent=2,
-    allow_nan=False)`` and a newline, written directly: json indents in
-    pure Python, by generators.  The type rules and errors are json's."""
-    out = []
-    _encode(report, "", "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _encode(o, head, newline, out):
-    """Append the text ``head`` and the JSON text of ``o``, nested at the
-    line start ``newline``, to ``out``."""
-    if not isinstance(o, (list, tuple, dict)):
-        out.append(head + _leaf(o))
-    elif not o:
-        out.append(head + ("{}" if isinstance(o, dict) else "[]"))
-    elif isinstance(o, dict):
-        inner = newline + "  "
-        sep = head + "{" + inner
-        for key, value in o.items():
-            _encode(value, sep + _quote(key if isinstance(key, str) else _key(key)) + ": ", inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    else:
-        inner = newline + "  "
-        sep = head + "[" + inner
-        for item in o:
-            _encode(item, sep, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-
-
-def _float(o):
-    if not math.isfinite(o):
-        raise ValueError("Out of range float values are not JSON compliant: " + repr(o))
-    return float.__repr__(o)
-
-
-# the JSON text of a leaf by its type
-_LEAVES = {
-    str: _quote,
-    float: _float,
-    int: int.__repr__,
-    bool: lambda o: "true" if o else "false",
-    type(None): lambda o: "null",
-}
-
-
-def _leaf(o):
-    """json's text of a string, number, bool or None, and of a subclass of
-    str, int or float (``numpy.float64``) as its value."""
-    text = _LEAVES.get(type(o))
-    if text is not None:
-        return text(o)
-    for kind in (str, int, float):
-        if isinstance(o, kind):
-            return _LEAVES[kind](o)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _key(key):
-    if isinstance(key, (int, float)) or key is None:
-        return _leaf(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    """``json.dumps(report, indent=2, allow_nan=False)`` and one newline:
+    json's ValueError for NaN or inf and TypeError for a value it cannot
+    write, and a float subclass (``numpy.float64``) written as its value."""
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"

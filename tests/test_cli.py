@@ -332,6 +332,44 @@ class TestInvariantsCheck:
                 for a, b in zip(signature(g0), signature_at(data.g, at))
             )
 
+    def test_a_wrong_matching_ell_shows_in_the_curvature_component(self, monkeypatch):
+        # the p chart matched to the angle chart at 1.01 ell: the metrics
+        # no longer agree, and K differs by more than 1 at every point,
+        # against 4e-12 at the true ell
+        data_p, _, fn, points = self._check("p")
+        q = PointBatch.of(points)
+        with evaluation_scope():
+            k, _, _ = fn(q)
+        assert np.abs(k).max() < 1e-10
+        matched = lift_mod.matched_alpha_point
+        monkeypatch.setattr(
+            lift_mod, "matched_alpha_point", lambda pt, ell: matched(pt, 1.01 * ell)
+        )
+        with evaluation_scope():
+            k, _, _ = fn(q)
+        assert np.abs(k).min() > 1.0
+
+    def test_a_metric_of_signature_2_2_fails_the_signature_component(self, monkeypatch):
+        # the p chart's profile with c_h negated: g = leg (.) leg - h, whose
+        # eigenvalues split two and two, so the signature reads 1 everywhere
+        row = lift_mod.FIBRES["p"]
+
+        def negated_h(p, ell):
+            c_d, c_om, c_psi, c_h, a_psi, a_om = row.profile(p, ell)
+            return c_d, c_om, c_psi, -c_h, a_psi, a_om
+
+        monkeypatch.setitem(lift_mod.FIBRES, "p", row._replace(profile=negated_h))
+        base = heisenberg(1.0)
+        cfg = LiftConfig(base, psi_const(base, 0.5), -1.0, chart="p")
+        data_p, fn = lift_mod.invariants_check(cfg, lift_mod.assemble(cfg, "p"))
+        rows = np.random.default_rng(4).uniform(-1.0, 1.0, size=(6, 4))
+        q = PointBatch(data_p.chart, rows)
+        with evaluation_scope():
+            _, _, sig = fn(q)
+            plus, minus = signature(data_p.g.matrix_at(q))
+        assert plus.tolist() == minus.tolist() == [2] * 6
+        assert sig.tolist() == [1.0] * 6
+
 
 class TestLimit:
     def test_heisenberg_flow(self, capsys):

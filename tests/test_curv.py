@@ -19,6 +19,7 @@ from ewbench import (
     riemann,
     weyl_ricci_residual,
 )
+from ewbench import curv
 from ewbench.curv import inverse, weyl_ricci_residual_metric
 from ewbench.errors import SingularMetricError
 from ewbench.ew import frame_arrays
@@ -318,6 +319,25 @@ class TestWeylRicci:
         for q in box_points(XYT, -1.0, 1.0, 10, 41):
             compat, _ = weyl_ricci_residual(s, q)
             assert compat <= 1e-10
+
+    def test_a_wrong_connection_fails_the_compatibility_identity(self, monkeypatch):
+        # Gamma^0_12 = Gamma^0_21 raised by 1e-3: on heisenberg D h - omega h
+        # then reads 4e-3, against rounding (below 1e-12) unperturbed
+        s = heisenberg(1.0)
+        q = PointBatch.of(box_points(XYT, -1.0, 1.0, 5, 41))
+        assert weyl_ricci_residual(s, q)[0].max() < 1e-12
+        exact = curv._gamma_and_partial
+
+        def bumped(*arrays):
+            gamma, dgamma = exact(*arrays)
+            gamma = gamma.copy()
+            gamma[..., 0, 1, 2] += 1e-3
+            gamma[..., 0, 2, 1] += 1e-3
+            return gamma, dgamma
+
+        monkeypatch.setattr(curv, "_gamma_and_partial", bumped)
+        compat, _ = weyl_ricci_residual(s, q)
+        assert compat == pytest.approx([4e-3] * 5, rel=1e-9)
 
     def test_heisenberg_einstein_weyl(self):
         s = heisenberg(1.0)

@@ -1,6 +1,6 @@
 """The exit-code contract on extreme scales: every catalog case under verify
 with psi, lift on each fibre chart, and limit, with --ell, --c or --ells set
-to a number at the edge of the float range.
+to a number at the edge of the float range; and a property over whole argvs.
 
 Each argv exits 0, 1, 2 or 3 and raises no warning.  An exit of 2 or 3
 prints exactly one ``error:`` line on stderr and nothing on stdout; an exit
@@ -10,13 +10,19 @@ matches the exit code, and nothing on stderr.
 import contextlib
 import io
 import json
+import re
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ewbench import cli, errors
-from ewbench.cli import CHARTS, EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, EXIT_SAMPLING, main
+from ewbench.cli import CHARTS, EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, EXIT_SAMPLING, KEYS, main
+from ewbench.expr import Bin, Call, Neg, Var, to_source
 from ewbench.families import CASES
+
+from conftest import EXPRS
 
 VALUES = (
     "0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1e150", "1e154", "1e200",
@@ -53,23 +59,102 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
 
 
+def _assert_contract(argv):
+    code, out, err, caught = _run(argv)
+    assert code in (EXIT_PASS, EXIT_FAIL, EXIT_CONFIG, EXIT_SAMPLING), (argv, code, err)
+    assert caught == [], (argv, caught)
+    assert "Warning" not in err, (argv, err)
+    if code in (EXIT_CONFIG, EXIT_SAMPLING):
+        assert out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+    else:
+        assert err == "", (argv, err)
+        report = json.loads(out, parse_constant=_strict)
+        assert report["verdict"] == ("pass" if code == EXIT_PASS else "fail"), argv
+
+
 @pytest.mark.parametrize(
     "base, flag, arg", GRID, ids=[" ".join(base + (flag,)) for base, flag, _ in GRID]
 )
 def test_an_extreme_scale_keeps_the_exit_code_contract(base, flag, arg):
     for value in VALUES:
-        argv = list(base) + [flag, arg(value)]
-        code, out, err, caught = _run(argv)
-        assert code in (EXIT_PASS, EXIT_FAIL, EXIT_CONFIG, EXIT_SAMPLING), (argv, code, err)
-        assert caught == [], (argv, caught)
-        assert "Warning" not in err, (argv, err)
-        if code in (EXIT_CONFIG, EXIT_SAMPLING):
-            assert out == "", argv
-            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
-        else:
-            assert err == "", (argv, err)
-            report = json.loads(out, parse_constant=_strict)
-            assert report["verdict"] == ("pass" if code == EXIT_PASS else "fail"), argv
+        _assert_contract(list(base) + [flag, arg(value)])
+
+
+def _renamed(e, names):
+    """The expression ``e`` in x and y with x renamed to the first of
+    ``names`` and y to the last."""
+    if isinstance(e, Var):
+        return Var(names[0] if e.name == "x" else names[-1])
+    if isinstance(e, Neg):
+        return Neg(_renamed(e.arg, names))
+    if isinstance(e, Bin):
+        return Bin(e.op, _renamed(e.left, names), _renamed(e.right, names))
+    if isinstance(e, Call):
+        return Call(e.func, _renamed(e.arg, names))
+    return e
+
+
+NUMBERS = st.sampled_from(VALUES + ("1", "-1", "0.5", "-0.5"))
+
+
+@st.composite
+def whole_argvs(draw):
+    """A verify, lift or limit argv: a catalog case, at most 5 points, and
+    some of the other flags the subcommand reads, each given an offered
+    value, expression data in the case's variables, an extreme number, or
+    the empty value."""
+    command = draw(st.sampled_from(("verify", "lift", "limit")))
+    case = draw(st.sampled_from(sorted(CASES)))
+    row = CASES[case]
+    values = {
+        "case": st.just(case.replace("_", "-")),
+        "checks": st.lists(
+            st.sampled_from(cli.OFFERED_CHECKS[command]), min_size=1, max_size=3, unique=True
+        ).map(",".join),
+        "points": st.integers(1, 5).map(str),
+        "seed": st.integers(0, 3).map(str),
+        "tol": NUMBERS,
+        "ell": NUMBERS,
+        "c": NUMBERS,
+        "ells": st.lists(NUMBERS, min_size=1, max_size=3).map(",".join),
+        "chart": st.sampled_from(CHARTS),
+        "f": EXPRS.map(lambda e: to_source(_renamed(e, row.chart))),
+    }
+    for flag, (_, names) in row.exprs.items():
+        values[flag] = EXPRS.map(lambda e, names=names: to_source(_renamed(e, names)))
+    argv = [command, f"--case={draw(values.pop('case'))}"]
+    for key, value in values.items():
+        if command in KEYS[key].commands and (key == "points" or draw(st.booleans())):
+            empty = draw(st.integers(0, 7)) == 7
+            argv.append(f"--{key}={'' if empty else draw(value)}")
+    return argv
+
+
+def _assert_usage_error(argv):
+    """argparse's own usage error, the one exception to a single error line
+    that README's exit codes name: exit 2, nothing on stdout, and the usage
+    text above one error line, for a typed flag given the empty value."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    assert (exc.value.code, out.getvalue()) == (EXIT_CONFIG, "")
+    usage, *_, last = err.getvalue().splitlines()
+    assert usage.startswith(f"usage: ewbench {argv[0]} "), err.getvalue()
+    found = re.fullmatch(rf"ewbench {argv[0]}: error: argument --(\w+): invalid .*: ''( \(choose .*\))?", last)
+    assert found, err.getvalue()
+    key = found.group(1)
+    assert f"--{key}=" in argv and (KEYS[key].type or KEYS[key].choices), (argv, last)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(argv=whole_argvs())
+def test_a_whole_argv_keeps_the_exit_code_contract(argv):
+    try:
+        _assert_contract(argv)
+    except SystemExit:
+        _assert_usage_error(argv)
 
 
 # an integer that no float holds, where the float range ends

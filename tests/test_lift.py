@@ -105,6 +105,15 @@ class TestLiftConfig:
         with pytest.raises(ConfigError, match="psi must be a 1-form on the base chart, got"):
             LiftConfig(heisenberg(1.0), bad, -1.0)
 
+    def test_a_psi_on_another_chart_is_refused_naming_both_charts(self):
+        with pytest.raises(ConfigError) as err:
+            LiftConfig(heisenberg(1.0), class_b("1").omega, -1.0)
+        assert str(err.value) == (
+            "psi must be a 1-form on the base chart, got "
+            "PForm(chart=('p', 'y', 't'), degree=1, comps=[(1,), (2,)]); "
+            "the base chart is ('x', 'y', 't')"
+        )
+
     def test_validate_passes_certified_base(self):
         s = heisenberg(1.0)
         cfg = LiftConfig(s, psi_const(s, 0.5), -1.0)
