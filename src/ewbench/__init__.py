@@ -22,7 +22,6 @@ from .errors import (
     EwbenchError,
     ExprSyntaxError,
     GaugeViolationError,
-    GuardViolationError,
     HeatResidualError,
     JetOrderError,
     PsiResidualError,
@@ -112,7 +111,6 @@ __all__ = [
     "EwbenchError",
     "ExprSyntaxError",
     "GaugeViolationError",
-    "GuardViolationError",
     "HeatResidualError",
     "JetOrderError",
     "PsiResidualError",

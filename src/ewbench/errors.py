@@ -2,8 +2,8 @@
 
 Each class states the exit code of the CLI in its ``exit_code``: 2 for
 configuration problems (bad flags, unparseable expressions, inputs that
-fail their certificates), 3 for sampling, guard, domain and singular
-frame or metric problems.  Ordinary check failures exit with 1.
+fail their certificates), 3 for sampling, domain and singular frame or
+metric problems.  Ordinary check failures exit with 1.
 """
 
 
@@ -56,12 +56,6 @@ class JetOrderError(EwbenchError):
 
 class SamplingExhaustedError(EwbenchError):
     """Rejection sampling accepted fewer than 1% of draws after the cap."""
-
-    exit_code = 3
-
-
-class GuardViolationError(EwbenchError):
-    """A point violates the guard predicates of its domain."""
 
     exit_code = 3
 

@@ -150,8 +150,7 @@ def _heat_probe(beta_ast):
 
     def heat(pt):
         j = ex.eval_jet(beta_ast, pt, 2)
-        # a beta linear in y and t gives a residual without the batch axis
-        return np.broadcast_to(j.grad[..., 1] + j.hess[..., 0, 0], pt.shape)
+        return j.grad[..., 1] + j.hess[..., 0, 0]
 
     r = run_check("families.heat", heat, pts, HEAT_TOL)
     if r.verdict == "fail":

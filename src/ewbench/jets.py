@@ -1202,7 +1202,10 @@ def sample(domain):
     SamplingExhaustedError, with the number of draws each guard rejected,
     when the acceptance rate is below 1% after a million draws; a batch
     that can trigger it is screened whole, so those numbers do not depend
-    on the prefix.
+    on the prefix.  A guard value without the batch axis is that of every
+    draw: when one rejects after guards that each accepted with one, no
+    draw can pass, and the error comes after the first batch, with the
+    numbers of a run to the cap (that guard rejected every draw).
     """
     rng = np.random.default_rng(domain.seed)
     lows = np.array([b[0] for b in domain.box])
@@ -1229,6 +1232,8 @@ def sample(domain):
                     more, counts_more = _screen(domain, rows[prefix:])
                     keep = np.concatenate([keep, more + prefix])
                     counts = [a + b for a, b in zip(counts, counts_more)]
+            except SamplingExhaustedError:
+                raise
             except EwbenchError:
                 keep, counts = _screen_rows(domain, rows, need)
         passed += len(keep)
@@ -1236,15 +1241,17 @@ def sample(domain):
         accepted.append(rows[keep[:need]])
         taken += len(accepted[-1])
         if drawn >= _MAX_DRAWS and taken < 0.01 * drawn:
-            by_guard = ", ".join(
-                f"{g.label or f'guard {k}'}: {n}"
-                for k, (g, n) in enumerate(zip(domain.guards, rejected))
-            )
-            raise SamplingExhaustedError(
-                f"acceptance rate {taken}/{drawn} below 1% "
-                f"after {drawn} draws; rejected by {by_guard}"
-            )
+            raise _exhausted(domain, taken, drawn, rejected)
     return PointBatch(domain.chart, np.concatenate(accepted))
+
+
+def _exhausted(domain, taken, drawn, rejected):
+    by_guard = ", ".join(
+        f"{g.label or f'guard {k}'}: {n}" for k, (g, n) in enumerate(zip(domain.guards, rejected))
+    )
+    return SamplingExhaustedError(
+        f"acceptance rate {taken}/{drawn} below 1% after {drawn} draws; rejected by {by_guard}"
+    )
 
 
 def _prefix_rows(need, passed, screened):
@@ -1260,13 +1267,20 @@ def _prefix_rows(need, passed, screened):
 
 def _screen(domain, rows):
     """Indices of the rows that every guard accepts, and how many rows each
-    guard rejected; guard k sees only the rows guards 0..k-1 accepted."""
+    guard rejected; guard k sees only the rows guards 0..k-1 accepted.
+    Raises SamplingExhaustedError when no draw can pass (see ``sample``)."""
     keep = np.arange(len(rows))
     counts = [0] * len(domain.guards)
+    decided = True  # every guard so far accepted without the batch axis
     for k, g in enumerate(domain.guards):
         if not len(keep):
             break
-        ok = np.broadcast_to(g.accepts(PointBatch(domain.chart, rows[keep])), keep.shape)
+        ok = g.accepts(PointBatch(domain.chart, rows[keep]))
+        decided = decided and np.ndim(ok) == 0
+        if decided and not ok:
+            counts[k] = _BATCH * math.ceil(_MAX_DRAWS / _BATCH)
+            raise _exhausted(domain, 0, counts[k], counts)
+        ok = np.broadcast_to(ok, keep.shape)
         counts[k] = len(keep) - int(np.count_nonzero(ok))
         keep = keep[ok]
     return keep, counts

@@ -205,10 +205,9 @@ def validate_config(cfg):
     probes = cfg.probes or default_probes(cfg.base.chart)
     base = cfg.base
     with jets.evaluation_scope():
-        # a constant V has a value without the batch axis: it serves every row
         r = run_check(
             "lift.gauge",
-            lambda q: np.broadcast_to(base.V(q, 0).value * row_numbers(cfg.ell, q) + 2.0, q.shape),
+            lambda q: base.V(q, 0).value * row_numbers(cfg.ell, q) + 2.0,
             probes,
             GAUGE_TOL,
         )

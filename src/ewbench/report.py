@@ -54,30 +54,32 @@ def run_check(name, fn, points, tol):
     """Evaluate a residual function over points and aggregate.
 
     ``points`` is a PointBatch, or a sequence of ChartPoints packed into
-    one.  ``fn(q)`` returns the raw residual at q: a number, an array of
-    components, or a tuple of components.  It is called once on the batch,
-    in the open field evaluation scope (so checks over the same points
-    share their field and packed-metric evaluations) or in a scope of its
-    own, and each row is reduced to its largest absolute component, the
-    point's value in ``rows``.  If it raises an EwbenchError or a row is
-    not finite, the points are evaluated again one at a time in sample
-    order, each in a new scope, so the first offending point raises exactly
-    the error it raises alone; a non-finite point raises DomainError.
-    A residual without the batch axis (fn did not vectorize) is taken as
-    the first point's, and the other points are evaluated one at a time; a
-    residual built from jets broadcasts a constant value to ``q.shape``
-    instead, so it runs once.  This is the one loop that evaluates
-    residuals over sample or probe points.
+    one.  ``fn(q)`` returns the raw residual at q, a PointBatch or a
+    ChartPoint: a number, an array of components, or a tuple of
+    components.  It is called once on the batch, in the open field
+    evaluation scope (so checks over the same points share their field and
+    packed-metric evaluations) or in a scope of its own, and each row is
+    reduced to its largest absolute component, the point's value in
+    ``rows``.  A residual, or a component, without the batch axis gives
+    every row the same value, as in numpy broadcasting, so constant data
+    is evaluated once.  If fn raises an EwbenchError or a row is not
+    finite, the points are evaluated again one at a time in sample order,
+    each in a new scope, so the first offending point raises exactly the
+    error it raises alone; a non-finite point raises DomainError.  This is
+    the one loop that evaluates residuals over sample or probe points.
     """
     if not len(points):
         raise ConfigError(f"check {name!r} received no sample points")
     batch = PointBatch.of(points)
-    vals = _row_pass(name, fn, batch)
+    vals = _row_pass(fn, batch)
     for i in range(len(vals), len(batch)):
         q = batch[i]
         # every value is checked for finiteness
         with evaluation_scope(), np.errstate(all="ignore"):
-            vals.append(_point_max(name, q, fn(q)))
+            v = float(_row_maxima(fn(q), 1)[0])
+        if not math.isfinite(v):
+            raise DomainError(f"check {name!r} is {v} at {q.coords}")
+        vals.append(v)
     top = max(vals)
     return CheckResult(
         name=name,
@@ -90,41 +92,32 @@ def run_check(name, fn, points, tol):
 
 
 @np.errstate(all="ignore")  # every value is checked for finiteness below
-def _row_pass(name, fn, batch):
-    """The row values that one call ``fn(batch)`` settles, in row order,
-    each the largest absolute component of its row's residual: those of
-    every row; that of the first row alone when the residual has no batch
-    axis (DomainError if it is not finite); or none when fn raises an
-    EwbenchError or some row is not finite.  fn runs in the open field
-    evaluation scope, or in a scope of its own."""
+def _row_pass(fn, batch):
+    """The value of every row from one call ``fn(batch)``, in row order,
+    each the largest absolute component of its row's residual; none when
+    fn raises an EwbenchError or some row is not finite.  fn runs in the
+    open field evaluation scope, or in a scope of its own."""
     try:
         with shared_scope():
             r = fn(batch)
     except EwbenchError:
         return []
     rows = _row_maxima(r, len(batch))
-    if rows is None:
-        return [_point_max(name, batch[0], r)]
     return rows.tolist() if np.isfinite(rows).all() else []
 
 
 def _row_maxima(r, n):
     """Largest absolute component of each of the n rows of a batch
-    residual, or None when the residual has no leading batch axis."""
-    if type(r) is np.ndarray:  # one array: two numpy calls
-        return np.abs(r.reshape(n, -1)).max(axis=1, initial=0.0) if r.shape[:1] == (n,) else None
-    comps = np.broadcast_arrays(*(r if isinstance(r, tuple) else (r,)))
-    if not comps or comps[0].shape[:1] != (n,):
-        return None
-    flat = np.concatenate([np.abs(c).reshape(n, -1) for c in comps], axis=1)
-    return np.max(flat, axis=1, initial=0.0)
-
-
-def _point_max(name, q, r):
-    v = float(np.max(np.abs(r), initial=0.0))
-    if not math.isfinite(v):
-        raise DomainError(f"check {name!r} is {v} at {q.coords}")
-    return v
+    residual.  A residual, or one of its components, that has no leading
+    batch axis gives the same value for every row."""
+    if type(r) is np.ndarray and r.shape[:1] == (n,):  # one array: two numpy calls
+        return np.abs(r.reshape(n, -1)).max(axis=1, initial=0.0)
+    rows = np.zeros(n)
+    for c in r if isinstance(r, tuple) else (r,):
+        c = np.abs(c)
+        c = c.reshape(n if c.shape[:1] == (n,) else 1, -1)  # one row serves every row
+        rows = np.maximum(rows, c.max(axis=1, initial=0.0))
+    return rows
 
 
 def build_report(config, chart, n_points, results, detail=None):

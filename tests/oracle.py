@@ -31,7 +31,7 @@ import numpy as np
 from ewbench import expr as ex
 from ewbench import jets
 from ewbench.curv import riemann
-from ewbench.errors import ConfigError, DomainError, GuardViolationError, JetOrderError
+from ewbench.errors import ConfigError, DomainError, JetOrderError
 from ewbench.families import CLASS_C_PHIS, PYT, _ast, _k_field
 from ewbench.forms import (
     MetricField,
@@ -278,11 +278,11 @@ def dalpha_dp(p, ell):
 
 
 def require_guards(domain, pt):
-    """Raise GuardViolationError if ``pt`` fails any guard of ``domain``."""
+    """Raise AssertionError if ``pt`` fails any guard of ``domain``."""
     for g in domain.guards:
         if not g.accepts(pt):
             label = g.label or "guard"
-            raise GuardViolationError(f"point {pt.coords} violates {label}")
+            raise AssertionError(f"point {pt.coords} violates {label}")
 
 
 def flat_limit_per_ell(factory, ells):

@@ -1079,9 +1079,10 @@ class TestNonFinite:
         [([1e-9, math.nan, 1e-9], "nan"), ([1e-9, math.inf, math.nan], "inf")],
     )
     def test_first_non_finite_point_is_a_domain_error(self, values, shown):
-        vals = iter(values)
+        # point x = i has the value values[i], over a batch and alone
+        fn = lambda q: np.asarray(values)[np.asarray(q.coords[0], dtype=int)]  # noqa: E731
         with pytest.raises(DomainError, match=rf"'gt' is {shown} at \(1\.0,\)"):
-            run_check("gt", lambda q: next(vals), self.POINTS, 1e-7)
+            run_check("gt", fn, self.POINTS, 1e-7)
 
     def test_nan_in_a_later_component_is_a_domain_error(self):
         with pytest.raises(DomainError, match=r"'hypercr' is nan at \(0\.0,\)"):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ewbench import cli, errors
+from ewbench import cli, errors, jets
 from ewbench.cli import CHARTS, EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, EXIT_SAMPLING, KEYS, main
 from ewbench.expr import Bin, Call, Neg, Var, to_source
 from ewbench.families import CASES
@@ -199,6 +199,33 @@ def test_an_overflowing_v_is_a_sampling_exit_under_lift_and_limit(ell, v):
         assert got.startswith(err), (argv, got)
 
 
+# a guard on constant data that fails everywhere: the exhaustion is certain
+# after the first batch, and reads as if every draw up to the cap was made
+CERTAIN_EXHAUSTION = {
+    "verify --case class-b --F 1e-3 --points 2": "F^2 > 1e-4",
+    "lift --case class-b --F 1e-3 --points 2": "F^2 > 1e-4",
+    "verify --case from-G --points 2 --A p": "G_pp^2 > 1e-6",
+}
+
+
+@pytest.mark.parametrize("argv", list(CERTAIN_EXHAUSTION))
+def test_a_guard_constant_that_rejects_exhausts_after_one_batch(monkeypatch, argv):
+    calls, screen = [], jets._screen
+
+    def counted(domain, rows):
+        calls.append(len(rows))
+        return screen(domain, rows)
+
+    monkeypatch.setattr(jets, "_screen", counted)
+    code, out, err, caught = _run(argv.split())
+    assert (code, out, caught) == (EXIT_SAMPLING, "", [])
+    assert err == (
+        "error: acceptance rate 0/1000448 below 1% after 1000448 draws; "
+        f"rejected by {CERTAIN_EXHAUSTION[argv]}: 1000448\n"
+    )
+    assert len(calls) == 1 and calls[0] <= 512
+
+
 def test_a_points_flag_past_the_float_range_is_a_config_error():
     code, out, err, caught = _run(["verify", "--case", "heisenberg", "--points", str(HUGE)])
     assert (code, out, caught) == (EXIT_CONFIG, "", [])
@@ -216,7 +243,6 @@ EXIT_CODES = {
     errors.DomainError: (EXIT_SAMPLING, ("boom", "1/x")),
     errors.JetOrderError: (EXIT_CONFIG, ("boom",)),
     errors.SamplingExhaustedError: (EXIT_SAMPLING, ("boom",)),
-    errors.GuardViolationError: (EXIT_SAMPLING, ("boom",)),
     errors.SingularFrameError: (EXIT_SAMPLING, ("boom",)),
     errors.SingularMetricError: (EXIT_SAMPLING, ("boom",)),
     errors.DegenerateLegendreError: (EXIT_CONFIG, ("boom",)),

@@ -22,6 +22,7 @@ MOVED = (
     "p_of_alpha",
     "dalpha_dp",
     "require_guards",
+    "GuardViolationError",
     "_field_strength",
     "curvature_report",
     "CurvatureReport",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from ewbench import jets
 from ewbench.errors import (
     DomainError,
     EwbenchError,
-    GuardViolationError,
     JetOrderError,
     SamplingExhaustedError,
 )
@@ -216,7 +216,7 @@ class TestSampling:
     def test_require_guards_raises(self):
         p = parse_field("p", ("p",))
         dom = SampleDomain(("p",), ((-1.0, 1.0),), (Guard(p, 0.5, "p>0.5"),), 1, 10)
-        with pytest.raises(GuardViolationError):
+        with pytest.raises(AssertionError, match="violates p>0.5"):
             require_guards(dom, pt(("p",), 0.0))
 
     def test_point_helper(self):
@@ -311,6 +311,44 @@ class TestBatchedSampling:
             "acceptance rate 0/1000448 below 1% after 1000448 draws; "
             "rejected by p>-2: 0, p>0.5: 1000448, guard 2: 0"
         )
+
+    @staticmethod
+    def screened_batches(monkeypatch):
+        """The number of rows of each ``jets._screen`` call of ``sample``."""
+        calls, screen = [], jets._screen
+
+        def counted(domain, rows):
+            calls.append(len(rows))
+            return screen(domain, rows)
+
+        monkeypatch.setattr(jets, "_screen", counted)
+        return calls
+
+    def test_a_constant_that_rejects_after_constants_that_accept_is_certain(self, monkeypatch):
+        p = parse_field("p", ("p",))
+        guards = (Guard(Field.const(1.0), 0.5, "one"), Guard(Field.const(0.0), 0.5), Guard(p, 0.9))
+        calls = self.screened_batches(monkeypatch)
+        with pytest.raises(SamplingExhaustedError) as err:
+            sample(SampleDomain(("p",), ((-1.0, 1.0),), guards, 1, 10))
+        assert str(err.value) == (
+            "acceptance rate 0/1000448 below 1% after 1000448 draws; "
+            "rejected by one: 0, guard 1: 1000448, guard 2: 0"
+        )
+        assert len(calls) == 1 and sum(calls) <= 512
+
+    def test_a_constant_after_a_guard_with_the_batch_axis_draws_to_the_cap(self, monkeypatch):
+        p = parse_field("p", ("p",))
+        guards = (Guard(p, 0.0, "p>0"), Guard(Field.const(0.0), 0.5, "zero"))
+        calls = self.screened_batches(monkeypatch)
+        with pytest.raises(SamplingExhaustedError) as err:
+            sample(SampleDomain(("p",), ((-1.0, 1.0),), guards, 1, 10))
+        rejected = re.fullmatch(
+            r"acceptance rate 0/1000448 below 1% after 1000448 draws; "
+            r"rejected by p>0: (\d+), zero: (\d+)",
+            str(err.value),
+        )
+        assert rejected and int(rejected[1]) + int(rejected[2]) == 1000448
+        assert sum(calls) == 1000448
 
 
 def batch_shy(field):

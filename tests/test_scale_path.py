@@ -103,19 +103,27 @@ def test_rows_of_a_batched_residual_are_its_point_values():
     assert (r.max, r.mean) == (max(r.rows), sum(r.rows) / 3)
 
 
-def test_rows_of_a_residual_without_a_batch_axis_come_point_by_point():
+def test_a_residual_without_a_batch_axis_is_evaluated_once_for_every_row():
     calls = []
 
     def fn(q):
-        # the first row's value alone, for a point or a batch
+        # a constant residual, a number and a component array without the batch axis
         calls.append(len(q) if q.shape else 1)
-        return float(np.ravel(q.coords[1])[0])
+        return (-1.5, np.array([0.25, -0.5]))
 
     r = run_check("unbatched", fn, BATCH, 1.0)
-    # one call on the batch, then each point after the first alone
-    assert calls == [3, 1, 1]
-    assert r.rows == _per_point(fn) == (1.5, 0.75, 4.0)
-    assert r.worst_point == tuple(BATCH.rows[2].tolist())
+    assert calls == [3]
+    assert r.rows == (1.5, 1.5, 1.5)
+    assert r.worst_point == tuple(BATCH.rows[0].tolist())
+
+
+def test_a_component_without_a_batch_axis_serves_every_row():
+    def fn(q):
+        return (q.coords[0], 0.75, np.array([[1.0, -1.25]]))
+
+    r = run_check("mixed", fn, BATCH, 1.0)
+    each = _per_point(lambda q: np.hstack([np.ravel(c) for c in fn(q)]))
+    assert r.rows == each == (1.25, 2.0, 1.25)
 
 
 def test_a_point_list_gives_the_rows_of_its_batch():

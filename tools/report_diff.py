@@ -38,9 +38,10 @@ from pathlib import Path
 SEEDS = (1, 2, 3)
 SECONDS = 30
 
-# expression data without coordinates, and residuals the same at every
-# point: constants that must fold (or fail) with the bits of a per-point
-# evaluation
+# expression data without coordinates, residuals the same at every point,
+# and guards that constant data fails everywhere: constants that must fold
+# (or fail) with the bits of a per-point evaluation, and exhaust sampling
+# with the numbers of a run to the draw cap
 CONSTANT_DATA = (
     "verify --case class-b --F -1/4",
     "verify --case class-b --F 2^0.5 --checks gt,monopole,psi --c 0.3",
@@ -55,6 +56,11 @@ CONSTANT_DATA = (
     "verify --case class-a --beta y-2",
     "limit --case class-b --ells -100,-200",
     "limit --case class-b --ells 100,200 --c 0.7",
+    "verify --case from-H --H x+y --checks hypercr --points 2000",
+    "verify --case from-H --H 5 --checks hypercr,gt,monopole --points 50",
+    "verify --case class-b --F 1e-3 --points 2",
+    "lift --case class-b --F 1e-3 --points 2",
+    "verify --case from-G --points 2 --A p",
 )
 
 # every catalog case at its defaults, the lift and limit families, and the
