@@ -54,9 +54,7 @@ from .forms import (
     Coframe3,
     MetricField,
     PForm,
-    ext_d,
     metric_from_coframe,
-    wedge,
 )
 from .jets import ChartPoint, Field, Guard, Jet, SampleDomain, point, sample
 from .lift import LiftConfig, SpacetimeData, flat_limit
@@ -80,7 +78,6 @@ __all__ = [
     "class_c",
     "em_residual",
     "eval_jet",
-    "ext_d",
     "f_squared",
     "flat_limit",
     "from_H",
@@ -103,7 +100,6 @@ __all__ = [
     "riemann",
     "sample",
     "to_source",
-    "wedge",
     "weyl_ricci_residual",
     "ConfigError",
     "DegenerateLegendreError",

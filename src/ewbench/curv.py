@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import SingularMetricError
 from .ew import frame_arrays
-from .forms import ext_d, metric_from_coframe
+from .forms import exterior_d, metric_from_coframe
 from .jets import (
     _over_power,
     anywhere,
@@ -221,18 +221,16 @@ def kretschmann(g, pt):
 def field_strength(A, pt, order):
     """Packed arrays of F = dA through ``order``, like ``MetricField.jets_at``:
     F[a,b], dF[c,a,b] = d_c F_ab, each antisymmetric in a, b, kept in the
-    evaluation scope under (A, pt) at the highest order asked."""
+    evaluation scope under (A, pt) at the highest order asked.  They come
+    from the jets of A one order up, by ``forms.exterior_d``."""
     return scoped_arrays((field_strength, A, pt), order, lambda k: _pack_f(A, pt, k))
 
 
 def _pack_f(A, pt, order):
-    """The upper components P of F packed by ``pack_jets``, then P - P^T."""
-    F = ext_d(A)
-    n = len(F.chart)
-    upper = [F.comps.get((a, b)) if a < b else None for a in range(n) for b in range(n)]
-    return tuple(
-        read_only(p - np.swapaxes(p, -1, -2)) for p in pack_jets(pt, upper, order, (n, n))
-    )
+    """F = dA by ``forms.exterior_d`` from the jets of A packed through
+    ``order + 1``."""
+    n = len(A.chart)
+    return exterior_d(pack_jets(pt, [A.comps.get((a,)) for a in range(n)], order + 1, (n,)))
 
 
 def _f_contract(fm, ginv):

@@ -26,14 +26,7 @@ import numpy as np
 
 from . import jets
 from .errors import ConfigError
-from .forms import (
-    Coframe3,
-    PForm,
-    coordinate_form,
-    ext_d,
-    frame_solve,
-    scalar_form,
-)
+from .forms import Coframe3, PForm, coordinate_form, frame_solve
 from .jets import Field, pack_jets, read_only, scoped, scoped_arrays
 
 __all__ = [
@@ -219,7 +212,7 @@ def gauge_transform(s, f):
     """
     ef = jets.exp(f)
     scaled = [leg.scale(ef) for leg in s.frame.legs]
-    df = ext_d(scalar_form(s.chart, f))
+    df = PForm(s.chart, 1, {(k,): f.d(c) for k, c in enumerate(s.chart)})
     return EWStructure(
         frame=Coframe3(*scaled),
         omega=s.omega + df.scale(2.0),

@@ -2,9 +2,11 @@
 
 Forms are stored sparsely over strictly increasing multi-indices, so
 antisymmetry is a property of the storage, not of the data.  Components are
-:class:`~ewbench.jets.Field` objects, which keeps every derived form (wedge
-products, exterior derivatives) differentiable as far as the
-jet order cap allows.
+:class:`~ewbench.jets.Field` objects: this module builds structures from
+fields (sums, scalings, coframes, metrics, pullbacks along a chart
+extension), and every derivative of a form is taken on its packed jets,
+as :func:`exterior_d` takes F = dA.  The field-level exterior derivative
+and wedge product are references in ``tests/oracle.py``.
 
 The three-dimensional Hodge star is defined only through its action on a
 fixed coframe; its rules are stated, and its values computed, by
@@ -22,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SingularFrameError
-from .jets import Field, anywhere, first_where, pack_jets, read_only, scoped_arrays
+from .jets import Field, anywhere, first_where, read_only, scoped_arrays
 
 __all__ = [
     "PForm",
@@ -30,8 +32,7 @@ __all__ = [
     "MetricField",
     "coordinate_form",
     "zero_form",
-    "wedge",
-    "ext_d",
+    "exterior_d",
     "frame_solve",
     "metric_from_coframe",
     "signature",
@@ -79,13 +80,6 @@ class PForm:
         form.comps = comps
         return form
 
-    # -- access --------------------------------------------------------------
-
-    def values_at(self, pt, idxs):
-        """The values of the components ``idxs`` at ``pt``, in that order,
-        with the batch axis first over a batch."""
-        return pack_jets(pt, [self.comps.get(tuple(idx)) for idx in idxs], 0, (len(idxs),))[0]
-
     # -- algebra ---------------------------------------------------------------
 
     def _check_compatible(self, other):
@@ -132,57 +126,26 @@ def coordinate_form(chart, name):
     return PForm(chart, 1, {(chart.index(name),): Field.const(1.0)})
 
 
-def scalar_form(chart, f):
-    return PForm(chart, 0, {(): _as_field(f)})
-
-
 # ---------------------------------------------------------------------------
-# wedge and exterior derivative
+# the exterior derivative, on packed jets
 # ---------------------------------------------------------------------------
 
 
-def _merge_sign(left, right):
-    """Sorted union of disjoint index tuples with the permutation sign."""
-    if set(left) & set(right):
-        return None, 0
-    merged = left + right
-    inversions = 0
-    for a in range(len(merged)):
-        for b in range(a + 1, len(merged)):
-            if merged[a] > merged[b]:
-                inversions += 1
-    return tuple(sorted(merged)), -1 if inversions % 2 else 1
-
-
-def wedge(a, b):
-    if a.chart != b.chart:
-        raise ValueError("chart mismatch in wedge")
-    degree = a.degree + b.degree
-    comps = {}
-    for ia, fa in a.comps.items():
-        for ib, fb in b.comps.items():
-            idx, sign = _merge_sign(ia, ib)
-            if idx is None:
-                continue
-            term = fa * fb if sign > 0 else -(fa * fb)
-            comps[idx] = comps[idx] + term if idx in comps else term
-    return PForm._built(a.chart, degree, comps)
-
-
-def ext_d(a):
-    """Exterior derivative; components differentiate on demand."""
-    dim = len(a.chart)
-    comps = {}
-    for idx, f in a.comps.items():
-        for k in range(dim):
-            if k in idx:
-                continue
-            position = sum(1 for i in idx if i < k)
-            df = f.d(a.chart[k])
-            term = df if position % 2 == 0 else -df
-            new_idx = tuple(sorted(idx + (k,)))
-            comps[new_idx] = comps[new_idx] + term if new_idx in comps else term
-    return PForm._built(a.chart, a.degree + 1, comps)
+def exterior_d(parts):
+    """The parts of F = dA through one order less than the ``pack_jets``
+    parts of a 1-form A (part k: k derivative axes, then the component
+    axis).  Part k is F[..., c_1..c_k, i, j] = d_i A_j - d_j A_i, where d_i
+    is the first derivative axis of A's part k + 1, the axis ``Field.d``
+    reads; the diagonal is an exact +0.0, even where a derivative is not
+    finite."""
+    out = []
+    for k, part in enumerate(parts[1:]):
+        da = np.moveaxis(part, -k - 2, -2)
+        f = da - np.swapaxes(da, -1, -2)
+        diag = np.arange(f.shape[-1])
+        f[..., diag, diag] = 0.0
+        out.append(read_only(f))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +369,9 @@ def embed_form(a, big):
     pos = _embed_positions(a.chart, big)
     comps = {}
     for idx, f in a.comps.items():
-        new_idx, sign = _merge_sign(tuple(pos[i] for i in idx), ())
-        comps[new_idx] = f if sign > 0 else -f
+        moved = [pos[i] for i in idx]
+        inversions = sum(x > y for k, x in enumerate(moved) for y in moved[k + 1:])
+        comps[tuple(sorted(moved))] = -f if inversions % 2 else f
     return PForm(big, a.degree, comps)
 
 

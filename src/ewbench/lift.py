@@ -34,7 +34,7 @@ import numpy as np
 
 from . import families as fam
 from . import jets
-from .curv import riemann, scalar_invariants
+from .curv import field_strength, riemann, scalar_invariants
 from .errors import (
     ConfigError,
     DomainError,
@@ -49,7 +49,6 @@ from .forms import (
     coordinate_form,
     embed_form,
     embed_metric,
-    ext_d,
     metric_from_coframe,
     signature,
     symmetric_product,
@@ -366,8 +365,10 @@ def flat_limit(factory, ells):
     module docstring).  For each ell the p-chart lift is compared against
     the limit form at the same parameter, the field strength F = dA
     against its limit term (ell/4) d(omega) (with ell the lift's, of
-    V = -2/ell; cos(2 alpha) -> -1 at the equator), and the curvature of the
-    limit form is recorded.  ``diverges`` is set when the form gap or the
+    V = -2/ell; cos(2 alpha) -> -1 at the equator), both taken on packed
+    jets by ``forms.exterior_d`` (``curv.field_strength`` of A and of the
+    embedded omega), and the curvature of the limit form is recorded.
+    ``diverges`` is set when the form gap or the
     limit term grows along the sequence, which happens precisely when omega
     fails to scale with ell.
 
@@ -454,14 +455,19 @@ def _limit_columns(factory, ells):
         pts = _tiled(PointBatch(chart4, LIMIT_ROWS), ells, scales)
         g_lim = _limit_form(cfg, chart4)
         om4 = embed_form(cfg.base.omega, chart4)
-        f_target = ext_d(om4).scale(data.ell / 4.0)
-        f_full = ext_d(data.potential)
-        keys = sorted(set(f_full.comps) | set(f_target.comps))
+        quarter = data.ell / 4.0
+
+        def f_term(q):
+            """(ell/4) d omega: the rows of ell/4 times d omega, which the
+            scope holds once per batch."""
+            scale = row_numbers(quarter, q)
+            return np.reshape(scale, np.shape(scale) + (1, 1)) * field_strength(om4, q, 0)[0]
+
         residuals = {
             "riemann_limit": lambda q: riemann(g_lim, q),
-            "f_gap": lambda q: f_full.values_at(q, keys) - f_target.values_at(q, keys),
-            "f_term": lambda q: f_target.values_at(q, keys),
-            "f_norm": lambda q: f_full.values_at(q, keys),
+            "f_gap": lambda q: field_strength(data.potential, q, 0)[0] - f_term(q),
+            "f_term": f_term,
+            "f_norm": lambda q: field_strength(data.potential, q, 0)[0],
             "form_gap": lambda q: data.g.matrix_at(q) - g_lim.matrix_at(q),
         }
         columns = {}

@@ -1,6 +1,11 @@
 """Test-local oracles: the form-algebra definitions that no command reaches,
 kept so that tests can pin the packed-array code against them.
 
+``ext_d`` and ``wedge`` are the exterior derivative and wedge product on
+field components (``Field.d`` and field products), the references for
+``forms.exterior_d`` and the arrays of ``ew``, whose derivatives of forms
+are taken on packed jets; ``scalar_form`` is the 0-form of a field, and
+``values_at`` packs the values of a form's components at a point.
 ``star_frame`` is the star of a coframe leg as a form, by the rules that
 ``ew.stars`` computes on values; ``hodge3`` is the 3D Hodge star as a
 form, with ``frame_expand`` giving its coefficients; ``weighted_d`` is
@@ -35,18 +40,24 @@ from ewbench.errors import ConfigError, DomainError, JetOrderError
 from ewbench.families import CLASS_C_PHIS, PYT, _ast, _k_field
 from ewbench.forms import (
     MetricField,
+    PForm,
     coordinate_form,
     embed_form,
     embed_metric,
-    ext_d,
     frame_solve,
     metric_from_coframe,
-    scalar_form,
     signature,
     symmetric_product,
-    wedge,
 )
-from ewbench.jets import MAX_ORDER, Field, Jet, PointBatch, evaluation_scope, scoped
+from ewbench.jets import (
+    MAX_ORDER,
+    Field,
+    Jet,
+    PointBatch,
+    evaluation_scope,
+    pack_jets,
+    scoped,
+)
 from ewbench.lift import LIMIT_ROWS, SpacetimeData, _limit_form, build
 from ewbench.report import run_check
 
@@ -68,10 +79,67 @@ def comp(form, idx):
     return form.comps.get(tuple(idx), Field.const(0.0))
 
 
+def values_at(form, pt, idxs):
+    """The values of the components ``idxs`` of ``form`` at ``pt``, in that
+    order, with the batch axis first over a batch."""
+    return pack_jets(pt, [form.comps.get(tuple(idx)) for idx in idxs], 0, (len(idxs),))[0]
+
+
 def max_abs_at(form, pt):
     """Largest absolute component value of ``form`` at ``pt`` (per row of a
     batch); NaN if any is NaN."""
-    return np.max(np.abs(form.values_at(pt, form.comps)), axis=-1, initial=0.0)
+    return np.max(np.abs(values_at(form, pt, form.comps)), axis=-1, initial=0.0)
+
+
+def scalar_form(chart, f):
+    """The 0-form of a field or number."""
+    return PForm(chart, 0, {(): f if isinstance(f, Field) else Field.const(float(f))})
+
+
+def _merge_sign(left, right):
+    """Sorted union of disjoint index tuples with the permutation sign."""
+    if set(left) & set(right):
+        return None, 0
+    merged = left + right
+    inversions = 0
+    for a in range(len(merged)):
+        for b in range(a + 1, len(merged)):
+            if merged[a] > merged[b]:
+                inversions += 1
+    return tuple(sorted(merged)), -1 if inversions % 2 else 1
+
+
+def wedge(a, b):
+    """a ^ b on field components."""
+    if a.chart != b.chart:
+        raise ValueError("chart mismatch in wedge")
+    degree = a.degree + b.degree
+    comps = {}
+    for ia, fa in a.comps.items():
+        for ib, fb in b.comps.items():
+            idx, sign = _merge_sign(ia, ib)
+            if idx is None:
+                continue
+            term = fa * fb if sign > 0 else -(fa * fb)
+            comps[idx] = comps[idx] + term if idx in comps else term
+    return PForm._built(a.chart, degree, comps)
+
+
+def ext_d(a):
+    """Exterior derivative on field components, which differentiate on
+    demand (``Field.d``)."""
+    dim = len(a.chart)
+    comps = {}
+    for idx, f in a.comps.items():
+        for k in range(dim):
+            if k in idx:
+                continue
+            position = sum(1 for i in idx if i < k)
+            df = f.d(a.chart[k])
+            term = df if position % 2 == 0 else -df
+            new_idx = tuple(sorted(idx + (k,)))
+            comps[new_idx] = comps[new_idx] + term if new_idx in comps else term
+    return PForm._built(a.chart, a.degree + 1, comps)
 
 
 def from_value_matrix(chart, matrix):
@@ -200,8 +268,8 @@ def frame_expand(a, frame, pt):
         forms = [wedge(legs[i], legs[j]) for i, j in idxs]
     else:
         raise ValueError("frame expansion supports degree 1 and 2 only")
-    m = np.stack([f.values_at(pt, idxs) for f in forms], axis=-1)
-    values = (lambda: a.values_at(pt, idxs)) if a.comps else None
+    m = np.stack([values_at(f, pt, idxs) for f in forms], axis=-1)
+    values = (lambda: values_at(a, pt, idxs)) if a.comps else None
     return frame_solve(m, values)
 
 
@@ -316,9 +384,9 @@ def flat_limit_per_ell(factory, ells):
             keys = sorted(set(f_full.comps) | set(f_target.comps))
             residuals = {
                 "riemann_limit": lambda q: riemann(g_lim, q),
-                "f_gap": lambda q: f_full.values_at(q, keys) - f_target.values_at(q, keys),
-                "f_term": lambda q: f_target.values_at(q, keys),
-                "f_norm": lambda q: f_full.values_at(q, keys),
+                "f_gap": lambda q: values_at(f_full, q, keys) - values_at(f_target, q, keys),
+                "f_term": lambda q: values_at(f_target, q, keys),
+                "f_norm": lambda q: values_at(f_full, q, keys),
                 "form_gap": lambda q: data.g.matrix_at(q) - g_lim.matrix_at(q),
             }
             for key, fn in residuals.items():

@@ -13,7 +13,6 @@ from ewbench import (
     LiftConfig,
     MetricField,
     em_residual,
-    ext_d,
     f_squared,
     from_uw,
     gauge_transform,
@@ -40,7 +39,7 @@ from ewbench.families import (
     from_generator,
     generator_for,
 )
-from ewbench.forms import coordinate_form, scalar_form
+from ewbench.forms import coordinate_form
 from ewbench.jets import ChartPoint, sample
 from ewbench.lift import assemble, build, flat_limit
 
@@ -48,11 +47,13 @@ from conftest import XYT, PYT, pt
 from oracle import (
     CLASS_B_FS,
     constraints_residual,
+    ext_d,
     fd_oracle,
     fundamental_H,
     hcr_residual,
     k_from_phi,
     max_abs_at,
+    scalar_form,
 )
 
 

@@ -18,7 +18,6 @@ from ewbench import (
     ChartPoint,
     LiftConfig,
     MetricField,
-    ext_d,
     heisenberg,
     parse_field,
     psi_const,
@@ -45,7 +44,7 @@ from ewbench.cli import (
 )
 
 from conftest import COORDS, EXPRS
-from oracle import hodge3, signature_at
+from oracle import ext_d, hodge3, signature_at
 
 
 def run_cli(capsys, *argv):

@@ -20,16 +20,18 @@ from ewbench import jets
 from ewbench.errors import ConfigError
 from ewbench.families import default_domain
 from ewbench.jets import sample
-from ewbench.forms import Coframe3, coordinate_form, ext_d, scalar_form, zero_form
+from ewbench.forms import Coframe3, coordinate_form, zero_form
 
 from conftest import XYT, PYT, box_points, pt
 from oracle import (
     Weighted,
     constraints_residual,
+    ext_d,
     fundamental_H,
     hcr_residual,
     heisenberg_psi,
     max_abs_at,
+    scalar_form,
     weighted_d,
 )
 

@@ -8,36 +8,40 @@ from hypothesis import strategies as st
 from ewbench import (
     Coframe3,
     PForm,
-    ext_d,
     heisenberg,
     metric_from_coframe,
     parse_field,
-    wedge,
 )
 from ewbench.curv import inverse
 from ewbench.errors import JetOrderError, SingularFrameError
-from ewbench.ew import PAIRS, EWStructure, gt_residual, monopole_residual, stars
-from ewbench.families import class_b
+from ewbench.ew import PAIRS, EWStructure, gauge_transform, gt_residual, monopole_residual, stars
+from ewbench.families import CASES, class_b, psi_const
+from ewbench.families import build as build_case
 from ewbench.forms import (
     coordinate_form,
     embed_form,
     embed_metric,
-    scalar_form,
+    exterior_d,
     symmetric_product,
     zero_form,
 )
-from ewbench.jets import PointBatch, evaluation_scope
+from ewbench.jets import Field, Param, PointBatch, evaluation_scope, pack_jets, sample
+from ewbench.lift import LIMIT_ROWS, LiftConfig, assemble, fibre_chart, fibre_points
 
 from conftest import XYT, PYT, box_points, pt
 from oracle import (
     comp,
     coord,
+    ext_d,
     frame_expand,
     from_value_matrix,
     hodge3,
     max_abs_at,
+    scalar_form,
     signature_at,
     star_frame,
+    values_at,
+    wedge,
 )
 
 
@@ -166,6 +170,102 @@ class TestExtD:
         assert comp(de2, (0, 2))(q, 0).value == pytest.approx(-4.0)
 
 
+# --- the exterior derivative on packed jets -----------------------------------
+
+
+def _packed_f(A, pt, order):
+    """F = dA through ``order`` by ``forms.exterior_d``, from A packed
+    through ``order + 1``."""
+    n = len(A.chart)
+    with evaluation_scope():
+        return exterior_d(pack_jets(pt, [A.comps.get((a,)) for a in range(n)], order + 1, (n,)))
+
+
+def _oracle_f(A, pt, order):
+    """F = dA through ``order`` by the oracle's ``ext_d``: its upper
+    components packed, minus their transpose."""
+    F = ext_d(A)
+    n = len(A.chart)
+    upper = [F.comps.get((a, b)) if a < b else None for a in range(n) for b in range(n)]
+    with evaluation_scope():
+        return [p - np.swapaxes(p, -1, -2) for p in pack_jets(pt, upper, order, (n, n))]
+
+
+def _bits(parts):
+    """The shapes and bytes of packed parts, with -0.0 read as +0.0."""
+    return [(p.shape, (p + 0.0).tobytes()) for p in parts]
+
+
+def _limit_omega(case, ells):
+    """The embedded omega of the ``limit`` family of ``case`` built at a
+    Param over LIMIT_ROWS tiled once per ell, that batch, and the Param's
+    number at each row alone."""
+    row = CASES[case]
+    chart4 = fibre_chart("p", row.chart)
+    batch = PointBatch(chart4, np.tile(LIMIT_ROWS, (len(ells), 1)))
+    numbers = np.repeat(np.array(ells), len(LIMIT_ROWS))
+    held = {batch: numbers} | {batch[i]: float(v) for i, v in enumerate(numbers)}
+    base, _ = row.limit(Param(held.__getitem__))
+    return embed_form(base.omega, chart4), batch
+
+
+class TestPackedExteriorD:
+    """``forms.exterior_d`` of A packed one order up is the oracle's ext_d
+    of A packed, bit for bit up to the sign of a zero."""
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("c", [0.0, 0.5])
+    @pytest.mark.parametrize("chart", ["p", "alpha"])
+    @pytest.mark.parametrize("case, params, ell", [
+        ("heisenberg", {}, -1.0), ("class_b", {"F": "1"}, 4.0),
+    ], ids=["heisenberg", "class_b"])
+    def test_a_lift_potential(self, case, params, ell, chart, c, order):
+        base, dom = build_case(case, params, count=4)
+        data = assemble(LiftConfig(base, psi_const(base, c), ell, chart=chart), chart)
+        pts = fibre_points(data, 3, sample(dom))
+        A = data.potential
+        assert _bits(_packed_f(A, pts, order)) == _bits(_oracle_f(A, pts, order))
+        for q in pts:
+            assert _bits(_packed_f(A, q, order)) == _bits(_oracle_f(A, q, order))
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("case", ["heisenberg", "class_b"])
+    def test_the_embedded_omega_of_a_limit_family_at_a_param(self, case, order):
+        om4, batch = _limit_omega(case, [1e6, -3.0, 250.0])
+        got = _packed_f(om4, batch, order)
+        assert _bits(got) == _bits(_oracle_f(om4, batch, order))
+        assert np.any(got[0])
+        for q in batch:
+            assert _bits(_packed_f(om4, q, order)) == _bits(_oracle_f(om4, q, order))
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_the_diagonal_is_plus_zero_where_a_derivative_overflows(self, order):
+        xy = ("x", "y")
+        x = Field.coordinate("x")
+        A = PForm(xy, 1, {(0,): 1e300 * x * x, (1,): x})
+        for q in (pt(xy, 1e10, 1.0), PointBatch(xy, [[1e10, 1.0], [1.0, 2.0]])):
+            with np.errstate(all="ignore"):
+                F = _packed_f(A, q, order)[order]
+            diag = F[..., [0, 1], [0, 1]]
+            assert diag.tobytes() == np.zeros(diag.shape).tobytes()
+
+    @pytest.mark.parametrize("case, params, src", [
+        ("heisenberg", {}, "x*y"), ("class_b", {"F": "1+p^2"}, "sin(p*t)"),
+    ])
+    def test_a_gauge_transform_adds_twice_the_gradient(self, case, params, src):
+        s, dom = build_case(case, params, count=5)
+        f = parse_field(src, s.chart)
+        pts = sample(dom)
+        want = s.omega + ext_d(scalar_form(s.chart, f)).scale(2.0)
+        got = gauge_transform(s, f).omega
+        packed = []
+        for form in (got, want):
+            with evaluation_scope():
+                comps = [form.comps.get((a,)) for a in range(3)]
+                packed.append([p.tobytes() for p in pack_jets(pts, comps, 1, (3,))])
+        assert packed[0] == packed[1]
+
+
 # --- frame expansion and the 3D star ----------------------------------------
 
 
@@ -273,7 +373,7 @@ class TestHodge3:
         rows = [(0.5, 0.1, 0.2), (1e-13, 0.1, 0.2), (2.0, 0.3, 0.4), (1e-14, 0.0, 0.0)]
         batch = PointBatch(XYT, rows)
         residuals = (
-            lambda: hodge3(d(XYT, "y"), frame).values_at(batch, PAIRS),
+            lambda: values_at(hodge3(d(XYT, "y"), frame), batch, PAIRS),
             lambda: monopole_residual(s, batch),
         )
         for residual in residuals:
@@ -370,7 +470,7 @@ class TestSharedCoframeForms:
         assert set(calls.values()) == {1}
         assert not set(star_fields) & set(legs)
         with evaluation_scope():
-            want = np.stack([form.values_at(batch, PAIRS) for form in forms], axis=-2)
+            want = np.stack([values_at(form, batch, PAIRS) for form in forms], axis=-2)
         assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 

@@ -29,12 +29,11 @@ from ewbench.ew import (
     psi_residual,
     stars,
 )
-from ewbench.forms import ext_d, scalar_form, wedge
 from ewbench.jets import Field, PointBatch, evaluation_scope, sample, shared_scope
 from ewbench.lift import LiftConfig, fix_ell_sign, validate_config
 from ewbench.report import run_check
 
-from oracle import Weighted, hodge3, star_frame, weighted_d
+from oracle import Weighted, ext_d, hodge3, scalar_form, star_frame, values_at, wedge, weighted_d
 
 
 def _bench_jobs():
@@ -57,20 +56,20 @@ def oracle_gt(s, pt):
         ext_d(leg) - wedge(half_omega, leg) + star_frame(s.frame, i).scale(s.V)
         for i, leg in enumerate(s.frame.legs, start=1)
     ]
-    return np.stack([r.values_at(pt, PAIRS) for r in forms], axis=-2)
+    return np.stack([values_at(r, pt, PAIRS) for r in forms], axis=-2)
 
 
 def oracle_monopole(s, pt):
     """*(dV + 1/2 V omega) - 1/2 d omega."""
     arg = ext_d(scalar_form(s.chart, s.V)) + s.omega.scale(s.V * 0.5)
-    return (hodge3(arg, s.frame) - ext_d(s.omega).scale(0.5)).values_at(pt, PAIRS)
+    return values_at(hodge3(arg, s.frame) - ext_d(s.omega).scale(0.5), pt, PAIRS)
 
 
 def oracle_psi(psi, s, pt):
     """D psi - V * psi, psi of weight -1; for the zero form, hodge3 takes
     the coefficients of frame_expand's zero-form rule."""
     dpsi = weighted_d(Weighted(psi, -1.0), s.omega)
-    return (dpsi - hodge3(psi, s.frame).scale(s.V)).values_at(pt, PAIRS)
+    return values_at(dpsi - hodge3(psi, s.frame).scale(s.V), pt, PAIRS)
 
 
 def _outcome(fn, pt):

@@ -8,7 +8,6 @@ from ewbench import (
     Field,
     LiftConfig,
     em_residual,
-    ext_d,
     f_squared,
     flat_limit,
     from_H,
@@ -46,7 +45,7 @@ from ewbench.lift import (
 )
 
 from conftest import XYT, PYT, pt
-from oracle import comp, dalpha_dp, heisenberg_psi, p_of_alpha, signature_at
+from oracle import comp, dalpha_dp, ext_d, heisenberg_psi, p_of_alpha, signature_at
 
 SQRT2 = math.sqrt(2.0)
 

@@ -12,8 +12,9 @@ command lines of ``LARGE``, the pack-plan command lines of ``PLANS``, the
 one-batch command lines of ``BATCHES``, the frame-pass command lines of
 ``FRAMES``, the limit command lines of ``LIMITS``, the literal-heavy
 command lines of ``LITERALS``, the fibre-chart command lines of
-``FIBRES``, the psi command lines of ``PSI``, and any extra command lines
-given after the two checkouts.
+``FIBRES``, the psi command lines of ``PSI``, the exterior-derivative
+command lines of ``FORMS``, and any extra command lines given after the
+two checkouts.
 One subprocess per checkout runs them all through
 ``ewbench.cli.main`` in process, with that checkout's ``src`` first on the
 path.  The tool prints
@@ -280,6 +281,18 @@ PSI = tuple(
     for c in ("0.5", "-0.0")
 )
 
+# the paths that differentiate a form on its packed jets: gt, monopole and
+# weyl after a gauge transform, F = dA under em, maxwell and invariants on
+# both fibre charts, and the limit's F terms
+FORMS = (
+    "verify --case heisenberg --f 'x*y' --checks gt,monopole,weyl --points 20",
+    "verify --case class-b --F '1+p^2' --f 'sin(p*t)' --checks gt,monopole,weyl --points 20",
+    "verify --case class-a --beta 'exp(t)*sin(y)' --f 'y*t' --checks gt,monopole,weyl --points 20",
+    "lift --case heisenberg --ell -1 --c 0.5 --chart alpha --checks maxwell,invariants --points 200",
+    "lift --case class-b --F 1 --c 0.5 --chart p --checks em,maxwell,invariants --points 200",
+    "limit --case heisenberg --ells 1e6,1e7,1e8 --c 0.5",
+)
+
 # batches past perfbench's sizes, where rounding shifts of the batched
 # contractions and any dependence of a row on the others would show
 LARGE = (
@@ -399,7 +412,7 @@ def main(argv):
     old_dir, new_dir = Path(argv[0]), Path(argv[1])
     sets = (
         CONSTANT_DATA + CATALOG + CHECKS + EDGES + LARGE + PLANS + BATCHES + FRAMES + LIMITS
-        + LITERALS + FIBRES + PSI
+        + LITERALS + FIBRES + PSI + FORMS
     )
     extra = list(sets) + argv[2:]
     old, new = reports(old_dir, extra), reports(new_dir, extra)
