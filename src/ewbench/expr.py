@@ -271,8 +271,9 @@ def _render(e):
 def eval_jet(e, pt, order=0):
     """Evaluate ``e`` at a chart point as a jet of the requested order.
 
-    A literal operand of ``+ - *``, or a literal dividend, acts as its
-    number (``jets.literal_op``), with the parts its constant jet gives."""
+    A literal is its constant jet, which the jet rules combine with the
+    other operand.  The exponent of ``^`` is read as a number when it names
+    no chart coordinate; a literal exponent is read without walking it."""
     if isinstance(e, Const):
         return jets.Jet.constant(e.value, pt.dim, order)
     if isinstance(e, Var):
@@ -283,20 +284,14 @@ def eval_jet(e, pt, order=0):
     if isinstance(e, Neg):
         return -eval_jet(e.arg, pt, order)
     if isinstance(e, Bin):
-        literal = None
-        if e.op != "^" and isinstance(e.left, Const):
-            literal, jet, on_left = e.left.value, eval_jet(e.right, pt, order), True
-        elif e.op in "+-*" and isinstance(e.right, Const):
-            literal, jet, on_left = e.right.value, eval_jet(e.left, pt, order), False
+        left = eval_jet(e.left, pt, order)
+        if e.op == "^" and isinstance(e.right, Const):
+            right = e.right.value
+        elif e.op == "^" and free_names(e.right).isdisjoint(pt.chart):
+            right = eval_jet(e.right, pt, 0).value
         else:
-            left = eval_jet(e.left, pt, order)
-            if e.op == "^" and free_names(e.right).isdisjoint(pt.chart):
-                right = eval_jet(e.right, pt, 0).value
-            else:
-                right = eval_jet(e.right, pt, order)
+            right = eval_jet(e.right, pt, order)
         try:
-            if literal is not None:
-                return jets.literal_op(e.op, literal, jet, on_left)
             if e.op == "+":
                 return left + right
             if e.op == "-":

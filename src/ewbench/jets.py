@@ -25,7 +25,7 @@ only exact zeros, so the parts are the same apart from the sign of a zero;
 a jet with a part below the top one that is not finite, where 0 * inf
 spreads NaN, is still multiplied in full.  Over a batch an (N,) array acts
 as one such number per row, the same arithmetic row by row.  A literal of
-an expression (:func:`literal_op`) keeps the zero signs of its constant jet.
+an expression is its constant jet (``expr.eval_jet``), combined in full.
 
 A :class:`Field` is a lazily evaluated scalar function of a point or a
 batch of points; requesting a derivative field lowers the maximum order
@@ -77,7 +77,6 @@ __all__ = [
     "shared_scope",
     "scoped",
     "scoped_arrays",
-    "literal_op",
     "Guard",
     "SampleDomain",
     "sample",
@@ -459,17 +458,15 @@ class Jet:
         return self._float_pow(float(exponent))
 
     def _int_pow(self, k):
-        """The constant jet 1 times k factors of ``self``, by squaring; the
-        1 acts as a literal (:func:`literal_op`)."""
+        """The constant jet 1 times k factors of ``self``, by squaring, in
+        full jet products, so its zero signs are the constant jet's."""
         if k < 0:
             return self.reciprocal()._int_pow(-k)
-        if not k:
-            return self._constant_like(1.0)
-        result = None
+        result = self._constant_like(1.0)
         base = self
         while k:
             if k & 1:
-                result = _literal_product(1.0, base) if result is None else result * base
+                result = result * base
             base = base * base if k > 1 else base
             k >>= 1
         return result
@@ -521,44 +518,6 @@ def _times(c, jet):
     """The number c times ``jet``: ``jet`` scaled by c, or the full product
     with the constant jet of c as its left operand."""
     return jet._scaled(c, lambda: jet._constant_like(c) * jet)
-
-
-def literal_op(op, c, jet, left):
-    """``op`` of ``jet`` and the expression literal c, the left operand when
-    ``left``: the parts of the same operation on the constant jet of c,
-    zero signs included (``eval`` prints them), bit for bit apart from the
-    payload of a NaN, in fewer array operations.  The constant's derivative
-    parts are +0.0: a sum adds +0.0 to each derivative part, c - jet
-    subtracts each from +0.0, and c / jet is c times the reciprocal."""
-    v, *d = jet.parts
-    if op == "+":
-        return Jet([v + c, *(p + 0.0 for p in d)])
-    if op == "-":
-        return Jet([c - v, *(0.0 - p for p in d)]) if left else Jet([v - c, *d])
-    return _literal_product(c, jet.reciprocal() if op == "/" else jet)
-
-
-def _literal_product(c, jet):
-    """The product of the constant jet of c and ``jet``: part k is c times
-    part k plus the sum of the zero parts' products with the lower parts.
-    In any order, that sum is NaN where one of those entries is not
-    finite, -0.0 where all are negative or -0.0, and +0.0 elsewhere; so it
-    is built from 0 v, 0 g and 0 H once each: z2_ij = u_i + u_j with
-    u = 0 v + 0 g, and z3_ijk = w_ij + w_ik + w_jk with w = z2 + 0 H."""
-    v, *d = jet.parts
-    parts = [c * v]
-    main = [p if c == 1.0 else c * p for p in d]
-    if d:
-        zv = _scaler(v * 0.0, 1)
-        parts.append(zv + main[0])
-    if len(d) >= 2:
-        u = zv + d[0] * 0.0
-        z2 = u[..., :, None] + u[..., None, :]
-        parts.append(z2 + main[1])
-    if len(d) >= 3:
-        w = z2 + d[1] * 0.0
-        parts.append(w[..., :, :, None] + w[..., :, None, :] + w[..., None, :, :] + main[2])
-    return Jet(parts)
 
 
 def _finite_reciprocal(c, order):

@@ -63,6 +63,8 @@ MOVED = (
     "ext_d",
     "wedge",
     "scalar_form",
+    "literal_op",
+    "_literal_product",
 )
 
 

@@ -1,9 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ewbench import parse, to_source
+from ewbench import expr, parse, to_source
 from ewbench.errors import (
     DomainError,
     EwbenchError,
@@ -135,6 +137,20 @@ class TestEvalJet:
     def test_coordinate_exponent_value_is_order_independent(self):
         values = {val("x^y", ("x", "y"), 3.0, 2.0, order=k).value for k in range(4)}
         assert len(values) == 1
+
+    def test_a_literal_exponent_walks_no_subtree(self):
+        calls = []
+
+        def counted(e):
+            calls.append(e)
+            return free_names(e)
+
+        with mock.patch.object(expr, "free_names", counted):
+            jet = val("x^2", ("x",), -3.0, order=3)
+            assert (jet.value, jet.parts[1][0], jet.parts[2][0, 0]) == (9.0, -6.0, 2.0)
+            assert calls == []
+            assert val("x^(1+1)", ("x",), -3.0).value == 9.0
+        assert calls[0] == parse("1+1", ("x",))
 
     @pytest.mark.parametrize("order", range(4))
     def test_coordinate_exponent_needs_positive_base(self, order):

@@ -227,11 +227,15 @@ LIMITS = tuple(
     for flags in ("--ells -100,100", "--c 0.5")
 )
 
-# expressions whose literals act as numbers: in sums, products, quotients
+# expressions whose literals are constant jets: in sums, products, quotients
 # and powers, past the float range, dividing by zero, and under eval, where
-# the parts are printed with the sign of each zero (a literal must not flip
-# one: 2*(-x) at x=-1 has the second derivative +0.0)
+# the parts are printed with the sign of each zero (2*(-x) at x=-1 has the
+# second derivative +0.0), including the seven signed-zero evaluations that
+# tests/test_numpy_calls.py pins; and from-H's default H and class-c's
+# t*p^2, which raise a jet to an integer power at every point
 LITERALS = (
+    "verify --case from-H --H '1/sqrt(y^2-4*x*t)' --checks hypercr,gt,monopole,weyl --points 20",
+    "verify --case class-c --checks gt,monopole,weyl --points 20",
     "verify --case from-H --H '0.5*x^2-3*y*t+1/(2+x^2)' --checks hypercr,gt,monopole --points 5",
     "verify --case from-H --H '2*x-y*t/3+4' --checks hypercr,gt,monopole,psi --c 0.5 --points 5",
     "verify --case class-b --F '2^p' --checks gt,monopole,weyl --points 5",
@@ -250,6 +254,9 @@ LITERALS = (
     "eval --expr 'y^2' --at x=1,y=-1 --order 3",
     "eval --expr '1/(-y)+3*(x-y)' --at x=1,y=-2 --order 3",
     "eval --expr '1*(-(y-x))' --at x=-1,y=1 --order 3",
+    "eval --expr '2*(-x)' --at x=-1,y=0 --order 3",
+    "eval --expr '2+(-x)' --at x=-1,y=1 --order 3",
+    "eval --expr '1/(-y)' --at x=1,y=-2 --order 3",
     "eval --expr '(-x)^3-1e308*x' --at x=-1 --order 3",
     "eval --expr 'x/0' --at x=1 --order 2",
     "eval --expr '1/0+x' --at x=1",
