@@ -32,7 +32,7 @@ from . import expr as ex
 from .errors import ConfigError, DegenerateLegendreError, HeatResidualError
 from .ew import XYT, EWStructure, from_H, from_uw
 from .forms import Coframe3, coordinate_form, zero_form
-from .jets import Field, Guard, Param, PointBatch, SampleDomain, anywhere, first_where
+from .jets import Field, Guard, PointBatch, SampleDomain, anywhere, first_where
 from .report import run_check
 
 __all__ = [
@@ -74,15 +74,20 @@ def _ast(source, variables):
 def heisenberg(ell):
     """u = 4/ell x, w = 0; the structure lives on a nilpotent group.
 
-    V comes out as the constant +2/ell.  ``ell`` is a number, or a
-    ``jets.Param`` that gives each row of a batch its own ell (there a
-    zero ell raises DomainError when evaluated).
+    V comes out as the constant +2/ell.  ``ell`` is a number, or an (N,)
+    array that gives each row of a batch of N points its own ell.  A zero
+    ell is refused; building at a row whose 4/ell is not finite, a zero
+    one included, raises DomainError.
     """
-    if not isinstance(ell, Param):
+    if type(ell) is np.ndarray:
+        with np.errstate(divide="ignore", over="ignore"):  # inf, as a float's 4/ell
+            slope = 4.0 / ell
+    else:
         ell = float(ell)
         if ell == 0.0:
             raise ConfigError("heisenberg requires ell != 0")
-    u = Field.coordinate("x") * (4.0 / ell)
+        slope = 4.0 / ell
+    u = Field.coordinate("x") * slope
     return from_uw(u, Field.const(0.0))
 
 
@@ -162,9 +167,10 @@ def _heat_probe(beta_ast):
 
 def class_b(F):
     """Class B structure from an arbitrary nonvanishing F(p): expression
-    text, a parsed expression, or a number or ``jets.Param``, which is the
-    constant field of its value."""
-    if isinstance(F, (int, float, Param)):
+    text, a parsed expression, or a number or an (N,) array of one per
+    row of a batch, which is the constant field of its value (the row
+    constant of an array, see ``jets.Field``)."""
+    if isinstance(F, (int, float, np.ndarray)):
         f = Field.const(F)
     else:
         f = ex.to_field(_ast(F, ["p"]))
@@ -362,7 +368,7 @@ class Case(NamedTuple):
     guard: Callable = None  # (param lookup of default_domain) -> the domain's Guard
     generator: Callable = None  # preset text -> the matching GeneratorG
     reads_ell: bool = False  # whether the structure reads the scale ell
-    limit: Callable = None  # scale s (number or jets.Param) -> (base, lift ell)
+    limit: Callable = None  # scale s (number, or array of one per row) -> (base, lift ell)
 
 
 # the from-H guard reads no parameter: it is built once

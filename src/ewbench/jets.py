@@ -31,9 +31,10 @@ A :class:`Field` is a lazily evaluated scalar function of a point or a
 batch of points; requesting a derivative field lowers the maximum order
 that can be evaluated by one, which is how the order cap stays honest.
 Field algebra folds constants, and an affine field knows its constant
-derivatives (see :class:`Field`).  A :class:`Param` is a field constant
-along the chart that takes one number per row from its caller, and whose
-arithmetic with numbers runs as numbers.  Field evaluations are memoized on
+derivatives (see :class:`Field`).  An (N,) array in field algebra is a row
+constant: constant along the chart, with one number per row of the
+batches of N points that its caller tiles, so that one build serves the
+rows of many numbers.  Field evaluations are memoized on
 ``(field, point)`` in the open :func:`evaluation_scope`, a context
 variable never shared between threads, so shared subexpressions and the
 checks of one command (``report.run_check``) evaluate each field once; a
@@ -71,7 +72,6 @@ __all__ = [
     "anywhere",
     "first_where",
     "Field",
-    "Param",
     "row_numbers",
     "evaluation_scope",
     "shared_scope",
@@ -786,14 +786,13 @@ class Field:
     operand order.
 
     A row constant is constant along the chart but takes one number per
-    row: a :class:`Param`, or the constant field of one (``Field.const``
-    of a Param).  Its ``rows(pt)`` gives those numbers (``rows`` is None
-    for any other field), and algebra
-    treats it as a constant whose number is that of each row: two
-    constants fold row by row by the rules above, and a row constant acts
-    on the jet of any other field as its numbers do.  Where a row's
-    constants would not fold (their jet would be evaluated instead),
-    evaluating the result raises DomainError.
+    row: ``Field.const`` of an (N,) array, which ``rows`` holds (``rows``
+    is None for any other field).  It has a jet only at a batch of N
+    points, and algebra takes an (N,) array as its row constant.  Two
+    constants fold row by row by the rules above, once, when the field is
+    built, and a row constant acts on the jet of any other field as its
+    numbers do.  Where a row's constants would not fold (their jet would
+    be evaluated instead), building the field raises DomainError.
 
     An affine field has a ``slope``: a function of a coordinate name giving
     its constant derivative along it, or None where that is not a number
@@ -805,6 +804,8 @@ class Field:
 
     __slots__ = ("fn", "number", "slope")
     rows = None
+    # an array on the left of ``+ - * /`` leaves the operation to the field
+    __array_ufunc__ = None
 
     def __init__(self, fn, slope=None):
         self.fn = fn
@@ -829,10 +830,10 @@ class Field:
 
     @staticmethod
     def const(value):
-        """The constant field of a number, or the row constant of a
-        :class:`Param` (which stood for a number)."""
-        if isinstance(value, Param):
-            return _RowConstant(lambda pt: row_numbers(value, pt))
+        """The constant field of a number, or the row constant of an (N,)
+        array of them."""
+        if type(value) is np.ndarray:
+            return _RowConstant(value)
         v = float(value)
         field = Field(lambda pt, order=0: Jet.constant(v, pt.dim, order), _flat)
         field.number = v
@@ -877,27 +878,26 @@ class Field:
         if isinstance(other, (int, float)):
             o, b = None, float(other)  # o is read only when b is None
         elif isinstance(other, Field):
-            # a row constant stands for its numbers: it is its own constant
-            o, b = other, other.number if other.rows is None else other
+            o, b = other, other.number if other.rows is None else other.rows
+        elif type(other) is np.ndarray:
+            o, b = None, other  # the numbers of a row constant
         else:
             return NotImplemented
-        a = self.number if self.rows is None else self
+        a = self.number if self.rows is None else self.rows
         if a is not None and b is not None:
-            if isinstance(a, Field) or isinstance(b, Field):
-                return _RowConstant(
-                    lambda pt: _folded(constant, row_numbers(a, pt), row_numbers(b, pt))
-                )
+            if type(a) is np.ndarray or type(b) is np.ndarray:
+                return Field.const(_folded(constant, a, b))
             c = constant(a, b)
             if c is not None:
                 return Field.const(c)
         if b is not None:
             slope = _affine(self, _SLOPE_RULES[op][0], b)
-            if isinstance(b, Field):
+            if type(b) is np.ndarray:
                 return Field(lambda pt, order=0: op(self(pt, order), row_numbers(b, pt)), slope)
             return Field(lambda pt, order=0: op(self(pt, order), b), slope)
         if a is not None:
             slope = _affine(o, _SLOPE_RULES[op][1], a)
-            if isinstance(a, Field):
+            if type(a) is np.ndarray:
                 return Field(lambda pt, order=0: op(row_numbers(a, pt), o(pt, order)), slope)
             return Field(lambda pt, order=0: op(a, o(pt, order)), slope)
         return Field(lambda pt, order=0: op(self(pt, order), o(pt, order)))
@@ -911,7 +911,7 @@ class Field:
         return self._fold(other, operator.sub, operator.sub)
 
     def __rsub__(self, other):  # a Field on the left is served by its __sub__
-        return Field.const(other) - self if isinstance(other, _SCALARS) else NotImplemented
+        return Field.const(other) - self if isinstance(other, _NUMBERS) else NotImplemented
 
     def __mul__(self, other):
         return self._fold(other, operator.mul, _constant_product)
@@ -922,13 +922,13 @@ class Field:
         return self._fold(other, operator.truediv, _constant_quotient)
 
     def __rtruediv__(self, other):
-        return Field.const(other) / self if isinstance(other, _SCALARS) else NotImplemented
+        return Field.const(other) / self if isinstance(other, _NUMBERS) else NotImplemented
 
     def __neg__(self):
         if self.number is not None:
             return Field.const(-self.number)
         if self.rows is not None:
-            return _RowConstant(lambda pt: -row_numbers(self, pt))
+            return Field.const(-self.rows)
         return Field(lambda pt, order=0: -self(pt, order), _affine(self, _negated, None))
 
 
@@ -938,22 +938,25 @@ def _flat(along):
 
 
 def row_numbers(x, pt):
-    """The number x, or the numbers of the row constant x at ``pt`` (a
-    float at a point, an (N,) array over a batch), computed once per
-    evaluation scope."""
-    if not isinstance(x, Field):
-        return x
-    return scoped((row_numbers, x, pt), lambda: x.rows(pt))
+    """The number x, or the numbers of x, an (N,) array of one per row or
+    the row constant of one, at a batch of N points; DomainError at a point
+    or at a batch of any other shape."""
+    rows = x.rows if isinstance(x, Field) else x
+    if type(rows) is not np.ndarray:
+        return rows
+    if rows.shape != pt.shape:
+        raise DomainError("the scale has rows only at the batches its pass tiles")
+    return rows
 
 
 class _RowConstant(Field):
-    """The row constant whose numbers at ``pt`` are ``rows(pt)``."""
+    """The row constant of the (N,) array ``rows`` (see :class:`Field`)."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
         def fn(pt, order=0):
-            return Jet.constant(row_numbers(self, pt), pt.dim, order)
+            return Jet.constant(row_numbers(rows, pt), pt.dim, order)
 
         super().__init__(fn, _flat)
         self.rows = rows
@@ -968,78 +971,6 @@ def _folded(rule, a, b):
     if c is None:
         raise DomainError("a constant of some row does not fold")
     return c
-
-
-class Param(_RowConstant):
-    """A row constant that stands for a number: ``Param(rows)`` has the
-    numbers ``rows(pt)`` at ``pt`` (a float at a point, an (N,) array over
-    a batch), its jet has zero derivative parts, and ``d`` of it is the
-    constant 0.
-
-    It is what a build that takes a number takes instead, so that one build
-    serves the rows of many numbers.  ``+ - * /`` and negation with numbers
-    and other Params run as Python numbers do, row by row, and give a
-    Param: numpy rounds ``+ - * /`` on float arrays as Python rounds floats,
-    and a zero divisor raises DomainError where Python raises
-    ZeroDivisionError.  With any other field a Param acts as a number does;
-    ``Field.const`` of it is the row constant of its numbers, as that of a
-    number is a constant.
-    """
-
-    __slots__ = ()
-
-    def _numbers(self, other, op, reflected=False):
-        if isinstance(other, (int, float)):
-            other = float(other)
-        elif not isinstance(other, Param):
-            return NotImplemented  # the other field's reflected operation serves
-        a, b = (other, self) if reflected else (self, other)
-        return Param(lambda pt: _number_op(op, row_numbers(a, pt), row_numbers(b, pt)))
-
-    def __add__(self, other):
-        return self._numbers(other, operator.add)
-
-    def __radd__(self, other):
-        return self._numbers(other, operator.add, True)
-
-    def __sub__(self, other):
-        return self._numbers(other, operator.sub)
-
-    def __rsub__(self, other):
-        return self._numbers(other, operator.sub, True)
-
-    def __mul__(self, other):
-        return self._numbers(other, operator.mul)
-
-    def __rmul__(self, other):
-        return self._numbers(other, operator.mul, True)
-
-    def __truediv__(self, other):
-        return self._numbers(other, operator.truediv)
-
-    def __rtruediv__(self, other):
-        return self._numbers(other, operator.truediv, True)
-
-    def __neg__(self):
-        return Param(lambda pt: -row_numbers(self, pt))
-
-
-# what Field.const takes: a number, or a Param that stands for one
-_SCALARS = (int, float, Param)
-
-
-def _number_op(op, a, b):
-    """``op`` on two numbers as Python runs it, or on arrays of row numbers
-    row by row; a zero divisor raises DomainError."""
-    if type(a) is float and type(b) is float:
-        try:
-            return op(a, b)
-        except ZeroDivisionError:
-            raise DomainError("division by zero") from None
-    if op is operator.truediv and np.count_nonzero(b) < np.size(b):
-        raise DomainError("division by zero")
-    with np.errstate(all="ignore"):
-        return op(a, b)
 
 
 # The product of constant jets has zero derivative parts only when both
@@ -1082,14 +1013,15 @@ _SLOPE_RULES = {
 
 
 def _affine(f, rule, c):
-    """The slope of the field that acts on f by a constant c (a number or a
-    row constant), whose slope is ``rule(s, c)`` where f has the slope s
-    (row by row, a row constant, where s or c is one); None when f has
-    none, or when ``rule`` is None."""
+    """The slope of the field that acts on f by a constant c (a number or
+    an (N,) array of row numbers), whose slope is ``rule(s, c)`` where f
+    has the slope s (row by row, a row constant folded once per name,
+    where s or c has rows); None when f has none, or when ``rule`` is
+    None."""
     if f.slope is None or rule is None:
         return None
-    rows = isinstance(c, Field) and rule not in (_shifted, _negated)
-    made = {}  # the row-constant slope along each name, built once to share its rows
+    rows = type(c) is np.ndarray and rule not in (_shifted, _negated)
+    made = {}  # the row-constant slope along each name, built once to share its jets
 
     def slope(name):
         s = f.slope(name)
@@ -1097,9 +1029,7 @@ def _affine(f, rule, c):
             return None
         if rows or (type(s) is _RowConstant and rule not in (_shifted, _negated)):
             if name not in made:
-                made[name] = _RowConstant(
-                    lambda pt: _folded(rule, row_numbers(s, pt), row_numbers(c, pt))
-                )
+                made[name] = Field.const(_folded(rule, s.rows if isinstance(s, Field) else s, c))
             return made[name]
         return rule(s, c)
 

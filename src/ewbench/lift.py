@@ -18,8 +18,9 @@ family against its limit form; ``limit_family`` reads a case's family,
 heisenberg(ell) or class B with F = ell/4, from its ``families.CASES``
 row, which states its gauge.
 
-A family's scale may be a ``jets.Param``, one ell per row of a batch, so
-that ``flat_limit`` builds the family once for every ell; no sign rule
+A family's scale may be an (N,) array, one ell per row of a batch of N
+points, which field algebra takes as a row constant (see ``jets.Field``),
+so that ``flat_limit`` builds the family once for every ell; no sign rule
 reads it.
 """
 
@@ -53,7 +54,7 @@ from .forms import (
     signature,
     symmetric_product,
 )
-from .jets import ChartPoint, Field, Param, PointBatch, row_numbers
+from .jets import ChartPoint, Field, PointBatch, row_numbers
 from .report import run_check
 
 GAUGE_TOL = 1e-9
@@ -132,18 +133,19 @@ class LiftConfig:
     base-chart points (a PointBatch, or a sequence of ChartPoints) used to
     validate the gauge, the structure equations, and psi; when empty a
     deterministic default box is sampled, which suits bases defined on all
-    of R^3.  ``ell`` may be a ``jets.Param`` (see the module docstring),
-    whose zero rows fail when the lift is evaluated.
+    of R^3.  ``ell`` may be an (N,) array of ells (see the module
+    docstring), which is refused when some row is zero, as a zero number
+    is; its lift has jets only at batches of N points.
     """
 
     base: EWStructure
     psi: PForm
-    ell: float | Param
+    ell: float | np.ndarray
     chart: str = "p"
     probes: PointBatch | tuple[ChartPoint, ...] = ()
 
     def __post_init__(self):
-        if self.ell == 0.0:
+        if not self.ell.all() if type(self.ell) is np.ndarray else self.ell == 0.0:
             raise ConfigError("ell must be nonzero")
         if self.chart not in FIBRES:
             raise ConfigError(f"unknown fibre chart {self.chart!r}")
@@ -361,9 +363,10 @@ def flat_limit(factory, ells):
     """Track convergence of a lift family toward its limit form.
 
     ``factory`` maps a scale parameter to a LiftConfig whose base is built
-    at that parameter: a number, or the ``jets.Param`` of the ells (see the
-    module docstring).  For each ell the p-chart lift is compared against
-    the limit form at the same parameter, the field strength F = dA
+    at that parameter: a number, or an (N,) array of ells, one per row of
+    the pass's batch (see the module docstring).  For each ell the p-chart
+    lift is compared against the limit form at the same parameter, the
+    field strength F = dA
     against its limit term (ell/4) d(omega) (with ell the lift's, of
     V = -2/ell; cos(2 alpha) -> -1 at the equator), both taken on packed
     jets by ``forms.exterior_d`` (``curv.field_strength`` of A and of the
@@ -372,24 +375,26 @@ def flat_limit(factory, ells):
     limit term grows along the sequence, which happens precisely when omega
     fails to scale with ell.
 
-    ``factory`` is called once, with a Param of the ells, and all ells are
-    evaluated in one pass, in one evaluation scope: the validation probes
-    and the six limit rows are tiled over the ells, the Param's rows at
-    each tile being its ell, the lift is validated once (in a scope of its
-    own), and each residual is one ``run_check`` over all rows, named
-    ``lift.<key>`` after its report key.  The maximum of an ell's rows is
-    its entry in the report.  The checks run riemann_limit first, which
-    packs the limit form through order 2 for form_gap, and form_gap last,
+    All ells are evaluated in one pass, in one evaluation scope: the six
+    limit rows are tiled once per ell, ``factory`` is called once, with
+    the array that repeats each ell six times, the lift is validated once
+    (in a scope of its own) at the base coordinates of those rows, where
+    it is evaluated, in place of the config's probes, and each residual is
+    one ``run_check`` over all rows, named ``lift.<key>`` after its report
+    key.  The maximum of an ell's rows is its entry in the report.  The
+    checks run riemann_limit first, which packs the limit form through
+    order 2 for form_gap, and form_gap last,
     after the F checks ask order 1 of the omega and fibre-profile fields
     that the lift metric reads, so no field is evaluated again at a higher
     order; the report keeps its own key order.
 
     If that pass raises an EwbenchError (a row that is not finite raises
-    DomainError in ``run_check``, and so does the Param read at points the
-    pass did not tile, as ``run_check``'s point-by-point rows are), the
-    same pass runs again for each ell alone, in order, with the factory
-    called at its number, as a one-ell batch: the first ell that fails
-    raises what it raises alone, its text prefixed with ``ell = <repr>: ``,
+    DomainError in ``run_check``, and so does a row constant of the ells
+    read at a point, as ``run_check``'s point-by-point rows are, and a
+    build whose constants do not fold in some row), the same pass runs
+    again for each ell alone, in order, with the factory called at its
+    number, as a one-ell batch: the first ell that fails raises what it
+    raises alone, its text prefixed with ``ell = <repr>: ``,
     and otherwise the report is that of the single ells.  A ratio of
     successive gaps that is not finite (a later gap of 0, or an overflow)
     is null.
@@ -433,26 +438,18 @@ def flat_limit(factory, ells):
 
 
 def _limit_columns(factory, ells):
-    """{key: one value per ell} of the family over ``ells``.  The probes and
-    the limit rows are tiled over the ells.  The factory gets the number of
-    a lone ell, or else a Param whose rows at each batch this pass tiled
-    are the ells of its rows; read at any other point or batch, it raises
-    DomainError.  An ell's entry is the maximum of its rows.  A check that
-    fails raises its EwbenchError."""
-    scales = {}  # each batch tiled in this pass -> the ell of each row
-
-    def rows(pt):
-        held = scales.get(pt)
-        if held is None:
-            raise DomainError("the scale has rows only at the batches its pass tiles")
-        return held
-
+    """{key: one value per ell} of the family over ``ells``.  The limit rows
+    are tiled once per ell, and the factory gets the number of a lone ell,
+    or else the array of the ell of each row.  The lift is validated at the
+    base coordinates of the rows.  An ell's entry is the maximum of its
+    rows.  A check that fails raises its EwbenchError."""
     with jets.evaluation_scope():
-        cfg = factory(ells[0] if len(ells) == 1 else Param(rows))
-        probes = cfg.probes or default_probes(cfg.base.chart)
-        data = build(replace(cfg, chart="p", probes=_tiled(probes, ells, scales)))
+        scale = ells[0] if len(ells) == 1 else np.repeat(ells, len(LIMIT_ROWS))
+        cfg = factory(scale)
+        tiled = np.tile(LIMIT_ROWS, (len(ells), 1))
+        data = build(replace(cfg, chart="p", probes=PointBatch(cfg.base.chart, tiled[:, 1:])))
         chart4 = data.chart
-        pts = _tiled(PointBatch(chart4, LIMIT_ROWS), ells, scales)
+        pts = PointBatch(chart4, tiled)
         g_lim = _limit_form(cfg, chart4)
         om4 = embed_form(cfg.base.omega, chart4)
         quarter = data.ell / 4.0
@@ -474,18 +471,9 @@ def _limit_columns(factory, ells):
         for key in LIMIT_KEYS:
             rows = run_check(f"lift.{key}", residuals[key], pts, math.inf).rows
             columns[key] = np.reshape(rows, (len(ells), -1)).max(axis=1).tolist()
-        ell_used = np.broadcast_to(row_numbers(data.ell, pts), pts.shape)
+        ell_used = np.broadcast_to(data.ell, pts.shape)
         columns["ell_used"] = ell_used[:: len(LIMIT_ROWS)].tolist()
     return columns
-
-
-def _tiled(points, ells, scales):
-    """The batch of the points once per ell, in order; ``scales`` records
-    the ell of each of its rows."""
-    batch = PointBatch.of(points)
-    tiled = PointBatch(batch.chart, np.tile(batch.rows, (len(ells), 1)))
-    scales[tiled] = jets.read_only(np.repeat(ells, len(batch)))
-    return tiled
 
 
 def limit_family(case, c):

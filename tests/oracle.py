@@ -29,6 +29,7 @@ alpha fibre chart and a sampling domain.
 """
 import math
 import weakref
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -356,7 +357,8 @@ def require_guards(domain, pt):
 def flat_limit_per_ell(factory, ells):
     """The report of ``lift.flat_limit``, with the factory called at each
     ell's number and each ell evaluated alone, in its own evaluation scope,
-    one ``run_check`` per residual: the first ell that fails raises what it
+    its lift validated at the base coordinates of the limit rows, and one
+    ``run_check`` per residual: the first ell that fails raises what it
     raises alone."""
     ells = [float(e) for e in ells]
     if len(ells) < 2:
@@ -374,7 +376,7 @@ def flat_limit_per_ell(factory, ells):
     for ell in ells:
         with evaluation_scope():
             cfg = factory(ell)
-            data = build(cfg)
+            data = build(replace(cfg, probes=PointBatch(cfg.base.chart, LIMIT_ROWS[:, 1:])))
             chart4 = data.chart
             pts = PointBatch(chart4, LIMIT_ROWS)
             g_lim = _limit_form(cfg, chart4)

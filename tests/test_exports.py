@@ -65,6 +65,9 @@ MOVED = (
     "scalar_form",
     "literal_op",
     "_literal_product",
+    "Param",
+    "_number_op",
+    "_tiled",
 )
 
 

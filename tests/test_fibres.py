@@ -82,5 +82,5 @@ def test_a_limit_one_pass_validates_once(monkeypatch, case):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(["limit", "--case", case, "--ells", "100,200,1000", "--c", "0.5"])
     assert code == EXIT_PASS and len(calls) == 1
-    # the one pass validates the probes of every ell at once
-    assert isinstance(calls[0].probes, PointBatch) and len(calls[0].probes) == 3 * 8
+    # the one pass validates at the limit rows of every ell at once, six per ell
+    assert isinstance(calls[0].probes, PointBatch) and len(calls[0].probes) == 3 * 6

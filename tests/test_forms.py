@@ -25,7 +25,7 @@ from ewbench.forms import (
     symmetric_product,
     zero_form,
 )
-from ewbench.jets import Field, Param, PointBatch, evaluation_scope, pack_jets, sample
+from ewbench.jets import Field, PointBatch, evaluation_scope, pack_jets, sample
 from ewbench.lift import LIMIT_ROWS, LiftConfig, assemble, fibre_chart, fibre_points
 
 from conftest import XYT, PYT, box_points, pt
@@ -197,16 +197,21 @@ def _bits(parts):
 
 
 def _limit_omega(case, ells):
-    """The embedded omega of the ``limit`` family of ``case`` built at a
-    Param over LIMIT_ROWS tiled once per ell, that batch, and the Param's
-    number at each row alone."""
+    """The embedded omega of the ``limit`` family of ``case`` built at the
+    array of the ells, each repeated once per row of LIMIT_ROWS, and the
+    batch of LIMIT_ROWS tiled once per ell."""
     row = CASES[case]
     chart4 = fibre_chart("p", row.chart)
     batch = PointBatch(chart4, np.tile(LIMIT_ROWS, (len(ells), 1)))
-    numbers = np.repeat(np.array(ells), len(LIMIT_ROWS))
-    held = {batch: numbers} | {batch[i]: float(v) for i, v in enumerate(numbers)}
-    base, _ = row.limit(Param(held.__getitem__))
+    base, _ = row.limit(np.repeat(ells, len(LIMIT_ROWS)))
     return embed_form(base.omega, chart4), batch
+
+
+def _limit_omega_at(case, ell, q):
+    """The embedded omega of the ``limit`` family of ``case`` built at the
+    number ``ell``, on the chart of the point ``q``."""
+    base, _ = CASES[case].limit(ell)
+    return embed_form(base.omega, q.chart)
 
 
 class TestPackedExteriorD:
@@ -230,13 +235,16 @@ class TestPackedExteriorD:
 
     @pytest.mark.parametrize("order", [0, 1])
     @pytest.mark.parametrize("case", ["heisenberg", "class_b"])
-    def test_the_embedded_omega_of_a_limit_family_at_a_param(self, case, order):
-        om4, batch = _limit_omega(case, [1e6, -3.0, 250.0])
+    def test_the_embedded_omega_of_a_limit_family_at_an_array(self, case, order):
+        ells = [1e6, -3.0, 250.0]
+        om4, batch = _limit_omega(case, ells)
         got = _packed_f(om4, batch, order)
         assert _bits(got) == _bits(_oracle_f(om4, batch, order))
         assert np.any(got[0])
-        for q in batch:
-            assert _bits(_packed_f(om4, q, order)) == _bits(_oracle_f(om4, q, order))
+        for i, (q, ell) in enumerate(zip(batch, np.repeat(ells, len(LIMIT_ROWS)))):
+            alone = _limit_omega_at(case, float(ell), q)
+            want = _bits(_packed_f(alone, q, order))
+            assert want == _bits(_oracle_f(alone, q, order)) == _bits([p[i] for p in got])
 
     @pytest.mark.parametrize("order", [0, 1])
     def test_the_diagonal_is_plus_zero_where_a_derivative_overflows(self, order):

@@ -1,10 +1,11 @@
-"""Every ell of a limit family in one pass: the Params that stand for
-numbers, the scale that ``lift.flat_limit``'s pass reads from the batches it
-tiles, and ``flat_limit`` against the per-ell oracle."""
+"""Every ell of a limit family in one pass: the (N,) arrays that field
+algebra takes as row constants, the array of ells that ``lift.flat_limit``'s
+pass builds its family at, and ``flat_limit`` against the per-ell oracle."""
 import contextlib
 import io
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ import pytest
 from ewbench import jets
 from ewbench import lift as lift_mod
 from ewbench.cli import EXIT_CONFIG, EXIT_PASS, main
-from ewbench.errors import DomainError, EwbenchError
-from ewbench.families import CASES, psi_const
-from ewbench.jets import ChartPoint, Field, Param, PointBatch, evaluation_scope
+from ewbench.errors import ConfigError, DomainError, EwbenchError
+from ewbench.families import CASES, class_b, heisenberg, psi_const
+from ewbench.jets import ChartPoint, Field, PointBatch, evaluation_scope
 from ewbench.lift import (
+    LIMIT_ROWS,
     LiftConfig,
     assemble,
     default_probes,
@@ -33,15 +35,7 @@ BATCH = PointBatch(XY, ROWS)
 ELLS = [100.0, -200.0, 1e-300]
 
 
-def given(batch, numbers):
-    """The Param whose numbers are ``numbers`` over ``batch``, its row i at
-    point i alone, and over each leading slice of it the numbers of its rows."""
-    held = {batch[i]: float(v) for i, v in enumerate(numbers)}
-    held.update({batch[:n]: np.array(numbers[:n], dtype=float) for n in range(1, len(batch) + 1)})
-    return Param(held.__getitem__)
-
-
-# --- a Param over given rows --------------------------------------------------
+# --- a row constant over given rows --------------------------------------------
 
 
 def test_a_batch_of_its_points_is_the_batch():
@@ -51,32 +45,48 @@ def test_a_batch_of_its_points_is_the_batch():
 
 
 def test_a_parameter_has_zero_derivative_parts():
-    ell = given(BATCH, ELLS)
+    ell = Field.const(np.array(ELLS))
     jet = ell(BATCH, 3)
     assert jet.value.tolist() == ELLS
     assert all(not np.any(part) for part in jet.parts[1:])
-    assert ell(BATCH[1], 2).value == -200.0
     assert ell.d("x").number == 0.0 and ell.d("y").number == 0.0
 
 
 def test_arithmetic_with_numbers_runs_as_numbers():
-    ell = given(BATCH, ELLS)
-    for q, e in zip(BATCH, ELLS):
-        assert (4.0 / ell).value(q) == 4.0 / e
-        assert ((ell - 1.5) * 3.0 / 7.0).value(q) == (e - 1.5) * 3.0 / 7.0
-    assert isinstance(4.0 / ell, Param) and isinstance(-ell * ell, Param)
-    assert (4.0 / ell).value(BATCH).tolist() == [4.0 / e for e in ELLS]
+    """A row constant folds with numbers, when it is built, row by row as
+    the constant of each row's number folds; an array on either side of a
+    field is its row constant."""
+    ell = Field.const(np.array(ELLS))
+    built = ((ell - 1.5) * 3.0 / 7.0, -ell * ell, 2.0 - ell)
+    for i, e in enumerate(ELLS):
+        alone = ((Field.const(e) - 1.5) * 3.0 / 7.0, -Field.const(e) * e, 2.0 - Field.const(e))
+        assert [f.rows[i] for f in built] == [f.number for f in alone]
+    x = Field.coordinate("x")
+    numbers = np.array(ELLS)
+    for got, want in [(numbers * x, x * numbers), (numbers - x, -x + numbers)]:
+        assert got.value(BATCH).tolist() == want.value(BATCH).tolist()
+    assert (numbers / x).value(BATCH).tolist() == [e / q[0] for e, q in zip(ELLS, ROWS)]
 
 
 def test_a_row_whose_constants_would_not_fold_raises():
     """1 / F folds only where the jet of 1/x at F is finite through order 3;
     in a row where it is not, the build at that number would evaluate the
-    quotient instead, so the row constant refuses to give a number."""
-    inv = 1.0 / Field.const(given(BATCH, ELLS))
+    quotient instead, so building the row constant raises."""
+    inv = 1.0 / Field.const(np.array(ELLS[:2]))
     assert inv.value(BATCH[:2]).tolist() == [0.01, -0.005]
     with pytest.raises(DomainError, match="does not fold"):
-        inv.value(BATCH)
+        1.0 / Field.const(np.array(ELLS))
     assert (1.0 / Field.const(1e-300)).number is None
+    # a slope folds when it is read, which a derivative field's build does
+    with pytest.raises(DomainError, match="does not fold"):
+        (Field.coordinate("x") * np.array([1.0, np.inf, 2.0])).d("x")
+    # a family at an array, where a row's 1/F or 4/ell is not finite
+    with pytest.raises(DomainError, match="does not fold"):
+        class_b(np.array([25.0, 0.0, 25.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="does not fold"):
+            heisenberg(np.array([100.0, 5e-324]))
 
 
 def _bytes(jet, row=None):
@@ -95,21 +105,19 @@ def _family_fields(family, scale):
 
 
 @pytest.mark.parametrize("family", ["heisenberg", "class_b"])
-def test_each_row_equals_its_point_alone_and_the_build_at_its_number(family):
+def test_each_row_equals_the_build_at_its_number(family):
     ells = [100.0, -3.0, 1e150, 7.5]
     chart = fibre_chart("p", CASES[family].chart)
     rows = np.random.default_rng(5).uniform(0.2, 0.8, size=(len(ells), 4))
     batch = PointBatch(chart, rows)
-    _, fields = _family_fields(family, given(batch, ells))
+    _, fields = _family_fields(family, np.array(ells))
     with evaluation_scope():
         batched = [f(batch, 2) for f in fields]
     for i, ell in enumerate(ells):
-        with evaluation_scope():
-            alone = [_bytes(f(batch[i], 2)) for f in fields]
         _, scalar_fields = _family_fields(family, ell)
         with evaluation_scope():
             scalar = [_bytes(f(ChartPoint.make(chart, rows[i]), 2)) for f in scalar_fields]
-        assert [_bytes(jet, i) for jet in batched] == alone == scalar
+        assert [_bytes(jet, i) for jet in batched] == scalar
 
 
 # --- the scale of flat_limit's one pass ------------------------------------------
@@ -130,29 +138,31 @@ def _pass_scale(case, ells):
 
 
 @pytest.mark.parametrize("case", ["heisenberg", "class_b"])
-def test_the_pass_scale_reads_the_rows_of_each_batch_it_tiled(case):
+def test_the_pass_scale_is_the_ell_of_each_limit_row(case):
     ells = [100.0, -200.0, 1000.0]
     scale, chart = _pass_scale(case, ells)
-    probes = default_probes(chart)
-    # the lookup is by value: an equal batch, or the batch of its points
-    tiled = PointBatch(chart, np.tile(probes.rows, (len(ells), 1)))
-    want = np.repeat(ells, len(probes)).tolist()
-    assert isinstance(scale, Param)
-    assert scale.rows(tiled).tolist() == want
-    assert scale.rows(PointBatch.of(list(tiled))).tolist() == want
+    want = np.repeat(ells, len(LIMIT_ROWS)).tolist()
+    assert type(scale) is np.ndarray and scale.tolist() == want
+    # its row constant reads at the tiled rows, or the batch of their points
+    tiled = PointBatch(chart, np.tile(LIMIT_ROWS[:, 1:], (len(ells), 1)))
+    assert Field.const(scale).value(tiled).tolist() == want
+    assert Field.const(scale).value(PointBatch.of(list(tiled))).tolist() == want
 
 
 @pytest.mark.parametrize("untiled", ["point", "slice", "probes"])
 def test_the_pass_scale_refuses_points_it_did_not_tile(untiled):
     """What ``run_check`` reads point by point ends the pass with an exit-3
-    error, never a KeyError (an internal error)."""
+    error, never an internal error: a field of the scale, a row constant
+    or a field that a row constant acts on, raises the same DomainError at
+    a point, at a slice and at another batch."""
     ells = [100.0, -200.0]
     scale, chart = _pass_scale("heisenberg", ells)
-    probes = default_probes(chart)
-    tiled = PointBatch(chart, np.tile(probes.rows, (len(ells), 1)))
-    pt = {"point": tiled[0], "slice": tiled[1:], "probes": probes}[untiled]
-    with pytest.raises(DomainError, match="only at the batches its pass tiles"):
-        scale.value(pt)
+    tiled = PointBatch(chart, np.tile(LIMIT_ROWS[:, 1:], (len(ells), 1)))
+    pt = {"point": tiled[0], "slice": tiled[1:], "probes": default_probes(chart)}[untiled]
+    base = heisenberg(-scale)
+    for field in (Field.const(scale), base.V, base.u):
+        with pytest.raises(DomainError, match="only at the batches its pass tiles"):
+            field.value(pt)
 
 
 # --- flat_limit in one pass ----------------------------------------------------
@@ -268,7 +278,7 @@ def test_a_failed_pass_merges_the_columns_of_each_ell_alone(monkeypatch, case):
     family, _ = limit_family(case, 0.5)
 
     def factory(scale):
-        if isinstance(scale, Param):
+        if type(scale) is np.ndarray:
             raise DomainError("this family is built at numbers only")
         return family(scale)
 
@@ -278,6 +288,51 @@ def test_a_failed_pass_merges_the_columns_of_each_ell_alone(monkeypatch, case):
     assert calls == [ells, [100.0], [200.0], [1000.0]]
     want = flat_limit_per_ell(factory, ells)
     assert got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("run", ["one-pass", "one-ell", "fallback"])
+@pytest.mark.parametrize("case", ["heisenberg", "class_b"])
+def test_the_lift_is_validated_at_the_base_of_the_limit_rows(monkeypatch, case, run):
+    """The probes ``lift.validate_config`` gets are the base columns of
+    LIMIT_ROWS tiled once per ell of the pass, where the lift is evaluated:
+    in the one pass, in a one-ell pass, and in each pass of the fallback."""
+    probes = []
+    validate = lift_mod.validate_config
+
+    def spied(cfg):
+        probes.append(cfg.probes)
+        return validate(cfg)
+
+    monkeypatch.setattr(lift_mod, "validate_config", spied)
+    family, _ = limit_family(case, 0.5)
+
+    def factory(scale):
+        if run == "fallback" and type(scale) is np.ndarray:
+            raise DomainError("this family is built at numbers only")
+        return family(scale)
+
+    ells = [100.0, -200.0, 1000.0]
+    if run == "one-ell":
+        lift_mod._limit_columns(factory, ells[:1])
+        passes = [1]
+    else:
+        flat_limit(factory, ells)
+        passes = [3] if run == "one-pass" else [1, 1, 1]
+    base = fibre_chart("p", CASES[case].chart)[1:]
+    assert [(p.chart, p.rows.tolist()) for p in probes] == [
+        (base, np.tile(LIMIT_ROWS[:, 1:], (n, 1)).tolist()) for n in passes
+    ]
+
+
+@pytest.mark.parametrize("case, ells", [("heisenberg", [0.0, 1.0]), ("class_b", [1.0, 0.0])])
+def test_a_zero_ell_of_a_library_factory_is_a_config_error_naming_it(case, ells):
+    """``flat_limit`` called with a zero ell (the CLI refuses one before any
+    pass) raises what that ell raises alone, with no numpy warning."""
+    factory, _ = limit_family(case, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=r"^ell = 0\.0: "):
+            flat_limit(factory, ells)
 
 
 @pytest.mark.parametrize("zero", ["0", "-0.0"])
@@ -306,25 +361,23 @@ def _unshared_affine(f, rule, c):
     if f.slope is None or rule is None:
         return None
     shifts = (jets._shifted, jets._negated)
-    rows = isinstance(c, Field) and rule not in shifts
+    rows = type(c) is np.ndarray and rule not in shifts
 
     def slope(name):
         s = f.slope(name)
         if s is None:
             return None
         if rows or (type(s) is jets._RowConstant and rule not in shifts):
-            return jets._RowConstant(
-                lambda pt: jets._folded(rule, jets.row_numbers(s, pt), jets.row_numbers(c, pt))
-            )
+            return Field.const(jets._folded(rule, s.rows if isinstance(s, Field) else s, c))
         return rule(s, c)
 
     return slope
 
 
 def test_a_limit_pass_builds_each_row_constant_slope_once(monkeypatch):
-    """Every ``.d`` of a Param-scaled field along one name is one row
-    constant, so the scope shares its rows; the report is that of slopes
-    built anew on every call."""
+    """Every ``.d`` of a field scaled by the array of ells along one name is
+    one row constant, so the scope shares its jets; the report is that of
+    slopes built anew on every call."""
     built = {}  # (slope, name) -> the row constants it gave
     affine = jets._affine
 

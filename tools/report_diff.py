@@ -210,8 +210,8 @@ FRAMES = tuple(
 
 # both limit families with one ell at each extreme scale of
 # tests/test_exit_codes.py, after 100 and before it, so that the ell that
-# fails comes first and last; ells of both signs; and the default ells at
-# c = 0.5
+# fails comes first and last; ells of both signs; and, at c = 0.5, the
+# default ells and three ells in one pass
 EXTREME_SCALES = (
     "0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1e150", "1e154", "1e200",
     "1e300", "-1e300", "1e308", "-1e308",
@@ -224,7 +224,7 @@ LIMITS = tuple(
 ) + tuple(
     f"limit --case {case} {flags}"
     for case in ("heisenberg", "class-b")
-    for flags in ("--ells -100,100", "--c 0.5")
+    for flags in ("--ells -100,100", "--c 0.5", "--c 0.5 --ells 100,200,1000")
 )
 
 # expressions whose literals are constant jets: in sums, products, quotients
