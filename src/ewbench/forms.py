@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SingularFrameError
-from .jets import Field, anywhere, first_where, read_only, scoped_arrays
+from .jets import Field, anywhere, first_where, gather_parts, read_only, scoped_arrays
 
 __all__ = [
     "PForm",
@@ -282,12 +282,12 @@ class MetricField:
         return scoped_arrays((self, pt), order, lambda k: self._pack(pt, k))
 
     def _pack(self, pt, order):
+        # at[a, b]: the component (a, b) or (b, a), or the exact zero after them
         n = self.dim
-        packed = tuple(np.zeros(pt.shape + (n,) * (k + 2)) for k in range(order + 1))
-        for (a, b), f in self.comps.items():
-            for arr, part in zip(packed, f(pt, order).parts):
-                arr[..., a, b] = arr[..., b, a] = part
-        return tuple(map(read_only, packed))
+        at = np.full((n, n), len(self.comps))
+        for c, (a, b) in enumerate(self.comps):
+            at[a, b] = at[b, a] = c
+        return gather_parts(pt, [f(pt, order) for f in self.comps.values()] + [None], order, at)
 
 
 def signature(matrix):

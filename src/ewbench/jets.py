@@ -1,31 +1,29 @@
-"""Order-3 multivariate jets and scalar fields over chart points.
+"""Multivariate jets and scalar fields over chart points.
 
-A :class:`Jet` holds a value together with its partial derivatives through a
-requested order (at most 3): exactly ``order + 1`` parts, and nothing above
-the order.  At a single :class:`ChartPoint` of an n-dimensional chart the
-value is a float and part k has shape ``(n,) * k``.  At a
-:class:`PointBatch` of N points every part has a leading batch axis: the
-value has shape ``(N,)`` and part k has shape ``(N,) + (n,) * k``.  The jet
-rules broadcast over trailing axes, so a part without the batch axis (a
-constant, or the unit gradient of a coordinate) serves every row without
-being copied, and row i of a batched jet comes from the same arithmetic as
-the jet at point i alone.  Arithmetic propagates derivatives exactly
-(Leibniz and chain rules); there is no truncation error, only rounding.
-Each part depends only on the parts of its operands up to its own order,
-and a smooth-function rule computes its scalar derivatives only that far,
-so the parts a jet shares with a higher-order jet of the same field are
-identical.  Their libm calls (``math`` functions and float powers) run row
-by row over a batch, never through numpy's CPU-dispatched SIMD loops; the
-``+ - * /`` that combine them run on the whole batch.
+A :class:`Jet` holds a value and the derivatives D_alpha f through a
+requested order (at most ``MAX_ORDER``): one derivative array, each
+multi-index alpha stored once, so every derivative part it exposes is
+exactly symmetric.  Its order is data: index tables built once per
+(dimension, order) make ``parts[k]`` and ``partial`` gathers, a product
+one gather, multiply and ``np.add.reduceat`` (Leibniz, with multinomial
+weights), and a smooth function of a jet the same over the partitions of
+each multi-index (Faa di Bruno).  At a :class:`ChartPoint` the value is a
+float; at a :class:`PointBatch` of N points it has shape (N,) and the
+derivative array a leading batch axis, or none when it is the same for
+every row (a constant, or the unit gradient of a coordinate), which then
+serves every row without being copied.  Row i of a batched jet comes from
+the same arithmetic as the jet at point i alone, and each derivative
+depends only on those of its operands up to its own degree, so a jet is
+the prefix of a higher-order jet of the same field.  Libm calls (``math``
+functions and float powers) run row by row over a batch, never through
+numpy's CPU-dispatched SIMD loops.
 
-A Python number in jet arithmetic is not lifted to a constant jet for a
-full Leibniz product: it shifts the value (``+ -``) or scales every part
-(``* /``, dividing by c as scaling by 1/c).  The full product would add
-only exact zeros, so the parts are the same apart from the sign of a zero;
-a jet with a part below the top one that is not finite, where 0 * inf
-spreads NaN, is still multiplied in full.  Over a batch an (N,) array acts
-as one such number per row, the same arithmetic row by row.  A literal of
-an expression is its constant jet (``expr.eval_jet``), combined in full.
+A Python number in jet arithmetic is not lifted to a constant jet: it
+shifts the value (``+ -``) or scales the value and derivatives (``* /``,
+dividing by c as scaling by 1/c), which differs from the full product
+only in the sign of a zero; a jet with a derivative below the top order
+that is not finite, where 0 * inf spreads NaN, is still multiplied in
+full.  Over a batch an (N,) array acts as one such number per row.
 
 A :class:`Field` is a lazily evaluated scalar function of a point or a
 batch of points; requesting a derivative field lowers the maximum order
@@ -47,9 +45,12 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import repeat
+from functools import cache
+from itertools import combinations_with_replacement, product, repeat
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -68,6 +69,7 @@ __all__ = [
     "ChartPoint",
     "PointBatch",
     "pack_jets",
+    "gather_parts",
     "read_only",
     "anywhere",
     "first_where",
@@ -204,15 +206,13 @@ def point(chart, *coords):
 def pack_jets(pt, fields, order, shape):
     """The jets of ``fields`` at ``pt`` through ``order``, part k as one
     read-only array of shape pt.shape + (dim,) * k + ``shape`` (derivative
-    axes first, the fields in row-major order over ``shape``); a part
-    without the batch axis (a constant) is repeated over the batch, and a
-    field that is None is an absent component, an exact zero that is not
-    evaluated.  At order 1 an affine field's first derivatives are its
-    slopes, as ``Field.d`` gives them (the numbers of a slope that is a row
-    constant): it is evaluated at order 0 only, after the others, which
-    may read its own fields at order 1."""
-    packed = [np.zeros(pt.shape + (pt.dim,) * k + (len(fields),)) for k in range(order + 1)]
-    affine = {}
+    axes first, the fields in row-major order over ``shape``), by
+    :func:`gather_parts`; a field that is None is an absent component, an
+    exact zero that is not evaluated.  At order 1 an affine field's first
+    derivatives are its slopes, as ``Field.d`` gives them (the numbers of a
+    slope that is a row constant): it is evaluated at order 0 only, after
+    the others, which may read its own fields at order 1."""
+    jets, affine = [None] * len(fields), {}
     for i, f in enumerate(fields):
         if f is None:
             continue
@@ -220,13 +220,34 @@ def pack_jets(pt, fields, order, shape):
         if None not in slopes:
             affine[i] = slopes
             continue
-        for arr, part in zip(packed, f(pt, order).parts):
-            arr[..., i] = part
+        jets[i] = f(pt, order)
     for i, slopes in affine.items():
         if _RowConstant in map(type, slopes):  # a slope that is a row constant
             slopes = np.stack(np.broadcast_arrays(*(row_numbers(s, pt) for s in slopes)), axis=-1)
-        packed[0][..., i], packed[1][..., i] = fields[i](pt, 0).value, slopes
-    return tuple(read_only(arr.reshape(arr.shape[:-1] + shape)) for arr in packed)
+        jets[i] = _jet(fields[i](pt, 0).value, np.asarray(slopes, dtype=float), _tables(pt.dim, 1))
+    return gather_parts(pt, jets, order, np.arange(len(fields)).reshape(shape))
+
+
+def gather_parts(pt, jets, order, at):
+    """The parts through ``order`` of ``jets`` (each of that order or above,
+    or None for an exact zero) at ``pt``, laid out by the index array
+    ``at``: part k is the read-only array of shape pt.shape + (dim,) * k +
+    at.shape whose entry [..., c_1..c_k, i] is that derivative of
+    ``jets[at[i]]``.  A part without the batch axis (a constant) is repeated
+    over the batch.  Each jet is stored once, as its value and derivative
+    block, and each part is one gather of them."""
+    t = _tables(pt.dim, order)
+    full = np.zeros(pt.shape + (len(jets), 1 + t.size))
+    for c, jet in enumerate(jets):
+        if jet is not None:
+            full[..., c, 0], full[..., c, 1:] = jet.value, jet.derivs[..., : t.size]
+    key = at.shape, at.tobytes(), len(jets)
+    if key not in t.gathers:  # each part's positions in ``full``, flat
+        axes = (1,) * at.ndim
+        t.gathers[key] = [at * (1 + t.size) + 1 + i.reshape(i.shape + axes) for i in t.index]
+    full = full.reshape(pt.shape + (-1,))
+    parts = (full.take(i.ravel(), axis=-1).reshape(pt.shape + i.shape) for i in t.gathers[key])
+    return tuple(map(read_only, parts))
 
 
 def read_only(arr):
@@ -252,65 +273,158 @@ def first_where(value, mask):
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _tables(n, order):
+    """The index tables of the jets of ``order`` on an n-dimensional chart:
+    the only code of the engine that depends on the order.
+
+    A derivative block holds D_alpha f once for each multi-index alpha with
+    1 <= |alpha| <= order, as the sorted tuple of its coordinate indices, in
+    the order of ``alphas``: by degree, then lexicographically, so that the
+    block of a lower order is a prefix of it."""
+    t = SimpleNamespace()
+    t.alphas = [a for k in range(1, order + 1) for a in combinations_with_replacement(range(n), k)]
+    pos = {a: i for i, a in enumerate(t.alphas)}
+    t.n, t.order, t.size, t.gathers = n, order, len(pos), {}
+    t.lower = order and _tables(n, order - 1)  # the tables of a partial
+    t.offset = [sum(len(a) < k for a in t.alphas) for k in range(order + 2)]  # degree k from here
+    t.zeros = read_only(np.zeros(t.size))
+    t.units = [read_only(row) for row in np.eye(n, t.size)]
+    # part k: the position of each k-tuple of indices (the value's is -1)
+    t.index = [np.array(-1)] + [
+        np.array([pos[tuple(sorted(i))] for i in product(range(n), repeat=k)]).reshape((n,) * k)
+        for k in range(1, order + 1)
+    ]
+    # partial i: D_(beta + e_i) for beta = 0, then the alphas below the top
+    below = [(), *t.alphas[: t.offset[order]]]
+    t.partial = [np.array([pos[tuple(sorted((*b, i)))] for b in below]) for i in range(n)] if order else []
+    # Leibniz, D_g (ab) = sum_alpha C(g, alpha) D_alpha a D_(g - alpha) b: its
+    # terms with 0 < alpha < g; Faa di Bruno, D_g f(u) = sum_k f^(k)(u) S_k:
+    # S_k sums over the partitions of g into k blocks the products of D_block u
+    t.product = order >= 2 and _sum_table(pos, t.alphas[n:], 2, ordered=True)
+    t.chain = [
+        (k, t.offset[k], _sum_table(pos, t.alphas[t.offset[k] :], k, ordered=False))
+        for k in range(order, 1, -1)
+    ]
+    return t
+
+
+def _sum_table(pos, gammas, k, ordered):
+    """For each multi-index g of ``gammas``, the sum over the splits of its
+    indices into k non-empty blocks of the product of the entries at the
+    blocks: in the order of their labels when ``ordered``, else as a set
+    (each partition once).  Returns the positions of each factor, the
+    weights that merge equal terms (None when all are 1), and the
+    ``np.add.reduceat`` starts of the sums (None when each has one term)."""
+    rows = []
+    for g in gammas:
+        rows.append(row := Counter())
+        for labels in product(range(k), repeat=len(g)):
+            if len(set(labels)) == k:
+                blocks = [pos[tuple(i for i, b in zip(g, labels) if b == j)] for j in range(k)]
+                row[tuple(blocks if ordered else sorted(blocks))] += 1
+    weights = np.array([w for row in rows for w in row.values()], dtype=float)
+    if not ordered:
+        weights /= math.factorial(k)  # each partition came once per labelling of its blocks
+    starts = np.cumsum([0] + [len(row) for row in rows[:-1]])
+    return (
+        tuple(map(np.array, zip(*(f for row in rows for f in row)))),
+        None if (weights == 1.0).all() else weights,
+        None if len(weights) == len(rows) else starts,
+    )
+
+
+def _sums(table, *blocks):
+    """The sums of a ``_sum_table``, reading factor j from ``blocks[j]``."""
+    factors, weights, starts = table
+    out = blocks[0].take(factors[0], axis=-1)
+    for block, at in zip(blocks[1:], factors[1:]):
+        out = out * block.take(at, axis=-1)
+    if weights is not None:
+        out *= weights
+    return out if starts is None else np.add.reduceat(out, starts, axis=-1)
+
+
+def _rows(v):
+    """A value or a scalar derivative (a float at a point, an (N,) array over
+    a batch) shaped to scale a derivative block row by row."""
+    return v[..., None] if type(v) is np.ndarray and v.ndim else v
+
+
 def _derivative_part(k, name):
     """Read-only access to ``Jet.parts[k]``, refused above the jet's order."""
 
     def read(jet):
-        if k < len(jet.parts):
-            return jet.parts[k]
+        if k <= jet.table.order:
+            return jet.derivs.take(jet.table.index[k], axis=-1)
         raise JetOrderError(f"{name} is part {k} of a jet; this one has order {jet.order}")
 
     return property(read)
 
 
-# index suffixes that give a batched value k trailing unit axes
-_UNIT_AXES = ((), (Ellipsis, None), (Ellipsis, None, None), (Ellipsis, None, None, None))
-# partial(i) takes index i on the first derivative axis of each part; these
-# are the full slices over the derivative axes after it
-_AFTER_FIRST = ((), (slice(None),), (slice(None), slice(None)))
+def _jet(value, derivs, table):
+    """The jet of ``value`` and the derivative block ``derivs`` of ``table``."""
+    jet = object.__new__(Jet)
+    jet.value, jet.derivs, jet.table = value, derivs, table
+    return jet
 
 
-def _scaler(v, k):
-    """A value or a scalar derivative (a float at a point, an (N,) array over
-    a batch) shaped to scale a part of order k row by row."""
-    return v[_UNIT_AXES[k]] if type(v) is np.ndarray and v.ndim else v
+def _linear(op):
+    """The jet method of ``op``, + or -: on the values and derivatives of
+    two jets, or on the value of a jet and a number."""
+
+    def apply(self, other):
+        if isinstance(other, _NUMBERS):
+            c = other if type(other) is np.ndarray else float(other)
+            return _jet(op(self.value, c), self.derivs, self.table)
+        if not isinstance(other, Jet):
+            return NotImplemented
+        t, a, b = _common(self, other)
+        return _jet(op(self.value, other.value), op(a, b), t)
+
+    return apply
 
 
 class Jet:
-    """A value and its symmetric derivative arrays through ``order`` (0..3).
+    """A value and its partial derivatives through ``order`` (0..MAX_ORDER).
 
-    ``parts`` holds exactly ``order + 1`` derivative parts: ``parts[0]`` is
-    the value and ``parts[k]`` the array of k-th partial derivatives.  At a
-    point of an n-dimensional chart the value is a float and part k has
-    shape ``(n,) * k``; over a batch of N points the value has shape (N,)
-    and part k has shape ``(N,) + (n,) * k``, or ``(n,) * k`` when it is the
-    same for every row.  Nothing above the order is stored; reading
-    ``grad``, ``hess`` or ``third`` above it raises :class:`JetOrderError`.
-    Jets are shared by the field memo, so they are never mutated after
-    construction.
+    ``value`` is a float at a point, an (N,) array over a batch of N
+    points.  ``derivs`` holds each derivative D_alpha of degree 1 through
+    ``order`` once, in the layout of ``table`` (see :func:`_tables`), on its
+    last axis, after the batch axis or none when it is the same for every
+    row.  ``parts[k]`` (``grad``, ``hess``, ``third``) is a gather of it:
+    the exactly symmetric array of k-th partials, of shape ``(n,) * k``
+    after that batch axis.  Reading a part above the order raises
+    :class:`JetOrderError`.  ``Jet(parts)`` reads such a value and arrays at
+    the sorted indices of each multi-index.  Jets are shared by the field
+    memo, so they are never mutated after construction.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ("value", "derivs", "table")
     # an array on the left of ``+ - * /`` leaves the operation to the jet
     __array_ufunc__ = None
 
     def __init__(self, parts):
-        v = parts[0]
-        self.parts = (v if type(v) is np.ndarray and v.ndim else float(v), *parts[1:])
+        t = _tables(np.shape(parts[-1])[-1] if parts[1:] else 0, len(parts) - 1)
+        at = [zip(*t.alphas[t.offset[k] : t.offset[k + 1]]) for k in range(1, t.order + 1)]
+        blocks = [np.asarray(p)[(..., *i)] for p, i in zip(parts[1:], at)]
+        lead = np.broadcast_shapes(*(b.shape[:-1] for b in blocks))
+        blocks = [np.broadcast_to(b, lead + b.shape[-1:]) for b in blocks] or [t.zeros]
+        self.value, self.derivs, self.table = _number(parts[0]), np.concatenate(blocks, axis=-1), t
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, value, dim, order=MAX_ORDER):
         cls._check_order(order)
-        return cls([value] + [np.zeros((dim,) * k) for k in range(1, order + 1)])
+        t = _tables(dim, order)
+        return _jet(_number(value), t.zeros, t)
 
     @classmethod
     def variable(cls, value, index, dim, order=MAX_ORDER):
-        j = cls.constant(value, dim, order)
-        if order >= 1:
-            j.parts[1][index] = 1.0
-        return j
+        cls._check_order(order)
+        t = _tables(dim, order)
+        return _jet(_number(value), t.units[index], t)
 
     @staticmethod
     def _check_order(order):
@@ -321,11 +435,12 @@ class Jet:
 
     @property
     def order(self):
-        return len(self.parts) - 1
+        return self.table.order
 
     @property
-    def value(self):
-        return self.parts[0]
+    def parts(self):
+        """The value, then the array of k-th partials for k = 1..order."""
+        return (self.value, *(self.derivs.take(i, axis=-1) for i in self.table.index[1:]))
 
     grad = _derivative_part(1, "grad")
     hess = _derivative_part(2, "hess")
@@ -341,52 +456,42 @@ class Jet:
 
         Costs one order: the result is valid through ``order - 1``.
         """
-        if len(self.parts) < 2:
+        t = self.table
+        if not t.order:
             raise JetOrderError(
                 "cannot extract a derivative from an order-0 jet; "
                 "evaluate the base field at a higher order"
             )
-        return Jet([p[(Ellipsis, index) + _AFTER_FIRST[k]] for k, p in enumerate(self.parts[1:])])
+        d = self.derivs.take(t.partial[index], axis=-1)
+        return _jet(_number(d[..., 0]), d[..., 1:], t.lower)
 
     # -- arithmetic (a Python number, or an (N,) array of one per row, acts
     # as its constant jet; see above) ----------------------------------------
 
     def _constant_like(self, value):
-        return Jet([value] + [np.zeros(p.shape[-k:]) for k, p in enumerate(self.parts[1:], 1)])
+        return _jet(value, self.table.zeros, self.table)
 
     def _scaled(self, c, full):
-        """Every part times the number c, or ``full()`` (the product with the
-        constant jet of c) when a part below the top one is not finite.  A
-        sum that overflows counts as not finite; that only costs the full
-        product."""
-        parts = self.parts
-        for p in parts[:-1]:
-            if not math.isfinite(p if type(p) is float else p.sum()):
-                return full()
+        """The value and derivatives times the number c, or ``full()`` (the
+        product with the constant jet of c) when the value or a derivative
+        below the top order is not finite.  A sum that overflows counts as
+        not finite; that only costs the full product."""
+        t, v = self.table, self.value
+        low = t.offset[t.order]  # the derivatives below the top order
+        if t.order and not (
+            math.isfinite(v if type(v) is float else v.sum())
+            and (not low or math.isfinite(self.derivs[..., :low].sum()))
+        ):
+            return full()
         if type(c) is np.ndarray:
-            return Jet([p * _scaler(c, k) for k, p in enumerate(parts)])
-        return self if c == 1.0 else Jet([p * c for p in parts])
+            return _jet(v * c, self.derivs * _rows(c), t)
+        return self if c == 1.0 else _jet(v * c, self.derivs * c, t)
 
-    def __add__(self, other):
-        if isinstance(other, _NUMBERS):
-            c = other if type(other) is np.ndarray else float(other)
-            return Jet([self.parts[0] + c, *self.parts[1:]])
-        if not isinstance(other, Jet):
-            return NotImplemented
-        return Jet([a + b for a, b in zip(self.parts, other.parts)])
-
-    __radd__ = __add__
+    __add__ = __radd__ = _linear(operator.add)
+    __sub__ = _linear(operator.sub)
 
     def __neg__(self):
-        return Jet([-p for p in self.parts])
-
-    def __sub__(self, other):
-        if isinstance(other, _NUMBERS):
-            c = other if type(other) is np.ndarray else float(other)
-            return Jet([self.parts[0] - c, *self.parts[1:]])
-        if not isinstance(other, Jet):
-            return NotImplemented
-        return Jet([a - b for a, b in zip(self.parts, other.parts)])
+        return _jet(-self.value, -self.derivs, self.table)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -397,26 +502,15 @@ class Jet:
             return self._scaled(c, lambda: self * self._constant_like(c))
         if not isinstance(other, Jet):
             return NotImplemented
-        a, b = self.parts, other.parts
-        order = min(len(a), len(b)) - 1
-        a0, b0 = a[0], b[0]
-        parts = [a0 * b0]
-        if order >= 1:
-            parts.append(a[1] * _scaler(b0, 1) + _scaler(a0, 1) * b[1])
-        if order >= 2:
-            # a'_i b'_j + b'_i a'_j: one outer product and its transpose
-            outer = a[1][..., :, None] * b[1][..., None, :]
-            parts.append(
-                a[2] * _scaler(b0, 2) + outer + np.swapaxes(outer, -1, -2) + _scaler(a0, 2) * b[2]
-            )
-        if order >= 3:
-            parts.append(
-                a[3] * _scaler(b0, 3)
-                + _sym_hg(a[2], b[1])
-                + _sym_hg(b[2], a[1])
-                + _scaler(a0, 3) * b[3]
-            )
-        return Jet(parts)
+        t, a, b = _common(self, other)
+        a0, b0 = self.value, other.value
+        if not t.order:
+            return _jet(a0 * b0, t.zeros, t)
+        # Leibniz: D_g (ab) = D_g a b + a D_g b + the terms that read no value
+        d = a * _rows(b0) + _rows(a0) * b
+        if t.product:
+            d[..., t.n :] += _sums(t.product, a, b)
+        return _jet(a0 * b0, d, t)
 
     def __rmul__(self, other):
         if not isinstance(other, _NUMBERS):
@@ -485,28 +579,44 @@ class Jet:
     def compose(self, *f):
         """Chain rule: the jet of g(self) given ``f[k]``, the k-th derivative
         of g at the value (a float at a point, an (N,) array over a batch);
-        only ``f[0]`` through ``f[order]`` are read."""
-        a = self.parts
-        order = len(a) - 1
-        parts = [f[0]]
-        if order >= 1:
-            g = a[1]
-            parts.append(_scaler(f[1], 1) * g)
-        if order >= 2:
-            gg = g[..., :, None] * g[..., None, :]
-            parts.append(_scaler(f[2], 2) * gg + _scaler(f[1], 2) * a[2])
-        if order >= 3:
-            parts.append(
-                _scaler(f[3], 3) * (gg[..., None] * g[..., None, None, :])
-                + _scaler(f[2], 3) * _sym_hg(a[2], g)
-                + _scaler(f[1], 3) * a[3]
-            )
-        return Jet(parts)
+        only ``f[0]`` through ``f[order]`` are read.  Entry gamma adds the
+        terms of Faa di Bruno's formula from the most blocks down,
+        g'(f) D_gamma f last."""
+        t = self.table
+        if not t.order:
+            return _jet(f[0], t.zeros, t)
+        d = self.derivs
+        higher = None  # the terms of more than k blocks, from their offset on
+        for k, offset, table in t.chain:
+            terms = _rows(f[k]) * _sums(table, *(d,) * k)
+            if higher is not None:
+                terms[..., higher[0] - offset :] += higher[1]
+            higher = offset, terms
+        out = _rows(f[1]) * d
+        if higher is not None:
+            out[..., higher[0] :] += higher[1]
+        return _jet(f[0], out, t)
 
 
 # what jet arithmetic takes as a number: a Python number, or an (N,) array
 # of one number per row of a batch
 _NUMBERS = (int, float, np.ndarray)
+
+
+def _number(v):
+    """A value as a jet holds it: an (N,) array, or a float."""
+    return v if type(v) is np.ndarray and v.ndim else float(v)
+
+
+def _common(a, b):
+    """The tables of the lower order of two jets, which their sum and
+    product are valid through, and their derivative blocks cut to it."""
+    t = a.table
+    if t is b.table:
+        return t, a.derivs, b.derivs
+    if b.table.order < t.order:
+        t = b.table
+    return t, a.derivs[..., : t.size], b.derivs[..., : t.size]
 
 
 def _finite(x):
@@ -530,17 +640,6 @@ def _finite_reciprocal(c, order):
     if f is None or not all(map(math.isfinite if type(c) is float else _finite, f)):
         return None
     return f[0]
-
-
-# the axes of t[..., j, k, i] as a view of t[..., i, j, k], by t.ndim
-_ROTATED = {n: (*range(n - 3), n - 1, n - 3, n - 2) for n in (3, 4)}
-
-
-def _sym_hg(hess, grad):
-    """Symmetrized hess (x) grad: H_ij g_k + H_ik g_j + H_jk g_i, as one
-    product t_ijk = H_ij g_k and two views of it, t_ikj and t_jki."""
-    t = hess[..., :, :, None] * grad[..., None, None, :]
-    return t + np.swapaxes(t, -1, -2) + t.transpose(_ROTATED[t.ndim])
 
 
 def _derivatives(series, v, *args):
@@ -575,9 +674,9 @@ def _quotient(c, d):
 
 
 def _reciprocal_series(v, count):
-    """The first ``count`` of 1/v, -1/v^2, 2/v^3, -6/v^4: the derivatives of
-    1/x at v, computed only as far as they are read."""
-    return [_over_power(c, v, k + 1) for k, c in enumerate((1.0, -1.0, 2.0, -6.0)[:count])]
+    """The first ``count`` of 1/v, -1/v^2, 2/v^3, ..., (-1)^k k!/v^(k+1): the
+    derivatives of 1/x at v, computed only as far as they are read."""
+    return [_over_power((-1.0) ** k * math.factorial(k), v, k + 1) for k in range(count)]
 
 
 def _over_power(c, v, k):
@@ -646,52 +745,42 @@ def _sqrt_series(v, order):
     if anywhere(v <= 0.0):
         raise DomainError("sqrt of a non-positive value")
     s = _libm(math.sqrt, v)
-    # the derivatives 0.5/s, -0.25/(v s), 0.375/(v^2 s), only as far as read
-    f = [s]
-    if order >= 1:
-        f.append(_quotient(0.5, s))
-    if order >= 2:
-        f.append(_quotient(-0.25, v * s))
-    if order >= 3:
-        f.append(_quotient(0.375, v * v * s))
+    # the k-th derivative c_k / (v^(k-1) s), c_k = 1/2 (1/2 - 1) ... (3/2 - k)
+    f, c, vk = [s], 0.5, 1.0
+    for k in range(1, order + 1):
+        f.append(_quotient(c, vk * s))
+        c, vk = c * (0.5 - k), vk * v
     return f
 
 
-def _sin_series(v, order):
-    s, c = _libm(math.sin, v), _libm(math.cos, v)
-    return [s, c, -s, -c]
+def _cycle(f, df, period):
+    """The series of a function whose derivatives repeat: f, f', then -f,
+    -f' (``period`` 4) or f, f' again (``period`` 2)."""
 
+    def series(v, order):
+        a, b = _libm(f, v), _libm(df, v)
+        return [(a, b, -a, -b)[k % period] for k in range(order + 1)]
 
-def _cos_series(v, order):
-    s, c = _libm(math.sin, v), _libm(math.cos, v)
-    return [c, -s, -c, s]
-
-
-def _sinh_series(v, order):
-    s, c = _libm(math.sinh, v), _libm(math.cosh, v)
-    return [s, c, s, c]
-
-
-def _cosh_series(v, order):
-    s, c = _libm(math.sinh, v), _libm(math.cosh, v)
-    return [c, s, c, s]
+    return series
 
 
 def _tanh_series(v, order):
+    # tanh' = 1 - tanh^2, so tanh^(k+1) = -sum_j C(k, j) tanh^(j) tanh^(k-j)
     t = _libm(math.tanh, v)
-    if not order:
-        return [t]
-    d1 = 1.0 - t * t
-    return [t, d1, -2.0 * t * d1, d1 * (6.0 * t * t - 2.0)]
+    f = [t, 1.0 - t * t][: order + 1]
+    for k in range(1, order):
+        terms = [math.comb(k, j) * f[j] * f[k - j] for j in range(k + 1)]
+        f.append(-sum(terms[1:], terms[0]))
+    return f
 
 
 exp = _unary(_exp_series)
 log = _unary(_log_series)
 sqrt = _unary(_sqrt_series)
-sin = _unary(_sin_series)
-cos = _unary(_cos_series)
-sinh = _unary(_sinh_series)
-cosh = _unary(_cosh_series)
+sin = _unary(_cycle(math.sin, math.cos, 4))
+cos = _unary(_cycle(math.cos, lambda x: -math.sin(x), 4))
+sinh = _unary(_cycle(math.sinh, math.cosh, 2))
+cosh = _unary(_cycle(math.cosh, math.sinh, 2))
 tanh = _unary(_tanh_series)
 
 
@@ -820,11 +909,12 @@ class Field:
         key = (self, pt)
         jet = memo.get(key)
         if jet is not None:
-            held = len(jet.parts)
-            if held == order + 1:
+            held = jet.table.order
+            if held == order:
                 return jet
-            if held > order:  # a lower order is the first parts of the jet
-                return Jet(jet.parts[: order + 1])
+            if held > order:  # its value and a prefix view of its derivatives
+                t = _tables(jet.table.n, order)
+                return _jet(jet.value, jet.derivs[..., : t.size], t)
         jet = memo[key] = self.fn(pt, order)
         return jet
 

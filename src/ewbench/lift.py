@@ -245,13 +245,15 @@ def assemble(cfg, chart):
     """The lift of ``cfg`` on the fibre chart ``chart``, from the factors
     of its ``FIBRES`` row's profile (see ``Fibre``), without validating
     ``cfg``.  The chart's refusals still apply: the name of its fibre
-    (``fibre_chart``), then its ell bound.  Nothing is evaluated here."""
+    (``fibre_chart``), then its ell bound, in every row of an array ell.
+    Nothing is evaluated here."""
     chart4 = fibre_chart(chart, cfg.base.chart)
     row = FIBRES[chart]
-    if row.ell_max is not None and not abs(cfg.ell) <= row.ell_max:
+    past = row.ell_max is not None and ~(np.abs(cfg.ell) <= row.ell_max)
+    if jets.anywhere(past):
         raise DomainError(
-            f"ell = {cfg.ell:g} is past the bound |ell| <= {row.ell_max:g} of the "
-            f"{chart} chart, whose metric terms (ell/sin alpha)^2 overflow"
+            f"ell = {jets.first_where(cfg.ell, past):g} is past the bound |ell| <= "
+            f"{row.ell_max:g} of the {chart} chart, whose metric terms (ell/sin alpha)^2 overflow"
         )
     fibre = chart4[0]
     c_d, c_om, c_psi, c_h, a_psi, a_om = row.profile(Field.coordinate(fibre), cfg.ell)

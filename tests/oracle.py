@@ -12,6 +12,8 @@ form, with ``frame_expand`` giving its coefficients; ``weighted_d`` is
 D psi = d psi - (m/2) omega ^ psi for a ``Weighted`` pair of a 1-form and
 its weight m;
 ``flat_limit_per_ell`` is ``lift.flat_limit`` one ell at a time;
+``leibniz_parts`` is the product of two jets by the Leibniz rule on full
+derivative tensors;
 ``fd_oracle`` is the finite-difference oracle, which samples values only,
 and ``FDMetric`` a metric whose derivatives come from it; ``class_a_closed``, ``class_b_closed`` and ``class_c_closed`` are
 the closed-form (h, omega) pairs of the p-chart classes, and
@@ -27,6 +29,7 @@ the Heisenberg structure, ``CLASS_B_FS`` the class B presets and
 of a point (``coord``, ``with_coord``), a form (``comp``), a metric, the
 alpha fibre chart and a sampling domain.
 """
+import itertools
 import math
 import weakref
 from dataclasses import replace
@@ -166,6 +169,26 @@ FD_STEP_SCALE = 1e-4
 
 def _fd_step(x):
     return FD_STEP_SCALE * np.maximum(1.0, np.abs(x))
+
+
+def leibniz_parts(a, b):
+    """The parts of the product of two jets given by their parts (the value,
+    then the full arrays of k-th partials, each after an optional batch
+    axis), by the Leibniz rule on the full tensors: entry (i_1..i_k) of part
+    k adds, for every subset S of the k index positions, the entry of a at
+    the indices in S times the entry of b at the others."""
+    out = []
+    for k in range(min(len(a), len(b))):
+        terms = []
+        for r in range(k + 1):
+            for s in itertools.combinations(range(k), r):
+                rest = [j for j in range(k) if j not in s]
+                # a's axes at the positions in s, b's at the rest
+                at_s = np.expand_dims(a[r], tuple(j - k for j in rest))
+                at_rest = np.expand_dims(b[k - r], tuple(j - k for j in s))
+                terms.append(at_s * at_rest)
+        out.append(sum(terms[1:], terms[0]))
+    return out
 
 
 def fd_oracle(field, pt, axes):

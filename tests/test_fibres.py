@@ -67,6 +67,23 @@ def test_the_cli_offers_the_rows_of_the_table():
     assert FIBRES["alpha"].ell_max == 1e150 and FIBRES["p"].ell_max is None
 
 
+def test_an_array_ell_is_held_to_the_alpha_bound_row_by_row():
+    """Every row of an array ell is tested against the chart's bound, and
+    the first one past it is named as a lone ell would be."""
+    base = fam.heisenberg(1.0)
+    psi = fam.psi_const(base, 0.0)
+    inside = assemble(LiftConfig(base, psi, np.array([1.0, -2.0]), "alpha"), "alpha")
+    assert inside.kind == "alpha"
+    for ells in ([1.0, -3e150], [-3e150, 1.0], [1.0, np.nan]):
+        with pytest.raises(lift_mod.DomainError) as err:
+            assemble(LiftConfig(base, psi, np.array(ells), "alpha"), "alpha")
+        past = next(e for e in ells if not abs(e) <= 1e150)
+        with pytest.raises(lift_mod.DomainError) as alone:
+            assemble(LiftConfig(base, psi, past, "alpha"), "alpha")
+        assert str(err.value) == str(alone.value)
+        assert str(err.value).startswith(f"ell = {past:g} is past the bound |ell| <= 1e+150")
+
+
 @pytest.mark.parametrize("case", ["heisenberg", "class-b"])
 def test_a_limit_one_pass_validates_once(monkeypatch, case):
     """One validation for the ells of the one pass; one per lift job,

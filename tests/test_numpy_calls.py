@@ -1,11 +1,12 @@
 """Fewer numpy calls, the same bits: the report writer gives the text of
-``json.dumps``, the draws are those of ``rng.uniform``, the one-product
-order-2 term and ``_sym_hg`` are the three-product formulas, and an
+``json.dumps``, the draws are those of ``rng.uniform``, the jet product
+is the Leibniz rule on full derivative tensors, and an
 expression literal gives the parts of its constant jet, zero signs and
 error texts included."""
 import contextlib
 import enum
 import io
+import itertools
 import json
 import re
 
@@ -16,10 +17,11 @@ from ewbench import cli as cli_mod
 from ewbench.cli import main
 from ewbench.errors import DomainError
 from ewbench.expr import eval_jet, parse
-from ewbench.jets import Jet, SampleDomain, _scaler, _sym_hg, sample
+from ewbench.jets import Jet, SampleDomain, sample
 from ewbench.report import report_json
 
 from conftest import pt
+from oracle import leibniz_parts
 
 
 def _dumps(report):
@@ -136,60 +138,47 @@ def test_a_box_past_the_float_range_raises_as_uniform_does():
     assert str(got.value) == str(want.value)
 
 
-# --- the symmetrized jet terms ------------------------------------------------------
-
-
-def _three_products_sym_hg(hess, grad):
-    return (
-        hess[..., :, :, None] * grad[..., None, None, :]
-        + hess[..., :, None, :] * grad[..., None, :, None]
-        + hess[..., None, :, :] * grad[..., :, None, None]
-    )
-
-
-def _three_products_mul(a, b):
-    """Parts 2 and 3 of a * b with a product per term."""
-    a0, b0 = a[0], b[0]
-    part2 = (
-        a[2] * _scaler(b0, 2)
-        + a[1][..., :, None] * b[1][..., None, :]
-        + b[1][..., :, None] * a[1][..., None, :]
-        + _scaler(a0, 2) * b[2]
-    )
-    part3 = (
-        a[3] * _scaler(b0, 3)
-        + _three_products_sym_hg(a[2], b[1])
-        + _three_products_sym_hg(b[2], a[1])
-        + _scaler(a0, 3) * b[3]
-    )
-    return part2, part3
+# --- the jet product ------------------------------------------------------------------
 
 
 def _random_parts(rng, batch, dim):
-    """The parts of an order-3 jet: over a batch, some derivative parts
-    have no batch axis (constants); some entries are inf or NaN."""
-    parts = [float(rng.normal()) if batch is None else rng.normal(size=batch)]
+    """The parts of an order-3 jet with small integer entries, symmetric in
+    the derivative axes: over a batch, some derivative parts have no batch
+    axis (constants); some entries are inf or NaN."""
+    parts = [float(rng.integers(-5, 6)) if batch is None else rng.integers(-5, 6, batch) * 1.0]
     for k in (1, 2, 3):
         lead = () if batch is None or rng.random() < 0.3 else (batch,)
-        parts.append(rng.normal(size=lead + (dim,) * k))
-    for p in parts[1:]:
-        flat = p.reshape(-1)
-        hit = rng.random(flat.size) < 0.05
-        flat[hit] = rng.choice([np.inf, -np.inf, np.nan], size=hit.sum())
+        entries = {}
+        for alpha in itertools.combinations_with_replacement(range(dim), k):
+            entry = rng.integers(-5, 6, lead) * 1.0
+            hit = rng.random(lead) < 0.05
+            entries[alpha] = np.where(hit, rng.choice([np.inf, -np.inf, np.nan], lead), entry)
+        part = np.empty(lead + (dim,) * k)
+        for idx in itertools.product(range(dim), repeat=k):
+            part[(..., *idx)] = entries[tuple(sorted(idx))]
+        parts.append(part)
     return parts
+
+
+def _bits(x):
+    """The bytes of x, every NaN the same NaN."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.isnan(x), np.nan, x).tobytes()
 
 
 @pytest.mark.parametrize("batch", [None, 6], ids=["point", "batch"])
 @pytest.mark.parametrize("dim", [3, 4])
 def test_one_product_terms_are_the_three_product_formulas(batch, dim):
+    """The product of two jets is the Leibniz rule on the full derivative
+    tensors (``oracle.leibniz_parts``), bit for bit with zero signs, inf
+    and NaN: on integer entries every sum is exact, whatever its order."""
     rng = np.random.default_rng(dim)
     with np.errstate(all="ignore"):
         for _ in range(50):
             a, b = _random_parts(rng, batch, dim), _random_parts(rng, batch, dim)
-            got = (Jet(a) * Jet(b)).parts[2:]
-            for part, want in zip(got, _three_products_mul(a, b)):
-                assert np.array_equal(part, want, equal_nan=True)
-            assert np.array_equal(_sym_hg(a[2], b[1]), _three_products_sym_hg(a[2], b[1]), equal_nan=True)
+            got = (Jet(a) * Jet(b)).parts
+            for part, want in zip(got, leibniz_parts(a, b)):
+                assert _bits(part) == _bits(np.broadcast_to(want, np.shape(part)))
 
 
 # --- expression literals ------------------------------------------------------------

@@ -322,3 +322,30 @@ def test_weyl_packs_the_frame_jets_that_gt_and_monopole_read(capsys, monkeypatch
     # a constant component folds into the products of h, so only gt reads it
     assert calls and all(len(orders) == 1 for orders in calls.values())
     assert all(f.number is not None for f, orders in calls.items() if orders != [2])
+
+
+def test_report_diff_sizes_check_shifts_by_tol_and_counts_moved_points():
+    """``report_diff`` states a check's max and mean shifts as fractions of
+    its tol, and counts worst_point moves without a coordinate delta."""
+
+    def report(top, mean, point, verdict="pass", tol=1e-6):
+        check = {"max": top, "mean": mean, "worst_point": point, "tol": tol, "verdict": verdict}
+        return json.dumps({"checks": {"gt": check}, "n_points": 2}, indent=2) + "\n"
+
+    old = {
+        ("a",): (0, report(1e-12, 1e-13, [0.5, 1.0]), ""),
+        ("b",): (0, report(2e-9, 1e-9, [0.25, 3.0], tol=1e-7), ""),
+        ("c",): (1, "", "error\n"),
+    }
+    new = {
+        ("a",): (0, report(1.5e-12, 1e-13, [2.5, 1.0]), ""),
+        ("b",): (0, report(2e-9, 1.5e-9, [0.25, 3.0], tol=1e-7), ""),
+        ("c",): (1, "", "error\n"),
+    }
+    assert REPORT_DIFF.shift_summary(old, new) == [
+        "shift over 2 JSON reports with equal exit codes:",
+        "  checks.gt.max: largest shift 5e-07 of its tol, in 1 argvs",
+        "  checks.gt.mean: largest shift 0.005 of its tol, in 1 argvs",
+        "  checks.gt.worst_point: moved in 1 argvs",
+        "  0 verdicts changed",
+    ]

@@ -22,8 +22,10 @@ each argv whose exit code, stdout (without its ``wall_time_s`` line) or
 stderr differs, and exits 1 on any difference, 0 when there is none.  Over
 the argvs whose exit codes match and whose stdout is a JSON report on both
 sides, it then sums up the shift: each leaf path that differs
-(``checks.monopole.max``; the entries of a list share its path), its
-largest |delta| and the argvs it differs in, and the number of changed
+(``checks.monopole.max``; the entries of a list share its path), the argvs
+it differs in, and its largest |delta|, which for a check's ``max`` and
+``mean`` is a fraction of the check's ``tol`` and for its ``worst_point``
+is left out (the point only moved); then the number of changed
 verdicts.  It uses only the standard library; each checkout's perfbench
 reads its jobs.
 """
@@ -381,36 +383,58 @@ def leaves(node, path=()):
 
 def shift_summary(old, new):
     """Lines summing up how the JSON reports of argvs with equal exit codes
-    differ: per leaf path (list indices dropped), the largest |delta| and
-    the number of argvs; then the number of changed verdicts."""
+    differ, per leaf path (list indices dropped): for a check's ``max`` and
+    ``mean``, the largest shift as a fraction of that check's ``tol``; for
+    its ``worst_point``, only that it moved, since a rounding-level change
+    may move the argmax to another row; for any other leaf, the largest
+    |delta|; each with the number of argvs it differs in.  Then the number
+    of changed verdicts."""
     largest, argvs, verdicts, compared = {}, {}, 0, 0
     for key in old.keys() & new.keys():
         if old[key][0] != new[key][0]:
             continue
-        a, b = report_of(old[key][1]), report_of(new[key][1])
-        if a is None or b is None:
+        report, b = report_of(old[key][1]), report_of(new[key][1])
+        if report is None or b is None:
             continue
         compared += 1
-        a, b = leaves(a), leaves(b)
+        a, b = leaves(report), leaves(b)
         names = set()
         for path in a.keys() | b.keys():
             x, y = a.get(path), b.get(path)
             if x == y:
                 continue
             name = ".".join(p for p in path if isinstance(p, str))
-            numbers = all(type(v) in (int, float) for v in (x, y))
-            delta = abs(x - y) if numbers else float("inf")
-            largest[name] = max(largest.get(name, 0.0), delta)
             names.add(name)
             verdicts += path[-1:] == ("verdict",)
+            if _check_field(name) == "worst_point":
+                continue
+            numbers = all(type(v) in (int, float) for v in (x, y))
+            delta = abs(x - y) if numbers else float("inf")
+            if _check_field(name) in ("max", "mean"):
+                tol = report["checks"][path[1]].get("tol")
+                delta = delta / tol if type(tol) in (int, float) and tol > 0 else float("inf")
+            largest[name] = max(largest.get(name, 0.0), delta)
         for name in names:
             argvs[name] = argvs.get(name, 0) + 1
     lines = [f"shift over {compared} JSON reports with equal exit codes:"]
-    for name in sorted(largest):
+    for name in sorted(argvs):
+        if name not in largest:
+            lines.append(f"  {name}: moved in {argvs[name]} argvs")
+            continue
         size = "not numeric" if largest[name] == float("inf") else f"{largest[name]:.3g}"
-        lines.append(f"  {name}: largest |delta| {size}, in {argvs[name]} argvs")
+        if _check_field(name) in ("max", "mean"):
+            size = f"shift {size} of its tol"
+        else:
+            size = f"|delta| {size}"
+        lines.append(f"  {name}: largest {size}, in {argvs[name]} argvs")
     lines.append(f"  {verdicts} verdicts changed")
     return lines
+
+
+def _check_field(name):
+    """The field of a check that the leaf path ``name`` is, or None."""
+    parts = name.split(".")
+    return parts[2] if len(parts) == 3 and parts[0] == "checks" else None
 
 
 def main(argv):
