@@ -299,7 +299,7 @@ def make_parser():
     pe = sub.add_parser("eval", help="evaluate an expression at a point")
     pe.add_argument("--expr", required=True, help="expression text")
     pe.add_argument("--at", required=True, help="point, e.g. x=1,y=3,t=2")
-    pe.add_argument("--order", type=int, default=1, help="jet order (0..3)")
+    pe.add_argument("--order", type=int, default=1, help=f"jet order (0..{jets.MAX_ORDER})")
     pe.add_argument("--out", help="also write the result to this path")
     ap.commands = sub.choices
     return ap

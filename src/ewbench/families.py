@@ -76,8 +76,9 @@ def heisenberg(ell):
 
     V comes out as the constant +2/ell.  ``ell`` is a number, or an (N,)
     array that gives each row of a batch of N points its own ell.  A zero
-    ell is refused; building at a row whose 4/ell is not finite, a zero
-    one included, raises DomainError.
+    number is refused; an array is not checked, and a row whose 4/ell is
+    not finite, a zero one included, is left to evaluation, as the
+    constants of every field that does not fold are.
     """
     if type(ell) is np.ndarray:
         with np.errstate(divide="ignore", over="ignore"):  # inf, as a float's 4/ell
@@ -168,8 +169,10 @@ def _heat_probe(beta_ast):
 def class_b(F):
     """Class B structure from an arbitrary nonvanishing F(p): expression
     text, a parsed expression, or a number or an (N,) array of one per
-    row of a batch, which is the constant field of its value (the row
-    constant of an array, see ``jets.Field``)."""
+    row of a batch, which is the constant field of its value (see
+    ``jets.Field``).  A constant F is not checked: where 1/F does not fold,
+    in some row of an array, it is left to evaluation, which raises
+    DomainError at a zero F."""
     if isinstance(F, (int, float, np.ndarray)):
         f = Field.const(F)
     else:

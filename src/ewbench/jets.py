@@ -29,10 +29,10 @@ A :class:`Field` is a lazily evaluated scalar function of a point or a
 batch of points; requesting a derivative field lowers the maximum order
 that can be evaluated by one, which is how the order cap stays honest.
 Field algebra folds constants, and an affine field knows its constant
-derivatives (see :class:`Field`).  An (N,) array in field algebra is a row
-constant: constant along the chart, with one number per row of the
-batches of N points that its caller tiles, so that one build serves the
-rows of many numbers.  Field evaluations are memoized on
+derivatives (see :class:`Field`).  A constant's number may be an (N,)
+array, one number per row of the batches of N points that its caller
+tiles, so that one build serves the rows of many numbers; it folds by the
+rules of a float.  Field evaluations are memoized on
 ``(field, point)`` in the open :func:`evaluation_scope`, a context
 variable never shared between threads, so shared subexpressions and the
 checks of one command (``report.run_check``) evaluate each field once; a
@@ -209,20 +209,20 @@ def pack_jets(pt, fields, order, shape):
     axes first, the fields in row-major order over ``shape``), by
     :func:`gather_parts`; a field that is None is an absent component, an
     exact zero that is not evaluated.  At order 1 an affine field's first
-    derivatives are its slopes, as ``Field.d`` gives them (the numbers of a
-    slope that is a row constant): it is evaluated at order 0 only, after
+    derivatives are its slopes, as ``Field.d`` gives them (an (N,) array
+    slope gives each row its own): it is evaluated at order 0 only, after
     the others, which may read its own fields at order 1."""
     jets, affine = [None] * len(fields), {}
     for i, f in enumerate(fields):
         if f is None:
             continue
         slopes = [f.slope(c) for c in pt.chart] if order == 1 and f.slope else [None]
-        if None not in slopes:
+        if all(s is not None for s in slopes):
             affine[i] = slopes
             continue
         jets[i] = f(pt, order)
     for i, slopes in affine.items():
-        if _RowConstant in map(type, slopes):  # a slope that is a row constant
+        if any(type(s) is np.ndarray for s in slopes):  # one slope per row
             slopes = np.stack(np.broadcast_arrays(*(row_numbers(s, pt) for s in slopes)), axis=-1)
         jets[i] = _jet(fields[i](pt, 0).value, np.asarray(slopes, dtype=float), _tables(pt.dim, 1))
     return gather_parts(pt, jets, order, np.arange(len(fields)).reshape(shape))
@@ -375,8 +375,7 @@ def _linear(op):
 
     def apply(self, other):
         if isinstance(other, _NUMBERS):
-            c = other if type(other) is np.ndarray else float(other)
-            return _jet(op(self.value, c), self.derivs, self.table)
+            return _jet(op(self.value, _number(other)), self.derivs, self.table)
         if not isinstance(other, Jet):
             return NotImplemented
         t, a, b = _common(self, other)
@@ -498,7 +497,7 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, _NUMBERS):
-            c = other if type(other) is np.ndarray else float(other)
+            c = _number(other)
             return self._scaled(c, lambda: self * self._constant_like(c))
         if not isinstance(other, Jet):
             return NotImplemented
@@ -515,7 +514,7 @@ class Jet:
     def __rmul__(self, other):
         if not isinstance(other, _NUMBERS):
             return NotImplemented
-        return _times(other if type(other) is np.ndarray else float(other), self)
+        return _times(_number(other), self)
 
     def reciprocal(self):
         v = self.value
@@ -528,7 +527,7 @@ class Jet:
 
     def __truediv__(self, other):
         if isinstance(other, _NUMBERS):
-            c = other if type(other) is np.ndarray else float(other)
+            c = _number(other)
 
             def full():
                 return self * self._constant_like(c).reciprocal()
@@ -542,7 +541,7 @@ class Jet:
     def __rtruediv__(self, other):
         if not isinstance(other, _NUMBERS):
             return NotImplemented
-        return _times(other if type(other) is np.ndarray else float(other), self.reciprocal())
+        return _times(_number(other), self.reciprocal())
 
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
@@ -604,7 +603,8 @@ _NUMBERS = (int, float, np.ndarray)
 
 
 def _number(v):
-    """A value as a jet holds it: an (N,) array, or a float."""
+    """A value, or a number operand, as a jet holds it: an (N,) array of
+    one number per row, or a float."""
     return v if type(v) is np.ndarray and v.ndim else float(v)
 
 
@@ -866,33 +866,30 @@ class Field:
     ``d(name)`` is the partial-derivative field along the named coordinate
     and needs the base to support one order more.
 
-    A constant field knows its ``number`` (None for any other field), and
-    ``+ - * /`` fold it: two constants make a constant, and otherwise the
-    number c acts on the jet of the other operand f as Jet arithmetic with
-    a number does (c * f and f / c scale it, f + c shifts it, 1 * f is its
-    own jet), instead of building the jet of c.  f is still evaluated,
-    whatever c is, so inf * 0 stays NaN.  Every remaining product keeps its
-    operand order.
-
-    A row constant is constant along the chart but takes one number per
-    row: ``Field.const`` of an (N,) array, which ``rows`` holds (``rows``
-    is None for any other field).  It has a jet only at a batch of N
-    points, and algebra takes an (N,) array as its row constant.  Two
-    constants fold row by row by the rules above, once, when the field is
-    built, and a row constant acts on the jet of any other field as its
-    numbers do.  Where a row's constants would not fold (their jet would
-    be evaluated instead), building the field raises DomainError.
+    A constant field knows its ``number`` (None for any other field): a
+    float, or an (N,) array of one number per row of a batch of N points,
+    where alone it has a jet, so that one build serves the rows of many
+    numbers.  An (N,) array in field algebra is the constant of its
+    numbers.  ``+ - * /`` fold constants, whatever their shape: two
+    constants make a constant when the rule folds them in every row, and
+    otherwise the number c acts on the jet of the other operand f as Jet
+    arithmetic with a number does (c * f and f / c scale it, f + c shifts
+    it, 1 * f is its own jet), instead of building the jet of c.  f is
+    still evaluated, whatever c is, so inf * 0 stays NaN.  Every remaining
+    product keeps its operand order.  A pair with an array that does not
+    fold in some row is evaluated in every row, which differs from the fold
+    of a row that alone would fold only in the sign of a zero.  The fold
+    of an array is numpy's arithmetic, which warns where it overflows.
 
     An affine field has a ``slope``: a function of a coordinate name giving
     its constant derivative along it, or None where that is not a number
-    that evaluation would give.  Coordinates and constants have one, and
-    f + c, c + f, f - c, c - f, c * f, f / c and -f carry the slope of f
-    through, a row constant where f or c is one; ``d`` of a field with a
-    slope is that constant.
+    (or an (N,) array of one per row) that evaluation would give.
+    Coordinates and constants have one, and f + c, c + f, f - c, c - f,
+    c * f, f / c and -f carry the slope of f through; ``d`` of a field with
+    a slope is the constant of that slope.
     """
 
     __slots__ = ("fn", "number", "slope")
-    rows = None
     # an array on the left of ``+ - * /`` leaves the operation to the field
     __array_ufunc__ = None
 
@@ -920,12 +917,10 @@ class Field:
 
     @staticmethod
     def const(value):
-        """The constant field of a number, or the row constant of an (N,)
-        array of them."""
-        if type(value) is np.ndarray:
-            return _RowConstant(value)
-        v = float(value)
-        field = Field(lambda pt, order=0: Jet.constant(v, pt.dim, order), _flat)
+        """The constant field of a number, or of an (N,) array of one number
+        per row."""
+        v = _number(value)
+        field = Field(lambda pt, order=0: Jet.constant(row_numbers(v, pt), pt.dim, order), _flat)
         field.number = v
         return field
 
@@ -941,7 +936,7 @@ class Field:
         """The partial derivative field along coordinate ``name``."""
         slope = None if self.slope is None else self.slope(name)
         if slope is not None:
-            return slope if isinstance(slope, Field) else Field.const(slope)
+            return Field.const(slope)
 
         def fn(pt, order=0):
             if order >= MAX_ORDER:
@@ -961,35 +956,27 @@ class Field:
 
     def _fold(self, other, op, constant):
         """``op`` pointwise on self and ``other``.  Two constants make the
-        constant ``constant(a, b)`` unless that is None (row by row when
-        either is a row constant); otherwise a constant among the operands
-        acts on the other operand's jet directly, and the result has a
-        slope when that operand has one and ``op`` is affine in it."""
-        if isinstance(other, (int, float)):
-            o, b = None, float(other)  # o is read only when b is None
-        elif isinstance(other, Field):
-            o, b = other, other.number if other.rows is None else other.rows
-        elif type(other) is np.ndarray:
-            o, b = None, other  # the numbers of a row constant
+        constant ``constant(a, b)`` unless that is None; otherwise a
+        constant among the operands acts on the other operand's jet
+        directly, and the result has a slope when that operand has one and
+        ``op`` is affine in it."""
+        if isinstance(other, Field):
+            o, b = other, other.number
+        elif isinstance(other, _NUMBERS):
+            o, b = None, _number(other)  # o is read only when b is None
         else:
             return NotImplemented
-        a = self.number if self.rows is None else self.rows
+        a = self.number
         if a is not None and b is not None:
-            if type(a) is np.ndarray or type(b) is np.ndarray:
-                return Field.const(_folded(constant, a, b))
             c = constant(a, b)
             if c is not None:
                 return Field.const(c)
         if b is not None:
             slope = _affine(self, _SLOPE_RULES[op][0], b)
-            if type(b) is np.ndarray:
-                return Field(lambda pt, order=0: op(self(pt, order), row_numbers(b, pt)), slope)
-            return Field(lambda pt, order=0: op(self(pt, order), b), slope)
+            return Field(lambda pt, order=0: op(self(pt, order), row_numbers(b, pt)), slope)
         if a is not None:
             slope = _affine(o, _SLOPE_RULES[op][1], a)
-            if type(a) is np.ndarray:
-                return Field(lambda pt, order=0: op(row_numbers(a, pt), o(pt, order)), slope)
-            return Field(lambda pt, order=0: op(a, o(pt, order)), slope)
+            return Field(lambda pt, order=0: op(row_numbers(a, pt), o(pt, order)), slope)
         return Field(lambda pt, order=0: op(self(pt, order), o(pt, order)))
 
     def __add__(self, other):
@@ -1017,8 +1004,6 @@ class Field:
     def __neg__(self):
         if self.number is not None:
             return Field.const(-self.number)
-        if self.rows is not None:
-            return Field.const(-self.rows)
         return Field(lambda pt, order=0: -self(pt, order), _affine(self, _negated, None))
 
 
@@ -1028,39 +1013,12 @@ def _flat(along):
 
 
 def row_numbers(x, pt):
-    """The number x, or the numbers of x, an (N,) array of one per row or
-    the row constant of one, at a batch of N points; DomainError at a point
-    or at a batch of any other shape."""
-    rows = x.rows if isinstance(x, Field) else x
-    if type(rows) is not np.ndarray:
-        return rows
-    if rows.shape != pt.shape:
+    """The number x, or x itself, an (N,) array of one number per row, at a
+    batch of N points; DomainError for an array at a point or at a batch of
+    any other shape."""
+    if type(x) is np.ndarray and x.shape != pt.shape:
         raise DomainError("the scale has rows only at the batches its pass tiles")
-    return rows
-
-
-class _RowConstant(Field):
-    """The row constant of the (N,) array ``rows`` (see :class:`Field`)."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        def fn(pt, order=0):
-            return Jet.constant(row_numbers(rows, pt), pt.dim, order)
-
-        super().__init__(fn, _flat)
-        self.rows = rows
-
-
-@np.errstate(all="ignore")  # a row whose constant is not finite fails below
-def _folded(rule, a, b):
-    """``rule(a, b)`` on numbers or arrays of row numbers; DomainError
-    where it gives None, in some row, and so would leave the constants to
-    evaluation."""
-    c = rule(a, b)
-    if c is None:
-        raise DomainError("a constant of some row does not fold")
-    return c
+    return x
 
 
 # The product of constant jets has zero derivative parts only when both
@@ -1105,23 +1063,13 @@ _SLOPE_RULES = {
 def _affine(f, rule, c):
     """The slope of the field that acts on f by a constant c (a number or
     an (N,) array of row numbers), whose slope is ``rule(s, c)`` where f
-    has the slope s (row by row, a row constant folded once per name,
-    where s or c has rows); None when f has none, or when ``rule`` is
-    None."""
+    has the slope s; None when f has none, or when ``rule`` is None."""
     if f.slope is None or rule is None:
         return None
-    rows = type(c) is np.ndarray and rule not in (_shifted, _negated)
-    made = {}  # the row-constant slope along each name, built once to share its jets
 
     def slope(name):
         s = f.slope(name)
-        if s is None:
-            return None
-        if rows or (type(s) is _RowConstant and rule not in (_shifted, _negated)):
-            if name not in made:
-                made[name] = Field.const(_folded(rule, s.rows if isinstance(s, Field) else s, c))
-            return made[name]
-        return rule(s, c)
+        return None if s is None else rule(s, c)
 
     return slope
 

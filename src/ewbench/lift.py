@@ -19,9 +19,9 @@ heisenberg(ell) or class B with F = ell/4, from its ``families.CASES``
 row, which states its gauge.
 
 A family's scale may be an (N,) array, one ell per row of a batch of N
-points, which field algebra takes as a row constant (see ``jets.Field``),
-so that ``flat_limit`` builds the family once for every ell; no sign rule
-reads it.
+points, which field algebra takes as a constant with one number per row
+(see ``jets.Field``), so that ``flat_limit`` builds the family once for
+every ell; no sign rule reads it.
 """
 
 from __future__ import annotations
@@ -134,8 +134,8 @@ class LiftConfig:
     validate the gauge, the structure equations, and psi; when empty a
     deterministic default box is sampled, which suits bases defined on all
     of R^3.  ``ell`` may be an (N,) array of ells (see the module
-    docstring), which is refused when some row is zero, as a zero number
-    is; its lift has jets only at batches of N points.
+    docstring); a zero ell, or an array with a zero row, is refused.  The
+    lift of an array has jets only at batches of N points.
     """
 
     base: EWStructure
@@ -145,7 +145,7 @@ class LiftConfig:
     probes: PointBatch | tuple[ChartPoint, ...] = ()
 
     def __post_init__(self):
-        if not self.ell.all() if type(self.ell) is np.ndarray else self.ell == 0.0:
+        if not np.all(self.ell):
             raise ConfigError("ell must be nonzero")
         if self.chart not in FIBRES:
             raise ConfigError(f"unknown fibre chart {self.chart!r}")
@@ -390,10 +390,11 @@ def flat_limit(factory, ells):
     that the lift metric reads, so no field is evaluated again at a higher
     order; the report keeps its own key order.
 
-    If that pass raises an EwbenchError (a row that is not finite raises
-    DomainError in ``run_check``, and so does a row constant of the ells
-    read at a point, as ``run_check``'s point-by-point rows are, and a
-    build whose constants do not fold in some row), the same pass runs
+    If that pass raises an EwbenchError (``run_check`` raises DomainError
+    on a row that is not finite, and a constant of the array of ells
+    raises it when read at a point, as ``run_check``'s point-by-point rows
+    are; constants that do not fold in some row are evaluated in every
+    row, and raise where a row's number raises), the same pass runs
     again for each ell alone, in order, with the factory called at its
     number, as a one-ell batch: the first ell that fails raises what it
     raises alone, its text prefixed with ``ell = <repr>: ``,

@@ -425,6 +425,12 @@ class TestLimit:
 
 
 class TestEval:
+    @pytest.mark.parametrize("cap", [3, 5])
+    def test_the_order_help_names_the_jet_cap(self, monkeypatch, cap):
+        monkeypatch.setattr(cli_mod.jets, "MAX_ORDER", cap)
+        shown = " ".join(cli_mod.make_parser().commands["eval"].format_help().split())
+        assert f"--order ORDER jet order (0..{cap})" in shown
+
     def test_value_and_gradient(self, capsys):
         code, rep = run_json(
             capsys, "eval", "--expr", "p*ln(p)-p", "--at", "p=1",

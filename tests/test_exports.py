@@ -68,6 +68,8 @@ MOVED = (
     "Param",
     "_number_op",
     "_tiled",
+    "_RowConstant",
+    "_folded",
 )
 
 

@@ -85,10 +85,11 @@ def perturbed(base, amount=0.1):
 
 
 class TestLiftConfig:
-    def test_zero_ell_rejected(self):
+    @pytest.mark.parametrize("ell", [0.0, -0.0, np.array([1.0, -0.0])], ids=repr)
+    def test_zero_ell_rejected(self, ell):
         s = heisenberg(1.0)
-        with pytest.raises(ConfigError):
-            LiftConfig(s, psi_const(s, 0), 0.0)
+        with pytest.raises(ConfigError, match="^ell must be nonzero$"):
+            LiftConfig(s, psi_const(s, 0), ell)
 
     def test_unknown_chart_rejected(self):
         s = heisenberg(1.0)

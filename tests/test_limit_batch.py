@@ -1,6 +1,7 @@
 """Every ell of a limit family in one pass: the (N,) arrays that field
-algebra takes as row constants, the array of ells that ``lift.flat_limit``'s
-pass builds its family at, and ``flat_limit`` against the per-ell oracle."""
+algebra takes as constants with one number per row, the array of ells
+that ``lift.flat_limit``'s pass builds its family at, and ``flat_limit``
+against the per-ell oracle."""
 import contextlib
 import io
 import json
@@ -35,7 +36,7 @@ BATCH = PointBatch(XY, ROWS)
 ELLS = [100.0, -200.0, 1e-300]
 
 
-# --- a row constant over given rows --------------------------------------------
+# --- a constant of one number per row -------------------------------------------
 
 
 def test_a_batch_of_its_points_is_the_batch():
@@ -53,14 +54,14 @@ def test_a_parameter_has_zero_derivative_parts():
 
 
 def test_arithmetic_with_numbers_runs_as_numbers():
-    """A row constant folds with numbers, when it is built, row by row as
-    the constant of each row's number folds; an array on either side of a
-    field is its row constant."""
+    """A constant of an array folds with numbers, when it is built, row by
+    row as the constant of each row's number folds; an array on either
+    side of a field is its constant."""
     ell = Field.const(np.array(ELLS))
     built = ((ell - 1.5) * 3.0 / 7.0, -ell * ell, 2.0 - ell)
     for i, e in enumerate(ELLS):
         alone = ((Field.const(e) - 1.5) * 3.0 / 7.0, -Field.const(e) * e, 2.0 - Field.const(e))
-        assert [f.rows[i] for f in built] == [f.number for f in alone]
+        assert [f.number[i] for f in built] == [f.number for f in alone]
     x = Field.coordinate("x")
     numbers = np.array(ELLS)
     for got, want in [(numbers * x, x * numbers), (numbers - x, -x + numbers)]:
@@ -68,25 +69,37 @@ def test_arithmetic_with_numbers_runs_as_numbers():
     assert (numbers / x).value(BATCH).tolist() == [e / q[0] for e, q in zip(ELLS, ROWS)]
 
 
-def test_a_row_whose_constants_would_not_fold_raises():
-    """1 / F folds only where the jet of 1/x at F is finite through order 3;
-    in a row where it is not, the build at that number would evaluate the
-    quotient instead, so building the row constant raises."""
-    inv = 1.0 / Field.const(np.array(ELLS[:2]))
-    assert inv.value(BATCH[:2]).tolist() == [0.01, -0.005]
-    with pytest.raises(DomainError, match="does not fold"):
-        1.0 / Field.const(np.array(ELLS))
-    assert (1.0 / Field.const(1e-300)).number is None
-    # a slope folds when it is read, which a derivative field's build does
-    with pytest.raises(DomainError, match="does not fold"):
-        (Field.coordinate("x") * np.array([1.0, np.inf, 2.0])).d("x")
-    # a family at an array, where a row's 1/F or 4/ell is not finite
-    with pytest.raises(DomainError, match="does not fold"):
-        class_b(np.array([25.0, 0.0, 25.0]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DomainError, match="does not fold"):
-            heisenberg(np.array([100.0, 5e-324]))
+def test_a_pair_that_does_not_fold_in_some_row_is_evaluated():
+    """1 / F folds only where the jet of 1/x at F is finite through order 3.
+    An array with a row where it is not builds, as that row's number does,
+    unfolded, and evaluating it raises what the number's evaluation
+    raises; a family built at such an array ends a limit pass with the
+    error of the ell that fails alone."""
+    assert (1.0 / Field.const(np.array(ELLS[:2]))).number.tolist() == [0.01, -0.005]
+    inv = 1.0 / Field.const(np.array([100.0, 1e-300]))
+    alone = 1.0 / Field.const(1e-300)
+    assert inv.number is None and alone.number is None
+    # its value is finite, and its jet through order 3 is not
+    big = 1.0 / 1e-300
+    assert alone.value(BATCH[0]) == big and inv.value(BATCH[:2]).tolist() == [0.01, big]
+    for field, pt in [(alone, BATCH[0]), (inv, BATCH[:2])]:
+        with pytest.raises(DomainError, match="^reciprocal of .* leaves the float range$"):
+            field(pt, 3)
+    # class B at F = ell/4 with a zero row, and heisenberg where 4/ell overflows
+    for family, scales, ells in [
+        (class_b, [25.0, 0.0, 25.0], [100.0, 0.0, 100.0]),
+        (heisenberg, [100.0, 5e-324], [100.0, 5e-324]),
+    ]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            family(np.array(scales))
+        factory, _ = limit_family(family.__name__, 0.0)
+        with np.errstate(all="ignore"), pytest.raises(EwbenchError) as want:
+            flat_limit_per_ell(factory, ells)
+        with pytest.raises(EwbenchError) as got:
+            flat_limit(factory, ells)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == f"ell = {ells[1]!r}: {want.value}"
 
 
 def _bytes(jet, row=None):
@@ -143,7 +156,7 @@ def test_the_pass_scale_is_the_ell_of_each_limit_row(case):
     scale, chart = _pass_scale(case, ells)
     want = np.repeat(ells, len(LIMIT_ROWS)).tolist()
     assert type(scale) is np.ndarray and scale.tolist() == want
-    # its row constant reads at the tiled rows, or the batch of their points
+    # its constant reads at the tiled rows, or the batch of their points
     tiled = PointBatch(chart, np.tile(LIMIT_ROWS[:, 1:], (len(ells), 1)))
     assert Field.const(scale).value(tiled).tolist() == want
     assert Field.const(scale).value(PointBatch.of(list(tiled))).tolist() == want
@@ -152,8 +165,8 @@ def test_the_pass_scale_is_the_ell_of_each_limit_row(case):
 @pytest.mark.parametrize("untiled", ["point", "slice", "probes"])
 def test_the_pass_scale_refuses_points_it_did_not_tile(untiled):
     """What ``run_check`` reads point by point ends the pass with an exit-3
-    error, never an internal error: a field of the scale, a row constant
-    or a field that a row constant acts on, raises the same DomainError at
+    error, never an internal error: a field of the scale, a constant of it
+    or a field that such a constant acts on, raises the same DomainError at
     a point, at a slice and at another batch."""
     ells = [100.0, -200.0]
     scale, chart = _pass_scale("heisenberg", ells)
@@ -351,53 +364,3 @@ def test_a_zero_ell_is_refused_before_any_pass(capsys, monkeypatch, tmp_path, ze
             assert main(["limit", "--case", case] + args) == EXIT_CONFIG
             assert capsys.readouterr() == ("", f"error: ells must be nonzero, got {raw!r}\n")
     assert calls == []
-
-
-# --- the row-constant slopes of one pass ----------------------------------------
-
-
-def _unshared_affine(f, rule, c):
-    """``jets._affine`` with no slope kept: a new row constant on every call."""
-    if f.slope is None or rule is None:
-        return None
-    shifts = (jets._shifted, jets._negated)
-    rows = type(c) is np.ndarray and rule not in shifts
-
-    def slope(name):
-        s = f.slope(name)
-        if s is None:
-            return None
-        if rows or (type(s) is jets._RowConstant and rule not in shifts):
-            return Field.const(jets._folded(rule, s.rows if isinstance(s, Field) else s, c))
-        return rule(s, c)
-
-    return slope
-
-
-def test_a_limit_pass_builds_each_row_constant_slope_once(monkeypatch):
-    """Every ``.d`` of a field scaled by the array of ells along one name is
-    one row constant, so the scope shares its jets; the report is that of
-    slopes built anew on every call."""
-    built = {}  # (slope, name) -> the row constants it gave
-    affine = jets._affine
-
-    def recorded(f, rule, c):
-        slope = affine(f, rule, c)
-        if slope is None:
-            return None
-
-        def seen(name):
-            s = slope(name)
-            if type(s) is jets._RowConstant:
-                built.setdefault((slope, name), []).append(s)
-            return s
-
-        return seen
-
-    argv = ["limit", "--case", "heisenberg"]
-    monkeypatch.setattr(jets, "_affine", recorded)
-    shared = _report(argv)
-    assert any(len(made) > 1 for made in built.values())
-    assert all(s is made[0] for made in built.values() for s in made)
-    monkeypatch.setattr(jets, "_affine", _unshared_affine)
-    assert shared == _report(argv) and shared[0] == EXIT_PASS

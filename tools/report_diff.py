@@ -211,12 +211,13 @@ FRAMES = tuple(
 )
 
 # both limit families with one ell at each extreme scale of
-# tests/test_exit_codes.py, after 100 and before it, so that the ell that
-# fails comes first and last; ells of both signs; and, at c = 0.5, the
+# tests/test_exit_codes.py and at +-1e-80, where class B's 1/F folds at
+# order 0 but not through order 3, after 100 and before it, so that the ell
+# that fails comes first and last; ells of both signs; and, at c = 0.5, the
 # default ells and three ells in one pass
 EXTREME_SCALES = (
-    "0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1e150", "1e154", "1e200",
-    "1e300", "-1e300", "1e308", "-1e308",
+    "0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1e-80", "-1e-80", "1e150", "1e154",
+    "1e200", "1e300", "-1e300", "1e308", "-1e308",
 )
 LIMITS = tuple(
     f"limit --case {case} --ells {ells}"
