@@ -57,7 +57,7 @@ from .ew import (
 )
 from .forms import metric_from_coframe
 from .jets import ChartPoint, sample
-from .report import CheckResult, build_report, report_json, run_check
+from .report import CheckResult, build_report, mean_of, report_json, run_check
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -520,7 +520,7 @@ def cmd_limit(cfg):
     result = CheckResult(
         name="limit",
         max=rep["form_gap"][-1],
-        mean=sum(rep["form_gap"]) / len(rep["form_gap"]),
+        mean=mean_of(rep["form_gap"]),
         worst_point=(),
         tol=tol,
         failed=rep["diverges"],

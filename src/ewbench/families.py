@@ -82,13 +82,13 @@ def heisenberg(ell):
     """
     if type(ell) is np.ndarray:
         with np.errstate(divide="ignore", over="ignore"):  # inf, as a float's 4/ell
-            slope = 4.0 / ell
+            u_x = 4.0 / ell
     else:
         ell = float(ell)
         if ell == 0.0:
             raise ConfigError("heisenberg requires ell != 0")
-        slope = 4.0 / ell
-    u = Field.coordinate("x") * slope
+        u_x = 4.0 / ell
+    u = Field.coordinate("x") * u_x
     return from_uw(u, Field.const(0.0))
 
 

@@ -28,8 +28,8 @@ full.  Over a batch an (N,) array acts as one such number per row.
 A :class:`Field` is a lazily evaluated scalar function of a point or a
 batch of points; requesting a derivative field lowers the maximum order
 that can be evaluated by one, which is how the order cap stays honest.
-Field algebra folds constants, and an affine field knows its constant
-derivatives (see :class:`Field`).  A constant's number may be an (N,)
+Field algebra folds constants (see :class:`Field`), and a field's
+derivatives come only from its jet.  A constant's number may be an (N,)
 array, one number per row of the batches of N points that its caller
 tiles, so that one build serves the rows of many numbers; it folds by the
 rules of a float.  Field evaluations are memoized on
@@ -208,23 +208,8 @@ def pack_jets(pt, fields, order, shape):
     read-only array of shape pt.shape + (dim,) * k + ``shape`` (derivative
     axes first, the fields in row-major order over ``shape``), by
     :func:`gather_parts`; a field that is None is an absent component, an
-    exact zero that is not evaluated.  At order 1 an affine field's first
-    derivatives are its slopes, as ``Field.d`` gives them (an (N,) array
-    slope gives each row its own): it is evaluated at order 0 only, after
-    the others, which may read its own fields at order 1."""
-    jets, affine = [None] * len(fields), {}
-    for i, f in enumerate(fields):
-        if f is None:
-            continue
-        slopes = [f.slope(c) for c in pt.chart] if order == 1 and f.slope else [None]
-        if all(s is not None for s in slopes):
-            affine[i] = slopes
-            continue
-        jets[i] = f(pt, order)
-    for i, slopes in affine.items():
-        if any(type(s) is np.ndarray for s in slopes):  # one slope per row
-            slopes = np.stack(np.broadcast_arrays(*(row_numbers(s, pt) for s in slopes)), axis=-1)
-        jets[i] = _jet(fields[i](pt, 0).value, np.asarray(slopes, dtype=float), _tables(pt.dim, 1))
+    exact zero that is not evaluated."""
+    jets = [None if f is None else f(pt, order) for f in fields]
     return gather_parts(pt, jets, order, np.arange(len(fields)).reshape(shape))
 
 
@@ -863,8 +848,9 @@ class Field:
     ``order``, at a ChartPoint or, row by row, over a PointBatch.  It is
     computed at most once per evaluation scope; callers share the
     jet, so they must not mutate it.  Algebra on fields is pointwise;
-    ``d(name)`` is the partial-derivative field along the named coordinate
-    and needs the base to support one order more.
+    ``d(name)``, the partial-derivative field along the named coordinate,
+    is the constant 0 for a constant and otherwise reads the base's jet one
+    order higher: a derivative comes only from a jet.
 
     A constant field knows its ``number`` (None for any other field): a
     float, or an (N,) array of one number per row of a batch of N points,
@@ -879,24 +865,17 @@ class Field:
     product keeps its operand order.  A pair with an array that does not
     fold in some row is evaluated in every row, which differs from the fold
     of a row that alone would fold only in the sign of a zero.  The fold
-    of an array is numpy's arithmetic, which warns where it overflows.
-
-    An affine field has a ``slope``: a function of a coordinate name giving
-    its constant derivative along it, or None where that is not a number
-    (or an (N,) array of one per row) that evaluation would give.
-    Coordinates and constants have one, and f + c, c + f, f - c, c - f,
-    c * f, f / c and -f carry the slope of f through; ``d`` of a field with
-    a slope is the constant of that slope.
+    of an array is numpy's arithmetic with its warnings off, so a row that
+    overflows gives what the float fold gives, silently.
     """
 
-    __slots__ = ("fn", "number", "slope")
+    __slots__ = ("fn", "number")
     # an array on the left of ``+ - * /`` leaves the operation to the field
     __array_ufunc__ = None
 
-    def __init__(self, fn, slope=None):
+    def __init__(self, fn):
         self.fn = fn
         self.number = None
-        self.slope = slope
 
     def __call__(self, pt, order=0):
         memo = _SCOPE.get()
@@ -920,7 +899,7 @@ class Field:
         """The constant field of a number, or of an (N,) array of one number
         per row."""
         v = _number(value)
-        field = Field(lambda pt, order=0: Jet.constant(row_numbers(v, pt), pt.dim, order), _flat)
+        field = Field(lambda pt, order=0: Jet.constant(row_numbers(v, pt), pt.dim, order))
         field.number = v
         return field
 
@@ -930,13 +909,12 @@ class Field:
             idx = pt.chart.index(name)
             return Jet.variable(pt.coords[idx], idx, pt.dim, order)
 
-        return Field(fn, lambda along: 1.0 if along == name else 0.0)
+        return Field(fn)
 
     def d(self, name):
         """The partial derivative field along coordinate ``name``."""
-        slope = None if self.slope is None else self.slope(name)
-        if slope is not None:
-            return Field.const(slope)
+        if self.number is not None:
+            return Field.const(0.0)
 
         def fn(pt, order=0):
             if order >= MAX_ORDER:
@@ -958,8 +936,7 @@ class Field:
         """``op`` pointwise on self and ``other``.  Two constants make the
         constant ``constant(a, b)`` unless that is None; otherwise a
         constant among the operands acts on the other operand's jet
-        directly, and the result has a slope when that operand has one and
-        ``op`` is affine in it."""
+        directly."""
         if isinstance(other, Field):
             o, b = other, other.number
         elif isinstance(other, _NUMBERS):
@@ -968,15 +945,17 @@ class Field:
             return NotImplemented
         a = self.number
         if a is not None and b is not None:
-            c = constant(a, b)
+            if type(a) is np.ndarray or type(b) is np.ndarray:
+                with np.errstate(all="ignore"):  # a float overflows silently
+                    c = constant(a, b)
+            else:
+                c = constant(a, b)
             if c is not None:
                 return Field.const(c)
         if b is not None:
-            slope = _affine(self, _SLOPE_RULES[op][0], b)
-            return Field(lambda pt, order=0: op(self(pt, order), row_numbers(b, pt)), slope)
+            return Field(lambda pt, order=0: op(self(pt, order), row_numbers(b, pt)))
         if a is not None:
-            slope = _affine(o, _SLOPE_RULES[op][1], a)
-            return Field(lambda pt, order=0: op(row_numbers(a, pt), o(pt, order)), slope)
+            return Field(lambda pt, order=0: op(row_numbers(a, pt), o(pt, order)))
         return Field(lambda pt, order=0: op(self(pt, order), o(pt, order)))
 
     def __add__(self, other):
@@ -1004,12 +983,7 @@ class Field:
     def __neg__(self):
         if self.number is not None:
             return Field.const(-self.number)
-        return Field(lambda pt, order=0: -self(pt, order), _affine(self, _negated, None))
-
-
-def _flat(along):
-    """The slope of a field constant along the chart."""
-    return 0.0
+        return Field(lambda pt, order=0: -self(pt, order))
 
 
 def row_numbers(x, pt):
@@ -1029,49 +1003,12 @@ def row_numbers(x, pt):
 
 
 def _constant_product(a, b):
-    if type(a) is float and type(b) is float:
-        return a * b if math.isfinite(a) and math.isfinite(b) else None
     return a * b if _finite(a) and _finite(b) else None
 
 
 def _constant_quotient(a, b):
     r = _finite_reciprocal(b, MAX_ORDER)
     return a * r if r is not None and _finite(a) else None
-
-
-def _shifted(s, c):
-    return s
-
-
-def _negated(s, c):
-    return -s
-
-
-# The slope of f op c and of c op f, as rule(s, c) of the slope s of f: a
-# number c shifts the jet of f or scales it by c (or 1/c), and its
-# derivative parts with it, exactly as it does the constant s.  A scaling
-# that would leave the bits of evaluation (a non-finite factor, whose
-# product with a zero part is NaN) gives None, and so does c / f.
-_SLOPE_RULES = {
-    operator.add: (_shifted, _shifted),
-    operator.sub: (_shifted, _negated),
-    operator.mul: (_constant_product, _constant_product),
-    operator.truediv: (_constant_quotient, None),
-}
-
-
-def _affine(f, rule, c):
-    """The slope of the field that acts on f by a constant c (a number or
-    an (N,) array of row numbers), whose slope is ``rule(s, c)`` where f
-    has the slope s; None when f has none, or when ``rule`` is None."""
-    if f.slope is None or rule is None:
-        return None
-
-    def slope(name):
-        s = f.slope(name)
-        return None if s is None else rule(s, c)
-
-    return slope
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ every ell; no sign rule reads it.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -43,7 +44,7 @@ from .errors import (
     GaugeViolationError,
     PsiResidualError,
 )
-from .ew import EWStructure, gt_residual, psi_residual
+from .ew import EWStructure, frame_arrays, gt_residual, psi_residual
 from .forms import (
     MetricField,
     PForm,
@@ -202,10 +203,15 @@ def validate_config(cfg):
     scope of their own, where they share the frame arrays of the base; a
     failing verdict raises GaugeViolationError (gauge, structure
     equations) or PsiResidualError, and a non-finite one DomainError.
+    A nonzero psi = c omega reads omega through order 1, after gt reads it
+    at order 0, so omega is packed through order 1 first, once.
     """
     probes = cfg.probes or default_probes(cfg.base.chart)
     base = cfg.base
     with jets.evaluation_scope():
+        if cfg.psi.comps:
+            with contextlib.suppress(EwbenchError):  # the check that reads it raises it
+                frame_arrays(base, PointBatch.of(probes), "omega", 1)
         r = run_check(
             "lift.gauge",
             lambda q: base.V(q, 0).value * row_numbers(cfg.ell, q) + 2.0,

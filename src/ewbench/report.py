@@ -84,11 +84,18 @@ def run_check(name, fn, points, tol):
     return CheckResult(
         name=name,
         max=top,
-        mean=sum(vals) / len(vals),
+        mean=mean_of(vals),
         worst_point=tuple(batch.rows[vals.index(top)].tolist()),
         tol=float(tol),
         rows=tuple(vals),
     )
+
+
+def mean_of(vals):
+    """The mean of finite values: their sum over their count or, where that
+    sum overflows, the sum of each value over the count, which is finite."""
+    mean = sum(vals) / len(vals)
+    return mean if math.isfinite(mean) else sum(v / len(vals) for v in vals)
 
 
 @np.errstate(all="ignore")  # every value is checked for finiteness below

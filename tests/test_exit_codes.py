@@ -10,6 +10,7 @@ matches the exit code, and nothing on stderr.
 import contextlib
 import io
 import json
+import math
 import re
 import warnings
 
@@ -224,6 +225,16 @@ def test_a_guard_constant_that_rejects_exhausts_after_one_batch(monkeypatch, arg
         f"rejected by {CERTAIN_EXHAUSTION[argv]}: 1000448\n"
     )
     assert len(calls) == 1 and calls[0] <= 512
+
+
+def test_a_mean_whose_sum_overflows_is_finite():
+    # every row is finite, and the sum of 50 of them is not
+    argv = ["verify", "--case", "from-H", "--H", "2e153*x*y", "--checks", "hypercr", "--points", "50"]
+    _assert_contract(argv)
+    code, out, _, _ = _run(argv)
+    check = json.loads(out)["checks"]["hypercr"]
+    assert code == EXIT_FAIL
+    assert 1e307 < check["mean"] <= check["max"] < math.inf
 
 
 def test_a_points_flag_past_the_float_range_is_a_config_error():

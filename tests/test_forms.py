@@ -558,9 +558,7 @@ class TestPullback:
     @pytest.mark.parametrize("batched", (False, True), ids=("point", "batch"))
     def test_base_block_and_zero_fibre(self, order, batched):
         cases = _pullback_cases()
-        # every case reaches order 3: heisenberg omega's first derivatives
-        # of u are folded constants
-        assert len(cases) == 9
+        checked = 0
         for f, small, big in cases:
             pos = tuple(big.index(name) for name in small)
             rows4 = np.column_stack([self.FIBRE, self.BASE_ROWS])
@@ -568,7 +566,15 @@ class TestPullback:
                 q3, q4 = PointBatch(small, self.BASE_ROWS), PointBatch(big, rows4)
             else:
                 q3, q4 = pt(small, *self.BASE_ROWS[0]), pt(big, *rows4[0])
-            j3 = f(q3, order)
+            try:
+                j3 = f(q3, order)
+            except JetOrderError:
+                # omega holds first derivatives, so it stops at order 2 on
+                # either chart
+                with pytest.raises(JetOrderError):
+                    f(q4, order)
+                continue
+            checked += 1
             j4 = f(q4, order)
             assert j4.order == order
             np.testing.assert_array_equal(j4.value, j3.value)
@@ -580,6 +586,8 @@ class TestPullback:
                 fibre = part.copy()
                 fibre[block] = 0.0
                 assert not fibre.any()
+        # all but heisenberg omega's two components reach order 3
+        assert checked == len(cases) - (2 if order == 3 else 0)
 
     def test_embedding_reuses_the_base_fields(self):
         s = heisenberg(1.0)

@@ -1,4 +1,5 @@
 import math
+import operator
 import re
 
 import numpy as np
@@ -85,6 +86,42 @@ class TestOrderCap:
         f = parse_field("exp(t)*sin(y)", XYT)
         q = pt(XYT, 0.0, 0.3, 0.1)
         assert f.d("y")(q, 0).value == pytest.approx(f(q, 1).grad[1])
+
+    def test_an_order_past_the_cap_is_refused(self):
+        top = jets.MAX_ORDER + 1
+        with pytest.raises(JetOrderError) as exc:
+            Jet.constant(1.0, 2, top)
+        assert str(exc.value) == f"jet order {top} outside 0..{jets.MAX_ORDER}"
+
+    def test_an_order_0_jet_has_no_partial(self):
+        with pytest.raises(JetOrderError) as exc:
+            Jet.variable(0.5, 0, 2, 0).partial(0)
+        assert str(exc.value) == (
+            "cannot extract a derivative from an order-0 jet; "
+            "evaluate the base field at a higher order"
+        )
+
+    def test_a_part_above_the_order_is_refused(self):
+        with pytest.raises(JetOrderError) as exc:
+            Jet.variable(0.5, 0, 2, 1).hess
+        assert str(exc.value) == "hess is part 2 of a jet; this one has order 1"
+
+    @pytest.mark.parametrize("batched", (False, True), ids=("point", "batch"))
+    def test_a_lower_order_right_operand_cuts_to_its_order(self, batched):
+        f = parse_field("exp(t)*sin(y) + x^3", XYT)
+        g = parse_field("cos(x*y) - t", XYT)
+        rows = [[0.2, 0.3, 0.1], [-0.7, 1.1, 0.4]]
+        q = PointBatch(XYT, rows) if batched else pt(XYT, *rows[0])
+        with evaluation_scope():
+            a, b = f(q, 3), g(q, 1)
+            prefix = f(q, 1)  # a view of the first parts of a
+        assert a.order == 3 and prefix.order == 1
+        for op in (operator.add, operator.sub, operator.mul):
+            got, want = op(a, b), op(prefix, b)
+            assert got.order == 1
+            assert [np.asarray(p).tobytes() for p in got.parts] == [
+                np.asarray(p).tobytes() for p in want.parts
+            ]
 
 
 class TestEvaluationScope:
@@ -540,12 +577,12 @@ class TestAffineDerivatives:
 
     def test_coordinates_constants_and_affine_maps_fold(self):
         x, y = Field.coordinate("x"), Field.coordinate("y")
-        assert x.d("x").number == 1.0 and x.d("y").number == 0.0
         assert Field.const(7.0).d("x").number == 0.0
-        f = (3.0 - x * 2.0) / 4.0 + y
-        assert f.d("x").number is None  # f + g is not folded
-        assert ((3.0 - x * 2.0) / 4.0).d("x").number == -0.5
-        assert (-(x + 5.0)).d("x").number == -1.0
+        # every other derivative comes from the jet: none is a constant
+        assert x.d("x").number is None and x.d("y").number is None
+        assert ((3.0 - x * 2.0) / 4.0 + y).d("x").number is None
+        assert ((3.0 - x * 2.0) / 4.0).d("x").number is None
+        assert (-(x + 5.0)).d("x").number is None
         assert (jets.exp(x) * 2.0).d("x").number is None
 
     def test_a_non_finite_factor_is_left_to_evaluation(self):
@@ -557,9 +594,12 @@ class TestAffineDerivatives:
     @pytest.mark.parametrize("ell", [1.0, -3.0, 0.7, 1e300])
     def test_heisenberg_v_and_omega_dy_fold(self, ell):
         s = heisenberg(ell)
-        assert s.V.number == 2 / ell
+        q = pt(XYT, 0.3, -0.4, 0.8)
+        v = s.V(q, 2)
+        assert v.value == 2 / ell
+        assert not v.derivs.any()
         dy = s.chart.index("y")
-        assert s.omega.comps[(dy,)].number == 4 / ell
+        assert s.omega.comps[(dy,)](q, 0).value == 4 / ell
 
 
 class TestNothingPresentIsSkipped:

@@ -5,6 +5,7 @@ against the per-ell oracle."""
 import contextlib
 import io
 import json
+import math
 import re
 import warnings
 
@@ -100,6 +101,20 @@ def test_a_pair_that_does_not_fold_in_some_row_is_evaluated():
             flat_limit(factory, ells)
         assert type(got.value) is type(want.value)
         assert str(got.value) == f"ell = {ells[1]!r}: {want.value}"
+
+
+def test_an_array_fold_is_silent_where_the_float_fold_is():
+    """Where a row overflows, or its reciprocal's jet is not finite, an
+    array folds as each row's float does, with no numpy warning."""
+    big, small = np.array([1e308, 1.0]), np.array([1e-320, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert (Field.const(big) * 10.0).number.tolist() == [math.inf, 10.0]
+        assert (Field.const(big) + Field.const(big)).number.tolist() == [math.inf, 2.0]
+        assert (1.0 / Field.const(small)).number is None
+        assert [(Field.const(v) * 10.0).number for v in big] == [math.inf, 10.0]
+        assert [(Field.const(v) + Field.const(v)).number for v in big] == [math.inf, 2.0]
+        assert (1.0 / Field.const(1e-320)).number is None
 
 
 def _bytes(jet, row=None):

@@ -16,7 +16,7 @@ from ewbench import cli as cli_mod
 from ewbench import families as fam
 from ewbench import lift as lift_mod
 from ewbench.cli import EXIT_CONFIG, EXIT_SAMPLING, main
-from ewbench.errors import DomainError, EwbenchError, SingularFrameError
+from ewbench.errors import ConfigError, DomainError, EwbenchError, SingularFrameError
 from ewbench.ew import EWStructure, psi_residual
 from ewbench.expr import to_field
 from ewbench.jets import (
@@ -30,7 +30,7 @@ from ewbench.jets import (
     shared_scope,
 )
 from ewbench.lift import LiftConfig, default_probes, fibre_points, fix_ell_sign, validate_config
-from ewbench.report import run_check
+from ewbench.report import mean_of, run_check
 
 from conftest import EXPRS, PYT, XYT
 
@@ -114,6 +114,20 @@ def test_run_check_evaluates_the_batch_it_is_given():
     r = run_check("x", fn, batch, 1.0)
     assert seen == [batch] and seen[0] is batch
     assert (r.max, r.mean, r.worst_point) == (9.0, 4.5, (9.0, 10.0, 11.0))
+
+
+def test_run_check_refuses_no_points():
+    for points in ([], PointBatch(XYT, np.empty((0, 3)))):
+        with pytest.raises(ConfigError) as exc:
+            run_check("x", lambda q: q.coords[0], points, 1.0)
+        assert str(exc.value) == "check 'x' received no sample points"
+
+
+def test_a_mean_is_the_sum_over_the_count_unless_that_sum_overflows():
+    vals = [0.1, 0.2, 0.7, 1e-300]
+    assert mean_of(vals) == sum(vals) / len(vals)
+    big = [1.5e308, 1.7e308]
+    assert mean_of(big) == 1.5e308 / 2 + 1.7e308 / 2
 
 
 def test_the_job_packs_the_sample_batch_itself(monkeypatch):
@@ -321,11 +335,7 @@ def _jet_bits(field, q, order):
 
 
 def _fold_bits(field):
-    number = None if field.number is None else _bits(field.number)
-    slope = None if field.slope is None else tuple(
-        None if field.slope(n) is None else _bits(field.slope(n)) for n in ("x", "y")
-    )
-    return number, slope
+    return None if field.number is None else _bits(field.number)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

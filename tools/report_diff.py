@@ -13,8 +13,8 @@ one-batch command lines of ``BATCHES``, the frame-pass command lines of
 ``FRAMES``, the limit command lines of ``LIMITS``, the literal-heavy
 command lines of ``LITERALS``, the fibre-chart command lines of
 ``FIBRES``, the psi command lines of ``PSI``, the exterior-derivative
-command lines of ``FORMS``, and any extra command lines given after the
-two checkouts.
+command lines of ``FORMS``, the affine-field command lines of ``AFFINE``,
+and any extra command lines given after the two checkouts.
 One subprocess per checkout runs them all through
 ``ewbench.cli.main`` in process, with that checkout's ``src`` first on the
 path.  The tool prints
@@ -303,6 +303,23 @@ FORMS = (
     "limit --case heisenberg --ells 1e6,1e7,1e8 --c 0.5",
 )
 
+# fields whose derivatives are constants, taken from their jets: a gauge f
+# that is a constant (of either zero sign) or affine, and heisenberg's
+# u = 4/ell x at an ell where 4/ell overflows and one where it is huge
+AFFINE = tuple(
+    f"verify --case {case} --f {f} --checks gt,monopole,psi,weyl --c 0.5 --points 20"
+    for case, f in (
+        ("heisenberg", "2"),
+        ("heisenberg", "-0.0"),
+        ("heisenberg", "'0.5*x-1'"),
+        ("heisenberg", "-t"),
+        ("class-b --F 2", "'0*p'"),
+    )
+) + tuple(
+    f"lift --case heisenberg --ell {ell} --checks em,maxwell,invariants --points 20"
+    for ell in ("5e-324", "-1e-300")
+)
+
 # batches past perfbench's sizes, where rounding shifts of the batched
 # contractions and any dependence of a row on the others would show
 LARGE = (
@@ -444,7 +461,7 @@ def main(argv):
     old_dir, new_dir = Path(argv[0]), Path(argv[1])
     sets = (
         CONSTANT_DATA + CATALOG + CHECKS + EDGES + LARGE + PLANS + BATCHES + FRAMES + LIMITS
-        + LITERALS + FIBRES + PSI + FORMS
+        + LITERALS + FIBRES + PSI + FORMS + AFFINE
     )
     extra = list(sets) + argv[2:]
     old, new = reports(old_dir, extra), reports(new_dir, extra)
