@@ -44,10 +44,9 @@ from . import expr as ex
 from . import families as fam
 from . import jets
 from . import lift as lift_mod
-from .curv import em_residual, field_strength, maxwell_residual, weyl_ricci_residual
+from .curv import em_residual, maxwell_residual, pack_reads, weyl_ricci_residual
 from .errors import ConfigError, DomainError, EwbenchError
 from .ew import (
-    frame_arrays,
     gauge_transform,
     gt_residual,
     hypercr_residual,
@@ -55,7 +54,6 @@ from .ew import (
     psi_residual,
     require_x,
 )
-from .forms import metric_from_coframe
 from .jets import ChartPoint, sample
 from .report import CheckResult, build_report, mean_of, report_json, run_check
 
@@ -78,7 +76,7 @@ def _hypercr(s, cfg):
 
 class Check(NamedTuple):
     """One row of ``CHECKS``: whether the check runs on the base structure
-    or on the lift, the packed arrays it reads (a ``PACKERS`` name -> jet
+    or on the lift, the packed arrays it reads (a ``curv.PACKERS`` name -> jet
     order), its builder, the flags it reads under verify beyond its case's,
     and the arrays it reads besides when one of those flags is nonzero.
 
@@ -129,18 +127,6 @@ CHECKS = {
         lambda lcfg, data: (data, lambda q: maxwell_residual(data.potential, data.g, q)),
     ),
     "invariants": Check("lift", {"g": 2, "F": 0}, lift_mod.invariants_check),
-}
-# the packed arrays a check may read, each of the structure or lift whose
-# points it runs on, through a jet order: the coframe metric h and the
-# frame arrays of a base (omega and V, which differentiate coframe
-# fields, before the coframe), and the metric g and F = dA of a lift
-PACKERS = {
-    "h": lambda s, q, order: metric_from_coframe(s.frame).jets_at(q, order),
-    "omega": lambda s, q, order: frame_arrays(s, q, "omega", order),
-    "V": lambda s, q, order: frame_arrays(s, q, "V", order),
-    "frame": lambda s, q, order: frame_arrays(s, q, "frame", order),
-    "g": lambda data, q, order: data.g.jets_at(q, order),
-    "F": lambda data, q, order: field_strength(data.potential, q, order),
 }
 # the checks each subcommand offers
 OFFERED_CHECKS = {
@@ -433,33 +419,11 @@ def cmd_verify(cfg):
 
 def _run_checks(checks, tol):
     """The results of the checks ``(name, fn, points, on, reads)``, run in
-    request order in one evaluation scope, so that they share their field
-    and metric work; ``points`` is a PointBatch.
-
-    Before the first check runs, each packed array that some check reads
-    (``reads`` maps a ``PACKERS`` name to a jet order, of the structure or
-    lift ``on`` over the check's points) is packed once, at the highest
-    order any check reads it there, and every read after that slices what
-    is held: em's F serves maxwell, and monopole's omega and V serve gt.
-    The highest orders are packed first, then in ``PACKERS`` order, so a
-    field that two arrays read is evaluated once, at the higher order (the
-    coframe jets of weyl's h serve the frame arrays).  A packing that raises
-    is dropped; the check that reads the array packs it again in its turn
-    and raises the same error there, so a job still stops at the first
-    check, in request order, that meets one.
-    """
-    plan = {}
-    for _, _, pts, on, reads in checks:
-        for array, order in reads.items():
-            held = plan.setdefault((array, id(on), id(pts)), [array, on, pts, order])
-            held[3] = max(held[3], order)
+    request order in one evaluation scope after ``curv.pack_reads`` packs
+    what they read of ``on``, so that they share their field and metric
+    work; ``points`` is a PointBatch."""
     with jets.evaluation_scope():
-        rank = list(PACKERS).index
-        for array, on, pts, order in sorted(plan.values(), key=lambda p: (-p[3], rank(p[0]))):
-            try:
-                PACKERS[array](on, pts, order)
-            except EwbenchError:
-                pass
+        pack_reads((on, pts, reads) for _, _, pts, on, reads in checks)
         return [run_check(name, fn, pts, tol) for name, fn, pts, _, _ in checks]
 
 

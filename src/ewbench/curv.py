@@ -38,8 +38,8 @@ and build its curvature once between them.  F = dA is packed once per
 potential and point in the same way, by :func:`field_strength`.  A packing
 is kept at the highest order asked, and one of a higher order evaluates the
 component fields again; so each function here asks for its highest order
-first, and the CLI packs g, F and the coframe metric of its checks up
-front, each at the highest order any of them reads (``cli.PACKERS``).  Any
+first, and a job packs g, F and the coframe metric of its checks up
+front, each at the highest order any of them reads (:func:`pack_reads`).  Any
 object with ``dim`` and ``jets_at`` serves as the metric: the tests'
 finite-difference oracle is one, and as the scope keys on the metric
 object, it never reads or fills the jet metric's values.
@@ -53,9 +53,11 @@ batch row adds its terms in the order its point alone does.
 """
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
-from .errors import SingularMetricError
+from .errors import EwbenchError, SingularMetricError
 from .ew import frame_arrays
 from .forms import exterior_d, metric_from_coframe
 from .jets import (
@@ -362,3 +364,42 @@ def weyl_ricci_residual(s, pt):
     return weyl_ricci_residual_metric(
         metric_from_coframe(s.frame), frame_arrays(s, pt, "omega", 1), pt
     )
+
+
+# ---------------------------------------------------------------------------
+# the arrays a job packs before its checks run
+# ---------------------------------------------------------------------------
+
+# the arrays a check may read, packed through a jet order, of the structure or
+# lift whose points it runs on and of a 1-form psi: psi (which may read omega),
+# omega and V (which differentiate coframe fields) before the coframe
+PACKERS = {
+    "h": lambda s, q, order: metric_from_coframe(s.frame).jets_at(q, order),
+    "psi": lambda psi, q, order: [f(q, order) for f in psi.comps.values()],
+    "omega": lambda s, q, order: frame_arrays(s, q, "omega", order),
+    "V": lambda s, q, order: frame_arrays(s, q, "V", order),
+    "frame": lambda s, q, order: frame_arrays(s, q, "frame", order),
+    "g": lambda data, q, order: data.g.jets_at(q, order),
+    "F": lambda data, q, order: field_strength(data.potential, q, order),
+}
+
+
+def pack_reads(reads):
+    """Pack in the open evaluation scope the arrays of ``reads``, one
+    ``(on, points, {PACKERS name: jet order})`` per check, each once at the
+    highest order read, so that a later read slices what is held (em's F
+    serves maxwell).  Higher orders go first, then ``PACKERS`` order, so a
+    field that two arrays read is evaluated once (weyl's h serves the frame
+    arrays).  A packing runs with numpy warnings off, as a check does; one
+    that raises is dropped, and the check that reads the array raises the
+    same error in its turn, so a job still stops at its first failing check.
+    """
+    plan = {}
+    for on, pts, arrays in reads:
+        for array, order in arrays.items():
+            held = plan.setdefault((array, id(on), id(pts)), [array, on, pts, order])
+            held[3] = max(held[3], order)
+    rank = list(PACKERS).index
+    for array, on, pts, order in sorted(plan.values(), key=lambda p: (-p[3], rank(p[0]))):
+        with contextlib.suppress(EwbenchError), np.errstate(all="ignore"):
+            PACKERS[array](on, pts, order)

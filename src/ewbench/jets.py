@@ -945,10 +945,7 @@ class Field:
             return NotImplemented
         a = self.number
         if a is not None and b is not None:
-            if type(a) is np.ndarray or type(b) is np.ndarray:
-                with np.errstate(all="ignore"):  # a float overflows silently
-                    c = constant(a, b)
-            else:
+            with np.errstate(all="ignore"):  # an array folds as a float does
                 c = constant(a, b)
             if c is not None:
                 return Field.const(c)

@@ -26,7 +26,6 @@ every ell; no sign rule reads it.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -36,7 +35,7 @@ import numpy as np
 
 from . import families as fam
 from . import jets
-from .curv import field_strength, riemann, scalar_invariants
+from .curv import field_strength, pack_reads, riemann, scalar_invariants
 from .errors import (
     ConfigError,
     DomainError,
@@ -44,7 +43,7 @@ from .errors import (
     GaugeViolationError,
     PsiResidualError,
 )
-from .ew import EWStructure, frame_arrays, gt_residual, psi_residual
+from .ew import EWStructure, gt_residual, psi_residual
 from .forms import (
     MetricField,
     PForm,
@@ -203,32 +202,31 @@ def validate_config(cfg):
     scope of their own, where they share the frame arrays of the base; a
     failing verdict raises GaugeViolationError (gauge, structure
     equations) or PsiResidualError, and a non-finite one DomainError.
-    A nonzero psi = c omega reads omega through order 1, after gt reads it
-    at order 0, so omega is packed through order 1 first, once.
+    ``curv.pack_reads`` first evaluates psi through order 1, as lift.psi
+    reads it, so each field (omega, for psi = c omega) is evaluated once.
     """
     probes = cfg.probes or default_probes(cfg.base.chart)
     base = cfg.base
+    batch = PointBatch.of(probes)
     with jets.evaluation_scope():
-        if cfg.psi.comps:
-            with contextlib.suppress(EwbenchError):  # the check that reads it raises it
-                frame_arrays(base, PointBatch.of(probes), "omega", 1)
+        pack_reads([(cfg.psi, batch, {"psi": 1})])
         r = run_check(
             "lift.gauge",
             lambda q: base.V(q, 0).value * row_numbers(cfg.ell, q) + 2.0,
-            probes,
+            batch,
             GAUGE_TOL,
         )
         if r.verdict == "fail":
             raise GaugeViolationError(
                 f"V*ell + 2 reaches {r.max:.3e}; the gauge V = -2/ell fails"
             )
-        r = run_check("lift.gt", lambda q: gt_residual(base, q), probes, GT_TOL)
+        r = run_check("lift.gt", lambda q: gt_residual(base, q), batch, GT_TOL)
         if r.verdict == "fail":
             raise GaugeViolationError(
                 f"base structure equations fail: residual {r.max:.3e}"
             )
         r = run_check(
-            "lift.psi", lambda q: psi_residual(cfg.psi, base, q), probes, PSI_TOL
+            "lift.psi", lambda q: psi_residual(cfg.psi, base, q), batch, PSI_TOL
         )
         if r.verdict == "fail":
             raise PsiResidualError(f"psi residual reaches {r.max:.3e}")

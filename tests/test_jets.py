@@ -564,9 +564,14 @@ def affine_field(start, steps):
 
 
 class TestAffineDerivatives:
+    """The derivatives of affine maps of the coordinates, which no longer
+    fold: ``d`` of a constant is the constant 0, and every other ``d`` is
+    the partial of the base's jet one order up."""
+
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(affine=AFFINE, along=st.sampled_from(["x", "y"]), q=POINTS, order=st.integers(0, 2))
     def test_a_folded_derivative_is_the_partial_of_a_finite_jet(self, affine, along, q, order):
+        """d of an affine field is the partial of its finite jet, bit for bit."""
         f = affine_field(*affine)
         fd = f.d(along)
         with np.errstate(all="ignore"):
@@ -576,6 +581,7 @@ class TestAffineDerivatives:
             assert_same(fd(q, order), jet.partial(q.chart.index(along)))
 
     def test_coordinates_constants_and_affine_maps_fold(self):
+        """Only the derivative of a constant is a constant."""
         x, y = Field.coordinate("x"), Field.coordinate("y")
         assert Field.const(7.0).d("x").number == 0.0
         # every other derivative comes from the jet: none is a constant
@@ -586,6 +592,7 @@ class TestAffineDerivatives:
         assert (jets.exp(x) * 2.0).d("x").number is None
 
     def test_a_non_finite_factor_is_left_to_evaluation(self):
+        """d of a field scaled by a non-finite number is no constant either."""
         x = Field.coordinate("x")
         assert (x * math.inf).d("x").number is None
         assert (x / 0.0).d("x").number is None
@@ -593,6 +600,8 @@ class TestAffineDerivatives:
 
     @pytest.mark.parametrize("ell", [1.0, -3.0, 0.7, 1e300])
     def test_heisenberg_v_and_omega_dy_fold(self, ell):
+        """V's jet is 2/ell with zero derivative parts, omega's dy
+        coefficient 4/ell, by evaluation."""
         s = heisenberg(ell)
         q = pt(XYT, 0.3, -0.4, 0.8)
         v = s.V(q, 2)

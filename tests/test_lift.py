@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,18 @@ class TestLiftConfig:
         probes = (bad, good) if bad_first else (good, bad)
         with pytest.raises(DomainError, match=r"'lift\.gt' is nan"):
             validate_config(LiftConfig(s, psi_const(s, 0), -1.0, probes=probes))
+
+    @pytest.mark.parametrize("bad_first", [True, False])
+    def test_non_finite_probe_with_a_nonzero_psi_is_a_domain_error(self, bad_first):
+        # psi = c omega packs omega before the probes run: that packing
+        # overflows at x = 1e308 too, without a warning
+        s = heisenberg(1.0)
+        bad, good = pt(XYT, 1e308, 0.5, 0.5), pt(XYT, 0.5, 0.5, 0.5)
+        probes = (bad, good) if bad_first else (good, bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"'lift\.gt' is nan"):
+                validate_config(LiftConfig(s, psi_const(s, 0.5), -1.0, probes=probes))
 
     def test_alpha_name_collision_rejected(self):
         base = from_uw(
