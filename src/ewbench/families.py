@@ -333,7 +333,7 @@ def generator_for(case, param):
 
 
 def default_domain(case, *, seed=7, count=200, **params):
-    """The pinned sampling box and guard of a catalog case, from its row.
+    """The pinned sampling box and guard (or None) of a catalog case, from its row.
 
     ``params`` holds the case's expression parameters (``CASES``), as text
     or parsed; a guard that reads one it is not given raises ConfigError.
@@ -345,8 +345,8 @@ def default_domain(case, *, seed=7, count=200, **params):
             raise ConfigError(f"{case} domain needs {name}")
         return _ast(params[name], row.exprs[name][1])
 
-    guards = () if row.guard is None else (row.guard(param),)
-    return SampleDomain(row.chart, row.box, guards, seed, count)
+    guard = None if row.guard is None else row.guard(param)
+    return SampleDomain(row.chart, row.box, guard, seed, count)
 
 
 # ---------------------------------------------------------------------------

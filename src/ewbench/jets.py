@@ -1020,7 +1020,7 @@ class Guard:
 
     predicate: Field
     threshold: float
-    label: str = ""
+    label: str  # names the guard in the exhaustion error
 
     def accepts(self, pt):
         return self.predicate.value(pt) > self.threshold
@@ -1028,11 +1028,11 @@ class Guard:
 
 @dataclass(frozen=True)
 class SampleDomain:
-    """A coordinate box with guard predicates and a deterministic seed."""
+    """A coordinate box, an optional guard and a deterministic seed."""
 
     chart: tuple[str, ...]
     box: tuple[tuple[float, float], ...]
-    guards: tuple[Guard, ...]
+    guard: Guard | None
     seed: int
     count: int
 
@@ -1047,26 +1047,24 @@ _BATCH = 512
 
 @np.errstate(all="ignore")  # a guard value that is not finite is a rejection
 def sample(domain):
-    """Uniform points in the box, rejection-filtered by the guards: the
+    """Uniform points in the box, rejection-filtered by the guard: the
     PointBatch of the accepted rows.
 
     Draws come in batches of 512 rows, and rows are accepted in draw order
-    up to ``count``.  Each guard is evaluated, value only, on a prefix of
+    up to ``count``.  The guard is evaluated, value only, on a prefix of
     the batch sized to hold the rows still needed at the acceptance rate
     seen so far, and once more on the rest of the batch only if that
-    prefix falls short; guard k sees only the rows that guards 0..k-1
-    accepted.  If a guard raises on a batch, that batch is screened again
-    row by row in draw order, so a row past the last one accepted never
-    raises.  Each batch is screened in an evaluation scope of its own, so
-    no guard evaluation outlives its batch or enters a scope open around
-    the call.  Deterministic for a fixed seed.  Raises
-    SamplingExhaustedError, with the number of draws each guard rejected,
+    prefix falls short.  If the guard raises on a batch, that batch is
+    screened again row by row in draw order, so a row past the last one
+    accepted never raises.  Each batch is screened in an evaluation scope
+    of its own, so no guard evaluation outlives its batch or enters a
+    scope open around the call.  Deterministic for a fixed seed.  Raises
+    SamplingExhaustedError, with the number of draws the guard rejected,
     when the acceptance rate is below 1% after a million draws; a batch
-    that can trigger it is screened whole, so those numbers do not depend
+    that can trigger it is screened whole, so that number does not depend
     on the prefix.  A guard value without the batch axis is that of every
-    draw: when one rejects after guards that each accepted with one, no
-    draw can pass, and the error comes after the first batch, with the
-    numbers of a run to the cap (that guard rejected every draw).
+    draw: when it rejects, no draw can pass, and the error comes after the
+    first batch, with the numbers of a run to the cap.
     """
     rng = np.random.default_rng(domain.seed)
     lows = np.array([b[0] for b in domain.box])
@@ -1075,43 +1073,39 @@ def sample(domain):
         raise OverflowError("Range exceeds valid bounds")
     accepted = [np.empty((0, len(domain.chart)))]  # the accepted rows of each batch
     taken = 0  # rows accepted so far
-    rejected = [0] * len(domain.guards)
-    passed = 0  # rows every guard accepted, past ``count`` included
+    rejected = 0  # rows the guard rejected
+    passed = 0  # rows the guard accepted, past ``count`` included
     drawn = 0
     while taken < domain.count:
         # rng.uniform(lows, highs, size) computes this, from the same stream
         rows = lows + spans * rng.random((_BATCH, len(domain.chart)))
         drawn += _BATCH
         need = domain.count - taken
-        prefix = (
-            _prefix_rows(need, passed, passed + sum(rejected)) if drawn < _MAX_DRAWS else _BATCH
-        )
+        prefix = _prefix_rows(need, passed, passed + rejected) if drawn < _MAX_DRAWS else _BATCH
         with evaluation_scope():
             try:
-                keep, counts = _screen(domain, rows[:prefix])
+                keep, out = _screen(domain, rows[:prefix])
                 if len(keep) < need and prefix < _BATCH:
-                    more, counts_more = _screen(domain, rows[prefix:])
+                    more, out_more = _screen(domain, rows[prefix:])
                     keep = np.concatenate([keep, more + prefix])
-                    counts = [a + b for a, b in zip(counts, counts_more)]
+                    out += out_more
             except SamplingExhaustedError:
                 raise
             except EwbenchError:
-                keep, counts = _screen_rows(domain, rows, need)
+                keep, out = _screen_rows(domain, rows, need)
         passed += len(keep)
-        rejected = [a + b for a, b in zip(rejected, counts)]
+        rejected += out
         accepted.append(rows[keep[:need]])
         taken += len(accepted[-1])
         if drawn >= _MAX_DRAWS and taken < 0.01 * drawn:
-            raise _exhausted(domain, taken, drawn, rejected)
+            raise _exhausted(domain.guard, taken, drawn, rejected)
     return PointBatch(domain.chart, np.concatenate(accepted))
 
 
-def _exhausted(domain, taken, drawn, rejected):
-    by_guard = ", ".join(
-        f"{g.label or f'guard {k}'}: {n}" for k, (g, n) in enumerate(zip(domain.guards, rejected))
-    )
+def _exhausted(guard, taken, drawn, rejected):
     return SamplingExhaustedError(
-        f"acceptance rate {taken}/{drawn} below 1% after {drawn} draws; rejected by {by_guard}"
+        f"acceptance rate {taken}/{drawn} below 1% after {drawn} draws; "
+        f"rejected by {guard.label}: {rejected}"
     )
 
 
@@ -1127,39 +1121,26 @@ def _prefix_rows(need, passed, screened):
 
 
 def _screen(domain, rows):
-    """Indices of the rows that every guard accepts, and how many rows each
-    guard rejected; guard k sees only the rows guards 0..k-1 accepted.
-    Raises SamplingExhaustedError when no draw can pass (see ``sample``)."""
-    keep = np.arange(len(rows))
-    counts = [0] * len(domain.guards)
-    decided = True  # every guard so far accepted without the batch axis
-    for k, g in enumerate(domain.guards):
-        if not len(keep):
-            break
-        ok = g.accepts(PointBatch(domain.chart, rows[keep]))
-        decided = decided and np.ndim(ok) == 0
-        if decided and not ok:
-            counts[k] = _BATCH * math.ceil(_MAX_DRAWS / _BATCH)
-            raise _exhausted(domain, 0, counts[k], counts)
-        ok = np.broadcast_to(ok, keep.shape)
-        counts[k] = len(keep) - int(np.count_nonzero(ok))
-        keep = keep[ok]
-    return keep, counts
+    """Indices of the rows that the guard accepts (every row, with no
+    guard), and how many rows it rejected.  Raises SamplingExhaustedError
+    when no draw can pass (see ``sample``)."""
+    if domain.guard is None:
+        return np.arange(len(rows)), 0
+    ok = domain.guard.accepts(PointBatch(domain.chart, rows))
+    if np.ndim(ok) == 0 and not ok:
+        cap = _BATCH * math.ceil(_MAX_DRAWS / _BATCH)
+        raise _exhausted(domain.guard, 0, cap, cap)
+    keep = np.flatnonzero(np.broadcast_to(ok, len(rows)))
+    return keep, len(rows) - len(keep)
 
 
 def _screen_rows(domain, rows, need):
     """``_screen`` one row at a time in draw order, stopping at the
     ``need``-th accepted row."""
     keep = []
-    counts = [0] * len(domain.guards)
     for i, row in enumerate(rows):
-        pt = ChartPoint(domain.chart, tuple(float(v) for v in row))
-        for k, g in enumerate(domain.guards):
-            if not g.accepts(pt):
-                counts[k] += 1
-                break
-        else:
+        if domain.guard.accepts(ChartPoint(domain.chart, tuple(float(v) for v in row))):
             keep.append(i)
             if len(keep) == need:
                 break
-    return keep, counts
+    return keep, i + 1 - len(keep)  # the rows screened, less those kept

@@ -60,13 +60,15 @@ def run_check(name, fn, points, tol):
     evaluation scope (so checks over the same points share their field and
     packed-metric evaluations) or in a scope of its own, and each row is
     reduced to its largest absolute component, the point's value in
-    ``rows``.  A residual, or a component, without the batch axis gives
-    every row the same value, as in numpy broadcasting, so constant data
-    is evaluated once.  If fn raises an EwbenchError or a row is not
-    finite, the points are evaluated again one at a time in sample order,
-    each in a new scope, so the first offending point raises exactly the
-    error it raises alone; a non-finite point raises DomainError.  This is
-    the one loop that evaluates residuals over sample or probe points.
+    ``rows``.  A residual, or a component, is read by its first axis, not
+    by numpy broadcasting: one entry per point makes the rows, and any
+    other value (a number, or an array with another first axis) gives
+    every row its largest absolute entry, so constant data is evaluated
+    once.  If fn raises an EwbenchError or a row is not finite, the points
+    are evaluated again one at a time in sample order, each in a new
+    scope, so the first offending point raises exactly the error it raises
+    alone; a non-finite point raises DomainError.  This is the one loop
+    that evaluates residuals over sample or probe points.
     """
     if not len(points):
         raise ConfigError(f"check {name!r} received no sample points")
@@ -115,8 +117,8 @@ def _row_pass(fn, batch):
 
 def _row_maxima(r, n):
     """Largest absolute component of each of the n rows of a batch
-    residual.  A residual, or one of its components, that has no leading
-    batch axis gives the same value for every row."""
+    residual.  A residual, or one of its components, whose first axis does
+    not have n entries gives its largest absolute entry to every row."""
     if type(r) is np.ndarray and r.shape[:1] == (n,):  # one array: two numpy calls
         return np.abs(r.reshape(n, -1)).max(axis=1, initial=0.0)
     rows = np.zeros(n)

@@ -10,9 +10,9 @@ PYT = ("p", "y", "t")
 
 
 def box_points(chart, lo, hi, count, seed):
-    """Plain uniform points in a box, no guards."""
+    """Plain uniform points in a box, no guard."""
     dim = len(chart)
-    dom = SampleDomain(tuple(chart), ((lo, hi),) * dim, (), seed, count)
+    dom = SampleDomain(tuple(chart), ((lo, hi),) * dim, None, seed, count)
     return sample(dom)
 
 

@@ -369,12 +369,11 @@ def dalpha_dp(p, ell):
     return -1.0 / (ell * math.cosh(p / ell))
 
 
-def require_guards(domain, pt):
-    """Raise AssertionError if ``pt`` fails any guard of ``domain``."""
-    for g in domain.guards:
-        if not g.accepts(pt):
-            label = g.label or "guard"
-            raise AssertionError(f"point {pt.coords} violates {label}")
+def require_guard(domain, pt):
+    """Raise AssertionError if ``pt`` fails the guard of ``domain``."""
+    g = domain.guard
+    if g is not None and not g.accepts(pt):
+        raise AssertionError(f"point {pt.coords} violates {g.label}")
 
 
 def flat_limit_per_ell(factory, ells):

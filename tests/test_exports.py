@@ -21,7 +21,7 @@ MOVED = (
     "from_value_matrix",
     "p_of_alpha",
     "dalpha_dp",
-    "require_guards",
+    "require_guard",
     "GuardViolationError",
     "_field_strength",
     "curvature_report",

@@ -346,8 +346,8 @@ class TestFundamentalH:
             assert field(q, 0).value > 0.25
 
     def test_the_guard_is_built_once(self):
-        first = default_domain("from-H").guards
-        assert len(first) == 1 and default_domain("from-H", seed=3).guards[0] is first[0]
+        first = default_domain("from-H").guard
+        assert first is not None and default_domain("from-H", seed=3).guard is first
 
 
 def test_default_domain_unknown_case():
@@ -378,9 +378,10 @@ def test_a_case_row_pins_its_chart_box_and_guard(case, chart, box, guard, probe,
     defaults = {name: default for name, (default, _) in CASES[case].exprs.items()}
     dom = default_domain(case, seed=5, count=3, **defaults)
     assert (dom.chart, dom.box, dom.seed, dom.count) == (chart, box, 5, 3)
-    assert [(g.label, g.threshold) for g in dom.guards] == ([] if guard is None else [guard])
+    g = dom.guard
+    assert (None if g is None else (g.label, g.threshold)) == guard
     if guard is not None:
-        assert dom.guards[0].predicate(pt(chart, *probe), 0).value == pytest.approx(value, rel=1e-12)
+        assert g.predicate(pt(chart, *probe), 0).value == pytest.approx(value, rel=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -310,7 +310,7 @@ FRAME_ARRAYS = ("frame", "omega", "V")
 def _record_frame_packs(monkeypatch):
     """[(array, order)] of each packing of a frame array that a check may
     declare while a job's checks run (a lift validates its base in a scope
-    of its own before).  Every frame array, those that ``cli.PACKERS``
+    of its own before).  Every frame array, those that ``curv.PACKERS``
     packs included, is kept by ``ew.frame_arrays`` through the
     ``scoped_arrays`` of ``ew``, which the recorder wraps."""
     packs, running = [], []

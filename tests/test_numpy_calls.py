@@ -123,7 +123,7 @@ BOXES = [
 def test_the_draws_are_those_of_uniform(box):
     lows, highs = zip(*box)
     for seed in range(20):
-        got = sample(SampleDomain(("a", "b", "c"), box, (), seed, 700)).rows
+        got = sample(SampleDomain(("a", "b", "c"), box, None, seed, 700)).rows
         rng = np.random.default_rng(seed)
         want = np.concatenate([rng.uniform(lows, highs, size=(512, 3)) for _ in range(2)])
         assert got.tobytes() == want[:700].tobytes()
@@ -134,7 +134,7 @@ def test_a_box_past_the_float_range_raises_as_uniform_does():
     with pytest.raises(OverflowError) as want, np.errstate(all="ignore"):
         np.random.default_rng(1).uniform(*zip(*box), size=(512, 2))
     with pytest.raises(OverflowError) as got:
-        sample(SampleDomain(("a", "b"), box, (), 1, 5))
+        sample(SampleDomain(("a", "b"), box, None, 1, 5))
     assert str(got.value) == str(want.value)
 
 

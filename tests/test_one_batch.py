@@ -182,7 +182,7 @@ def test_the_fallback_raises_the_first_error_of_a_batch_and_of_its_points(fn, xs
 
 def _old_sample(domain):
     """The points sample() drew before it returned a batch, for a domain
-    without guards: the first ``count`` rows of the first draw."""
+    without a guard: the first ``count`` rows of the first draw."""
     rng = np.random.default_rng(domain.seed)
     lows = np.array([b[0] for b in domain.box])
     highs = np.array([b[1] for b in domain.box])
@@ -192,7 +192,7 @@ def _old_sample(domain):
 
 @pytest.mark.parametrize("count", [1, 7, 512])
 def test_a_sample_reads_like_the_list_it_was(count):
-    dom = SampleDomain(XYT, ((-1.0, 1.0), (2.0, 3.0), (0.0, 5.0)), (), 11, count)
+    dom = SampleDomain(XYT, ((-1.0, 1.0), (2.0, 3.0), (0.0, 5.0)), None, 11, count)
     got, want = sample(dom), _old_sample(dom)
     assert isinstance(got, PointBatch)
     assert len(got) == len(want) == count

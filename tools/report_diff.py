@@ -328,6 +328,12 @@ LARGE = (
     "lift --case heisenberg --chart alpha --checks em,maxwell,invariants --points 500 --seed 3",
 )
 
+# every argv set above, in the order they run
+ARGV_SETS = (
+    CONSTANT_DATA + CATALOG + CHECKS + EDGES + LARGE + PLANS + BATCHES + FRAMES + LIMITS
+    + LITERALS + FIBRES + PSI + FORMS + AFFINE
+)
+
 # run inside a checkout: one JSON line [argv, exit code, stdout, stderr]
 # per distinct argv, in order
 RUNNER = r"""
@@ -459,11 +465,7 @@ def main(argv):
     if len(argv) < 2:
         sys.exit(__doc__)
     old_dir, new_dir = Path(argv[0]), Path(argv[1])
-    sets = (
-        CONSTANT_DATA + CATALOG + CHECKS + EDGES + LARGE + PLANS + BATCHES + FRAMES + LIMITS
-        + LITERALS + FIBRES + PSI + FORMS + AFFINE
-    )
-    extra = list(sets) + argv[2:]
+    extra = list(ARGV_SETS) + argv[2:]
     old, new = reports(old_dir, extra), reports(new_dir, extra)
     names = ("exit code", "stdout", "stderr")
     differ = 0
