@@ -1,5 +1,6 @@
 import math
 import operator
+import warnings
 
 import numpy as np
 import pytest
@@ -291,12 +292,15 @@ def raising_above(limit):
 
 class TestBatchedSampling:
     CONE = Guard(parse_field("y^2-4*x*t", XYT), 0.25, "cone")
+    # one guard of two conditions, x > -0.5 and the cone: their product is
+    # positive where both hold or both fail
+    TWO = Guard(parse_field("(x+0.5)*(y^2-4*x*t-0.25)", XYT), 0.0, "x > -0.5 iff cone")
     BOX = ((-1.0, 1.0), (2.0, 3.0), (-1.0, 1.0))
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("guards", ["none", "one"])
+    @pytest.mark.parametrize("guards", ["none", "one", "two"])
     def test_same_points_as_row_by_row(self, seed, guards):
-        chosen = {"none": None, "one": self.CONE}[guards]
+        chosen = {"none": None, "one": self.CONE, "two": self.TWO}[guards]
         dom = SampleDomain(XYT, self.BOX, chosen, seed, 700)
         got = sample(dom)
         assert [q.coords for q in got] == [q.coords for q in row_by_row_sample(dom)]
@@ -327,6 +331,30 @@ class TestBatchedSampling:
         assert sum(screened) < 64
         assert got == [q.coords for q in row_by_row_sample(dom)]
 
+    def test_a_guard_value_that_is_not_finite_is_a_rejection(self):
+        def root(q, order=0):
+            # nan, with numpy's invalid-value warning, where x < 0
+            return Jet.variable(np.sqrt(q.coords[0]), 0, q.dim, order)
+
+        seed, count = 6, 20
+        draws = np.random.default_rng(seed).uniform(-1.0, 1.0, size=512)
+        dom = SampleDomain(("x",), ((-1.0, 1.0),), Guard(Field(root), -1.0, "sqrt x > -1"), seed, count)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [q.coords[0] for q in sample(dom)]
+        assert got == draws[draws >= 0.0][:count].tolist()
+
+    def test_exhaustion_names_the_rejections_of_each_guard(self):
+        p = parse_field("p", ("p",))
+        for guard in (Guard(p, 0.5, "p>0.5"), Guard(p, 0.0, "p>0")):
+            dom = SampleDomain(("p",), ((-1.0, 0.0),), guard, 1, 10)
+            with pytest.raises(SamplingExhaustedError) as err:
+                sample(dom)
+            assert str(err.value) == (
+                "acceptance rate 0/1000448 below 1% after 1000448 draws; "
+                f"rejected by {guard.label}: 1000448"
+            )
+
     @staticmethod
     def screened_batches(monkeypatch):
         """The number of rows of each ``jets._screen`` call of ``sample``."""
@@ -348,6 +376,18 @@ class TestBatchedSampling:
             "acceptance rate 0/1000448 below 1% after 1000448 draws; rejected by zero: 1000448"
         )
         assert len(calls) == 1 and sum(calls) <= 512
+
+    def test_a_guard_with_the_batch_axis_that_rejects_draws_to_the_cap(self, monkeypatch):
+        guard = Guard(parse_field("p", ("p",)), 0.0, "p>0")
+        calls = self.screened_batches(monkeypatch)
+        with pytest.raises(SamplingExhaustedError) as err:
+            sample(SampleDomain(("p",), ((-1.0, 0.0),), guard, 1, 10))
+        assert str(err.value) == (
+            "acceptance rate 0/1000448 below 1% after 1000448 draws; rejected by p>0: 1000448"
+        )
+        # the first batch in a prefix sized for 10 points and the rest; once
+        # rows were screened and none passed, each batch whole
+        assert calls == [21, 491] + [512] * (1000448 // 512 - 1)
 
 
 def batch_shy(field):
