@@ -159,12 +159,10 @@ def _permuted(spec, a):
 
 
 def _riemann_from_gamma(gamma, dgamma):
-    return (
-        _permuted("cadb->abcd", dgamma)
-        - _permuted("dacb->abcd", dgamma)
-        + np.einsum("...ace,...edb->...abcd", gamma, gamma)
-        - np.einsum("...ade,...ecb->...abcd", gamma, gamma)
-    )
+    # Gamma^a_de Gamma^e_cb is Gamma^a_ce Gamma^e_db with c and d swapped
+    gg = np.einsum("...ace,...edb->...abcd", gamma, gamma)
+    ddg = _permuted("cadb->abcd", dgamma) - _permuted("dacb->abcd", dgamma)
+    return ddg + gg - np.swapaxes(gg, -1, -2)
 
 
 def _curvature(g, pt):

@@ -13,8 +13,9 @@ fixed coframe; its rules are stated, and its values computed, by
 :func:`ewbench.ew.stars`, and this module solves for the coefficients of a
 form in a coframe (:func:`frame_solve`).
 
-Metric fields keep their algebra and packing here; the metric pass over a
-packing (det g, g^-1, the curvature) is :mod:`ewbench.curv`'s.
+Forms and metric fields share one component algebra (sums and scalings);
+metric fields keep their packing here, and the metric pass over a packing
+(det g, g^-1, the curvature) is :mod:`ewbench.curv`'s.
 """
 from __future__ import annotations
 
@@ -48,10 +49,48 @@ def _as_field(x):
     return Field.const(float(x))
 
 
-class PForm:
-    """A differential form of fixed degree with sparse field components."""
+class _Components:
+    """Field components on a chart at sorted index tuples, with the algebra
+    that forms and metrics share: a metric's degree is 2 and its indices
+    are the pairs (a, b) with a <= b."""
 
     __slots__ = ("chart", "degree", "comps")
+
+    @classmethod
+    def _built(cls, chart, degree, comps):
+        """An object from parts that are valid already: a tuple chart, an int
+        degree and Field components at valid index tuples.  The algebra
+        builds its results this way, skipping the checks of ``__init__``,
+        which stay for every other caller."""
+        obj = object.__new__(cls)
+        obj.chart = chart
+        obj.degree = degree
+        obj.comps = comps
+        return obj
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.chart != other.chart:
+            raise ValueError(f"chart mismatch in {self._kind} arithmetic")
+        if self.degree != other.degree:
+            raise ValueError(f"degree mismatch in {self._kind} arithmetic")
+        comps = dict(self.comps)
+        for idx, f in other.comps.items():
+            comps[idx] = comps[idx] + f if idx in comps else f
+        return self._built(self.chart, self.degree, comps)
+
+    def scale(self, factor):
+        """Multiply by a scalar field or number."""
+        factor = _as_field(factor)
+        return self._built(self.chart, self.degree, {i: factor * f for i, f in self.comps.items()})
+
+
+class PForm(_Components):
+    """A differential form of fixed degree with sparse field components."""
+
+    __slots__ = ()
+    _kind = "form"
 
     def __init__(self, chart, degree, comps):
         self.chart = tuple(chart)
@@ -68,35 +107,6 @@ class PForm:
             clean[idx] = _as_field(f)
         self.comps = clean
 
-    @classmethod
-    def _built(cls, chart, degree, comps):
-        """A form from parts that are valid already: the tuple chart and int
-        degree of a form, and Field components at strictly increasing index
-        tuples.  The algebra below builds its results this way, skipping
-        the checks of ``__init__``, which stay for every other caller."""
-        form = object.__new__(cls)
-        form.chart = chart
-        form.degree = degree
-        form.comps = comps
-        return form
-
-    # -- algebra ---------------------------------------------------------------
-
-    def _check_compatible(self, other):
-        if self.chart != other.chart:
-            raise ValueError("chart mismatch in form arithmetic")
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch in form arithmetic")
-
-    def __add__(self, other):
-        if not isinstance(other, PForm):
-            return NotImplemented
-        self._check_compatible(other)
-        comps = dict(self.comps)
-        for idx, f in other.comps.items():
-            comps[idx] = comps[idx] + f if idx in comps else f
-        return PForm._built(self.chart, self.degree, comps)
-
     def __sub__(self, other):
         if not isinstance(other, PForm):
             return NotImplemented
@@ -104,13 +114,6 @@ class PForm:
 
     def __neg__(self):
         return PForm._built(self.chart, self.degree, {i: -f for i, f in self.comps.items()})
-
-    def scale(self, factor):
-        """Multiply by a scalar field or number."""
-        factor = _as_field(factor)
-        return PForm._built(
-            self.chart, self.degree, {i: factor * f for i, f in self.comps.items()}
-        )
 
     def __repr__(self):
         return f"PForm(chart={self.chart}, degree={self.degree}, comps={sorted(self.comps)})"
@@ -217,16 +220,18 @@ def frame_solve(m, values):
 # ---------------------------------------------------------------------------
 
 
-class MetricField:
+class MetricField(_Components):
     """A symmetric metric with field components, symmetric by storage.
 
     Components are kept for index pairs (a, b) with a <= b only.
     """
 
-    __slots__ = ("chart", "comps")
+    __slots__ = ()
+    _kind = "metric"
 
     def __init__(self, chart, comps):
         self.chart = tuple(chart)
+        self.degree = 2
         n = len(self.chart)
         clean = {}
         for (a, b), f in comps.items():
@@ -235,33 +240,9 @@ class MetricField:
             clean[(a, b)] = _as_field(f)
         self.comps = clean
 
-    @classmethod
-    def _built(cls, chart, comps):
-        """A metric from parts that are valid already, like
-        :meth:`PForm._built`: the tuple chart of a metric and Field
-        components at index pairs (a, b) with a <= b."""
-        metric = object.__new__(cls)
-        metric.chart = chart
-        metric.comps = comps
-        return metric
-
     @property
     def dim(self):
         return len(self.chart)
-
-    def scale(self, factor):
-        factor = _as_field(factor)
-        return MetricField._built(self.chart, {k: factor * f for k, f in self.comps.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, MetricField):
-            return NotImplemented
-        if self.chart != other.chart:
-            raise ValueError("chart mismatch in metric arithmetic")
-        comps = dict(self.comps)
-        for k, f in other.comps.items():
-            comps[k] = comps[k] + f if k in comps else f
-        return MetricField._built(self.chart, comps)
 
     def matrix_at(self, pt):
         """The metric matrix at ``pt``, batch axis first over a batch."""
@@ -334,7 +315,7 @@ def symmetric_product(a, b):
             terms = [t for t in (ij, ji) if t is not None]
             if terms:
                 comps[(i, j)] = 0.5 * sum(terms[1:], terms[0])
-    return MetricField._built(a.chart, comps)
+    return MetricField._built(a.chart, 2, comps)
 
 
 def metric_from_coframe(frame):

@@ -271,6 +271,18 @@ class FDMetric:
         return g0, dg, ddg
 
 
+def riemann_from_gamma(gamma, dgamma):
+    """R^a_bcd from Gamma[a,b,c] and dGamma[e,a,b,c] = d_e Gamma, with each
+    of the two Gamma.Gamma products contracted by its own einsum: the
+    reference for ``curv``, which contracts one and transposes it."""
+    return (
+        np.einsum("...cadb->...abcd", dgamma)
+        - np.einsum("...dacb->...abcd", dgamma)
+        + np.einsum("...ace,...edb->...abcd", gamma, gamma)
+        - np.einsum("...ade,...ecb->...abcd", gamma, gamma)
+    )
+
+
 def signature_at(metric, pt):
     """(positive, negative) eigenvalue counts of ``metric`` at ``pt``, per
     row of a batch."""

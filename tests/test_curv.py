@@ -29,7 +29,7 @@ from ewbench.jets import ChartPoint, PointBatch, sample
 from ewbench.lift import FIBRES, build, fix_ell_sign
 
 from conftest import XYT, box_points, pt
-from oracle import FDMetric, comp, fd_oracle, from_value_matrix, with_coord
+from oracle import FDMetric, comp, fd_oracle, from_value_matrix, riemann_from_gamma, with_coord
 
 ZXYT = ("z", "x", "y", "t")
 MINK4 = ("x", "y", "z", "t")
@@ -175,6 +175,17 @@ class TestKretschmannContraction:
 
 
 class TestRiemann:
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("rows", [None, 1, 7, 20, 200, 3000])
+    def test_one_gamma_product_is_the_two_einsum_formula_bit_for_bit(self, n, rows):
+        rng = np.random.default_rng(100 * n + (rows or 0))
+        batch = () if rows is None else (rows,)
+        gamma = rng.standard_normal(batch + (n,) * 3)
+        dgamma = rng.standard_normal(batch + (n,) * 4)
+        got = curv._riemann_from_gamma(gamma, dgamma)
+        want = riemann_from_gamma(gamma, dgamma)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_first_bianchi(self):
         s = lifted_heisenberg(c=0.5)
         q = pt(("p",) + XYT, 0.4, 0.2, -0.1, 0.3)

@@ -18,6 +18,7 @@ from ewbench.ew import PAIRS, EWStructure, gauge_transform, gt_residual, monopol
 from ewbench.families import CASES, class_b, psi_const
 from ewbench.families import build as build_case
 from ewbench.forms import (
+    MetricField,
     coordinate_form,
     embed_form,
     embed_metric,
@@ -416,6 +417,39 @@ class TestFormChecks:
             assert again.comps == form.comps
             assert (again.chart, again.degree) == (form.chart, form.degree)
             assert type(form.degree) is int and type(form.chart) is tuple
+
+
+
+class TestComponentAlgebra:
+    """The refusals and result classes of the sums and scalings that forms
+    and metrics share."""
+
+    def test_a_form_and_a_metric_do_not_add(self):
+        form, metric = d(XYT, "x"), symmetric_product(d(XYT, "x"), d(XYT, "y"))
+        for left, right in ((form, metric), (metric, form)):
+            with pytest.raises(TypeError):
+                left + right
+
+    def test_forms_on_two_charts_or_of_two_degrees_do_not_add(self):
+        with pytest.raises(ValueError, match="^chart mismatch in form arithmetic$"):
+            d(XYT, "x") + d(("x", "y"), "x")
+        with pytest.raises(ValueError, match="^degree mismatch in form arithmetic$"):
+            d(XYT, "x") + zero_form(XYT, 2)
+
+    def test_metrics_on_two_charts_do_not_add(self):
+        g = symmetric_product(d(XYT, "x"), d(XYT, "x"))
+        h = symmetric_product(d(("x", "y"), "x"), d(("x", "y"), "x"))
+        with pytest.raises(ValueError, match="^chart mismatch in metric arithmetic$"):
+            g + h
+
+    def test_scale_and_sum_keep_the_class_and_degree(self):
+        f = parse_field("y*t", XYT)
+        for form in (d(XYT, "x"), zero_form(XYT, 2), zero_form(XYT, 0)):
+            for out in (form.scale(f), form.scale(2.0), form + form):
+                assert type(out) is PForm and out.degree == form.degree
+        g = symmetric_product(d(XYT, "x"), d(XYT, "t"))
+        for out in (g.scale(f), g.scale(-4.0), g + g):
+            assert type(out) is MetricField and out.chart == g.chart
 
 
 class TestMetricFromCoframe:
