@@ -23,7 +23,6 @@ residuals; asking it for curvature raises JetOrderError by design.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -151,19 +150,15 @@ def class_a(beta):
     )
 
 
-@functools.cache
-def _heat_points():
-    """The 25 fixed points of the heat-equation probe, drawn once."""
-    rng = np.random.default_rng(1234)
-    return PointBatch(("y", "t"), rng.uniform((2.0, 0.2), (3.0, 0.9), size=(25, 2)))
-
-
 def _heat_probe(beta_ast):
+    rng = np.random.default_rng(1234)
+    pts = PointBatch(("y", "t"), rng.uniform((2.0, 0.2), (3.0, 0.9), size=(25, 2)))
+
     def heat(pt):
         j = ex.eval_jet(beta_ast, pt, 2)
         return j.grad[..., 1] + j.hess[..., 0, 0]
 
-    r = run_check("families.heat", heat, _heat_points(), HEAT_TOL)
+    r = run_check("families.heat", heat, pts, HEAT_TOL)
     if r.verdict == "fail":
         raise HeatResidualError(
             f"beta_t + beta_yy reaches {r.max:.3e} on the probe set "

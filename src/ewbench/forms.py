@@ -346,6 +346,8 @@ def embed_form(a, big):
     ``big`` it is already its own pullback: the same jet on the base
     coordinates, and zero derivatives along the added ones.
     """
+    if not isinstance(a, PForm):
+        raise TypeError(f"embed_form needs a PForm, got {type(a).__name__}")
     big = tuple(big)
     pos = _embed_positions(a.chart, big)
     comps = {}

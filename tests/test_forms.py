@@ -419,7 +419,6 @@ class TestFormChecks:
             assert type(form.degree) is int and type(form.chart) is tuple
 
 
-
 class TestComponentAlgebra:
     """The refusals and result classes of the sums and scalings that forms
     and metrics share."""
@@ -631,6 +630,12 @@ class TestPullback:
         h = metric_from_coframe(s.frame)
         h4 = embed_metric(h, big)
         assert h4.comps == {(a + 1, b + 1): f for (a, b), f in h.comps.items()}
+
+    def test_embed_form_refuses_a_metric(self):
+        h = metric_from_coframe(heisenberg(1.0).frame)
+        for metric in (h, symmetric_product(d(XYT, "x"), d(XYT, "y"))):
+            with pytest.raises(TypeError, match="embed_form needs a PForm, got MetricField"):
+                embed_form(metric, ("p",) + XYT)
 
     def test_reordering_extension_keeps_the_orientation(self):
         big = ("y", "x", "t", "p")
