@@ -5,6 +5,8 @@ structures of hyper-CR type, their generating scalar solutions, and the
 four-dimensional Einstein-Maxwell space-times they lift to, by evaluating
 every defining equation pointwise on seeded samples.
 """
+from types import ModuleType as _ModuleType
+
 from .curv import (
     christoffel,
     em_residual,
@@ -59,61 +61,10 @@ from .forms import (
 from .jets import ChartPoint, Field, Guard, Jet, SampleDomain, point, sample
 from .lift import LiftConfig, SpacetimeData, flat_limit
 
+# The imports above are the public API: every name they bind, and no
+# submodule they bind along the way.
 __all__ = [
-    "ChartPoint",
-    "Coframe3",
-    "EWStructure",
-    "Field",
-    "GeneratorG",
-    "Guard",
-    "Jet",
-    "LiftConfig",
-    "MetricField",
-    "PForm",
-    "SampleDomain",
-    "SpacetimeData",
-    "christoffel",
-    "class_a",
-    "class_b",
-    "class_c",
-    "em_residual",
-    "eval_jet",
-    "f_squared",
-    "flat_limit",
-    "from_H",
-    "from_generator",
-    "from_uw",
-    "gauge_transform",
-    "gt_residual",
-    "heisenberg",
-    "hypercr_residual",
-    "kretschmann",
-    "maxwell_residual",
-    "metric_from_coframe",
-    "monopole_residual",
-    "parse",
-    "parse_field",
-    "point",
-    "psi_const",
-    "psi_residual",
-    "ricci",
-    "riemann",
-    "sample",
-    "to_source",
-    "weyl_ricci_residual",
-    "ConfigError",
-    "DegenerateLegendreError",
-    "DomainError",
-    "EwbenchError",
-    "ExprSyntaxError",
-    "GaugeViolationError",
-    "HeatResidualError",
-    "JetOrderError",
-    "PsiResidualError",
-    "SamplingExhaustedError",
-    "SingularFrameError",
-    "SingularMetricError",
-    "UnknownIdentifierError",
+    n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, _ModuleType)
 ]
 
 __version__ = "0.1.0"

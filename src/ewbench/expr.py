@@ -321,8 +321,8 @@ def eval_jet(e, pt, order=0):
 
 
 def _children(e):
-    """(the leading fields of the node ``e`` that are not expressions, its
-    subexpressions): ``type(e)(*fixed, *children)`` builds it again."""
+    """(the leading fields of a non-Var node ``e`` that are not expressions,
+    its subexpressions): ``type(e)(*fixed, *children)`` builds it again."""
     if isinstance(e, Bin):
         return (e.op,), (e.left, e.right)
     if isinstance(e, Call):
@@ -331,8 +331,6 @@ def _children(e):
         return (), (e.arg,)
     if isinstance(e, Const):
         return (e.value,), ()
-    if isinstance(e, Var):
-        return (e.name,), ()
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -298,19 +298,20 @@ def _sum_table(pos, gammas, k, ordered):
     """For each multi-index g of ``gammas``, the sum over the splits of its
     indices into k non-empty blocks of the product of the entries at the
     blocks: in the order of their labels when ``ordered``, else as a set
-    (each partition once).  Returns the positions of each factor, the
-    weights that merge equal terms (None when all are 1), and the
-    ``np.add.reduceat`` starts of the sums (None when each has one term)."""
+    (each partition once, by the labelling whose labels first appear in the
+    order 0, 1, ..., k-1: its restricted-growth string).  Returns the
+    positions of each factor, the weights that merge equal terms (None when
+    all are 1), and the ``np.add.reduceat`` starts of the sums (None when
+    each has one term)."""
     rows = []
     for g in gammas:
         rows.append(row := Counter())
         for labels in product(range(k), repeat=len(g)):
-            if len(set(labels)) == k:
+            first = tuple(dict.fromkeys(labels))  # the labels in order of first appearance
+            if first == tuple(range(k)) or (ordered and len(first) == k):
                 blocks = [pos[tuple(i for i, b in zip(g, labels) if b == j)] for j in range(k)]
                 row[tuple(blocks if ordered else sorted(blocks))] += 1
     weights = np.array([w for row in rows for w in row.values()], dtype=float)
-    if not ordered:
-        weights /= math.factorial(k)  # each partition came once per labelling of its blocks
     starts = np.cumsum([0] + [len(row) for row in rows[:-1]])
     return (
         tuple(map(np.array, zip(*(f for row in rows for f in row)))),

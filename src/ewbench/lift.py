@@ -208,28 +208,20 @@ def validate_config(cfg):
     probes = cfg.probes or default_probes(cfg.base.chart)
     base = cfg.base
     batch = PointBatch.of(probes)
+    hypotheses = (
+        ("lift.gauge", lambda q: base.V(q, 0).value * row_numbers(cfg.ell, q) + 2.0, GAUGE_TOL,
+         GaugeViolationError, "V*ell + 2 reaches {:.3e}; the gauge V = -2/ell fails"),
+        ("lift.gt", lambda q: gt_residual(base, q), GT_TOL,
+         GaugeViolationError, "base structure equations fail: residual {:.3e}"),
+        ("lift.psi", lambda q: psi_residual(cfg.psi, base, q), PSI_TOL,
+         PsiResidualError, "psi residual reaches {:.3e}"),
+    )
     with jets.evaluation_scope():
         pack_reads([(cfg.psi, batch, {"psi": 1})])
-        r = run_check(
-            "lift.gauge",
-            lambda q: base.V(q, 0).value * row_numbers(cfg.ell, q) + 2.0,
-            batch,
-            GAUGE_TOL,
-        )
-        if r.verdict == "fail":
-            raise GaugeViolationError(
-                f"V*ell + 2 reaches {r.max:.3e}; the gauge V = -2/ell fails"
-            )
-        r = run_check("lift.gt", lambda q: gt_residual(base, q), batch, GT_TOL)
-        if r.verdict == "fail":
-            raise GaugeViolationError(
-                f"base structure equations fail: residual {r.max:.3e}"
-            )
-        r = run_check(
-            "lift.psi", lambda q: psi_residual(cfg.psi, base, q), batch, PSI_TOL
-        )
-        if r.verdict == "fail":
-            raise PsiResidualError(f"psi residual reaches {r.max:.3e}")
+        for name, residual, tol, error, message in hypotheses:
+            r = run_check(name, residual, batch, tol)
+            if r.verdict == "fail":
+                raise error(message.format(r.max))
     return probes
 
 

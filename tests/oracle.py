@@ -13,7 +13,8 @@ D psi = d psi - (m/2) omega ^ psi for a ``Weighted`` pair of a 1-form and
 its weight m;
 ``flat_limit_per_ell`` is ``lift.flat_limit`` one ell at a time;
 ``leibniz_parts`` is the product of two jets by the Leibniz rule on full
-derivative tensors;
+derivative tensors, and ``sum_table_by_labellings`` the tables of
+``jets._sum_table`` from every labelling of the blocks;
 ``fd_oracle`` is the finite-difference oracle, which samples values only,
 and ``FDMetric`` a metric whose derivatives come from it; ``class_a_closed``, ``class_b_closed`` and ``class_c_closed`` are
 the closed-form (h, omega) pairs of the p-chart classes, and
@@ -32,6 +33,7 @@ alpha fibre chart and a sampling domain.
 import itertools
 import math
 import weakref
+from collections import Counter
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -190,6 +192,28 @@ def leibniz_parts(a, b):
         out.append(sum(terms[1:], terms[0]))
     return out
 
+
+def sum_table_by_labellings(pos, gammas, k, ordered):
+    """``jets._sum_table`` by enumerating all k^m labellings of the m indices
+    of each multi-index and keeping the surjective ones: an unordered table
+    meets each partition once per labelling of its k blocks, so its weights
+    are divided by k!."""
+    rows = []
+    for g in gammas:
+        rows.append(row := Counter())
+        for labels in itertools.product(range(k), repeat=len(g)):
+            if len(set(labels)) == k:
+                blocks = [pos[tuple(i for i, b in zip(g, labels) if b == j)] for j in range(k)]
+                row[tuple(blocks if ordered else sorted(blocks))] += 1
+    weights = np.array([w for row in rows for w in row.values()], dtype=float)
+    if not ordered:
+        weights /= math.factorial(k)
+    starts = np.cumsum([0] + [len(row) for row in rows[:-1]])
+    return (
+        tuple(map(np.array, zip(*(f for row in rows for f in row)))),
+        None if (weights == 1.0).all() else weights,
+        None if len(weights) == len(rows) else starts,
+    )
 
 def fd_oracle(field, pt, axes):
     """Mixed partial of ``field`` at ``pt`` by nested central differences.

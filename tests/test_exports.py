@@ -1,7 +1,11 @@
-"""Every exported name resolves, and the code that only tests reach (now in
+"""Every exported name resolves, the package exports exactly the names its
+imports bind, and the code that only tests reach (now in
 ``tests/oracle.py``) is neither defined nor exported by the package."""
+import ast
 import importlib
 import pkgutil
+import types
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +81,23 @@ MOVED = (
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_the_package_exports_the_names_its_imports_bind():
+    """``ewbench.__all__`` is the names that the ``from .x import ...``
+    statements of ``__init__.py`` bind, each once: no module, no ``_`` name,
+    and nothing that another import (``from __future__`` included) binds."""
+    tree = ast.parse(Path(ewbench.__file__).read_text(encoding="utf-8"))
+    bound = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert len(set(bound)) == len(bound)
+    assert sorted(ewbench.__all__) == sorted(bound)
+    assert [n for n in bound if n.startswith("_")] == []
+    assert [n for n in bound if isinstance(getattr(ewbench, n), types.ModuleType)] == []
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -1,6 +1,8 @@
 """The jet order is data: every derivative part is exactly symmetric, and
 the index tables of an order above ``MAX_ORDER`` give exact derivatives
-with the same code (checked against sympy; ``src/`` does not import it)."""
+with the same code (checked against sympy; ``src/`` does not import it).
+The Leibniz and Faa di Bruno tables equal, bit for bit, the tables built
+from every labelling of their blocks (``oracle.sum_table_by_labellings``)."""
 import itertools
 import math
 from fractions import Fraction
@@ -13,6 +15,7 @@ from ewbench import families as fam
 from ewbench import jets
 from ewbench.ew import frame_arrays
 from ewbench.jets import MAX_ORDER, Jet, evaluation_scope, sample
+from oracle import sum_table_by_labellings
 
 ORDER = 4
 
@@ -140,3 +143,35 @@ def test_a_batch_at_order_4_is_its_points_alone():
         alone = f([float(v) for v in row])
         assert batch.value[r].tobytes() == np.float64(alone.value).tobytes()
         assert batch.derivs[r].tobytes() == alone.derivs.tobytes()
+
+
+# --- the sum tables: each set partition once ------------------------------
+
+
+def assert_same_table(got, want):
+    """Two ``_sum_table`` results hold the same factor positions, weights
+    and starts, entry for entry and with the same dtypes (or both None)."""
+    (factors, weights, starts), (factors0, weights0, starts0) = got, want
+    pairs = [*zip(factors, factors0), (weights, weights0), (starts, starts0)]
+    assert len(factors) == len(factors0)
+    for a, b in pairs:
+        assert (a is None) == (b is None)
+        assert a is None or (a.dtype == b.dtype and np.array_equal(a, b))
+
+
+@pytest.mark.parametrize(
+    "dim,order", [(n, k) for n in range(1, 5) for k in range(1, 6) if (n, k) != (4, 5)]
+)
+def test_the_partition_tables_are_the_labelling_tables(dim, order):
+    """The product (Leibniz) and chain (Faa di Bruno) tables of every
+    (dim, order) through (3, 5) and (4, 4) are the labelling tables."""
+    t = jets._tables(dim, order)
+    pos = {a: i for i, a in enumerate(t.alphas)}
+    if order < 2:
+        assert t.product is False and t.chain == []
+        return
+    assert_same_table(t.product, sum_table_by_labellings(pos, t.alphas[dim:], 2, ordered=True))
+    assert [k for k, _, _ in t.chain] == list(range(order, 1, -1))
+    for k, start, table in t.chain:
+        assert start == t.offset[k]
+        assert_same_table(table, sum_table_by_labellings(pos, t.alphas[start:], k, ordered=False))

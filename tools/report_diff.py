@@ -5,16 +5,9 @@
 
 The argvs are every perfbench job of seeds 1-3, as
 ``perfbench/run.py --seconds 30`` makes them, the ``ewbench ...`` command
-lines of README.md, the constant-data command lines of ``CONSTANT_DATA``,
-the catalog command lines of ``CATALOG``, the check-table command lines of
-``CHECKS``, the edge-case command lines of ``EDGES``, the large-batch
-command lines of ``LARGE``, the pack-plan command lines of ``PLANS``, the
-one-batch command lines of ``BATCHES``, the frame-pass command lines of
-``FRAMES``, the limit command lines of ``LIMITS``, the literal-heavy
-command lines of ``LITERALS``, the fibre-chart command lines of
-``FIBRES``, the psi command lines of ``PSI``, the exterior-derivative
-command lines of ``FORMS``, the affine-field command lines of ``AFFINE``,
-and any extra command lines given after the two checkouts.
+lines of README.md, the command lines of the sets in ``ARGV_SETS`` (the
+comment above each set says what it covers), and any extra command lines
+given after the two checkouts.
 One subprocess per checkout runs them all through
 ``ewbench.cli.main`` in process, with that checkout's ``src`` first on the
 path.  The tool prints
