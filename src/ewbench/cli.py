@@ -7,16 +7,17 @@ Subcommands:
   limit   track a lift family toward its large-ell limit form
   eval    evaluate a text expression and its derivatives at a point
 
-Configuration comes from flags or a JSON file (flags override).  Every
-configuration key is one ``Key`` row of ``KEYS``: its default, the
-subcommands whose flag sets it, what the flag parses to and what a file
-value must be.  The driver maps flags to a catalog case and its
-parameters: the cases, their expression flags and defaults come from
-``families.CASES``; the fibre charts, their sample points, the ``limit``
-families and the choice of ell from ``lift``.  Every check is one
-``Check`` row of ``CHECKS``: the flags it reads, the packed arrays it reads,
-whether it runs on the base or on the lift, and its builder;
-``_run_checks`` packs each array once per job.
+Every configuration key is one ``Key`` row of ``KEYS``: its default (a
+row may hold one per subcommand), the subcommands whose flag sets it, what
+the flag parses to and what a file value must be.  The subcommand's row
+defaults, then a JSON file, then the flags give the configuration, and the
+report echoes the configuration that ran.  The driver maps flags to a
+catalog case and its parameters: the cases, their expression flags and
+defaults come from ``families.CASES``; the fibre charts, their sample
+points, the ``limit`` families and the choice of ell from ``lift``.  Every
+check is one ``Check`` row of ``CHECKS``: the flags it reads, the packed
+arrays it reads, whether it runs on the base or on the lift, and its
+builder; ``_run_checks`` packs each array once per job.
 Reports are JSON with a fixed key order and a ``schema`` version; for a
 fixed configuration and seed they are byte-identical apart from wall time.
 Exit codes: 0 all checks pass, 1 a check fails, 2 configuration problem,
@@ -137,7 +138,6 @@ OFFERED_CHECKS = {
 CHECK_NAMES = OFFERED_CHECKS["lift"] + OFFERED_CHECKS["limit"]
 CHARTS = tuple(lift_mod.FIBRES)
 
-DEFAULT_CHECKS = {"verify": "gt,monopole", "lift": "em,maxwell", "limit": "limit"}
 # the expression flags of the catalog cases
 _CASE_EXPR_FLAGS = tuple(f for row in fam.CASES.values() for f in row.exprs)
 
@@ -160,12 +160,13 @@ def _text(v):
 
 
 class Key(NamedTuple):
-    """One row of ``KEYS``: a configuration key's default; the subcommands
-    whose flag sets it (none for a key the program sets); what the flag
-    parses to (argparse's ``type`` and ``choices``) and what a config-file
-    value must be (``valid``, named ``what`` in its error: a bool is not a
-    number, and JSON's Infinity and NaN are no ell or c); whether the flag's
-    value may start with "-"; and the flag's help."""
+    """One row of ``KEYS``: a configuration key's default, or a dict of its
+    defaults by subcommand (None under another); the subcommands whose flag
+    sets it (none for a key the program sets); what the flag parses to
+    (argparse's ``type`` and ``choices``) and what a config-file value must
+    be (``valid``, named ``what`` in its error: a bool is not a number, and
+    JSON's Infinity and NaN are no ell or c); whether the flag's value may
+    start with "-"; and the flag's help."""
 
     default: object = None
     commands: tuple = ()
@@ -175,6 +176,9 @@ class Key(NamedTuple):
     valid: Callable = _text
     what: str = "text"
     dash: bool = False
+
+    def default_for(self, command):
+        return self.default.get(command) if isinstance(self.default, dict) else self.default
 
 
 _ALL = ("verify", "lift", "limit")
@@ -193,19 +197,25 @@ _INTEGER = dict(type=int, valid=_integer, what="an integer")
 # option in exponent form (-1e-9).
 KEYS = {
     "command": Key(),
-    "case": Key(None, _ALL, "catalog case name"),
+    "case": Key(dict(limit="heisenberg"), _ALL, "catalog case name"),
     "ell": Key(None, _CASE, "scale parameter", dash=True, **_FINITE),
     "ell_used": Key(),
     "sign_fixed": Key(False),
-    "checks": Key(None, _ALL, "comma-separated check names"),
-    "points": Key(None, _CASE, "sample size", **_INTEGER),
+    "checks": Key(
+        dict(verify="gt,monopole", lift="em,maxwell", limit="limit"), _ALL,
+        "comma-separated check names",
+    ),
+    "points": Key(dict(verify=200, lift=100), _CASE, "sample size", **_INTEGER),
     "seed": Key(7, _CASE, "sampling seed", **_INTEGER),
-    "tol": Key(None, _ALL, "residual tolerance", float, valid=_number, what="a number", dash=True),
+    "tol": Key(
+        dict(verify=1e-7, lift=1e-6, limit=1e-6), _ALL, "residual tolerance", float, valid=_number,
+        what="a number", dash=True,
+    ),
     **{f: Key(None, _CASE, f"expression for {f}", dash=True) for f in _CASE_EXPR_FLAGS},
     "c": Key(0.0, _ALL, "psi = c*omega coefficient", dash=True, **_FINITE),
     "f": Key(None, ("verify",), "expression for f", dash=True),
     "ells": Key(
-        None, ("limit",), "comma-separated ell sequence (limit)",
+        dict(limit="100,200,1000,10000"), ("limit",), "comma-separated ell sequence (limit)",
         valid=lambda v: _text(v) or isinstance(v, list) and all(map(_finite, v)),
         what="text or a list of finite numbers", dash=True,
     ),
@@ -215,7 +225,8 @@ KEYS = {
     ),
     "out": Key(None, _ALL, "also write the report to this path"),
 }
-DEFAULTS = {key: row.default for key, row in KEYS.items()}
+# None for a key whose default depends on the subcommand
+DEFAULTS = {key: row.default_for(None) for key, row in KEYS.items()}
 _DASH_VALUE_OPTIONS = frozenset(
     ("--expr",) + tuple(f"--{key}" for key, row in KEYS.items() if row.dash)
 )
@@ -303,8 +314,9 @@ def _built_parser():
 
 
 def merge_config(args):
-    """defaults <- JSON config file <- explicit flags."""
-    cfg = dict(DEFAULTS)
+    """The configuration of a run, in ``KEYS`` order, which its report
+    echoes: the subcommand's row defaults <- JSON config file <- flags."""
+    cfg = {key: row.default_for(args.command) for key, row in KEYS.items()}
     cfg["command"] = args.command
     path = getattr(args, "config", None)
     if path:
@@ -342,7 +354,7 @@ def merge_config(args):
                 )
     if cfg["points"] is not None and cfg["points"] > jets._MAX_DRAWS:
         raise ConfigError(f"points must be at most {jets._MAX_DRAWS}")
-    if cfg["tol"] is not None and not 0 < cfg["tol"] < math.inf:
+    if not 0 < cfg["tol"] < math.inf:
         raise ConfigError("tol must be positive and finite")
     for key in ("ell", "c"):
         if cfg[key] is not None and not math.isfinite(cfg[key]):
@@ -377,8 +389,7 @@ def _refuse_unread_flags(cfg, flags):
 
 
 def _check_names(cfg):
-    raw = DEFAULT_CHECKS[cfg["command"]] if cfg["checks"] is None else cfg["checks"]
-    return tuple(dict.fromkeys(s.strip() for s in raw.split(",") if s.strip()))
+    return tuple(dict.fromkeys(s.strip() for s in cfg["checks"].split(",") if s.strip()))
 
 
 def parse_checks(cfg):
@@ -401,20 +412,19 @@ def build_case(cfg):
     case = cfg["case"]
     if case is None:
         raise ConfigError("--case is required")
-    return fam.build(case, cfg, ell=cfg["ell"], seed=cfg["seed"], count=cfg["points"] or 200)
+    return fam.build(case, cfg, ell=cfg["ell"], seed=cfg["seed"], count=cfg["points"])
 
 
 def cmd_verify(cfg):
     names = parse_checks(cfg)
-    tol = cfg["tol"] if cfg["tol"] is not None else 1e-7
     s, dom = build_case(cfg)
     if cfg["f"] is not None:
         f = ex.refuse_nonfinite(ex.parse(cfg["f"], s.chart), "f")
         s = gauge_transform(s, ex.to_field(f))
     fns = {n: CHECKS[n].build(s, cfg) for n in names}
     pts = sample(dom)
-    results = _run_checks([(n, fns[n], pts, s, CHECKS[n].reads_under(cfg)) for n in names], tol)
-    return build_report(_echo(cfg), s.chart, len(pts), results)
+    checks = [(n, fns[n], pts, s, CHECKS[n].reads_under(cfg)) for n in names]
+    return build_report(cfg, s.chart, len(pts), _run_checks(checks, cfg["tol"]))
 
 
 def _run_checks(checks, tol):
@@ -429,8 +439,6 @@ def _run_checks(checks, tol):
 
 def cmd_lift(cfg):
     names = parse_checks(cfg)
-    tol = cfg["tol"] if cfg["tol"] is not None else 1e-6
-    cfg["points"] = cfg["points"] or 100
     base, dom = build_case(cfg)
     # the base checks are built before sampling, as under verify
     base_fns = {n: CHECKS[n].build(base, cfg) for n in names if CHECKS[n].on == "base"}
@@ -456,16 +464,12 @@ def cmd_lift(cfg):
         if on.chart not in drawn:
             drawn[on.chart] = lift_mod.fibre_points(on, cfg["seed"], base_pts)
         checks.append((name, fn, drawn[on.chart], on, reads))
-    results = _run_checks(checks, tol)
-    return build_report(_echo(cfg), data.chart, len(base_pts), results)
+    return build_report(cfg, data.chart, len(base_pts), _run_checks(checks, cfg["tol"]))
 
 
 def cmd_limit(cfg):
     parse_checks(cfg)
-    tol = cfg["tol"] if cfg["tol"] is not None else 1e-6
-    if cfg["case"] is None:
-        cfg = dict(cfg, case="heisenberg")  # the family that runs, as the report echoes it
-    raw = "100,200,1000,10000" if cfg["ells"] is None else cfg["ells"]
+    raw = cfg["ells"]
     if isinstance(raw, str):
         try:
             # blank text is no ells; an empty entry between commas is an error
@@ -486,11 +490,10 @@ def cmd_limit(cfg):
         max=rep["form_gap"][-1],
         mean=mean_of(rep["form_gap"]),
         worst_point=(),
-        tol=tol,
+        tol=cfg["tol"],
         failed=rep["diverges"],
     )
-    report = build_report(_echo(cfg), chart, 0, [result], detail=rep)
-    return report
+    return build_report(cfg, chart, 0, [result], detail=rep)
 
 
 def cmd_eval(args):
@@ -533,10 +536,6 @@ def cmd_eval(args):
     for k, key in enumerate(("gradient", "hessian", "third")[:order], 1):
         out[key] = nested(jet.parts[k])
     return out
-
-
-def _echo(cfg):
-    return {k: cfg[k] for k in KEYS}
 
 
 def _emit(text, out_path):

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -996,6 +997,80 @@ class TestConfigFile:
         )
         assert code == EXIT_PASS
         assert path.read_text() == out
+
+
+# --- the config echo --------------------------------------------------------------
+
+# per subcommand: an argv that gives none of the keys whose defaults differ by
+# subcommand, and three layers of those keys: their defaults there, a config
+# file that overrides some, and flags that override the file
+ECHO_LAYERS = {
+    "verify": (
+        ["verify", "--case", "heisenberg"],
+        {"checks": "gt,monopole", "tol": 1e-7, "points": 200, "ells": None},
+        {"checks": "gt", "tol": 1e-5, "points": 7},
+        {"checks": "monopole", "tol": 1e-4, "points": 5},
+    ),
+    "lift": (
+        ["lift", "--case", "heisenberg", "--ell", "-1"],
+        {"checks": "em,maxwell", "tol": 1e-6, "points": 100, "ells": None},
+        {"checks": "maxwell", "tol": 1e-5, "points": 7},
+        {"checks": "em", "tol": 1e-4, "points": 5},
+    ),
+    "limit": (
+        ["limit"],
+        {"case": "heisenberg", "checks": "limit", "tol": 1e-6, "points": None, "ells": "100,200,1000,10000"},
+        {"case": "class-b", "tol": 1e-5, "ells": "100,200"},
+        {"case": "heisenberg", "tol": 1e-4, "ells": "100,1000"},
+    ),
+}
+# the keys a report echoes that the program sets, not the configuration
+PROGRAM_SET = ("command", "ell_used", "sign_fixed")
+with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+    README_RUNS = re.findall(r"^ewbench +((?:verify|lift|limit) .*)$", fh.read(), re.M)
+
+
+def assert_echo_ran(rep):
+    """The checks, tol and sample size or ells that ran are the echoed ones."""
+    config = rep["config"]
+    assert ",".join(rep["checks"]) == config["checks"]
+    assert {chk["tol"] for chk in rep["checks"].values()} == {config["tol"]}
+    if config["command"] == "limit":
+        assert rep["detail"]["ells"] == [float(e) for e in config["ells"].split(",")]
+    else:
+        assert rep["n_points"] == config["points"]
+
+
+class TestEcho:
+    @pytest.mark.parametrize("command", ECHO_LAYERS)
+    def test_the_echo_is_the_row_defaults_then_the_file_then_the_flags(self, capsys, tmp_path, command):
+        argv, *layers = ECHO_LAYERS[command]
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(layers[1]))
+        flags = [word for key, value in layers[2].items() for word in (f"--{key}", str(value))]
+        runs = (argv, argv + ["--config", str(path)], argv + ["--config", str(path)] + flags)
+        want = {}
+        for run, layer in zip(runs, layers):
+            want.update(layer)
+            code, rep = run_json(capsys, *run)
+            assert code == EXIT_PASS
+            assert {key: rep["config"][key] for key in want} == want
+            assert_echo_ran(rep)
+
+    def test_the_readme_runs_every_subcommand_that_echoes(self):
+        assert {line.split()[0] for line in README_RUNS} == {"verify", "lift", "limit"}
+
+    @pytest.mark.parametrize("line", README_RUNS)
+    def test_the_echo_reproduces_the_run(self, capsys, tmp_path, line):
+        argv = shlex.split(line)
+        code, out = run_cli(capsys, *argv)
+        config = json.loads(out)["config"]
+        path = tmp_path / "echo.json"
+        path.write_text(json.dumps(
+            {key: v for key, v in config.items() if v is not None and key not in PROGRAM_SET}
+        ))
+        again, rerun = run_cli(capsys, argv[0], "--config", str(path))
+        assert (again, normalize(rerun)) == (code, normalize(out))
 
 
 class TestDeterminism:

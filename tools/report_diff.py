@@ -59,9 +59,13 @@ CONSTANT_DATA = (
     "verify --case from-G --points 2 --A p",
 )
 
-# every catalog case at its defaults, the lift and limit families, and the
+# every catalog case at its defaults, the lift and limit families, each
+# subcommand at all its defaults (so its default echo is compared), and the
 # error paths of case lookup, the ell choice and the flags a case reads
 CATALOG = (
+    "verify --case class-c",
+    "lift --case heisenberg --ell -1",
+    "limit",
     "verify --case heisenberg --points 5",
     "verify --case class-a --points 5",
     "verify --case class-b --points 5",
