@@ -13,16 +13,18 @@ the flag parses to and what a file value must be.  The subcommand's row
 defaults, then a JSON file, then the flags give the configuration, and the
 report echoes the configuration that ran.  The driver maps flags to a
 catalog case and its parameters: the cases, their expression flags and
-defaults come from ``families.CASES``; the fibre charts, their sample
-points, the ``limit`` families and the choice of ell from ``lift``.  Every
-check is one ``Check`` row of ``CHECKS``: the flags it reads, the packed
-arrays it reads, whether it runs on the base or on the lift, and its
-builder; ``_run_checks`` packs each array once per job.
-Reports are JSON with a fixed key order and a ``schema`` version; for a
-fixed configuration and seed they are byte-identical apart from wall time.
-Exit codes: 0 all checks pass, 1 a check fails, 2 configuration problem,
-3 sampling, guard or domain problem (a non-finite value or an overflow
-included, in every subcommand), 4 an unexpected internal error.
+defaults and the sampling seed and verify sample size come from
+``families``; the fibre charts, their sample points, the number of probes
+that validate a lift, the ``limit`` families and the choice of ell from
+``lift``.  Every check is one ``Check`` row of ``CHECKS``: the flags it
+reads, the packed arrays it reads, whether it runs on the base or on the
+lift, and its builder; ``_run_checks`` packs each array once per job.
+Reports are JSON with a fixed key order and the ``report.SCHEMA``
+version; for a fixed configuration and seed they are byte-identical apart
+from wall time.  Exit codes: 0 all checks pass, 1 a check fails, 2
+configuration problem, 3 sampling, guard or domain problem (a non-finite
+value or an overflow included, in every subcommand), 4 an unexpected
+internal error; 2 and 3 are the ``exit_code`` of the ``errors`` classes.
 ``main`` parses with one parser per process, built on its first call, so
 in-process callers build it once; a one-shot ``ewbench`` process is
 unaffected.
@@ -46,7 +48,7 @@ from . import families as fam
 from . import jets
 from . import lift as lift_mod
 from .curv import em_residual, maxwell_residual, pack_reads, weyl_ricci_residual
-from .errors import ConfigError, DomainError, EwbenchError
+from .errors import ConfigError, DomainError, EwbenchError, SamplingExhaustedError
 from .ew import (
     gauge_transform,
     gt_residual,
@@ -56,12 +58,12 @@ from .ew import (
     require_x,
 )
 from .jets import ChartPoint, sample
-from .report import CheckResult, build_report, mean_of, report_json, run_check
+from .report import SCHEMA, CheckResult, build_report, mean_of, report_json, run_check
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
-EXIT_CONFIG = 2
-EXIT_SAMPLING = 3
+EXIT_CONFIG = ConfigError.exit_code
+EXIT_SAMPLING = SamplingExhaustedError.exit_code
 EXIT_INTERNAL = 4
 
 
@@ -205,8 +207,8 @@ KEYS = {
         dict(verify="gt,monopole", lift="em,maxwell", limit="limit"), _ALL,
         "comma-separated check names",
     ),
-    "points": Key(dict(verify=200, lift=100), _CASE, "sample size", **_INTEGER),
-    "seed": Key(7, _CASE, "sampling seed", **_INTEGER),
+    "points": Key(dict(verify=fam.SAMPLE_POINTS, lift=100), _CASE, "sample size", **_INTEGER),
+    "seed": Key(fam.SAMPLE_SEED, _CASE, "sampling seed", **_INTEGER),
     "tol": Key(
         dict(verify=1e-7, lift=1e-6, limit=1e-6), _ALL, "residual tolerance", float, valid=_number,
         what="a number", dash=True,
@@ -449,7 +451,7 @@ def cmd_lift(cfg):
         psi=fam.psi_const(base, cfg["c"]),
         ell=cfg["ell_used"],
         chart=cfg["chart"],
-        probes=base_pts[:8],
+        probes=base_pts[: lift_mod.PROBES],
     )
     data = lift_mod.build(lcfg)
     # every check is built before any runs (so the alpha chart's ell bound
@@ -523,7 +525,7 @@ def cmd_eval(args):
     if not all(np.isfinite(part).all() for part in jet.parts):
         raise DomainError(f"'{args.expr}' is not finite through order {order}")
     out = {
-        "schema": 1,
+        "schema": SCHEMA,
         "expr": args.expr,
         "point": {n: v for n, v in pairs},
         "order": order,

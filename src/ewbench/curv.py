@@ -71,21 +71,6 @@ from .jets import (
     shared_scope,
 )
 
-__all__ = [
-    "inverse",
-    "christoffel",
-    "riemann",
-    "ricci",
-    "kretschmann",
-    "f_squared",
-    "field_strength",
-    "scalar_invariants",
-    "maxwell_residual",
-    "em_residual",
-    "weyl_ricci_residual",
-    "weyl_ricci_residual_metric",
-]
-
 # |det g| below this is singular for every metric inversion
 METRIC_DET_TOL = 1e-12
 

@@ -3,7 +3,8 @@
 Each class states the exit code of the CLI in its ``exit_code``: 2 for
 configuration problems (bad flags, unparseable expressions, inputs that
 fail their certificates), 3 for sampling, domain and singular frame or
-metric problems.  Ordinary check failures exit with 1.
+metric problems.  Ordinary check failures exit with 1.  These classes own
+the codes 2 and 3: ``cli.EXIT_CONFIG`` and ``cli.EXIT_SAMPLING`` read them.
 """
 
 

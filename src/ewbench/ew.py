@@ -29,21 +29,6 @@ from .errors import ConfigError
 from .forms import Coframe3, PForm, coordinate_form, frame_solve
 from .jets import Field, pack_jets, read_only, scoped, scoped_arrays
 
-__all__ = [
-    "EWStructure",
-    "frame_arrays",
-    "stars",
-    "PAIRS",
-    "require_x",
-    "hypercr_residual",
-    "gt_residual",
-    "monopole_residual",
-    "gauge_transform",
-    "psi_residual",
-    "from_H",
-    "from_uw",
-]
-
 # fixed component order for degree-2 residuals on a 3D chart
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
@@ -106,7 +91,7 @@ def hypercr_residual(u, w, pt):
 # exterior residual systems, on the packed arrays of a structure
 # ---------------------------------------------------------------------------
 
-_I, _J = np.array([0, 0, 1]), np.array([1, 2, 2])  # PAIRS: pair k is (_I[k], _J[k])
+_I, _J = np.array(PAIRS).T  # pair k is (_I[k], _J[k])
 # *e1 = e1^e2, *e2 = 2 e1^e3, *e3 = e2^e3: star k is the wedge of pair k, scaled
 _STAR_SCALE = np.array([[1.0], [2.0], [1.0]])
 

@@ -24,23 +24,6 @@ import numpy as np
 from . import jets
 from .errors import ConfigError, DomainError, ExprSyntaxError, UnknownIdentifierError
 
-__all__ = [
-    "Const",
-    "Var",
-    "Neg",
-    "Bin",
-    "Call",
-    "Expr",
-    "FUNCTIONS",
-    "parse",
-    "to_source",
-    "eval_jet",
-    "substitute",
-    "to_field",
-    "free_names",
-    "refuse_nonfinite",
-]
-
 
 @dataclass(frozen=True)
 class Const:

@@ -9,12 +9,14 @@ sampling chart, box and guard (``default_domain``), the route to its
 Legendre generator (``generator_for``) and its lift family (``limit``).
 ``case_row`` is the one lookup of a case name, which reads '-' as '_';
 ``build`` makes a case's structure and domain from one parse of each
-parameter.  The p-chart structures can
-be produced two independent ways: directly from the closed-form coframe
-components (class_a / class_b / class_c), or by running the generic
-Legendre-generator route (from_generator) on the raw data.  Agreement of
-the two routes is one of the main consistency checks of the suite; neither
-is an oracle for the other in code, they only share the chart.
+parameter.  A domain's sampling defaults, ``SAMPLE_SEED`` and
+``SAMPLE_POINTS``, are stated here only: the CLI's defaults read them.
+The p-chart structures can be produced two independent ways: directly
+from the closed-form coframe components (class_a / class_b / class_c), or
+by running the generic Legendre-generator route (from_generator) on the
+raw data.  Agreement of the two routes is one of the main consistency
+checks of the suite; neither is an oracle for the other in code, they only
+share the chart.
 
 Closed-form constructors differentiate their parameter expressions once at
 most, so curvature of the induced metric stays inside the order-3 jet cap.
@@ -35,29 +37,13 @@ from .forms import Coframe3, coordinate_form, zero_form
 from .jets import Field, Guard, PointBatch, SampleDomain, anywhere, first_where
 from .report import run_check
 
-__all__ = [
-    "PYT",
-    "XYT",
-    "heisenberg",
-    "psi_const",
-    "class_a",
-    "class_b",
-    "class_c",
-    "GeneratorG",
-    "from_generator",
-    "generator_for",
-    "CASES",
-    "case_row",
-    "build",
-    "default_domain",
-    "CLASS_A_BETAS",
-    "CLASS_C_PHIS",
-]
-
 PYT = ("p", "y", "t")
 
 LEGENDRE_TOL = 1e-10
 HEAT_TOL = 1e-9
+# a domain's seed and sample size unless one is given
+SAMPLE_SEED = 7
+SAMPLE_POINTS = 200
 
 
 def _ast(source, variables):
@@ -332,7 +318,7 @@ def generator_for(case, param):
 # ---------------------------------------------------------------------------
 
 
-def default_domain(case, *, seed=7, count=200, **params):
+def default_domain(case, *, seed=SAMPLE_SEED, count=SAMPLE_POINTS, **params):
     """The pinned sampling box and guard (or None) of a catalog case, from its row.
 
     ``params`` holds the case's expression parameters (``CASES``), as text
@@ -429,7 +415,7 @@ def case_row(case):
     return row
 
 
-def build(case, params, *, ell=None, seed=7, count=200):
+def build(case, params, *, ell=None, seed=SAMPLE_SEED, count=SAMPLE_POINTS):
     """(structure, sampling domain) of a catalog case.
 
     A parameter that ``params`` lacks or holds as None takes its default;

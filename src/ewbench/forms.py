@@ -27,19 +27,6 @@ import numpy as np
 from .errors import SingularFrameError
 from .jets import Field, anywhere, first_where, gather_parts, read_only, scoped_arrays
 
-__all__ = [
-    "PForm",
-    "Coframe3",
-    "MetricField",
-    "coordinate_form",
-    "zero_form",
-    "exterior_d",
-    "frame_solve",
-    "metric_from_coframe",
-    "signature",
-    "symmetric_product",
-]
-
 FRAME_DET_TOL = 1e-12
 
 

@@ -63,35 +63,6 @@ from .errors import (
 
 MAX_ORDER = 3
 
-__all__ = [
-    "MAX_ORDER",
-    "Jet",
-    "ChartPoint",
-    "PointBatch",
-    "pack_jets",
-    "gather_parts",
-    "read_only",
-    "anywhere",
-    "first_where",
-    "Field",
-    "row_numbers",
-    "evaluation_scope",
-    "shared_scope",
-    "scoped",
-    "scoped_arrays",
-    "Guard",
-    "SampleDomain",
-    "sample",
-    "exp",
-    "log",
-    "sin",
-    "cos",
-    "sqrt",
-    "sinh",
-    "cosh",
-    "tanh",
-]
-
 
 # ---------------------------------------------------------------------------
 # chart points and batches of them

@@ -16,7 +16,8 @@ base: -2/V when none is given, else the given magnitude with the sign that
 makes V = -2/ell.  ``flat_limit`` tracks the large-ell behaviour of a lift
 family against its limit form; ``limit_family`` reads a case's family,
 heisenberg(ell) or class B with F = ell/4, from its ``families.CASES``
-row, which states its gauge.
+row, which states its gauge.  ``PROBES``, the number of points that
+validate a lift, is stated here only: the CLI reads it.
 
 A family's scale may be an (N,) array, one ell per row of a batch of N
 points, which field algebra takes as a constant with one number per row
@@ -60,6 +61,7 @@ from .report import run_check
 GAUGE_TOL = 1e-9
 GT_TOL = 1e-7
 PSI_TOL = 1e-7
+PROBES = 8  # points that validate a lift: the default probes, or a CLI sample's first
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -157,7 +159,7 @@ class LiftConfig:
 
 
 @functools.cache
-def default_probes(chart, *, count=8):
+def default_probes(chart, *, count=PROBES):
     """Deterministic validation points in a fixed positive box, drawn once,
     as one PointBatch."""
     rng = np.random.default_rng(424)

@@ -163,6 +163,18 @@ class TestCaseTable:
         want = sample(default_domain(case, seed=3, count=20, **defaults))
         assert [(q.chart, q.coords) for q in got] == [(q.chart, q.coords) for q in want]
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_the_library_and_verify_sample_alike_by_default(self, case):
+        """``verify --case <case>`` with no other flag draws the rows of the
+        library's ``default_domain`` at its expression defaults: the seed
+        and sample size of one are those of the other."""
+        args = cli_mod.make_parser().parse_args(["verify", "--case", case.replace("_", "-")])
+        _, dom = cli_mod.build_case(cli_mod.merge_config(args))
+        defaults = {name: default for name, (default, _) in CASES[case].exprs.items()}
+        got = sample(dom)
+        want = sample(default_domain(case, **defaults))
+        assert [(q.chart, q.coords) for q in got] == [(q.chart, q.coords) for q in want]
+
 
 # --- lift and limit ------------------------------------------------------------
 

@@ -83,6 +83,13 @@ def test_every_exported_name_resolves(name):
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
+def test_no_submodule_restates_the_public_api():
+    """The imports of ``__init__.py`` are the one statement of the public
+    API: no submodule carries an ``__all__`` of its own."""
+    submodules = [importlib.import_module(name) for name in MODULES[1:]]
+    assert [m.__name__ for m in submodules if hasattr(m, "__all__")] == []
+
+
 def test_the_package_exports_the_names_its_imports_bind():
     """``ewbench.__all__`` is the names that the ``from .x import ...``
     statements of ``__init__.py`` bind, each once: no module, no ``_`` name,

@@ -23,7 +23,6 @@ import contextlib
 import dis
 import inspect
 import io
-import json
 import os
 import sys
 from pathlib import Path
@@ -75,7 +74,7 @@ def run_traced(extra):
     # directory, and its arguments from sys.argv[1]
     cwd, argv = os.getcwd(), sys.argv
     os.chdir(ROOT)
-    sys.argv = ["-c", json.dumps([report_diff.SEEDS, report_diff.SECONDS, extra])]
+    sys.argv = ["-c", report_diff.runner_args(extra)]
     runner = compile(report_diff.RUNNER, "report_diff.RUNNER", "exec")
     sys.settrace(tracer)
     try:

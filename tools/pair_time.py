@@ -10,7 +10,8 @@ interpreter, one numpy and one machine state.  Half of the workers import
 OLD first and half NEW first: in one process, the package imported first
 ran 2-3% faster on jobs of about 1 ms.  The argvs are the command lines
 given after the two checkouts or, if none is, the ``ewbench ...`` command
-lines of README.md (the README-size runs, which perfbench does not time)
+lines of README.md (the README-size runs, which perfbench does not time,
+matched by ``tools/report_diff.py``'s ``README_ARGV``)
 followed by the jobs of one seed-1 cycle of each perfbench workload, which
 NEW's perfbench lists in a subprocess, as for ``tools/report_diff.py``; so
 a per-job change is sized without the perfbench harness.
@@ -41,6 +42,9 @@ from statistics import median
 PAIRS = 64
 WORKERS = 4
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import report_diff  # noqa: E402
 
 # run with the package directory and the side to import first: read one
 # JSON [argv, (first, second)] a line, and answer one JSON line
@@ -105,7 +109,7 @@ print(json.dumps([list(job.argv) for workload in bench_jobs.WORKLOADS
 
 
 def readme_argvs():
-    lines = re.findall(r"^ewbench +[a-z].*$", README.read_text(encoding="utf-8"), re.M)
+    lines = re.findall(report_diff.README_ARGV, README.read_text(encoding="utf-8"), re.M)
     return [shlex.split(line)[1:] for line in lines]
 
 

@@ -33,6 +33,8 @@ from pathlib import Path
 
 SEEDS = (1, 2, 3)
 SECONDS = 30
+# a command line of README.md, one a line (``tools/pair_time.py`` reads it too)
+README_ARGV = r"^ewbench +[a-z].*$"
 
 # expression data without coordinates, residuals the same at every point,
 # and guards that constant data fails everywhere: constants that must fold
@@ -331,22 +333,22 @@ ARGV_SETS = (
     + LITERALS + FIBRES + PSI + FORMS + AFFINE
 )
 
-# run inside a checkout: one JSON line [argv, exit code, stdout, stderr]
-# per distinct argv, in order
+# run inside a checkout with ``runner_args``: one JSON line [argv, exit
+# code, stdout, stderr] per distinct argv, in order
 RUNNER = r"""
 import contextlib, io, json, re, shlex, sys
 sys.path[:0] = ["src", "perfbench"]
 import run
 from ewbench import cli
 
-seeds, seconds, extra = json.loads(sys.argv[1])
+seeds, seconds, readme_argv, extra = json.loads(sys.argv[1])
 argvs = []
 for workload in run.bench_jobs.WORKLOADS:
     cycles, _ = run.cycles_for(workload, seconds, min_jobs=run.MIN_JOBS)
     for seed in seeds:
         argvs += [list(job.argv) for job in run.bench_jobs.make_jobs(workload, seed, cycles)]
 with open("README.md", encoding="utf-8") as fh:
-    lines = re.findall(r"^ewbench +[a-z].*$", fh.read(), re.M)
+    lines = re.findall(readme_argv, fh.read(), re.M)
 argvs += [shlex.split(line)[1:] for line in lines] + [shlex.split(e) for e in extra]
 seen = set()
 for argv in argvs:
@@ -366,10 +368,15 @@ for argv in argvs:
 """
 
 
+def runner_args(extra):
+    """The JSON argument of RUNNER, with the extra command lines ``extra``."""
+    return json.dumps([SEEDS, SECONDS, README_ARGV, extra])
+
+
 def reports(checkout, extra):
     """{argv: (exit code, stdout, stderr)} of every argv in ``checkout``."""
     proc = subprocess.run(
-        [sys.executable, "-c", RUNNER, json.dumps([SEEDS, SECONDS, extra])],
+        [sys.executable, "-c", RUNNER, runner_args(extra)],
         cwd=checkout, capture_output=True, text=True,
     )
     if proc.returncode:
