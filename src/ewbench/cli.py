@@ -535,8 +535,8 @@ def cmd_eval(args):
     def nested(part):  # one level of dicts by coordinate per derivative axis
         return dict(zip(chart, map(nested, part) if np.ndim(part) > 1 else part))
 
-    for k, key in enumerate(("gradient", "hessian", "third")[:order], 1):
-        out[key] = nested(jet.parts[k])
+    for key, part in zip(("gradient", "hessian", "third")[:order], jet.parts[1:], strict=True):
+        out[key] = nested(part)
     return out
 
 

@@ -19,9 +19,9 @@ checks of the suite; neither is an oracle for the other in code, they only
 share the chart.
 
 Closed-form constructors differentiate their parameter expressions once at
-most, so curvature of the induced metric stays inside the order-3 jet cap.
-The generator route needs A_pp and therefore tops out at the exterior
-residuals; asking it for curvature raises JetOrderError by design.
+most, so curvature of the induced metric stays inside the jet cap
+``jets.MAX_ORDER``.  The generator route's frame holds A_pp, so its weyl
+check reads A through order 4, one past the cap of 3: it raises JetOrderError.
 """
 from __future__ import annotations
 
@@ -246,9 +246,8 @@ def from_generator(gen):
     """Structure from the generator: substitute dx = -(G_pp dp + G_py dy + G_pt dt).
 
     u = p and w = -p B_y; the frame is e^i with x eliminated.  Components
-    carry second derivatives of A and B, so only the exterior residuals are
-    available at full order; curvature-grade consumers should use the
-    closed-form constructors.
+    carry second derivatives of A and B, so weyl reads A through order 4,
+    one past the jet cap of 3 (``jets.MAX_ORDER``), and raises JetOrderError.
     """
     a = ex.to_field(gen.A)
     b = ex.to_field(gen.B)

@@ -342,7 +342,7 @@ def _linear(op):
 
 
 class Jet:
-    """A value and its partial derivatives through ``order`` (0..MAX_ORDER).
+    """A value and its partial derivatives through ``order``, at most the jet cap ``MAX_ORDER``.
 
     ``value`` is a float at a point, an (N,) array over a batch of N
     points.  ``derivs`` holds each derivative D_alpha of degree 1 through

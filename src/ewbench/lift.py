@@ -159,11 +159,11 @@ class LiftConfig:
 
 
 @functools.cache
-def default_probes(chart, *, count=PROBES):
-    """Deterministic validation points in a fixed positive box, drawn once,
-    as one PointBatch."""
+def default_probes(chart):
+    """``PROBES`` deterministic validation points in a fixed positive box,
+    drawn once, as one PointBatch."""
     rng = np.random.default_rng(424)
-    return PointBatch(chart, rng.uniform(0.25, 0.85, size=(count, len(chart))))
+    return PointBatch(chart, rng.uniform(0.25, 0.85, size=(PROBES, len(chart))))
 
 
 def fix_ell_sign(base, ell, probe=None):
@@ -178,7 +178,7 @@ def fix_ell_sign(base, ell, probe=None):
     a limit family's row in ``families.CASES`` gives its ell with its base.
     """
     if probe is None:
-        probe = default_probes(base.chart, count=1)[0]
+        probe = default_probes(base.chart)[0]
     v = base.V(probe, 0).value
     if ell is None:
         if v == 0:

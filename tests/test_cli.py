@@ -444,6 +444,24 @@ class TestEval:
         shown = " ".join(cli_mod.make_parser().commands["eval"].format_help().split())
         assert f"--order ORDER jet order (0..{cap})" in shown
 
+    @pytest.mark.parametrize("order", range(cli_mod.jets.MAX_ORDER + 1))
+    def test_each_order_through_the_cap_prints_one_key_per_part(self, capsys, order):
+        code, out = run_cli(
+            capsys, "eval", "--expr", "x^5*y", "--at", "x=1,y=2", "--order", str(order),
+        )
+        assert code == EXIT_PASS
+        rep = json.loads(out)
+        keys = list(rep)[list(rep).index("value") + 1 :]
+        assert len(keys) == order and keys == ["gradient", "hessian", "third"][:order]
+
+    def test_an_order_without_a_key_is_an_internal_error(self, capsys, monkeypatch):
+        top = cli_mod.jets.MAX_ORDER + 1
+        monkeypatch.setattr(cli_mod.jets, "MAX_ORDER", top)
+        code = main(["eval", "--expr", "x^5", "--at", "x=1", "--order", str(top)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL and captured.out == ""
+        assert captured.err.startswith("error: internal error: ")
+
     def test_value_and_gradient(self, capsys):
         code, rep = run_json(
             capsys, "eval", "--expr", "p*ln(p)-p", "--at", "p=1",
@@ -554,7 +572,7 @@ class TestEval:
 
     def test_order_out_of_range(self, capsys):
         code, _ = run_cli(capsys, "eval", "--expr", "x", "--at", "x=1",
-                          "--order", "5")
+                          "--order", str(cli_mod.jets.MAX_ORDER + 1))
         assert code == EXIT_CONFIG
 
     @pytest.mark.parametrize(

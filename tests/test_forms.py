@@ -26,7 +26,7 @@ from ewbench.forms import (
     symmetric_product,
     zero_form,
 )
-from ewbench.jets import Field, PointBatch, evaluation_scope, pack_jets, sample
+from ewbench.jets import MAX_ORDER, Field, PointBatch, evaluation_scope, pack_jets, sample
 from ewbench.lift import LIMIT_ROWS, LiftConfig, assemble, fibre_chart, fibre_points
 
 from conftest import XYT, PYT, box_points, pt
@@ -587,7 +587,7 @@ class TestPullback:
     BASE_ROWS = np.array([[0.6, -0.2, 0.9], [1.3, 0.4, -0.5], [0.8, 0.7, 0.3]])
     FIBRE = np.array([0.7, -1.1, 0.2])
 
-    @pytest.mark.parametrize("order", (1, 2, 3))
+    @pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
     @pytest.mark.parametrize("batched", (False, True), ids=("point", "batch"))
     def test_base_block_and_zero_fibre(self, order, batched):
         cases = _pullback_cases()
@@ -602,8 +602,8 @@ class TestPullback:
             try:
                 j3 = f(q3, order)
             except JetOrderError:
-                # omega holds first derivatives, so it stops at order 2 on
-                # either chart
+                # heisenberg omega holds u_x, so it stops one below the
+                # cap on either chart
                 with pytest.raises(JetOrderError):
                     f(q4, order)
                 continue
@@ -619,8 +619,8 @@ class TestPullback:
                 fibre = part.copy()
                 fibre[block] = 0.0
                 assert not fibre.any()
-        # all but heisenberg omega's two components reach order 3
-        assert checked == len(cases) - (2 if order == 3 else 0)
+        # all but heisenberg omega's two components reach the cap
+        assert checked == len(cases) - (2 if order == MAX_ORDER else 0)
 
     def test_embedding_reuses_the_base_fields(self):
         s = heisenberg(1.0)

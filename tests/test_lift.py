@@ -219,7 +219,7 @@ class TestFixEllSign:
         assert a == b
 
     def test_default_probes_are_drawn_once(self):
-        assert default_probes(PYT, count=3) is default_probes(PYT, count=3)
+        assert default_probes(PYT) is default_probes(PYT)
 
 
 def count_point_scopes(monkeypatch):

@@ -214,7 +214,11 @@ def test_a_guarded_sample_spans_several_draws():
 def test_probes_fibre_points_and_limit_rows_are_batches(monkeypatch):
     probes = default_probes(XYT)
     assert isinstance(probes, PointBatch) and len(probes) == 8
-    assert probes[0] == default_probes(XYT, count=1)[0]
+    # fix_ell_sign's probe is the first: class B's -2/V varies with p
+    f_varies = fam.class_b("p+2")
+    first, second = default_probes(PYT)[:2]
+    assert fix_ell_sign(f_varies, None) == fix_ell_sign(f_varies, None, first)
+    assert fix_ell_sign(f_varies, None) != fix_ell_sign(f_varies, None, second)
     base, dom = fam.build("heisenberg", {}, count=4)
     data = lift_mod.build(LiftConfig(base, fam.psi_const(base, 0), -1.0))
     pts = fibre_points(data, 3, sample(dom))

@@ -243,8 +243,9 @@ def test_verify_plans(capsys, monkeypatch, checks, orders):
 
 
 def test_a_pack_that_raises_leaves_the_error_to_its_check(capsys, monkeypatch):
-    """from-G's coframe metric has no order-2 jets: the job stops at weyl,
-    after gt and monopole ran, with weyl's own error line."""
+    """At a jet cap of 3, from-G's coframe metric has no order-2 jets (weyl
+    reads A through order 4): the job stops at weyl, after gt and monopole
+    ran, with weyl's own error line."""
     ran = []
     run_check = cli_mod.run_check
 
@@ -252,6 +253,7 @@ def test_a_pack_that_raises_leaves_the_error_to_its_check(capsys, monkeypatch):
         ran.append(name)
         return run_check(name, *args)
 
+    monkeypatch.setattr(cli_mod.jets, "MAX_ORDER", 3)
     monkeypatch.setattr(cli_mod, "run_check", counted)
     code, report, captured = run(
         capsys, ["verify", "--case", "from-G", "--checks", "gt,monopole,weyl", "--points", "4"]
