@@ -108,7 +108,7 @@ CHECKS = {
     "monopole": Check(
         "base", {"frame": 0, "omega": 1, "V": 1}, lambda s, cfg: lambda q: monopole_residual(s, q)
     ),
-    "hypercr": Check("base", {}, _hypercr),
+    "hypercr": Check("base", {"uw": 1}, _hypercr),
     "psi": Check(
         "base",
         {"frame": 0, "V": 0},

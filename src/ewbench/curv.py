@@ -38,8 +38,7 @@ and build its curvature once between them.  F = dA is packed once per
 potential and point in the same way, by :func:`field_strength`.  A packing
 is kept at the highest order asked, and one of a higher order evaluates the
 component fields again; so each function here asks for its highest order
-first, and a job packs g, F and the coframe metric of its checks up
-front, each at the highest order any of them reads (:func:`pack_reads`).  Any
+first, and :func:`pack_reads` alone orders a job's evaluations.  Any
 object with ``dim`` and ``jets_at`` serves as the metric: the tests'
 finite-difference oracle is one, and as the scope keys on the metric
 object, it never reads or fills the jet metric's values.
@@ -354,16 +353,16 @@ def weyl_ricci_residual(s, pt):
 # ---------------------------------------------------------------------------
 
 # the arrays a check may read, packed through a jet order, of the structure or
-# lift whose points it runs on and of a 1-form psi: psi (which may read omega),
-# omega and V (which differentiate coframe fields) before the coframe
+# lift whose points it runs on and of a 1-form psi, in pack_reads's rank order
 PACKERS = {
     "h": lambda s, q, order: metric_from_coframe(s.frame).jets_at(q, order),
     "psi": lambda psi, q, order: [f(q, order) for f in psi.comps.values()],
     "omega": lambda s, q, order: frame_arrays(s, q, "omega", order),
     "V": lambda s, q, order: frame_arrays(s, q, "V", order),
+    "uw": lambda s, q, order: [s.u(q, order), s.w(q, order)],
     "frame": lambda s, q, order: frame_arrays(s, q, "frame", order),
-    "g": lambda data, q, order: data.g.jets_at(q, order),
     "F": lambda data, q, order: field_strength(data.potential, q, order),
+    "g": lambda data, q, order: data.g.jets_at(q, order),
 }
 
 
@@ -371,11 +370,14 @@ def pack_reads(reads):
     """Pack in the open evaluation scope the arrays of ``reads``, one
     ``(on, points, {PACKERS name: jet order})`` per check, each once at the
     highest order read, so that a later read slices what is held (em's F
-    serves maxwell).  Higher orders go first, then ``PACKERS`` order, so a
-    field that two arrays read is evaluated once (weyl's h serves the frame
-    arrays).  A packing runs with numpy warnings off, as a check does; one
-    that raises is dropped, and the check that reads the array raises the
-    same error in its turn, so a job still stops at its first failing check.
+    serves maxwell).  Higher orders go first, then ``PACKERS`` order, where
+    an array that reads the fields of another, or their derivatives, comes
+    first: psi (which may read omega), omega and V (which differentiate
+    coframe fields) before u, w and the coframe, and F = dA before g.  So
+    each field is evaluated once (weyl's h serves the frame arrays).  A
+    packing runs with numpy warnings off, as a check does; one that raises
+    is dropped, and the check that reads the array raises the same error in
+    its turn, so a job still stops at its first failing check.
     """
     plan = {}
     for on, pts, arrays in reads:

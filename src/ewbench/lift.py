@@ -355,7 +355,7 @@ def _limit_form(cfg, chart4):
 
 # every ell is evaluated at the same six seeded points of [-0.8, 0.8]^4
 LIMIT_ROWS = jets.read_only(np.random.default_rng(2026).uniform(-0.8, 0.8, size=(6, 4)))
-# flat_limit's per-ell maxima, in the order their checks run
+# flat_limit's per-ell maxima, in check order (curv.pack_reads orders evaluations)
 LIMIT_KEYS = ("riemann_limit", "f_gap", "f_term", "f_norm", "form_gap")
 
 
@@ -382,11 +382,9 @@ def flat_limit(factory, ells):
     it is evaluated, in place of the config's probes, and each residual is
     one ``run_check`` over all rows, named ``lift.<key>`` after its report
     key.  The maximum of an ell's rows is its entry in the report.  The
-    checks run riemann_limit first, which packs the limit form through
-    order 2 for form_gap, and form_gap last,
-    after the F checks ask order 1 of the omega and fibre-profile fields
-    that the lift metric reads, so no field is evaluated again at a higher
-    order; the report keeps its own key order.
+    limit form, its F = d omega and the lift are packed through
+    ``curv.pack_reads``, so each field is evaluated once, and the report
+    keeps its own key order.
 
     If that pass raises an EwbenchError (``run_check`` raises DomainError
     on a row that is not finite, and a constant of the array of ells
@@ -451,22 +449,22 @@ def _limit_columns(factory, ells):
         data = build(replace(cfg, chart="p", probes=PointBatch(cfg.base.chart, tiled[:, 1:])))
         chart4 = data.chart
         pts = PointBatch(chart4, tiled)
-        g_lim = _limit_form(cfg, chart4)
         om4 = embed_form(cfg.base.omega, chart4)
+        lim = SpacetimeData(chart4, _limit_form(cfg, chart4), om4, data.ell, data.kind)
+        pack_reads([(lim, pts, {"g": 2, "F": 0}), (data, pts, {"g": 0, "F": 0})])
         quarter = data.ell / 4.0
 
         def f_term(q):
-            """(ell/4) d omega: the rows of ell/4 times d omega, which the
-            scope holds once per batch."""
+            """(ell/4) d omega: the rows of ell/4 times the packed d omega."""
             scale = row_numbers(quarter, q)
             return np.reshape(scale, np.shape(scale) + (1, 1)) * field_strength(om4, q, 0)[0]
 
         residuals = {
-            "riemann_limit": lambda q: riemann(g_lim, q),
+            "riemann_limit": lambda q: riemann(lim.g, q),
             "f_gap": lambda q: field_strength(data.potential, q, 0)[0] - f_term(q),
             "f_term": f_term,
             "f_norm": lambda q: field_strength(data.potential, q, 0)[0],
-            "form_gap": lambda q: data.g.matrix_at(q) - g_lim.matrix_at(q),
+            "form_gap": lambda q: data.g.matrix_at(q) - lim.g.matrix_at(q),
         }
         columns = {}
         for key in LIMIT_KEYS:

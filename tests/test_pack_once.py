@@ -1,6 +1,6 @@
 """Each jet a job reads, computed once: the zero psi of c = 0 builds no
-jets, and each job packs g, F and h once, at the highest order its checks
-read."""
+jets, each job packs g, F and h once, at the highest order its checks
+read, and evaluates each field once per scope."""
 import importlib.util
 import json
 import shlex
@@ -13,6 +13,7 @@ import pytest
 from ewbench import cli as cli_mod
 from ewbench import curv
 from ewbench import families as fam
+from ewbench import jets
 from ewbench import lift as lift_mod
 from ewbench.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, main
 from ewbench.errors import SingularFrameError
@@ -189,6 +190,40 @@ def test_each_array_is_packed_once_per_batch(capsys, monkeypatch, argv):
     main(argv)
     capsys.readouterr()
     assert {key: orders for key, orders in packs.items() if len(orders) > 1} == {}
+
+
+def _record_evaluations(monkeypatch):
+    """{(scope, field, point or batch): evaluations}: a field call counts
+    when the open scope's memo lacks its (field, points) key or holds it at
+    a lower order.  The memos are kept alive, so no two share an id."""
+    evaluated, memos = defaultdict(int), {}
+    call = jets.Field.__call__
+
+    def counted(self, pt, order=0):
+        memo = jets._SCOPE.get()
+        if memo is not None:
+            held = memo.get((self, pt))
+            if held is None or held.table.order < order:
+                memos[id(memo)] = memo
+                evaluated[(id(memo), self, pt)] += 1
+        return call(self, pt, order)
+
+    monkeypatch.setattr(jets.Field, "__call__", counted)
+    return evaluated
+
+
+@pytest.mark.parametrize("argv", JOB_ARGVS + PLAN_ARGVS, ids=shlex.join)
+def test_each_field_is_evaluated_once_per_scope(capsys, monkeypatch, argv):
+    """``curv.pack_reads`` orders a job's evaluations: each field is
+    evaluated once per scope, at the highest order the job reads.  A run
+    that exits 2 is exempt: from-G's weyl refuses at the jet cap after its
+    pack of h raised, and weyl then asks for h again."""
+    evaluated = _record_evaluations(monkeypatch)
+    code = main(argv)
+    capsys.readouterr()
+    if code == EXIT_CONFIG:
+        return
+    assert {key: n for key, n in evaluated.items() if n > 1} == {}
 
 
 def _declared(name):

@@ -160,8 +160,8 @@ EDGES = (
 # what each job packs once, at the highest order its checks read: every
 # lift check alone and maxwell before em, on both fibre charts; weyl alone
 # and before gt; from-G, whose coframe metric cannot be packed to order 2;
-# and psi = c omega at c = 0 of either sign and at c = 0.5, under each
-# subcommand
+# hypercr's u and w beside monopole's and psi's omega; and psi = c omega at
+# c = 0 of either sign and at c = 0.5, under each subcommand
 PLANS = tuple(
     f"lift --case heisenberg --ell {ell} --c {c} --chart {chart} --checks {checks} --points 5"
     for chart, ell, c in (("p", -1, 0.5), ("alpha", -2, 0.3))
@@ -170,6 +170,8 @@ PLANS = tuple(
     "verify --case class-c --checks weyl --points 5",
     "verify --case class-c --checks weyl,gt --points 5",
     "verify --case from-G --checks gt,monopole,weyl --points 5",
+    "verify --case from-H --checks monopole,hypercr --points 5",
+    "verify --case from-H --checks psi,hypercr --c 0.5 --points 5",
 ) + tuple(
     argv.format(c=c)
     for argv in (
