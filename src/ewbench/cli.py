@@ -19,12 +19,14 @@ that validate a lift, the ``limit`` families and the choice of ell from
 ``lift``.  Every check is one ``Check`` row of ``CHECKS``: the flags it
 reads, the packed arrays it reads, whether it runs on the base or on the
 lift, and its builder; ``_run_checks`` packs each array once per job.
-Reports are JSON with a fixed key order and the ``report.SCHEMA``
-version; for a fixed configuration and seed they are byte-identical apart
-from wall time.  Exit codes: 0 all checks pass, 1 a check fails, 2
-configuration problem, 3 sampling, guard or domain problem (a non-finite
-value or an overflow included, in every subcommand), 4 an unexpected
-internal error; 2 and 3 are the ``exit_code`` of the ``errors`` classes.
+``limit`` reads no ``--checks`` or ``--tol``: its form-gap check fails
+only when the gaps diverge.  Reports are JSON with a fixed key order and
+the ``report.SCHEMA`` version; for a fixed configuration and seed they
+are byte-identical apart from wall time.  Exit codes: 0 all checks pass,
+1 a check fails, 2 configuration problem, 3 sampling, guard or domain
+problem (a non-finite value or an overflow included, in every
+subcommand), 4 an unexpected internal error; 2 and 3 are the
+``exit_code`` of the ``errors`` classes.
 ``main`` parses with one parser per process, built on its first call, so
 in-process callers build it once; a one-shot ``ewbench`` process is
 unaffected.
@@ -131,13 +133,11 @@ CHECKS = {
     ),
     "invariants": Check("lift", {"g": 2, "F": 0}, lift_mod.invariants_check),
 }
-# the checks each subcommand offers
+# the checks each subcommand that reads --checks offers
 OFFERED_CHECKS = {
     "verify": tuple(name for name, check in CHECKS.items() if check.on == "base"),
     "lift": tuple(CHECKS),
-    "limit": ("limit",),
 }
-CHECK_NAMES = OFFERED_CHECKS["lift"] + OFFERED_CHECKS["limit"]
 CHARTS = tuple(lift_mod.FIBRES)
 
 # the expression flags of the catalog cases
@@ -203,14 +203,11 @@ KEYS = {
     "ell": Key(None, _CASE, "scale parameter", dash=True, **_FINITE),
     "ell_used": Key(),
     "sign_fixed": Key(False),
-    "checks": Key(
-        dict(verify="gt,monopole", lift="em,maxwell", limit="limit"), _ALL,
-        "comma-separated check names",
-    ),
+    "checks": Key(dict(verify="gt,monopole", lift="em,maxwell"), _CASE, "comma-separated check names"),
     "points": Key(dict(verify=fam.SAMPLE_POINTS, lift=100), _CASE, "sample size", **_INTEGER),
     "seed": Key(fam.SAMPLE_SEED, _CASE, "sampling seed", **_INTEGER),
     "tol": Key(
-        dict(verify=1e-7, lift=1e-6, limit=1e-6), _ALL, "residual tolerance", float, valid=_number,
+        dict(verify=1e-7, lift=1e-6), _CASE, "residual tolerance", float, valid=_number,
         what="a number", dash=True,
     ),
     **{f: Key(None, _CASE, f"expression for {f}", dash=True) for f in _CASE_EXPR_FLAGS},
@@ -356,7 +353,7 @@ def merge_config(args):
                 )
     if cfg["points"] is not None and cfg["points"] > jets._MAX_DRAWS:
         raise ConfigError(f"points must be at most {jets._MAX_DRAWS}")
-    if not 0 < cfg["tol"] < math.inf:
+    if cfg["tol"] is not None and not 0 < cfg["tol"] < math.inf:
         raise ConfigError("tol must be positive and finite")
     for key in ("ell", "c"):
         if cfg[key] is not None and not math.isfinite(cfg[key]):
@@ -400,7 +397,7 @@ def parse_checks(cfg):
     names = _check_names(cfg)
     command = cfg["command"]
     for n in names:
-        if n not in CHECK_NAMES:
+        if n not in CHECKS:
             raise ConfigError(f"unknown check {n!r}")
         if n not in OFFERED_CHECKS[command]:
             raise ConfigError(f"check {n!r} is not available under {command}")
@@ -421,8 +418,7 @@ def cmd_verify(cfg):
     names = parse_checks(cfg)
     s, dom = build_case(cfg)
     if cfg["f"] is not None:
-        f = ex.refuse_nonfinite(ex.parse(cfg["f"], s.chart), "f")
-        s = gauge_transform(s, ex.to_field(f))
+        s = gauge_transform(s, ex.to_field(ex.parse(cfg["f"], s.chart), "f"))
     fns = {n: CHECKS[n].build(s, cfg) for n in names}
     pts = sample(dom)
     checks = [(n, fns[n], pts, s, CHECKS[n].reads_under(cfg)) for n in names]
@@ -470,7 +466,6 @@ def cmd_lift(cfg):
 
 
 def cmd_limit(cfg):
-    parse_checks(cfg)
     raw = cfg["ells"]
     if isinstance(raw, str):
         try:
@@ -492,7 +487,6 @@ def cmd_limit(cfg):
         max=rep["form_gap"][-1],
         mean=mean_of(rep["form_gap"]),
         worst_point=(),
-        tol=cfg["tol"],
         failed=rep["diverges"],
     )
     return build_report(cfg, chart, 0, [result], detail=rep)

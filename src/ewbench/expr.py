@@ -11,6 +11,8 @@ An exponent that names no chart coordinate is evaluated once, as a number:
 an integer one by repeated multiplication (so negative bases are fine), any
 other needs a positive base.  An exponent that depends on the coordinates is
 evaluated as exp(y ln x) at every order and needs a positive base too.
+``to_field`` makes an expression one field per evaluation scope, and
+evaluates a constant's jet once, to fold it and to refuse it if named.
 """
 from __future__ import annotations
 
@@ -335,19 +337,28 @@ def free_names(e):
     return names
 
 
-def to_field(e):
+def to_field(e, name=None):
     """Wrap an expression as a scalar field.
 
     A variable-free expression whose jet through ``MAX_ORDER`` evaluates
     without DomainError and with every part finite is the constant field
     of its value, which field algebra folds.  Any other expression is
     evaluated lazily at each point, so ``1/0``, ``exp(800)`` and
-    ``1/1e-300`` (past order 0) fail there as they always did.
+    ``1/1e-300`` (past order 0) fail there as they always did.  Given a
+    ``name``, a constant whose value is not finite is a ConfigError naming
+    it.  Equal expressions share one field in the open evaluation scope.
     """
+    jet, field = jets.scoped((to_field, e), lambda: _wrap(e))
+    if name is not None and jet is not None and not math.isfinite(jet.value):
+        raise ConfigError(f"{name} must be finite, got {float(jet.value)!r}")
+    return field
+
+
+def _wrap(e):  # (the constant jet of e or None, its field)
     jet = _constant_jet(e)
     if jet is not None and all(np.isfinite(p).all() for p in jet.parts):
-        return jets.Field.const(jet.value)
-    return jets.Field(lambda pt, order=0: eval_jet(e, pt, order))
+        return jet, jets.Field.const(jet.value)
+    return jet, jets.Field(lambda pt, order=0: eval_jet(e, pt, order))
 
 
 def _constant_jet(e):
@@ -359,15 +370,6 @@ def _constant_jet(e):
             return eval_jet(e, jets.point(("x",), 0.0), jets.MAX_ORDER)
         except DomainError:
             return None
-
-
-def refuse_nonfinite(e, name):
-    """``e``, or a ConfigError naming ``name`` when ``e`` is a constant
-    whose value is not finite; one whose evaluation raises keeps that."""
-    jet = _constant_jet(e)
-    if jet is not None and not math.isfinite(jet.value):
-        raise ConfigError(f"{name} must be finite, got {float(jet.value)!r}")
-    return e
 
 
 def parse_field(source, variables):

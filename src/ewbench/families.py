@@ -8,15 +8,15 @@ row: its expression parameters with their defaults, its constructor, its
 sampling chart, box and guard (``default_domain``), the route to its
 Legendre generator (``generator_for``) and its lift family (``limit``).
 ``case_row`` is the one lookup of a case name, which reads '-' as '_';
-``build`` makes a case's structure and domain from one parse of each
-parameter.  A domain's sampling defaults, ``SAMPLE_SEED`` and
-``SAMPLE_POINTS``, are stated here only: the CLI's defaults read them.
-The p-chart structures can be produced two independent ways: directly
-from the closed-form coframe components (class_a / class_b / class_c), or
-by running the generic Legendre-generator route (from_generator) on the
-raw data.  Agreement of the two routes is one of the main consistency
-checks of the suite; neither is an oracle for the other in code, they only
-share the chart.
+``build`` parses, checks and makes a field of each parameter once, for
+the constructor and the guard.  A domain's sampling defaults,
+``SAMPLE_SEED`` and ``SAMPLE_POINTS``, are stated here only: the CLI's
+defaults read them.  The p-chart structures can be produced two
+independent ways: directly from the closed-form coframe components
+(class_a / class_b / class_c), or by running the generic Legendre-generator
+route (from_generator) on the raw data.  Agreement of the two routes is one
+of the main consistency checks of the suite; neither is an oracle for the
+other in code, they only share the chart.
 
 Closed-form constructors differentiate their parameter expressions once at
 most, so curvature of the induced metric stays inside the jet cap
@@ -34,7 +34,7 @@ from . import expr as ex
 from .errors import ConfigError, DegenerateLegendreError, HeatResidualError
 from .ew import XYT, EWStructure, from_H, from_uw
 from .forms import Coframe3, coordinate_form, zero_form
-from .jets import Field, Guard, PointBatch, SampleDomain, anywhere, first_where
+from .jets import Field, Guard, PointBatch, SampleDomain, anywhere, evaluation_scope, first_where
 from .report import run_check
 
 PYT = ("p", "y", "t")
@@ -418,15 +418,17 @@ def build(case, params, *, ell=None, seed=SAMPLE_SEED, count=SAMPLE_POINTS):
     """(structure, sampling domain) of a catalog case.
 
     A parameter that ``params`` lacks or holds as None takes its default;
-    each is parsed once, for the constructor and the domain, and a constant
-    one that is not finite is a ConfigError.  ``ell`` (default 1) is read
-    only by a case that ``reads_ell``.
+    each is parsed once, and a constant one that is not finite is a
+    ConfigError.  The constructor and the guard, run in one evaluation
+    scope, share its field (``expr.to_field``).  ``ell`` (default 1) is
+    read only by a case that ``reads_ell``.
     """
     row = case_row(case)
     asts = {}
-    for name, (default, variables) in row.exprs.items():
-        source = params.get(name)
-        ast = _ast(default if source is None else source, variables)
-        asts[name] = ex.refuse_nonfinite(ast, name)
-    s = row.make(1.0 if ell is None else ell, **asts)
-    return s, default_domain(case, seed=seed, count=count, **asts)
+    with evaluation_scope():
+        for name, (default, variables) in row.exprs.items():
+            source = params.get(name)
+            asts[name] = _ast(default if source is None else source, variables)
+            ex.to_field(asts[name], name)
+        s = row.make(1.0 if ell is None else ell, **asts)
+        return s, default_domain(case, seed=seed, count=count, **asts)

@@ -36,9 +36,9 @@ class CheckResult:
     max: float
     mean: float
     worst_point: tuple[float, ...]
-    tol: float
     # checks whose pass condition is not a plain threshold (convergence
-    # studies) set this explicitly; None means "max <= tol"
+    # studies) set ``failed`` and no ``tol``; None means "max <= tol"
+    tol: float | None = None
     failed: bool | None = None
     # the value of each point, in point order
     rows: tuple[float, ...] = ()

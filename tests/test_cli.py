@@ -766,24 +766,26 @@ class TestErrorExits:
         assert code == EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "argv, command",
+        "argv, message",
         (
             # F = 0 starves the sampler: the check must be refused first
-            (("verify", "--case", "class-b", "--F", "0", "--checks", "em"), "verify"),
+            (("verify", "--case", "class-b", "--F", "0", "--checks", "em"),
+             "check 'em' is not available under verify"),
             # beta = y^2 fails the heat probe when the case is built
-            (("verify", "--case", "class-a", "--beta", "y^2", "--checks", "gt,maxwell"), "verify"),
-            (("limit", "--case", "heisenberg", "--checks", "gt"), "limit"),
-            (("lift", "--case", "class-b", "--F", "0", "--checks", "em,limit"), "lift"),
+            (("verify", "--case", "class-a", "--beta", "y^2", "--checks", "gt,maxwell"),
+             "check 'maxwell' is not available under verify"),
+            # limit reads no checks, and no subcommand offers a check named limit
+            (("limit", "--case", "heisenberg", "--checks", "gt"), "--checks is not used by limit"),
+            (("lift", "--case", "class-b", "--F", "0", "--checks", "em,limit"), "unknown check 'limit'"),
         ),
         ids=("em-under-verify", "maxwell-before-build", "gt-under-limit", "limit-under-lift"),
     )
-    def test_check_refused_before_sampling_or_build(self, capsys, argv, command):
+    def test_check_refused_before_sampling_or_build(self, capsys, argv, message):
         code = main(list(argv))
         captured = capsys.readouterr()
         assert code == EXIT_CONFIG
         assert captured.out == ""
-        name = argv[-1].split(",")[-1]
-        assert captured.err == f"error: check {name!r} is not available under {command}\n"
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -799,6 +801,10 @@ class TestErrorExits:
             (("verify", "--case", "from-G", "--H", "x"), "--H is not used by verify --case from-G"),
             (("verify", "--case", "from-H", "--A", "p"), "--A is not used by verify --case from-H"),
             (("verify", "--case", "class-c", "--B", "y"), "--B is not used by verify --case class-c"),
+            # limit's verdict is divergence alone: it reads no tolerance and no checks
+            (("limit", "--case", "heisenberg", "--ells", "1,2", "--tol", "1e-300"),
+             "--tol is not used by limit"),
+            (("limit", "--checks", "limit"), "--checks is not used by limit"),
         ),
     )
     def test_a_flag_the_case_or_checks_do_not_read_is_refused(self, capsys, monkeypatch, argv, message):
@@ -1049,9 +1055,9 @@ ECHO_LAYERS = {
     ),
     "limit": (
         ["limit"],
-        {"case": "heisenberg", "checks": "limit", "tol": 1e-6, "points": None, "ells": "100,200,1000,10000"},
-        {"case": "class-b", "tol": 1e-5, "ells": "100,200"},
-        {"case": "heisenberg", "tol": 1e-4, "ells": "100,1000"},
+        {"case": "heisenberg", "checks": None, "tol": None, "points": None, "ells": "100,200,1000,10000"},
+        {"case": "class-b", "c": 0.5, "ells": "100,200"},
+        {"case": "heisenberg", "c": 0.25, "ells": "100,1000"},
     ),
 }
 # the keys a report echoes that the program sets, not the configuration
@@ -1061,13 +1067,15 @@ with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="
 
 
 def assert_echo_ran(rep):
-    """The checks, tol and sample size or ells that ran are the echoed ones."""
+    """The checks, tol and sample size or ells that ran are the echoed ones;
+    limit runs its one check, whose verdict reads no tol."""
     config = rep["config"]
-    assert ",".join(rep["checks"]) == config["checks"]
     assert {chk["tol"] for chk in rep["checks"].values()} == {config["tol"]}
     if config["command"] == "limit":
+        assert list(rep["checks"]) == ["limit"]
         assert rep["detail"]["ells"] == [float(e) for e in config["ells"].split(",")]
     else:
+        assert ",".join(rep["checks"]) == config["checks"]
         assert rep["n_points"] == config["points"]
 
 

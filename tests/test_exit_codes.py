@@ -111,7 +111,7 @@ def whole_argvs(draw):
     values = {
         "case": st.just(case.replace("_", "-")),
         "checks": st.lists(
-            st.sampled_from(cli.OFFERED_CHECKS[command]), min_size=1, max_size=3, unique=True
+            st.sampled_from(cli.OFFERED_CHECKS.get(command, ())), min_size=1, max_size=3, unique=True
         ).map(",".join),
         "points": st.integers(1, 5).map(str),
         "seed": st.integers(0, 3).map(str),

@@ -1,7 +1,10 @@
+from collections import Counter, defaultdict
+
 import numpy as np
 import pytest
 
 from ewbench import cli, report
+from ewbench import expr as ex
 from ewbench import families as fam
 from ewbench import lift as lift_mod
 from ewbench import (
@@ -410,6 +413,31 @@ def test_an_unknown_case_has_no_domain():
     with pytest.raises(ConfigError) as err:
         default_domain("torus")
     assert str(err.value) == "unknown case 'torus'"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_build_checks_each_parameter_once_and_makes_it_one_field(monkeypatch, case):
+    """``build`` evaluates the constant jet of each distinct expression at
+    most once, and the constructor and the guard wrap each parameter into
+    one field: every field made of one expression is the same object."""
+    jets_made, fields_made = Counter(), defaultdict(list)
+    constant_jet, to_field = ex._constant_jet, ex.to_field
+
+    def counted(e):
+        jets_made[e] += 1
+        return constant_jet(e)
+
+    def recorded(e, *name):
+        field = to_field(e, *name)
+        fields_made[e].append(field)
+        return field
+
+    monkeypatch.setattr(ex, "_constant_jet", counted)
+    monkeypatch.setattr(ex, "to_field", recorded)
+    fam.build(case, {}, count=3)
+    assert max(jets_made.values(), default=0) <= 1, jets_made
+    assert len(fields_made) >= len(CASES[case].exprs)
+    assert all(len(set(map(id, fields))) == 1 for fields in fields_made.values())
 
 
 # --- one case lookup ------------------------------------------------------------

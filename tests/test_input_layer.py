@@ -84,7 +84,7 @@ def test_each_parser_takes_the_flag_of_every_key_row(command):
 @pytest.mark.parametrize("command, flags", [
     ("verify", "--case --ell --checks --points --seed --tol --beta --F --K --H --A --B --c --f"),
     ("lift", "--case --ell --checks --points --seed --tol --beta --F --K --H --A --B --c --chart"),
-    ("limit", "--case --checks --tol --c --ells"),
+    ("limit", "--case --c --ells"),
 ])
 def test_help_names_exactly_the_flags_a_subcommand_reads(capsys, command, flags):
     with pytest.raises(SystemExit) as exc:

@@ -114,7 +114,8 @@ CHECKS = (
 # tiny factor; the alpha chart just inside its ell bound; order-3 jets under
 # eval; a sample size past the float range; a non-ASCII digit; an infinite
 # literal inside a failing subexpression; an option given "=--"; heisenberg's
-# V overflowing under lift; and expression constants that are not finite
+# V overflowing under lift; expression constants that are not finite, --f's
+# included; and the --tol and --checks that limit does not read
 EDGES = (
     "verify --case class-a --checks gt,hypercr",
     "lift --case class-b --checks em,hypercr",
@@ -155,6 +156,9 @@ EDGES = (
     "verify --case class_b --points 2",
     "limit --case class_b",
     "lift --case Heisenberg",
+    "limit --case heisenberg --ells 1,2 --tol 1e-300",
+    "limit --checks limit",
+    "verify --case heisenberg --f 1e999 --checks gt --points 3",
 )
 
 # what each job packs once, at the highest order its checks read: every
